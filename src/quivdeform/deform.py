@@ -13,7 +13,8 @@ right size.  Everything claimed is then re-verified by independent
 computation in verify_presentation.
 """
 
-from .errors import EpsilonUnresolvable, InputError, NormalizationFailed, SignResolutionFailed
+from .errors import (ComputationError, EpsilonUnresolvable, InputError,
+                     NormalizationFailed)
 from .hochschild import Cochain, cobound_solve, is_cocycle
 from .linalg import SpanSolver, rank
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
@@ -176,27 +177,19 @@ def hat_f(w, basis, f):
     return out
 
 
-def _image_pairs(basis, f):
-    """All (key pair, value) entries of f over composable basis pairs."""
-    return [(key, v) for key, v in f.table.items()]
-
-
 def _hat_multiple_span(basis, f, endpoints=None):
     """SpanSolver over hat_f of u*rho*v multiples of the relations.
 
-    Tags are (u, relation index, v).  With endpoints=(i, i) only
-    multiples starting and ending at that vertex are taken.
+    Tags are (u, relation index, v) with u and v basis paths.  With
+    endpoints=(i, i) only multiples starting and ending at that vertex
+    are taken.
     """
     q = basis.quiver
     fld = basis.field
     solver = SpanSolver(fld)
-    bound = basis.max_degree
     for k, rel in enumerate(basis.relations):
-        max_term = max(len(p) - 1 for p in rel.terms)
         for u in basis.paths:
             for v in basis.paths:
-                if (len(u) - 1) + max_term + (len(v) - 1) > bound:
-                    continue
                 if endpoints is not None:
                     if (q.path_source(u) != endpoints[0]
                             or q.path_target(v) != endpoints[1]):
@@ -224,7 +217,7 @@ def check_image_condition(basis, f):
     solver = _hat_multiple_span(basis, f)
     witnesses = {}
     failing = []
-    for key, value in _image_pairs(basis, f):
+    for key, value in f.table.items():
         combo = solver.express(dict(value.coeffs))
         if combo is None:
             failing.append(key)
@@ -371,15 +364,10 @@ class Presentation:
             relation_endpoints(r)
 
 
-def _hat_path(p, quiver_f):
-    # arrows of the deformed quiver list the hatted originals first, in
-    # order, so indices carry over
-    return p
-
-
 def _hat_free(elem, quiver_f, field):
-    return FreeElement(quiver_f, field,
-                       {_hat_path(p, quiver_f): c for p, c in elem.terms.items()})
+    # arrows of the deformed quiver list the hatted originals first, in
+    # order, so paths carry over unchanged
+    return FreeElement(quiver_f, field, dict(elem.terms))
 
 
 def build_presentation(basis, f, max_degree=None):
@@ -397,7 +385,7 @@ def build_presentation(basis, f, max_degree=None):
                          "ideal elements; apply normalize_cocycle first")
 
     image_span = SpanSolver(fld)
-    for idx, (_, value) in enumerate(_image_pairs(basis, f)):
+    for idx, value in enumerate(f.table.values()):
         image_span.add(dict(value.coeffs), idx)
 
     def e_vec(vi):
@@ -440,15 +428,15 @@ def build_presentation(basis, f, max_degree=None):
                     candidates.append(k)
         combo = solver.express(e_vec(vi))
         if combo is None:
-            # allow bounded-degree multiples of the relations; any that
-            # get used are appended to the relation set
+            # allow multiples u*rho*v by basis paths; any that get used
+            # are appended to the relation set
             mult_solver = _hat_multiple_span(basis, f, endpoints=(vi, vi))
             mcombo = mult_solver.express(e_vec(vi))
             if mcombo is None:
                 raise EpsilonUnresolvable(
                     "vertex %s: its idempotent lies in the image of the "
-                    "cocycle but cannot be expressed through lifted ideal "
-                    "elements within the degree bound" % q.vertices[vi])
+                    "cocycle but cannot be expressed through lifted "
+                    "multiples u*rho*v of the relations" % q.vertices[vi])
             combo = {}
             for (u, k, v), c in mcombo.items():
                 m = FreeElement.from_path(q, fld, u) * relations[k] \
@@ -587,51 +575,45 @@ def verify_presentation(basis, f, pres, max_degree=30):
 
 
 class Equivalence:
-    """Isomorphism between two deformations: (a, b) -> (a, b + s g(a))."""
+    """Isomorphism between two deformations: (a, b) -> (a, b + g(a))."""
 
-    def __init__(self, g, sigma, basis):
+    def __init__(self, g, basis):
         self.g = g
-        self.sigma = sigma
         self.basis = basis
 
     def apply(self, pair):
         a, b = pair
-        shift = self.g.evaluate(a).scale(
-            self.basis.field.one if self.sigma > 0
-            else self.basis.field.neg(self.basis.field.one))
-        return (a, b + shift)
+        return (a, b + self.g.evaluate(a))
 
 
 def deformation_equivalence(f, f2, basis):
     """Explicit isomorphism between the two deformed algebras, or None
-    when the cocycles are not cohomologous."""
+    when the cocycles are not cohomologous.
+
+    Expanding phi(x) phi(y) = phi(xy) for phi(a, b) = (a, b + g(a))
+    gives f - f2 = dg, which is the equation cobound_solve solves; the
+    multiplicativity is still checked on all basis pairs.
+    """
     g = cobound_solve(f - f2, basis)
     if g is None:
         return None
     d_f = DeformedAlgebra(basis, f)
     d_f2 = DeformedAlgebra(basis, f2)
+    phi = Equivalence(g, basis)
 
     def pair_of_index(i):
         if i < basis.dim:
             return (basis.basis_element(i), basis.zero())
         return (basis.zero(), basis.basis_element(i - basis.dim))
 
-    for sigma in (1, -1):
-        phi = Equivalence(g, sigma, basis)
-        good = True
-        for i in range(d_f.dim):
-            for j in range(d_f.dim):
-                x = pair_of_index(i)
-                y = pair_of_index(j)
-                lhs = phi.apply(deformed_multiply(x, y, d_f))
-                rhs = deformed_multiply(phi.apply(x), phi.apply(y), d_f2)
-                if not (lhs[0] == rhs[0] and lhs[1] == rhs[1]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return phi
-    raise SignResolutionFailed(
-        "a coboundary witness exists but neither sign of the shift is "
-        "multiplicative; this indicates an internal inconsistency")
+    for i in range(d_f.dim):
+        for j in range(d_f.dim):
+            x = pair_of_index(i)
+            y = pair_of_index(j)
+            lhs = phi.apply(deformed_multiply(x, y, d_f))
+            rhs = deformed_multiply(phi.apply(x), phi.apply(y), d_f2)
+            if not (lhs[0] == rhs[0] and lhs[1] == rhs[1]):
+                raise ComputationError(
+                    "the coboundary witness is not multiplicative at the "
+                    "basis pair (%s, %s)" % (d_f.label(i), d_f.label(j)))
+    return phi

@@ -34,7 +34,3 @@ class EpsilonUnresolvable(ComputationError):
 
 class NormalizationFailed(ComputationError):
     pass
-
-
-class SignResolutionFailed(ComputationError):
-    pass

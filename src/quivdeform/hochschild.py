@@ -1,52 +1,141 @@
 """Hochschild cochains in degrees 1 to 3 and their differential.
 
-Two cochain flavours live here.  `Cochain` is the reduced complex
-relative to the vertex subalgebra: a degree-n cochain is determined by
-its values on composable n-tuples of non-trivial basis paths, and the
-value on (g_1, ..., g_n) must land in the corner e_{s(g_1)} A e_{t(g_n)}.
+Two cochain types live here and share one differential.  `FullCochain`
+is the unreduced complex Hom(A^{(x)n}, A) of an algebra given by
+structure constants, stored sparsely as an index-keyed table
+{(i_1, ..., i_n): {k: c}}; transfers across a Morita context live
+there.  `Cochain` is the reduced complex relative to the vertex
+subalgebra: a degree-n cochain is determined by its values on
+composable n-tuples of non-trivial basis paths, and the value on
+(g_1, ..., g_n) must land in the corner e_{s(g_1)} A e_{t(g_n)}.
 Tuples that are not composable, or contain a trivial path, are forced
-to zero.  `FullCochain` is the unreduced complex on an algebra given by
-structure constants; transfers across a Morita context live there, and
-`extend_to_full` embeds the first flavour into the second by zero
-extension.
+to zero.
 
-The reduced complex only makes sense when products of radical elements
-stay in the radical, which is exactly what admissible relations
-guarantee; the differential refuses otherwise.
+`extend_to_full` embeds the reduced complex, by zero extension, as the
+subcomplex of cochains that are balanced over the vertex idempotents
+and vanish when an argument is one of them.  So one differential
+serves both: `_push` sends a table forward from its support, with left
+and right products by basis elements for the outer faces and an
+inverse product table for the inner ones.  The reduced differential is
+the full differential of the zero extension, read on tuples of radical
+indices only.
+
+The reduced complex reads the span of non-trivial paths as the radical
+of A, and the deformation layer built on it (hat_f, the presentation)
+needs the relations inside the square of the arrow ideal.  Both hold
+for admissible relations, under which no product of non-trivial basis
+paths has a component at a vertex idempotent.  Every reduced
+computation checks this on the structure table first and refuses
+otherwise, naming the offending pair.
 """
 
 from .errors import InputError
-from .linalg import rank, solve
+from .linalg import SpanSolver
 from .quiver import AlgebraElement
 
 
+def _products(table, keep):
+    """Product tables of the basis elements in keep, for pushing forward:
+    left[k] = [(x, e_x e_k)], right[k] = [(y, e_k e_y)], and
+    inverse[k] = [(x, y, c)] with c the coefficient of e_k in e_x e_y."""
+    keep = set(keep)
+    left, right, inverse = {}, {}, {}
+    for (x, y), prod in table.items():
+        if x in keep:
+            left.setdefault(y, []).append((x, prod))
+        if y in keep:
+            right.setdefault(x, []).append((y, prod))
+            if x in keep:
+                for k, c in prod.items():
+                    inverse.setdefault(k, []).append((x, y, c))
+    return left, right, inverse
+
+
+def _push(table, n, products, field):
+    """d of the degree-n cochain table {(i_1..i_n): {k: c}}, pushed forward
+    from its support:
+
+        (dF)(x_0, ..., x_n) = x_0 F(x_1, ..., x_n)
+            + sum_j (-1)^(j+1) F(x_0, ..., x_j x_{j+1}, ..., x_n)
+            + (-1)^(n+1) F(x_0, ..., x_{n-1}) x_n.
+
+    Output keys use only the indices the products were built on.
+    """
+    left, right, inverse = products
+    add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
+    last = field.one if n % 2 else neg(field.one)
+    out = {}
+
+    def put(key, vec, c):
+        acc = out.setdefault(key, {})
+        for m, v in vec.items():
+            acc[m] = add(acc.get(m, zero), mul(c, v))
+
+    for key, vec in table.items():
+        for k, c in vec.items():
+            for x, prod in left.get(k, ()):
+                put((x,) + key, prod, c)
+            for y, prod in right.get(k, ()):
+                put(key + (y,), prod, mul(last, c))
+        sign = field.one
+        for j in range(n):
+            sign = neg(sign)
+            for x, y, c in inverse.get(key[j], ()):
+                put(key[:j] + (x, y) + key[j + 1:], vec, mul(sign, c))
+    result = {}
+    for key, acc in out.items():
+        acc = {m: v for m, v in acc.items() if v != zero}
+        if acc:
+            result[key] = acc
+    return result
+
+
+def _reduced_products(basis):
+    """Products over the radical indices of an admissible quotient."""
+    trivial = set(basis.trivial_indices)
+    for (x, y), prod in basis.table.items():
+        if x in trivial or y in trivial:
+            continue
+        for k in prod:
+            if k in trivial:
+                raise InputError(
+                    "product of radical elements leaves the radical: %s * %s "
+                    "has a component at %s; the reduced complex needs "
+                    "admissible relations"
+                    % (basis.label(x), basis.label(y), basis.label(k)))
+    return _products(basis.table, basis.radical_indices)
+
+
 def _composable_tuples(basis, n):
-    """Composable n-tuples of non-trivial basis paths, in basis order."""
-    q = basis.quiver
-    rad = [basis.paths[i] for i in basis.radical_indices]
+    """Composable n-tuples of radical basis indices, in basis order."""
     by_source = {}
-    for p in rad:
-        by_source.setdefault(q.path_source(p), []).append(p)
-    out = []
-
-    def extend(prefix, tgt):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for p in by_source.get(tgt, []):
-            prefix.append(p)
-            extend(prefix, q.path_target(p))
-            prefix.pop()
-
-    for p in rad:
-        extend([p], q.path_target(p))
-    return out
+    for i in basis.radical_indices:
+        by_source.setdefault(basis.path_source_of_index(i), []).append(i)
+    tuples = [(i,) for i in basis.radical_indices]
+    for _ in range(n - 1):
+        tuples = [t + (i,) for t in tuples
+                  for i in by_source.get(basis.path_target_of_index(t[-1]), ())]
+    return tuples
 
 
-def _corner_indices(basis, src, tgt):
-    return [i for i in range(basis.dim)
-            if basis.path_source_of_index(i) == src
-            and basis.path_target_of_index(i) == tgt]
+def _flat(table):
+    return {key + (m,): c for key, vec in table.items() for m, c in vec.items()}
+
+
+def _reduced_images(basis, n):
+    """((key, i), flattened d of the basis cochain key -> e_i) for every
+    reduced basis cochain of degree n."""
+    products = _reduced_products(basis)
+    fld = basis.field
+    corners = {}
+    for i in range(basis.dim):
+        ends = (basis.path_source_of_index(i), basis.path_target_of_index(i))
+        corners.setdefault(ends, []).append(i)
+    for key in _composable_tuples(basis, n):
+        ends = (basis.path_source_of_index(key[0]),
+                basis.path_target_of_index(key[-1]))
+        for i in corners.get(ends, ()):
+            yield (key, i), _flat(_push({key: {i: fld.one}}, n, products, fld))
 
 
 class Cochain:
@@ -139,11 +228,6 @@ class Cochain:
         rec(0, [], f.one)
         return out
 
-    def coordinates(self):
-        """Sparse coordinate dict {(key, value index): scalar}."""
-        return {(k, i): c
-                for k, v in self.table.items() for i, c in v.coeffs.items()}
-
 
 def cochain_from_pairs(basis, pairs):
     """Degree-2 cochain from {(path, path): FreeElement} as parsed from
@@ -154,39 +238,16 @@ def cochain_from_pairs(basis, pairs):
     return Cochain(basis, 2, table)
 
 
-def _radical_product(x, y, basis):
-    prod = x * y
-    for i in prod.coeffs:
-        if len(basis.paths[i]) == 1:
-            raise InputError(
-                "product of radical elements has a trivial component; the "
-                "reduced complex needs admissible relations")
-    return prod
-
-
 def differential(f, basis):
-    """d f in the reduced complex; degree goes up by one."""
+    """d f in the reduced complex; degree goes up by one.  This is the
+    full differential of the zero extension, on radical indices only."""
     if f.degree >= 3:
         raise InputError("differential supported up to degree 2 inputs")
-    n = f.degree
-    fld = basis.field
-    sign_last = fld.one if (n + 1) % 2 == 0 else fld.neg(fld.one)
-    table = {}
-    for key in _composable_tuples(basis, n + 1):
-        elems = [basis.element_from_path(p) for p in key]
-        total = elems[0] * f.evaluate(*[basis.element_from_path(p) for p in key[1:]])
-        sign = fld.one
-        for j in range(n):
-            sign = fld.neg(sign)
-            merged = _radical_product(elems[j], elems[j + 1], basis)
-            args = ([basis.element_from_path(p) for p in key[:j]] + [merged]
-                    + [basis.element_from_path(p) for p in key[j + 2:]])
-            total = total + f.evaluate(*args).scale(sign)
-        total = total + (f.evaluate(*[basis.element_from_path(p) for p in key[:-1]])
-                         * elems[-1]).scale(sign_last)
-        if not total.is_zero():
-            table[key] = total
-    return Cochain(basis, n + 1, table)
+    table = _push(extend_to_full(f, basis).table, f.degree,
+                  _reduced_products(basis), basis.field)
+    return Cochain(basis, f.degree + 1,
+                   {tuple(basis.paths[i] for i in key): AlgebraElement(basis, vec)
+                    for key, vec in table.items()})
 
 
 def is_cocycle(f, basis):
@@ -195,75 +256,37 @@ def is_cocycle(f, basis):
     return differential(f, basis).is_zero()
 
 
-def _coordinate_list(basis, n):
-    """All legal (key, value index) coordinates of degree n, in a fixed
-    deterministic order."""
-    q = basis.quiver
-    coords = []
-    for key in _composable_tuples(basis, n):
-        src = q.path_source(key[0])
-        tgt = q.path_target(key[-1])
-        for i in _corner_indices(basis, src, tgt):
-            coords.append((key, i))
-    return coords
-
-
-def basis_cochain(basis, key, i):
-    return Cochain(basis, len(key), {key: basis.basis_element(i)})
-
-
-def _differential_matrix(basis, n):
-    """Columns: d of each degree-n basis cochain, in degree n+1
-    coordinates.  Returns (rows, domain coords, codomain index map)."""
-    dom = _coordinate_list(basis, n)
-    cod = _coordinate_list(basis, n + 1)
-    cod_index = {c: r for r, c in enumerate(cod)}
-    fld = basis.field
-    cols = []
-    for key, i in dom:
-        img = differential(basis_cochain(basis, key, i), basis)
-        col = {}
-        for coord, c in img.coordinates().items():
-            col[cod_index[coord]] = c
-        cols.append(col)
-    rows = [[fld.zero] * len(dom) for _ in range(len(cod))]
-    for j, col in enumerate(cols):
-        for r, c in col.items():
-            rows[r][j] = c
-    return rows, dom, cod_index
-
-
 def cobound_solve(f, basis):
-    """Degree-1 g with dg = f, or None.  f must be a 2-cocycle."""
+    """One degree-1 g with dg = f, or None.  f must be a 2-cocycle."""
     if f.degree != 2:
         raise InputError("cobound_solve expects a degree-2 cochain")
     if not is_cocycle(f, basis):
         raise InputError("cobound_solve expects a 2-cocycle")
-    rows, dom, cod_index = _differential_matrix(basis, 1)
-    fld = basis.field
-    target = [fld.zero] * len(cod_index)
-    for coord, c in f.coordinates().items():
-        target[cod_index[coord]] = c
-    x = solve(rows, target, fld)
-    if x is None:
+    solver = SpanSolver(basis.field)
+    for tag, image in _reduced_images(basis, 1):
+        solver.add(image, tag)
+    combo = solver.express(_flat(extend_to_full(f, basis).table))
+    if combo is None:
         return None
     table = {}
-    for (key, i), c in zip(dom, x):
-        if c != fld.zero:
-            cur = table.get(key, basis.zero())
-            table[key] = cur + basis.basis_element(i).scale(c)
+    for ((x,), i), c in combo.items():
+        key = (basis.paths[x],)
+        table[key] = table.get(key, basis.zero()) + basis.basis_element(i).scale(c)
     return Cochain(basis, 1, table)
 
 
 def hh_summary(basis):
     """(dim Z^2, dim B^2, dim HH^2) on the reduced complex."""
-    d2_rows, dom2, _ = _differential_matrix(basis, 2)
-    d1_rows, _, _ = _differential_matrix(basis, 1)
-    fld = basis.field
-    rank_d2 = rank(d2_rows, fld)
-    rank_d1 = rank(d1_rows, fld)
-    dim_z2 = len(dom2) - rank_d2
-    return dim_z2, rank_d1, dim_z2 - rank_d1
+    d1 = SpanSolver(basis.field)
+    for _, image in _reduced_images(basis, 1):
+        d1.add(image)
+    d2 = SpanSolver(basis.field)
+    dim_c2 = 0
+    for _, image in _reduced_images(basis, 2):
+        d2.add(image)
+        dim_c2 += 1
+    dim_z2 = dim_c2 - d2.dim
+    return dim_z2, d1.dim, dim_z2 - d1.dim
 
 
 def hh_dimension(basis, n=2):
@@ -356,58 +379,12 @@ def extend_to_full(f, basis):
                         for key, v in f.table.items()})
 
 
-def _vec_mul(x, y, alg):
-    f = alg.field
-    out = {}
-    for i, ci in x.items():
-        for j, cj in y.items():
-            for k, ck in alg.multiply_basis(i, j).items():
-                s = f.add(out.get(k, f.zero), f.mul(f.mul(ci, cj), ck))
-                if s == f.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-    return out
-
-
 def full_differential(F, alg):
-    """Unreduced differential; alg provides dim, field, multiply_basis."""
-    n = F.degree
-    f = alg.field
-    sign_last = f.one if (n + 1) % 2 == 0 else f.neg(f.one)
-    table = {}
-    rng = range(alg.dim)
-
-    def tuples(length):
-        if length == 0:
-            yield ()
-            return
-        for head in rng:
-            for rest in tuples(length - 1):
-                yield (head,) + rest
-
-    for key in tuples(n + 1):
-        units = [{i: f.one} for i in key]
-        total = _vec_mul(units[0], F.evaluate(*units[1:]), alg)
-
-        def acc(vec, sign):
-            for j, c in vec.items():
-                s = f.add(total.get(j, f.zero), f.mul(sign, c))
-                if s == f.zero:
-                    total.pop(j, None)
-                else:
-                    total[j] = s
-
-        sign = f.one
-        for j in range(n):
-            sign = f.neg(sign)
-            merged = alg.multiply_basis(key[j], key[j + 1])
-            args = units[:j] + [merged] + units[j + 2:]
-            acc(F.evaluate(*args), sign)
-        acc(_vec_mul(F.evaluate(*units[:-1]), units[-1], alg), sign_last)
-        if total:
-            table[key] = total
-    return FullCochain(alg.dim, n + 1, f, table)
+    """Unreduced differential; alg provides dim, field and the structure
+    table {(i, j): {k: c}}."""
+    table = _push(F.table, F.degree, _products(alg.table, range(alg.dim)),
+                  alg.field)
+    return FullCochain(alg.dim, F.degree + 1, alg.field, table)
 
 
 def is_full_cocycle(F, alg):

@@ -332,10 +332,6 @@ def reconstruct(mod, deformed=None):
     return Reconstruction(uple, complement, kernel)
 
 
-def uple_from_module(mod, deformed=None):
-    return reconstruct(mod, deformed).uple
-
-
 def _kernel_columns(mat, fld):
     from .linalg import nullspace
     if not mat:

@@ -413,10 +413,6 @@ class TensorProduct:
         return self.project(raw)
 
 
-def tensor_over(x, y, middle_gens=None):
-    return TensorProduct(x, y, middle_gens)
-
-
 class MoritaContext:
     """Inverse bimodules with fixed pairings and generator lists.
 
@@ -566,7 +562,7 @@ class MoritaContext:
         for first, second, pair, target, name in (
                 (p, q, self.pair_a, a, "A"),
                 (q, p, self.pair_b, b, "B")):
-            ten = tensor_over(first, second)
+            ten = TensorProduct(first, second)
             if ten.dim != target.dim:
                 raise InputError("tensor to %s has dimension %d, expected %d"
                                  % (name, ten.dim, target.dim))
@@ -1291,7 +1287,7 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
 
     x = hat1.glue(s_def, t_def)
     y = hat2.glue(t_def, s_def)
-    ten = tensor_over(x, y)
+    ten = TensorProduct(x, y)
     z = ten.bimodule
     checks.append((prefix + "tensor-dimension", z.dim == 2 * ns,
                    "dim %d, expected %d" % (z.dim, 2 * ns)))

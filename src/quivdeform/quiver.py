@@ -490,6 +490,10 @@ class AlgebraBasis:
         return AlgebraElement(self, {i: self.field.one})
 
     def element_from_path(self, p):
+        # a standard monomial is irreducible, so only other words rewrite
+        i = self.index.get(p)
+        if i is not None:
+            return self.basis_element(i)
         return self.normal_form(FreeElement.from_path(self.quiver, self.field, p))
 
     def normal_form(self, x):

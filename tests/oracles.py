@@ -7,8 +7,11 @@ are recomputed on the full bar complex Hom(A^{tensor n}, A) from raw
 structure constants; only dim HH^2 is comparable with the reduced
 relative complex the library uses, the Z and B dimensions differ by
 design.  Both oracles use their own row reduction so that nothing
-under test is in the loop.
+under test is in the loop.  The Hochschild differential itself is
+recomputed by evaluating every face on every index tuple.
 """
+
+from itertools import product
 
 
 def _rank(rows, width, field):
@@ -151,6 +154,56 @@ def full_bar_hh2(dim, table, field):
     rank_d1 = sparse_rank(d1_cols, dim ** 3)
     dim_z2 = dim ** 3 - rank_d2
     return dim_z2 - rank_d1
+
+
+def brute_differential(dim, table, field, cochain_table, n):
+    """d of the degree-n cochain cochain_table[(i_1, ..., i_n)] = {k: c}
+    on the full bar complex of the algebra with structure constants
+    table[(i, j)] = {k: c}: every face is evaluated on every (n+1)-tuple
+    of basis indices,
+
+        (dF)(x_0..x_n) = x_0 F(x_1..x_n)
+                         + sum_j (-1)^(j+1) F(x_0..x_j x_{j+1}..x_n)
+                         + (-1)^(n+1) F(x_0..x_{n-1}) x_n.
+
+    Returns the nonzero values {(i_0, ..., i_n): {k: c}}."""
+    def add(acc, vec, c):
+        for k, v in vec.items():
+            acc[k] = field.add(acc.get(k, field.zero), field.mul(c, v))
+
+    def mul(x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                add(out, table.get((i, j), {}), field.mul(a, b))
+        return out
+
+    def value(args):
+        # multilinear in the coordinate dicts args
+        out = {}
+        for key in product(*[list(a) for a in args]):
+            c = field.one
+            for a, i in zip(args, key):
+                c = field.mul(c, a[i])
+            add(out, cochain_table.get(key, {}), c)
+        return out
+
+    minus = field.neg(field.one)
+    result = {}
+    for key in product(range(dim), repeat=n + 1):
+        units = [{i: field.one} for i in key]
+        total = mul(units[0], value(units[1:]))
+        sign = field.one
+        for j in range(n):
+            sign = field.mul(sign, minus)
+            merged = table.get((key[j], key[j + 1]), {})
+            add(total, value(units[:j] + [merged] + units[j + 2:]), sign)
+        add(total, mul(value(units[:-1]), units[-1]),
+            field.one if n % 2 else minus)
+        total = {k: c for k, c in total.items() if c != field.zero}
+        if total:
+            result[key] = total
+    return result
 
 
 def brute_transfer(ctx, f, n):

@@ -19,9 +19,8 @@ from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
                                    full_differential, hh_dimension, is_cocycle,
                                    is_full_cocycle)
 from quivdeform.linalg import invert_matrix, matmul
-from quivdeform.modcat import (LeftModule, functor_F, regular_module,
-                               regular_uple, roundtrip_triple,
-                               uple_from_module)
+from quivdeform.modcat import (LeftModule, functor_F, reconstruct,
+                               regular_module, regular_uple, roundtrip_triple)
 from quivdeform.morita import (FinDimAlgebra, algebra_of_basis, homotopy_h,
                                identity_context, matrix_context, transfer_phi,
                                transfer_psi, verify_morita_deformed)
@@ -377,7 +376,7 @@ def test_criterion_8_module_category():
         mats = [[[Q.one if i == j else Q.zero for j in range(d)]
                  for i in range(d)], x, x2, matmul(x2, x, Q)]
         mod = LeftModule(deformed, mats)
-        uple = uple_from_module(mod)
+        uple = reconstruct(mod).uple
         tri = roundtrip_triple(uple)
         if not tri.is_isomorphism():
             failures.append("dim %d module: round trip not invertible" % d)

@@ -62,6 +62,16 @@ cocycle f(a1, a2) = e(1)
 """
 
 
+def test_hh_and_check_cocycle_need_admissible_relations(capsys):
+    # the refusal names the first pair of radical paths whose product
+    # has a component at a vertex idempotent
+    for command in ("hh", "check-cocycle"):
+        assert run([command, data_path("lambda_m2.alg")]) == 2, command
+        err = capsys.readouterr().err
+        assert "admissible" in err
+        assert "u * v has a component at e(1)" in err
+
+
 def test_check_cocycle_pass(capsys):
     assert run(["check-cocycle", data_path("dual_numbers.alg")]) == 0
     out, _ = lines_of(capsys)
@@ -159,6 +169,31 @@ def test_deform_interreduce_same_ideal(capsys):
     for r in red.relations:
         assert basis_raw.normal_form(
             FreeElement(raw.quiver, raw.field, dict(r.terms))).is_zero()
+
+
+def _truncated_with_cocycle(n):
+    """k[x]/(x^n) with the cocycle of x^n = t: f(x^i, x^j) = x^(i+j-n)."""
+    def word(k):
+        return "e(1)" if k == 0 else "*".join(["x"] * k)
+    lines = ["field Q", "vertex 1", "arrow x : 1 -> 1", "relation " + word(n)]
+    for i in range(1, n):
+        for j in range(1, n):
+            if i + j >= n:
+                lines.append("cocycle f(%s, %s) = %s" % (word(i), word(j), word(i + j - n)))
+    return "\n".join(lines) + "\n"
+
+
+def test_deform_max_degree_leaves_lifted_multiples(tmp_path, capsys):
+    # the lifted multiples u*rho*v run up to length 3n - 2 = 13, past
+    # --max-degree 6; u and v range over the finite basis, so the cap
+    # must not prune them
+    path = tmp_path / "trunc5.alg"
+    path.write_text(_truncated_with_cocycle(5))
+    assert run(["deform", "--max-degree", "6", str(path)]) == 0
+    low, lines = lines_of(capsys)
+    assert lines[-1] == "relation %s  # origin: square-zero:1" % "*".join(["x^"] * 10)
+    assert run(["deform", "--max-degree", "12", str(path)]) == 0
+    assert capsys.readouterr().out == low
 
 
 def test_deform_rejects_non_cocycle(tmp_path, capsys):

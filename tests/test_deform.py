@@ -338,6 +338,21 @@ def test_equivalence_none_for_nonzero_class(two_cycle):
     assert deformation_equivalence(f, Cochain(basis, 2, {}), basis) is None
 
 
+def test_equivalence_names_a_failing_pair(two_cycle, monkeypatch):
+    # dg = f2 - f, so g is the witness of the wrong sign; the check on
+    # all basis pairs must refuse it and name where it breaks
+    from quivdeform import deform
+    from quivdeform.errors import ComputationError
+    af, basis = two_cycle
+    f = the_cocycle(af, basis)
+    g = _random_one_cochain(basis, (1, 2, 3, 4))
+    f2 = f + differential(g, basis)
+    assert deformation_equivalence(f, f2, basis) is not None
+    monkeypatch.setattr(deform, "cobound_solve", lambda target, b: g)
+    with pytest.raises(ComputationError, match=r"at the basis pair \(.+, .+\)"):
+        deformation_equivalence(f, f2, basis)
+
+
 def test_presentation_round_trips_through_files(two_cycle):
     from quivdeform.fileio import emit_algebra_text
     af, basis = two_cycle

@@ -1,16 +1,22 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_bar_hh2
+from conftest import data_path
+from oracles import brute_differential, full_bar_hh2
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
-from quivdeform.hochschild import (Cochain, cobound_solve, cochain_from_pairs,
-                                   differential, extend_to_full,
-                                   full_differential, hh_dimension,
-                                   hh_summary, is_cocycle, is_full_cocycle)
+from quivdeform.fileio import parse_algebra_file
+from quivdeform.hochschild import (Cochain, FullCochain, cobound_solve,
+                                   cochain_from_pairs, differential,
+                                   extend_to_full, full_differential,
+                                   hh_dimension, hh_summary, is_cocycle,
+                                   is_full_cocycle)
+from quivdeform.morita import algebra_of_basis, matrix_context, transfer_phi
 from quivdeform.quiver import Quiver, compute_basis
 
 Q = Field.rationals()
@@ -197,3 +203,137 @@ def test_hh_unsupported_degree(two_cycle):
     af, basis = two_cycle
     with pytest.raises(InputError):
         hh_dimension(basis, n=3)
+
+
+# ------------------------------------------- the differential against the oracle
+
+ADMISSIBLE = ("dual_numbers", "two_cycle", "quantum_plane", "triangle")
+FIELDS = pytest.mark.parametrize("field", [Q, Field.prime(5)], ids=["Q", "F5"])
+
+
+def basis_over(name, field):
+    af = parse_algebra_file(data_path(name + ".alg"), field)
+    return af, compute_basis(af.quiver, af.relations, af.field, 30)
+
+
+def random_reduced(basis, n, rng):
+    """Reduced degree-n cochain with a random coefficient on every
+    coordinate: composable radical keys, values in the corner."""
+    q = basis.quiver
+    rad = [p for p in basis.paths if len(p) > 1]
+    keys = [(p,) for p in rad]
+    for _ in range(n - 1):
+        keys = [k + (p,) for k in keys for p in rad
+                if q.path_target(k[-1]) == q.path_source(p)]
+    table = {}
+    for key in keys:
+        value = basis.zero()
+        for i in range(basis.dim):
+            if (basis.path_source_of_index(i) == q.path_source(key[0])
+                    and basis.path_target_of_index(i) == q.path_target(key[-1])):
+                c = basis.field.from_int(rng.randint(-3, 3))
+                value = value + basis.basis_element(i).scale(c)
+        table[key] = value
+    return Cochain(basis, n, table)
+
+
+def random_full(dim, n, field, rng):
+    """Full degree-n cochain on a few random index tuples, trivial
+    indices included, so it is in general not normalized."""
+    table = {}
+    for key in product(range(dim), repeat=n):
+        if rng.random() < 0.3:
+            table[key] = {rng.randrange(dim): field.from_int(rng.randint(1, 4))}
+    return FullCochain(dim, n, field, table)
+
+
+def assert_reduced_matches(basis, f):
+    expected = brute_differential(basis.dim, basis.table, basis.field,
+                                  extend_to_full(f, basis).table, f.degree)
+    assert extend_to_full(differential(f, basis), basis).table == expected
+    assert full_differential(extend_to_full(f, basis), basis).table == expected
+    return expected
+
+
+@FIELDS
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_reduced_differential_matches_oracle(name, field):
+    af, basis = basis_over(name, field)
+    rng = random.Random(name)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
+    g = random_reduced(basis, 1, rng)
+    dg = differential(g, basis)
+    assert assert_reduced_matches(basis, g) == extend_to_full(dg, basis).table
+    assert assert_reduced_matches(basis, f) == {}
+    assert assert_reduced_matches(basis, dg) == {}
+    bumped = f + dg + random_reduced(basis, 2, rng)
+    # every reduced 2-cochain is a cocycle on the triangle, which has no
+    # composable triple of radical paths, and on the commutative dual numbers
+    image = assert_reduced_matches(basis, bumped)
+    assert bool(image) == (name in ("two_cycle", "quantum_plane"))
+
+
+@FIELDS
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_full_differential_matches_oracle(name, field):
+    # random full cochains are not normalized, so every face also runs
+    # over trivial indices; in each degree some of them are not cocycles
+    af, basis = basis_over(name, field)
+    rng = random.Random(name)
+    for n in (1, 2, 3):
+        images = []
+        for _ in range(3):
+            F = random_full(basis.dim, n, field, rng)
+            images.append(brute_differential(basis.dim, basis.table, field,
+                                             F.table, n))
+            assert full_differential(F, basis).table == images[-1]
+        assert any(images)
+    # f(e, r) = e with e the source idempotent of a radical r breaks the
+    # cocycle identity at (e, e, r)
+    r = basis.radical_indices[0]
+    e = basis.index[(basis.paths[r][0],)]
+    F = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    bumped = F + FullCochain(basis.dim, 2, field, {(e, r): {e: field.one}})
+    expected = brute_differential(basis.dim, basis.table, field, bumped.table, 2)
+    assert expected[(e, e, r)] == {e: field.one}
+    assert full_differential(bumped, basis).table == expected
+    assert not is_full_cocycle(bumped, basis)
+
+
+@FIELDS
+def test_full_differential_on_matrix_algebra(field):
+    af, basis = basis_over("dual_numbers", field)
+    ctx = matrix_context(algebra_of_basis(basis), 2)
+    b = ctx.b
+    rng = random.Random(7)
+    f = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    g = transfer_phi(ctx, f, 2)
+    h = random_full(b.dim, 1, field, rng)
+    dh = full_differential(h, b)
+    bumped = g + dh + random_full(b.dim, 2, field, rng)
+    for F in (g, h, dh, bumped):
+        expected = brute_differential(b.dim, b.table, field, F.table, F.degree)
+        assert full_differential(F, b).table == expected
+    assert is_full_cocycle(g, b) and is_full_cocycle(dh, b)
+    assert not is_full_cocycle(bumped, b)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2)], ids=["Q", "F2"])
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_hh_summary_matches_full_bar_complex(name, field):
+    _, basis = basis_over(name, field)
+    assert hh_summary(basis)[2] == full_bar_hh2(basis.dim, basis.table, field)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_cobound_solve_inverts_the_differential(seed):
+    # over F5 on the triangle: the solved g has dg equal to the target,
+    # and adding the cocycle of the nonzero class leaves no solution
+    af, basis = basis_over("triangle", Field.prime(5))
+    rng = random.Random(seed)
+    dg = differential(random_reduced(basis, 1, rng), basis)
+    got = cobound_solve(dg, basis)
+    assert got is not None
+    assert differential(got, basis) == dg
+    assert cobound_solve(dg + cochain_from_pairs(basis, af.cocycle_pairs), basis) is None

@@ -13,8 +13,7 @@ from quivdeform.modcat import (LeftModule, MorphismTriple, UpleModule,
                                compose_triples, functor_F, identity_triple,
                                linear_of_triple, module_from_file, module_homs,
                                regular_module, regular_uple, reconstruct,
-                               roundtrip_triple, submodule, triple_from_linear,
-                               uple_from_module)
+                               roundtrip_triple, submodule, triple_from_linear)
 
 Q = Field.rationals()
 
@@ -46,7 +45,7 @@ def test_regular_reconstruction_recovers_f(dual_numbers):
 def test_zero_module(dual_numbers):
     d = deformed_of(dual_numbers)
     zero = LeftModule(d, [[] for _ in range(d.dim)])
-    u = uple_from_module(zero)
+    u = reconstruct(zero).uple
     assert u.m0.dim == 0 and u.m1.dim == 0
     back = functor_F(u)
     assert back.dim == 0
@@ -93,7 +92,7 @@ def random_uple(d, rng):
         if any(c != Q.zero for c in v):
             break
     sub = submodule(mod, [v])
-    u = uple_from_module(sub, d)
+    u = reconstruct(sub, d).uple
     c = Q.parse(str(rng.choice([1, 2, -1, 3])))
     s = [[Q.parse(str(rng.randint(-2, 2))) for _ in range(u.m0.dim)]
          for _ in range(u.m1.dim)]
@@ -206,7 +205,7 @@ def test_submodule_of_regular_two_cycle(two_cycle):
     gen[d.basis.trivial_indices[0]] = Q.one
     sub = submodule(mod, [gen])
     assert 0 < sub.dim < d.dim
-    uple_from_module(sub, d)  # validates
+    reconstruct(sub, d)  # validates
 
 
 def test_functor_respects_zero_cocycle(two_cycle):

@@ -10,13 +10,14 @@ from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    extend_to_full, full_differential,
                                    is_full_cocycle)
 from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
-                               MoritaContext, algebra_generators,
-                               algebra_of_basis, build_hat_P, build_hat_Q,
+                               MoritaContext, TensorProduct,
+                               algebra_generators, algebra_of_basis,
+                               build_hat_P, build_hat_Q,
                                deform_structure_algebra, homotopy_h,
                                identity_context, idempotent_context,
                                matrix_context, regular_bimodule,
-                               regular_deformed_uple, tensor_over,
-                               transfer_phi, transfer_psi, triple_violations,
+                               regular_deformed_uple, transfer_phi,
+                               transfer_psi, triple_violations,
                                verify_morita_deformed)
 from quivdeform.quiver import compute_basis
 
@@ -144,7 +145,7 @@ def test_tensor_regular_is_algebra(dual_numbers, triangle):
     for fixture in (dual_numbers, triangle):
         alg = structure_algebra(fixture)
         reg = regular_bimodule(alg)
-        ten = tensor_over(reg, reg)
+        ten = TensorProduct(reg, reg)
         assert ten.dim == alg.dim
         # every pure tensor collapses onto (x_i x_j) (x) 1
         for i in range(alg.dim):
