@@ -9,10 +9,10 @@ context, verifying every identity it claims by direct computation.
 """
 
 from .deform import (DeformedAlgebra, Equivalence, Presentation,
-                     build_presentation, check_image_condition,
-                     deformation_equivalence, deformed_multiply, hat_f,
-                     interreduce_presentation, normalize_cocycle,
-                     verify_presentation)
+                     algebra_of_basis, build_presentation,
+                     check_image_condition, deformation_equivalence,
+                     deformed_multiply, hat_f, interreduce_presentation,
+                     normalize_cocycle, verify_presentation)
 from .errors import (CharTwoUnsupported, ComputationError, EpsilonUnresolvable,
                      InputError, NormalizationFailed, NotFiniteDimensional,
                      NotFullIdempotent)
@@ -26,10 +26,10 @@ from .hochschild import (Cochain, FullCochain, cochain_from_pairs,
 from .modcat import (LeftModule, MorphismTriple, UpleModule, functor_F,
                      module_from_file, module_homs, reconstruct,
                      regular_module, regular_uple, roundtrip_triple)
-from .morita import (FinDimAlgebra, MoritaContext, algebra_of_basis,
-                     homotopy_h, idempotent_context, identity_context,
-                     matrix_context, transfer_phi, transfer_psi,
-                     verify_morita_deformed)
+from .linalg import FinDimAlgebra
+from .morita import (MoritaContext, homotopy_h, idempotent_context,
+                     identity_context, matrix_context, transfer_phi,
+                     transfer_psi, verify_morita_deformed)
 from .quiver import (AlgebraBasis, AlgebraElement, FreeElement, Quiver,
                      compute_basis, decompose_unit, multiply, normal_form,
                      validate_admissible_relations)

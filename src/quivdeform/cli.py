@@ -9,7 +9,7 @@ pass; bad input exits 2 and typed computation errors exit 1.
 import argparse
 import sys
 
-from .deform import (DeformedAlgebra, build_presentation,
+from .deform import (DeformedAlgebra, algebra_of_basis, build_presentation,
                      check_image_condition, deformation_equivalence,
                      deformed_multiply, hat_f, interreduce_presentation,
                      normalize_cocycle, verify_presentation)
@@ -22,9 +22,8 @@ from .hochschild import (cochain_from_pairs, extend_to_full,
                          is_full_cocycle)
 from .linalg import invert_matrix, matmul
 from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
-from .morita import (algebra_of_basis, homotopy_h, idempotent_context,
-                     matrix_context, transfer_phi, transfer_psi,
-                     verify_morita_deformed)
+from .morita import (homotopy_h, idempotent_context, matrix_context,
+                     transfer_phi, transfer_psi, verify_morita_deformed)
 from .quiver import FreeElement, compute_basis
 
 
@@ -107,7 +106,7 @@ def cmd_deform(args):
     if not is_cocycle(f, basis):
         raise InputError("the cocycle lines do not satisfy d^2 f = 0")
     f = normalize_cocycle(basis, f)
-    pres, _ = build_presentation(basis, f, args.max_degree)
+    pres, _ = build_presentation(basis, f)
     if args.interreduce:
         pres = interreduce_presentation(pres, basis.field, args.max_degree)
     header = "presentation of the deformed algebra (dim %d)" % (2 * basis.dim)
@@ -147,9 +146,12 @@ def cmd_verify_deform(args):
                    "d^2 f %s 0" % ("=" if ok_cocycle else "!=")))
     deformed = DeformedAlgebra(basis, f, check_cocycle=False)
     ok_assoc = deformed.associativity_holds()
-    checks.append(("associativity", ok_assoc,
-                   "all %d^3 basis triples" % deformed.dim if ok_assoc
-                   else "a basis triple fails"))
+    if ok_assoc:
+        detail = "all %d^3 basis triples" % deformed.dim
+    else:
+        detail = ("(xy)z != x(yz) at (x, y, z) = (%s, %s, %s)"
+                  % tuple(map(deformed.label, deformed.associativity_witness())))
+    checks.append(("associativity", ok_assoc, detail))
     if not ok_cocycle:
         checks.append(("presentation", False, "skipped: not a cocycle"))
         return _emit_report(checks, args.report)
@@ -184,7 +186,7 @@ def cmd_verify_deform(args):
         f2 = normalize_cocycle(basis, f)
         checks.append(("image-condition", True,
                        "restored by a cohomologous representative"))
-    pres, _ = build_presentation(basis, f2, args.max_degree)
+    pres, _ = build_presentation(basis, f2)
     checks.extend(verify_presentation(basis, f2, pres, args.max_degree))
     return _emit_report(checks, args.report)
 

@@ -1,11 +1,17 @@
 """The doubled algebra twisted by a 2-cocycle, and its presentation.
 
-For a 2-cocycle f on A the deformed algebra lives on A + A with
+For a 2-cocycle f on A the deformed algebra A_f lives on A + At with
 
     (a0, b0) (a1, b1) = (a0 a1, a0 b1 + b0 a1 + f(a0, a1)),
 
-which is associative exactly because f is a cocycle.  This module
-builds that algebra, the path-lifting map hat_f, and a quiver
+which is associative exactly because f is a cocycle: the associator is
+(0, df).  One routine, _deformed_constants, writes this product as
+structure constants of a FinDimAlgebra on the basis (x_i, 0), (0, x_i);
+DeformedAlgebra (over the path basis of a bound quiver algebra, with a
+reduced cocycle) and deform_structure_algebra (over any structure-
+constant algebra, with a full cocycle) both build on it.
+
+This module also builds the path-lifting map hat_f and a quiver
 presentation of the deformed algebra: every original arrow is doubled
 to a hatted copy, vertices whose idempotent is missed by the image of f
 get a new loop, and three relation families cut the result down to the
@@ -15,17 +21,58 @@ computation in verify_presentation.
 
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed)
-from .hochschild import Cochain, cobound_solve, is_cocycle
-from .linalg import SpanSolver, rank
+from .hochschild import (Cochain, cobound_solve, extend_to_full, is_cocycle,
+                         is_full_cocycle)
+from .linalg import FinDimAlgebra, SpanSolver, rank
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
                      relation_endpoints)
 
 
-class DeformedAlgebra:
-    """A + A with multiplication twisted by the cocycle f.
+def algebra_of_basis(basis):
+    """Structure-constant copy of a path-algebra quotient basis."""
+    unit = {i: basis.field.one for i in basis.trivial_indices}
+    labels = [basis.label(i) for i in range(basis.dim)]
+    return FinDimAlgebra(basis.field, basis.dim, basis.table, unit, labels,
+                         check=False)
+
+
+def _deformed_constants(alg, F):
+    """(table, unit, labels) of A_f on the basis (x_i, 0), (0, x_i) of
+    alg + alg t, for the full 2-cochain F on alg."""
+    n = alg.dim
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            prod = alg.multiply_basis(i, j)
+            value = F.value((i, j))
+            if prod or value:
+                entry = dict(prod)
+                for k, c in value.items():
+                    entry[n + k] = c
+                table[(i, j)] = entry
+            if prod:
+                shifted = {n + k: c for k, c in prod.items()}
+                table[(i, n + j)] = table[(n + i, j)] = shifted
+    labels = list(alg.labels) + ["t*" + s for s in alg.labels]
+    return table, alg.unit, labels
+
+
+def deform_structure_algebra(alg, f):
+    """A_f for a full 2-cocycle f on a FinDimAlgebra; the associativity
+    and unit validation re-proves the cocycle condition."""
+    if f.degree != 2 or f.dim != alg.dim:
+        raise InputError("deformation needs a 2-cochain on the same algebra")
+    if not is_full_cocycle(f, alg):
+        raise InputError("the cochain is not a Hochschild 2-cocycle")
+    return FinDimAlgebra(alg.field, 2 * alg.dim, *_deformed_constants(alg, f))
+
+
+class DeformedAlgebra(FinDimAlgebra):
+    """A_f for a reduced 2-cocycle f on the path basis of A.
 
     Basis: (gamma, 0) for gamma in the basis of A, then (0, gamma); so
     index i < n is (basis path i, 0) and n + i is (0, basis path i).
+    base is A as a FinDimAlgebra and full the zero extension of f.
     """
 
     def __init__(self, basis, f, check_cocycle=True):
@@ -36,46 +83,11 @@ class DeformedAlgebra:
                              "not be associative")
         self.basis = basis
         self.f = f
-        self.field = basis.field
         self.n = basis.dim
-        self.dim = 2 * basis.dim
-        self.table = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prod = self._basis_product(i, j)
-                if prod:
-                    self.table[(i, j)] = prod
-        self.unit_indices = list(basis.trivial_indices)
-
-    def _basis_product(self, i, j):
-        n = self.n
-        basis = self.basis
-        fld = self.field
-        out = {}
-
-        def put_first(elem):
-            for k, c in elem.coeffs.items():
-                out[k] = fld.add(out.get(k, fld.zero), c)
-
-        def put_second(elem):
-            for k, c in elem.coeffs.items():
-                out[n + k] = fld.add(out.get(n + k, fld.zero), c)
-
-        if i < n and j < n:
-            put_first(basis.basis_element(i) * basis.basis_element(j))
-            put_second(self.f.evaluate(basis.basis_element(i),
-                                       basis.basis_element(j)))
-        elif i < n <= j:
-            put_second(basis.basis_element(i) * basis.basis_element(j - n))
-        elif j < n <= i:
-            put_second(basis.basis_element(i - n) * basis.basis_element(j))
-        return {k: c for k, c in out.items() if c != fld.zero}
-
-    def multiply_basis(self, i, j):
-        return self.table.get((i, j), {})
-
-    def unit(self):
-        return (self.basis.unit(), self.basis.zero())
+        self.base = algebra_of_basis(basis)
+        self.full = extend_to_full(f, basis)
+        super().__init__(basis.field, 2 * basis.dim,
+                         *_deformed_constants(self.base, self.full), check=False)
 
     def zero_pair(self):
         return (self.basis.zero(), self.basis.zero())
@@ -98,9 +110,7 @@ class DeformedAlgebra:
         return (AlgebraElement(self.basis, a), AlgebraElement(self.basis, b))
 
     def label(self, i):
-        if i < self.n:
-            return self.basis.label(i)
-        return "t*" + self.basis.label(i - self.n)
+        return self.labels[i]
 
     def label_index(self, text):
         from .fileio import parse_path
@@ -116,25 +126,7 @@ class DeformedAlgebra:
 
     def associativity_holds(self):
         """Exhaustive check of (xy)z = x(yz) on basis triples."""
-        fld = self.field
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.multiply_basis(i, j)
-                for k in range(self.dim):
-                    jk = self.multiply_basis(j, k)
-                    left = {}
-                    for l, c in ij.items():
-                        for m, d in self.multiply_basis(l, k).items():
-                            left[m] = fld.add(left.get(m, fld.zero), fld.mul(c, d))
-                    right = {}
-                    for l, c in jk.items():
-                        for m, d in self.multiply_basis(i, l).items():
-                            right[m] = fld.add(right.get(m, fld.zero), fld.mul(c, d))
-                    left = {m: c for m, c in left.items() if c != fld.zero}
-                    right = {m: c for m, c in right.items() if c != fld.zero}
-                    if left != right:
-                        return False
-        return True
+        return self.associativity_witness() is None
 
 
 def deformed_multiply(x, y, deformed):
@@ -145,7 +137,8 @@ def deformed_multiply(x, y, deformed):
     if (a0.basis is not basis or b0.basis is not basis
             or a1.basis is not basis or b1.basis is not basis):
         raise InputError("pair components belong to a different algebra")
-    return (a0 * a1, a0 * b1 + b0 * a1 + deformed.f.evaluate(a0, a1))
+    return deformed.coords_to_pair(deformed.mul(deformed.pair_to_coords(x),
+                                                deformed.pair_to_coords(y)))
 
 
 def hat_f(w, basis, f):
@@ -233,7 +226,6 @@ def _arrow_cuts(q, p):
     arrows = p[1:]
     for i, a in enumerate(arrows):
         left = (src,) + arrows[:i]
-        a_src = q.arrows[a][1]
         right_arrows = arrows[i + 1:]
         if right_arrows:
             right = (q.arrows[a][2],) + right_arrows
@@ -370,7 +362,7 @@ def _hat_free(elem, quiver_f, field):
     return FreeElement(quiver_f, field, dict(elem.terms))
 
 
-def build_presentation(basis, f, max_degree=None):
+def build_presentation(basis, f):
     """Quiver and relations presenting the deformed algebra.
 
     Needs the image condition; raises InputError otherwise (normalize
@@ -546,14 +538,16 @@ def verify_presentation(basis, f, pres, max_degree=30):
                    "dim kQ_f/I_f = %d, expected %d" % (basis_f.dim, 2 * basis.dim)))
 
     deformed, pi_free = _pi_map(basis, f, pres)
-    bad = 0
-    for r in pres.relations:
+    bad = []
+    for k, r in enumerate(pres.relations):
         img = pi_free(r)
         if not (img[0].is_zero() and img[1].is_zero()):
-            bad += 1
-    checks.append(("relations-vanish", bad == 0,
-                   "%d of %d generators evaluate to zero"
-                   % (len(pres.relations) - bad, len(pres.relations))))
+            bad.append(k)
+    detail = "%d of %d generators evaluate to zero" % (
+        len(pres.relations) - len(bad), len(pres.relations))
+    if bad:
+        detail += "; the first that does not is %s" % pres.origins[bad[0]]
+    checks.append(("relations-vanish", not bad, detail))
 
     q = basis.quiver
     qf = pres.quiver

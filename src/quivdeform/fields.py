@@ -10,14 +10,32 @@ from fractions import Fraction
 from .errors import InputError
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this bound
+# (Sorenson and Webster, 2017); larger characteristics are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < _MR_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -25,6 +43,9 @@ class Field:
     """ℚ (characteristic 0) or F_p (characteristic p prime)."""
 
     def __init__(self, characteristic=0):
+        if characteristic >= _MR_BOUND:
+            raise InputError("characteristic %d is too large: primes are only "
+                             "recognised below %d" % (characteristic, _MR_BOUND))
         if characteristic != 0 and not _is_prime(characteristic):
             raise InputError("characteristic must be 0 or a prime, got %r" % (characteristic,))
         self.char = characteristic

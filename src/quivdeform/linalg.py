@@ -1,14 +1,53 @@
-"""Exact linear algebra over a Field.
+"""Exact linear algebra over a Field, and finite-dimensional algebras.
 
 Dense matrices are lists of row lists of scalars.  Row reduction is
 plain Gauss-Jordan with exact arithmetic; at the sizes this library
-handles (a few hundred rows) nothing fancier is warranted.
+handles (a few hundred rows) nothing fancier is warranted.  The dense
+helpers (zeros, mat_add, mat_sub, mat_scale, mat_is_zero, block) take
+the field last, as matmul does.
+
+Sparse vectors are coordinate dicts {index: scalar}; the helpers
+_addinto, _scaled, _clean and _dense work on them.
 
 SpanSolver is an incremental row reducer over sparsely represented
 vectors (dicts keyed by arbitrary hashable coordinates).  It answers
 membership queries and also returns the combination of inserted vectors
 that expresses a member, which is what the witness-producing checks need.
+
+FinDimAlgebra is the one structure-constant algebra type: a path-algebra
+quotient, its deformation A_f, a matrix amplification and a corner
+algebra all live in it.
 """
+
+from .errors import InputError
+
+
+def _addinto(field, acc, vec, c):
+    """acc += c * vec on sparse dicts, dropping zeros."""
+    if c == field.zero:
+        return acc
+    for k, v in vec.items():
+        s = field.add(acc.get(k, field.zero), field.mul(c, v))
+        if s == field.zero:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+def _scaled(field, vec, c):
+    return _addinto(field, {}, vec, c)
+
+
+def _clean(field, vec):
+    return {k: c for k, c in vec.items() if c != field.zero}
+
+
+def _dense(field, vec, dim):
+    out = [field.zero] * dim
+    for k, c in vec.items():
+        out[k] = c
+    return out
 
 
 def rref(rows, field):
@@ -124,6 +163,32 @@ def identity_matrix(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
+def zeros(rows, cols, field):
+    return [[field.zero] * cols for _ in range(rows)]
+
+
+def mat_add(a, b, field):
+    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b, field):
+    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c, field):
+    return [[field.mul(c, x) for x in row] for row in a]
+
+
+def mat_is_zero(a, field):
+    return all(x == field.zero for row in a for x in row)
+
+
+def block(tl, tr, bl, br):
+    """Assemble [[tl, tr], [bl, br]] from compatible blocks."""
+    return ([list(r1) + list(r2) for r1, r2 in zip(tl, tr)]
+            + [list(r1) + list(r2) for r1, r2 in zip(bl, br)])
+
+
 class SpanSolver:
     """Incremental span membership with expression witnesses.
 
@@ -212,3 +277,87 @@ class SpanSolver:
     @property
     def dim(self):
         return len(self.rows)
+
+
+class FinDimAlgebra:
+    """Associative unital algebra given by structure constants.
+
+    table[(i, j)] = {k: c} holds the product of basis elements i and j;
+    absent entries are zero.  unit is a coordinate dict.  Associativity
+    and two-sided unitality are verified on all basis tuples unless
+    check=False.
+    """
+
+    def __init__(self, field, dim, table, unit, labels=None, check=True):
+        self.field = field
+        self.dim = dim
+        self.table = {}
+        for key, vec in table.items():
+            vec = _clean(field, vec)
+            if vec:
+                self.table[key] = vec
+        self.unit = _clean(field, unit)
+        self.labels = list(labels) if labels else ["x%d" % i for i in range(dim)]
+        if len(self.labels) != dim:
+            raise InputError("expected %d basis labels" % dim)
+        self._left_mats = {}
+        self._right_mats = {}
+        if check:
+            self._validate()
+
+    def multiply_basis(self, i, j):
+        return self.table.get((i, j), {})
+
+    def mul(self, x, y):
+        fld = self.field
+        out = {}
+        for i, ci in x.items():
+            for j, cj in y.items():
+                _addinto(fld, out, self.multiply_basis(i, j), fld.mul(ci, cj))
+        return out
+
+    def left_matrix(self, i):
+        if i not in self._left_mats:
+            cols = [self.multiply_basis(i, m) for m in range(self.dim)]
+            self._left_mats[i] = [[cols[m].get(r, self.field.zero)
+                                   for m in range(self.dim)] for r in range(self.dim)]
+        return self._left_mats[i]
+
+    def right_matrix(self, j):
+        if j not in self._right_mats:
+            cols = [self.multiply_basis(m, j) for m in range(self.dim)]
+            self._right_mats[j] = [[cols[m].get(r, self.field.zero)
+                                    for m in range(self.dim)] for r in range(self.dim)]
+        return self._right_mats[j]
+
+    def associativity_witness(self):
+        """The first basis triple (i, j, k) with (x_i x_j) x_k != x_i (x_j x_k),
+        or None when the product is associative."""
+        fld = self.field
+        for i in range(self.dim):
+            for j in range(self.dim):
+                ij = self.multiply_basis(i, j)
+                for k in range(self.dim):
+                    jk = self.multiply_basis(j, k)
+                    left = {}
+                    for l, c in ij.items():
+                        for m, d in self.multiply_basis(l, k).items():
+                            left[m] = fld.add(left.get(m, fld.zero), fld.mul(c, d))
+                    right = {}
+                    for l, c in jk.items():
+                        for m, d in self.multiply_basis(i, l).items():
+                            right[m] = fld.add(right.get(m, fld.zero), fld.mul(c, d))
+                    if _clean(fld, left) != _clean(fld, right):
+                        return (i, j, k)
+        return None
+
+    def _validate(self):
+        fld = self.field
+        for i in range(self.dim):
+            e = {i: fld.one}
+            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+                raise InputError("unit fails on basis element %s" % self.labels[i])
+        bad = self.associativity_witness()
+        if bad is not None:
+            raise InputError("product is not associative at (%s, %s, %s)"
+                             % tuple(self.labels[x] for x in bad))

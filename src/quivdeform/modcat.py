@@ -1,8 +1,9 @@
 """Modules over the deformed algebra, presented two ways.
 
 A concrete module is a vector space with one action matrix per basis
-element of the deformed algebra.  The same data can be packaged as an
-uple (M0, M1, T, f_table): two modules over the original algebra, an
+element of a FinDimAlgebra, here the deformed algebra A_f (a
+DeformedAlgebra) or the original algebra A (its base).  The same data
+can be packaged as an uple (M0, M1, T, f_table): two modules over A, an
 injective intertwiner T : M0 -> M1, and a bilinear correction table
 measuring how far the deformed action is from the undeformed one.  The
 functor F glues an uple into a concrete module on M0 + M1; going back,
@@ -15,47 +16,13 @@ of the matrices.
 
 from .deform import DeformedAlgebra
 from .errors import InputError
-from .linalg import identity_matrix, invert_matrix, matmul, matvec, rank, solve
-
-
-def _zeros(r, c, field):
-    return [[field.zero] * c for _ in range(r)]
-
-
-def _mat_add(a, b, field):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b, field):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(c, a, field):
-    return [[field.mul(c, x) for x in row] for row in a]
-
-
-def _mat_is_zero(a, field):
-    return all(x == field.zero for row in a for x in row)
-
-
-def _block(tl, tr, bl, br):
-    """Assemble [[tl, tr], [bl, br]] from compatible blocks."""
-    out = []
-    for r1, r2 in zip(tl, tr):
-        out.append(list(r1) + list(r2))
-    for r1, r2 in zip(bl, br):
-        out.append(list(r1) + list(r2))
-    return out
-
-
-def _unit_indices(algebra):
-    idxs = getattr(algebra, "unit_indices", None)
-    return idxs if idxs is not None else algebra.trivial_indices
+from .linalg import (block, identity_matrix, invert_matrix, mat_add,
+                     mat_is_zero, mat_scale, mat_sub, matmul, matvec,
+                     nullspace, rank, solve, zeros)
 
 
 class LeftModule:
-    """Finite-dimensional left module over an algebra given by basis
-    and structure constants (an AlgebraBasis or a DeformedAlgebra).
+    """Finite-dimensional left module over a FinDimAlgebra.
 
     matrices[i] is the square matrix of the i-th basis element; the
     unit must act as the identity and products of matrices must match
@@ -78,17 +45,12 @@ class LeftModule:
 
     def _validate(self):
         fld = self.field
-        unit = _zeros(self.dim, self.dim, fld)
-        for i in _unit_indices(self.algebra):
-            unit = _mat_add(unit, self.matrices[i], fld)
-        if unit != identity_matrix(self.dim, fld):
+        if self.matrix_of(self.algebra.unit) != identity_matrix(self.dim, fld):
             raise InputError("the unit does not act as the identity")
         for i in range(self.algebra.dim):
             for j in range(self.algebra.dim):
                 lhs = matmul(self.matrices[i], self.matrices[j], fld)
-                rhs = _zeros(self.dim, self.dim, fld)
-                for k, c in self.algebra.multiply_basis(i, j).items():
-                    rhs = _mat_add(rhs, _mat_scale(c, self.matrices[k], fld), fld)
+                rhs = self.matrix_of(self.algebra.multiply_basis(i, j))
                 if lhs != rhs:
                     raise InputError(
                         "action disagrees with the structure constants at "
@@ -96,27 +58,20 @@ class LeftModule:
 
     def matrix_of(self, coeffs):
         """Action matrix of the algebra element with the given coordinates."""
-        out = _zeros(self.dim, self.dim, self.field)
+        fld = self.field
+        out = zeros(self.dim, self.dim, fld)
         for i, c in coeffs.items():
-            out = _mat_add(out, _mat_scale(c, self.matrices[i], self.field), self.field)
+            out = mat_add(out, mat_scale(self.matrices[i], c, fld), fld)
         return out
 
     def act(self, coeffs, vec):
         return matvec(self.matrix_of(coeffs), vec, self.field)
 
 
-def regular_module(deformed):
-    """The deformed algebra acting on itself by left multiplication."""
-    fld = deformed.field
-    mats = []
-    for i in range(deformed.dim):
-        cols = []
-        for j in range(deformed.dim):
-            prod = deformed.multiply_basis(i, j)
-            cols.append([prod.get(k, fld.zero) for k in range(deformed.dim)])
-        mats.append([[cols[j][k] for j in range(deformed.dim)]
-                     for k in range(deformed.dim)])
-    return LeftModule(deformed, mats)
+def regular_module(alg):
+    """The algebra acting on itself by left multiplication."""
+    return LeftModule(alg, [[list(row) for row in alg.left_matrix(i)]
+                            for i in range(alg.dim)])
 
 
 class UpleModule:
@@ -132,8 +87,8 @@ class UpleModule:
     """
 
     def __init__(self, deformed, m0, m1, t, f_table, check=True):
-        basis = deformed.basis
-        if m0.algebra is not basis or m1.algebra is not basis:
+        base = deformed.base
+        if m0.algebra is not base or m1.algebra is not base:
             raise InputError("uple components must be modules over the "
                              "undeformed algebra")
         self.deformed = deformed
@@ -141,10 +96,9 @@ class UpleModule:
         self.m1 = m1
         self.t = t
         self.f_table = f_table
-        fld = basis.field
         if len(t) != m1.dim or any(len(row) != m0.dim for row in t):
             raise InputError("T must be a %d x %d matrix" % (m1.dim, m0.dim))
-        if len(f_table) != basis.dim:
+        if len(f_table) != base.dim:
             raise InputError("f_table needs one matrix per basis element")
         for m in f_table:
             if len(m) != m1.dim or any(len(row) != m0.dim for row in m):
@@ -153,53 +107,39 @@ class UpleModule:
             self._validate()
 
     def _validate(self):
-        basis = self.deformed.basis
-        fld = basis.field
+        base = self.deformed.base
+        fld = base.field
         if rank(self.t, fld) != self.m0.dim:
             raise InputError("T is not injective")
-        for i in range(basis.dim):
+        for i in range(base.dim):
             left = matmul(self.m1.matrices[i], self.t, fld)
             right = matmul(self.t, self.m0.matrices[i], fld)
             if left != right:
                 raise InputError("T does not intertwine the actions")
-        f = self.deformed.f
-        for i in range(basis.dim):
-            for j in range(basis.dim):
+        full = self.deformed.full
+        for i in range(base.dim):
+            for j in range(base.dim):
                 total = matmul(self.m1.matrices[i], self.f_table[j], fld)
-                for k, c in basis.multiply_basis(i, j).items():
-                    total = _mat_sub(total, _mat_scale(c, self.f_table[k], fld), fld)
-                total = _mat_add(total, matmul(self.f_table[i],
-                                               self.m0.matrices[j], fld), fld)
-                fij = f.evaluate(basis.basis_element(i), basis.basis_element(j))
-                total = _mat_sub(total, matmul(self.m1.matrix_of(fij.coeffs),
-                                               self.t, fld), fld)
-                if not _mat_is_zero(total, fld):
+                for k, c in base.multiply_basis(i, j).items():
+                    total = mat_sub(total, mat_scale(self.f_table[k], c, fld), fld)
+                total = mat_add(total, matmul(self.f_table[i], self.m0.matrices[j], fld),
+                                fld)
+                total = mat_sub(total, matmul(self.m1.matrix_of(full.value((i, j))),
+                                              self.t, fld), fld)
+                if not mat_is_zero(total, fld):
                     raise InputError(
                         "the uple condition fails at basis pair (%d, %d)" % (i, j))
 
 
 def regular_uple(deformed):
     """The uple presenting the deformed algebra itself: (A, A, Id, f)."""
-    basis = deformed.basis
-    fld = basis.field
-    mats = []
-    for i in range(basis.dim):
-        cols = []
-        for j in range(basis.dim):
-            prod = basis.multiply_basis(i, j)
-            cols.append([prod.get(k, fld.zero) for k in range(basis.dim)])
-        mats.append([[cols[j][k] for j in range(basis.dim)]
-                     for k in range(basis.dim)])
-    reg = LeftModule(basis, mats)
-    f_table = []
-    for i in range(basis.dim):
-        cols = []
-        for j in range(basis.dim):
-            val = deformed.f.evaluate(basis.basis_element(i), basis.basis_element(j))
-            cols.append([val.coeffs.get(k, fld.zero) for k in range(basis.dim)])
-        f_table.append([[cols[j][k] for j in range(basis.dim)]
-                        for k in range(basis.dim)])
-    return UpleModule(deformed, reg, reg, identity_matrix(basis.dim, fld), f_table)
+    base = deformed.base
+    fld = base.field
+    n = base.dim
+    reg = regular_module(base)
+    f_table = [[[deformed.full.value((i, j)).get(k, fld.zero) for j in range(n)]
+                for k in range(n)] for i in range(n)]
+    return UpleModule(deformed, reg, reg, identity_matrix(n, fld), f_table)
 
 
 def functor_F(uple, deformed=None):
@@ -213,19 +153,18 @@ def functor_F(uple, deformed=None):
         deformed = uple.deformed
     if deformed is not uple.deformed:
         raise InputError("uple belongs to a different deformed algebra")
-    basis = deformed.basis
-    fld = basis.field
+    fld = deformed.field
     d0, d1 = uple.m0.dim, uple.m1.dim
-    n = basis.dim
+    n = deformed.n
     mats = []
     for i in range(deformed.dim):
         if i < n:
-            mats.append(_block(uple.m0.matrices[i], _zeros(d0, d1, fld),
-                               uple.f_table[i], uple.m1.matrices[i]))
+            mats.append(block(uple.m0.matrices[i], zeros(d0, d1, fld),
+                              uple.f_table[i], uple.m1.matrices[i]))
         else:
             bt = matmul(uple.m1.matrices[i - n], uple.t, fld)
-            mats.append(_block(_zeros(d0, d0, fld), _zeros(d0, d1, fld),
-                               bt, _zeros(d1, d1, fld)))
+            mats.append(block(zeros(d0, d0, fld), zeros(d0, d1, fld),
+                              bt, zeros(d1, d1, fld)))
     return LeftModule(deformed, mats)
 
 
@@ -252,17 +191,15 @@ def reconstruct(mod, deformed=None):
         raise InputError("module belongs to a different deformed algebra")
     if not isinstance(deformed, DeformedAlgebra):
         raise InputError("reconstruction needs a module over a deformed algebra")
-    basis = deformed.basis
-    fld = basis.field
+    base = deformed.base
+    fld = base.field
     d = mod.dim
-    n = basis.dim
-    t_full = _zeros(d, d, fld)
-    for i in basis.trivial_indices:
-        t_full = _mat_add(t_full, mod.matrices[n + i], fld)
-    if not _mat_is_zero(matmul(t_full, t_full, fld), fld):
+    n = base.dim
+    t_full = mod.matrix_of({n + i: c for i, c in base.unit.items()})
+    if not mat_is_zero(matmul(t_full, t_full, fld), fld):
         raise InputError("the action of (0, 1) does not square to zero")
 
-    kernel = _kernel_columns(t_full, fld)
+    kernel = nullspace(t_full, fld)
     complement = []
     span_rows = [list(v) for v in kernel]
     for k in range(d):
@@ -293,10 +230,10 @@ def reconstruct(mod, deformed=None):
     act1 = []
     for i in range(n):
         m0_part, m1_part = in_new_coords(columns(mod.matrices[i], kernel))
-        if not _mat_is_zero(m0_part, fld):
+        if not mat_is_zero(m0_part, fld):
             raise InputError("the kernel of T is not invariant")
         act1.append(m1_part)
-    m1 = LeftModule(basis, act1)
+    m1 = LeftModule(base, act1)
 
     # action on M0: a * m = T'(a . T m), solved through the injective T
     t_cols = columns(t_full, complement)
@@ -322,21 +259,14 @@ def reconstruct(mod, deformed=None):
                     star[r] = fld.add(star[r], fld.mul(x, complement[kk][r]))
             diff.append([fld.sub(a, b) for a, b in zip(av, star)])
         m0_part, m1_part = in_new_coords(diff)
-        if not _mat_is_zero(m0_part, fld):
+        if not mat_is_zero(m0_part, fld):
             raise InputError("the correction does not land in the kernel")
         f_table.append(m1_part)
-    m0 = LeftModule(basis, act0)
+    m0 = LeftModule(base, act0)
 
     _, t_m = in_new_coords(t_cols)
     uple = UpleModule(deformed, m0, m1, t_m, f_table)
     return Reconstruction(uple, complement, kernel)
-
-
-def _kernel_columns(mat, fld):
-    from .linalg import nullspace
-    if not mat:
-        return []
-    return nullspace(mat, fld)
 
 
 class MorphismTriple:
@@ -384,8 +314,8 @@ class MorphismTriple:
         for i in range(basis.dim):
             lhs = matmul(self.u1, u.m0.matrices[i], fld)
             rhs = matmul(v.m1.matrices[i], self.u1, fld)
-            rhs = _mat_sub(rhs, matmul(self.u2, u.f_table[i], fld), fld)
-            rhs = _mat_add(rhs, matmul(v.f_table[i], self.u0, fld), fld)
+            rhs = mat_sub(rhs, matmul(self.u2, u.f_table[i], fld), fld)
+            rhs = mat_add(rhs, matmul(v.f_table[i], self.u0, fld), fld)
             if lhs != rhs:
                 raise InputError("u1 violates the correction rule at basis "
                                  "element %d" % i)
@@ -401,7 +331,7 @@ class MorphismTriple:
 def identity_triple(u):
     fld = u.deformed.field
     return MorphismTriple(u, u, identity_matrix(u.m0.dim, fld),
-                          _zeros(u.m1.dim, u.m0.dim, fld),
+                          zeros(u.m1.dim, u.m0.dim, fld),
                           identity_matrix(u.m1.dim, fld))
 
 
@@ -413,15 +343,15 @@ def compose_triples(v, u):
     return MorphismTriple(
         u.source, v.target,
         matmul(v.u0, u.u0, fld),
-        _mat_add(matmul(v.u2, u.u1, fld), matmul(v.u1, u.u0, fld), fld),
+        mat_add(matmul(v.u2, u.u1, fld), matmul(v.u1, u.u0, fld), fld),
         matmul(v.u2, u.u2, fld))
 
 
 def linear_of_triple(tri):
     """The matrix of F(u0, u1, u2) = [[u0, 0], [u1, u2]]."""
     fld = tri.source.deformed.field
-    return _block(tri.u0, _zeros(len(tri.u0), len(tri.u2[0]) if tri.u2 else 0, fld),
-                  tri.u1, tri.u2)
+    return block(tri.u0, zeros(len(tri.u0), len(tri.u2[0]) if tri.u2 else 0, fld),
+                 tri.u1, tri.u2)
 
 
 def triple_from_linear(mat, source, target):
@@ -431,10 +361,10 @@ def triple_from_linear(mat, source, target):
     is injective; a nonzero block means mat is not a module map.
     """
     fld = source.deformed.field
-    d0, d1 = source.m0.dim, source.m1.dim
+    d0 = source.m0.dim
     u0 = [row[:d0] for row in mat[:target.m0.dim]]
     tr = [row[d0:] for row in mat[:target.m0.dim]]
-    if not _mat_is_zero(tr, fld):
+    if not mat_is_zero(tr, fld):
         raise InputError("the map sends the kernel half outside the kernel")
     u1 = [row[:d0] for row in mat[target.m0.dim:]]
     u2 = [row[d0:] for row in mat[target.m0.dim:]]
@@ -477,9 +407,6 @@ def module_homs(m, n):
                 for k in range(m.dim):
                     row[r * m.dim + k] = fld.sub(row[r * m.dim + k], a_m[k][c])
                 rows.append(row)
-    from .linalg import nullspace
-    if not rows:
-        return []
     out = []
     for vec in nullspace(rows, fld):
         out.append([[vec[r * m.dim + c] for c in range(m.dim)]
@@ -526,7 +453,6 @@ def submodule(mod, vectors):
 def module_from_file(mf, deformed):
     """Concrete module from a parsed module file: one action matrix per
     basis label of the deformed algebra."""
-    fld = deformed.field
     mats = []
     for i in range(deformed.dim):
         label = deformed.label(i)

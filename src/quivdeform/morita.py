@@ -1,10 +1,12 @@
 """Transfer of cochains across a Morita context, and the deformed equivalence.
 
-This layer works with plain structure-constant algebras (FinDimAlgebra) so
-that a path-algebra quotient, a matrix amplification and a corner algebra
-all go through the same code.  Elements are sparse coordinate dicts
-{basis_index: scalar}; cochains are the FullCochain tables from the
-hochschild module.
+This layer works with the structure-constant algebras of the linalg
+module (FinDimAlgebra), so that a path-algebra quotient, a matrix
+amplification and a corner algebra all go through the same code; the
+deformed algebras A_f and B_g come from deform_structure_algebra in the
+deform module.  Elements are sparse coordinate dicts {basis_index:
+scalar} handled by the linalg helpers; cochains are the FullCochain
+tables from the hochschild module.
 
 A MoritaContext fixes the two algebras, the inverse bimodules, both
 pairings and one finite generator list on each side:
@@ -17,163 +19,13 @@ literal in those lists, so two contexts for the same pair of algebras may
 disagree on raw cochains while agreeing on cohomology classes.
 """
 
+from .deform import algebra_of_basis, deform_structure_algebra  # noqa: F401 (re-exported)
 from .errors import CharTwoUnsupported, InputError, NotFullIdempotent
 from .hochschild import FullCochain, is_full_cocycle
-from .linalg import SpanSolver, invert_matrix, matmul, matvec, nullspace, rank
-
-
-def _addinto(field, acc, vec, c):
-    """acc += c * vec on sparse dicts, dropping zeros."""
-    if c == field.zero:
-        return acc
-    for k, v in vec.items():
-        s = field.add(acc.get(k, field.zero), field.mul(c, v))
-        if s == field.zero:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
-
-
-def _scaled(field, vec, c):
-    return _addinto(field, {}, vec, c)
-
-
-def _clean(field, vec):
-    return {k: c for k, c in vec.items() if c != field.zero}
-
-
-def _dense(field, vec, dim):
-    out = [field.zero] * dim
-    for k, c in vec.items():
-        out[k] = c
-    return out
-
-
-def _mat_sub(field, a, b):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_add(field, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(field, a, c):
-    return [[field.mul(c, x) for x in row] for row in a]
-
-
-def _mat_is_zero(field, a):
-    return all(x == field.zero for row in a for x in row)
-
-
-def _zeros(field, rows, cols):
-    return [[field.zero] * cols for _ in range(rows)]
-
-
-class FinDimAlgebra:
-    """Associative unital algebra given by structure constants.
-
-    table[(i, j)] = {k: c} holds the product of basis elements i and j;
-    absent entries are zero.  unit is a coordinate dict.  Associativity
-    and two-sided unitality are verified on all basis tuples unless
-    check=False.
-    """
-
-    def __init__(self, field, dim, table, unit, labels=None, check=True):
-        self.field = field
-        self.dim = dim
-        self.table = {}
-        for key, vec in table.items():
-            vec = _clean(field, vec)
-            if vec:
-                self.table[key] = vec
-        self.unit = _clean(field, unit)
-        self.labels = list(labels) if labels else ["x%d" % i for i in range(dim)]
-        if len(self.labels) != dim:
-            raise InputError("expected %d basis labels" % dim)
-        self._left_mats = {}
-        self._right_mats = {}
-        if check:
-            self._validate()
-
-    def multiply_basis(self, i, j):
-        return self.table.get((i, j), {})
-
-    def mul(self, x, y):
-        fld = self.field
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                _addinto(fld, out, self.multiply_basis(i, j), fld.mul(ci, cj))
-        return out
-
-    def left_matrix(self, i):
-        if i not in self._left_mats:
-            cols = [self.multiply_basis(i, m) for m in range(self.dim)]
-            self._left_mats[i] = [[cols[m].get(r, self.field.zero)
-                                   for m in range(self.dim)] for r in range(self.dim)]
-        return self._left_mats[i]
-
-    def right_matrix(self, j):
-        if j not in self._right_mats:
-            cols = [self.multiply_basis(m, j) for m in range(self.dim)]
-            self._right_mats[j] = [[cols[m].get(r, self.field.zero)
-                                    for m in range(self.dim)] for r in range(self.dim)]
-        return self._right_mats[j]
-
-    def _validate(self):
-        fld = self.field
-        for i in range(self.dim):
-            e = {i: fld.one}
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise InputError("unit fails on basis element %s" % self.labels[i])
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.multiply_basis(i, j)
-                for k in range(self.dim):
-                    ek = {k: fld.one}
-                    if self.mul(ij, ek) != self.mul({i: fld.one}, self.multiply_basis(j, k)):
-                        raise InputError(
-                            "product is not associative at (%s, %s, %s)"
-                            % (self.labels[i], self.labels[j], self.labels[k]))
-
-
-def algebra_of_basis(basis):
-    """Structure-constant copy of a path-algebra quotient basis."""
-    table = {(i, j): basis.multiply_basis(i, j)
-             for i in range(basis.dim) for j in range(basis.dim)}
-    unit = {i: basis.field.one for i in basis.trivial_indices}
-    labels = [basis.label(i) for i in range(basis.dim)]
-    return FinDimAlgebra(basis.field, basis.dim, table, unit, labels, check=False)
-
-
-def deform_structure_algebra(alg, f):
-    """Structure constants of A_f on the basis (x_i, 0), (0, x_i).
-
-    The product is (a,b)(c,d) = (ac, ad + bc + f(a@c)); f must be a
-    2-cocycle, which the associativity validation re-proves.
-    """
-    if f.degree != 2 or f.dim != alg.dim:
-        raise InputError("deformation needs a 2-cochain on the same algebra")
-    if not is_full_cocycle(f, alg):
-        raise InputError("the cochain is not a Hochschild 2-cocycle")
-    n = alg.dim
-    fld = alg.field
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            prod = alg.multiply_basis(i, j)
-            if prod or f.value((i, j)):
-                entry = dict(prod)
-                for k, c in f.value((i, j)).items():
-                    entry[n + k] = c
-                table[(i, j)] = entry
-            if prod:
-                shifted = {n + k: c for k, c in prod.items()}
-                table[(i, n + j)] = shifted
-                table[(n + i, j)] = dict(shifted)
-    labels = list(alg.labels) + ["t*" + s for s in alg.labels]
-    return FinDimAlgebra(fld, 2 * n, table, dict(alg.unit), labels)
+from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _dense,
+                     _scaled, identity_matrix, invert_matrix, mat_add,
+                     mat_is_zero, mat_scale, mat_sub, matmul, matvec,
+                     nullspace, rank, zeros)
 
 
 class Bimodule:
@@ -483,7 +335,6 @@ class MoritaContext:
                     if self.pair_a({i: one}, q.right_basis(j, t)) != a.mul(base, et):
                         raise InputError("<p, q.a> != <p, q>.a at (%d, %d, %d)" % (i, j, t))
         for s in range(b.dim):
-            es = {s: one}
             for i in range(p.dim):
                 for j in range(q.dim):
                     if self.pair_a(p.right_basis(i, s), {j: one}) != \
@@ -499,7 +350,6 @@ class MoritaContext:
                     if self.pair_b({j: one}, p.right_basis(i, s)) != b.mul(base, es):
                         raise InputError("<q, p.b> != <q, p>.b at (%d, %d, %d)" % (j, i, s))
         for t in range(a.dim):
-            et = {t: one}
             for j in range(q.dim):
                 for i in range(p.dim):
                     if self.pair_b(q.right_basis(j, t), {i: one}) != \
@@ -760,7 +610,6 @@ def idempotent_context(alg, evec):
                 pairing_b[(s, r)] = coords(bsolver, vec)
 
     witness = SpanSolver(fld)
-    tags = []
     for (r, s), vec in sorted(prod_in_a.items()):
         if vec:
             witness.add(vec, (r, s))
@@ -809,14 +658,13 @@ def _phi_operator(ctx, n):
                 if val:
                     closer[(k0, u, v)] = val
 
-    prefix = {((), ()): [[fld.one if i == j else fld.zero for j in range(m)]
-                         for i in range(m)]}
+    prefix = {((), ()): identity_matrix(m, fld)}
     for _ in range(n):
         nxt = {}
         for (bt, kt), mat in prefix.items():
             for (bidx, k), w in weights.items():
                 prod = matmul(mat, w, fld)
-                if not _mat_is_zero(fld, prod):
+                if not mat_is_zero(prod, fld):
                     nxt[(bt + (bidx,), kt + (k,))] = prod
         prefix = nxt
 
@@ -1018,42 +866,39 @@ class DeformedBimodule:
             for i1 in range(la.dim):
                 acc = matmul(m1.left_matrix(i0), self.f_tables[i1], fld)
                 for k, c in la.multiply_basis(i0, i1).items():
-                    acc = _mat_sub(fld, acc, _mat_scale(fld, self.f_tables[k], c))
-                acc = _mat_add(fld, acc, matmul(self.f_tables[i0],
-                                                m0.left_matrix(i1), fld))
+                    acc = mat_sub(acc, mat_scale(self.f_tables[k], c, fld), fld)
+                acc = mat_add(acc, matmul(self.f_tables[i0], m0.left_matrix(i1), fld),
+                              fld)
                 for k, c in self.f.value((i0, i1)).items():
-                    acc = _mat_sub(fld, acc,
-                                   _mat_scale(fld, matmul(m1.left_matrix(k), t, fld), c))
-                if not _mat_is_zero(fld, acc):
+                    acc = mat_sub(acc, mat_scale(matmul(m1.left_matrix(k), t, fld), c, fld),
+                                  fld)
+                if not mat_is_zero(acc, fld):
                     out.append("left correction fails at (%s, %s)"
                                % (la.labels[i0], la.labels[i1]))
         # T(m) g(b0 (x) b1) + g_M(m (x) b0 b1) = g_M(m (x) b0) b1 + g_M(m b0 (x) b1)
         for j0 in range(ra.dim):
             for j1 in range(ra.dim):
-                acc = _zeros(fld, m1.dim, m0.dim)
+                acc = zeros(m1.dim, m0.dim, fld)
                 for k, c in self.g.value((j0, j1)).items():
-                    acc = _mat_add(fld, acc,
-                                   _mat_scale(fld, matmul(m1.right_matrix(k), t, fld), c))
+                    acc = mat_add(acc, mat_scale(matmul(m1.right_matrix(k), t, fld), c, fld),
+                                  fld)
                 for k, c in ra.multiply_basis(j0, j1).items():
-                    acc = _mat_add(fld, acc, _mat_scale(fld, self.g_tables[k], c))
-                acc = _mat_sub(fld, acc, matmul(m1.right_matrix(j1),
-                                                self.g_tables[j0], fld))
-                acc = _mat_sub(fld, acc, matmul(self.g_tables[j1],
-                                                m0.right_matrix(j0), fld))
-                if not _mat_is_zero(fld, acc):
+                    acc = mat_add(acc, mat_scale(self.g_tables[k], c, fld), fld)
+                acc = mat_sub(acc, matmul(m1.right_matrix(j1), self.g_tables[j0], fld),
+                              fld)
+                acc = mat_sub(acc, matmul(self.g_tables[j1], m0.right_matrix(j0), fld),
+                              fld)
+                if not mat_is_zero(acc, fld):
                     out.append("right correction fails at (%s, %s)"
                                % (ra.labels[j0], ra.labels[j1]))
         # a g_M(m (x) b) - g_M(a m (x) b) + f_M(a (x) m b) - f_M(a (x) m) b = 0
         for i in range(la.dim):
             for j in range(ra.dim):
                 acc = matmul(m1.left_matrix(i), self.g_tables[j], fld)
-                acc = _mat_sub(fld, acc, matmul(self.g_tables[j],
-                                                m0.left_matrix(i), fld))
-                acc = _mat_add(fld, acc, matmul(self.f_tables[i],
-                                                m0.right_matrix(j), fld))
-                acc = _mat_sub(fld, acc, matmul(m1.right_matrix(j),
-                                                self.f_tables[i], fld))
-                if not _mat_is_zero(fld, acc):
+                acc = mat_sub(acc, matmul(self.g_tables[j], m0.left_matrix(i), fld), fld)
+                acc = mat_add(acc, matmul(self.f_tables[i], m0.right_matrix(j), fld), fld)
+                acc = mat_sub(acc, matmul(m1.right_matrix(j), self.f_tables[i], fld), fld)
+                if not mat_is_zero(acc, fld):
                     out.append("corrections are not compatible at (%s, %s)"
                                % (la.labels[i], ra.labels[j]))
         return out
@@ -1157,9 +1002,7 @@ def build_hat_P(ctx, f, g=None, check=True):
             cols.append(_scaled(fld, acc, half))
         g_tables.append([[cols[x].get(r, fld.zero) for x in range(p.dim)]
                          for r in range(p.dim)])
-    ident = [[fld.one if i == j else fld.zero for j in range(p.dim)]
-             for i in range(p.dim)]
-    return DeformedBimodule(ctx.a, ctx.b, f, g, p, p, ident,
+    return DeformedBimodule(ctx.a, ctx.b, f, g, p, p, identity_matrix(p.dim, fld),
                             f_tables, g_tables, check=check)
 
 
@@ -1212,9 +1055,7 @@ def build_hat_Q(ctx, f, g=None, check=True):
             cols.append(_scaled(fld, acc, half))
         f_tables.append([[cols[y].get(r, fld.zero) for y in range(q.dim)]
                          for r in range(q.dim)])
-    ident = [[fld.one if i == j else fld.zero for j in range(q.dim)]
-             for i in range(q.dim)]
-    return DeformedBimodule(ctx.b, ctx.a, g, f, q, q, ident,
+    return DeformedBimodule(ctx.b, ctx.a, g, f, q, q, identity_matrix(q.dim, fld),
                             g_tables, f_tables, check=check)
 
 
@@ -1229,9 +1070,7 @@ def regular_deformed_uple(alg, f):
                          for r in range(alg.dim)])
         g_tables.append([[f.value((m, i)).get(r, fld.zero) for m in range(alg.dim)]
                          for r in range(alg.dim)])
-    ident = [[fld.one if i == j else fld.zero for j in range(alg.dim)]
-             for i in range(alg.dim)]
-    return DeformedBimodule(alg, alg, f, f, reg, reg, ident,
+    return DeformedBimodule(alg, alg, f, f, reg, reg, identity_matrix(alg.dim, fld),
                             f_tables, g_tables, check=False)
 
 
@@ -1251,8 +1090,8 @@ def triple_violations(src, tgt, u0, u1, u2):
             out.append("u2 is not left linear over %s" % la.labels[i])
         lhs = matmul(u1, src.m0.left_matrix(i), fld)
         rhs = matmul(tgt.m1.left_matrix(i), u1, fld)
-        rhs = _mat_sub(fld, rhs, matmul(u2, src.f_tables[i], fld))
-        rhs = _mat_add(fld, rhs, matmul(tgt.f_tables[i], u0, fld))
+        rhs = mat_sub(rhs, matmul(u2, src.f_tables[i], fld), fld)
+        rhs = mat_add(rhs, matmul(tgt.f_tables[i], u0, fld), fld)
         if lhs != rhs:
             out.append("left correction rule fails for %s" % la.labels[i])
     for j in range(ra.dim):
@@ -1264,8 +1103,8 @@ def triple_violations(src, tgt, u0, u1, u2):
             out.append("u2 is not right linear over %s" % ra.labels[j])
         lhs = matmul(u1, src.m0.right_matrix(j), fld)
         rhs = matmul(tgt.m1.right_matrix(j), u1, fld)
-        rhs = _mat_sub(fld, rhs, matmul(u2, src.g_tables[j], fld))
-        rhs = _mat_add(fld, rhs, matmul(tgt.g_tables[j], u0, fld))
+        rhs = mat_sub(rhs, matmul(u2, src.g_tables[j], fld), fld)
+        rhs = mat_add(rhs, matmul(tgt.g_tables[j], u0, fld), fld)
         if lhs != rhs:
             out.append("right correction rule fails for %s" % ra.labels[j])
     return out
@@ -1295,10 +1134,10 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
         return checks
 
     def action_of(vec, side):
-        acc = _zeros(fld, z.dim, z.dim)
+        acc = zeros(z.dim, z.dim, fld)
         for i, c in vec.items():
             mat = z.left_matrix(i) if side == "left" else z.right_matrix(i)
-            acc = _mat_add(fld, acc, _mat_scale(fld, mat, c))
+            acc = mat_add(acc, mat_scale(mat, c, fld), fld)
         return acc
 
     eps = {ns + i: c for i, c in s_alg.unit.items()}
@@ -1464,15 +1303,15 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     if not ok_inv or bad:
         return checks
 
-    w1i = _mat_scale(fld, matmul(w2i, matmul(w1, w0i, fld), fld), fld.neg(one))
+    w1i = mat_scale(matmul(w2i, matmul(w1, w0i, fld), fld), fld.neg(one), fld)
     bad = triple_violations(target, z_uple, w0i, w1i, w2i)
-    ident = [[one if r == c else fld.zero for c in range(ns)] for r in range(ns)]
-    zero = _zeros(fld, ns, ns)
+    ident = identity_matrix(ns, fld)
+    zero = zeros(ns, ns, fld)
     back = (matmul(w0i, w0, fld),
-            _mat_add(fld, matmul(w2i, w1, fld), matmul(w1i, w0, fld)),
+            mat_add(matmul(w2i, w1, fld), matmul(w1i, w0, fld), fld),
             matmul(w2i, w2, fld))
     fore = (matmul(w0, w0i, fld),
-            _mat_add(fld, matmul(w2, w1i, fld), matmul(w1, w0i, fld)),
+            mat_add(matmul(w2, w1i, fld), matmul(w1, w0i, fld), fld),
             matmul(w2, w2i, fld))
     ok_comp = (not bad and back == (ident, zero, ident)
                and fore == (ident, zero, ident))

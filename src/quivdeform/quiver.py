@@ -459,7 +459,7 @@ class AlgebraBasis:
     the coordinates of their product.
     """
 
-    def __init__(self, quiver, field, relations, rewrite, paths, max_degree):
+    def __init__(self, quiver, field, relations, rewrite, paths):
         self.quiver = quiver
         self.field = field
         self.relations = list(relations)
@@ -467,7 +467,6 @@ class AlgebraBasis:
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
         self.dim = len(paths)
-        self.max_degree = max_degree
         self.trivial_indices = [i for i, p in enumerate(paths) if len(p) == 1]
         self.radical_indices = [i for i, p in enumerate(paths) if len(p) > 1]
         self.table = {}
@@ -536,7 +535,7 @@ def compute_basis(quiver, relations, field, max_degree=30):
     rewrite = RewriteSystem(quiver, field, relations, degree_cap=2 * max_degree)
     paths = rewrite.standard_monomials(max_degree)
     paths.sort(key=lambda p: (len(p) - 1, p[1:], p[0]))
-    return AlgebraBasis(quiver, field, relations, rewrite, paths, max_degree)
+    return AlgebraBasis(quiver, field, relations, rewrite, paths)
 
 
 def normal_form(x, basis):

@@ -8,7 +8,10 @@ structure constants; only dim HH^2 is comparable with the reduced
 relative complex the library uses, the Z and B dimensions differ by
 design.  Both oracles use their own row reduction so that nothing
 under test is in the loop.  The Hochschild differential itself is
-recomputed by evaluating every face on every index tuple.
+recomputed by evaluating every face on every index tuple.  The deformed
+algebra A_f is rebuilt from the pair formula on every pair of basis
+indices, its associativity by multiplying out every basis triple, and
+primality by trial division.
 """
 
 from itertools import product
@@ -244,3 +247,70 @@ def brute_transfer(ctx, f, n):
         if out:
             table[key] = out
     return table
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def brute_deformed_table(dim, table, f_table):
+    """Structure constants of A_f on the basis (x_i, 0) = i and
+    (0, x_i) = dim + i, straight from the pair product
+
+        (a, b)(c, d) = (ac, ad + bc + f(a, c)),
+
+    for the algebra with table[(i, j)] = {k: c} and the 2-cochain
+    f_table[(i, j)] = {k: c}.  Returns the nonzero products."""
+    out = {}
+    for x in range(2 * dim):
+        for y in range(2 * dim):
+            i, x_first = x % dim, x < dim
+            j, y_first = y % dim, y < dim
+            prod = {}
+            if x_first and y_first:
+                prod.update(table.get((i, j), {}))
+                for k, c in f_table.get((i, j), {}).items():
+                    prod[dim + k] = c
+            elif x_first or y_first:
+                for k, c in table.get((i, j), {}).items():
+                    prod[dim + k] = c
+            prod = {k: c for k, c in prod.items() if c != 0}
+            if prod:
+                out[(x, y)] = prod
+    return out
+
+
+def brute_associator(table, field, i, j, k):
+    """(x_i x_j) x_k - x_i (x_j x_k) for the structure constants table,
+    as a dict of its nonzero coordinates."""
+    def mul(x, y):
+        out = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                for m, c in table.get((a, b), {}).items():
+                    out[m] = field.add(out.get(m, field.zero),
+                                       field.mul(field.mul(ca, cb), c))
+        return out
+
+    left = mul(mul({i: field.one}, {j: field.one}), {k: field.one})
+    right = mul({i: field.one}, mul({j: field.one}, {k: field.one}))
+    diff = dict(left)
+    for m, c in right.items():
+        diff[m] = field.sub(diff.get(m, field.zero), c)
+    return {m: c for m, c in diff.items() if c != field.zero}
+
+
+def brute_associativity_defect(dim, table, field):
+    """The first basis triple (i, j, k) whose associator is nonzero, or
+    None."""
+    for key in product(range(dim), repeat=3):
+        if brute_associator(table, field, *key):
+            return key
+    return None

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from quivdeform.modcat import regular_module
 from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path, load_basis
+from oracles import brute_associator, brute_deformed_table
 
 
 def lines_of(capsys):
@@ -26,6 +28,21 @@ def test_basis_lists_monomials(capsys):
     _, lines = lines_of(capsys)
     assert lines[0] == "dim A = 8"
     assert lines[1:] == ["e(1)", "e(2)", "u", "v", "al", "v*al", "al*u", "v*al*u"]
+
+
+def test_field_override_with_a_large_prime(capsys):
+    # 2^61 - 1 is prime; trial division took longer than any timeout
+    assert run(["basis", data_path("dual_numbers.alg"),
+                "--field", "F%d" % (2 ** 61 - 1)]) == 0
+    assert lines_of(capsys)[1] == ["dim A = 2", "e(1)", "a"]
+    # 2^61 + 1 = 3 * 768614336404564651
+    assert run(["basis", data_path("dual_numbers.alg"),
+                "--field", "F%d" % (2 ** 61 + 1)]) == 2
+    assert "prime" in capsys.readouterr().err
+    # the Mersenne prime 2^89 - 1 lies above the bound of the primality test
+    assert run(["basis", data_path("dual_numbers.alg"),
+                "--field", "F%d" % (2 ** 89 - 1)]) == 2
+    assert "3317044064679887385961981" in capsys.readouterr().err
 
 
 def test_basis_missing_file_exits_2(capsys):
@@ -235,10 +252,25 @@ def test_verify_deform_broken_cocycle(tmp_path, capsys):
     bad = tmp_path / "broken.alg"
     bad.write_text(BROKEN_COCYCLE)
     assert run(["verify-deform", str(bad)]) == 1
-    out, _ = lines_of(capsys)
+    out, lines = lines_of(capsys)
     assert "cocycle: FAIL" in out
     assert "associativity: FAIL" in out
     assert "overall: FAIL" in out
+    # the FAIL line names a basis triple of A_f, and the oracle finds
+    # (xy)z != x(yz) there
+    line = next(l for l in lines if l.startswith("associativity: FAIL"))
+    named = re.search(r"at \(x, y, z\) = \((.+), (.+), (.+)\)$", line)
+    assert named, line
+    af = parse_algebra_text(BROKEN_COCYCLE)
+    basis = compute_basis(af.quiver, af.relations, af.field, 30)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
+    labels = [basis.label(i) for i in range(basis.dim)]
+    labels += ["t*" + label for label in labels]
+    f_table = {(basis.index[p], basis.index[q]): dict(value.coeffs)
+               for (p, q), value in f.table.items()}
+    table = brute_deformed_table(basis.dim, basis.table, f_table)
+    triple = [labels.index(name) for name in named.groups()]
+    assert brute_associator(table, af.field, *triple)
 
 
 # ------------------------------------------------------------------- equiv

@@ -4,18 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivdeform.deform import (DeformedAlgebra, build_presentation,
-                               check_image_condition, deformation_equivalence,
-                               deformed_multiply, hat_f,
-                               interreduce_presentation, normalize_cocycle,
-                               verify_presentation)
+from quivdeform.deform import (DeformedAlgebra, Presentation,
+                               algebra_of_basis, build_presentation,
+                               check_image_condition, deform_structure_algebra,
+                               deformation_equivalence, deformed_multiply,
+                               hat_f, interreduce_presentation,
+                               normalize_cocycle, verify_presentation)
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
-from quivdeform.fileio import parse_algebra_text
-from quivdeform.hochschild import Cochain, cochain_from_pairs, differential
+from quivdeform.fileio import parse_algebra_file, parse_algebra_text
+from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
+                                   differential, extend_to_full,
+                                   full_differential, is_cocycle,
+                                   is_full_cocycle)
 from quivdeform.quiver import FreeElement, compute_basis
 
+from conftest import data_path
+from oracles import (brute_associativity_defect, brute_associator,
+                     brute_deformed_table)
+
 Q = Field.rationals()
+F5 = Field.prime(5)
+EXAMPLES = ("dual_numbers", "two_cycle", "triangle", "quantum_plane")
 
 
 def the_cocycle(af, basis):
@@ -46,7 +56,7 @@ def test_deformed_algebra_dual_numbers(dual_numbers):
     assert sq[0].is_zero()
     assert sq[1] == basis.element_from_path(af.quiver.trivial_path("1"))
     # unit acts trivially
-    one = d.unit()
+    one = d.coords_to_pair(d.unit)
     assert deformed_multiply(one, alpha, d) == alpha
     assert deformed_multiply(alpha, one, d) == alpha
     assert d.associativity_holds()
@@ -73,6 +83,93 @@ def test_non_cocycle_rejected_and_breaks_associativity(two_cycle):
         DeformedAlgebra(basis, bad)
     d = DeformedAlgebra(basis, bad, check_cocycle=False)
     assert not d.associativity_holds()
+
+
+def truncated_polynomial_text(n):
+    """k[x]/(x^n) with the cocycle of x^n = t: f(x^i, x^j) = x^(i+j-n)
+    for i + j >= n."""
+    def word(k):
+        return "e(1)" if k == 0 else "*".join(["x"] * k)
+    lines = ["field Q", "vertex 1", "arrow x : 1 -> 1", "relation " + word(n)]
+    lines += ["cocycle f(%s, %s) = %s" % (word(i), word(j), word(i + j - n))
+              for i in range(1, n) for j in range(1, n) if i + j >= n]
+    return "\n".join(lines) + "\n"
+
+
+def deformation_cases():
+    """(name, basis, cocycle): the admissible fixtures over Q and F5, and
+    k[x]/(x^8) with the cocycle of x^8 = t."""
+    afs = [("%s/%r" % (name, fld), parse_algebra_file(data_path(name + ".alg"), fld))
+           for name in EXAMPLES for fld in (Q, F5)]
+    afs.append(("trunc8", parse_algebra_text(truncated_polynomial_text(8))))
+    for name, af in afs:
+        basis = compute_basis(af.quiver, af.relations, af.field, 30)
+        yield name, basis, cochain_from_pairs(basis, af.cocycle_pairs)
+
+
+def oracle_table(basis, f):
+    f_table = {(basis.index[p], basis.index[q]): dict(value.coeffs)
+               for (p, q), value in f.table.items()}
+    return brute_deformed_table(basis.dim, basis.table, f_table)
+
+
+def test_both_constructions_of_a_f_match_the_oracle():
+    for name, basis, f in deformation_cases():
+        fld = basis.field
+        want = oracle_table(basis, f)
+        assert brute_associativity_defect(2 * basis.dim, want, fld) is None, name
+        labels = [basis.label(i) for i in range(basis.dim)]
+        labels += ["t*" + label for label in labels]
+        unit = {i: fld.one for i in basis.trivial_indices}
+        for alg in (DeformedAlgebra(basis, f),
+                    deform_structure_algebra(algebra_of_basis(basis),
+                                             extend_to_full(f, basis))):
+            assert alg.dim == 2 * basis.dim, name
+            assert alg.table == want, name
+            assert alg.labels == labels, name
+            assert alg.unit == unit, name
+            assert alg.associativity_witness() is None, name
+
+
+def test_associativity_witness_on_bumped_non_cocycles():
+    # the bumps of acceptance criterion 3: each stored value of f moved by
+    # one basis vector of its corner
+    broken = 0
+    for name in EXAMPLES:
+        af = parse_algebra_file(data_path(name + ".alg"))
+        basis = compute_basis(af.quiver, af.relations, af.field, 30)
+        f = cochain_from_pairs(basis, af.cocycle_pairs)
+        for key in sorted(f.table):
+            src = basis.quiver.path_source(key[0])
+            tgt = basis.quiver.path_target(key[1])
+            for i in range(basis.dim):
+                if (basis.path_source_of_index(i) != src
+                        or basis.path_target_of_index(i) != tgt):
+                    continue
+                bumped = f + Cochain(basis, 2, {key: basis.basis_element(i)})
+                if is_cocycle(bumped, basis):
+                    continue
+                broken += 1
+                bad = DeformedAlgebra(basis, bumped,
+                                      check_cocycle=False).associativity_witness()
+                want = oracle_table(basis, bumped)
+                assert bad is not None, name
+                assert brute_associator(want, basis.field, *bad), (name, bad)
+                assert bad == brute_associativity_defect(2 * basis.dim, want,
+                                                         basis.field), name
+    assert broken
+
+
+def test_deform_structure_algebra_keeps_the_unit_check(dual_numbers):
+    # f = dg with g(e(1)) = e(1) is a full cocycle that is not normalized:
+    # (1, 0) is no longer the unit of A_f
+    af, basis = dual_numbers
+    alg = algebra_of_basis(basis)
+    g = FullCochain(alg.dim, 1, Q, {(0,): {0: Q.one}})
+    f = full_differential(g, alg)
+    assert is_full_cocycle(f, alg) and not f.is_zero()
+    with pytest.raises(InputError, match=r"unit fails on basis element e\(1\)"):
+        deform_structure_algebra(alg, f)
 
 
 def test_hat_f_values(dual_numbers, triangle):
@@ -264,6 +361,23 @@ def test_presentation_precondition(two_cycle):
                                basis.element_from_path(q.trivial_path("2"))})
     with pytest.raises(InputError):
         build_presentation(basis, f + tweak)  # not a cocycle
+
+
+def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
+    af, basis = two_cycle
+    f = the_cocycle(af, basis)
+    pres, _ = build_presentation(basis, f)
+    qf = pres.quiver
+    extra = FreeElement.from_path(qf, Q, qf.arrow_path("a1^"))
+    bigger = Presentation(qf, pres.relations + [extra], pres.origins + ["extra:a1^"],
+                          pres.hat_names, pres.epsilon, pres.dashed, pres.extended)
+    checks = {name: (ok, detail) for name, ok, detail
+              in verify_presentation(basis, f, bigger)}
+    ok, detail = checks["relations-vanish"]
+    assert not ok
+    n = len(bigger.relations)
+    assert detail == ("%d of %d generators evaluate to zero; the first that "
+                      "does not is extra:a1^" % (n - 1, n))
 
 
 def test_interreduce_keeps_ideal(dual_numbers):

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quivdeform.errors import InputError
-from quivdeform.fields import Field, invert, parse_scalar
+from quivdeform.fields import Field, _is_prime, invert, parse_scalar
+
+from oracles import trial_division_is_prime
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -103,3 +105,15 @@ def test_prime_field_parse_round_trip(a):
 @given(scalars_q)
 def test_rational_parse_round_trip(a):
     assert Q.parse(Q.to_str(a)) == a
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(10 ** 4) if _is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def test_characteristic_at_the_primality_bound_is_refused():
+    # the bound is the least strong pseudoprime to the first 12 prime
+    # bases, 1287836182261 * 2575672364521: Miller-Rabin would call it prime
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+    with pytest.raises(InputError, match="too large"):
+        Field.prime(3317044064679887385961981)

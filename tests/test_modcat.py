@@ -69,6 +69,11 @@ def test_invalid_modules_rejected(dual_numbers):
         LeftModule(d, bad)
     with pytest.raises(InputError):
         LeftModule(d, good[:-1])
+    # e(1) is the unit of A_f; acting by zero breaks unitality
+    no_unit = [list(map(list, m)) for m in good]
+    no_unit[0] = [[Q.zero] * d.dim for _ in range(d.dim)]
+    with pytest.raises(InputError, match="unit does not act as the identity"):
+        LeftModule(d, no_unit)
 
 
 def test_invalid_uples_rejected(dual_numbers):
