@@ -150,7 +150,7 @@ def cmd_verify_deform(args):
         detail = "all %d^3 basis triples" % deformed.dim
     else:
         detail = ("(xy)z != x(yz) at (x, y, z) = (%s, %s, %s)"
-                  % tuple(map(deformed.label, deformed.associativity_witness())))
+                  % tuple(deformed.labels[i] for i in deformed.witness))
     checks.append(("associativity", ok_assoc, detail))
     if not ok_cocycle:
         checks.append(("presentation", False, "skipped: not a cocycle"))

@@ -109,9 +109,6 @@ class DeformedAlgebra(FinDimAlgebra):
                 b[k - self.n] = c
         return (AlgebraElement(self.basis, a), AlgebraElement(self.basis, b))
 
-    def label(self, i):
-        return self.labels[i]
-
     def label_index(self, text):
         from .fileio import parse_path
         text = "".join(text.split())
@@ -125,8 +122,10 @@ class DeformedAlgebra(FinDimAlgebra):
         return self.n + i if second else i
 
     def associativity_holds(self):
-        """Exhaustive check of (xy)z = x(yz) on basis triples."""
-        return self.associativity_witness() is None
+        """Exhaustive check of (xy)z = x(yz) on basis triples; the first
+        failing triple, or None, is kept as self.witness."""
+        self.witness = self.associativity_witness()
+        return self.witness is None
 
 
 def deformed_multiply(x, y, deformed):
@@ -609,5 +608,5 @@ def deformation_equivalence(f, f2, basis):
             if not (lhs[0] == rhs[0] and lhs[1] == rhs[1]):
                 raise ComputationError(
                     "the coboundary witness is not multiplicative at the "
-                    "basis pair (%s, %s)" % (d_f.label(i), d_f.label(j)))
+                    "basis pair (%s, %s)" % (d_f.labels[i], d_f.labels[j]))
     return phi

@@ -10,9 +10,10 @@ from fractions import Fraction
 from .errors import InputError
 
 
-# Miller-Rabin with the first 12 primes as bases is exact below this bound
-# (Sorenson and Webster, 2017); larger characteristics are refused.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2017);
+# larger characteristics are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 

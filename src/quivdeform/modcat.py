@@ -454,12 +454,11 @@ def module_from_file(mf, deformed):
     """Concrete module from a parsed module file: one action matrix per
     basis label of the deformed algebra."""
     mats = []
-    for i in range(deformed.dim):
-        label = deformed.label(i)
+    for label in deformed.labels:
         if label not in mf.actions:
             raise InputError("module file is missing act(%s)" % label)
         mats.append(mf.actions[label])
-    extra = set(mf.actions) - {deformed.label(i) for i in range(deformed.dim)}
+    extra = set(mf.actions) - set(deformed.labels)
     if extra:
         raise InputError("module file has unknown labels: %s"
                          % ", ".join(sorted(extra)))

@@ -405,7 +405,7 @@ def write_regular_module(tmp_path, name="dual_numbers"):
     af, basis = load_basis(name + ".alg")
     deformed = DeformedAlgebra(basis, cochain_from_pairs(basis, af.cocycle_pairs))
     reg = regular_module(deformed)
-    actions = {deformed.label(i): reg.matrices[i] for i in range(deformed.dim)}
+    actions = {deformed.labels[i]: reg.matrices[i] for i in range(deformed.dim)}
     path = tmp_path / (name + ".mod")
     path.write_text(emit_module_text(reg.dim, actions, basis.field))
     return path

@@ -112,8 +112,17 @@ def test_primality_agrees_with_trial_division():
 
 
 def test_characteristic_at_the_primality_bound_is_refused():
-    # the bound is the least strong pseudoprime to the first 12 prime
+    # the bound is the least strong pseudoprime to the first 13 prime
     # bases, 1287836182261 * 2575672364521: Miller-Rabin would call it prime
     assert 1287836182261 * 2575672364521 == 3317044064679887385961981
     with pytest.raises(InputError, match="too large"):
         Field.prime(3317044064679887385961981)
+
+
+def test_strong_pseudoprime_to_the_first_12_prime_bases_is_refused():
+    # the least strong pseudoprime to the bases 2, ..., 37 lies below the
+    # bound; only the base 41 shows that it is composite
+    n = 318665857834031151167461
+    assert 399165290221 * 798330580441 == n
+    with pytest.raises(InputError, match="prime"):
+        Field.prime(n)

@@ -178,7 +178,7 @@ def test_triple_from_linear_rejects_bad_block(dual_numbers):
 def test_module_file_round_trip(dual_numbers):
     d = deformed_of(dual_numbers)
     mod = regular_module(d)
-    actions = {d.label(i): mod.matrices[i] for i in range(d.dim)}
+    actions = {d.labels[i]: mod.matrices[i] for i in range(d.dim)}
     text = emit_module_text(mod.dim, actions, Q)
     mf = parse_module_text(text, Q)
     back = module_from_file(mf, d)
@@ -188,9 +188,9 @@ def test_module_file_round_trip(dual_numbers):
 def test_module_file_errors(dual_numbers):
     d = deformed_of(dual_numbers)
     mod = regular_module(d)
-    actions = {d.label(i): mod.matrices[i] for i in range(d.dim)}
+    actions = {d.labels[i]: mod.matrices[i] for i in range(d.dim)}
     partial = dict(actions)
-    partial.pop(d.label(0))
+    partial.pop(d.labels[0])
     mf = parse_module_text(emit_module_text(mod.dim, partial, Q), Q)
     with pytest.raises(InputError):
         module_from_file(mf, d)
