@@ -260,6 +260,16 @@ def _context_of(args, af, basis, alg):
     return idempotent_context(alg, evec)
 
 
+def _cochain_check(name, lhs, rhs, labels, identity):
+    """The check that two cochains agree: on failure the detail names the
+    first basis tuple, by its labels, where they differ."""
+    if lhs == rhs:
+        return (name, True, identity)
+    key = min(k for k in set(lhs.table) | set(rhs.table) if lhs.value(k) != rhs.value(k))
+    return (name, False, "%s at (%s)" % (identity.replace(" = ", " != ", 1),
+                                         ", ".join(labels[i] for i in key)))
+
+
 def cmd_transfer(args):
     af, basis = _load_algebra(args)
     f = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
@@ -277,14 +287,16 @@ def cmd_transfer(args):
     checks = []
     checks.append(("cocycle", is_full_cocycle(g, ctx.b), "d^2 g = 0 on B"))
     df = full_differential(f, ctx.a)
-    ok = full_differential(g, ctx.b) == transfer_phi(ctx, df, 3)
-    checks.append(("chain-map-phi", ok, "d phi^2 f = phi^3 d f"))
+    checks.append(_cochain_check("chain-map-phi", full_differential(g, ctx.b),
+                                 transfer_phi(ctx, df, 3), labels,
+                                 "d phi^2 f = phi^3 d f"))
     back = transfer_psi(ctx, g, 2)
-    ok = full_differential(back, ctx.a) == transfer_psi(ctx, full_differential(g, ctx.b), 3)
-    checks.append(("chain-map-psi", ok, "d psi^2 g = psi^3 d g"))
+    checks.append(_cochain_check("chain-map-psi", full_differential(back, ctx.a),
+                                 transfer_psi(ctx, full_differential(g, ctx.b), 3),
+                                 ctx.a.labels, "d psi^2 g = psi^3 d g"))
     lhs = homotopy_h(ctx, df, 3) + full_differential(homotopy_h(ctx, f, 2), ctx.a)
-    ok = lhs == f - back
-    checks.append(("homotopy", ok, "h^3 d f + d h^2 f = f - psi^2 phi^2 f"))
+    checks.append(_cochain_check("homotopy", lhs, f - back, ctx.a.labels,
+                                 "h^3 d f + d h^2 f = f - psi^2 phi^2 f"))
     return _emit_report(checks, args.report)
 
 

@@ -7,7 +7,14 @@ helpers (zeros, mat_add, mat_sub, mat_scale, mat_is_zero, block) take
 the field last, as matmul does.
 
 Sparse vectors are coordinate dicts {index: scalar}; the helpers
-_addinto, _scaled, _clean and _dense work on them.
+_addinto, _scaled and _clean work on them.  A sparse linear map
+is a column dict {column: {row: scalar}}: column c holds the image of
+basis vector c, and absent columns, rows and zero scalars are left out,
+so two maps are equal exactly when their dicts are.  map_apply,
+map_compose and map_combine apply, compose and linearly combine such
+maps; map_inverse inverts a square one.  Like the dense helpers they
+take the field last.  The Morita layer works on sparse maps only; the
+dense helpers serve the module layer and the command line.
 
 SpanSolver is an incremental row reducer over sparsely represented
 vectors (dicts keyed by arbitrary hashable coordinates).  It answers
@@ -43,10 +50,47 @@ def _clean(field, vec):
     return {k: c for k, c in vec.items() if c != field.zero}
 
 
-def _dense(field, vec, dim):
-    out = [field.zero] * dim
-    for k, c in vec.items():
-        out[k] = c
+def map_apply(amap, vec, field):
+    """The image of the sparse vector vec under the sparse map amap."""
+    out = {}
+    for c, x in vec.items():
+        col = amap.get(c)
+        if col:
+            _addinto(field, out, col, x)
+    return out
+
+
+def map_compose(a, b, field):
+    """a after b: column c is a applied to column c of b."""
+    out = {}
+    for c, col in b.items():
+        img = map_apply(a, col, field)
+        if img:
+            out[c] = img
+    return out
+
+
+def map_combine(terms, field):
+    """The sum of c * amap over the (c, amap) pairs of terms."""
+    out = {}
+    for c, amap in terms:
+        for col, vec in amap.items():
+            _addinto(field, out.setdefault(col, {}), vec, c)
+    return {col: vec for col, vec in out.items() if vec}
+
+
+def map_inverse(amap, n, field):
+    """Inverse of a sparse map from n coordinates to n coordinates, or
+    None if it is singular."""
+    span = SpanSolver(field)
+    for c in range(n):
+        if not span.add(amap.get(c, {}), c):
+            return None
+    out = {}
+    for r in range(n):
+        col = _clean(field, span.express({r: field.one}))
+        if col:
+            out[r] = col
     return out
 
 
@@ -301,7 +345,6 @@ class FinDimAlgebra:
         if len(self.labels) != dim:
             raise InputError("expected %d basis labels" % dim)
         self._left_mats = {}
-        self._right_mats = {}
         if check:
             self._validate()
 
@@ -322,13 +365,6 @@ class FinDimAlgebra:
             self._left_mats[i] = [[cols[m].get(r, self.field.zero)
                                    for m in range(self.dim)] for r in range(self.dim)]
         return self._left_mats[i]
-
-    def right_matrix(self, j):
-        if j not in self._right_mats:
-            cols = [self.multiply_basis(m, j) for m in range(self.dim)]
-            self._right_mats[j] = [[cols[m].get(r, self.field.zero)
-                                    for m in range(self.dim)] for r in range(self.dim)]
-        return self._right_mats[j]
 
     def associativity_witness(self):
         """The first basis triple (i, j, k) with (x_i x_j) x_k != x_i (x_j x_k),

@@ -5,8 +5,9 @@ module (FinDimAlgebra), so that a path-algebra quotient, a matrix
 amplification and a corner algebra all go through the same code; the
 deformed algebras A_f and B_g come from deform_structure_algebra in the
 deform module.  Elements are sparse coordinate dicts {basis_index:
-scalar} handled by the linalg helpers; cochains are the FullCochain
-tables from the hochschild module.
+scalar} and linear maps are sparse maps {column: {row: scalar}}, both
+handled by the linalg helpers, so no layer here builds a dense matrix;
+cochains are the FullCochain tables from the hochschild module.
 
 A MoritaContext fixes the two algebras, the inverse bimodules, both
 pairings and one finite generator list on each side:
@@ -22,18 +23,18 @@ disagree on raw cochains while agreeing on cohomology classes.
 from .deform import algebra_of_basis, deform_structure_algebra  # noqa: F401 (re-exported)
 from .errors import CharTwoUnsupported, InputError, NotFullIdempotent
 from .hochschild import FullCochain, is_full_cocycle
-from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _dense,
-                     _scaled, identity_matrix, invert_matrix, mat_add,
-                     mat_is_zero, mat_scale, mat_sub, matmul, matvec,
-                     nullspace, rank, zeros)
+from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _scaled,
+                     map_apply, map_combine, map_compose, map_inverse)
 
 
 class Bimodule:
     """Left module over left_alg and right module over right_alg.
 
     left[(i, m)] = coordinates of e_i . x_m, right[(m, j)] = x_m . e_j.
-    Unitality, both associativities and commutation of the two actions
-    are checked on all basis tuples unless check=False.
+    left_map(i) and right_map(j) are the two actions of one basis element
+    as sparse maps {m: vector}.  Unitality, both associativities and
+    commutation of the two actions are checked on all basis tuples unless
+    check=False.
     """
 
     def __init__(self, left_alg, right_alg, dim, left, right, check=True):
@@ -43,17 +44,19 @@ class Bimodule:
         self.field = left_alg.field
         fld = self.field
         self.left = {}
-        for key, vec in left.items():
+        self._left_maps = {}
+        for (i, m), vec in left.items():
             vec = _clean(fld, vec)
             if vec:
-                self.left[key] = vec
+                self.left[(i, m)] = vec
+                self._left_maps.setdefault(i, {})[m] = vec
         self.right = {}
-        for key, vec in right.items():
+        self._right_maps = {}
+        for (m, j), vec in right.items():
             vec = _clean(fld, vec)
             if vec:
-                self.right[key] = vec
-        self._left_mats = {}
-        self._right_mats = {}
+                self.right[(m, j)] = vec
+                self._right_maps.setdefault(j, {})[m] = vec
         if check:
             bad = self.violations()
             if bad:
@@ -64,6 +67,12 @@ class Bimodule:
 
     def right_basis(self, m, j):
         return self.right.get((m, j), {})
+
+    def left_map(self, i):
+        return self._left_maps.get(i, {})
+
+    def right_map(self, j):
+        return self._right_maps.get(j, {})
 
     def left_act(self, avec, mvec):
         fld = self.field
@@ -81,54 +90,56 @@ class Bimodule:
                 _addinto(fld, out, self.right_basis(m, j), fld.mul(cm, cj))
         return out
 
-    def left_matrix(self, i):
-        if i not in self._left_mats:
-            fld = self.field
-            self._left_mats[i] = [[self.left_basis(i, m).get(r, fld.zero)
-                                   for m in range(self.dim)] for r in range(self.dim)]
-        return self._left_mats[i]
-
-    def right_matrix(self, j):
-        if j not in self._right_mats:
-            fld = self.field
-            self._right_mats[j] = [[self.right_basis(m, j).get(r, fld.zero)
-                                    for m in range(self.dim)] for r in range(self.dim)]
-        return self._right_mats[j]
-
     def violations(self):
         fld = self.field
         la, ra = self.left_alg, self.right_alg
+        lmap, rmap = self.left_map, self.right_map
         out = []
+        lunit = _action(lmap, la.unit, fld)
+        runit = _action(rmap, ra.unit, fld)
         for m in range(self.dim):
             e = {m: fld.one}
-            if self.left_act(la.unit, e) != e:
+            if lunit.get(m) != e:
                 out.append("left unit fails at %d" % m)
-            if self.right_act(e, ra.unit) != e:
+            if runit.get(m) != e:
                 out.append("right unit fails at %d" % m)
         for i in range(la.dim):
             for j in range(la.dim):
-                prod = la.multiply_basis(i, j)
-                for m in range(self.dim):
-                    lhs = self.left_act(prod, {m: fld.one})
-                    rhs = self.left_act({i: fld.one}, self.left_basis(j, m))
-                    if lhs != rhs:
-                        out.append("left action not associative at (%d, %d, %d)" % (i, j, m))
+                lhs = _action(lmap, la.multiply_basis(i, j), fld)
+                rhs = map_compose(lmap(i), lmap(j), fld)
+                for m in _differing_columns(lhs, rhs, self.dim):
+                    out.append("left action not associative at (%d, %d, %d)" % (i, j, m))
         for i in range(ra.dim):
             for j in range(ra.dim):
-                prod = ra.multiply_basis(i, j)
-                for m in range(self.dim):
-                    lhs = self.right_act({m: fld.one}, prod)
-                    rhs = self.right_act(self.right_basis(m, i), {j: fld.one})
-                    if lhs != rhs:
-                        out.append("right action not associative at (%d, %d, %d)" % (m, i, j))
+                lhs = _action(rmap, ra.multiply_basis(i, j), fld)
+                rhs = map_compose(rmap(j), rmap(i), fld)
+                for m in _differing_columns(lhs, rhs, self.dim):
+                    out.append("right action not associative at (%d, %d, %d)" % (m, i, j))
         for i in range(la.dim):
             for j in range(ra.dim):
-                for m in range(self.dim):
-                    lhs = self.right_act(self.left_basis(i, m), {j: fld.one})
-                    rhs = self.left_act({i: fld.one}, self.right_basis(m, j))
-                    if lhs != rhs:
-                        out.append("actions do not commute at (%d, %d, %d)" % (i, m, j))
+                lhs = map_compose(rmap(j), lmap(i), fld)
+                rhs = map_compose(lmap(i), rmap(j), fld)
+                for m in _differing_columns(lhs, rhs, self.dim):
+                    out.append("actions do not commute at (%d, %d, %d)" % (i, m, j))
         return out
+
+
+def _action(maps, vec, field):
+    """The sparse map sum c * maps(k) over the coordinates {k: c} of vec."""
+    return map_combine([(c, maps(k)) for k, c in vec.items()], field)
+
+
+def _differing_columns(lhs, rhs, dim):
+    """The columns m < dim on which two sparse maps differ, in order."""
+    if lhs == rhs:
+        return []
+    return [m for m in range(dim) if lhs.get(m) != rhs.get(m)]
+
+
+def _rank(amap, field):
+    """The rank of a sparse map: the dimension of the span of its columns."""
+    span = SpanSolver(field)
+    return sum(1 for col in amap.values() if span.add(col))
 
 
 def regular_bimodule(alg):
@@ -412,20 +423,22 @@ class MoritaContext:
         for first, second, pair, target, name in (
                 (p, q, self.pair_a, a, "A"),
                 (q, p, self.pair_b, b, "B")):
-            ten = TensorProduct(first, second)
+            gens = algebra_generators(first.right_alg)
+            ten = TensorProduct(first, second, gens)
             if ten.dim != target.dim:
                 raise InputError("tensor to %s has dimension %d, expected %d"
                                  % (name, ten.dim, target.dim))
-            cols = []
-            for col in ten.free:
+            induced = {}
+            for t, col in enumerate(ten.free):
                 i, j = divmod(col, second.dim)
-                cols.append(_dense(fld, pair({i: one}, {j: one}), target.dim))
-            mat = [[cols[c][r] for c in range(len(cols))] for r in range(target.dim)]
-            if invert_matrix(mat, fld) is None:
+                vec = pair({i: one}, {j: one})
+                if vec:
+                    induced[t] = vec
+            if map_inverse(induced, target.dim, fld) is None:
                 raise InputError("pairing to %s does not induce a bijection" % name)
             # well-defined on the quotient: the pairing kills every relation
             for i in range(first.dim):
-                for bvec in algebra_generators(first.right_alg):
+                for bvec in gens:
                     xb = first.right_act({i: one}, bvec)
                     for j in range(second.dim):
                         lhs = pair(xb, {j: one})
@@ -638,17 +651,15 @@ def _phi_operator(ctx, n):
     qs = [gv for gv, _ in ctx.gens_b]
     ps = [pv for _, pv in ctx.gens_b]
 
+    # the pair weights as sparse maps on generator indices, column v, row u
     weights = {}
     for bidx in range(dim_b):
         eb = {bidx: fld.one}
-        mats = {}
         for u in range(m):
             for v in range(m):
                 val = ctx.pair_a(ps[u], ctx.q.left_act(eb, qs[v]))
                 for k, c in val.items():
-                    mats.setdefault(k, [[fld.zero] * m for _ in range(m)])[u][v] = c
-        for k, mat in mats.items():
-            weights[(bidx, k)] = mat
+                    weights.setdefault((bidx, k), {}).setdefault(v, {})[u] = c
 
     closer = {}
     for k0 in range(dim_a):
@@ -658,13 +669,13 @@ def _phi_operator(ctx, n):
                 if val:
                     closer[(k0, u, v)] = val
 
-    prefix = {((), ()): identity_matrix(m, fld)}
+    prefix = {((), ()): {u: {u: fld.one} for u in range(m)}}
     for _ in range(n):
         nxt = {}
         for (bt, kt), mat in prefix.items():
             for (bidx, k), w in weights.items():
-                prod = matmul(mat, w, fld)
-                if not mat_is_zero(prod, fld):
+                prod = map_compose(mat, w, fld)
+                if prod:
                     nxt[(bt + (bidx,), kt + (k,))] = prod
         prefix = nxt
 
@@ -672,11 +683,8 @@ def _phi_operator(ctx, n):
     for (bt, kt), mat in prefix.items():
         for k0 in range(dim_a):
             out = {}
-            for u in range(m):
-                for v in range(m):
-                    c = mat[u][v]
-                    if c == fld.zero:
-                        continue
+            for v, col in mat.items():
+                for u, c in col.items():
                     val = closer.get((k0, u, v))
                     if val:
                         _addinto(fld, out, val, c)
@@ -803,9 +811,10 @@ class DeformedBimodule:
     """Bimodule uple (M0, M1, T, f_M, g_M) over deformed scalars.
 
     M0 and M1 are (left_alg, right_alg)-bimodules, T: M0 -> M1 an
-    injective bimodule map, f_tables[i] the matrix of f_M(e_i (x) -) and
-    g_tables[j] of g_M(- (x) e_j).  The conditions make M0 + M1 an
-    (A_f, B_g)-bimodule under
+    injective bimodule map, f_tables[i] the map f_M(e_i (x) -) and
+    g_tables[j] the map g_M(- (x) e_j), all sparse maps {column: vector}
+    from M0 to M1.  The conditions make M0 + M1 an (A_f, B_g)-bimodule
+    under
 
         (a, b)(m0, m1) = (a m0, a m1 + b T(m0) + f_M(a (x) m0)),
         (m0, m1)(b, c) = (m0 b, m1 b + T(m0) c + g_M(m0 (x) b)).
@@ -830,75 +839,70 @@ class DeformedBimodule:
 
     def f_corr(self, avec, mvec):
         fld = self.field
-        out = [fld.zero] * self.m1.dim
+        out = {}
         for i, ci in avec.items():
-            col = matvec(self.f_tables[i], _dense(fld, mvec, self.m0.dim), fld)
-            for r, c in enumerate(col):
-                out[r] = fld.add(out[r], fld.mul(ci, c))
-        return _clean(fld, {r: c for r, c in enumerate(out)})
+            _addinto(fld, out, map_apply(self.f_tables[i], mvec, fld), ci)
+        return out
 
     def g_corr(self, mvec, bvec):
         fld = self.field
-        out = [fld.zero] * self.m1.dim
+        out = {}
         for j, cj in bvec.items():
-            col = matvec(self.g_tables[j], _dense(fld, mvec, self.m0.dim), fld)
-            for r, c in enumerate(col):
-                out[r] = fld.add(out[r], fld.mul(cj, c))
-        return _clean(fld, {r: c for r, c in enumerate(out)})
+            _addinto(fld, out, map_apply(self.g_tables[j], mvec, fld), cj)
+        return out
 
     def violations(self):
+        """Every failed uple condition, checked on all basis tuples.  M1 is
+        checked as a bimodule only when it is not M0 itself."""
         fld = self.field
         la, ra = self.left_alg, self.right_alg
         m0, m1, t = self.m0, self.m1, self.t
+        ftab, gtab = self.f_tables, self.g_tables
+        one, minus = fld.one, fld.neg(fld.one)
         out = list(m0.violations())
-        out.extend(m1.violations())
-        if rank(t, fld) != m0.dim:
+        if m1 is not m0:
+            out.extend(m1.violations())
+        if _rank(t, fld) != m0.dim:
             out.append("T is not injective")
         for i in range(la.dim):
-            if matmul(t, m0.left_matrix(i), fld) != matmul(m1.left_matrix(i), t, fld):
+            if map_compose(t, m0.left_map(i), fld) != map_compose(m1.left_map(i), t, fld):
                 out.append("T does not intertwine the left action of %s" % la.labels[i])
         for j in range(ra.dim):
-            if matmul(t, m0.right_matrix(j), fld) != matmul(m1.right_matrix(j), t, fld):
+            if map_compose(t, m0.right_map(j), fld) != map_compose(m1.right_map(j), t, fld):
                 out.append("T does not intertwine the right action of %s" % ra.labels[j])
 
         # a0 f_M(a1 (x) m) - f_M(a0 a1 (x) m) + f_M(a0 (x) a1 m) = f(a0 (x) a1) T(m)
+        left_t = [map_compose(m1.left_map(k), t, fld) for k in range(la.dim)]
         for i0 in range(la.dim):
             for i1 in range(la.dim):
-                acc = matmul(m1.left_matrix(i0), self.f_tables[i1], fld)
-                for k, c in la.multiply_basis(i0, i1).items():
-                    acc = mat_sub(acc, mat_scale(self.f_tables[k], c, fld), fld)
-                acc = mat_add(acc, matmul(self.f_tables[i0], m0.left_matrix(i1), fld),
-                              fld)
-                for k, c in self.f.value((i0, i1)).items():
-                    acc = mat_sub(acc, mat_scale(matmul(m1.left_matrix(k), t, fld), c, fld),
-                                  fld)
-                if not mat_is_zero(acc, fld):
+                terms = [(one, map_compose(m1.left_map(i0), ftab[i1], fld)),
+                         (one, map_compose(ftab[i0], m0.left_map(i1), fld))]
+                terms += [(fld.neg(c), ftab[k])
+                          for k, c in la.multiply_basis(i0, i1).items()]
+                terms += [(fld.neg(c), left_t[k])
+                          for k, c in self.f.value((i0, i1)).items()]
+                if map_combine(terms, fld):
                     out.append("left correction fails at (%s, %s)"
                                % (la.labels[i0], la.labels[i1]))
         # T(m) g(b0 (x) b1) + g_M(m (x) b0 b1) = g_M(m (x) b0) b1 + g_M(m b0 (x) b1)
+        right_t = [map_compose(m1.right_map(k), t, fld) for k in range(ra.dim)]
         for j0 in range(ra.dim):
             for j1 in range(ra.dim):
-                acc = zeros(m1.dim, m0.dim, fld)
-                for k, c in self.g.value((j0, j1)).items():
-                    acc = mat_add(acc, mat_scale(matmul(m1.right_matrix(k), t, fld), c, fld),
-                                  fld)
-                for k, c in ra.multiply_basis(j0, j1).items():
-                    acc = mat_add(acc, mat_scale(self.g_tables[k], c, fld), fld)
-                acc = mat_sub(acc, matmul(m1.right_matrix(j1), self.g_tables[j0], fld),
-                              fld)
-                acc = mat_sub(acc, matmul(self.g_tables[j1], m0.right_matrix(j0), fld),
-                              fld)
-                if not mat_is_zero(acc, fld):
+                terms = [(minus, map_compose(m1.right_map(j1), gtab[j0], fld)),
+                         (minus, map_compose(gtab[j1], m0.right_map(j0), fld))]
+                terms += [(c, right_t[k]) for k, c in self.g.value((j0, j1)).items()]
+                terms += [(c, gtab[k]) for k, c in ra.multiply_basis(j0, j1).items()]
+                if map_combine(terms, fld):
                     out.append("right correction fails at (%s, %s)"
                                % (ra.labels[j0], ra.labels[j1]))
         # a g_M(m (x) b) - g_M(a m (x) b) + f_M(a (x) m b) - f_M(a (x) m) b = 0
         for i in range(la.dim):
             for j in range(ra.dim):
-                acc = matmul(m1.left_matrix(i), self.g_tables[j], fld)
-                acc = mat_sub(acc, matmul(self.g_tables[j], m0.left_matrix(i), fld), fld)
-                acc = mat_add(acc, matmul(self.f_tables[i], m0.right_matrix(j), fld), fld)
-                acc = mat_sub(acc, matmul(m1.right_matrix(j), self.f_tables[i], fld), fld)
-                if not mat_is_zero(acc, fld):
+                terms = [(one, map_compose(m1.left_map(i), gtab[j], fld)),
+                         (minus, map_compose(gtab[j], m0.left_map(i), fld)),
+                         (one, map_compose(ftab[i], m0.right_map(j), fld)),
+                         (minus, map_compose(m1.right_map(j), ftab[i], fld))]
+                if map_combine(terms, fld):
                     out.append("corrections are not compatible at (%s, %s)"
                                % (la.labels[i], ra.labels[j]))
         return out
@@ -911,28 +915,20 @@ class DeformedBimodule:
         left, right = {}, {}
 
         def fill(table, key, top, bottom):
-            vec = {}
-            for r, c in top.items():
-                vec[r] = c
+            vec = dict(top)
             for r, c in bottom.items():
                 vec[n0 + r] = c
-            vec = _clean(fld, vec)
             if vec:
                 table[key] = vec
 
-        tcols = [_clean(fld, dict(enumerate(col))) for col in zip(*self.t)]
         for m in range(n0):
-            em = {m: fld.one}
+            tcol = self.t.get(m, {})
             for i in range(na):
-                fill(left, (i, m), self.m0.left_basis(i, m),
-                     self.f_corr({i: fld.one}, em))
-                fill(left, (na + i, m), {},
-                     self.m1.left_act({i: fld.one}, tcols[m]))
+                fill(left, (i, m), self.m0.left_basis(i, m), self.f_tables[i].get(m, {}))
+                fill(left, (na + i, m), {}, map_apply(self.m1.left_map(i), tcol, fld))
             for j in range(nb):
-                fill(right, (m, j), self.m0.right_basis(m, j),
-                     self.g_corr(em, {j: fld.one}))
-                fill(right, (m, nb + j), {},
-                     self.m1.right_act(tcols[m], {j: fld.one}))
+                fill(right, (m, j), self.m0.right_basis(m, j), self.g_tables[j].get(m, {}))
+                fill(right, (m, nb + j), {}, map_apply(self.m1.right_map(j), tcol, fld))
         for m in range(n1):
             for i in range(na):
                 vec = self.m1.left_basis(i, m)
@@ -943,6 +939,15 @@ class DeformedBimodule:
                 if vec:
                     right[(n0 + m, j)] = {n0 + r: c for r, c in vec.items()}
         return Bimodule(left_def, right_def, n0 + n1, left, right, check=True)
+
+
+def _identity(n, field):
+    return {m: {m: field.one} for m in range(n)}
+
+
+def _columns(cols):
+    """The sparse map whose column m is the vector cols[m]."""
+    return {m: col for m, col in enumerate(cols) if col}
 
 
 def _half(field):
@@ -981,8 +986,7 @@ def build_hat_P(ctx, f, g=None, check=True):
                     _addinto(fld, acc, p.right_act(p0, val), one)
             _addinto(fld, acc, p.left_act(hvec, ex), one)
             cols.append(_scaled(fld, acc, half))
-        f_tables.append([[cols[x].get(r, fld.zero) for x in range(p.dim)]
-                         for r in range(p.dim)])
+        f_tables.append(_columns(cols))
     g_tables = []
     for j in range(ctx.b.dim):
         ej = {j: one}
@@ -1000,9 +1004,8 @@ def build_hat_P(ctx, f, g=None, check=True):
                 val = g.evaluate(ctx.pair_b(q0, ex), ej)
                 _addinto(fld, acc, p.right_act(p0, val), one)
             cols.append(_scaled(fld, acc, half))
-        g_tables.append([[cols[x].get(r, fld.zero) for x in range(p.dim)]
-                         for r in range(p.dim)])
-    return DeformedBimodule(ctx.a, ctx.b, f, g, p, p, identity_matrix(p.dim, fld),
+        g_tables.append(_columns(cols))
+    return DeformedBimodule(ctx.a, ctx.b, f, g, p, p, _identity(p.dim, fld),
                             f_tables, g_tables, check=check)
 
 
@@ -1033,8 +1036,7 @@ def build_hat_Q(ctx, f, g=None, check=True):
                 val = g.evaluate(ej, ctx.pair_b(ey, p0))
                 _addinto(fld, acc, q.left_act(val, q0), one)
             cols.append(_scaled(fld, acc, half))
-        g_tables.append([[cols[y].get(r, fld.zero) for y in range(q.dim)]
-                         for r in range(q.dim)])
+        g_tables.append(_columns(cols))
     f_tables = []
     for i in range(ctx.a.dim):
         ei = {i: one}
@@ -1053,9 +1055,8 @@ def build_hat_Q(ctx, f, g=None, check=True):
                     _addinto(fld, acc, q.left_act(val, q1), one)
             _addinto(fld, acc, q.right_act(ey, hvec), one)
             cols.append(_scaled(fld, acc, half))
-        f_tables.append([[cols[y].get(r, fld.zero) for y in range(q.dim)]
-                         for r in range(q.dim)])
-    return DeformedBimodule(ctx.b, ctx.a, g, f, q, q, identity_matrix(q.dim, fld),
+        f_tables.append(_columns(cols))
+    return DeformedBimodule(ctx.b, ctx.a, g, f, q, q, _identity(q.dim, fld),
                             g_tables, f_tables, check=check)
 
 
@@ -1063,50 +1064,49 @@ def regular_deformed_uple(alg, f):
     """(A, A, Id, f, f): the uple whose glue is the regular A_f-bimodule."""
     fld = alg.field
     reg = regular_bimodule(alg)
-    f_tables = []
-    g_tables = []
-    for i in range(alg.dim):
-        f_tables.append([[f.value((i, m)).get(r, fld.zero) for m in range(alg.dim)]
-                         for r in range(alg.dim)])
-        g_tables.append([[f.value((m, i)).get(r, fld.zero) for m in range(alg.dim)]
-                         for r in range(alg.dim)])
-    return DeformedBimodule(alg, alg, f, f, reg, reg, identity_matrix(alg.dim, fld),
+    f_tables = [_columns([f.value((i, m)) for m in range(alg.dim)]) for i in range(alg.dim)]
+    g_tables = [_columns([f.value((m, i)) for m in range(alg.dim)]) for i in range(alg.dim)]
+    return DeformedBimodule(alg, alg, f, f, reg, reg, _identity(alg.dim, fld),
                             f_tables, g_tables, check=False)
 
 
 def triple_violations(src, tgt, u0, u1, u2):
-    """Failures of (u0, u1, u2) as a morphism of bimodule uples."""
+    """Failures of (u0, u1, u2) as a morphism of bimodule uples; u0: M0 -> M0',
+    u1: M0 -> M1' and u2: M1 -> M1' are sparse maps."""
     fld = src.field
     la, ra = src.left_alg, src.right_alg
+    minus = fld.neg(fld.one)
     out = []
-    if matmul(tgt.t, u0, fld) != matmul(u2, src.t, fld):
+
+    def compose(a, b):
+        return map_compose(a, b, fld)
+
+    if compose(tgt.t, u0) != compose(u2, src.t):
         out.append("square T u0 != u2 T fails")
-    for i in range(la.dim):
-        if matmul(u0, src.m0.left_matrix(i), fld) != \
-                matmul(tgt.m0.left_matrix(i), u0, fld):
-            out.append("u0 is not left linear over %s" % la.labels[i])
-        if matmul(u2, src.m1.left_matrix(i), fld) != \
-                matmul(tgt.m1.left_matrix(i), u2, fld):
-            out.append("u2 is not left linear over %s" % la.labels[i])
-        lhs = matmul(u1, src.m0.left_matrix(i), fld)
-        rhs = matmul(tgt.m1.left_matrix(i), u1, fld)
-        rhs = mat_sub(rhs, matmul(u2, src.f_tables[i], fld), fld)
-        rhs = mat_add(rhs, matmul(tgt.f_tables[i], u0, fld), fld)
-        if lhs != rhs:
-            out.append("left correction rule fails for %s" % la.labels[i])
-    for j in range(ra.dim):
-        if matmul(u0, src.m0.right_matrix(j), fld) != \
-                matmul(tgt.m0.right_matrix(j), u0, fld):
-            out.append("u0 is not right linear over %s" % ra.labels[j])
-        if matmul(u2, src.m1.right_matrix(j), fld) != \
-                matmul(tgt.m1.right_matrix(j), u2, fld):
-            out.append("u2 is not right linear over %s" % ra.labels[j])
-        lhs = matmul(u1, src.m0.right_matrix(j), fld)
-        rhs = matmul(tgt.m1.right_matrix(j), u1, fld)
-        rhs = mat_sub(rhs, matmul(u2, src.g_tables[j], fld), fld)
-        rhs = mat_add(rhs, matmul(tgt.g_tables[j], u0, fld), fld)
-        if lhs != rhs:
-            out.append("right correction rule fails for %s" % ra.labels[j])
+    for side, alg, tabs_src, tabs_tgt, act in (
+            ("left", la, src.f_tables, tgt.f_tables, lambda m, i: m.left_map(i)),
+            ("right", ra, src.g_tables, tgt.g_tables, lambda m, j: m.right_map(j))):
+        for i in range(alg.dim):
+            if compose(u0, act(src.m0, i)) != compose(act(tgt.m0, i), u0):
+                out.append("u0 is not %s linear over %s" % (side, alg.labels[i]))
+            if compose(u2, act(src.m1, i)) != compose(act(tgt.m1, i), u2):
+                out.append("u2 is not %s linear over %s" % (side, alg.labels[i]))
+            lhs = compose(u1, act(src.m0, i))
+            rhs = map_combine([(fld.one, compose(act(tgt.m1, i), u1)),
+                               (minus, compose(u2, tabs_src[i])),
+                               (fld.one, compose(tabs_tgt[i], u0))], fld)
+            if lhs != rhs:
+                out.append("%s correction rule fails for %s" % (side, alg.labels[i]))
+    return out
+
+
+def _rows(amap, lo, hi):
+    """The rows lo <= r < hi of a sparse map, renumbered from 0."""
+    out = {}
+    for c, col in amap.items():
+        part = {r - lo: v for r, v in col.items() if lo <= r < hi}
+        if part:
+            out[c] = part
     return out
 
 
@@ -1116,13 +1116,16 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     Splits the balanced product into a complement and the kernel of the
     pairing, carves the bimodule uple out of it, and checks that the
     explicit pairing triple (w0, w1, w2) is an isomorphism onto
-    (A, A, Id, f, f).
+    (A, A, Id, f, f).  Every map here is a sparse map.
     """
     fld = ctx.field
     s_alg = ctx.a
     ns = s_alg.dim
     one = fld.one
     checks = []
+
+    def compose(a, b):
+        return map_compose(a, b, fld)
 
     x = hat1.glue(s_def, t_def)
     y = hat2.glue(t_def, s_def)
@@ -1133,16 +1136,9 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     if z.dim != 2 * ns:
         return checks
 
-    def action_of(vec, side):
-        acc = zeros(z.dim, z.dim, fld)
-        for i, c in vec.items():
-            mat = z.left_matrix(i) if side == "left" else z.right_matrix(i)
-            acc = mat_add(acc, mat_scale(mat, c, fld), fld)
-        return acc
-
     eps = {ns + i: c for i, c in s_alg.unit.items()}
-    t_left = action_of(eps, "left")
-    t_right = action_of(eps, "right")
+    t_left = _action(z.left_map, eps, fld)
+    t_right = _action(z.right_map, eps, fld)
     checks.append((prefix + "central-t-action", t_left == t_right,
                    "left and right action of (0, 1) on the tensor"))
 
@@ -1152,7 +1148,7 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     checks.append((prefix + "second-slot-collapse", zero_pairs,
                    "(0, x) (x) (0, y) vanishes in the tensor"))
 
-    ker = nullspace(t_left, fld)
+    nullity = z.dim - _rank(t_left, fld)
     k_solver = SpanSolver(fld)
     k_keys, k_cols = [], []
     in_kernel = True
@@ -1161,17 +1157,16 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
         for j in range(qdim):
             vec = ten.pure_vec({i: one}, {qdim + j: one})
             z1_vecs[(i, j)] = vec
-            dense = _dense(fld, vec, z.dim)
-            if any(c != fld.zero for c in matvec(t_left, dense, fld)):
+            if map_apply(t_left, vec, fld):
                 in_kernel = False
                 continue
             if k_solver.add(vec, (i, j)):
                 k_keys.append((i, j))
-                k_cols.append(dense)
-    ok_ker = in_kernel and len(k_keys) == len(ker) == ns
+                k_cols.append(vec)
+    ok_ker = in_kernel and len(k_keys) == nullity == ns
     checks.append((prefix + "kernel-description", ok_ker,
                    "(x, 0) (x) (0, y) spans ker T: rank %d, nullity %d"
-                   % (len(k_keys), len(ker))))
+                   % (len(k_keys), nullity)))
     if not ok_ker:
         return checks
 
@@ -1200,22 +1195,22 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
                 _addinto(fld, val, f.evaluate(first, ctx.pair_a(pk, ey)), one)
             w1_vals[(i, j)] = val
 
+    # the basis change: columns t < ns are the corrected generators, the
+    # columns ns + t the kernel generators, both at the keys k_keys[t]
     c_keys = list(k_keys)
-    c_cols = [_dense(fld, z0_vecs[key], z.dim) for key in c_keys]
-    direct = rank([list(col) for col in c_cols + k_cols], fld) == 2 * ns
+    c_cols = [z0_vecs[key] for key in c_keys]
+    cmap, kmap = _columns(c_cols), _columns(k_cols)
+    sinv = map_inverse(_columns(c_cols + k_cols), z.dim, fld)
+    direct = sinv is not None
     checks.append((prefix + "complement-split", direct,
                    "corrected generators complement the kernel"))
     if not direct:
         return checks
 
-    cmat = [[col[r] for col in c_cols] for r in range(z.dim)]
-    kmat = [[col[r] for col in k_cols] for r in range(z.dim)]
-    schange = [cmat[r] + kmat[r] for r in range(z.dim)]
-    sinv = invert_matrix(schange, fld)
-    tc = matmul(sinv, matmul(t_left, cmat, fld), fld)
-    top_zero = all(tc[r][c] == fld.zero for r in range(ns) for c in range(ns))
-    carved_t = [[tc[ns + r][c] for c in range(ns)] for r in range(ns)]
-    ok_t = top_zero and invert_matrix(carved_t, fld) is not None
+    tc = compose(sinv, compose(t_left, cmap))
+    top_zero = not _rows(tc, 0, ns)
+    carved_t = _rows(tc, ns, 2 * ns)
+    ok_t = top_zero and map_inverse(carved_t, ns, fld) is not None
     checks.append((prefix + "t-isomorphism", ok_t,
                    "T maps the complement bijectively onto the kernel"))
     if not ok_t:
@@ -1225,30 +1220,23 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     left1, right1 = {}, {}
     carve_ok = True
     for i in range(ns):
-        lz = z.left_matrix(i)
-        rz = z.right_matrix(i)
-        lc = matmul(sinv, matmul(lz, cmat, fld), fld)
-        rc = matmul(sinv, matmul(rz, cmat, fld), fld)
-        lk = matmul(sinv, matmul(lz, kmat, fld), fld)
-        rk = matmul(sinv, matmul(rz, kmat, fld), fld)
-        if any(lk[r][c] != fld.zero or rk[r][c] != fld.zero
-               for r in range(ns) for c in range(ns)):
+        lz, rz = z.left_map(i), z.right_map(i)
+        lc = compose(sinv, compose(lz, cmap))
+        rc = compose(sinv, compose(rz, cmap))
+        lk = compose(sinv, compose(lz, kmap))
+        rk = compose(sinv, compose(rz, kmap))
+        if _rows(lk, 0, ns) or _rows(rk, 0, ns):
             carve_ok = False
-        for m in range(ns):
-            v0 = _clean(fld, {r: lc[r][m] for r in range(ns)})
-            if v0:
-                left0[(i, m)] = v0
-            v0 = _clean(fld, {r: rc[r][m] for r in range(ns)})
-            if v0:
-                right0[(m, i)] = v0
-            v1 = _clean(fld, {r: lk[ns + r][m] for r in range(ns)})
-            if v1:
-                left1[(i, m)] = v1
-            v1 = _clean(fld, {r: rk[ns + r][m] for r in range(ns)})
-            if v1:
-                right1[(m, i)] = v1
-        f_tabs.append([[lc[ns + r][m] for m in range(ns)] for r in range(ns)])
-        g_tabs.append([[rc[ns + r][m] for m in range(ns)] for r in range(ns)])
+        for m, v0 in _rows(lc, 0, ns).items():
+            left0[(i, m)] = v0
+        for m, v0 in _rows(rc, 0, ns).items():
+            right0[(m, i)] = v0
+        for m, v1 in _rows(lk, ns, 2 * ns).items():
+            left1[(i, m)] = v1
+        for m, v1 in _rows(rk, ns, 2 * ns).items():
+            right1[(m, i)] = v1
+        f_tabs.append(_rows(lc, ns, 2 * ns))
+        g_tabs.append(_rows(rc, ns, 2 * ns))
     checks.append((prefix + "summands-stable", carve_ok,
                    "both splitting summands are stable under the plain action"))
     if not carve_ok:
@@ -1262,20 +1250,21 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     checks.append((prefix + "quotient-uple", not bad,
                    "carved uple conditions: %s" % (bad[0] if bad else "all hold")))
 
-    w0 = [[_dense(fld, ctx.pair_a({i: one}, {j: one}), ns)[r]
-           for (i, j) in c_keys] for r in range(ns)]
-    w1 = [[_dense(fld, w1_vals[key], ns)[r] for key in c_keys] for r in range(ns)]
-    w2 = [[_dense(fld, ctx.pair_a({i: one}, {j: one}), ns)[r]
-           for (i, j) in k_keys] for r in range(ns)]
+    w0 = _columns([ctx.pair_a({i: one}, {j: one}) for (i, j) in c_keys])
+    w1 = _columns([w1_vals[key] for key in c_keys])
+    w2 = _columns([ctx.pair_a({i: one}, {j: one}) for (i, j) in k_keys])
     bad = triple_violations(z_uple, target, w0, w1, w2)
     checks.append((prefix + "pairing-morphism", not bad,
                    bad[0] if bad else "w = (w0, w1, w2) is a morphism of uples"))
 
-    w_block = [[w0[r][c] if c < ns else fld.zero for c in range(2 * ns)]
-               for r in range(ns)]
-    w_block += [[w1[r][c] if c < ns else w2[r][c - ns] for c in range(2 * ns)]
-                for r in range(ns)]
-    w_full = matmul(w_block, sinv, fld)
+    def lower(vec):
+        """vec placed in the second copy of A, the coordinates ns + r."""
+        return {ns + r: c for r, c in vec.items()}
+
+    # w on the split coordinates is [[w0, 0], [w1, w2]]; w_full reads z
+    w_block = _columns([{**w0.get(t, {}), **lower(w1.get(t, {}))} for t in range(ns)]
+                       + [lower(w2.get(t, {})) for t in range(ns)])
+    w_full = compose(w_block, sinv)
 
     # the displayed w formulas are stated for arbitrary sums of corrected
     # generators; the linear extension from the chosen basis must agree
@@ -1283,48 +1272,42 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     ok_wd = True
     for i in range(pdim):
         for j in range(qdim):
-            got = matvec(w_full, _dense(fld, z0_vecs[(i, j)], z.dim), fld)
             pairing = ctx.pair_a({i: one}, {j: one})
-            want = _dense(fld, pairing, ns) + _dense(fld, w1_vals[(i, j)], ns)
-            if got != want:
+            if map_apply(w_full, z0_vecs[(i, j)], fld) != {**pairing, **lower(w1_vals[(i, j)])}:
                 ok_wd = False
-            got = matvec(w_full, _dense(fld, z1_vecs[(i, j)], z.dim), fld)
-            want = [fld.zero] * ns + _dense(fld, pairing, ns)
-            if got != want:
+            if map_apply(w_full, z1_vecs[(i, j)], fld) != lower(pairing):
                 ok_wd = False
     checks.append((prefix + "pairing-well-defined", ok_wd,
                    "w agrees with its defining formulas on all pure generators"))
 
-    w0i = invert_matrix(w0, fld)
-    w2i = invert_matrix(w2, fld)
+    w0i = map_inverse(w0, ns, fld)
+    w2i = map_inverse(w2, ns, fld)
     ok_inv = w0i is not None and w2i is not None
     checks.append((prefix + "pairing-invertible", ok_inv,
                    "w0 and w2 are invertible"))
     if not ok_inv or bad:
         return checks
 
-    w1i = mat_scale(matmul(w2i, matmul(w1, w0i, fld), fld), fld.neg(one), fld)
+    w1i = map_combine([(fld.neg(one), compose(w2i, compose(w1, w0i)))], fld)
     bad = triple_violations(target, z_uple, w0i, w1i, w2i)
-    ident = identity_matrix(ns, fld)
-    zero = zeros(ns, ns, fld)
-    back = (matmul(w0i, w0, fld),
-            mat_add(matmul(w2i, w1, fld), matmul(w1i, w0, fld), fld),
-            matmul(w2i, w2, fld))
-    fore = (matmul(w0, w0i, fld),
-            mat_add(matmul(w2, w1i, fld), matmul(w1, w0i, fld), fld),
-            matmul(w2, w2i, fld))
-    ok_comp = (not bad and back == (ident, zero, ident)
-               and fore == (ident, zero, ident))
+    ident = _identity(ns, fld)
+    back = (compose(w0i, w0),
+            map_combine([(one, compose(w2i, w1)), (one, compose(w1i, w0))], fld),
+            compose(w2i, w2))
+    fore = (compose(w0, w0i),
+            map_combine([(one, compose(w2, w1i)), (one, compose(w1, w0i))], fld),
+            compose(w2, w2i))
+    ok_comp = (not bad and back == (ident, {}, ident)
+               and fore == (ident, {}, ident))
     checks.append((prefix + "inverse-morphism", ok_comp,
                    "the inverse triple composes to the identity both ways"))
 
-    ok_conc = invert_matrix(w_full, fld) is not None
+    ok_conc = map_inverse(w_full, z.dim, fld) is not None
+    s_reg = regular_bimodule(s_def)
     for i in range(s_def.dim):
-        if matmul(w_full, z.left_matrix(i), fld) != \
-                matmul(s_def.left_matrix(i), w_full, fld):
+        if compose(w_full, z.left_map(i)) != compose(s_reg.left_map(i), w_full):
             ok_conc = False
-        if matmul(w_full, z.right_matrix(i), fld) != \
-                matmul(s_def.right_matrix(i), w_full, fld):
+        if compose(w_full, z.right_map(i)) != compose(s_reg.right_map(i), w_full):
             ok_conc = False
     checks.append((prefix + "concrete-isomorphism", ok_conc,
                    "glued w intertwines both deformed actions"))

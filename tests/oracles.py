@@ -11,7 +11,9 @@ under test is in the loop.  The Hochschild differential itself is
 recomputed by evaluating every face on every index tuple.  The deformed
 algebra A_f is rebuilt from the pair formula on every pair of basis
 indices, its associativity by multiplying out every basis triple, and
-primality by trial division.
+primality by trial division.  The bimodule and bimodule-uple axioms are
+evaluated on every basis tuple, one element at a time, from the raw
+action tables.
 """
 
 from itertools import product
@@ -314,3 +316,127 @@ def brute_associativity_defect(dim, table, field):
         if brute_associator(table, field, *key):
             return key
     return None
+
+
+def _act(table, field, x, y):
+    """Bilinear extension of table[(a, b)] = {k: c} to coordinate dicts."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for k, c in table.get((a, b), {}).items():
+                out[k] = field.add(out.get(k, field.zero),
+                                   field.mul(field.mul(ca, cb), c))
+    return {k: c for k, c in out.items() if c != field.zero}
+
+
+def _combo(field, *terms):
+    """sum c * vec over the (c, vec) terms, without zero coordinates."""
+    out = {}
+    for c, vec in terms:
+        for k, v in vec.items():
+            out[k] = field.add(out.get(k, field.zero), field.mul(c, v))
+    return {k: c for k, c in out.items() if c != field.zero}
+
+
+def brute_bimodule_defects(alg_l, alg_r, dim, left, right, field):
+    """Every basis tuple at which a bimodule axiom fails, in the order
+    unit (per m), left associativity, right associativity, commutation.
+
+    alg_l and alg_r are raw algebras (dim, table, unit); left[(i, m)] is
+    x_i . m_m and right[(m, j)] is m_m . x_j.  Returns (kind, tuple)
+    pairs with kinds "left unit" (m,), "right unit" (m,), "left assoc"
+    (i, j, m), "right assoc" (m, i, j) and "commute" (i, m, j)."""
+    (dl, tl, ul), (dr, tr, ur) = alg_l, alg_r
+    one = field.one
+    out = []
+    for m in range(dim):
+        e = {m: one}
+        if _act(left, field, ul, e) != e:
+            out.append(("left unit", (m,)))
+        if _act(right, field, e, ur) != e:
+            out.append(("right unit", (m,)))
+    for i, j, m in product(range(dl), range(dl), range(dim)):
+        xi, xj, e = {i: one}, {j: one}, {m: one}
+        if _act(left, field, _act(tl, field, xi, xj), e) != \
+                _act(left, field, xi, _act(left, field, xj, e)):
+            out.append(("left assoc", (i, j, m)))
+    for i, j, m in product(range(dr), range(dr), range(dim)):
+        xi, xj, e = {i: one}, {j: one}, {m: one}
+        if _act(right, field, e, _act(tr, field, xi, xj)) != \
+                _act(right, field, _act(right, field, e, xi), xj):
+            out.append(("right assoc", (m, i, j)))
+    for i, m, j in product(range(dl), range(dim), range(dr)):
+        xi, e, xj = {i: one}, {m: one}, {j: one}
+        if _act(right, field, _act(left, field, xi, e), xj) != \
+                _act(left, field, xi, _act(right, field, e, xj)):
+            out.append(("commute", (i, m, j)))
+    return out
+
+
+def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
+    """Every failed condition of a bimodule uple (M0, M1, T, f_M, g_M),
+    each evaluated element by element on every basis tuple.
+
+    alg_l, alg_r are raw algebras (dim, table, unit); f[(i0, i1)] and
+    g[(j0, j1)] the 2-cochains; m0, m1 raw bimodules (dim, left, right);
+    t[m] = T(m_m); f_m[(i, m)] = f_M(x_i (x) m_m) and g_m[(m, j)] =
+    g_M(m_m (x) x_j), both in M1.  Returns (kind, tuple) pairs: ("m0",
+    defect) and ("m1", defect) for the bimodule defects of M0 and M1,
+    ("injective", ()), ("intertwine left", (i,)), ("intertwine right",
+    (j,)), ("left correction", (i0, i1)), ("right correction", (j0, j1))
+    and ("compatible", (i, j))."""
+    (dl, tl, _), (dr, tr, _) = alg_l, alg_r
+    (n0, l0, r0), (n1, l1, r1) = m0, m1
+    one, minus = field.one, field.neg(field.one)
+    out = [("m0", d) for d in brute_bimodule_defects(alg_l, alg_r, n0, l0, r0, field)]
+    out += [("m1", d) for d in brute_bimodule_defects(alg_l, alg_r, n1, l1, r1, field)]
+    t_rows = [[t.get(m, {}).get(r, field.zero) for m in range(n0)] for r in range(n1)]
+    if _rank(t_rows, n0, field) != n0:
+        out.append(("injective", ()))
+
+    def tmap(vec):
+        return _combo(field, *[(c, t.get(m, {})) for m, c in vec.items()])
+
+    def fm(avec, mvec):
+        return _act(f_m, field, avec, mvec)
+
+    def gm(mvec, bvec):
+        return _act(g_m, field, mvec, bvec)
+
+    basis0 = [{m: one} for m in range(n0)]
+    for i in range(dl):
+        xi = {i: one}
+        if any(tmap(_act(l0, field, xi, e)) != _act(l1, field, xi, tmap(e)) for e in basis0):
+            out.append(("intertwine left", (i,)))
+    for j in range(dr):
+        xj = {j: one}
+        if any(tmap(_act(r0, field, e, xj)) != _act(r1, field, tmap(e), xj) for e in basis0):
+            out.append(("intertwine right", (j,)))
+    for i0, i1 in product(range(dl), repeat=2):
+        a0, a1 = {i0: one}, {i1: one}
+        for e in basis0:
+            if _combo(field, (one, _act(l1, field, a0, fm(a1, e))),
+                      (minus, fm(_act(tl, field, a0, a1), e)),
+                      (one, fm(a0, _act(l0, field, a1, e))),
+                      (minus, _act(l1, field, f.get((i0, i1), {}), tmap(e)))):
+                out.append(("left correction", (i0, i1)))
+                break
+    for j0, j1 in product(range(dr), repeat=2):
+        b0, b1 = {j0: one}, {j1: one}
+        for e in basis0:
+            if _combo(field, (one, _act(r1, field, tmap(e), g.get((j0, j1), {}))),
+                      (one, gm(e, _act(tr, field, b0, b1))),
+                      (minus, _act(r1, field, gm(e, b0), b1)),
+                      (minus, gm(_act(r0, field, e, b0), b1))):
+                out.append(("right correction", (j0, j1)))
+                break
+    for i, j in product(range(dl), range(dr)):
+        a, b = {i: one}, {j: one}
+        for e in basis0:
+            if _combo(field, (one, _act(l1, field, a, gm(e, b))),
+                      (minus, gm(_act(l0, field, a, e), b)),
+                      (one, fm(a, _act(r0, field, e, b))),
+                      (minus, _act(r1, field, fm(a, e), b))):
+                out.append(("compatible", (i, j)))
+                break
+    return out

@@ -3,11 +3,14 @@ import re
 
 import pytest
 
+from quivdeform import cli, morita
 from quivdeform.cli import run
-from quivdeform.deform import DeformedAlgebra
+from quivdeform.deform import DeformedAlgebra, algebra_of_basis
 from quivdeform.fileio import (emit_algebra_text, emit_module_text,
                                parse_algebra_text)
-from quivdeform.hochschild import Cochain, cochain_from_pairs, differential
+from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
+                                   differential, extend_to_full,
+                                   full_differential)
 from quivdeform.modcat import regular_module
 from quivdeform.quiver import FreeElement, compute_basis
 
@@ -372,6 +375,45 @@ def test_transfer_bad_idempotent_flags(capsys):
     capsys.readouterr()
     assert run(["transfer", data_path("two_cycle.alg"),
                 "--matrix", "0"]) == 2
+
+
+def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
+    # psi^2 with the non-cocycle f(e(1), a) = e(1) added: the chain-map-psi
+    # and homotopy identities fail, and each FAIL line names a basis tuple
+    # at which its two sides really differ
+    af, basis = load_basis("dual_numbers.alg")
+    one = basis.field.one
+
+    def broken_psi(ctx, g, n=None):
+        out = morita.transfer_psi(ctx, g, n)
+        if out.degree == 2:
+            out = out + FullCochain(out.dim, 2, out.field, {(0, 1): {0: one}})
+        return out
+
+    monkeypatch.setattr(cli, "transfer_psi", broken_psi)
+    assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
+    _, lines = lines_of(capsys)
+    assert "cocycle: PASS  d^2 g = 0 on B" in lines
+    assert "chain-map-phi: PASS  d phi^2 f = phi^3 d f" in lines
+
+    alg = algebra_of_basis(basis)
+    ctx = morita.matrix_context(alg, 2)
+    f = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    g = morita.transfer_phi(ctx, f, 2)
+    back = broken_psi(ctx, g, 2)
+    df = full_differential(f, alg)
+    sides = {
+        "chain-map-psi": (full_differential(back, alg),
+                          broken_psi(ctx, full_differential(g, ctx.b), 3)),
+        "homotopy": (morita.homotopy_h(ctx, df, 3)
+                     + full_differential(morita.homotopy_h(ctx, f, 2), alg), f - back),
+    }
+    for name, (lhs, rhs) in sides.items():
+        line = next(l for l in lines if l.startswith(name + ": FAIL"))
+        named = re.search(r" != .* at \((.+)\)$", line)
+        assert named, line
+        key = tuple(alg.labels.index(label) for label in named.group(1).split(", "))
+        assert lhs.value(key) != rhs.value(key), line
 
 
 # ------------------------------------------------------------ verify-morita

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 from quivdeform.fields import Field
-from quivdeform.linalg import (SpanSolver, invert_matrix, matmul, matvec,
-                               nullspace, rank, rref, solve)
+from quivdeform.linalg import (SpanSolver, invert_matrix, map_apply,
+                               map_combine, map_compose, map_inverse, matmul,
+                               matvec, nullspace, rank, rref, solve)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -88,3 +90,40 @@ def test_span_solver_tuple_keys():
     assert s.contains({(2, 0): 2})
     combo = s.express({(2, 0): 2})
     assert combo == {"a": 2, "b": 1}  # 2*a + b kills the (0, 1) slot mod 7
+
+
+def sparse_of(rows, field):
+    """The sparse map {column: {row: scalar}} of a dense matrix."""
+    out = {}
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x != field.zero:
+                out.setdefault(c, {})[r] = x
+    return out
+
+
+def test_sparse_maps_agree_with_dense_matrices():
+    rng = random.Random(11)
+    for field in (Q, F7):
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            a, b = ([[field.from_int(rng.choice([0, 0, 0, 1, -1, 2, 3])) for _ in range(n)]
+                     for _ in range(n)] for _ in range(2))
+            v = [field.from_int(rng.randrange(-2, 3)) for _ in range(n)]
+            sa, sb = sparse_of(a, field), sparse_of(b, field)
+            sv = {i: x for i, x in enumerate(v) if x != field.zero}
+            assert map_apply(sa, sv, field) == sparse_of([[x] for x in matvec(a, v, field)],
+                                                         field).get(0, {})
+            assert map_compose(sa, sb, field) == sparse_of(matmul(a, b, field), field)
+            c = field.from_int(3)
+            combined = [[field.add(x, field.mul(c, y)) for x, y in zip(ra, rb)]
+                        for ra, rb in zip(a, b)]
+            assert map_combine([(field.one, sa), (c, sb)], field) == sparse_of(combined, field)
+            inv = invert_matrix(a, field)
+            got = map_inverse(sa, n, field)
+            assert (got is None) == (inv is None)
+            if inv is not None:
+                assert got == sparse_of(inv, field)
+    # a map minus itself is the empty map, not a map of empty columns
+    m = {0: {1: Q.one}, 2: {0: Fraction(3)}}
+    assert map_combine([(Q.one, m), (Q.neg(Q.one), m)], Q) == {}

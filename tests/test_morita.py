@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,8 @@ from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
 from quivdeform.quiver import compute_basis
 
 from conftest import data_path
-from oracles import brute_transfer
+from oracles import (brute_bimodule_defects, brute_transfer,
+                     brute_uple_defects)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -408,12 +410,11 @@ def test_triple_violations_flags_breakage(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
     uple = regular_deformed_uple(alg, f)
-    ident = [[Q.one if i == j else Q.zero for j in range(alg.dim)]
-             for i in range(alg.dim)]
-    zero = [[Q.zero] * alg.dim for _ in range(alg.dim)]
+    # sparse maps {column: {row: scalar}}
+    ident = {i: {i: Q.one} for i in range(alg.dim)}
+    zero = {}
     assert triple_violations(uple, uple, ident, zero, ident) == []
-    skew = [[Q.one if (i, j) == (0, 1) else Q.zero for j in range(alg.dim)]
-            for i in range(alg.dim)]
+    skew = {1: {0: Q.one}}
     assert triple_violations(uple, uple, ident, zero, skew)
 
 
@@ -426,6 +427,161 @@ def test_glued_hat_p_is_bimodule(dual_numbers):
     glued = hat.glue(deform_structure_algebra(alg, f),
                      deform_structure_algebra(ctx.b, g))
     assert glued.violations() == []
+
+
+# ------------------------------------------------ certificate checks vs oracle
+
+
+def raw_algebra(alg):
+    return (alg.dim, alg.table, alg.unit)
+
+
+def raw_bimodule(m):
+    return (m.dim, m.left, m.right)
+
+
+BIMODULE_MESSAGES = (
+    (r"left unit fails at (\d+)$", "left unit"),
+    (r"right unit fails at (\d+)$", "right unit"),
+    (r"left action not associative at \((\d+), (\d+), (\d+)\)$", "left assoc"),
+    (r"right action not associative at \((\d+), (\d+), (\d+)\)$", "right assoc"),
+    (r"actions do not commute at \((\d+), (\d+), (\d+)\)$", "commute"),
+)
+
+# uple messages: (pattern, oracle kind, algebra of each named label)
+UPLE_MESSAGES = (
+    (r"T is not injective$", "injective", ()),
+    (r"T does not intertwine the left action of (.+)$", "intertwine left", "l"),
+    (r"T does not intertwine the right action of (.+)$", "intertwine right", "r"),
+    (r"left correction fails at \((.+), (.+)\)$", "left correction", "ll"),
+    (r"right correction fails at \((.+), (.+)\)$", "right correction", "rr"),
+    (r"corrections are not compatible at \((.+), (.+)\)$", "compatible", "lr"),
+)
+
+
+def bimodule_witness(message):
+    for pattern, kind in BIMODULE_MESSAGES:
+        hit = re.match(pattern, message)
+        if hit:
+            return kind, tuple(int(x) for x in hit.groups())
+    raise AssertionError("unparsed bimodule violation: " + message)
+
+
+def uple_witness(uple, message):
+    """The oracle defects that the message names; a bimodule message may
+    come from M0 or from M1."""
+    for pattern, kind, sides in UPLE_MESSAGES:
+        hit = re.match(pattern, message)
+        if hit:
+            algs = {"l": uple.left_alg, "r": uple.right_alg}
+            key = tuple(algs[side].labels.index(label)
+                        for side, label in zip(sides, hit.groups()))
+            return [(kind, key)]
+    defect = bimodule_witness(message)
+    return [("m0", defect), ("m1", defect)]
+
+
+def brute_uple(uple):
+    f_m = {(i, m): vec for i, tab in enumerate(uple.f_tables) for m, vec in tab.items()}
+    g_m = {(m, j): vec for j, tab in enumerate(uple.g_tables) for m, vec in tab.items()}
+    return brute_uple_defects(raw_algebra(uple.left_alg), raw_algebra(uple.right_alg),
+                              uple.f.table, uple.g.table, raw_bimodule(uple.m0),
+                              raw_bimodule(uple.m1), uple.t, f_m, g_m, uple.field)
+
+
+def assert_bimodule_matches_oracle(bim):
+    """violations() is empty exactly when the oracle finds no defect, and
+    its first message names a tuple that the oracle flags; returns the
+    violations."""
+    bad = bim.violations()
+    defects = brute_bimodule_defects(raw_algebra(bim.left_alg), raw_algebra(bim.right_alg),
+                                     bim.dim, bim.left, bim.right, bim.field)
+    assert bool(bad) == bool(defects), (bad[:1], defects[:1])
+    if bad:
+        assert bimodule_witness(bad[0]) in defects, (bad[0], defects)
+    return bad
+
+
+def assert_uple_matches_oracle(uple):
+    bad = uple.violations()
+    defects = brute_uple(uple)
+    assert bool(bad) == bool(defects), (bad[:1], defects[:1])
+    if bad:
+        assert any(w in defects for w in uple_witness(uple, bad[0])), (bad[0], defects)
+    return bad
+
+
+def certificate_cases(dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2):
+    """(context, cocycle on A) for the valid inputs of the oracle tests."""
+    cases = []
+    for fixture in (dual_numbers, two_cycle, triangle, quantum_plane):
+        cases.append((identity_context(structure_algebra(fixture)), golden_cochain(fixture)))
+    cases.append((matrix_context(structure_algebra(dual_numbers), 2),
+                  golden_cochain(dual_numbers)))
+    corner_alg, corner = corner_context(lambda_m2)
+    g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
+    cases.append((corner, transfer_psi(corner, g, 2)))
+    return cases
+
+
+def test_valid_certificates_match_oracle(dual_numbers, two_cycle, triangle,
+                                         quantum_plane, lambda_m2):
+    for ctx, f in certificate_cases(dual_numbers, two_cycle, triangle,
+                                    quantum_plane, lambda_m2):
+        assert assert_bimodule_matches_oracle(ctx.p) == []
+        assert assert_bimodule_matches_oracle(ctx.q) == []
+        assert assert_uple_matches_oracle(build_hat_P(ctx, f, check=False)) == []
+        assert assert_uple_matches_oracle(build_hat_Q(ctx, f, check=False)) == []
+        assert assert_uple_matches_oracle(regular_deformed_uple(ctx.a, f)) == []
+
+
+def test_broken_bimodules_match_oracle(dual_numbers):
+    p = matrix_context(structure_algebra(dual_numbers), 2).p
+    left = {k: dict(v) for k, v in p.left.items()}
+    left[(1, 1)] = {0: Q.one}  # a . (a in slot 1) is 0, not e(1)
+    assert assert_bimodule_matches_oracle(
+        Bimodule(p.left_alg, p.right_alg, p.dim, left, p.right, check=False))
+    right = {k: dict(v) for k, v in p.right.items()}
+    right[(0, 1)] = {1: Q.one, 2: Q.one}  # e(1) . E11*a is a, in slot 1 only
+    assert assert_bimodule_matches_oracle(
+        Bimodule(p.left_alg, p.right_alg, p.dim, p.left, right, check=False))
+    # a acts by two square-zero matrices that do not commute: both actions
+    # are modules, only the commutation fails
+    alg = structure_algebra(dual_numbers)
+    left = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}}
+    right = {(0, 0): {0: Q.one}, (1, 0): {1: Q.one}, (1, 1): {0: Q.one}}
+    bad = assert_bimodule_matches_oracle(Bimodule(alg, alg, 2, left, right, check=False))
+    assert bad and all("commute" in msg for msg in bad)
+
+
+def test_broken_uples_match_oracle(dual_numbers):
+    alg = structure_algebra(dual_numbers)
+    f = golden_cochain(dual_numbers)
+    ctx = matrix_context(alg, 2)
+    hat = build_hat_P(ctx, f, check=False)
+
+    def variant(f_tables=None, g_tables=None, t=None):
+        return DeformedBimodule(hat.left_alg, hat.right_alg, hat.f, hat.g, hat.m0, hat.m1,
+                                t or hat.t, f_tables or hat.f_tables,
+                                g_tables or hat.g_tables, check=False)
+
+    f_tables = [dict(tab) for tab in hat.f_tables]
+    f_tables[1][0] = {**f_tables[1].get(0, {}), 3: Q.one}
+    g_tables = [dict(tab) for tab in hat.g_tables]
+    g_tables[1][2] = {**g_tables[1].get(2, {}), 0: Q.one}
+    t = dict(hat.t)
+    t[0] = {0: Q.from_int(2)}  # T scaled on one column no longer intertwines
+    singular = {m: col for m, col in hat.t.items() if m != 0}  # T kills x_0
+    g2 = transfer_phi(ctx, f, 2).scale(Q.from_int(2))
+    for uple in (variant(f_tables=f_tables), variant(g_tables=g_tables), variant(t=t),
+                 variant(t=singular), build_hat_P(ctx, f, g2, check=False)):
+        assert assert_uple_matches_oracle(uple)
+    # over the zero cocycle T = 0 meets every condition but injectivity
+    zero = FullCochain(alg.dim, 2, Q, {})
+    reg = regular_deformed_uple(alg, zero)
+    uple = DeformedBimodule(alg, alg, zero, zero, reg.m0, reg.m1, {},
+                            reg.f_tables, reg.g_tables, check=False)
+    assert assert_uple_matches_oracle(uple) == ["T is not injective"]
 
 
 # ------------------------------------------------------------ verification
