@@ -20,7 +20,7 @@ from .fileio import (emit_algebra_text, emit_dot, parse_algebra_file,
 from .hochschild import (cochain_from_pairs, extend_to_full,
                          full_differential, hh_summary, is_cocycle,
                          is_full_cocycle)
-from .linalg import invert_matrix, matmul
+from .linalg import _columns, map_compose, map_inverse
 from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
 from .morita import (homotopy_h, idempotent_context, matrix_context,
                      transfer_phi, transfer_psi, verify_morita_deformed)
@@ -328,14 +328,15 @@ def cmd_module_roundtrip(args):
                    "M0 dim %d, M1 dim %d" % (uple.m0.dim, uple.m1.dim)))
 
     rebuilt = functor_F(uple)
-    cols = rec.complement + rec.kernel
-    s = [[cols[j][i] for j in range(len(cols))] for i in range(mod.dim)]
-    s_inv = invert_matrix(s, fld)
-    ok = all(matmul(s_inv, matmul(mod.matrices[i], s, fld), fld)
-             == rebuilt.matrices[i] for i in range(deformed.dim))
-    checks.append(("functor-rebuild", ok,
+    s = _columns(rec.complement + rec.kernel)
+    s_inv = map_inverse(s, mod.dim, fld)
+    bad = next((i for i in range(deformed.dim)
+                if map_compose(s_inv, map_compose(mod.actions[i], s, fld), fld)
+                != rebuilt.actions[i]), None)
+    checks.append(("functor-rebuild", bad is None,
                    "the basis change intertwines all %d actions" % deformed.dim
-                   if ok else "actions disagree after the basis change"))
+                   if bad is None
+                   else "actions disagree after the basis change at %s" % deformed.labels[bad]))
 
     try:
         tri = roundtrip_triple(uple)

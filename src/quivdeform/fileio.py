@@ -22,6 +22,10 @@ label (matrix rows separated by `;`, acting on coordinate columns):
 
     dim 2
     act(a) = 0 0 ; 1 0
+
+The parser turns each matrix into a sparse map {column: {row: scalar}},
+the form the module layer works in, and emit_module_text writes such
+maps back as dense rows.
 """
 
 import re
@@ -312,7 +316,7 @@ def emit_dot(quiver, dashed_arrows=(), graph_name="G"):
 class ModuleFile:
     def __init__(self, dim, actions):
         self.dim = dim
-        self.actions = actions  # label text -> matrix (list of rows)
+        self.actions = actions  # label text -> sparse map {column: {row: scalar}}
 
 
 def parse_module_text(text, field):
@@ -351,7 +355,12 @@ def parse_module_text(text, field):
                 raise InputError("line %d: %d rows, expected %d" % (lineno, len(rows), dim))
             if label in actions:
                 raise InputError("line %d: duplicate act(%s)" % (lineno, label))
-            actions[label] = rows
+            amap = {}
+            for r, row in enumerate(rows):
+                for c, x in enumerate(row):
+                    if x != field.zero:
+                        amap.setdefault(c, {})[r] = x
+            actions[label] = amap
         else:
             raise InputError("line %d: unknown directive %r" % (lineno, head))
     if dim is None:
@@ -371,7 +380,8 @@ def parse_module_file(path, field):
 def emit_module_text(dim, actions, field):
     lines = ["dim %d" % dim]
     for label in sorted(actions):
-        rows = actions[label]
+        amap = actions[label]
+        rows = [[amap.get(c, {}).get(r, field.zero) for c in range(dim)] for r in range(dim)]
         body = " ; ".join(" ".join(scalar_str(c, field) for c in row) for row in rows)
         lines.append("act(%s) = %s" % (label, body))
     return "\n".join(lines) + "\n"

@@ -1,20 +1,19 @@
 """Exact linear algebra over a Field, and finite-dimensional algebras.
 
-Dense matrices are lists of row lists of scalars.  Row reduction is
-plain Gauss-Jordan with exact arithmetic; at the sizes this library
-handles (a few hundred rows) nothing fancier is warranted.  The dense
-helpers (zeros, mat_add, mat_sub, mat_scale, mat_is_zero, block) take
-the field last, as matmul does.
-
 Sparse vectors are coordinate dicts {index: scalar}; the helpers
 _addinto, _scaled and _clean work on them.  A sparse linear map
 is a column dict {column: {row: scalar}}: column c holds the image of
 basis vector c, and absent columns, rows and zero scalars are left out,
 so two maps are equal exactly when their dicts are.  map_apply,
 map_compose and map_combine apply, compose and linearly combine such
-maps; map_inverse inverts a square one.  Like the dense helpers they
-take the field last.  The Morita layer works on sparse maps only; the
-dense helpers serve the module layer and the command line.
+maps; map_inverse inverts a square one.  They take the field last.
+_identity, _columns and _rows build identity maps, maps from column
+lists and row slices, and _map_rank gives the rank of a map.  The Morita
+and module layers work on sparse maps only.
+
+Dense matrices (lists of row lists) remain only for rref, rank and
+nullspace: plain Gauss-Jordan with exact arithmetic, which the
+presentation check and the hom spaces of the module layer use.
 
 SpanSolver is an incremental row reducer over sparsely represented
 vectors (dicts keyed by arbitrary hashable coordinates).  It answers
@@ -94,6 +93,31 @@ def map_inverse(amap, n, field):
     return out
 
 
+def _identity(n, field):
+    return {m: {m: field.one} for m in range(n)}
+
+
+def _columns(cols):
+    """The sparse map whose column m is the vector cols[m]."""
+    return {m: col for m, col in enumerate(cols) if col}
+
+
+def _rows(amap, lo, hi):
+    """The rows lo <= r < hi of a sparse map, renumbered from 0."""
+    out = {}
+    for c, col in amap.items():
+        part = {r - lo: v for r, v in col.items() if lo <= r < hi}
+        if part:
+            out[c] = part
+    return out
+
+
+def _map_rank(amap, field):
+    """The rank of a sparse map: the dimension of the span of its columns."""
+    span = SpanSolver(field)
+    return sum(1 for col in amap.values() if span.add(col))
+
+
 def rref(rows, field):
     """Reduce in place; returns the list of pivot column indices."""
     if not rows:
@@ -127,20 +151,6 @@ def rank(rows, field):
     return len(rref([list(r) for r in rows], field))
 
 
-def solve(a_rows, b, field):
-    """One solution x of A x = b, or None.  A is m x n, b has length m."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [list(a_rows[i]) + [b[i]] for i in range(m)]
-    pivots = rref(aug, field)
-    x = [field.zero] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None  # pivot in the constant column: inconsistent
-        x[c] = aug[r][n]
-    return x
-
-
 def nullspace(a_rows, field):
     """Basis of ker A, deterministic: one vector per free column."""
     m = len(a_rows)
@@ -160,77 +170,6 @@ def nullspace(a_rows, field):
             v[c] = field.neg(work[r][free])
         basis.append(v)
     return basis
-
-
-def invert_matrix(a_rows, field):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(a_rows)
-    aug = []
-    for i in range(n):
-        row = list(a_rows[i]) + [field.zero] * n
-        row[n + i] = field.one
-        aug.append(row)
-    pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in aug]
-
-
-def matmul(a_rows, b_rows, field):
-    n = len(b_rows[0]) if b_rows else 0
-    out = []
-    for row in a_rows:
-        acc = [field.zero] * n
-        for k, x in enumerate(row):
-            if x == field.zero:
-                continue
-            brow = b_rows[k]
-            for j in range(n):
-                if brow[j] != field.zero:
-                    acc[j] = field.add(acc[j], field.mul(x, brow[j]))
-        out.append(acc)
-    return out
-
-
-def matvec(a_rows, v, field):
-    out = []
-    for row in a_rows:
-        s = field.zero
-        for x, y in zip(row, v):
-            if x != field.zero and y != field.zero:
-                s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
-
-
-def identity_matrix(n, field):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols, field):
-    return [[field.zero] * cols for _ in range(rows)]
-
-
-def mat_add(a, b, field):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b, field):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c, field):
-    return [[field.mul(c, x) for x in row] for row in a]
-
-
-def mat_is_zero(a, field):
-    return all(x == field.zero for row in a for x in row)
-
-
-def block(tl, tr, bl, br):
-    """Assemble [[tl, tr], [bl, br]] from compatible blocks."""
-    return ([list(r1) + list(r2) for r1, r2 in zip(tl, tr)]
-            + [list(r1) + list(r2) for r1, r2 in zip(bl, br)])
 
 
 class SpanSolver:
@@ -344,7 +283,6 @@ class FinDimAlgebra:
         self.labels = list(labels) if labels else ["x%d" % i for i in range(dim)]
         if len(self.labels) != dim:
             raise InputError("expected %d basis labels" % dim)
-        self._left_mats = {}
         if check:
             self._validate()
 
@@ -359,21 +297,26 @@ class FinDimAlgebra:
                 _addinto(fld, out, self.multiply_basis(i, j), fld.mul(ci, cj))
         return out
 
-    def left_matrix(self, i):
-        if i not in self._left_mats:
-            cols = [self.multiply_basis(i, m) for m in range(self.dim)]
-            self._left_mats[i] = [[cols[m].get(r, self.field.zero)
-                                   for m in range(self.dim)] for r in range(self.dim)]
-        return self._left_mats[i]
-
     def associativity_witness(self):
         """The first basis triple (i, j, k) with (x_i x_j) x_k != x_i (x_j x_k),
-        or None when the product is associative."""
+        or None when the product is associative.
+
+        For each (i, j) only the k where a side can be nonzero are visited,
+        in increasing order: x_i (x_j x_k) needs a product x_j x_k in the
+        table, (x_i x_j) x_k a product x_l x_k for some l in the support of
+        x_i x_j.  Every skipped triple has two zero sides, so the witness is
+        the first failing triple in (i, j, k) order."""
         fld = self.field
+        right_of = {}
+        for l, k in self.table:
+            right_of.setdefault(l, set()).add(k)
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.multiply_basis(i, j)
-                for k in range(self.dim):
+                ks = set(right_of.get(j, ()))
+                for l in ij:
+                    ks.update(right_of.get(l, ()))
+                for k in sorted(ks):
                     jk = self.multiply_basis(j, k)
                     left = {}
                     for l, c in ij.items():

@@ -1,85 +1,110 @@
 """Modules over the deformed algebra, presented two ways.
 
-A concrete module is a vector space with one action matrix per basis
-element of a FinDimAlgebra, here the deformed algebra A_f (a
-DeformedAlgebra) or the original algebra A (its base).  The same data
-can be packaged as an uple (M0, M1, T, f_table): two modules over A, an
-injective intertwiner T : M0 -> M1, and a bilinear correction table
-measuring how far the deformed action is from the undeformed one.  The
-functor F glues an uple into a concrete module on M0 + M1; going back,
-T is recovered as the action of (0, 1), M1 is its kernel, and M0 is a
+A concrete module is a vector space with one action per basis element
+of a FinDimAlgebra, here the deformed algebra A_f (a DeformedAlgebra)
+or the original algebra A (its base).  The same data can be packaged as
+an uple (M0, M1, T, f_table): two modules over A, an injective
+intertwiner T : M0 -> M1, and a bilinear correction table measuring how
+far the deformed action is from the undeformed one.  The functor F
+glues an uple into a concrete module on M0 + M1; going back, T is
+recovered as the action of (0, 1), M1 is its kernel, and M0 is a
 deterministic complement.
 
-Vectors are columns throughout: the matrix of a product is the product
-of the matrices.
+Every linear map here is a sparse map {column: {row: scalar}} of the
+linalg module (column c is the image of basis vector c), and vectors
+are coordinate dicts; the matrix of a product is the composite of the
+maps.  Module files hold dense rows, which fileio converts.
 """
 
 from .deform import DeformedAlgebra
 from .errors import InputError
-from .linalg import (block, identity_matrix, invert_matrix, mat_add,
-                     mat_is_zero, mat_scale, mat_sub, matmul, matvec,
-                     nullspace, rank, solve, zeros)
+from .linalg import (SpanSolver, _addinto, _clean, _columns, _identity,
+                     _map_rank, _rows, map_apply, map_combine, map_compose,
+                     map_inverse, nullspace)
+
+
+def _checked(amap, rows, cols, field, name):
+    """amap without zero entries or empty columns; raises unless its
+    columns are below cols and its rows below rows."""
+    out = {}
+    for c, col in amap.items():
+        col = _clean(field, col)
+        if not col:
+            continue
+        if c not in range(cols) or any(r not in range(rows) for r in col):
+            raise InputError("%s must be %d x %d" % (name, rows, cols))
+        out[c] = col
+    return out
+
+
+def _lower_block(top, low, right, cols0, rows0):
+    """The sparse map [[top, 0], [low, right]] whose second block column
+    starts at column cols0 and second block row at row rows0."""
+    out = {}
+    for c in set(top) | set(low):
+        col = dict(top.get(c, {}))
+        col.update((rows0 + r, v) for r, v in low.get(c, {}).items())
+        out[c] = col
+    for c, col in right.items():
+        out[cols0 + c] = {rows0 + r: v for r, v in col.items()}
+    return out
 
 
 class LeftModule:
     """Finite-dimensional left module over a FinDimAlgebra.
 
-    matrices[i] is the square matrix of the i-th basis element; the
-    unit must act as the identity and products of matrices must match
-    the structure constants, both checked at construction.
+    actions[i] is the sparse map of the i-th basis element on dim
+    coordinates; the unit must act as the identity and composites of the
+    actions must match the structure constants, both checked on every
+    basis pair at construction.
     """
 
-    def __init__(self, algebra, matrices, check=True):
+    def __init__(self, algebra, dim, actions, check=True):
         self.algebra = algebra
         self.field = algebra.field
-        if len(matrices) != algebra.dim:
-            raise InputError("expected %d action matrices, got %d"
-                             % (algebra.dim, len(matrices)))
-        self.dim = len(matrices[0]) if matrices else 0
-        for m in matrices:
-            if len(m) != self.dim or any(len(row) != self.dim for row in m):
-                raise InputError("action matrices must all be %d x %d" % (self.dim, self.dim))
-        self.matrices = matrices
+        if len(actions) != algebra.dim:
+            raise InputError("expected %d action maps, got %d"
+                             % (algebra.dim, len(actions)))
+        self.dim = dim
+        self.actions = [_checked(a, dim, dim, self.field, "every action map")
+                        for a in actions]
         if check:
             self._validate()
 
     def _validate(self):
         fld = self.field
-        if self.matrix_of(self.algebra.unit) != identity_matrix(self.dim, fld):
+        if self.action_of(self.algebra.unit) != _identity(self.dim, fld):
             raise InputError("the unit does not act as the identity")
         for i in range(self.algebra.dim):
             for j in range(self.algebra.dim):
-                lhs = matmul(self.matrices[i], self.matrices[j], fld)
-                rhs = self.matrix_of(self.algebra.multiply_basis(i, j))
-                if lhs != rhs:
+                lhs = map_compose(self.actions[i], self.actions[j], fld)
+                if lhs != self.action_of(self.algebra.multiply_basis(i, j)):
                     raise InputError(
                         "action disagrees with the structure constants at "
                         "basis pair (%d, %d)" % (i, j))
 
-    def matrix_of(self, coeffs):
-        """Action matrix of the algebra element with the given coordinates."""
-        fld = self.field
-        out = zeros(self.dim, self.dim, fld)
-        for i, c in coeffs.items():
-            out = mat_add(out, mat_scale(self.matrices[i], c, fld), fld)
-        return out
+    def action_of(self, coeffs):
+        """Action map of the algebra element with the given coordinates."""
+        return map_combine([(c, self.actions[i]) for i, c in coeffs.items()], self.field)
 
     def act(self, coeffs, vec):
-        return matvec(self.matrix_of(coeffs), vec, self.field)
+        return map_apply(self.action_of(coeffs), vec, self.field)
 
 
 def regular_module(alg):
     """The algebra acting on itself by left multiplication."""
-    return LeftModule(alg, [[list(row) for row in alg.left_matrix(i)]
-                            for i in range(alg.dim)])
+    return LeftModule(alg, alg.dim,
+                      [_columns([alg.multiply_basis(i, m) for m in range(alg.dim)])
+                       for i in range(alg.dim)])
 
 
 class UpleModule:
     """(M0, M1, T, f_table) over a fixed deformed algebra.
 
     M0 and M1 are modules over the undeformed algebra, T an injective
-    intertwiner M0 -> M1, and f_table[i] the matrix of m -> f_M(a_i, m)
-    from M0 to M1.  The defining condition ties f_table to the cocycle:
+    intertwiner M0 -> M1, and f_table[i] the map m -> f_M(a_i, m) from M0
+    to M1, all sparse maps.  The defining condition ties f_table to the
+    cocycle:
 
         a f_M(b, m) - f_M(ab, m) + f_M(a, bm) - f(a, b) T m = 0
 
@@ -91,42 +116,37 @@ class UpleModule:
         if m0.algebra is not base or m1.algebra is not base:
             raise InputError("uple components must be modules over the "
                              "undeformed algebra")
+        fld = base.field
         self.deformed = deformed
         self.m0 = m0
         self.m1 = m1
-        self.t = t
-        self.f_table = f_table
-        if len(t) != m1.dim or any(len(row) != m0.dim for row in t):
-            raise InputError("T must be a %d x %d matrix" % (m1.dim, m0.dim))
+        self.t = _checked(t, m1.dim, m0.dim, fld, "T")
         if len(f_table) != base.dim:
-            raise InputError("f_table needs one matrix per basis element")
-        for m in f_table:
-            if len(m) != m1.dim or any(len(row) != m0.dim for row in m):
-                raise InputError("f_table entries must be %d x %d" % (m1.dim, m0.dim))
+            raise InputError("f_table needs one map per basis element")
+        self.f_table = [_checked(m, m1.dim, m0.dim, fld, "every f_table entry")
+                        for m in f_table]
         if check:
             self._validate()
 
     def _validate(self):
         base = self.deformed.base
         fld = base.field
-        if rank(self.t, fld) != self.m0.dim:
+        m0, m1, t, ftab = self.m0, self.m1, self.t, self.f_table
+        one = fld.one
+        if _map_rank(t, fld) != m0.dim:
             raise InputError("T is not injective")
         for i in range(base.dim):
-            left = matmul(self.m1.matrices[i], self.t, fld)
-            right = matmul(self.t, self.m0.matrices[i], fld)
-            if left != right:
+            if map_compose(m1.actions[i], t, fld) != map_compose(t, m0.actions[i], fld):
                 raise InputError("T does not intertwine the actions")
         full = self.deformed.full
+        left_t = [map_compose(m1.actions[k], t, fld) for k in range(base.dim)]
         for i in range(base.dim):
             for j in range(base.dim):
-                total = matmul(self.m1.matrices[i], self.f_table[j], fld)
-                for k, c in base.multiply_basis(i, j).items():
-                    total = mat_sub(total, mat_scale(self.f_table[k], c, fld), fld)
-                total = mat_add(total, matmul(self.f_table[i], self.m0.matrices[j], fld),
-                                fld)
-                total = mat_sub(total, matmul(self.m1.matrix_of(full.value((i, j))),
-                                              self.t, fld), fld)
-                if not mat_is_zero(total, fld):
+                terms = [(one, map_compose(m1.actions[i], ftab[j], fld)),
+                         (one, map_compose(ftab[i], m0.actions[j], fld))]
+                terms += [(fld.neg(c), ftab[k]) for k, c in base.multiply_basis(i, j).items()]
+                terms += [(fld.neg(c), left_t[k]) for k, c in full.value((i, j)).items()]
+                if map_combine(terms, fld):
                     raise InputError(
                         "the uple condition fails at basis pair (%d, %d)" % (i, j))
 
@@ -134,12 +154,10 @@ class UpleModule:
 def regular_uple(deformed):
     """The uple presenting the deformed algebra itself: (A, A, Id, f)."""
     base = deformed.base
-    fld = base.field
     n = base.dim
     reg = regular_module(base)
-    f_table = [[[deformed.full.value((i, j)).get(k, fld.zero) for j in range(n)]
-                for k in range(n)] for i in range(n)]
-    return UpleModule(deformed, reg, reg, identity_matrix(n, fld), f_table)
+    f_table = [_columns([deformed.full.value((i, j)) for j in range(n)]) for i in range(n)]
+    return UpleModule(deformed, reg, reg, _identity(n, base.field), f_table)
 
 
 def functor_F(uple, deformed=None):
@@ -154,18 +172,17 @@ def functor_F(uple, deformed=None):
     if deformed is not uple.deformed:
         raise InputError("uple belongs to a different deformed algebra")
     fld = deformed.field
-    d0, d1 = uple.m0.dim, uple.m1.dim
+    d0 = uple.m0.dim
     n = deformed.n
-    mats = []
+    actions = []
     for i in range(deformed.dim):
         if i < n:
-            mats.append(block(uple.m0.matrices[i], zeros(d0, d1, fld),
-                              uple.f_table[i], uple.m1.matrices[i]))
+            actions.append(_lower_block(uple.m0.actions[i], uple.f_table[i],
+                                        uple.m1.actions[i], d0, d0))
         else:
-            bt = matmul(uple.m1.matrices[i - n], uple.t, fld)
-            mats.append(block(zeros(d0, d0, fld), zeros(d0, d1, fld),
-                              bt, zeros(d1, d1, fld)))
-    return LeftModule(deformed, mats)
+            bt = map_compose(uple.m1.actions[i - n], uple.t, fld)
+            actions.append(_lower_block({}, bt, {}, d0, d0))
+    return LeftModule(deformed, d0 + uple.m1.dim, actions)
 
 
 class Reconstruction:
@@ -174,8 +191,8 @@ class Reconstruction:
 
     def __init__(self, uple, complement, kernel):
         self.uple = uple
-        self.complement = complement  # columns spanning M0 inside M
-        self.kernel = kernel          # columns spanning M1 = Ker T
+        self.complement = complement  # vectors spanning M0 inside M
+        self.kernel = kernel          # vectors spanning M1 = Ker T
 
 
 def reconstruct(mod, deformed=None):
@@ -193,78 +210,75 @@ def reconstruct(mod, deformed=None):
         raise InputError("reconstruction needs a module over a deformed algebra")
     base = deformed.base
     fld = base.field
+    one, minus = fld.one, fld.neg(fld.one)
     d = mod.dim
     n = base.dim
-    t_full = mod.matrix_of({n + i: c for i, c in base.unit.items()})
-    if not mat_is_zero(matmul(t_full, t_full, fld), fld):
+    t_full = mod.action_of({n + i: c for i, c in base.unit.items()})
+    if map_compose(t_full, t_full, fld):
         raise InputError("the action of (0, 1) does not square to zero")
 
-    kernel = nullspace(t_full, fld)
+    # one kernel vector per column of T that depends on the columns before
+    # it, as the free columns of a row reduction give
+    earlier = SpanSolver(fld)
+    kernel = []
+    for c in range(d):
+        col = t_full.get(c, {})
+        combo = earlier.express(col)
+        if combo is None:
+            earlier.add(col, c)
+        else:
+            kernel.append(_addinto(fld, {c: one}, combo, minus))
+    span = SpanSolver(fld)
+    for v in kernel:
+        span.add(v)
     complement = []
-    span_rows = [list(v) for v in kernel]
     for k in range(d):
-        e = [fld.one if i == k else fld.zero for i in range(d)]
-        if rank(span_rows + [e], fld) > len(span_rows):
-            complement.append(e)
-            span_rows.append(e)
-    d1, d0 = len(kernel), len(complement)
+        if span.add({k: one}):
+            complement.append({k: one})
+    d0 = len(complement)
 
     # change of basis: columns are complement vectors then kernel vectors
-    s = [[(complement + kernel)[j][i] for j in range(d)] for i in range(d)]
-    s_inv = invert_matrix(s, fld)
+    s_inv = map_inverse(_columns(complement + kernel), d, fld)
 
-    def in_new_coords(cols):
-        """Split full-space columns into (M0 part, M1 part)."""
-        top, bottom = [], []
-        for v in cols:
-            w = matvec(s_inv, v, fld)
-            top.append(w[:d0])
-            bottom.append(w[d0:])
-        m0_part = [[top[j][i] for j in range(len(cols))] for i in range(d0)]
-        m1_part = [[bottom[j][i] for j in range(len(cols))] for i in range(d1)]
-        return m0_part, m1_part
+    def split(amap):
+        """(M0 part, M1 part) of a map into M, in the new coordinates."""
+        new = map_compose(s_inv, amap, fld)
+        return _rows(new, 0, d0), _rows(new, d0, d)
 
-    def columns(mat, vecs):
-        return [matvec(mat, v, fld) for v in vecs]
-
+    kmap, cmap = _columns(kernel), _columns(complement)
     act1 = []
     for i in range(n):
-        m0_part, m1_part = in_new_coords(columns(mod.matrices[i], kernel))
-        if not mat_is_zero(m0_part, fld):
+        m0_part, m1_part = split(map_compose(mod.actions[i], kmap, fld))
+        if m0_part:
             raise InputError("the kernel of T is not invariant")
         act1.append(m1_part)
-    m1 = LeftModule(base, act1)
+    m1 = LeftModule(base, len(kernel), act1)
 
     # action on M0: a * m = T'(a . T m), solved through the injective T
-    t_cols = columns(t_full, complement)
-    t_matrix = [[t_cols[j][i] for j in range(d0)] for i in range(d)]
+    t_cols = [map_apply(t_full, v, fld) for v in complement]
+    image = SpanSolver(fld)
+    for j, v in enumerate(t_cols):
+        image.add(v, j)
     act0 = []
     f_table = []
     for i in range(n):
-        target = columns(mod.matrices[i], t_cols)
-        sol_cols = []
-        for v in target:
-            x = solve(t_matrix, v, fld)
+        sol = []
+        for v in t_cols:
+            x = image.express(map_apply(mod.actions[i], v, fld))
             if x is None:
                 raise InputError("the image of T is not invariant")
-            sol_cols.append(x)
-        act0.append([[sol_cols[j][k] for j in range(d0)] for k in range(d0)])
+            sol.append(_clean(fld, x))
+        act0.append(_columns(sol))
         # f_M(a, m) = (a, 0) m - a * m, an element of the kernel
-        diff = []
-        for jj, c in enumerate(complement):
-            av = matvec(mod.matrices[i], c, fld)
-            star = [fld.zero] * d
-            for kk, x in enumerate(sol_cols[jj]):
-                for r in range(d):
-                    star[r] = fld.add(star[r], fld.mul(x, complement[kk][r]))
-            diff.append([fld.sub(a, b) for a, b in zip(av, star)])
-        m0_part, m1_part = in_new_coords(diff)
-        if not mat_is_zero(m0_part, fld):
+        diff = map_combine([(one, map_compose(mod.actions[i], cmap, fld)),
+                            (minus, map_compose(cmap, act0[-1], fld))], fld)
+        m0_part, m1_part = split(diff)
+        if m0_part:
             raise InputError("the correction does not land in the kernel")
         f_table.append(m1_part)
-    m0 = LeftModule(base, act0)
+    m0 = LeftModule(base, d0, act0)
 
-    _, t_m = in_new_coords(t_cols)
+    _, t_m = split(_columns(t_cols))
     uple = UpleModule(deformed, m0, m1, t_m, f_table)
     return Reconstruction(uple, complement, kernel)
 
@@ -272,8 +286,9 @@ def reconstruct(mod, deformed=None):
 class MorphismTriple:
     """(u0, u1, u2) between two uples over the same deformed algebra.
 
-    u0 and u2 intertwine the undeformed actions, the square with the
-    two T maps commutes, and u1 satisfies the correction rule
+    u0: M0 -> N0, u1: M0 -> N1 and u2: M1 -> N1 are sparse maps; u0 and
+    u2 intertwine the undeformed actions, the square with the two T maps
+    commutes, and u1 satisfies the correction rule
 
         u1(a m0) = a u1(m0) - u2(f_M(a, m0)) + f_N(a, u0(m0)),
 
@@ -283,56 +298,51 @@ class MorphismTriple:
     def __init__(self, source, target, u0, u1, u2, check=True):
         if source.deformed is not target.deformed:
             raise InputError("triples need a common deformed algebra")
+        fld = source.deformed.field
         self.source = source
         self.target = target
-        self.u0 = u0
-        self.u1 = u1
-        self.u2 = u2
+        self.u0 = _checked(u0, target.m0.dim, source.m0.dim, fld, "u0")
+        self.u1 = _checked(u1, target.m1.dim, source.m0.dim, fld, "u1")
+        self.u2 = _checked(u2, target.m1.dim, source.m1.dim, fld, "u2")
         if check:
             self._validate()
 
     def _validate(self):
         u, v = self.source, self.target
         fld = u.deformed.field
-        basis = u.deformed.basis
+        u0, u1, u2 = self.u0, self.u1, self.u2
 
-        def shape(m, r, c, name):
-            if len(m) != r or any(len(row) != c for row in m):
-                raise InputError("%s must be %d x %d" % (name, r, c))
-        shape(self.u0, v.m0.dim, u.m0.dim, "u0")
-        shape(self.u1, v.m1.dim, u.m0.dim, "u1")
-        shape(self.u2, v.m1.dim, u.m1.dim, "u2")
-        for i in range(basis.dim):
-            if matmul(v.m0.matrices[i], self.u0, fld) != \
-                    matmul(self.u0, u.m0.matrices[i], fld):
+        def compose(a, b):
+            return map_compose(a, b, fld)
+
+        n = u.deformed.n
+        for i in range(n):
+            if compose(v.m0.actions[i], u0) != compose(u0, u.m0.actions[i]):
                 raise InputError("u0 is not a module map")
-            if matmul(v.m1.matrices[i], self.u2, fld) != \
-                    matmul(self.u2, u.m1.matrices[i], fld):
+            if compose(v.m1.actions[i], u2) != compose(u2, u.m1.actions[i]):
                 raise InputError("u2 is not a module map")
-        if matmul(v.t, self.u0, fld) != matmul(self.u2, u.t, fld):
+        if compose(v.t, u0) != compose(u2, u.t):
             raise InputError("the square with T does not commute")
-        for i in range(basis.dim):
-            lhs = matmul(self.u1, u.m0.matrices[i], fld)
-            rhs = matmul(v.m1.matrices[i], self.u1, fld)
-            rhs = mat_sub(rhs, matmul(self.u2, u.f_table[i], fld), fld)
-            rhs = mat_add(rhs, matmul(v.f_table[i], self.u0, fld), fld)
-            if lhs != rhs:
+        for i in range(n):
+            rhs = map_combine([(fld.one, compose(v.m1.actions[i], u1)),
+                               (fld.neg(fld.one), compose(u2, u.f_table[i])),
+                               (fld.one, compose(v.f_table[i], u0))], fld)
+            if compose(u1, u.m0.actions[i]) != rhs:
                 raise InputError("u1 violates the correction rule at basis "
                                  "element %d" % i)
 
     def is_isomorphism(self):
-        fld = self.source.deformed.field
-        return (self.source.m0.dim == self.target.m0.dim
-                and self.source.m1.dim == self.target.m1.dim
-                and invert_matrix(self.u0, fld) is not None
-                and invert_matrix(self.u2, fld) is not None)
+        src, tgt = self.source, self.target
+        fld = src.deformed.field
+        return (src.m0.dim == tgt.m0.dim
+                and src.m1.dim == tgt.m1.dim
+                and map_inverse(self.u0, src.m0.dim, fld) is not None
+                and map_inverse(self.u2, src.m1.dim, fld) is not None)
 
 
 def identity_triple(u):
     fld = u.deformed.field
-    return MorphismTriple(u, u, identity_matrix(u.m0.dim, fld),
-                          zeros(u.m1.dim, u.m0.dim, fld),
-                          identity_matrix(u.m1.dim, fld))
+    return MorphismTriple(u, u, _identity(u.m0.dim, fld), {}, _identity(u.m1.dim, fld))
 
 
 def compose_triples(v, u):
@@ -342,33 +352,33 @@ def compose_triples(v, u):
     fld = u.source.deformed.field
     return MorphismTriple(
         u.source, v.target,
-        matmul(v.u0, u.u0, fld),
-        mat_add(matmul(v.u2, u.u1, fld), matmul(v.u1, u.u0, fld), fld),
-        matmul(v.u2, u.u2, fld))
+        map_compose(v.u0, u.u0, fld),
+        map_combine([(fld.one, map_compose(v.u2, u.u1, fld)),
+                     (fld.one, map_compose(v.u1, u.u0, fld))], fld),
+        map_compose(v.u2, u.u2, fld))
 
 
 def linear_of_triple(tri):
-    """The matrix of F(u0, u1, u2) = [[u0, 0], [u1, u2]]."""
-    fld = tri.source.deformed.field
-    return block(tri.u0, zeros(len(tri.u0), len(tri.u2[0]) if tri.u2 else 0, fld),
-                 tri.u1, tri.u2)
+    """The map F(u0, u1, u2) = [[u0, 0], [u1, u2]]."""
+    return _lower_block(tri.u0, tri.u1, tri.u2, tri.source.m0.dim, tri.target.m0.dim)
 
 
-def triple_from_linear(mat, source, target):
+def triple_from_linear(amap, source, target):
     """Split an algebra-linear map F(source) -> F(target) into a triple.
 
     The block M1 -> N0 of any module map vanishes because the target T
-    is injective; a nonzero block means mat is not a module map.
+    is injective; a nonzero block means amap is not a module map.
     """
     fld = source.deformed.field
-    d0 = source.m0.dim
-    u0 = [row[:d0] for row in mat[:target.m0.dim]]
-    tr = [row[d0:] for row in mat[:target.m0.dim]]
-    if not mat_is_zero(tr, fld):
+    s0, t0 = source.m0.dim, target.m0.dim
+    t01 = t0 + target.m1.dim
+    amap = _checked(amap, t01, s0 + source.m1.dim, fld, "the map")
+    first = {c: col for c, col in amap.items() if c < s0}
+    second = {c - s0: col for c, col in amap.items() if c >= s0}
+    if _rows(second, 0, t0):
         raise InputError("the map sends the kernel half outside the kernel")
-    u1 = [row[:d0] for row in mat[target.m0.dim:]]
-    u2 = [row[d0:] for row in mat[target.m0.dim:]]
-    return MorphismTriple(source, target, u0, u1, u2)
+    return MorphismTriple(source, target, _rows(first, 0, t0), _rows(first, t0, t01),
+                          _rows(second, t0, t01))
 
 
 def roundtrip_triple(uple):
@@ -380,25 +390,29 @@ def roundtrip_triple(uple):
     rec = reconstruct(functor_F(uple))
     v = rec.uple
     d0 = uple.m0.dim
-    u0 = [[vec[i] for vec in rec.complement] for i in range(d0)]
-    u1 = [[vec[i] for vec in rec.complement] for i in range(d0, d0 + uple.m1.dim)]
-    u2 = [[vec[i] for vec in rec.kernel] for i in range(d0, d0 + uple.m1.dim)]
-    tri = MorphismTriple(v, uple, u0, u1, u2)
+    d = d0 + uple.m1.dim
+    cmap = _columns(rec.complement)
+    tri = MorphismTriple(v, uple, _rows(cmap, 0, d0), _rows(cmap, d0, d),
+                         _rows(_columns(rec.kernel), d0, d))
     if not tri.is_isomorphism():
         raise InputError("round trip produced a non-invertible comparison")
     return tri
 
 
 def module_homs(m, n):
-    """Basis of the space of module maps m -> n, as matrices."""
+    """Basis of the space of module maps m -> n, as sparse maps."""
     if m.algebra is not n.algebra:
         raise InputError("modules live over different algebras")
     fld = m.field
+
+    def entries(amap, size):
+        return [[amap.get(c, {}).get(r, fld.zero) for c in range(size)] for r in range(size)]
+
     rows = []
     # unknowns: entries of X (n.dim x m.dim), row-major
     for i in range(m.algebra.dim):
-        a_n = n.matrices[i]
-        a_m = m.matrices[i]
+        a_n = entries(n.actions[i], n.dim)
+        a_m = entries(m.actions[i], m.dim)
         for r in range(n.dim):
             for c in range(m.dim):
                 row = [fld.zero] * (n.dim * m.dim)
@@ -407,59 +421,46 @@ def module_homs(m, n):
                 for k in range(m.dim):
                     row[r * m.dim + k] = fld.sub(row[r * m.dim + k], a_m[k][c])
                 rows.append(row)
-    out = []
-    for vec in nullspace(rows, fld):
-        out.append([[vec[r * m.dim + c] for c in range(m.dim)]
-                    for r in range(n.dim)])
-    return out
+    return [_columns([_clean(fld, {r: vec[r * m.dim + c] for r in range(n.dim)})
+                      for c in range(m.dim)])
+            for vec in nullspace(rows, fld)]
 
 
 def submodule(mod, vectors):
     """The submodule generated by the given vectors, as a module on the
     closure's own basis (deterministic: closure in basis order)."""
     fld = mod.field
-    span = []
+    span = SpanSolver(fld)
     sbasis = []
-
-    def try_add(v):
-        if rank(span + [v], fld) > len(span):
-            span.append(list(v))
-            sbasis.append(list(v))
-            return True
-        return False
-
-    queue = [list(v) for v in vectors]
+    queue = [_clean(fld, v) for v in vectors]
     while queue:
         v = queue.pop(0)
-        if not try_add(v):
+        if not span.add(v, len(sbasis)):
             continue
-        for i in range(mod.algebra.dim):
-            queue.append(matvec(mod.matrices[i], v, fld))
-    d = len(sbasis)
-    cols = [[sbasis[j][i] for j in range(d)] for i in range(mod.dim)]
-    mats = []
-    for i in range(mod.algebra.dim):
-        sol = []
+        sbasis.append(v)
+        queue.extend(map_apply(a, v, fld) for a in mod.actions)
+    actions = []
+    for a in mod.actions:
+        cols = []
         for v in sbasis:
-            img = matvec(mod.matrices[i], v, fld)
-            x = solve(cols, img, fld)
+            x = span.express(map_apply(a, v, fld))
             if x is None:
                 raise InputError("closure failed; submodule is not closed")
-            sol.append(x)
-        mats.append([[sol[j][k] for j in range(d)] for k in range(d)])
-    return LeftModule(mod.algebra, mats)
+            cols.append(_clean(fld, x))
+        actions.append(_columns(cols))
+    return LeftModule(mod.algebra, len(sbasis), actions)
 
 
 def module_from_file(mf, deformed):
-    """Concrete module from a parsed module file: one action matrix per
+    """Concrete module from a parsed module file: one action map per
     basis label of the deformed algebra."""
-    mats = []
+    actions = []
     for label in deformed.labels:
         if label not in mf.actions:
             raise InputError("module file is missing act(%s)" % label)
-        mats.append(mf.actions[label])
+        actions.append(mf.actions[label])
     extra = set(mf.actions) - set(deformed.labels)
     if extra:
         raise InputError("module file has unknown labels: %s"
                          % ", ".join(sorted(extra)))
-    return LeftModule(deformed, mats)
+    return LeftModule(deformed, mf.dim, actions)

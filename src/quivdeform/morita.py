@@ -23,8 +23,9 @@ disagree on raw cochains while agreeing on cohomology classes.
 from .deform import algebra_of_basis, deform_structure_algebra  # noqa: F401 (re-exported)
 from .errors import CharTwoUnsupported, InputError, NotFullIdempotent
 from .hochschild import FullCochain, is_full_cocycle
-from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _scaled,
-                     map_apply, map_combine, map_compose, map_inverse)
+from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _columns,
+                     _identity, _map_rank, _rows, _scaled, map_apply,
+                     map_combine, map_compose, map_inverse)
 
 
 class Bimodule:
@@ -134,12 +135,6 @@ def _differing_columns(lhs, rhs, dim):
     if lhs == rhs:
         return []
     return [m for m in range(dim) if lhs.get(m) != rhs.get(m)]
-
-
-def _rank(amap, field):
-    """The rank of a sparse map: the dimension of the span of its columns."""
-    span = SpanSolver(field)
-    return sum(1 for col in amap.values() if span.add(col))
 
 
 def regular_bimodule(alg):
@@ -862,7 +857,7 @@ class DeformedBimodule:
         out = list(m0.violations())
         if m1 is not m0:
             out.extend(m1.violations())
-        if _rank(t, fld) != m0.dim:
+        if _map_rank(t, fld) != m0.dim:
             out.append("T is not injective")
         for i in range(la.dim):
             if map_compose(t, m0.left_map(i), fld) != map_compose(m1.left_map(i), t, fld):
@@ -939,15 +934,6 @@ class DeformedBimodule:
                 if vec:
                     right[(n0 + m, j)] = {n0 + r: c for r, c in vec.items()}
         return Bimodule(left_def, right_def, n0 + n1, left, right, check=True)
-
-
-def _identity(n, field):
-    return {m: {m: field.one} for m in range(n)}
-
-
-def _columns(cols):
-    """The sparse map whose column m is the vector cols[m]."""
-    return {m: col for m, col in enumerate(cols) if col}
 
 
 def _half(field):
@@ -1100,16 +1086,6 @@ def triple_violations(src, tgt, u0, u1, u2):
     return out
 
 
-def _rows(amap, lo, hi):
-    """The rows lo <= r < hi of a sparse map, renumbered from 0."""
-    out = {}
-    for c, col in amap.items():
-        part = {r - lo: v for r, v in col.items() if lo <= r < hi}
-        if part:
-            out[c] = part
-    return out
-
-
 def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     """One side of the equivalence: hat1 (x)_{T_def} hat2 = regular S_def.
 
@@ -1148,7 +1124,7 @@ def _tensor_side(ctx, f, g, s_def, t_def, hat1, hat2, target, prefix):
     checks.append((prefix + "second-slot-collapse", zero_pairs,
                    "(0, x) (x) (0, y) vanishes in the tensor"))
 
-    nullity = z.dim - _rank(t_left, fld)
+    nullity = z.dim - _map_rank(t_left, fld)
     k_solver = SpanSolver(fld)
     k_keys, k_cols = [], []
     in_kernel = True

@@ -11,9 +11,11 @@ under test is in the loop.  The Hochschild differential itself is
 recomputed by evaluating every face on every index tuple.  The deformed
 algebra A_f is rebuilt from the pair formula on every pair of basis
 indices, its associativity by multiplying out every basis triple, and
-primality by trial division.  The bimodule and bimodule-uple axioms are
+primality by trial division.  The bimodule and bimodule-uple axioms,
+and the axioms of left modules, left uples and their morphisms, are
 evaluated on every basis tuple, one element at a time, from the raw
-action tables.
+action tables.  Dense matrix products and inverses are here too, as the
+reference for the library's sparse maps.
 """
 
 from itertools import product
@@ -439,4 +441,155 @@ def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
                       (minus, _act(r1, field, fm(a, e), b))):
                 out.append(("compatible", (i, j)))
                 break
+    return out
+
+
+def sparse_of(rows, field):
+    """The sparse map {column: {row: scalar}} of a dense matrix."""
+    out = {}
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x != field.zero:
+                out.setdefault(c, {})[r] = x
+    return out
+
+
+def dense_matmul(a, b, field):
+    """The product of two dense matrices given as lists of rows."""
+    out = []
+    for row in a:
+        acc = [field.zero] * (len(b[0]) if b else 0)
+        for k, x in enumerate(row):
+            for j, y in enumerate(b[k]):
+                acc[j] = field.add(acc[j], field.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def dense_inverse(a, field):
+    """The inverse of a square dense matrix by Gauss-Jordan elimination on
+    [a | 1], or None if a is singular."""
+    n = len(a)
+    rows = [list(a[i]) + [field.one if j == i else field.zero for j in range(n)]
+            for i in range(n)]
+    if _rank([r[:n] for r in rows], n, field) != n:
+        return None
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != field.zero)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = field.inv(rows[col][col])
+        rows[col] = [field.mul(scale, x) for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != field.zero:
+                c = rows[r][col]
+                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
+
+
+def brute_module_defects(alg, dim, act, field):
+    """Every failed axiom of a left module, evaluated one element at a time.
+
+    alg is a raw algebra (dim, table, unit); act[(i, m)] is x_i . e_m on
+    dim coordinates.  Returns (kind, tuple) pairs in the order ("unit",
+    (m,)) where the unit moves e_m, then ("assoc", (i, j, m)) where
+    (x_i x_j) . e_m != x_i . (x_j . e_m)."""
+    adim, table, unit = alg
+    one = field.one
+    out = []
+    for m in range(dim):
+        e = {m: one}
+        if _act(act, field, unit, e) != e:
+            out.append(("unit", (m,)))
+    for i, j, m in product(range(adim), range(adim), range(dim)):
+        xi, xj, e = {i: one}, {j: one}, {m: one}
+        if _act(act, field, _act(table, field, xi, xj), e) != \
+                _act(act, field, xi, _act(act, field, xj, e)):
+            out.append(("assoc", (i, j, m)))
+    return out
+
+
+def brute_left_uple_defects(alg, f, m0, m1, t, f_m, field):
+    """Every failed condition of a left uple (M0, M1, T, f_M), each
+    evaluated element by element on every basis tuple.
+
+    alg is a raw algebra (dim, table, unit) and f[(i, j)] the 2-cochain;
+    m0 and m1 are raw modules (dim, act); t[m] = T(e_m) and f_m[(i, m)] =
+    f_M(x_i, e_m), both in M1.  Returns (kind, tuple) pairs in the order
+    ("m0", defect) and ("m1", defect) for the module defects,
+    ("injective", ()), ("intertwine", (i,)) and ("correction", (i, j)),
+    the last where a f_M(b, m) - f_M(ab, m) + f_M(a, bm) - f(a, b) T m is
+    nonzero for a = x_i, b = x_j and some basis vector m of M0."""
+    adim, table, _ = alg
+    (n0, a0), (n1, a1) = m0, m1
+    one, minus = field.one, field.neg(field.one)
+    out = [("m0", d) for d in brute_module_defects(alg, n0, a0, field)]
+    out += [("m1", d) for d in brute_module_defects(alg, n1, a1, field)]
+    t_rows = [[t.get(m, {}).get(r, field.zero) for m in range(n0)] for r in range(n1)]
+    if _rank(t_rows, n0, field) != n0:
+        out.append(("injective", ()))
+
+    def tmap(vec):
+        return _combo(field, *[(c, t.get(m, {})) for m, c in vec.items()])
+
+    def fm(avec, mvec):
+        return _act(f_m, field, avec, mvec)
+
+    basis0 = [{m: one} for m in range(n0)]
+    for i in range(adim):
+        xi = {i: one}
+        if any(tmap(_act(a0, field, xi, e)) != _act(a1, field, xi, tmap(e)) for e in basis0):
+            out.append(("intertwine", (i,)))
+    for i, j in product(range(adim), repeat=2):
+        a, b = {i: one}, {j: one}
+        for e in basis0:
+            if _combo(field, (one, _act(a1, field, a, fm(b, e))),
+                      (minus, fm(_act(table, field, a, b), e)),
+                      (one, fm(a, _act(a0, field, b, e))),
+                      (minus, _act(a1, field, f.get((i, j), {}), tmap(e)))):
+                out.append(("correction", (i, j)))
+                break
+    return out
+
+
+def _glued(n, uple, field):
+    """(dim, act) of the module over A_f on M0 + M1 (M1 coordinates after
+    those of M0) with the pair action
+
+        (a, b)(m0, m1) = (a m0, a m1 + b T m0 + f_M(a, m0)),
+
+    where (x_i, 0) is basis element i of A_f and (0, x_i) is n + i."""
+    (n0, a0), (n1, a1), t, f_m = uple
+
+    def lower(vec):
+        return {n0 + r: c for r, c in vec.items()}
+
+    act = {}
+    for i in range(n):
+        xi = {i: field.one}
+        for m in range(n0):
+            act[(i, m)] = {**a0.get((i, m), {}), **lower(f_m.get((i, m), {}))}
+            act[(n + i, m)] = lower(_act(a1, field, xi, t.get(m, {})))
+        for m in range(n1):
+            act[(i, n0 + m)] = lower(a1.get((i, m), {}))
+    return n0 + n1, act
+
+
+def brute_map_defects(n, src, tgt, u, field):
+    """Every (i, m) at which the linear map u: F(src) -> F(tgt) fails to
+    commute with basis element i of A_f on basis vector m, for raw uples
+    src and tgt, each (m0, m1, t, f_m) as in brute_left_uple_defects over
+    an algebra of dim n, glued by the pair action; u[m] is the image of
+    basis vector m.  A morphism of uples is exactly a triple whose glued
+    map [[u0, 0], [u1, u2]] has no defect."""
+    dx, ax = _glued(n, src, field)
+    _, ay = _glued(n, tgt, field)
+
+    def umap(vec):
+        return _combo(field, *[(c, u.get(m, {})) for m, c in vec.items()])
+
+    out = []
+    for i, m in product(range(2 * n), range(dx)):
+        xi, e = {i: field.one}, {m: field.one}
+        if umap(_act(ax, field, xi, e)) != _act(ay, field, xi, umap(e)):
+            out.append((i, m))
     return out

@@ -18,7 +18,6 @@ from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
                                    differential, extend_to_full,
                                    full_differential, hh_dimension, is_cocycle,
                                    is_full_cocycle)
-from quivdeform.linalg import invert_matrix, matmul
 from quivdeform.modcat import (LeftModule, functor_F, reconstruct,
                                regular_module, regular_uple, roundtrip_triple)
 from quivdeform.morita import (FinDimAlgebra, algebra_of_basis, homotopy_h,
@@ -28,6 +27,7 @@ from quivdeform.quiver import (AlgebraElement, FreeElement, Quiver,
                                compute_basis)
 
 from conftest import data_path, load_basis
+from oracles import dense_inverse, dense_matmul, sparse_of
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -350,7 +350,7 @@ def random_unitriangular(rng, d, field):
     upper = [[field.one if i == j
               else field.from_int(rng.randrange(-2, 3)) if i < j
               else field.zero for j in range(d)] for i in range(d)]
-    return matmul(lower, upper, field)
+    return dense_matmul(lower, upper, field)
 
 
 def test_criterion_8_module_category():
@@ -359,7 +359,7 @@ def test_criterion_8_module_category():
         af, basis, f = example_cochain(name)
         deformed = DeformedAlgebra(basis, f)
         glued = functor_F(regular_uple(deformed))
-        if glued.matrices != regular_module(deformed).matrices:
+        if glued.actions != regular_module(deformed).actions:
             failures.append(name + ": F(A, A, Id, f) is not the regular module")
 
     af, basis, f = example_cochain("dual_numbers")
@@ -368,14 +368,14 @@ def test_criterion_8_module_category():
     done = 0
     for d in (1, 2, 3, 4, 2, 3, 4, 3, 4, 4):
         s = random_unitriangular(rng, d, Q)
-        s_inv = invert_matrix(s, Q)
+        s_inv = dense_inverse(s, Q)
         nil = [[Q.from_int(rng.randrange(-1, 2)) if j > i else Q.zero
                 for j in range(d)] for i in range(d)]
-        x = matmul(s, matmul(nil, s_inv, Q), Q)
-        x2 = matmul(x, x, Q)
+        x = dense_matmul(s, dense_matmul(nil, s_inv, Q), Q)
+        x2 = dense_matmul(x, x, Q)
         mats = [[[Q.one if i == j else Q.zero for j in range(d)]
-                 for i in range(d)], x, x2, matmul(x2, x, Q)]
-        mod = LeftModule(deformed, mats)
+                 for i in range(d)], x, x2, dense_matmul(x2, x, Q)]
+        mod = LeftModule(deformed, d, [sparse_of(m, Q) for m in mats])
         uple = reconstruct(mod).uple
         tri = roundtrip_triple(uple)
         if not tri.is_isomorphism():

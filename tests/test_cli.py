@@ -11,7 +11,7 @@ from quivdeform.fileio import (emit_algebra_text, emit_module_text,
 from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
                                    differential, extend_to_full,
                                    full_differential)
-from quivdeform.modcat import regular_module
+from quivdeform.modcat import LeftModule, regular_module
 from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path, load_basis
@@ -447,7 +447,7 @@ def write_regular_module(tmp_path, name="dual_numbers"):
     af, basis = load_basis(name + ".alg")
     deformed = DeformedAlgebra(basis, cochain_from_pairs(basis, af.cocycle_pairs))
     reg = regular_module(deformed)
-    actions = {deformed.labels[i]: reg.matrices[i] for i in range(deformed.dim)}
+    actions = {deformed.labels[i]: reg.actions[i] for i in range(deformed.dim)}
     path = tmp_path / (name + ".mod")
     path.write_text(emit_module_text(reg.dim, actions, basis.field))
     return path
@@ -466,15 +466,32 @@ def test_module_roundtrip_regular(tmp_path, capsys):
 def test_module_roundtrip_rejects_non_module(tmp_path, capsys):
     af, basis = load_basis("dual_numbers.alg")
     deformed = DeformedAlgebra(basis, cochain_from_pairs(basis, af.cocycle_pairs))
-    eye = [[basis.field.one if i == j else basis.field.zero
-            for j in range(4)] for i in range(4)]
-    zero = [[basis.field.zero] * 4 for _ in range(4)]
-    actions = {"e(1)": eye, "a": eye, "t*e(1)": zero, "t*a": zero}
+    eye = {i: {i: basis.field.one} for i in range(4)}
+    actions = {"e(1)": eye, "a": eye, "t*e(1)": {}, "t*a": {}}
     path = tmp_path / "bad.mod"
     path.write_text(emit_module_text(4, actions, basis.field))
     assert run(["module-roundtrip", data_path("dual_numbers.alg"),
                 str(path)]) == 2
     assert "structure constants" in capsys.readouterr().err
+
+
+def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypatch):
+    mod = write_regular_module(tmp_path)
+    real = cli.functor_F
+
+    def broken(uple):
+        glued = real(uple)
+        actions = list(glued.actions)
+        actions[1] = {c: dict(col) for c, col in actions[1].items()}
+        actions[1][0] = {**actions[1].get(0, {}), 3: glued.field.one}
+        return LeftModule(glued.algebra, glued.dim, actions, check=False)
+
+    monkeypatch.setattr(cli, "functor_F", broken)
+    assert run(["module-roundtrip", data_path("dual_numbers.alg"), str(mod)]) == 1
+    out, _ = lines_of(capsys)
+    assert ("functor-rebuild: FAIL  actions disagree after the basis change at a\n"
+            in out)
+    assert "roundtrip-triple: PASS" in out
 
 
 # ------------------------------------------------------------------- usage

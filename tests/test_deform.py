@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,11 @@ from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
                                    differential, extend_to_full,
                                    full_differential, is_cocycle,
                                    is_full_cocycle)
+from quivdeform.linalg import FinDimAlgebra
 from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path
-from oracles import (brute_associativity_defect, brute_associator,
+from oracles import (_act, brute_associativity_defect, brute_associator,
                      brute_deformed_table)
 
 Q = Field.rationals()
@@ -158,6 +160,63 @@ def test_associativity_witness_on_bumped_non_cocycles():
                 assert bad == brute_associativity_defect(2 * basis.dim, want,
                                                          basis.field), name
     assert broken
+
+
+def cyclic_quiver_text(m, length):
+    """The oriented m-cycle a1: 1 -> 2, ..., am: m -> 1 with every path of
+    the given length set to zero."""
+    lines = ["field Q", "vertex " + " ".join(str(v + 1) for v in range(m))]
+    lines += ["arrow a%d : %d -> %d" % (v + 1, v + 1, (v + 1) % m + 1) for v in range(m)]
+    lines += ["relation " + "*".join("a%d" % ((s + k) % m + 1) for k in range(length))
+              for s in range(m)]
+    return "\n".join(lines) + "\n"
+
+
+def cycle_cocycle(basis, length):
+    """The cocycle of "each cycle of the given length = t e_v": f(p, q) is
+    the tail after the first length arrows of the composite path p q."""
+    q = basis.quiver
+    table = {}
+    for p in basis.paths:
+        for r in basis.paths:
+            if len(p) > 1 and len(r) > 1 and q.path_target(p) == q.path_source(r):
+                arrows = p[1:] + r[1:]
+                if len(arrows) >= length:
+                    table[(p, r)] = basis.element_from_path((p[0],) + arrows[length:])
+    return Cochain(basis, 2, table)
+
+
+def test_pruned_associativity_witness_matches_the_oracle():
+    # the witness visits only the k where a side can be nonzero; random
+    # bumps of the A_f table must still give the first failing triple,
+    # including triples where only one side is nonzero
+    sides = set()
+    for m, length in ((3, 6), (4, 8)):
+        af = parse_algebra_text(cyclic_quiver_text(m, length))
+        basis = compute_basis(af.quiver, af.relations, af.field, 2 * length + 2)
+        f = cycle_cocycle(basis, length)
+        assert is_cocycle(f, basis)
+        fld = basis.field
+        dim = 2 * basis.dim
+        alg = DeformedAlgebra(basis, f)
+        want = oracle_table(basis, f)
+        assert alg.table == want
+        assert alg.associativity_witness() is None
+        assert brute_associativity_defect(dim, want, fld) is None
+        rng = random.Random(1)
+        for _ in range(12):
+            x, y, z = rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)
+            table = {key: dict(vec) for key, vec in want.items()}
+            entry = table.setdefault((x, y), {})
+            entry[z] = fld.add(entry.get(z, fld.zero), fld.one)
+            bad = FinDimAlgebra(fld, dim, table, alg.unit, check=False).associativity_witness()
+            assert bad == brute_associativity_defect(dim, table, fld), (m, x, y, z)
+            if bad is not None:
+                i, j, k = ({n: fld.one} for n in bad)
+                left = _act(table, fld, _act(table, fld, i, j), k)
+                right = _act(table, fld, i, _act(table, fld, j, k))
+                sides.add((bool(left), bool(right)))
+    assert {(True, False), (False, True)} <= sides
 
 
 def test_deform_structure_algebra_keeps_the_unit_check(dual_numbers):

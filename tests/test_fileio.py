@@ -149,8 +149,8 @@ def test_module_file_round_trip():
     text = "dim 2\nact(a) = 0 0 ; 1 0\nact(t*e(1)) = 0 0 ; 1/2 0\n"
     mf = parse_module_text(text, Q)
     assert mf.dim == 2
-    assert mf.actions["a"] == [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert mf.actions["t*e(1)"][1][0] == Fraction(1, 2)
+    assert mf.actions["a"] == {0: {1: Fraction(1)}}
+    assert mf.actions["t*e(1)"][0][1] == Fraction(1, 2)
     out = emit_module_text(mf.dim, mf.actions, Q)
     mf2 = parse_module_text(out, Q)
     assert mf2.dim == mf.dim and mf2.actions == mf.actions

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 from quivdeform.fields import Field
-from quivdeform.linalg import (SpanSolver, invert_matrix, map_apply,
-                               map_combine, map_compose, map_inverse, matmul,
-                               matvec, nullspace, rank, rref, solve)
+from quivdeform.linalg import (SpanSolver, map_apply, map_combine, map_compose,
+                               map_inverse, nullspace, rank, rref)
+
+from oracles import dense_inverse, dense_matmul, sparse_of
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -23,10 +24,20 @@ def test_rref_and_rank():
     assert rank([], Q) == 0
 
 
+def solve(a, b, field):
+    """One solution x of A x = b as a dense list, or None: the module
+    layer solves through SpanSolver.express over the columns of A."""
+    span = SpanSolver(field)
+    for c in range(len(a[0])):
+        span.add({r: row[c] for r, row in enumerate(a) if row[c] != field.zero}, c)
+    x = span.express({r: v for r, v in enumerate(b) if v != field.zero})
+    return None if x is None else [x.get(c, field.zero) for c in range(len(a[0]))]
+
+
 def test_solve_consistent_and_inconsistent():
     a = fr([[1, 1], [0, 1]])
     x = solve(a, [Fraction(3), Fraction(1)], Q)
-    assert matvec(a, x, Q) == [Fraction(3), Fraction(1)]
+    assert dense_matmul(a, [[v] for v in x], Q) == [[Fraction(3)], [Fraction(1)]]
     a2 = fr([[1, 1], [2, 2]])
     assert solve(a2, [Fraction(1), Fraction(3)], Q) is None
     # underdetermined systems return some solution
@@ -40,23 +51,23 @@ def test_nullspace():
     basis = nullspace(a, Q)
     assert len(basis) == 2
     for v in basis:
-        assert matvec(fr([[1, 2, 3]]), v, Q) == [Fraction(0)]
+        assert dense_matmul(fr([[1, 2, 3]]), [[x] for x in v], Q) == [[Fraction(0)]]
     assert rank([list(v) for v in basis], Q) == 2
 
 
 def test_invert_matrix():
-    a = fr([[2, 1], [1, 1]])
-    ainv = invert_matrix(a, Q)
-    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert matmul(a, ainv, Q) == ident
-    assert matmul(ainv, a, Q) == ident
-    assert invert_matrix(fr([[1, 2], [2, 4]]), Q) is None
+    a = sparse_of(fr([[2, 1], [1, 1]]), Q)
+    ainv = map_inverse(a, 2, Q)
+    ident = {0: {0: Fraction(1)}, 1: {1: Fraction(1)}}
+    assert map_compose(a, ainv, Q) == ident
+    assert map_compose(ainv, a, Q) == ident
+    assert map_inverse(sparse_of(fr([[1, 2], [2, 4]]), Q), 2, Q) is None
 
 
 def test_prime_field_matrices():
-    a = [[3, 1], [5, 2]]
-    ainv = invert_matrix(a, F7)
-    assert matmul(a, ainv, F7) == [[1, 0], [0, 1]]
+    a = sparse_of([[3, 1], [5, 2]], F7)
+    ainv = map_inverse(a, 2, F7)
+    assert map_compose(a, ainv, F7) == {0: {0: 1}, 1: {1: 1}}
     assert rank([[3, 1], [6, 2]], F7) == 1
 
 
@@ -92,16 +103,6 @@ def test_span_solver_tuple_keys():
     assert combo == {"a": 2, "b": 1}  # 2*a + b kills the (0, 1) slot mod 7
 
 
-def sparse_of(rows, field):
-    """The sparse map {column: {row: scalar}} of a dense matrix."""
-    out = {}
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            if x != field.zero:
-                out.setdefault(c, {})[r] = x
-    return out
-
-
 def test_sparse_maps_agree_with_dense_matrices():
     rng = random.Random(11)
     for field in (Q, F7):
@@ -112,14 +113,14 @@ def test_sparse_maps_agree_with_dense_matrices():
             v = [field.from_int(rng.randrange(-2, 3)) for _ in range(n)]
             sa, sb = sparse_of(a, field), sparse_of(b, field)
             sv = {i: x for i, x in enumerate(v) if x != field.zero}
-            assert map_apply(sa, sv, field) == sparse_of([[x] for x in matvec(a, v, field)],
+            assert map_apply(sa, sv, field) == sparse_of(dense_matmul(a, [[x] for x in v], field),
                                                          field).get(0, {})
-            assert map_compose(sa, sb, field) == sparse_of(matmul(a, b, field), field)
+            assert map_compose(sa, sb, field) == sparse_of(dense_matmul(a, b, field), field)
             c = field.from_int(3)
             combined = [[field.add(x, field.mul(c, y)) for x, y in zip(ra, rb)]
                         for ra, rb in zip(a, b)]
             assert map_combine([(field.one, sa), (c, sb)], field) == sparse_of(combined, field)
-            inv = invert_matrix(a, field)
+            inv = dense_inverse(a, field)
             got = map_inverse(sa, n, field)
             assert (got is None) == (inv is None)
             if inv is not None:
