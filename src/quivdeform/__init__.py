@@ -20,9 +20,9 @@ from .fields import Field
 from .fileio import (AlgebraFile, emit_algebra_text, emit_dot,
                      parse_algebra_file, parse_algebra_text, parse_expression,
                      parse_module_file)
-from .hochschild import (Cochain, FullCochain, cochain_from_pairs,
-                         differential, extend_to_full, full_differential,
-                         hh_dimension, hh_summary, is_cocycle, is_full_cocycle)
+from .hochschild import (FullCochain, cochain_from_pairs, cochain_from_paths,
+                         differential, full_differential, hh_dimension,
+                         hh_summary, is_cocycle, is_full_cocycle)
 from .modcat import (LeftModule, MorphismTriple, UpleModule, functor_F,
                      module_from_file, module_homs, reconstruct,
                      regular_module, regular_uple, roundtrip_triple)
@@ -31,24 +31,24 @@ from .morita import (MoritaContext, homotopy_h, idempotent_context,
                      identity_context, matrix_context, transfer_phi,
                      transfer_psi, verify_morita_deformed)
 from .quiver import (AlgebraBasis, AlgebraElement, FreeElement, Quiver,
-                     compute_basis, decompose_unit, multiply, normal_form,
+                     compute_basis, decompose_unit,
                      validate_admissible_relations)
 
 __all__ = [
     "AlgebraBasis", "AlgebraElement", "AlgebraFile", "CharTwoUnsupported",
-    "Cochain", "ComputationError", "DeformedAlgebra", "EpsilonUnresolvable",
+    "ComputationError", "DeformedAlgebra", "EpsilonUnresolvable",
     "Equivalence", "Field", "FinDimAlgebra", "FreeElement", "FullCochain",
     "InputError", "LeftModule", "MoritaContext", "MorphismTriple",
     "NormalizationFailed", "NotFiniteDimensional", "NotFullIdempotent",
     "Presentation", "Quiver", "UpleModule",
     "algebra_of_basis", "build_presentation", "check_image_condition",
-    "cochain_from_pairs", "compute_basis", "decompose_unit",
+    "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
     "deformation_equivalence", "deformed_multiply", "differential",
-    "emit_algebra_text", "emit_dot", "extend_to_full", "full_differential",
+    "emit_algebra_text", "emit_dot", "full_differential",
     "functor_F", "hat_f", "hh_dimension", "hh_summary", "homotopy_h",
     "idempotent_context", "identity_context", "interreduce_presentation",
     "is_cocycle", "is_full_cocycle", "matrix_context", "module_from_file",
-    "module_homs", "multiply", "normal_form", "normalize_cocycle",
+    "module_homs", "normalize_cocycle",
     "parse_algebra_file", "parse_algebra_text", "parse_expression",
     "parse_module_file", "reconstruct", "regular_module", "regular_uple",
     "roundtrip_triple", "transfer_phi", "transfer_psi",

@@ -7,19 +7,19 @@ pass; bad input exits 2 and typed computation errors exit 1.
 """
 
 import argparse
+import json
 import sys
 
-from .deform import (DeformedAlgebra, algebra_of_basis, build_presentation,
-                     check_image_condition, deformation_equivalence,
+from .deform import (DeformedAlgebra, _presentation, _verify_presentation,
+                     algebra_of_basis, deformation_equivalence,
                      deformed_multiply, hat_f, interreduce_presentation,
-                     normalize_cocycle, verify_presentation)
+                     normalize_cocycle)
 from .errors import ComputationError, InputError
 from .fields import Field
 from .fileio import (emit_algebra_text, emit_dot, parse_algebra_file,
                      parse_module_file, scalar_str)
-from .hochschild import (cochain_from_pairs, extend_to_full,
-                         full_differential, hh_summary, is_cocycle,
-                         is_full_cocycle)
+from .hochschild import (cochain_from_pairs, full_differential, hh_summary,
+                         is_cocycle, is_full_cocycle)
 from .linalg import _columns, map_compose, map_inverse
 from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
 from .morita import (homotopy_h, idempotent_context, matrix_context,
@@ -45,11 +45,10 @@ def _load_algebra(args):
 
 def _emit_report(checks, mode):
     for name, ok, detail in checks:
-        verdict = "PASS" if ok else "FAIL"
         if mode == "json-lines":
-            print("%s\t%s\t%s" % (name, verdict, detail))
+            print(json.dumps({"name": name, "ok": bool(ok), "detail": detail}))
         else:
-            print("%s: %s  %s" % (name, verdict, detail))
+            print("%s: %s  %s" % (name, "PASS" if ok else "FAIL", detail))
     ok_all = all(ok for _, ok, _ in checks)
     if mode != "json-lines":
         print("overall: %s" % ("PASS" if ok_all else "FAIL"))
@@ -105,8 +104,7 @@ def cmd_deform(args):
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     if not is_cocycle(f, basis):
         raise InputError("the cocycle lines do not satisfy d^2 f = 0")
-    f = normalize_cocycle(basis, f)
-    pres, _ = build_presentation(basis, f)
+    pres, _ = _presentation(basis, normalize_cocycle(basis, f))
     if args.interreduce:
         pres = interreduce_presentation(pres, basis.field, args.max_degree)
     header = "presentation of the deformed algebra (dim %d)" % (2 * basis.dim)
@@ -179,15 +177,16 @@ def cmd_verify_deform(args):
                    "%d of %d relations land on (0, f^(rho))"
                    % (len(basis.relations) - bad, len(basis.relations))))
 
-    if check_image_condition(basis, f).ok:
-        f2 = f
-        checks.append(("image-condition", True, "holds for the given representative"))
-    else:
-        f2 = normalize_cocycle(basis, f)
-        checks.append(("image-condition", True,
-                       "restored by a cohomologous representative"))
-    pres, _ = build_presentation(basis, f2)
-    checks.extend(verify_presentation(basis, f2, pres, args.max_degree))
+    # f is a cocycle here, and normalize_cocycle proves the image
+    # condition of the representative it returns, so neither is redone
+    f2 = normalize_cocycle(basis, f)
+    checks.append(("image-condition", True,
+                   "holds for the given representative" if f2 is f
+                   else "restored by a cohomologous representative"))
+    if f2 is not f:
+        deformed = DeformedAlgebra(basis, f2, check_cocycle=False)
+    pres, _ = _presentation(basis, f2)
+    checks.extend(_verify_presentation(deformed, pres, args.max_degree))
     return _emit_report(checks, args.report)
 
 
@@ -272,7 +271,7 @@ def _cochain_check(name, lhs, rhs, labels, identity):
 
 def cmd_transfer(args):
     af, basis = _load_algebra(args)
-    f = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
     alg = algebra_of_basis(basis)
     ctx = _context_of(args, af, basis, alg)
     g = transfer_phi(ctx, f, 2)
@@ -302,7 +301,7 @@ def cmd_transfer(args):
 
 def cmd_verify_morita(args):
     af, basis = _load_algebra(args)
-    f = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
     alg = algebra_of_basis(basis)
     ctx = _context_of(args, af, basis, alg)
     return _emit_report(verify_morita_deformed(ctx, f), args.report)

@@ -21,7 +21,7 @@ computation in verify_presentation.
 
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed)
-from .hochschild import (Cochain, cobound_solve, extend_to_full, is_cocycle,
+from .hochschild import (cobound_solve, cochain_from_paths, is_cocycle,
                          is_full_cocycle)
 from .linalg import FinDimAlgebra, SpanSolver, rank
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
@@ -72,11 +72,11 @@ class DeformedAlgebra(FinDimAlgebra):
 
     Basis: (gamma, 0) for gamma in the basis of A, then (0, gamma); so
     index i < n is (basis path i, 0) and n + i is (0, basis path i).
-    base is A as a FinDimAlgebra and full the zero extension of f.
+    base is A as a FinDimAlgebra and f the cocycle.
     """
 
     def __init__(self, basis, f, check_cocycle=True):
-        if f.degree != 2 or f.basis is not basis:
+        if f.degree != 2 or f.dim != basis.dim:
             raise InputError("deformation needs a degree-2 cochain on this algebra")
         if check_cocycle and not is_cocycle(f, basis):
             raise InputError("not a 2-cocycle; the deformed product would "
@@ -85,9 +85,8 @@ class DeformedAlgebra(FinDimAlgebra):
         self.f = f
         self.n = basis.dim
         self.base = algebra_of_basis(basis)
-        self.full = extend_to_full(f, basis)
         super().__init__(basis.field, 2 * basis.dim,
-                         *_deformed_constants(self.base, self.full), check=False)
+                         *_deformed_constants(self.base, f), check=False)
 
     def zero_pair(self):
         return (self.basis.zero(), self.basis.zero())
@@ -108,18 +107,6 @@ class DeformedAlgebra(FinDimAlgebra):
             else:
                 b[k - self.n] = c
         return (AlgebraElement(self.basis, a), AlgebraElement(self.basis, b))
-
-    def label_index(self, text):
-        from .fileio import parse_path
-        text = "".join(text.split())
-        second = text.startswith("t*")
-        if second:
-            text = text[2:]
-        p = parse_path(text, self.basis.quiver)
-        if p not in self.basis.index:
-            raise InputError("label %r is not a basis path" % text)
-        i = self.basis.index[p]
-        return self.n + i if second else i
 
     def associativity_holds(self):
         """Exhaustive check of (xy)z = x(yz) on basis triples; the first
@@ -157,7 +144,7 @@ def hat_f(w, basis, f):
         for i in range(1, s):
             prefix = basis.element_from_path((src,) + p[1:1 + i])
             arrow = basis.element_from_path(q.arrow_path(q.arrows[p[1 + i]][0]))
-            head = f.evaluate(prefix, arrow)
+            head = AlgebraElement(basis, f.evaluate(prefix.coeffs, arrow.coeffs))
             if head.is_zero():
                 continue
             tail_arrows = p[2 + i:]
@@ -210,7 +197,7 @@ def check_image_condition(basis, f):
     witnesses = {}
     failing = []
     for key, value in f.table.items():
-        combo = solver.express(dict(value.coeffs))
+        combo = solver.express(dict(value))
         if combo is None:
             failing.append(key)
         else:
@@ -299,7 +286,7 @@ def _transported_cocycle(basis, f):
                     total = total + (val * r).scale(fld.mul(coef, lc))
             if not total.is_zero():
                 table[(w1, w2)] = total
-    return Cochain(basis, 2, table)
+    return cochain_from_paths(basis, 2, table)
 
 
 def normalize_cocycle(basis, f):
@@ -364,20 +351,25 @@ def _hat_free(elem, quiver_f, field):
 def build_presentation(basis, f):
     """Quiver and relations presenting the deformed algebra.
 
-    Needs the image condition; raises InputError otherwise (normalize
-    first).  Returns (Presentation, EpsilonTable).
+    Needs a 2-cocycle whose image condition holds; raises InputError
+    otherwise (normalize first).  Returns (Presentation, EpsilonTable).
     """
-    q = basis.quiver
-    fld = basis.field
     if not is_cocycle(f, basis):
         raise InputError("build_presentation expects a 2-cocycle")
     if not check_image_condition(basis, f).ok:
         raise InputError("the cocycle's image escapes the span of lifted "
                          "ideal elements; apply normalize_cocycle first")
+    return _presentation(basis, f)
 
+
+def _presentation(basis, f):
+    """build_presentation for a 2-cocycle f whose image condition is
+    known to hold, as normalize_cocycle returns one."""
+    q = basis.quiver
+    fld = basis.field
     image_span = SpanSolver(fld)
     for idx, value in enumerate(f.table.values()):
-        image_span.add(dict(value.coeffs), idx)
+        image_span.add(dict(value), idx)
 
     def e_vec(vi):
         return {basis.index[(vi,)]: fld.one}
@@ -488,10 +480,10 @@ def interreduce_presentation(pres, field, max_degree=30):
                         pres.extended)
 
 
-def _pi_map(basis, f, pres):
+def _pi_map(deformed, pres):
     """The evaluation sending hatted arrows to (arrow, 0) and added
     loops to (0, idempotent), as pairs over the deformed algebra."""
-    deformed = DeformedAlgebra(basis, f)
+    basis = deformed.basis
     q = basis.quiver
     qf = pres.quiver
     arrow_images = {}
@@ -518,7 +510,7 @@ def _pi_map(basis, f, pres):
             total = (total[0] + img[0].scale(c), total[1] + img[1].scale(c))
         return total
 
-    return deformed, pi_free
+    return pi_free
 
 
 def verify_presentation(basis, f, pres, max_degree=30):
@@ -528,6 +520,12 @@ def verify_presentation(basis, f, pres, max_degree=30):
     count, vanishing of the relations under evaluation, and linear
     independence of the evaluated basis candidates.
     """
+    return _verify_presentation(DeformedAlgebra(basis, f), pres, max_degree)
+
+
+def _verify_presentation(deformed, pres, max_degree):
+    """verify_presentation over A_f for a cocycle f already checked."""
+    basis = deformed.basis
     fld = basis.field
     checks = []
 
@@ -536,7 +534,7 @@ def verify_presentation(basis, f, pres, max_degree=30):
     checks.append(("dimension", ok_dim,
                    "dim kQ_f/I_f = %d, expected %d" % (basis_f.dim, 2 * basis.dim)))
 
-    deformed, pi_free = _pi_map(basis, f, pres)
+    pi_free = _pi_map(deformed, pres)
     bad = []
     for k, r in enumerate(pres.relations):
         img = pi_free(r)
@@ -576,7 +574,7 @@ class Equivalence:
 
     def apply(self, pair):
         a, b = pair
-        return (a, b + self.g.evaluate(a))
+        return (a, b + AlgebraElement(self.basis, self.g.evaluate(a.coeffs)))
 
 
 def deformation_equivalence(f, f2, basis):

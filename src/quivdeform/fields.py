@@ -113,9 +113,6 @@ class Field:
         # Fermat: a^(p-2) is the inverse mod p
         return pow(a, self.char - 2, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, token):
         """Parse `[-]digits` or `[-]digits/digits` into a scalar."""
         token = token.strip()
@@ -140,11 +137,3 @@ class Field:
 
     def to_str(self, a):
         return str(a)
-
-
-def parse_scalar(token, field):
-    return field.parse(token)
-
-
-def invert(x, field):
-    return field.inv(x)

@@ -1,24 +1,23 @@
 """Hochschild cochains in degrees 1 to 3 and their differential.
 
-Two cochain types live here and share one differential.  `FullCochain`
-is the unreduced complex Hom(A^{(x)n}, A) of an algebra given by
-structure constants, stored sparsely as an index-keyed table
+One cochain type lives here.  `FullCochain` is a cochain of the
+unreduced complex Hom(A^{(x)n}, A) of an algebra given by structure
+constants, stored sparsely as an index-keyed table
 {(i_1, ..., i_n): {k: c}}; transfers across a Morita context live
-there.  `Cochain` is the reduced complex relative to the vertex
-subalgebra: a degree-n cochain is determined by its values on
-composable n-tuples of non-trivial basis paths, and the value on
-(g_1, ..., g_n) must land in the corner e_{s(g_1)} A e_{t(g_n)}.
-Tuples that are not composable, or contain a trivial path, are forced
-to zero.
-
-`extend_to_full` embeds the reduced complex, by zero extension, as the
+there.  The reduced complex relative to the vertex subalgebra is the
 subcomplex of cochains that are balanced over the vertex idempotents
-and vanish when an argument is one of them.  So one differential
-serves both: `_push` sends a table forward from its support, with left
-and right products by basis elements for the outer faces and an
-inverse product table for the inner ones.  The reduced differential is
-the full differential of the zero extension, read on tuples of radical
-indices only.
+and vanish when an argument is one of them: a degree-n cochain is
+determined by its values on composable n-tuples of non-trivial basis
+paths, and the value on (g_1, ..., g_n) must land in the corner
+e_{s(g_1)} A e_{t(g_n)}.  Such a cochain is the FullCochain that is
+zero off those tuples.  Path-keyed input enters through
+`cochain_from_paths`, which checks exactly these conditions.
+
+So one differential serves both: `_push` sends a table forward from
+its support, with left and right products by basis elements for the
+outer faces and an inverse product table for the inner ones.  The
+reduced differential is the full differential read on tuples of
+radical indices only.
 
 The reduced complex reads the span of non-trivial paths as the radical
 of A, and the deformation layer built on it (hat_f, the presentation)
@@ -31,7 +30,6 @@ otherwise, naming the offending pair.
 
 from .errors import InputError
 from .linalg import SpanSolver
-from .quiver import AlgebraElement
 
 
 def _products(table, keep):
@@ -138,116 +136,65 @@ def _reduced_images(basis, n):
             yield (key, i), _flat(_push({key: {i: fld.one}}, n, products, fld))
 
 
-class Cochain:
-    """Reduced relative cochain of degree 1, 2 or 3."""
+def cochain_from_paths(basis, degree, table):
+    """The cochain of degree 1, 2 or 3 whose value at a tuple of basis
+    paths is the AlgebraElement table[paths], keyed by basis indices.
 
-    def __init__(self, basis, degree, table):
-        if degree not in (1, 2, 3):
-            raise InputError("cochain degree must be 1, 2 or 3")
-        self.basis = basis
-        self.degree = degree
-        q = basis.quiver
-        self.table = {}
-        for key, value in table.items():
-            # keys are tuples of paths, also in degree 1: (path,)
-            key = tuple(key)
-            if len(key) != degree:
-                raise InputError("cochain key %r has wrong arity" % (key,))
-            for p in key:
-                if p not in basis.index:
-                    raise InputError("cochain key path %s is not a basis path"
-                                     % q.path_str(p))
-                if len(p) == 1:
-                    raise InputError("cochain keys must be non-trivial paths")
-            for a, b in zip(key, key[1:]):
-                if q.path_target(a) != q.path_source(b):
-                    raise InputError("cochain key %s is not composable"
-                                     % " | ".join(q.path_str(p) for p in key))
-            if value.is_zero():
-                continue
-            src = q.path_source(key[0])
-            tgt = q.path_target(key[-1])
-            for i in value.coeffs:
-                if (basis.path_source_of_index(i) != src
-                        or basis.path_target_of_index(i) != tgt):
-                    raise InputError(
-                        "value of cochain at %s leaves the corner e_%s A e_%s"
-                        % (" | ".join(q.path_str(p) for p in key),
-                           q.vertices[src], q.vertices[tgt]))
-            self.table[key] = value
-
-    def value(self, key):
-        v = self.table.get(tuple(key))
-        return v if v is not None else self.basis.zero()
-
-    def is_zero(self):
-        return not self.table
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.basis is other.basis
-                and self.degree == other.degree
-                and {k: v.coeffs for k, v in self.table.items()}
-                == {k: v.coeffs for k, v in other.table.items()})
-
-    def __add__(self, other):
-        if self.degree != other.degree or self.basis is not other.basis:
-            raise InputError("cochain mismatch in addition")
-        keys = set(self.table) | set(other.table)
-        return Cochain(self.basis, self.degree,
-                       {k: self.value(k) + other.value(k) for k in keys})
-
-    def __sub__(self, other):
-        return self + other.scale(self.basis.field.neg(self.basis.field.one))
-
-    def scale(self, c):
-        return Cochain(self.basis, self.degree,
-                       {k: v.scale(c) for k, v in self.table.items()})
-
-    def evaluate(self, *elems):
-        """Multilinear evaluation on algebra elements; trivial basis
-        components contribute zero (reduced complex)."""
-        if len(elems) != self.degree:
-            raise InputError("expected %d arguments" % self.degree)
-        basis = self.basis
-        f = basis.field
-        out = basis.zero()
-        paths = basis.paths
-
-        def rec(pos, key, coeff):
-            nonlocal out
-            if pos == len(elems):
-                out = out + self.value(tuple(key)).scale(coeff)
-                return
-            for i, c in elems[pos].coeffs.items():
-                if len(paths[i]) == 1:
-                    continue
-                key.append(paths[i])
-                rec(pos + 1, key, f.mul(coeff, c))
-                key.pop()
-
-        rec(0, [], f.one)
-        return out
+    This is the one entry point for path-keyed cochains, and it checks
+    what the reduced complex needs: every key is a composable tuple of
+    non-trivial basis paths of the right arity, and every value lies in
+    the corner e_{s(g_1)} A e_{t(g_n)} of its key (g_1, ..., g_n).
+    """
+    if degree not in (1, 2, 3):
+        raise InputError("cochain degree must be 1, 2 or 3")
+    q = basis.quiver
+    out = {}
+    for key, value in table.items():
+        # keys are tuples of paths, also in degree 1: (path,)
+        key = tuple(key)
+        if len(key) != degree:
+            raise InputError("cochain key %r has wrong arity" % (key,))
+        for p in key:
+            if p not in basis.index:
+                raise InputError("cochain key path %s is not a basis path"
+                                 % q.path_str(p))
+            if len(p) == 1:
+                raise InputError("cochain keys must be non-trivial paths")
+        for a, b in zip(key, key[1:]):
+            if q.path_target(a) != q.path_source(b):
+                raise InputError("cochain key %s is not composable"
+                                 % " | ".join(q.path_str(p) for p in key))
+        if value.is_zero():
+            continue
+        src = q.path_source(key[0])
+        tgt = q.path_target(key[-1])
+        for i in value.coeffs:
+            if (basis.path_source_of_index(i) != src
+                    or basis.path_target_of_index(i) != tgt):
+                raise InputError(
+                    "value of cochain at %s leaves the corner e_%s A e_%s"
+                    % (" | ".join(q.path_str(p) for p in key),
+                       q.vertices[src], q.vertices[tgt]))
+        out[tuple(basis.index[p] for p in key)] = value.coeffs
+    return FullCochain(basis.dim, degree, basis.field, out)
 
 
 def cochain_from_pairs(basis, pairs):
     """Degree-2 cochain from {(path, path): FreeElement} as parsed from
     cocycle lines of an algebra file."""
-    table = {}
-    for (p1, p2), value in pairs.items():
-        table[(p1, p2)] = basis.normal_form(value)
-    return Cochain(basis, 2, table)
+    return cochain_from_paths(basis, 2, {key: basis.normal_form(value)
+                                         for key, value in pairs.items()})
 
 
 def differential(f, basis):
     """d f in the reduced complex; degree goes up by one.  This is the
-    full differential of the zero extension, on radical indices only."""
+    full differential of f, read on radical indices only."""
     if f.degree >= 3:
         raise InputError("differential supported up to degree 2 inputs")
-    table = _push(extend_to_full(f, basis).table, f.degree,
-                  _reduced_products(basis), basis.field)
-    return Cochain(basis, f.degree + 1,
-                   {tuple(basis.paths[i] for i in key): AlgebraElement(basis, vec)
-                    for key, vec in table.items()})
+    if f.dim != basis.dim:
+        raise InputError("the cochain lives on an algebra of another dimension")
+    return FullCochain(basis.dim, f.degree + 1, basis.field,
+                       _push(f.table, f.degree, _reduced_products(basis), basis.field))
 
 
 def is_cocycle(f, basis):
@@ -265,14 +212,13 @@ def cobound_solve(f, basis):
     solver = SpanSolver(basis.field)
     for tag, image in _reduced_images(basis, 1):
         solver.add(image, tag)
-    combo = solver.express(_flat(extend_to_full(f, basis).table))
+    combo = solver.express(_flat(f.table))
     if combo is None:
         return None
     table = {}
-    for ((x,), i), c in combo.items():
-        key = (basis.paths[x],)
-        table[key] = table.get(key, basis.zero()) + basis.basis_element(i).scale(c)
-    return Cochain(basis, 1, table)
+    for (key, i), c in combo.items():
+        table.setdefault(key, {})[i] = c
+    return FullCochain(basis.dim, 1, basis.field, table)
 
 
 def hh_summary(basis):
@@ -296,10 +242,12 @@ def hh_dimension(basis, n=2):
 
 
 class FullCochain:
-    """Unreduced cochain on a structure-constant algebra.
+    """Cochain on a structure-constant algebra of dimension dim.
 
     Conceptually total on all basis index tuples; stored sparsely as
-    table[(i_1, ..., i_n)] = {j: c} with missing entries zero.
+    table[(i_1, ..., i_n)] = {j: c} with missing entries zero.  A reduced
+    cochain is one that is zero off the composable tuples of radical
+    indices.
     """
 
     def __init__(self, dim, degree, field, table=None):
@@ -370,13 +318,6 @@ class FullCochain:
 
         rec(0, [], f.one)
         return out
-
-
-def extend_to_full(f, basis):
-    """Zero-extend a reduced cochain to the full complex of A."""
-    return FullCochain(basis.dim, f.degree, basis.field,
-                       {tuple(basis.index[p] for p in key): dict(v.coeffs)
-                        for key, v in f.table.items()})
 
 
 def full_differential(F, alg):

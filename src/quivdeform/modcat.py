@@ -3,12 +3,19 @@
 A concrete module is a vector space with one action per basis element
 of a FinDimAlgebra, here the deformed algebra A_f (a DeformedAlgebra)
 or the original algebra A (its base).  The same data can be packaged as
-an uple (M0, M1, T, f_table): two modules over A, an injective
+an uple (M0, M1, T, f_tables): two modules over A, an injective
 intertwiner T : M0 -> M1, and a bilinear correction table measuring how
 far the deformed action is from the undeformed one.  The functor F
 glues an uple into a concrete module on M0 + M1; going back, T is
 recovered as the action of (0, 1), M1 is its kernel, and M0 is a
 deterministic complement.
+
+These one-sided objects are the bimodule objects of the morita module
+with the ground field k (dimension 1, g = 0) as right algebra: a
+LeftModule is a Bimodule over (A, k), an UpleModule a DeformedBimodule
+over (A_f, k), and a MorphismTriple is checked by triple_violations.
+So every identity is checked by the one implementation there, and each
+error here is the first failure it reports.
 
 Every linear map here is a sparse map {column: {row: scalar}} of the
 linalg module (column c is the image of basis vector c), and vectors
@@ -18,9 +25,11 @@ maps.  Module files hold dense rows, which fileio converts.
 
 from .deform import DeformedAlgebra
 from .errors import InputError
-from .linalg import (SpanSolver, _addinto, _clean, _columns, _identity,
-                     _map_rank, _rows, map_apply, map_combine, map_compose,
+from .hochschild import FullCochain
+from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _columns,
+                     _identity, _rows, map_apply, map_combine, map_compose,
                      map_inverse, nullspace)
+from .morita import Bimodule, DeformedBimodule, triple_violations
 
 
 def _checked(amap, rows, cols, field, name):
@@ -37,6 +46,13 @@ def _checked(amap, rows, cols, field, name):
     return out
 
 
+def _ground(field):
+    """The ground field as a 1-dimensional algebra, the right algebra of
+    every module and uple here."""
+    return FinDimAlgebra(field, 1, {(0, 0): {0: field.one}}, {0: field.one}, ["1"],
+                         check=False)
+
+
 def _lower_block(top, low, right, cols0, rows0):
     """The sparse map [[top, 0], [low, right]] whose second block column
     starts at column cols0 and second block row at row rows0."""
@@ -50,45 +66,38 @@ def _lower_block(top, low, right, cols0, rows0):
     return out
 
 
-class LeftModule:
-    """Finite-dimensional left module over a FinDimAlgebra.
+class LeftModule(Bimodule):
+    """Finite-dimensional left module over a FinDimAlgebra: the bimodule
+    over (algebra, k) on which the ground field k acts by scalars.
 
     actions[i] is the sparse map of the i-th basis element on dim
-    coordinates; the unit must act as the identity and composites of the
-    actions must match the structure constants, both checked on every
-    basis pair at construction.
+    coordinates.  Bimodule.violations checks at construction, on every
+    basis pair, that the unit acts as the identity and that composites
+    of the actions match the structure constants.
     """
 
     def __init__(self, algebra, dim, actions, check=True):
-        self.algebra = algebra
-        self.field = algebra.field
+        fld = algebra.field
         if len(actions) != algebra.dim:
             raise InputError("expected %d action maps, got %d"
                              % (algebra.dim, len(actions)))
-        self.dim = dim
-        self.actions = [_checked(a, dim, dim, self.field, "every action map")
-                        for a in actions]
+        actions = [_checked(a, dim, dim, fld, "every action map") for a in actions]
+        super().__init__(algebra, _ground(fld), dim,
+                         {(i, m): col for i, a in enumerate(actions) for m, col in a.items()},
+                         {(m, 0): {m: fld.one} for m in range(dim)}, check=False)
+        self.algebra = algebra
+        self.actions = [self.left_map(i) for i in range(algebra.dim)]
         if check:
             self._validate()
 
     def _validate(self):
-        fld = self.field
-        if self.action_of(self.algebra.unit) != _identity(self.dim, fld):
-            raise InputError("the unit does not act as the identity")
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                lhs = map_compose(self.actions[i], self.actions[j], fld)
-                if lhs != self.action_of(self.algebra.multiply_basis(i, j)):
-                    raise InputError(
-                        "action disagrees with the structure constants at "
-                        "basis pair (%d, %d)" % (i, j))
+        bad = self.violations()
+        if bad:
+            raise InputError(bad[0])
 
     def action_of(self, coeffs):
         """Action map of the algebra element with the given coordinates."""
         return map_combine([(c, self.actions[i]) for i, c in coeffs.items()], self.field)
-
-    def act(self, coeffs, vec):
-        return map_apply(self.action_of(coeffs), vec, self.field)
 
 
 def regular_module(alg):
@@ -98,57 +107,43 @@ def regular_module(alg):
                        for i in range(alg.dim)])
 
 
-class UpleModule:
-    """(M0, M1, T, f_table) over a fixed deformed algebra.
+class UpleModule(DeformedBimodule):
+    """(M0, M1, T, f_tables) over a fixed deformed algebra: the bimodule
+    uple over (A_f, k) whose right correction g_M is zero.
 
     M0 and M1 are modules over the undeformed algebra, T an injective
-    intertwiner M0 -> M1, and f_table[i] the map m -> f_M(a_i, m) from M0
-    to M1, all sparse maps.  The defining condition ties f_table to the
-    cocycle:
+    intertwiner M0 -> M1, and f_tables[i] the map m -> f_M(a_i, m) from
+    M0 to M1, all sparse maps.  The defining condition ties f_tables to
+    the cocycle:
 
         a f_M(b, m) - f_M(ab, m) + f_M(a, bm) - f(a, b) T m = 0
 
-    for all basis elements a, b and all m, checked exhaustively.
+    for all basis elements a, b and all m.  DeformedBimodule checks it
+    exhaustively, with the conditions on T, at construction; M0 and M1
+    were checked as modules when they were built.
     """
 
-    def __init__(self, deformed, m0, m1, t, f_table, check=True):
+    def __init__(self, deformed, m0, m1, t, f_tables, check=True):
         base = deformed.base
         if m0.algebra is not base or m1.algebra is not base:
             raise InputError("uple components must be modules over the "
                              "undeformed algebra")
         fld = base.field
         self.deformed = deformed
-        self.m0 = m0
-        self.m1 = m1
-        self.t = _checked(t, m1.dim, m0.dim, fld, "T")
-        if len(f_table) != base.dim:
-            raise InputError("f_table needs one map per basis element")
-        self.f_table = [_checked(m, m1.dim, m0.dim, fld, "every f_table entry")
-                        for m in f_table]
+        t = _checked(t, m1.dim, m0.dim, fld, "T")
+        if len(f_tables) != base.dim:
+            raise InputError("f_tables needs one map per basis element")
+        f_tables = [_checked(m, m1.dim, m0.dim, fld, "every f_tables entry")
+                    for m in f_tables]
+        super().__init__(base, m0.right_alg, deformed.f, FullCochain(1, 2, fld),
+                         m0, m1, t, f_tables, [{}], check=False)
         if check:
             self._validate()
 
     def _validate(self):
-        base = self.deformed.base
-        fld = base.field
-        m0, m1, t, ftab = self.m0, self.m1, self.t, self.f_table
-        one = fld.one
-        if _map_rank(t, fld) != m0.dim:
-            raise InputError("T is not injective")
-        for i in range(base.dim):
-            if map_compose(m1.actions[i], t, fld) != map_compose(t, m0.actions[i], fld):
-                raise InputError("T does not intertwine the actions")
-        full = self.deformed.full
-        left_t = [map_compose(m1.actions[k], t, fld) for k in range(base.dim)]
-        for i in range(base.dim):
-            for j in range(base.dim):
-                terms = [(one, map_compose(m1.actions[i], ftab[j], fld)),
-                         (one, map_compose(ftab[i], m0.actions[j], fld))]
-                terms += [(fld.neg(c), ftab[k]) for k, c in base.multiply_basis(i, j).items()]
-                terms += [(fld.neg(c), left_t[k]) for k, c in full.value((i, j)).items()]
-                if map_combine(terms, fld):
-                    raise InputError(
-                        "the uple condition fails at basis pair (%d, %d)" % (i, j))
+        bad = self.uple_violations()
+        if bad:
+            raise InputError(bad[0])
 
 
 def regular_uple(deformed):
@@ -156,8 +151,8 @@ def regular_uple(deformed):
     base = deformed.base
     n = base.dim
     reg = regular_module(base)
-    f_table = [_columns([deformed.full.value((i, j)) for j in range(n)]) for i in range(n)]
-    return UpleModule(deformed, reg, reg, _identity(n, base.field), f_table)
+    f_tables = [_columns([deformed.f.value((i, j)) for j in range(n)]) for i in range(n)]
+    return UpleModule(deformed, reg, reg, _identity(n, base.field), f_tables)
 
 
 def functor_F(uple, deformed=None):
@@ -177,7 +172,7 @@ def functor_F(uple, deformed=None):
     actions = []
     for i in range(deformed.dim):
         if i < n:
-            actions.append(_lower_block(uple.m0.actions[i], uple.f_table[i],
+            actions.append(_lower_block(uple.m0.actions[i], uple.f_tables[i],
                                         uple.m1.actions[i], d0, d0))
         else:
             bt = map_compose(uple.m1.actions[i - n], uple.t, fld)
@@ -260,7 +255,7 @@ def reconstruct(mod, deformed=None):
     for j, v in enumerate(t_cols):
         image.add(v, j)
     act0 = []
-    f_table = []
+    f_tables = []
     for i in range(n):
         sol = []
         for v in t_cols:
@@ -275,11 +270,11 @@ def reconstruct(mod, deformed=None):
         m0_part, m1_part = split(diff)
         if m0_part:
             raise InputError("the correction does not land in the kernel")
-        f_table.append(m1_part)
+        f_tables.append(m1_part)
     m0 = LeftModule(base, d0, act0)
 
     _, t_m = split(_columns(t_cols))
-    uple = UpleModule(deformed, m0, m1, t_m, f_table)
+    uple = UpleModule(deformed, m0, m1, t_m, f_tables)
     return Reconstruction(uple, complement, kernel)
 
 
@@ -292,7 +287,8 @@ class MorphismTriple:
 
         u1(a m0) = a u1(m0) - u2(f_M(a, m0)) + f_N(a, u0(m0)),
 
-    all checked on basis elements at construction.
+    all checked on basis elements at construction by triple_violations,
+    which reads the uples as bimodule uples over (A_f, k).
     """
 
     def __init__(self, source, target, u0, u1, u2, check=True):
@@ -308,28 +304,9 @@ class MorphismTriple:
             self._validate()
 
     def _validate(self):
-        u, v = self.source, self.target
-        fld = u.deformed.field
-        u0, u1, u2 = self.u0, self.u1, self.u2
-
-        def compose(a, b):
-            return map_compose(a, b, fld)
-
-        n = u.deformed.n
-        for i in range(n):
-            if compose(v.m0.actions[i], u0) != compose(u0, u.m0.actions[i]):
-                raise InputError("u0 is not a module map")
-            if compose(v.m1.actions[i], u2) != compose(u2, u.m1.actions[i]):
-                raise InputError("u2 is not a module map")
-        if compose(v.t, u0) != compose(u2, u.t):
-            raise InputError("the square with T does not commute")
-        for i in range(n):
-            rhs = map_combine([(fld.one, compose(v.m1.actions[i], u1)),
-                               (fld.neg(fld.one), compose(u2, u.f_table[i])),
-                               (fld.one, compose(v.f_table[i], u0))], fld)
-            if compose(u1, u.m0.actions[i]) != rhs:
-                raise InputError("u1 violates the correction rule at basis "
-                                 "element %d" % i)
+        bad = triple_violations(self.source, self.target, self.u0, self.u1, self.u2)
+        if bad:
+            raise InputError(bad[0])
 
     def is_isomorphism(self):
         src, tgt = self.source, self.target

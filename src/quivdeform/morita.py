@@ -847,16 +847,23 @@ class DeformedBimodule:
         return out
 
     def violations(self):
-        """Every failed uple condition, checked on all basis tuples.  M1 is
-        checked as a bimodule only when it is not M0 itself."""
+        """Every failed uple condition, checked on all basis tuples: M0 and
+        M1 as bimodules (M1 only when it is not M0 itself), then
+        uple_violations."""
+        out = list(self.m0.violations())
+        if self.m1 is not self.m0:
+            out.extend(self.m1.violations())
+        return out + self.uple_violations()
+
+    def uple_violations(self):
+        """Every failed condition on T and the corrections, in order, for
+        M0 and M1 known to be bimodules."""
         fld = self.field
         la, ra = self.left_alg, self.right_alg
         m0, m1, t = self.m0, self.m1, self.t
         ftab, gtab = self.f_tables, self.g_tables
         one, minus = fld.one, fld.neg(fld.one)
-        out = list(m0.violations())
-        if m1 is not m0:
-            out.extend(m1.violations())
+        out = []
         if _map_rank(t, fld) != m0.dim:
             out.append("T is not injective")
         for i in range(la.dim):

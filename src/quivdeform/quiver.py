@@ -394,6 +394,8 @@ class AlgebraElement:
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other):
+        if other.basis is not self.basis:
+            raise InputError("elements belong to a different basis")
         f = self.basis.field
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
@@ -423,6 +425,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
+        if other.basis is not self.basis:
+            raise InputError("elements belong to a different basis")
         b = self.basis
         f = b.field
         out = {}
@@ -536,16 +540,6 @@ def compute_basis(quiver, relations, field, max_degree=30):
     paths = rewrite.standard_monomials(max_degree)
     paths.sort(key=lambda p: (len(p) - 1, p[1:], p[0]))
     return AlgebraBasis(quiver, field, relations, rewrite, paths)
-
-
-def normal_form(x, basis):
-    return basis.normal_form(x)
-
-
-def multiply(a, b, basis):
-    if a.basis is not basis or b.basis is not basis:
-        raise InputError("elements belong to a different basis")
-    return a * b
 
 
 def decompose_unit(basis):

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -8,11 +9,11 @@ from quivdeform.cli import run
 from quivdeform.deform import DeformedAlgebra, algebra_of_basis
 from quivdeform.fileio import (emit_algebra_text, emit_module_text,
                                parse_algebra_text)
-from quivdeform.hochschild import (Cochain, FullCochain, cochain_from_pairs,
-                                   differential, extend_to_full,
+from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
+                                   cochain_from_paths, differential,
                                    full_differential)
 from quivdeform.modcat import LeftModule, regular_module
-from quivdeform.quiver import FreeElement, compute_basis
+from quivdeform.quiver import AlgebraElement, FreeElement, compute_basis
 
 from conftest import data_path, load_basis
 from oracles import brute_associator, brute_deformed_table
@@ -244,11 +245,64 @@ def test_verify_deform_json_lines(capsys):
     assert run(["verify-deform", data_path("two_cycle.alg"),
                 "--report", "json-lines"]) == 0
     _, lines = lines_of(capsys)
-    assert len(lines) == 8
-    for line in lines:
-        name, verdict, detail = line.split("\t")
-        assert verdict == "PASS"
-    assert not any(l.startswith("overall") for l in lines)
+    records = [json.loads(line) for line in lines]  # every line is one JSON object
+    assert [r["name"] for r in records] == [
+        "cocycle", "associativity", "path-products", "relation-identity",
+        "image-condition", "dimension", "relations-vanish", "independence"]
+    for r in records:
+        assert sorted(r) == ["detail", "name", "ok"]
+        assert r["ok"] is True
+        assert isinstance(r["detail"], str) and r["detail"]
+
+
+def shifted_two_cycle(tmp_path):
+    """The two-cycle algebra file with its cocycle moved by the coboundary
+    of e(2) at a2*a1; the image condition fails for the moved cocycle."""
+    af, basis = load_basis("two_cycle.alg")
+    q = af.quiver
+    g = cochain_from_paths(basis, 1, {(q.path_from_arrow_names(["a2", "a1"]),):
+                                      basis.element_from_path(q.trivial_path("2"))})
+    shifted = cochain_from_pairs(basis, af.cocycle_pairs) + differential(g, basis)
+    pairs = {tuple(basis.paths[i] for i in key): AlgebraElement(basis, vec).to_free()
+             for key, vec in shifted.table.items()}
+    path = tmp_path / "shifted.alg"
+    path.write_text(emit_algebra_text(af.field, af.quiver, af.relations,
+                                      cocycle_pairs=pairs))
+    return path
+
+
+def test_verify_deform_checks_each_cocycle_once(tmp_path, capsys, monkeypatch):
+    # the cocycle check and the image condition of a cochain are computed
+    # once and passed on, not redone by the presentation and its checks
+    from quivdeform import deform, hochschild
+    seen = {"is_cocycle": [], "check_image_condition": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            f = args[0] if name == "is_cocycle" else args[1]
+            seen[name].append(f)
+            return fn(*args)
+        return wrapper
+
+    originals = {"is_cocycle": hochschild.is_cocycle,
+                 "check_image_condition": deform.check_image_condition}
+    for module in (cli, deform, hochschild):
+        for name, fn in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, fn))
+    assert run(["verify-deform", data_path("two_cycle.alg")]) == 0
+    assert "image-condition: PASS  holds for the given representative" in capsys.readouterr().out
+    assert [len(v) for v in seen.values()] == [1, 1]
+
+    # when the representative is replaced, each of the cochains involved
+    # (the given one, the new one and their difference) is checked once
+    seen = {name: [] for name in seen}
+    assert run(["verify-deform", str(shifted_two_cycle(tmp_path))]) == 0
+    assert ("image-condition: PASS  restored by a cohomologous representative"
+            in capsys.readouterr().out)
+    assert [len(v) for v in seen.values()] == [3, 2]
+    for cochains in seen.values():
+        assert all(a != b for k, a in enumerate(cochains) for b in cochains[k + 1:])
 
 
 def test_verify_deform_broken_cocycle(tmp_path, capsys):
@@ -269,9 +323,7 @@ def test_verify_deform_broken_cocycle(tmp_path, capsys):
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     labels = [basis.label(i) for i in range(basis.dim)]
     labels += ["t*" + label for label in labels]
-    f_table = {(basis.index[p], basis.index[q]): dict(value.coeffs)
-               for (p, q), value in f.table.items()}
-    table = brute_deformed_table(basis.dim, basis.table, f_table)
+    table = brute_deformed_table(basis.dim, basis.table, f.table)
     triple = [labels.index(name) for name in named.groups()]
     assert brute_associator(table, af.field, *triple)
 
@@ -299,11 +351,12 @@ def test_equiv_coboundary_shift(tmp_path, capsys):
     af, basis = load_basis("two_cycle.alg")
     q = af.quiver
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    g = Cochain(basis, 1, {(q.arrow_path("a1"),):
+    g = cochain_from_paths(basis, 1, {(q.arrow_path("a1"),):
                            basis.element_from_path(q.arrow_path("a1")).scale(
                                basis.field.parse("2"))})
     shifted = f + differential(g, basis)
-    pairs = {key: val.to_free() for key, val in shifted.table.items()}
+    pairs = {tuple(basis.paths[i] for i in key): AlgebraElement(basis, vec).to_free()
+             for key, vec in shifted.table.items()}
     moved = tmp_path / "shifted.alg"
     moved.write_text(emit_algebra_text(af.field, af.quiver, af.relations,
                                        cocycle_pairs=pairs))
@@ -347,10 +400,12 @@ def test_transfer_matrix_two_checks_pass(capsys):
     assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2",
                 "--report", "json-lines"]) == 0
     _, lines = lines_of(capsys)
-    checks = [l for l in lines if "\t" in l]
-    assert [l.split("\t")[0] for l in checks] == \
+    # the table lines of g stay text; the check lines are JSON objects
+    assert all(l.startswith("g(") for l in lines if not l.startswith("{"))
+    checks = [json.loads(l) for l in lines if l.startswith("{")]
+    assert [c["name"] for c in checks] == \
         ["cocycle", "chain-map-phi", "chain-map-psi", "homotopy"]
-    assert all(l.split("\t")[1] == "PASS" for l in checks)
+    assert all(c["ok"] is True for c in checks)
 
 
 def test_transfer_zero_cocycle_prints_zero(capsys):
@@ -398,7 +453,7 @@ def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
 
     alg = algebra_of_basis(basis)
     ctx = morita.matrix_context(alg, 2)
-    f = extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
     g = morita.transfer_phi(ctx, f, 2)
     back = broken_psi(ctx, g, 2)
     df = full_differential(f, alg)
@@ -424,7 +479,7 @@ def test_verify_morita_matrix(capsys):
                 "--matrix", "2", "--report", "json-lines"]) == 0
     _, lines = lines_of(capsys)
     assert len(lines) == 29
-    assert all(l.split("\t")[1] == "PASS" for l in lines)
+    assert all(json.loads(l)["ok"] is True for l in lines)
 
 
 def test_verify_morita_corner(capsys):
@@ -472,7 +527,8 @@ def test_module_roundtrip_rejects_non_module(tmp_path, capsys):
     path.write_text(emit_module_text(4, actions, basis.field))
     assert run(["module-roundtrip", data_path("dual_numbers.alg"),
                 str(path)]) == 2
-    assert "structure constants" in capsys.readouterr().err
+    # a acts as the identity, so a.(a.e_0) = e_0 while (a*a).e_0 = 0
+    assert "left action not associative at (1, 1, 0)" in capsys.readouterr().err
 
 
 def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from quivdeform.deform import DeformedAlgebra
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
 from quivdeform.fileio import emit_module_text, parse_module_text
-from quivdeform.hochschild import Cochain, cochain_from_pairs
+from quivdeform.hochschild import cochain_from_pairs, cochain_from_paths
 from quivdeform.linalg import map_combine, map_compose
 from quivdeform.modcat import (LeftModule, MorphismTriple, UpleModule,
                                compose_triples, functor_F, identity_triple,
@@ -52,7 +52,7 @@ def test_regular_reconstruction_recovers_f(dual_numbers):
     reg = regular_uple(d)
     assert u.m0.actions == reg.m0.actions
     assert u.m1.actions == reg.m1.actions
-    assert u.f_table == reg.f_table  # the correction is the cocycle itself
+    assert u.f_tables == reg.f_tables  # the correction is the cocycle itself
 
 
 def test_zero_module(dual_numbers):
@@ -84,19 +84,19 @@ def test_invalid_modules_rejected(dual_numbers):
     # e(1) is the unit of A_f; acting by zero breaks unitality
     no_unit = list(good)
     no_unit[0] = {}
-    with pytest.raises(InputError, match="unit does not act as the identity"):
+    with pytest.raises(InputError, match="left unit fails at 0"):
         LeftModule(d, d.dim, no_unit)
 
 
 def test_invalid_uples_rejected(dual_numbers):
     d = deformed_of(dual_numbers)
     reg = regular_uple(d)
-    broken_f = perturbed(reg.f_table, 1, 0, 0, Q.one)
+    broken_f = perturbed(reg.f_tables, 1, 0, 0, Q.one)
     with pytest.raises(InputError):
         UpleModule(d, reg.m0, reg.m1, reg.t, broken_f)
     flat_t = {}
     with pytest.raises(InputError):
-        UpleModule(d, reg.m0, reg.m1, flat_t, reg.f_table)
+        UpleModule(d, reg.m0, reg.m1, flat_t, reg.f_tables)
 
 
 def random_uple(d, rng):
@@ -118,7 +118,7 @@ def random_uple(d, rng):
     for i in range(d.n):
         delta = map_compose(u.m1.actions[i], s, fld)
         move = map_compose(s, u.m0.actions[i], fld)
-        new_f.append(map_combine([(c, u.f_table[i]), (fld.one, delta),
+        new_f.append(map_combine([(c, u.f_tables[i]), (fld.one, delta),
                                   (fld.neg(fld.one), move)], fld))
     return UpleModule(d, u.m0, u.m1, new_t, new_f)
 
@@ -224,9 +224,9 @@ def test_submodule_of_regular_two_cycle(two_cycle):
 
 def test_functor_respects_zero_cocycle(two_cycle):
     af, basis = two_cycle
-    d0 = DeformedAlgebra(basis, Cochain(basis, 2, {}))
+    d0 = DeformedAlgebra(basis, cochain_from_paths(basis, 2, {}))
     reg = regular_uple(d0)
-    assert all(m == {} for m in reg.f_table)
+    assert all(m == {} for m in reg.f_tables)
     assert functor_F(reg).actions == regular_module(d0).actions
 
 
@@ -242,7 +242,7 @@ def raw_module(mod):
 
 
 def raw_uple(u):
-    f_m = {(i, m): col for i, tab in enumerate(u.f_table) for m, col in tab.items()}
+    f_m = {(i, m): col for i, tab in enumerate(u.f_tables) for m, col in tab.items()}
     return raw_module(u.m0), raw_module(u.m1), u.t, f_m
 
 
@@ -256,30 +256,30 @@ def module_verdict(alg, dim, actions):
     except InputError as exc:
         assert defects, exc
         kind, key = defects[0]
-        if kind == "unit":
-            assert str(exc) == "the unit does not act as the identity"
-        else:
-            assert str(exc).endswith("at basis pair (%d, %d)" % key[:2]), (exc, key)
+        message = {"unit": "left unit fails at %d",
+                   "assoc": "left action not associative at (%d, %d, %d)"}[kind]
+        assert str(exc) == message % key, (exc, key)
         return False
     assert not defects
     return True
 
 
-def uple_verdict(d, m0, m1, t, f_table):
+def uple_verdict(d, m0, m1, t, f_tables):
     """UpleModule accepts exactly the data the oracle finds no defect in,
-    and its error names the first defect."""
+    and its error names the first defect by the labels of its basis
+    elements."""
     defects = brute_left_uple_defects(
-        raw_alg(d.base), d.full.table, raw_module(m0), raw_module(m1), t,
-        {(i, m): col for i, tab in enumerate(f_table) for m, col in tab.items()}, d.field)
+        raw_alg(d.base), d.f.table, raw_module(m0), raw_module(m1), t,
+        {(i, m): col for i, tab in enumerate(f_tables) for m, col in tab.items()}, d.field)
     try:
-        UpleModule(d, m0, m1, t, f_table)
+        UpleModule(d, m0, m1, t, f_tables)
     except InputError as exc:
         assert defects, exc
         kind, key = defects[0]
         message = {"injective": "T is not injective",
-                   "intertwine": "T does not intertwine the actions",
-                   "correction": "the uple condition fails at basis pair (%d, %d)"}[kind]
-        assert str(exc) == (message % key if kind == "correction" else message), \
+                   "intertwine": "T does not intertwine the left action of %s",
+                   "correction": "left correction fails at (%s, %s)"}[kind]
+        assert str(exc) == message % tuple(d.base.labels[i] for i in key), \
             (exc, defects[0])
         return False
     assert not defects
@@ -310,7 +310,8 @@ def triple_verdict(src, tgt, u0, u1, u2):
     except InputError as exc:
         assert defects, exc
         if "correction rule" in str(exc):
-            assert str(exc).endswith("element %d" % defects[0][0]), (exc, defects[0])
+            assert str(exc) == ("left correction rule fails for %s"
+                                % src.deformed.base.labels[defects[0][0]]), (exc, defects[0])
         return False
     assert not defects
     return True
@@ -340,16 +341,16 @@ def test_uples_agree_with_the_oracle(dual_numbers, two_cycle, triangle, quantum_
         d = deformed_of(fixture)
         n = d.n
         for u in (regular_uple(d), random_uple(d, rng)):
-            assert uple_verdict(d, u.m0, u.m1, u.t, u.f_table)
+            assert uple_verdict(d, u.m0, u.m1, u.t, u.f_tables)
             # some perturbed entries still give an uple (f_M may move by a
             # coboundary), so the verdicts must agree and reject at least one
             ends0, ends1 = {0, u.m0.dim - 1}, {0, u.m1.dim - 1}
-            verdicts = [uple_verdict(d, u.m0, u.m1, u.t, perturbed(u.f_table, i, c, r, Q.one))
+            verdicts = [uple_verdict(d, u.m0, u.m1, u.t, perturbed(u.f_tables, i, c, r, Q.one))
                         for i in range(n) for c in ends0 for r in ends1]
             assert not all(verdicts)
             # T with its first column killed is not injective
             killed = {c: col for c, col in u.t.items() if c != 0}
-            assert not uple_verdict(d, u.m0, u.m1, killed, u.f_table)
+            assert not uple_verdict(d, u.m0, u.m1, killed, u.f_tables)
             # T followed by an invertible map of M1 (an elementary one, which
             # need not be A-linear)
             verdicts = []
@@ -357,7 +358,7 @@ def test_uples_agree_with_the_oracle(dual_numbers, two_cycle, triangle, quantum_
                 twist = {k: {k: Q.one} for k in range(u.m1.dim)}
                 twist[c] = {c: Q.one, r: Q.one}
                 verdicts.append(uple_verdict(d, u.m0, u.m1, map_compose(twist, u.t, Q),
-                                             u.f_table))
+                                             u.f_tables))
             assert not all(verdicts)
 
 

@@ -8,8 +8,7 @@ from quivdeform.errors import (CharTwoUnsupported, InputError,
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
-                                   extend_to_full, full_differential,
-                                   is_full_cocycle)
+                                   full_differential, is_full_cocycle)
 from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
                                algebra_generators, algebra_of_basis,
@@ -37,7 +36,7 @@ def structure_algebra(fixture):
 
 def golden_cochain(fixture):
     af, basis = fixture
-    return extend_to_full(cochain_from_pairs(basis, af.cocycle_pairs), basis)
+    return cochain_from_pairs(basis, af.cocycle_pairs)
 
 
 def vertex_idempotent(fixture, name):
@@ -387,7 +386,7 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
     basis2 = compute_basis(af.quiver, af.relations, F2)
     alg2 = algebra_of_basis(basis2)
     ctx2 = identity_context(alg2)
-    f2 = extend_to_full(cochain_from_pairs(basis2, af.cocycle_pairs), basis2)
+    f2 = cochain_from_pairs(basis2, af.cocycle_pairs)
     with pytest.raises(CharTwoUnsupported):
         build_hat_P(ctx2, f2)
     with pytest.raises(CharTwoUnsupported):
@@ -623,7 +622,7 @@ def test_verify_over_f7(dual_numbers):
     af7 = parse_algebra_file(data_path("dual_numbers.alg"), field_override=F7)
     basis7 = compute_basis(af7.quiver, af7.relations, F7)
     alg7 = algebra_of_basis(basis7)
-    f7 = extend_to_full(cochain_from_pairs(basis7, af7.cocycle_pairs), basis7)
+    f7 = cochain_from_pairs(basis7, af7.cocycle_pairs)
     report = verify_morita_deformed(matrix_context(alg7, 2), f7)
     assert all_pass(report) == []
 
