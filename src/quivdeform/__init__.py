@@ -14,8 +14,8 @@ from .deform import (DeformedAlgebra, Equivalence, Presentation,
                      deformed_multiply, hat_f, interreduce_presentation,
                      normalize_cocycle, verify_presentation)
 from .errors import (CharTwoUnsupported, ComputationError, EpsilonUnresolvable,
-                     InputError, NormalizationFailed, NotFiniteDimensional,
-                     NotFullIdempotent)
+                     InputError, NormalizationFailed, NotACocycle,
+                     NotFiniteDimensional, NotFullIdempotent)
 from .fields import Field
 from .fileio import (AlgebraFile, emit_algebra_text, emit_dot,
                      parse_algebra_file, parse_algebra_text, parse_expression,
@@ -39,7 +39,7 @@ __all__ = [
     "ComputationError", "DeformedAlgebra", "EpsilonUnresolvable",
     "Equivalence", "Field", "FinDimAlgebra", "FreeElement", "FullCochain",
     "InputError", "LeftModule", "MoritaContext", "MorphismTriple",
-    "NormalizationFailed", "NotFiniteDimensional", "NotFullIdempotent",
+    "NormalizationFailed", "NotACocycle", "NotFiniteDimensional", "NotFullIdempotent",
     "Presentation", "Quiver", "UpleModule",
     "algebra_of_basis", "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",

@@ -20,9 +20,9 @@ computation in verify_presentation.
 """
 
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
-                     NormalizationFailed)
-from .hochschild import (cobound_solve, cochain_from_paths, is_cocycle,
-                         is_full_cocycle)
+                     NormalizationFailed, NotACocycle)
+from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
+                         is_cocycle, is_full_cocycle)
 from .linalg import FinDimAlgebra, SpanSolver, rank
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
                      relation_endpoints)
@@ -78,6 +78,7 @@ class DeformedAlgebra(FinDimAlgebra):
     def __init__(self, basis, f, check_cocycle=True):
         if f.degree != 2 or f.dim != basis.dim:
             raise InputError("deformation needs a degree-2 cochain on this algebra")
+        check_reduced(f, basis)
         if check_cocycle and not is_cocycle(f, basis):
             raise InputError("not a 2-cocycle; the deformed product would "
                              "not be associative")
@@ -193,6 +194,7 @@ class ImageConditionReport:
 
 def check_image_condition(basis, f):
     """Is every value of f expressible through hat_f of ideal elements?"""
+    check_reduced(f, basis)
     solver = _hat_multiple_span(basis, f)
     witnesses = {}
     failing = []
@@ -219,14 +221,6 @@ def _arrow_cuts(q, p):
             right = (q.arrows[a][2],)
         out.append((left, a, right))
     return out
-
-
-def _radical_expansion(elem, basis):
-    for i in elem.coeffs:
-        if len(basis.paths[i]) == 1:
-            raise InputError("product of radical elements left the radical; "
-                             "relations must be admissible")
-    return elem
 
 
 def _transported_cocycle(basis, f):
@@ -261,8 +255,9 @@ def _transported_cocycle(basis, f):
             e2 = basis.element_from_path(w2)
             chain = []
             chain += scale_chain(one_chains(w2), fld.one, left=e1)
-            prod = _radical_expansion(e1 * e2, basis)
-            for i, c in prod.coeffs.items():
+            # admissible relations keep e1 * e2 in the radical; for
+            # others the is_cocycle check of normalize_cocycle refuses
+            for i, c in (e1 * e2).coeffs.items():
                 chain += scale_chain(one_chains(basis.paths[i]), fld.neg(c))
             chain += scale_chain(one_chains(w1), fld.one, right=e2)
             # push each term a (x) arrow (x) b through the relation-spanned
@@ -318,19 +313,11 @@ class EpsilonEntry:
         self.witness = witness  # arrow name, or {relation index: scalar}
 
 
-class EpsilonTable:
-    def __init__(self, entries):
-        self.entries = entries  # vertex id -> EpsilonEntry
-
-    def __getitem__(self, vertex_id):
-        return self.entries[vertex_id]
-
-
 class Presentation:
     """Quiver presentation of a deformed algebra."""
 
     def __init__(self, quiver, relations, origins, hat_names, epsilon,
-                 dashed, extended):
+                 dashed, extended, cocycle):
         self.quiver = quiver
         self.relations = relations
         self.origins = origins
@@ -338,6 +325,7 @@ class Presentation:
         self.epsilon = epsilon
         self.dashed = dashed            # names of the added loops
         self.extended = extended        # multiples appended to the relation set
+        self.cocycle = cocycle          # the representative presented
         for r in relations:
             relation_endpoints(r)
 
@@ -349,22 +337,17 @@ def _hat_free(elem, quiver_f, field):
 
 
 def build_presentation(basis, f):
-    """Quiver and relations presenting the deformed algebra.
+    """Quiver and relations presenting the deformed algebra of the
+    2-cocycle f; raises NotACocycle for any other cochain.
 
-    Needs a 2-cocycle whose image condition holds; raises InputError
-    otherwise (normalize first).  Returns (Presentation, EpsilonTable).
+    The presentation needs the image condition.  When f fails it, the
+    cohomologous representative of normalize_cocycle is presented
+    instead, and pres.cocycle says which cocycle was presented.
+    Returns (Presentation, {vertex id: EpsilonEntry}).
     """
     if not is_cocycle(f, basis):
-        raise InputError("build_presentation expects a 2-cocycle")
-    if not check_image_condition(basis, f).ok:
-        raise InputError("the cocycle's image escapes the span of lifted "
-                         "ideal elements; apply normalize_cocycle first")
-    return _presentation(basis, f)
-
-
-def _presentation(basis, f):
-    """build_presentation for a 2-cocycle f whose image condition is
-    known to hold, as normalize_cocycle returns one."""
+        raise NotACocycle("the cochain does not satisfy d^2 f = 0")
+    f = normalize_cocycle(basis, f)
     q = basis.quiver
     fld = basis.field
     image_span = SpanSolver(fld)
@@ -391,10 +374,10 @@ def _presentation(basis, f):
     extended = []
 
     # resolve the square-zero element at each covered vertex
-    entries = {}
+    epsilon = {}
     for vi in range(len(q.vertices)):
         if vi in loop_names:
-            entries[q.vertices[vi]] = EpsilonEntry(
+            epsilon[q.vertices[vi]] = EpsilonEntry(
                 "arrow",
                 FreeElement.from_path(quiver_f, fld,
                                       quiver_f.arrow_path(loop_names[vi])),
@@ -432,8 +415,7 @@ def _presentation(basis, f):
         elem = FreeElement.zero(quiver_f, fld)
         for k, c in combo.items():
             elem = elem + _hat_free(relations[k], quiver_f, fld).scale(c)
-        entries[q.vertices[vi]] = EpsilonEntry("combination", elem, combo)
-    epsilon = EpsilonTable(entries)
+        epsilon[q.vertices[vi]] = EpsilonEntry("combination", elem, combo)
 
     rels_f = []
     origins = []
@@ -462,7 +444,7 @@ def _presentation(basis, f):
 
     pres = Presentation(quiver_f, rels_f, origins, hat_names, epsilon,
                         set(loop_names.values()),
-                        [relations[i] for i in extended])
+                        [relations[i] for i in extended], f)
     return pres, epsilon
 
 
@@ -477,7 +459,7 @@ def interreduce_presentation(pres, field, max_degree=30):
         rels.append(FreeElement.from_path(pres.quiver, field, w) - rs.rules[w])
     return Presentation(pres.quiver, rels, ["interreduced"] * len(rels),
                         pres.hat_names, pres.epsilon, pres.dashed,
-                        pres.extended)
+                        pres.extended, pres.cocycle)
 
 
 def _pi_map(deformed, pres):
@@ -513,18 +495,16 @@ def _pi_map(deformed, pres):
     return pi_free
 
 
-def verify_presentation(basis, f, pres, max_degree=30):
-    """Three independent checks that the presentation is correct.
+def verify_presentation(deformed, pres, max_degree=30):
+    """Three independent checks that pres presents the DeformedAlgebra
+    deformed, whose cocycle must be the one pres was built for.
 
     Returns a list of (name, passed, detail) triples: the dimension
     count, vanishing of the relations under evaluation, and linear
     independence of the evaluated basis candidates.
     """
-    return _verify_presentation(DeformedAlgebra(basis, f), pres, max_degree)
-
-
-def _verify_presentation(deformed, pres, max_degree):
-    """verify_presentation over A_f for a cocycle f already checked."""
+    if deformed.f != pres.cocycle:
+        raise InputError("the presentation was built for another cocycle")
     basis = deformed.basis
     fld = basis.field
     checks = []

@@ -10,6 +10,10 @@ class InputError(Exception):
     pass
 
 
+class NotACocycle(InputError):
+    """A cochain given where a 2-cocycle is needed has d f != 0."""
+
+
 class ComputationError(Exception):
     @property
     def name(self):

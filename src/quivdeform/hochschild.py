@@ -11,7 +11,9 @@ determined by its values on composable n-tuples of non-trivial basis
 paths, and the value on (g_1, ..., g_n) must land in the corner
 e_{s(g_1)} A e_{t(g_n)}.  Such a cochain is the FullCochain that is
 zero off those tuples.  Path-keyed input enters through
-`cochain_from_paths`, which checks exactly these conditions.
+`cochain_from_paths`, which checks exactly these conditions, and every
+reduced computation checks them on its index-keyed input first
+(`check_reduced`), since it reads only those tuples.
 
 So one differential serves both: `_push` sends a table forward from
 its support, with left and right products by basis elements for the
@@ -136,6 +138,42 @@ def _reduced_images(basis, n):
             yield (key, i), _flat(_push({key: {i: fld.one}}, n, products, fld))
 
 
+def _check_entry(basis, key, indices):
+    """Refuse a reduced-complex entry: key must be a composable tuple of
+    radical basis indices and every index of its value must lie in the
+    corner e_{s(g_1)} A e_{t(g_n)} of the key (g_1, ..., g_n)."""
+    for i in key:
+        if not (isinstance(i, int) and 0 <= i < basis.dim):
+            raise InputError("cochain key %r is not a tuple of basis indices"
+                             % (key,))
+        if len(basis.paths[i]) == 1:
+            raise InputError("cochain keys must be non-trivial paths")
+    for a, b in zip(key, key[1:]):
+        if basis.path_target_of_index(a) != basis.path_source_of_index(b):
+            raise InputError("cochain key %s is not composable"
+                             % " | ".join(basis.label(i) for i in key))
+    src = basis.path_source_of_index(key[0])
+    tgt = basis.path_target_of_index(key[-1])
+    for i in indices:
+        if (basis.path_source_of_index(i) != src
+                or basis.path_target_of_index(i) != tgt):
+            raise InputError(
+                "value of cochain at %s leaves the corner e_%s A e_%s"
+                % (" | ".join(basis.label(i) for i in key),
+                   basis.quiver.vertices[src], basis.quiver.vertices[tgt]))
+
+
+def check_reduced(f, basis):
+    """Raise InputError unless f is a cochain of the reduced complex of
+    basis: zero off the composable tuples of radical indices, with each
+    value in the corner of its key.  Every reduced computation reads
+    only those tuples, so it calls this first."""
+    if f.dim != basis.dim:
+        raise InputError("the cochain lives on an algebra of another dimension")
+    for key, vec in f.table.items():
+        _check_entry(basis, key, vec)
+
+
 def cochain_from_paths(basis, degree, table):
     """The cochain of degree 1, 2 or 3 whose value at a tuple of basis
     paths is the AlgebraElement table[paths], keyed by basis indices.
@@ -158,24 +196,10 @@ def cochain_from_paths(basis, degree, table):
             if p not in basis.index:
                 raise InputError("cochain key path %s is not a basis path"
                                  % q.path_str(p))
-            if len(p) == 1:
-                raise InputError("cochain keys must be non-trivial paths")
-        for a, b in zip(key, key[1:]):
-            if q.path_target(a) != q.path_source(b):
-                raise InputError("cochain key %s is not composable"
-                                 % " | ".join(q.path_str(p) for p in key))
-        if value.is_zero():
-            continue
-        src = q.path_source(key[0])
-        tgt = q.path_target(key[-1])
-        for i in value.coeffs:
-            if (basis.path_source_of_index(i) != src
-                    or basis.path_target_of_index(i) != tgt):
-                raise InputError(
-                    "value of cochain at %s leaves the corner e_%s A e_%s"
-                    % (" | ".join(q.path_str(p) for p in key),
-                       q.vertices[src], q.vertices[tgt]))
-        out[tuple(basis.index[p] for p in key)] = value.coeffs
+        key = tuple(basis.index[p] for p in key)
+        _check_entry(basis, key, value.coeffs)
+        if not value.is_zero():
+            out[key] = value.coeffs
     return FullCochain(basis.dim, degree, basis.field, out)
 
 
@@ -191,8 +215,7 @@ def differential(f, basis):
     full differential of f, read on radical indices only."""
     if f.degree >= 3:
         raise InputError("differential supported up to degree 2 inputs")
-    if f.dim != basis.dim:
-        raise InputError("the cochain lives on an algebra of another dimension")
+    check_reduced(f, basis)
     return FullCochain(basis.dim, f.degree + 1, basis.field,
                        _push(f.table, f.degree, _reduced_products(basis), basis.field))
 

@@ -251,7 +251,7 @@ def test_criterion_5_presentation_checks():
         for tag, coc in (("f", normalize_cocycle(basis, f)),
                          ("0", cochain_from_paths(basis, 2, {}))):
             pres, _ = build_presentation(basis, coc)
-            for check, ok, detail in verify_presentation(basis, coc, pres, 30):
+            for check, ok, detail in verify_presentation(DeformedAlgebra(basis, coc), pres, 30):
                 if not ok:
                     failures.append("%s[%s]: %s (%s)" % (name, tag, check, detail))
     report(5, "presentation checks on examples and on f = 0", failures)

@@ -11,7 +11,7 @@ from quivdeform.deform import (DeformedAlgebra, Presentation,
                                deformation_equivalence, deformed_multiply,
                                hat_f, interreduce_presentation,
                                normalize_cocycle, verify_presentation)
-from quivdeform.errors import InputError
+from quivdeform.errors import InputError, NotACocycle
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file, parse_algebra_text
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
@@ -338,7 +338,7 @@ def test_presentation_dual_numbers(dual_numbers):
     expected = relations_from("a^*a^*a^*a^", pres.quiver)
     assert len(pres.relations) == 1
     assert same_ideal(pres.quiver, pres.relations, expected, Q)
-    checks = verify_presentation(basis, f, pres)
+    checks = verify_presentation(DeformedAlgebra(basis, f), pres)
     assert all(ok for _, ok, _ in checks)
 
 
@@ -358,7 +358,7 @@ def test_presentation_two_cycle(two_cycle):
     assert same_ideal(pres.quiver, pres.relations, expected, Q)
     basis_f = compute_basis(pres.quiver, pres.relations, Q, 30)
     assert basis_f.dim == 10
-    checks = verify_presentation(basis, f, pres)
+    checks = verify_presentation(DeformedAlgebra(basis, f), pres)
     assert all(ok for _, ok, _ in checks)
 
 
@@ -378,7 +378,7 @@ def test_presentation_triangle(triangle):
            a1^*a2^ - a3^*e^3""", pres.quiver)
     assert same_ideal(pres.quiver, pres.relations, expected, Q)
     assert compute_basis(pres.quiver, pres.relations, Q, 30).dim == 12
-    checks = verify_presentation(basis, f, pres)
+    checks = verify_presentation(DeformedAlgebra(basis, f), pres)
     assert all(ok for _, ok, _ in checks)
 
 
@@ -396,7 +396,7 @@ def test_presentation_quantum_plane(quantum_plane):
            a^*b^ + b^*a^ - b^*a^*e^1""", pres.quiver)
     assert same_ideal(pres.quiver, pres.relations, expected, Q)
     assert compute_basis(pres.quiver, pres.relations, Q, 30).dim == 8
-    checks = verify_presentation(basis, f, pres)
+    checks = verify_presentation(DeformedAlgebra(basis, f), pres)
     assert all(ok for _, ok, _ in checks)
 
 
@@ -406,7 +406,7 @@ def test_presentation_zero_cocycle(two_cycle):
     pres, eps = build_presentation(basis, zero)
     assert pres.dashed == {"e^1", "e^2"}
     assert compute_basis(pres.quiver, pres.relations, Q, 30).dim == 2 * basis.dim
-    checks = verify_presentation(basis, zero, pres)
+    checks = verify_presentation(DeformedAlgebra(basis, zero), pres)
     assert all(ok for _, ok, _ in checks)
 
 
@@ -416,16 +416,24 @@ def test_presentation_precondition(two_cycle):
     f = the_cocycle(af, basis)
     tweak = cochain_from_paths(basis, 2, {(q.arrow_path("a2"), q.arrow_path("a1")):
                                basis.element_from_path(q.trivial_path("2"))})
-    with pytest.raises(InputError):
-        build_presentation(basis, f + tweak)  # not a cocycle
-    # a cocycle whose image condition fails is refused, not presented
+    with pytest.raises(NotACocycle):
+        build_presentation(basis, f + tweak)
+    pres, _ = build_presentation(basis, f)
+    assert pres.cocycle is f
+    # a cocycle whose image condition fails is not presented itself: the
+    # presentation is of the representative normalize_cocycle gives
     g = cochain_from_paths(basis, 1, {(q.path_from_arrow_names(["a2", "a1"]),):
                                       basis.element_from_path(q.trivial_path("2"))})
     moved = f + differential(g, basis)
     assert not check_image_condition(basis, moved).ok
-    with pytest.raises(InputError, match="apply normalize_cocycle first"):
-        build_presentation(basis, moved)
-    build_presentation(basis, normalize_cocycle(basis, moved))
+    pres, _ = build_presentation(basis, moved)
+    assert pres.cocycle == normalize_cocycle(basis, moved) != moved
+    assert check_image_condition(basis, pres.cocycle).ok
+    assert all(ok for _, ok, _ in
+               verify_presentation(DeformedAlgebra(basis, pres.cocycle), pres))
+    # and it is checked against A_f of that representative only
+    with pytest.raises(InputError, match="another cocycle"):
+        verify_presentation(DeformedAlgebra(basis, moved), pres)
 
 
 def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
@@ -435,9 +443,10 @@ def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
     qf = pres.quiver
     extra = FreeElement.from_path(qf, Q, qf.arrow_path("a1^"))
     bigger = Presentation(qf, pres.relations + [extra], pres.origins + ["extra:a1^"],
-                          pres.hat_names, pres.epsilon, pres.dashed, pres.extended)
+                          pres.hat_names, pres.epsilon, pres.dashed, pres.extended,
+                          pres.cocycle)
     checks = {name: (ok, detail) for name, ok, detail
-              in verify_presentation(basis, f, bigger)}
+              in verify_presentation(DeformedAlgebra(basis, f), bigger)}
     ok, detail = checks["relations-vanish"]
     assert not ok
     n = len(bigger.relations)

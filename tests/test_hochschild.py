@@ -84,6 +84,34 @@ def test_bad_keys_rejected(two_cycle):
         cochain_from_paths(basis, 4, {})
 
 
+def test_reduced_layer_refuses_cochains_off_the_reduced_support(dual_numbers, two_cycle):
+    from quivdeform.deform import DeformedAlgebra, check_image_condition
+    af, basis = dual_numbers
+    e, a = basis.index[(0,)], basis.index[(0, 0)]
+    # f(e, a) = a is zero on the reduced tuples, but d f (e, e, a) = a in
+    # the full complex: reading it as reduced would call it a cocycle and
+    # build a non-associative A_f
+    f = FullCochain(basis.dim, 2, Q, {(e, a): {a: Q.one}})
+    assert not is_full_cocycle(f, algebra_of_basis(basis))
+    calls = (lambda: differential(f, basis), lambda: is_cocycle(f, basis),
+             lambda: cobound_solve(f, basis), lambda: DeformedAlgebra(basis, f),
+             lambda: DeformedAlgebra(basis, f, check_cocycle=False),
+             lambda: check_image_condition(basis, f))
+    for call in calls:
+        with pytest.raises(InputError, match="cochain keys must be non-trivial paths"):
+            call()
+    af, basis = two_cycle
+    q = af.quiver
+    a1, a2 = basis.index[q.arrow_path("a1")], basis.index[q.arrow_path("a2")]
+    e1 = basis.index[q.trivial_path("1")]
+    with pytest.raises(InputError, match="is not composable"):
+        is_cocycle(FullCochain(basis.dim, 2, Q, {(a2, a2): {e1: Q.one}}), basis)
+    with pytest.raises(InputError, match=r"value of cochain at a1 \| a2 leaves the corner"):
+        is_cocycle(FullCochain(basis.dim, 2, Q, {(a1, a2): {a1: Q.one}}), basis)
+    with pytest.raises(InputError, match="is not a tuple of basis indices"):
+        is_cocycle(FullCochain(basis.dim, 2, Q, {(a1, basis.dim): {e1: Q.one}}), basis)
+
+
 def test_semisimple_has_no_reduced_cochains():
     q = Quiver(["1"], [])
     basis = compute_basis(q, [], Q, max_degree=5)
