@@ -274,11 +274,17 @@ def cmd_transfer(args):
     g = transfer_phi(ctx, f, 2)
 
     labels = ctx.b.labels
-    if g.is_zero():
-        print("g = 0")
-    for key in sorted(g.table):
-        print("g(%s, %s) = %s" % (labels[key[0]], labels[key[1]],
-                                  _vec_str(g.table[key], labels, ctx.field)))
+    if args.report == "json-lines":
+        import json
+        for key in sorted(g.table):
+            print(json.dumps({"g": [labels[i] for i in key],
+                              "value": _vec_str(g.table[key], labels, ctx.field)}))
+    else:
+        if g.is_zero():
+            print("g = 0")
+        for key in sorted(g.table):
+            print("g(%s, %s) = %s" % (labels[key[0]], labels[key[1]],
+                                      _vec_str(g.table[key], labels, ctx.field)))
 
     checks = []
     checks.append(("cocycle", is_full_cocycle(g, ctx.b), "d^2 g = 0 on B"))

@@ -58,13 +58,22 @@ def _deformed_constants(alg, F):
 
 
 def deform_structure_algebra(alg, f):
-    """A_f for a full 2-cocycle f on a FinDimAlgebra; the associativity
-    and unit validation re-proves the cocycle condition."""
+    """A_f for a full 2-cocycle f on an associative FinDimAlgebra.
+
+    The associator of A_f is (0, -d f) on the basis triples of alg, so
+    A_f is associative exactly when d f = 0: the cocycle check is the
+    associativity proof, and the associativity over all basis triples of
+    A_f is not checked a second time.  The unit is: a full cocycle need
+    not be normalised (f(x, y) = c xy with c != 0 is one), and then (1, 0)
+    is not the unit of A_f."""
     if f.degree != 2 or f.dim != alg.dim:
         raise InputError("deformation needs a 2-cochain on the same algebra")
     if not is_full_cocycle(f, alg):
         raise InputError("the cochain is not a Hochschild 2-cocycle")
-    return FinDimAlgebra(alg.field, 2 * alg.dim, *_deformed_constants(alg, f))
+    deformed = FinDimAlgebra(alg.field, 2 * alg.dim, *_deformed_constants(alg, f),
+                             check=False)
+    deformed.check_unit()
+    return deformed
 
 
 class DeformedAlgebra(FinDimAlgebra):

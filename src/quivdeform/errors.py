@@ -38,3 +38,8 @@ class EpsilonUnresolvable(ComputationError):
 
 class NormalizationFailed(ComputationError):
     pass
+
+
+class SizeLimitExceeded(ComputationError):
+    """The estimated size of a construction is above a fixed limit, so it
+    is refused before any work starts."""

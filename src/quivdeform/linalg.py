@@ -22,7 +22,8 @@ that expresses a member, which is what the witness-producing checks need.
 
 FinDimAlgebra is the one structure-constant algebra type: a path-algebra
 quotient, its deformation A_f, a matrix amplification and a corner
-algebra all live in it.
+algebra all live in it.  Each one computes its generating set once, on
+first use, for the checks that prove identities on generators.
 """
 
 from .errors import InputError
@@ -283,6 +284,7 @@ class FinDimAlgebra:
         self.labels = list(labels) if labels else ["x%d" % i for i in range(dim)]
         if len(self.labels) != dim:
             raise InputError("expected %d basis labels" % dim)
+        self._generators = None
         if check:
             self._validate()
 
@@ -296,6 +298,36 @@ class FinDimAlgebra:
             for j, cj in y.items():
                 _addinto(fld, out, self.multiply_basis(i, j), fld.mul(ci, cj))
         return out
+
+    def generators(self):
+        """Basis indices that generate the algebra as a unital algebra,
+        in increasing order; computed on the first call and kept.
+
+        Greedy: scans the basis in order and keeps each basis element
+        outside the unital subalgebra generated so far, so every basis
+        element is a combination of words in the kept ones and 1.  That
+        subalgebra is the span of the words, grown by multiplying each
+        new word on the left by every generator."""
+        if self._generators is None:
+            fld = self.field
+            span = SpanSolver(fld)
+            words, gens = [], []
+
+            def close(queue):
+                while queue:
+                    word = queue.pop()
+                    if span.add(word):
+                        words.append(word)
+                        queue.extend(self.mul({g: fld.one}, word) for g in gens)
+
+            close([dict(self.unit)])
+            for i in range(self.dim):
+                e = {i: fld.one}
+                if not span.contains(e):
+                    gens.append(i)
+                    close([self.mul(e, w) for w in words])
+            self._generators = gens
+        return self._generators
 
     def associativity_witness(self):
         """The first basis triple (i, j, k) with (x_i x_j) x_k != x_i (x_j x_k),
@@ -330,12 +362,17 @@ class FinDimAlgebra:
                         return (i, j, k)
         return None
 
-    def _validate(self):
+    def check_unit(self):
+        """Raise InputError naming the first basis element on which the
+        unit does not act as the identity from both sides."""
         fld = self.field
         for i in range(self.dim):
             e = {i: fld.one}
             if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
                 raise InputError("unit fails on basis element %s" % self.labels[i])
+
+    def _validate(self):
+        self.check_unit()
         bad = self.associativity_witness()
         if bad is not None:
             raise InputError("product is not associative at (%s, %s, %s)"

@@ -71,9 +71,10 @@ class LeftModule(Bimodule):
     over (algebra, k) on which the ground field k acts by scalars.
 
     actions[i] is the sparse map of the i-th basis element on dim
-    coordinates.  Bimodule.violations checks at construction, on every
-    basis pair, that the unit acts as the identity and that composites
-    of the actions match the structure constants.
+    coordinates.  Bimodule.violations checks at construction that the
+    unit acts as the identity and that the action of each generator of
+    the algebra, composed with that of each basis element, matches the
+    structure constants, which proves it for all pairs.
     """
 
     def __init__(self, algebra, dim, actions, check=True):

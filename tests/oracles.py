@@ -14,7 +14,10 @@ indices, its associativity by multiplying out every basis triple, and
 primality by trial division.  The bimodule and bimodule-uple axioms,
 and the axioms of left modules, left uples and their morphisms, are
 evaluated on every basis tuple, one element at a time, from the raw
-action tables.  Dense matrix products and inverses are here too, as the
+action tables.  The axioms of a Morita context are evaluated on every
+basis tuple from the raw pairing tables, and the subalgebra generated by
+a list of basis elements is spanned word by word and measured with the
+dense rank.  Dense matrix products and inverses are here too, as the
 reference for the library's sparse maps.
 """
 
@@ -441,6 +444,97 @@ def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
                       (minus, _act(r1, field, fm(a, e), b))):
                 out.append(("compatible", (i, j)))
                 break
+    return out
+
+
+def brute_generated_dimension(alg, gens, field):
+    """The dimension of the unital subalgebra generated by the basis
+    elements gens of the raw algebra (dim, table, unit): words in gens are
+    multiplied out, longest last, until a whole length adds nothing to
+    the dense rank of the words so far."""
+    dim, table, unit = alg
+    words = [dict(unit)]
+    layer = [dict(unit)]
+    rank = _rank([[w.get(k, field.zero) for k in range(dim)] for w in words], dim, field)
+    while layer:
+        grown = []
+        for w in layer:
+            for g in gens:
+                word = _act(table, field, {g: field.one}, w)
+                row = [word.get(k, field.zero) for k in range(dim)]
+                rows = [[v.get(k, field.zero) for k in range(dim)] for v in words]
+                if _rank(rows + [row], dim, field) > rank:
+                    words.append(word)
+                    grown.append(word)
+                    rank += 1
+        layer = grown
+    return rank
+
+
+def brute_context_defects(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens_b,
+                          field):
+    """Every basis tuple at which an axiom of a Morita context fails.
+
+    alg_a and alg_b are raw algebras (dim, table, unit); p is a raw
+    (A, B)-bimodule and q a raw (B, A)-bimodule (dim, left, right);
+    pairing_a[(i, j)] = <p_i, q_j>_A and pairing_b[(j, i)] = <q_j, p_i>_B;
+    gens_a = [(p', q')] and gens_b = [(q, p)] are lists of coordinate
+    dict pairs.  Returns (kind, tuple) pairs, in the order
+
+        ("a.p,q", (t, i, j))    <x_t p_i, q_j>_A != x_t <p_i, q_j>_A
+        ("p,q.a", (i, j, t))    <p_i, q_j x_t>_A != <p_i, q_j>_A x_t
+        ("p.b,q", (i, s, j))    <p_i y_s, q_j>_A != <p_i, y_s q_j>_A
+        ("b.q,p", (s, j, i))    <y_s q_j, p_i>_B != y_s <q_j, p_i>_B
+        ("q,p.b", (j, i, s))    <q_j, p_i y_s>_B != <q_j, p_i>_B y_s
+        ("q.a,p", (j, t, i))    <q_j x_t, p_i>_B != <q_j, x_t p_i>_B
+        ("pqp", (i, j, k))      <p_i, q_j>_A p_k != p_i <q_j, p_k>_B
+        ("qpq", (j, i, k))      <q_j, p_i>_B q_k != q_j <p_i, q_k>_A
+        ("unit A", ())          sum <p', q'>_A != 1_A
+        ("unit B", ())          sum <q, p>_B != 1_B
+
+    with x_t, y_s, p_i, q_j basis elements of A, B, P and Q."""
+    (da, ta, ua), (db, tb, ub) = alg_a, alg_b
+    (dp, pl, pr), (dq, ql, qr) = p, q
+    one = field.one
+    out = []
+
+    def pa(x, y):
+        return _act(pairing_a, field, x, y)
+
+    def pb(y, x):
+        return _act(pairing_b, field, y, x)
+
+    def e(k):
+        return {k: one}
+
+    for t, i, j in product(range(da), range(dp), range(dq)):
+        if pa(_act(pl, field, e(t), e(i)), e(j)) != _act(ta, field, e(t), pa(e(i), e(j))):
+            out.append(("a.p,q", (t, i, j)))
+    for i, j, t in product(range(dp), range(dq), range(da)):
+        if pa(e(i), _act(qr, field, e(j), e(t))) != _act(ta, field, pa(e(i), e(j)), e(t)):
+            out.append(("p,q.a", (i, j, t)))
+    for i, s, j in product(range(dp), range(db), range(dq)):
+        if pa(_act(pr, field, e(i), e(s)), e(j)) != pa(e(i), _act(ql, field, e(s), e(j))):
+            out.append(("p.b,q", (i, s, j)))
+    for s, j, i in product(range(db), range(dq), range(dp)):
+        if pb(_act(ql, field, e(s), e(j)), e(i)) != _act(tb, field, e(s), pb(e(j), e(i))):
+            out.append(("b.q,p", (s, j, i)))
+    for j, i, s in product(range(dq), range(dp), range(db)):
+        if pb(e(j), _act(pr, field, e(i), e(s))) != _act(tb, field, pb(e(j), e(i)), e(s)):
+            out.append(("q,p.b", (j, i, s)))
+    for j, t, i in product(range(dq), range(da), range(dp)):
+        if pb(_act(qr, field, e(j), e(t)), e(i)) != pb(e(j), _act(pl, field, e(t), e(i))):
+            out.append(("q.a,p", (j, t, i)))
+    for i, j, k in product(range(dp), range(dq), range(dp)):
+        if _act(pl, field, pa(e(i), e(j)), e(k)) != _act(pr, field, e(i), pb(e(j), e(k))):
+            out.append(("pqp", (i, j, k)))
+    for j, i, k in product(range(dq), range(dp), range(dq)):
+        if _act(ql, field, pb(e(j), e(i)), e(k)) != _act(qr, field, e(j), pa(e(i), e(k))):
+            out.append(("qpq", (j, i, k)))
+    if _combo(field, *[(one, pa(x, y)) for x, y in gens_a]) != _combo(field, (one, ua)):
+        out.append(("unit A", ()))
+    if _combo(field, *[(one, pb(y, x)) for y, x in gens_b]) != _combo(field, (one, ub)):
+        out.append(("unit B", ()))
     return out
 
 

@@ -400,12 +400,34 @@ def test_transfer_matrix_two_checks_pass(capsys):
     assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2",
                 "--report", "json-lines"]) == 0
     _, lines = lines_of(capsys)
-    # the table lines of g stay text; the check lines are JSON objects
-    assert all(l.startswith("g(") for l in lines if not l.startswith("{"))
-    checks = [json.loads(l) for l in lines if l.startswith("{")]
+    # every line is a JSON object: the entries of g, then the checks
+    objects = [json.loads(l) for l in lines]
+    entries = [o for o in objects if "g" in o]
+    checks = [o for o in objects if "g" not in o]
+    assert objects == entries + checks
+    assert all(set(o) == {"g", "value"} for o in entries)
+    assert all(set(c) == {"name", "ok", "detail"} for c in checks)
     assert [c["name"] for c in checks] == \
         ["cocycle", "chain-map-phi", "chain-map-psi", "homotopy"]
     assert all(c["ok"] is True for c in checks)
+    # the entries carry the same table as the text lines
+    assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
+    _, text = lines_of(capsys)
+    table = ["g(%s) = %s" % (", ".join(o["g"]), o["value"]) for o in entries]
+    assert table and table == [l for l in text if l.startswith("g(")]
+
+
+def test_matrix_above_the_size_limit_exits_1(capsys, monkeypatch):
+    # with the limit lowered to 4, M_2 of the dual numbers (dimension 8)
+    # is refused from its estimate before any work
+    from quivdeform import morita
+    monkeypatch.setattr(morita, "MAX_MATRIX_DIM", 4)
+    for command in ("transfer", "verify-morita"):
+        assert run([command, data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: SizeLimitExceeded: M_2(A) would have dimension 8, "
+                       "above the limit 4\n")
 
 
 def test_transfer_zero_cocycle_prints_zero(capsys):
@@ -528,7 +550,7 @@ def test_module_roundtrip_rejects_non_module(tmp_path, capsys):
     assert run(["module-roundtrip", data_path("dual_numbers.alg"),
                 str(path)]) == 2
     # a acts as the identity, so a.(a.e_0) = e_0 while (a*a).e_0 = 0
-    assert "left action not associative at (1, 1, 0)" in capsys.readouterr().err
+    assert "left action not associative at (a, a, 0)" in capsys.readouterr().err
 
 
 def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypatch):

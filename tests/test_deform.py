@@ -229,6 +229,27 @@ def test_deform_structure_algebra_keeps_the_unit_check(dual_numbers):
         deform_structure_algebra(alg, f)
 
 
+def test_deform_structure_algebra_rests_associativity_on_the_cocycle(
+        dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2):
+    # associativity of A_f is d f = 0, checked once; the A_f returned for
+    # each fixture cocycle is associative by the exhaustive oracle, while
+    # the full cocycle f(x, y) = c xy, which is not normalised, leaves
+    # (1, 0) without being the unit and is refused
+    for fixture in (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2):
+        af, basis = fixture
+        alg = algebra_of_basis(basis)
+        f = cochain_from_pairs(basis, af.cocycle_pairs)
+        d = deform_structure_algebra(alg, f)
+        assert brute_associativity_defect(d.dim, d.table, d.field) is None, af
+        for c in (1, 2, -3):
+            scale = Q.from_int(c)
+            cxy = FullCochain(alg.dim, 2, Q, {key: {k: Q.mul(scale, v) for k, v in vec.items()}
+                                              for key, vec in alg.table.items()})
+            assert is_full_cocycle(cxy, alg)
+            with pytest.raises(InputError, match="unit fails on basis element"):
+                deform_structure_algebra(alg, cxy)
+
+
 def test_hat_f_values(dual_numbers, triangle):
     af, basis = dual_numbers
     q = af.quiver

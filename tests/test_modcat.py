@@ -248,17 +248,23 @@ def raw_uple(u):
 
 def module_verdict(alg, dim, actions):
     """LeftModule accepts exactly the actions the oracle finds no defect
-    in, and its error names the first defect."""
+    in, and its error names the first defect the oracle finds at a unit
+    or at a generator of the algebra, by the labels of the algebra's
+    basis elements."""
     raw = {(i, m): col for i, a in enumerate(actions) for m, col in a.items()}
     defects = brute_module_defects(raw_alg(alg), dim, raw, alg.field)
     try:
         LeftModule(alg, dim, actions)
     except InputError as exc:
         assert defects, exc
-        kind, key = defects[0]
-        message = {"unit": "left unit fails at %d",
-                   "assoc": "left action not associative at (%d, %d, %d)"}[kind]
-        assert str(exc) == message % key, (exc, key)
+        kind, key = next((kind, key) for kind, key in defects
+                         if kind == "unit" or key[0] in alg.generators())
+        if kind == "unit":
+            assert str(exc) == "left unit fails at %d" % key, (exc, key)
+        else:
+            i, j, m = key
+            assert str(exc) == ("left action not associative at (%s, %s, %d)"
+                                % (alg.labels[i], alg.labels[j], m)), (exc, key)
         return False
     assert not defects
     return True

@@ -3,15 +3,15 @@ import re
 
 import pytest
 
+from quivdeform import morita
 from quivdeform.errors import (CharTwoUnsupported, InputError,
-                               NotFullIdempotent)
+                               NotFullIdempotent, SizeLimitExceeded)
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
 from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
-                               MoritaContext, TensorProduct,
-                               algebra_generators, algebra_of_basis,
+                               MoritaContext, TensorProduct, algebra_of_basis,
                                build_hat_P, build_hat_Q,
                                deform_structure_algebra, homotopy_h,
                                identity_context, idempotent_context,
@@ -22,7 +22,8 @@ from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
 from quivdeform.quiver import compute_basis
 
 from conftest import data_path
-from oracles import (brute_bimodule_defects, brute_transfer,
+from oracles import (brute_bimodule_defects, brute_context_defects,
+                     brute_generated_dimension, brute_transfer,
                      brute_uple_defects)
 
 Q = Field.rationals()
@@ -103,24 +104,30 @@ def test_deform_structure_rejects_non_cocycle(dual_numbers):
         deform_structure_algebra(alg, bad)
 
 
-def test_algebra_generators_generate(triangle, lambda_m2):
-    for fixture in (triangle, lambda_m2):
-        alg = structure_algebra(fixture)
-        gens = algebra_generators(alg)
-        from quivdeform.linalg import SpanSolver
-        span = SpanSolver(alg.field)
-        closed = [dict(alg.unit)]
-        span.add(alg.unit, 0)
-        grew = True
-        while grew:
-            grew = False
-            for g in gens:
-                for w in list(closed):
-                    for prod in (alg.mul(g, w), alg.mul(w, g)):
-                        if prod and span.add(prod, len(closed)):
-                            closed.append(prod)
-                            grew = True
-        assert all(span.contains({i: alg.field.one}) for i in range(alg.dim))
+def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
+                                     quantum_plane, lambda_m2):
+    # the certificate checks rest on these generators, so generation is
+    # measured by the oracle's dense rank, on the fixtures, on M_2(A) and
+    # on the deformations A_f and B_g of the matrix context
+    algebras = [structure_algebra(fixture) for fixture in
+                (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2)]
+    alg = structure_algebra(dual_numbers)
+    f = golden_cochain(dual_numbers)
+    ctx = matrix_context(alg, 2)
+    g = transfer_phi(ctx, f, 2)
+    algebras += [ctx.b, deform_structure_algebra(alg, f),
+                 deform_structure_algebra(ctx.b, g)]
+    for alg in algebras:
+        gens = alg.generators()
+        assert gens == sorted(set(gens)) and gens is alg.generators()
+        assert brute_generated_dimension(raw_algebra(alg), gens, alg.field) == alg.dim
+        # none can be left out: each one lies outside the subalgebra the
+        # earlier ones generate
+        for k, gen in enumerate(gens):
+            assert brute_generated_dimension(raw_algebra(alg), gens[:k], alg.field) < \
+                brute_generated_dimension(raw_algebra(alg), gens[:k] + [gen], alg.field)
+    # M_2(A) has more basis elements than generators
+    assert len(ctx.b.generators()) < ctx.b.dim
 
 
 # --------------------------------------------------------------- bimodules
@@ -439,12 +446,14 @@ def raw_bimodule(m):
     return (m.dim, m.left, m.right)
 
 
+# bimodule messages: (pattern, oracle kind, what each slot names: a label
+# of the left or right algebra, or a module coordinate)
 BIMODULE_MESSAGES = (
-    (r"left unit fails at (\d+)$", "left unit"),
-    (r"right unit fails at (\d+)$", "right unit"),
-    (r"left action not associative at \((\d+), (\d+), (\d+)\)$", "left assoc"),
-    (r"right action not associative at \((\d+), (\d+), (\d+)\)$", "right assoc"),
-    (r"actions do not commute at \((\d+), (\d+), (\d+)\)$", "commute"),
+    (r"left unit fails at (\d+)$", "left unit", "m"),
+    (r"right unit fails at (\d+)$", "right unit", "m"),
+    (r"left action not associative at \((.+), (.+), (\d+)\)$", "left assoc", "llm"),
+    (r"right action not associative at \((\d+), (.+), (.+)\)$", "right assoc", "mrr"),
+    (r"actions do not commute at \((.+), (\d+), (.+)\)$", "commute", "lmr"),
 )
 
 # uple messages: (pattern, oracle kind, algebra of each named label)
@@ -458,11 +467,13 @@ UPLE_MESSAGES = (
 )
 
 
-def bimodule_witness(message):
-    for pattern, kind in BIMODULE_MESSAGES:
+def bimodule_witness(left_alg, right_alg, message):
+    """The oracle defect (kind, index tuple) that a bimodule message names."""
+    read = {"l": left_alg.labels.index, "r": right_alg.labels.index, "m": int}
+    for pattern, kind, slots in BIMODULE_MESSAGES:
         hit = re.match(pattern, message)
         if hit:
-            return kind, tuple(int(x) for x in hit.groups())
+            return kind, tuple(read[slot](x) for slot, x in zip(slots, hit.groups()))
     raise AssertionError("unparsed bimodule violation: " + message)
 
 
@@ -476,7 +487,7 @@ def uple_witness(uple, message):
             key = tuple(algs[side].labels.index(label)
                         for side, label in zip(sides, hit.groups()))
             return [(kind, key)]
-    defect = bimodule_witness(message)
+    defect = bimodule_witness(uple.left_alg, uple.right_alg, message)
     return [("m0", defect), ("m1", defect)]
 
 
@@ -490,14 +501,18 @@ def brute_uple(uple):
 
 def assert_bimodule_matches_oracle(bim):
     """violations() is empty exactly when the oracle finds no defect, and
-    its first message names a tuple that the oracle flags; returns the
-    violations."""
+    its first message names a tuple that the oracle flags, of the kind of
+    the oracle's first defect (both check the units, left and right
+    associativity and commutation in that order, and each kind is
+    complete on generators); returns the violations."""
     bad = bim.violations()
     defects = brute_bimodule_defects(raw_algebra(bim.left_alg), raw_algebra(bim.right_alg),
                                      bim.dim, bim.left, bim.right, bim.field)
     assert bool(bad) == bool(defects), (bad[:1], defects[:1])
     if bad:
-        assert bimodule_witness(bad[0]) in defects, (bad[0], defects)
+        witness = bimodule_witness(bim.left_alg, bim.right_alg, bad[0])
+        assert witness in defects, (bad[0], defects)
+        assert witness[0] == defects[0][0], (bad[0], defects[0])
     return bad
 
 
@@ -581,6 +596,244 @@ def test_broken_uples_match_oracle(dual_numbers):
     uple = DeformedBimodule(alg, alg, zero, zero, reg.m0, reg.m1, {},
                             reg.f_tables, reg.g_tables, check=False)
     assert assert_uple_matches_oracle(uple) == ["T is not injective"]
+
+
+def vector_plus(field, vec, k):
+    """vec + e_k as a new coordinate dict."""
+    out = dict(vec)
+    out[k] = field.add(out.get(k, field.zero), field.one)
+    return {r: c for r, c in out.items() if c != field.zero}
+
+
+def conjugated(right, dim, field, r, c):
+    """The right action table S rho(j) S^-1 for S = 1 + E_rc (r != c),
+    whose inverse is 1 - E_rc: again a unital right action, which in
+    general no longer commutes with the left action."""
+    def s_apply(vec, sign):
+        out = dict(vec)
+        if c in vec:
+            out[r] = field.add(out.get(r, field.zero), field.mul(sign, vec[c]))
+        return {k: v for k, v in out.items() if v != field.zero}
+
+    minus = field.neg(field.one)
+    out = {}
+    for (m, j) in {(m, j) for m in range(dim) for (_, j) in right}:
+        # S rho(j) S^-1 e_m: S^-1 e_m = e_m - [m == c] e_r
+        pre = s_apply({m: field.one}, minus)
+        img = {}
+        for k, x in pre.items():
+            for row, v in right.get((k, j), {}).items():
+                img[row] = field.add(img.get(row, field.zero), field.mul(x, v))
+        img = s_apply({k: v for k, v in img.items() if v != field.zero}, field.one)
+        if img:
+            out[(m, j)] = img
+    return out
+
+
+def bimodule_zoo(dual_numbers):
+    """P and Q of M_2(A), the glued P^ over (A_f, B_g) and the balanced
+    product P^ (x) Q^ over (A_f, A_f), for A the dual numbers."""
+    alg = structure_algebra(dual_numbers)
+    f = golden_cochain(dual_numbers)
+    ctx = matrix_context(alg, 2)
+    g = transfer_phi(ctx, f, 2)
+    a_f, b_g = deform_structure_algebra(alg, f), deform_structure_algebra(ctx.b, g)
+    hat_p = build_hat_P(ctx, f, g).glue(a_f, b_g)
+    hat_q = build_hat_Q(ctx, f, g).glue(b_g, a_f)
+    return [ctx.p, ctx.q, hat_p, TensorProduct(hat_p, hat_q).bimodule]
+
+
+def test_generator_checks_agree_with_the_oracle_on_broken_bimodules(dual_numbers):
+    # one entry of the left or right action moved, or the right action
+    # conjugated so that only the commutation can fail: the generator
+    # checks find a failure exactly when the exhaustive oracle does, and
+    # their first witness is one of the oracle's failing tuples
+    rng = random.Random(41)
+    first_kinds = set()
+    for bim in bimodule_zoo(dual_numbers):
+        fld = bim.field
+        la, ra = bim.left_alg, bim.right_alg
+        assert assert_bimodule_matches_oracle(bim) == []
+        variants = []
+        for _ in range(3):
+            # a basis element outside the support of the unit, so that the
+            # unit checks still pass and the associativity checks decide
+            i = rng.choice([k for k in range(la.dim) if k not in la.unit])
+            m, r = rng.randrange(bim.dim), rng.randrange(bim.dim)
+            left = dict(bim.left)
+            left[(i, m)] = vector_plus(fld, left.get((i, m), {}), r)
+            variants.append((left, bim.right))
+            j = rng.choice([k for k in range(ra.dim) if k not in ra.unit])
+            right = dict(bim.right)
+            right[(m, j)] = vector_plus(fld, right.get((m, j), {}), r)
+            variants.append((bim.left, right))
+        for r, c in ((0, bim.dim - 1), (bim.dim - 1, 0)):
+            variants.append((bim.left, conjugated(bim.right, bim.dim, fld, r, c)))
+        for left, right in variants:
+            broken = Bimodule(la, ra, bim.dim, left, right, check=False)
+            bad = assert_bimodule_matches_oracle(broken)
+            if bad:
+                first_kinds.add(bimodule_witness(la, ra, bad[0])[0])
+    assert {"left assoc", "right assoc", "commute"} <= first_kinds
+
+
+def test_bimodule_check_composes_on_generators_only(dual_numbers, monkeypatch):
+    # one composite per (left generator, basis element) and per (basis
+    # element, right generator), and the two composites of each commuting
+    # pair of generators; the exhaustive check made dim^2 and 2 dim dim'
+    calls = []
+    real = morita.map_compose
+
+    def counted(a, b, field):
+        calls.append(1)
+        return real(a, b, field)
+
+    bimodules = bimodule_zoo(dual_numbers)
+    monkeypatch.setattr(morita, "map_compose", counted)
+    for bim in bimodules:
+        la, ra = bim.left_alg, bim.right_alg
+        gl, gr = len(la.generators()), len(ra.generators())
+        del calls[:]
+        assert bim.violations() == []
+        assert len(calls) == gl * la.dim + ra.dim * gr + 2 * gl * gr
+        assert len(calls) < la.dim ** 2 + ra.dim ** 2 + 2 * la.dim * ra.dim
+
+
+CONTEXT_MESSAGES = (
+    (r"<a\.p, q> != a\.<p, q> at \((\d+), (\d+), (\d+)\)$", "a.p,q"),
+    (r"<p, q\.a> != <p, q>\.a at \((\d+), (\d+), (\d+)\)$", "p,q.a"),
+    (r"<p\.b, q> != <p, b\.q> at \((\d+), (\d+), (\d+)\)$", "p.b,q"),
+    (r"<b\.q, p> != b\.<q, p> at \((\d+), (\d+), (\d+)\)$", "b.q,p"),
+    (r"<q, p\.b> != <q, p>\.b at \((\d+), (\d+), (\d+)\)$", "q,p.b"),
+    (r"<q\.a, p> != <q, a\.p> at \((\d+), (\d+), (\d+)\)$", "q.a,p"),
+    (r"<p,q>\.p' != p\.<q,p'> at \((\d+), (\d+), (\d+)\)$", "pqp"),
+    (r"<q,p>\.q' != q\.<p,q'> at \((\d+), (\d+), (\d+)\)$", "qpq"),
+    (r"gens_a do not decompose 1_A$", "unit A"),
+    (r"gens_b do not decompose 1_B$", "unit B"),
+)
+
+
+# the stages in which MoritaContext checks the kinds, in order; the two
+# kinds of one stage are checked tuple by tuple in one loop
+CONTEXT_STAGES = {"a.p,q": 0, "p,q.a": 0, "p.b,q": 1, "b.q,p": 2, "q,p.b": 2,
+                  "q.a,p": 3, "pqp": 4, "qpq": 4, "unit A": 5, "unit B": 6}
+
+
+def context_verdict(ctx, pairing_a, pairing_b, gens_a, gens_b):
+    """MoritaContext accepts the data exactly when the exhaustive oracle
+    finds no failing axiom, and its error names a tuple the oracle flags,
+    from the stage of the oracle's first defect (both go through the
+    stages of CONTEXT_STAGES in order; each stage is complete on
+    generators); returns whether it was accepted."""
+    defects = brute_context_defects(raw_algebra(ctx.a), raw_algebra(ctx.b),
+                                    raw_bimodule(ctx.p), raw_bimodule(ctx.q),
+                                    pairing_a, pairing_b, gens_a, gens_b, ctx.field)
+    try:
+        MoritaContext(ctx.a, ctx.b, ctx.p, ctx.q, pairing_a, pairing_b, gens_a, gens_b)
+    except InputError as exc:
+        assert defects, exc
+        for pattern, kind in CONTEXT_MESSAGES:
+            hit = re.match(pattern, str(exc))
+            if hit:
+                assert (kind, tuple(int(x) for x in hit.groups())) in defects, (exc, defects)
+                assert CONTEXT_STAGES[kind] == CONTEXT_STAGES[defects[0][0]], \
+                    (exc, defects[0])
+                return False
+        raise AssertionError("unparsed context error: %s" % exc)
+    assert not defects, defects[:1]
+    return True
+
+
+def test_context_checks_agree_with_the_oracle(dual_numbers, two_cycle, lambda_m2):
+    rng = random.Random(43)
+    contexts = [identity_context(structure_algebra(dual_numbers)),
+                matrix_context(structure_algebra(dual_numbers), 2),
+                corner_context(lambda_m2)[1],
+                idempotent_context(structure_algebra(two_cycle),
+                                   dict(structure_algebra(two_cycle).unit))]
+    refused = 0
+    for ctx in contexts:
+        fld = ctx.field
+        assert context_verdict(ctx, ctx.pairing_a, ctx.pairing_b, ctx.gens_a, ctx.gens_b)
+        # both pairings times 3, and the generator lists divided by 3:
+        # every entry moves and the context stays valid; without the
+        # division only the decompositions of the units fail
+        three, third = fld.from_int(3), fld.inv(fld.from_int(3))
+
+        def scaled(pairing):
+            return {k: {r: fld.mul(three, c) for r, c in v.items()} for k, v in pairing.items()}
+
+        def shrunk(gens):
+            return [(x, {r: fld.mul(third, c) for r, c in y.items()}) for x, y in gens]
+
+        pa, pb = scaled(ctx.pairing_a), scaled(ctx.pairing_b)
+        assert context_verdict(ctx, pa, pb, shrunk(ctx.gens_a), shrunk(ctx.gens_b))
+        assert not context_verdict(ctx, pa, pb, ctx.gens_a, ctx.gens_b)
+        # one pairing entry moved by a basis vector
+        for _ in range(3):
+            i, j = rng.randrange(ctx.p.dim), rng.randrange(ctx.q.dim)
+            pa = dict(ctx.pairing_a)
+            pa[(i, j)] = vector_plus(fld, pa.get((i, j), {}), rng.randrange(ctx.a.dim))
+            refused += not context_verdict(ctx, pa, ctx.pairing_b, ctx.gens_a, ctx.gens_b)
+            pb = dict(ctx.pairing_b)
+            pb[(j, i)] = vector_plus(fld, pb.get((j, i), {}), rng.randrange(ctx.b.dim))
+            refused += not context_verdict(ctx, ctx.pairing_a, pb, ctx.gens_a, ctx.gens_b)
+    assert refused == 24
+    # <p, q>_A = p D q and <q, p>_B = q D p with D = diag(1, 2) in M_2(A):
+    # the first stays A-linear on both sides but is not B-balanced, the
+    # second is B-linear on both sides and A-balanced, but neither
+    # associates with the other pairing
+    ctx = contexts[1]
+    d = ctx.a.dim
+    two = ctx.field.from_int(2)
+
+    def weighted(pairing, slot):
+        return {k: ({r: ctx.field.mul(two, c) for r, c in v.items()}
+                    if k[slot] // d == 1 else v) for k, v in pairing.items()}
+
+    assert not context_verdict(ctx, weighted(ctx.pairing_a, 0), ctx.pairing_b,
+                               ctx.gens_a, ctx.gens_b)
+    assert not context_verdict(ctx, ctx.pairing_a, weighted(ctx.pairing_b, 0),
+                               ctx.gens_a, ctx.gens_b)
+    # on A = the two-cycle algebra against itself, <q, p>_B = q e p with e
+    # the idempotent of vertex 1 is B-linear on both sides and breaks only
+    # <q.a, p> = <q, a.p>; <p, q>_A = p e q breaks only <p.b, q> = <p, b.q>
+    alg = structure_algebra(two_cycle)
+    ctx = identity_context(alg)
+    e = vertex_idempotent(two_cycle, "1")
+    through_e = {(i, j): alg.mul(alg.mul({i: Q.one}, e), {j: Q.one})
+                 for i in range(alg.dim) for j in range(alg.dim)}
+    assert not context_verdict(ctx, ctx.pairing_a, through_e, ctx.gens_a, ctx.gens_b)
+    assert not context_verdict(ctx, through_e, ctx.pairing_b, ctx.gens_a, ctx.gens_b)
+
+
+class Unbuildable:
+    """An algebra of dimension 2 whose structure constants may not be
+    read: a construction that gets past its size guard fails at once
+    instead of building anything large."""
+    dim = 2
+    field = Q
+    unit = {0: Q.one}
+    labels = ["e", "x"]
+
+    def multiply_basis(self, i, j):
+        raise AssertionError("the size guard let the construction start")
+
+
+def test_matrix_size_guard(dual_numbers, monkeypatch):
+    # refused from the estimate n^2 dim A alone, before anything is built
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"M_1000000\(A\) would have dimension 2000000000000, "):
+        matrix_context(Unbuildable(), 10 ** 6)
+    # the limit covers M_3 of a 6-dimensional algebra (dimension 54)
+    assert 3 * 3 * 6 <= morita.MAX_MATRIX_DIM
+    with pytest.raises(SizeLimitExceeded):
+        matrix_context(Unbuildable(), 6)
+    monkeypatch.setattr(morita, "MAX_MATRIX_DIM", 8)
+    alg = structure_algebra(dual_numbers)
+    assert matrix_context(alg, 2).b.dim == 8
+    with pytest.raises(SizeLimitExceeded, match="dimension 18, above the limit 8"):
+        matrix_context(alg, 3)
 
 
 # ------------------------------------------------------------ verification
