@@ -23,7 +23,7 @@ from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed, NotACocycle)
 from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
                          is_cocycle, is_full_cocycle)
-from .linalg import FinDimAlgebra, SpanSolver, rank
+from .linalg import FinDimAlgebra, SpanSolver, _columns, _map_rank
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
                      relation_endpoints)
 
@@ -70,6 +70,12 @@ def deform_structure_algebra(alg, f):
         raise InputError("deformation needs a 2-cochain on the same algebra")
     if not is_full_cocycle(f, alg):
         raise InputError("the cochain is not a Hochschild 2-cocycle")
+    return _deformed_algebra(alg, f)
+
+
+def _deformed_algebra(alg, f):
+    """A_f for a full 2-cochain f that the caller has proved to be a
+    cocycle on alg; only the unit is checked."""
     deformed = FinDimAlgebra(alg.field, 2 * alg.dim, *_deformed_constants(alg, f),
                              check=False)
     deformed.check_unit()
@@ -543,11 +549,7 @@ def verify_presentation(deformed, pres, max_degree=30):
         vectors.append(pi_free(hat))
         eps = pres.epsilon[q.vertices[q.path_target(p)]].element
         vectors.append(pi_free(hat * eps))
-    rows = []
-    for pair in vectors:
-        vec = deformed.pair_to_coords(pair)
-        rows.append([vec.get(i, fld.zero) for i in range(deformed.dim)])
-    rnk = rank(rows, fld)
+    rnk = _map_rank(_columns([deformed.pair_to_coords(v) for v in vectors]), fld)
     ok_ind = rnk == 2 * basis.dim
     checks.append(("independence", ok_ind,
                    "rank %d of %d evaluated candidates" % (rnk, len(vectors))))

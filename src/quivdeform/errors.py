@@ -43,3 +43,8 @@ class NormalizationFailed(ComputationError):
 class SizeLimitExceeded(ComputationError):
     """The estimated size of a construction is above a fixed limit, so it
     is refused before any work starts."""
+
+
+class UntaggedSpan(ComputationError):
+    """A combination of inserted vectors was asked of a SpanSolver that
+    was given a vector without a tag, so it kept no combinations."""

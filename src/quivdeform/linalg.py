@@ -8,17 +8,17 @@ so two maps are equal exactly when their dicts are.  map_apply,
 map_compose and map_combine apply, compose and linearly combine such
 maps; map_inverse inverts a square one.  They take the field last.
 _identity, _columns and _rows build identity maps, maps from column
-lists and row slices, and _map_rank gives the rank of a map.  The Morita
-and module layers work on sparse maps only.
+lists and row slices, _map_rank gives the rank of a map and
+column_kernel a basis of its kernel.  The Morita and module layers work
+on sparse maps only.
 
-Dense matrices (lists of row lists) remain only for rref, rank and
-nullspace: plain Gauss-Jordan with exact arithmetic, which the
-presentation check and the hom spaces of the module layer use.
-
-SpanSolver is an incremental row reducer over sparsely represented
-vectors (dicts keyed by arbitrary hashable coordinates).  It answers
-membership queries and also returns the combination of inserted vectors
-that expresses a member, which is what the witness-producing checks need.
+SpanSolver is the one elimination: an incremental row reducer over
+sparse vectors, keyed by pivot.  A row's pivot is its smallest
+coordinate in natural order (coordinates are ints or int tuples), and
+rows stay in echelon form without back reduction.  It answers rank,
+membership and normal-form queries; a vector added with a tag also
+carries its combination of inserted vectors, which express returns as
+the witness of a membership.  After an untagged add, express refuses.
 
 FinDimAlgebra is the one structure-constant algebra type: a path-algebra
 quotient, its deformation A_f, a matrix amplification and a corner
@@ -26,7 +26,9 @@ algebra all live in it.  Each one computes its generating set once, on
 first use, for the checks that prove identities on generators.
 """
 
-from .errors import InputError
+from heapq import heapify, heappop, heappush
+
+from .errors import InputError, UntaggedSpan
 
 
 def _addinto(field, acc, vec, c):
@@ -119,132 +121,95 @@ def _map_rank(amap, field):
     return sum(1 for col in amap.values() if span.add(col))
 
 
-def rref(rows, field):
-    """Reduce in place; returns the list of pivot column indices."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != field.zero:
-                coef = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def rank(rows, field):
-    return len(rref([list(r) for r in rows], field))
-
-
-def nullspace(a_rows, field):
-    """Basis of ker A, deterministic: one vector per free column."""
-    m = len(a_rows)
-    if m == 0:
-        return []
-    n = len(a_rows[0])
-    work = [list(r) for r in a_rows]
-    pivots = rref(work, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [field.zero] * n
-        v[free] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(work[r][free])
-        basis.append(v)
-    return basis
+def column_kernel(cols, field):
+    """A basis of the kernel of the map whose columns are cols: one vector
+    per column that depends on the columns before it, e_c minus that
+    column's combination of the earlier independent columns.  These are the
+    vectors Gauss-Jordan elimination gives for its free columns."""
+    earlier = SpanSolver(field)
+    kernel = []
+    minus = field.neg(field.one)
+    for c, col in enumerate(cols):
+        combo = earlier.express(col)
+        if combo is None:
+            earlier.add(col, c)
+        else:
+            kernel.append(_addinto(field, {c: field.one}, combo, minus))
+    return kernel
 
 
 class SpanSolver:
-    """Incremental span membership with expression witnesses.
+    """Incremental span of sparse vectors, kept in echelon form.
 
-    Vectors are dicts {coordinate: scalar}; coordinates may be any
-    hashable values.  Pivot choice follows string order of coordinates,
-    which keeps runs deterministic without requiring an index map.
+    Vectors are dicts {coordinate: scalar} with mutually comparable
+    coordinates (ints or int tuples).  Stored rows are keyed by pivot: a
+    row's pivot is its smallest coordinate, with entry 1.  A row is never
+    reduced against later pivots, so a vector is reduced by eliminating
+    its smallest coordinate while that coordinate is a pivot.
+
+    A row added with a tag keeps its combination of the tagged vectors as
+    inserted, which express returns.  After an untagged add no
+    combinations are kept, and express raises UntaggedSpan.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows = []  # (pivot, vector dict, combo dict tag -> scalar)
-        self.tags = []
+        self.rows = {}  # pivot -> (row, combination {tag: scalar} or None)
+        self._tagged = True
 
-    def _reduce(self, vec, combo):
+    def _reduce(self, vec, combo, full=False):
+        """Eliminate pivots of vec in place, smallest coordinate first, and
+        subtract the same multiples of the row combinations from combo.
+        Stops at the first coordinate that is not a pivot and returns it,
+        or None once vec is zero; with full=True every pivot is eliminated
+        and None is returned."""
         f = self.field
-        vec = {k: v for k, v in vec.items() if v != f.zero}
-        for pivot, row, row_combo in self.rows:
-            c = vec.get(pivot)
-            if c is None or c == f.zero:
+        rows = self.rows
+        heap = list(vec)
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            c = vec.get(k)
+            if c is None:
                 continue
-            for k, v in row.items():
-                newv = f.sub(vec.get(k, f.zero), f.mul(c, v))
-                if newv == f.zero:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = newv
+            hit = rows.get(k)
+            if hit is None:
+                if full:
+                    continue
+                return k
+            row, row_combo = hit
+            neg = f.neg(c)
+            fresh = [j for j in row if j not in vec]
+            _addinto(f, vec, row, neg)
+            for j in fresh:
+                heappush(heap, j)
             if combo is not None:
-                for t, v in row_combo.items():
-                    newv = f.sub(combo.get(t, f.zero), f.mul(c, v))
-                    if newv == f.zero:
-                        combo.pop(t, None)
-                    else:
-                        combo[t] = newv
-        return vec, combo
+                _addinto(f, combo, row_combo, neg)
+        return None
 
     def add(self, vec, tag=None):
         """Insert a vector; returns True if it enlarged the span."""
         f = self.field
         if tag is None:
-            tag = len(self.tags)
-        combo = {tag: f.one}
-        vec, combo = self._reduce(dict(vec), combo)
-        self.tags.append(tag)
-        if not vec:
+            self._tagged = False
+        combo = {tag: f.one} if self._tagged else None
+        vec = _clean(f, vec)
+        pivot = self._reduce(vec, combo)
+        if pivot is None:
             return False
-        pivot = min(vec, key=lambda k: (str(k), repr(k)))
         inv = f.inv(vec[pivot])
-        vec = {k: f.mul(inv, v) for k, v in vec.items()}
-        combo = {t: f.mul(inv, v) for t, v in combo.items()}
-        # keep stored rows fully reduced against the new pivot
-        for i, (p, row, rc) in enumerate(self.rows):
-            c = row.get(pivot)
-            if c is None or c == f.zero:
-                continue
-            for k, v in vec.items():
-                newv = f.sub(row.get(k, f.zero), f.mul(c, v))
-                if newv == f.zero:
-                    row.pop(k, None)
-                else:
-                    row[k] = newv
-            for t, v in combo.items():
-                newv = f.sub(rc.get(t, f.zero), f.mul(c, v))
-                if newv == f.zero:
-                    rc.pop(t, None)
-                else:
-                    rc[t] = newv
-        self.rows.append((pivot, vec, combo))
+        self.rows[pivot] = (_scaled(f, vec, inv),
+                            None if combo is None else _scaled(f, combo, inv))
         return True
 
     def contains(self, vec):
-        residue, _ = self._reduce(dict(vec), None)
-        return not residue
+        return self._reduce(_clean(self.field, vec), None) is None
+
+    def normal_form(self, vec):
+        """vec minus the member of the span that clears every pivot."""
+        vec = _clean(self.field, vec)
+        self._reduce(vec, None, full=True)
+        return vec
 
     def express(self, vec):
         """Combination {tag: scalar} with sum(tag_vector * scalar) = vec, or None.
@@ -252,9 +217,11 @@ class SpanSolver:
         The scalars refer to the vectors as inserted, so the caller can
         rebuild the expression verbatim.
         """
+        if not self._tagged:
+            raise UntaggedSpan("express needs every vector added with a tag")
         f = self.field
-        residue, combo = self._reduce(dict(vec), {})
-        if residue:
+        combo = {}
+        if self._reduce(_clean(f, vec), combo) is not None:
             return None
         return {t: f.neg(v) for t, v in combo.items()}
 

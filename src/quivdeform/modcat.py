@@ -27,8 +27,8 @@ from .deform import DeformedAlgebra
 from .errors import InputError
 from .hochschild import FullCochain
 from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _columns,
-                     _identity, _rows, map_apply, map_combine, map_compose,
-                     map_inverse, nullspace)
+                     _identity, _rows, column_kernel, map_apply, map_combine,
+                     map_compose, map_inverse)
 from .morita import Bimodule, DeformedBimodule, triple_violations
 
 
@@ -213,17 +213,7 @@ def reconstruct(mod, deformed=None):
     if map_compose(t_full, t_full, fld):
         raise InputError("the action of (0, 1) does not square to zero")
 
-    # one kernel vector per column of T that depends on the columns before
-    # it, as the free columns of a row reduction give
-    earlier = SpanSolver(fld)
-    kernel = []
-    for c in range(d):
-        col = t_full.get(c, {})
-        combo = earlier.express(col)
-        if combo is None:
-            earlier.add(col, c)
-        else:
-            kernel.append(_addinto(fld, {c: one}, combo, minus))
+    kernel = column_kernel([t_full.get(c, {}) for c in range(d)], fld)
     span = SpanSolver(fld)
     for v in kernel:
         span.add(v)
@@ -382,26 +372,24 @@ def module_homs(m, n):
     if m.algebra is not n.algebra:
         raise InputError("modules live over different algebras")
     fld = m.field
-
-    def entries(amap, size):
-        return [[amap.get(c, {}).get(r, fld.zero) for c in range(size)] for r in range(size)]
-
-    rows = []
-    # unknowns: entries of X (n.dim x m.dim), row-major
-    for i in range(m.algebra.dim):
-        a_n = entries(n.actions[i], n.dim)
-        a_m = entries(m.actions[i], m.dim)
-        for r in range(n.dim):
-            for c in range(m.dim):
-                row = [fld.zero] * (n.dim * m.dim)
-                for k in range(n.dim):
-                    row[k * m.dim + c] = fld.add(row[k * m.dim + c], a_n[r][k])
-                for k in range(m.dim):
-                    row[r * m.dim + k] = fld.sub(row[r * m.dim + k], a_m[k][c])
-                rows.append(row)
-    return [_columns([_clean(fld, {r: vec[r * m.dim + c] for r in range(n.dim)})
+    minus = fld.neg(fld.one)
+    # X: m -> n is a module map when a X = X a for every basis element a;
+    # the unknown X[u][v] is column u * m.dim + v, and the equation of the
+    # i-th basis element at entry (r, c) is row (i, r, c)
+    cols = []
+    for u in range(n.dim):
+        for v in range(m.dim):
+            col = {}
+            for i in range(m.algebra.dim):
+                _addinto(fld, col, {(i, r, v): x
+                                    for r, x in n.actions[i].get(u, {}).items()}, fld.one)
+                _addinto(fld, col, {(i, u, c): y[v]
+                                    for c, y in m.actions[i].items() if v in y}, minus)
+            cols.append(col)
+    return [_columns([_clean(fld, {r: vec.get(r * m.dim + c, fld.zero)
+                                   for r in range(n.dim)})
                       for c in range(m.dim)])
-            for vec in nullspace(rows, fld)]
+            for vec in column_kernel(cols, fld)]
 
 
 def submodule(mod, vectors):

@@ -3,11 +3,13 @@
 This layer works with the structure-constant algebras of the linalg
 module (FinDimAlgebra), so that a path-algebra quotient, a matrix
 amplification and a corner algebra all go through the same code; the
-deformed algebras A_f and B_g come from deform_structure_algebra in the
-deform module.  Elements are sparse coordinate dicts {basis_index:
-scalar} and linear maps are sparse maps {column: {row: scalar}}, both
-handled by the linalg helpers, so no layer here builds a dense matrix;
-cochains are the FullCochain tables from the hochschild module.
+deformed algebras A_f and B_g come from the deform module's builder,
+which verify_morita_deformed calls directly once it has proved d f = 0
+and d g = 0, so each cocycle is checked once.  Elements are sparse
+coordinate dicts {basis_index: scalar} and linear maps are sparse maps
+{column: {row: scalar}}, both handled by the linalg helpers, so no layer
+here builds a dense matrix; cochains are the FullCochain tables from the
+hochschild module.
 
 A MoritaContext fixes the two algebras, the inverse bimodules, both
 pairings and one finite generator list on each side:
@@ -26,6 +28,7 @@ that proves it for all elements.  It needs the acting algebras to be
 associative, which for A_f and B_g is their cocycle condition.
 """
 
+from .deform import _deformed_algebra
 from .deform import algebra_of_basis, deform_structure_algebra  # noqa: F401 (re-exported)
 from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
@@ -178,11 +181,12 @@ class TensorProduct:
     """Balanced product X tensor_B Y with explicit quotient coordinates.
 
     Raw coordinates are pairs (i, j) flattened to i * dim(Y) + j; the
-    quotient basis is the set of free columns after reducing the
+    quotient basis is the set of columns that are not pivots of the
     balance relations x.b @ y - x @ b.y, for b running over the
     generators of the middle algebra B: they span the same relations as
     all of B, since x.(b b') @ y - x @ (b b').y is the sum of the
-    relations of (x.b, b') and of (x, b) at b'.y.
+    relations of (x.b, b') and of (x, b) at b'.y.  project is the normal
+    form modulo the relations, read in that basis.
     """
 
     def __init__(self, x, y):
@@ -193,16 +197,7 @@ class TensorProduct:
         self.field = x.field
         fld = self.field
         ydim = y.dim
-        reducers = {}
-
-        def reduce_row(row):
-            while row:
-                c = min(row)
-                if c not in reducers:
-                    return row, c
-                _addinto(fld, row, reducers[c], fld.neg(row[c]))
-            return row, None
-
+        self._span = SpanSolver(fld)
         for i in range(x.dim):
             for g in x.right_alg.generators():
                 xb = x.right_basis(i, g)
@@ -211,12 +206,8 @@ class TensorProduct:
                     by = y.left_basis(g, j)
                     _addinto(fld, row, {i * ydim + j2: c for j2, c in by.items()},
                              fld.neg(fld.one))
-                    row, piv = reduce_row(row)
-                    if piv is not None:
-                        inv = fld.inv(row[piv])
-                        reducers[piv] = {k: fld.mul(inv, c) for k, c in row.items()}
-        self._reducers = reducers
-        self.free = [c for c in range(x.dim * ydim) if c not in reducers]
+                    self._span.add(row)
+        self.free = [c for c in range(x.dim * ydim) if c not in self._span.rows]
         self._pos = {c: t for t, c in enumerate(self.free)}
         self.dim = len(self.free)
 
@@ -240,18 +231,7 @@ class TensorProduct:
 
     def project(self, raw):
         """Quotient coordinates of a vector given on raw pair columns."""
-        fld = self.field
-        work = dict(raw)
-        hits = sorted(c for c in work if c in self._reducers)
-        while hits:
-            c = hits[0]
-            coeff = work.get(c, fld.zero)
-            if coeff != fld.zero:
-                before = set(work)
-                _addinto(fld, work, self._reducers[c], fld.neg(coeff))
-                hits.extend(k for k in set(work) - before if k in self._reducers)
-            hits = sorted(set(h for h in hits if h != c and h in work))
-        return {self._pos[c]: v for c, v in work.items()}
+        return {self._pos[c]: v for c, v in self._span.normal_form(raw).items()}
 
     def pure(self, i, j):
         return self.project({i * self.y.dim + j: self.field.one})
@@ -963,10 +943,12 @@ def _half(field):
 
 
 def build_hat_P(ctx, f, g=None, check=True):
-    """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g)."""
+    """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g).
+
+    check=False skips both the cocycle check of f and the bimodule checks."""
     fld = ctx.field
     half = _half(fld)
-    if not is_full_cocycle(f, ctx.a):
+    if check and not is_full_cocycle(f, ctx.a):
         raise InputError("f must be a Hochschild 2-cocycle on A")
     if g is None:
         g = transfer_phi(ctx, f, 2)
@@ -1015,10 +997,12 @@ def build_hat_P(ctx, f, g=None, check=True):
 
 
 def build_hat_Q(ctx, f, g=None, check=True):
-    """The deformed bimodule Q^ = (Q, Q, Id, g_Q, f_Q) over (B_g, A_f)."""
+    """The deformed bimodule Q^ = (Q, Q, Id, g_Q, f_Q) over (B_g, A_f).
+
+    check=False skips both the cocycle check of f and the bimodule checks."""
     fld = ctx.field
     half = _half(fld)
-    if not is_full_cocycle(f, ctx.a):
+    if check and not is_full_cocycle(f, ctx.a):
         raise InputError("f must be a Hochschild 2-cocycle on A")
     if g is None:
         g = transfer_phi(ctx, f, 2)
@@ -1338,8 +1322,9 @@ def verify_morita_deformed(ctx, f):
                    bad[0] if bad else "hat Q satisfies all bimodule conditions"))
     if not all(ok for _, ok, _ in checks):
         return checks
-    s_def = deform_structure_algebra(ctx.a, f)
-    t_def = deform_structure_algebra(ctx.b, g)
+    # d f = 0 and d g = 0 were proved above
+    s_def = _deformed_algebra(ctx.a, f)
+    t_def = _deformed_algebra(ctx.b, g)
     target_a = regular_deformed_uple(ctx.a, f)
     target_b = regular_deformed_uple(ctx.b, g)
     checks += _tensor_side(ctx, f, g, s_def, t_def, hat_p, hat_q,

@@ -17,17 +17,20 @@ evaluated on every basis tuple, one element at a time, from the raw
 action tables.  The axioms of a Morita context are evaluated on every
 basis tuple from the raw pairing tables, and the subalgebra generated by
 a list of basis elements is spanned word by word and measured with the
-dense rank.  Dense matrix products and inverses are here too, as the
-reference for the library's sparse maps.
+dense rank.  Dense Gauss-Jordan elimination, with the rank and the
+nullspace it gives, and dense matrix products and inverses are here too,
+as the reference for the library's sparse elimination and sparse maps.
 """
 
 from itertools import product
 
 
-def _rank(rows, width, field):
-    rows = [list(r) for r in rows]
-    rank = 0
+def dense_rref(rows, width, field):
+    """Gauss-Jordan elimination of a list of row lists, in place; returns
+    the pivot columns, in increasing order."""
+    pivots = []
     for col in range(width):
+        rank = len(pivots)
         piv = None
         for r in range(rank, len(rows)):
             if rows[r][col] != field.zero:
@@ -43,8 +46,29 @@ def _rank(rows, width, field):
                 c = rows[r][col]
                 rows[r] = [field.sub(a, field.mul(c, b))
                            for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def dense_rank(rows, width, field):
+    return len(dense_rref([list(r) for r in rows], width, field))
+
+
+def dense_nullspace(rows, width, field):
+    """Basis of the kernel of a dense matrix, one vector per free column
+    of its reduced row echelon form."""
+    work = [list(r) for r in rows]
+    pivots = dense_rref(work, width, field)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        v = [field.zero] * width
+        v[free] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(work[r][free])
+        basis.append(v)
+    return basis
 
 
 def _enumerate_paths(quiver, max_len):
@@ -90,7 +114,7 @@ def brute_force_dimension(quiver, relations, field, max_len):
                     row[j] = field.add(row[j], c)
                 if touched:
                     rows.append(row)
-    return len(paths) - _rank(rows, len(paths), field)
+    return len(paths) - dense_rank(rows, len(paths), field)
 
 
 def full_bar_hh2(dim, table, field):
@@ -158,7 +182,7 @@ def full_bar_hh2(dim, table, field):
             for pos, c in col.items():
                 row[pos] = c
             dense.append(row)
-        return _rank(dense, height, field)
+        return dense_rank(dense, height, field)
 
     rank_d2 = sparse_rank(d2_cols, dim ** 4)
     rank_d1 = sparse_rank(d1_cols, dim ** 3)
@@ -396,7 +420,7 @@ def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
     out = [("m0", d) for d in brute_bimodule_defects(alg_l, alg_r, n0, l0, r0, field)]
     out += [("m1", d) for d in brute_bimodule_defects(alg_l, alg_r, n1, l1, r1, field)]
     t_rows = [[t.get(m, {}).get(r, field.zero) for m in range(n0)] for r in range(n1)]
-    if _rank(t_rows, n0, field) != n0:
+    if dense_rank(t_rows, n0, field) != n0:
         out.append(("injective", ()))
 
     def tmap(vec):
@@ -455,7 +479,7 @@ def brute_generated_dimension(alg, gens, field):
     dim, table, unit = alg
     words = [dict(unit)]
     layer = [dict(unit)]
-    rank = _rank([[w.get(k, field.zero) for k in range(dim)] for w in words], dim, field)
+    rank = dense_rank([[w.get(k, field.zero) for k in range(dim)] for w in words], dim, field)
     while layer:
         grown = []
         for w in layer:
@@ -463,7 +487,7 @@ def brute_generated_dimension(alg, gens, field):
                 word = _act(table, field, {g: field.one}, w)
                 row = [word.get(k, field.zero) for k in range(dim)]
                 rows = [[v.get(k, field.zero) for k in range(dim)] for v in words]
-                if _rank(rows + [row], dim, field) > rank:
+                if dense_rank(rows + [row], dim, field) > rank:
                     words.append(word)
                     grown.append(word)
                     rank += 1
@@ -566,7 +590,7 @@ def dense_inverse(a, field):
     n = len(a)
     rows = [list(a[i]) + [field.one if j == i else field.zero for j in range(n)]
             for i in range(n)]
-    if _rank([r[:n] for r in rows], n, field) != n:
+    if dense_rank([r[:n] for r in rows], n, field) != n:
         return None
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col] != field.zero)
@@ -619,7 +643,7 @@ def brute_left_uple_defects(alg, f, m0, m1, t, f_m, field):
     out = [("m0", d) for d in brute_module_defects(alg, n0, a0, field)]
     out += [("m1", d) for d in brute_module_defects(alg, n1, a1, field)]
     t_rows = [[t.get(m, {}).get(r, field.zero) for m in range(n0)] for r in range(n1)]
-    if _rank(t_rows, n0, field) != n0:
+    if dense_rank(t_rows, n0, field) != n0:
         out.append(("injective", ()))
 
     def tmap(vec):

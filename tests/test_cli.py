@@ -504,6 +504,25 @@ def test_verify_morita_matrix(capsys):
     assert all(json.loads(l)["ok"] is True for l in lines)
 
 
+def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
+    # d f = 0 is proved once on A and d g = 0 once on B; the deformed
+    # bimodules and A_f, B_g are built on those two proofs
+    from quivdeform import deform, hochschild
+    seen = []
+    original = hochschild.is_full_cocycle
+
+    def counted(f, alg):
+        seen.append(alg.dim)
+        return original(f, alg)
+
+    for module in (cli, deform, hochschild, morita):
+        if hasattr(module, "is_full_cocycle"):
+            monkeypatch.setattr(module, "is_full_cocycle", counted)
+    assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert seen == [2, 8]
+
+
 def test_verify_morita_corner(capsys):
     assert run(["verify-morita", data_path("lambda_m2.alg"),
                 "--idempotent", "1"]) == 0

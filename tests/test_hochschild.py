@@ -358,6 +358,17 @@ def test_hh_summary_matches_full_bar_complex(name, field):
     assert hh_summary(basis)[2] == full_bar_hh2(basis.dim, basis.table, field)
 
 
+@pytest.mark.parametrize("field, hh2", [(Q, 9), (Field.prime(5), 10)], ids=["Q", "F5"])
+def test_hh2_of_truncated_polynomial_ring(field, hh2):
+    # HH^2 of k[x]/(x^n) is k[x]/(x^n, n x^(n-1)): n - 1 dimensional, or n
+    # when the characteristic divides n; here n = 10
+    from quivdeform.fileio import parse_algebra_text
+    af = parse_algebra_text("field Q\nvertex 1\narrow x : 1 -> 1\nrelation %s\n"
+                            % "*".join(["x"] * 10), field_override=field)
+    basis = compute_basis(af.quiver, af.relations, af.field, 30)
+    assert hh_summary(basis)[2] == hh2
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_cobound_solve_inverts_the_differential(seed):

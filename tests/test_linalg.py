@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
 
-from quivdeform.fields import Field
-from quivdeform.linalg import (SpanSolver, map_apply, map_combine, map_compose,
-                               map_inverse, nullspace, rank, rref)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_inverse, dense_matmul, sparse_of
+from quivdeform.errors import UntaggedSpan
+from quivdeform.fields import Field
+from quivdeform.linalg import (SpanSolver, column_kernel, map_apply, map_combine,
+                               map_compose, map_inverse)
+
+from oracles import (dense_inverse, dense_matmul, dense_nullspace, dense_rank,
+                     sparse_of)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -15,10 +21,26 @@ def fr(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def test_rref_and_rank():
-    m = fr([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    pivots = rref(m, Q)
-    assert pivots == [0, 1]
+def columns(rows, width, field):
+    """The columns of a dense matrix as sparse vectors keyed by row, in
+    order, zero columns included."""
+    return [{r: row[c] for r, row in enumerate(rows) if row[c] != field.zero}
+            for c in range(width)]
+
+
+def rank(rows, field):
+    """The rank of a dense matrix, as the dimension of its rows' span."""
+    span = SpanSolver(field)
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    return span.dim
+
+
+def test_pivots_and_rank():
+    span = SpanSolver(Q)
+    for row in fr([[1, 2, 3], [2, 4, 6], [1, 1, 1]]):
+        span.add(dict(enumerate(row)))
+    assert sorted(span.rows) == [0, 1]
     assert rank(fr([[1, 2], [3, 4]]), Q) == 2
     assert rank(fr([[1, 2], [2, 4]]), Q) == 1
     assert rank([], Q) == 0
@@ -46,13 +68,14 @@ def test_solve_consistent_and_inconsistent():
     assert sum(x3) == Fraction(5)
 
 
-def test_nullspace():
+def test_column_kernel():
     a = fr([[1, 2, 3], [2, 4, 6]])
-    basis = nullspace(a, Q)
+    basis = column_kernel(columns(a, 3, Q), Q)
     assert len(basis) == 2
     for v in basis:
-        assert dense_matmul(fr([[1, 2, 3]]), [[x] for x in v], Q) == [[Fraction(0)]]
-    assert rank([list(v) for v in basis], Q) == 2
+        assert dense_matmul(fr([[1, 2, 3]]), [[v.get(c, Q.zero)] for c in range(3)],
+                            Q) == [[Fraction(0)]]
+    assert rank([[v.get(c, Q.zero) for c in range(3)] for v in basis], Q) == 2
 
 
 def test_invert_matrix():
@@ -128,3 +151,107 @@ def test_sparse_maps_agree_with_dense_matrices():
     # a map minus itself is the empty map, not a map of empty columns
     m = {0: {1: Q.one}, 2: {0: Fraction(3)}}
     assert map_combine([(Q.one, m), (Q.neg(Q.one), m)], Q) == {}
+
+
+# ------------------------------------------- the engine against the oracle
+
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+
+
+@st.composite
+def known_rank(draw):
+    """(field, r, M): M = L R over Q or F_7 with L (m x r) of full column
+    rank and R (r x n) of full row rank, so rank M = r.  L holds the
+    identity in r of its rows and R in r of its columns; the other entries
+    are sparse."""
+    field = draw(st.sampled_from([Q, F7]))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(m, n)))
+
+    def unit(k):
+        return [field.one if t == k else field.zero for t in range(r)]
+
+    left = [[field.from_int(draw(ENTRIES)) for _ in range(r)] for _ in range(m)]
+    for k, i in enumerate(draw(st.permutations(range(m)))[:r]):
+        left[i] = unit(k)
+    right_cols = [[field.from_int(draw(ENTRIES)) for _ in range(r)] for _ in range(n)]
+    for k, j in enumerate(draw(st.permutations(range(n)))[:r]):
+        right_cols[j] = unit(k)
+    right = [[col[k] for col in right_cols] for k in range(r)]
+    if r == 0:
+        return field, 0, [[field.zero] * n for _ in range(m)]
+    return field, r, dense_matmul(left, right, field)
+
+
+def vectors(field, m):
+    return st.lists(ENTRIES, min_size=m, max_size=m).map(
+        lambda xs: {i: field.from_int(x) for i, x in enumerate(xs) if x})
+
+
+def combine(field, terms):
+    """sum c * vec over the (c, vec) pairs of terms, as a sparse vector."""
+    return map_combine([(c, {0: vec}) for c, vec in terms], field).get(0, {})
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data(), known_rank())
+def test_engine_agrees_with_the_dense_oracle(data, case):
+    field, r, a = case
+    m, n = len(a), len(a[0])
+    cols = columns(a, n, field)
+    span = SpanSolver(field)
+    for c, col in enumerate(cols):
+        span.add(col, c)
+    assert span.dim == r == dense_rank(a, n, field)
+    # every row has its smallest coordinate as pivot, with entry 1
+    assert all(min(row) == p and row[p] == field.one for p, (row, _) in span.rows.items())
+
+    v = data.draw(vectors(field, m))
+    member = dense_rank([[col.get(i, field.zero) for i in range(m)] for col in cols]
+                   + [[v.get(i, field.zero) for i in range(m)]], m, field) == r
+    assert span.contains(v) == member
+
+    # express rebuilds a member from the inserted vectors
+    x = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    target = combine(field, [(field.from_int(c), col) for c, col in zip(x, cols)])
+    assert span.contains(target)
+    combo = span.express(target)
+    assert combine(field, [(c, cols[t]) for t, c in combo.items()]) == target
+    assert (span.express(v) is None) == (not member)
+
+    # normal forms are idempotent, free of pivots, differ from the vector
+    # by a member, and vanish exactly on the span
+    nf = span.normal_form(v)
+    assert span.normal_form(nf) == nf
+    assert not set(nf) & set(span.rows)
+    assert span.contains(combine(field, [(field.one, v), (field.neg(field.one), nf)]))
+    assert (not nf) == member
+    assert span.normal_form(target) == {}
+
+    # the kernel helper gives the oracle's nullspace, vector for vector
+    want = [{c: y for c, y in enumerate(vec) if y != field.zero}
+            for vec in dense_nullspace(a, n, field)]
+    assert column_kernel(cols, field) == want
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(known_rank())
+def test_engine_rank_on_int_tuple_coordinates(case):
+    # coordinates (i // 3, i % 3) order as i does, so the rank is unchanged
+    field, r, a = case
+    span = SpanSolver(field)
+    for col in columns(a, len(a[0]), field):
+        span.add({divmod(i, 3): x for i, x in col.items()})
+    assert span.dim == r
+
+
+def test_express_is_refused_after_an_untagged_add():
+    span = SpanSolver(Q)
+    span.add({0: Q.one}, "a")
+    assert span.express({0: Fraction(2)}) == {"a": Fraction(2)}
+    span.add({1: Q.one})
+    assert span.contains({1: Fraction(3)})
+    with pytest.raises(UntaggedSpan):
+        span.express({0: Q.one})
+    with pytest.raises(UntaggedSpan):
+        span.express({5: Q.one})
