@@ -1,7 +1,8 @@
 """Exact linear algebra over a Field, and finite-dimensional algebras.
 
 Sparse vectors are coordinate dicts {index: scalar}; the helpers
-_addinto, _scaled and _clean work on them.  A sparse linear map
+_addinto, _scaled and _clean work on them, and _bilinear extends a
+table {(i, j): vector} of basis products to them.  A sparse linear map
 is a column dict {column: {row: scalar}}: column c holds the image of
 basis vector c, and absent columns, rows and zero scalars are left out,
 so two maps are equal exactly when their dicts are.  map_apply,
@@ -42,6 +43,15 @@ def _addinto(field, acc, vec, c):
         else:
             acc[k] = s
     return acc
+
+
+def _bilinear(field, table, x, y):
+    """sum x_i y_j table[(i, j)] over the coordinates {i: x_i}, {j: y_j}."""
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            _addinto(field, out, table.get((i, j), {}), field.mul(ci, cj))
+    return out
 
 
 def _scaled(field, vec, c):
@@ -259,12 +269,7 @@ class FinDimAlgebra:
         return self.table.get((i, j), {})
 
     def mul(self, x, y):
-        fld = self.field
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                _addinto(fld, out, self.multiply_basis(i, j), fld.mul(ci, cj))
-        return out
+        return _bilinear(self.field, self.table, x, y)
 
     def generators(self):
         """Basis indices that generate the algebra as a unital algebra,

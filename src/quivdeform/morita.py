@@ -25,7 +25,15 @@ Every identity of a bimodule and of a context is checked on the
 generators of the acting algebras (FinDimAlgebra.generators()), not on
 all pairs of basis elements; Bimodule.violations gives the induction
 that proves it for all elements.  It needs the acting algebras to be
-associative, which for A_f and B_g is their cocycle condition.
+associative, which for A_f and B_g is their cocycle condition.  A
+context checks only its axioms: the bijectivity of the induced maps
+P (x)_B Q -> A and Q (x)_A P -> B, and the recovery of P and Q through
+the generator lists, are consequences (MoritaContext._validate gives
+the proof), so no balanced product is built to check a context.
+
+transfer_phi and transfer_psi work from the support of the cochain: one
+chain of pair weights per key of its table, so the cost follows the
+number of nonzero entries, not the number of basis tuples of B.
 """
 
 from .deform import _deformed_algebra
@@ -33,8 +41,8 @@ from .deform import algebra_of_basis, deform_structure_algebra  # noqa: F401 (re
 from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
 from .hochschild import FullCochain, is_full_cocycle
-from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _columns,
-                     _identity, _map_rank, _rows, _scaled, map_apply,
+from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _bilinear, _clean,
+                     _columns, _identity, _map_rank, _rows, _scaled, map_apply,
                      map_combine, map_compose, map_inverse)
 
 
@@ -87,20 +95,10 @@ class Bimodule:
         return self._right_maps.get(j, {})
 
     def left_act(self, avec, mvec):
-        fld = self.field
-        out = {}
-        for i, ci in avec.items():
-            for m, cm in mvec.items():
-                _addinto(fld, out, self.left_basis(i, m), fld.mul(ci, cm))
-        return out
+        return _bilinear(self.field, self.left, avec, mvec)
 
     def right_act(self, mvec, bvec):
-        fld = self.field
-        out = {}
-        for m, cm in mvec.items():
-            for j, cj in bvec.items():
-                _addinto(fld, out, self.right_basis(m, j), fld.mul(cm, cj))
-        return out
+        return _bilinear(self.field, self.right, mvec, bvec)
 
     def violations(self):
         """Every failed bimodule axiom, as messages in this order: the two
@@ -233,20 +231,11 @@ class TensorProduct:
         """Quotient coordinates of a vector given on raw pair columns."""
         return {self._pos[c]: v for c, v in self._span.normal_form(raw).items()}
 
-    def pure(self, i, j):
-        return self.project({i * self.y.dim + j: self.field.one})
-
     def pure_vec(self, xvec, yvec):
-        fld = self.field
+        ydim = self.y.dim
         raw = {}
         for i, ci in xvec.items():
-            for j, cj in yvec.items():
-                k = i * self.y.dim + j
-                s = fld.add(raw.get(k, fld.zero), fld.mul(ci, cj))
-                if s == fld.zero:
-                    raw.pop(k, None)
-                else:
-                    raw[k] = s
+            _addinto(self.field, raw, {i * ydim + j: cj for j, cj in yvec.items()}, ci)
         return self.project(raw)
 
 
@@ -259,8 +248,11 @@ class MoritaContext:
     sum <p', q'>_A = 1_A; gens_b = [(q, p)] with sum <q, p>_B = 1_B.
     Unless check=False, the pairings are checked to be linear over both
     actions and balanced (on the generators of a and b), to associate
-    with each other, to give the units through gens_a and gens_b, and to
-    induce bijections from the balanced products onto a and b.
+    with each other and to give the units through gens_a and gens_b.
+    That the pairings induce bijections from the balanced products onto
+    a and b, and that every element of P and Q is recovered through
+    gens_a and gens_b, follows from these (see _validate), so neither is
+    computed.
     """
 
     def __init__(self, a, b, p, q, pairing_a, pairing_b, gens_a, gens_b, check=True):
@@ -275,25 +267,14 @@ class MoritaContext:
         self.gens_a = [(_clean(fld, u), _clean(fld, v)) for u, v in gens_a]
         self.gens_b = [(_clean(fld, u), _clean(fld, v)) for u, v in gens_b]
         self._swapped = None
-        self._phi_ops = {}
         if check:
             self._validate()
 
     def pair_a(self, pvec, qvec):
-        fld = self.field
-        out = {}
-        for i, ci in pvec.items():
-            for j, cj in qvec.items():
-                _addinto(fld, out, self.pairing_a.get((i, j), {}), fld.mul(ci, cj))
-        return out
+        return _bilinear(self.field, self.pairing_a, pvec, qvec)
 
     def pair_b(self, qvec, pvec):
-        fld = self.field
-        out = {}
-        for j, cj in qvec.items():
-            for i, ci in pvec.items():
-                _addinto(fld, out, self.pairing_b.get((j, i), {}), fld.mul(cj, ci))
-        return out
+        return _bilinear(self.field, self.pairing_b, qvec, pvec)
 
     def swap(self):
         """The same context read from B's side; psi = phi of the swap."""
@@ -306,6 +287,30 @@ class MoritaContext:
         return self._swapped
 
     def _validate(self):
+        """Raise InputError at the first failed axiom of the context, in
+        this order: the sides of P and Q, linearity and balance of the
+        pairings (on generators, see below), the two associativities
+        <p, q>_A p' = p <q, p'>_B and <q, p>_B q' = q <p, q'>_A, and the
+        decompositions of 1_A and 1_B.
+
+        The rest of a Morita context follows from these, for P and Q
+        bimodules.  Recovery: x = x 1_B = sum x <q_k, p_k>_B = sum <x,
+        q_k>_A p_k for x in P, by the right unit and the first
+        associativity; x = 1_A x = sum p'_j <q'_j, x>_B, and in Q y = 1_B
+        y = sum q_k <p_k, y>_A and y = y 1_A = sum <y, p'_j>_B q'_j, in
+        the same way.  The pairing P (x)_B Q -> A is well defined by
+        balance.  It is injective: by the second associativity, balance
+        and the first associativity,
+
+            sum x_i (x) y_i = sum x_i (x) y_i <p'_j, q'_j>_A
+                            = sum x_i <y_i, p'_j>_B (x) q'_j
+                            = sum <x_i, y_i>_A p'_j (x) q'_j,
+
+        which is 0 when sum <x_i, y_i>_A is.  It is surjective, since its
+        image is a two-sided ideal by linearity and holds 1_A.  The
+        mirror argument, through gens_b, gives Q (x)_A P -> B.  This is
+        the Morita context lemma (Bass, Algebraic K-Theory, 1968).
+        """
         fld = self.field
         a, b, p, q = self.a, self.b, self.p, self.q
         if p.left_alg is not a or p.right_alg is not b:
@@ -374,52 +379,6 @@ class MoritaContext:
             _addinto(fld, total, self.pair_b(u, v), one)
         if total != self.b.unit:
             raise InputError("gens_b do not decompose 1_B")
-
-        # Every x in P splits as sum <x, q_k>_A p_k = sum p'_j <q'_j, x>_B,
-        # and dually in Q; these power the transfer and tensor formulas.
-        for i in range(p.dim):
-            e = {i: one}
-            got = {}
-            for qk, pk in self.gens_b:
-                _addinto(fld, got, p.left_act(self.pair_a(e, qk), pk), one)
-            if got != e:
-                raise InputError("P basis %d is not recovered from gens_b" % i)
-            got = {}
-            for pj, qj in self.gens_a:
-                _addinto(fld, got, p.right_act(pj, self.pair_b(qj, e)), one)
-            if got != e:
-                raise InputError("P basis %d is not recovered from gens_a" % i)
-        for j in range(q.dim):
-            e = {j: one}
-            got = {}
-            for qk, pk in self.gens_b:
-                _addinto(fld, got, q.right_act(qk, self.pair_a(pk, e)), one)
-            if got != e:
-                raise InputError("Q basis %d is not recovered from gens_b" % j)
-            got = {}
-            for pj, qj in self.gens_a:
-                _addinto(fld, got, q.left_act(self.pair_b(e, pj), qj), one)
-            if got != e:
-                raise InputError("Q basis %d is not recovered from gens_a" % j)
-
-        # The pairings must induce bijections P (x)_B Q -> A, Q (x)_A P -> B;
-        # they are defined on the balanced products by the conditions
-        # <p.b, q> = <p, b.q> and <q.a, p> = <q, a.p> above.
-        for first, second, pair, target, name in (
-                (p, q, self.pair_a, a, "A"),
-                (q, p, self.pair_b, b, "B")):
-            ten = TensorProduct(first, second)
-            if ten.dim != target.dim:
-                raise InputError("tensor to %s has dimension %d, expected %d"
-                                 % (name, ten.dim, target.dim))
-            induced = {}
-            for t, col in enumerate(ten.free):
-                i, j = divmod(col, second.dim)
-                vec = pair({i: one}, {j: one})
-                if vec:
-                    induced[t] = vec
-            if map_inverse(induced, target.dim, fld) is None:
-                raise InputError("pairing to %s does not induce a bijection" % name)
 
 
 def identity_context(alg):
@@ -621,70 +580,20 @@ def idempotent_context(alg, evec):
     return MoritaContext(alg, b, p, q, pairing_a, pairing_b, gens_a, gens_b)
 
 
-def _phi_operator(ctx, n):
-    """phi^n as a sparse linear map between cochain tables.
-
-    Rows are keyed by (input key, output coordinate) on the A side; each
-    row lists ((b_1..b_n), j) coefficients on the B side.  The inner sums
-    over generator indices are matrix chains over the pair weights
-    W(b, k)[u][v] = coeff_k <p_u, b . q_v>_A, closed off by the cyclic
-    contraction against V(k0)[u][v] = <q_u, k0 . p_v>_B.
-    """
-    if n in ctx._phi_ops:
-        return ctx._phi_ops[n]
-    fld = ctx.field
-    m = len(ctx.gens_b)
-    dim_a, dim_b = ctx.a.dim, ctx.b.dim
-    qs = [gv for gv, _ in ctx.gens_b]
-    ps = [pv for _, pv in ctx.gens_b]
-
-    # the pair weights as sparse maps on generator indices, column v, row u
-    weights = {}
-    for bidx in range(dim_b):
-        eb = {bidx: fld.one}
-        for u in range(m):
-            for v in range(m):
-                val = ctx.pair_a(ps[u], ctx.q.left_act(eb, qs[v]))
-                for k, c in val.items():
-                    weights.setdefault((bidx, k), {}).setdefault(v, {})[u] = c
-
-    closer = {}
-    for k0 in range(dim_a):
-        for u in range(m):
-            for v in range(m):
-                val = ctx.pair_b(qs[u], ctx.p.left_act({k0: fld.one}, ps[v]))
-                if val:
-                    closer[(k0, u, v)] = val
-
-    prefix = {((), ()): {u: {u: fld.one} for u in range(m)}}
-    for _ in range(n):
-        nxt = {}
-        for (bt, kt), mat in prefix.items():
-            for (bidx, k), w in weights.items():
-                prod = map_compose(mat, w, fld)
-                if prod:
-                    nxt[(bt + (bidx,), kt + (k,))] = prod
-        prefix = nxt
-
-    rows = {}
-    for (bt, kt), mat in prefix.items():
-        for k0 in range(dim_a):
-            out = {}
-            for v, col in mat.items():
-                for u, c in col.items():
-                    val = closer.get((k0, u, v))
-                    if val:
-                        _addinto(fld, out, val, c)
-            if out:
-                row = rows.setdefault((kt, k0), {})
-                for j, c in out.items():
-                    row[(bt, j)] = c
-    ctx._phi_ops[n] = rows
-    return rows
-
-
 def transfer_phi(ctx, f, n=None):
-    """phi^n(f): cochains on A to cochains on B, literal in gens_b."""
+    """phi^n(f): cochains on A to cochains on B, literal in gens_b.
+
+    phi^n(f)(b_1..b_n) is the sum over generator indices u_0..u_n of
+
+        <q_u0, f(<p_u0, b_1 q_u1>_A, ..., <p_u(n-1), b_n q_un>_A) p_un>_B
+
+    with gens_b = [(q_u, p_u)].  It is computed from the support of f: a
+    key (k_1..k_n) of f.table chains the pair weights W(b, k)[u][v] =
+    coeff_k <p_u, b . q_v>_A to W(b_1, k_1) ... W(b_n, k_n), one map on
+    generator indices per tuple (b_1..b_n), and each coordinate k0 of the
+    value f(x_k1..x_kn) closes the chain through V(k0)[u][v] =
+    <q_u, x_k0 . p_v>_B.  The zero cochain costs nothing.
+    """
     if n is None:
         n = f.degree
     if n != f.degree:
@@ -695,21 +604,44 @@ def transfer_phi(ctx, f, n=None):
         raise InputError("cochain lives on an algebra of dimension %d, expected %d"
                          % (f.dim, ctx.a.dim))
     fld = ctx.field
-    rows = _phi_operator(ctx, n)
+    if not f.table:
+        return FullCochain(ctx.b.dim, n, fld)
+    one = fld.one
+    m = len(ctx.gens_b)
+    qs = [gv for gv, _ in ctx.gens_b]
+    ps = [pv for _, pv in ctx.gens_b]
+
+    # weights[k] = [(b, W(b, k))], W as a sparse map with column v, row u
+    weights = {}
+    for b in range(ctx.b.dim):
+        by_k = {}
+        for u in range(m):
+            for v in range(m):
+                for k, c in ctx.pair_a(ps[u], ctx.q.left_act({b: one}, qs[v])).items():
+                    by_k.setdefault(k, {}).setdefault(v, {})[u] = c
+        for k, w in by_k.items():
+            weights.setdefault(k, []).append((b, w))
+
     table = {}
     for key, vec in f.table.items():
-        for k0, c in vec.items():
-            row = rows.get((key, k0))
-            if not row:
-                continue
-            for (bt, j), w in row.items():
-                tv = table.setdefault(bt, {})
-                s = fld.add(tv.get(j, fld.zero), fld.mul(c, w))
-                if s == fld.zero:
-                    tv.pop(j, None)
-                else:
-                    tv[j] = s
-    table = {k: v for k, v in table.items() if v}
+        # close[(u, v)] = <q_u, f(x_k1..x_kn) . p_v>_B, the sum of the
+        # V(k0)[u][v] weighted by the coordinates k0 of the value
+        close = {(u, v): ctx.pair_b(qs[u], ctx.p.left_act(vec, ps[v]))
+                 for u in range(m) for v in range(m)}
+        chains = {(): _identity(m, fld)}
+        for k in key:
+            grown = {}
+            for bt, mat in chains.items():
+                for b, w in weights.get(k, ()):
+                    prod = map_compose(mat, w, fld)
+                    if prod:
+                        grown[bt + (b,)] = prod
+            chains = grown
+        for bt, mat in chains.items():
+            out = table.setdefault(bt, {})
+            for v, col in mat.items():
+                for u, c in col.items():
+                    _addinto(fld, out, close[(u, v)], c)
     return FullCochain(ctx.b.dim, n, fld, table)
 
 

@@ -19,7 +19,13 @@ applies to words of every length.
 
 from collections import deque
 
-from .errors import InputError, NotFiniteDimensional
+from .errors import InputError, NotFiniteDimensional, SizeLimitExceeded
+
+# The most standard monomials that compute_basis enumerates; one more
+# raises SizeLimitExceeded.  On two loops with one monomial relation the
+# count grows exponentially with the length bound, and a basis of a few
+# thousand elements is already far too large for the cochain spaces.
+MAX_BASIS_DIM = 4096
 
 
 def path_order_key(p):
@@ -343,7 +349,8 @@ class RewriteSystem:
 
         Irreducible paths are closed under subwords, so if none of length
         exactly max_len exists the enumeration is complete; otherwise the
-        quotient is not certified finite-dimensional and we refuse.
+        quotient is not certified finite-dimensional and we refuse.  More
+        than MAX_BASIS_DIM paths raise SizeLimitExceeded at once.
         """
         q = self.quiver
         out = []
@@ -368,6 +375,10 @@ class RewriteSystem:
                     cand = p + (a,)
                     if not self.is_reducible(cand):
                         nxt.append(cand)
+                        if len(out) + len(nxt) > MAX_BASIS_DIM:
+                            raise SizeLimitExceeded(
+                                "more than %d standard monomials below length %d"
+                                % (MAX_BASIS_DIM, max_len))
             layer = nxt
         return out
 

@@ -15,7 +15,9 @@ primality by trial division.  The bimodule and bimodule-uple axioms,
 and the axioms of left modules, left uples and their morphisms, are
 evaluated on every basis tuple, one element at a time, from the raw
 action tables.  The axioms of a Morita context are evaluated on every
-basis tuple from the raw pairing tables, and the subalgebra generated by
+basis tuple from the raw pairing tables, its consequences on dense
+balanced products built on all basis triples, and the transfer phi^n
+term by term from its defining sum; the subalgebra generated by
 a list of basis elements is spanned word by word and measured with the
 dense rank.  Dense Gauss-Jordan elimination, with the rank and the
 nullspace it gives, and dense matrix products and inverses are here too,
@@ -240,41 +242,49 @@ def brute_differential(dim, table, field, cochain_table, n):
     return result
 
 
-def brute_transfer(ctx, f, n):
-    """phi^n by direct evaluation of its defining sum: one term per
-    (n+1)-tuple of generator indices, no operator caching involved."""
-    field = ctx.field
-    qs = [gv for gv, _ in ctx.gens_b]
-    ps = [pv for _, pv in ctx.gens_b]
-    m = len(qs)
+def brute_transfer(alg_b, p, q, pairing_a, pairing_b, gens_b, f_table, n, field):
+    """phi^n(f) by direct evaluation of its defining sum, one term per
+    n-tuple of basis elements of B and (n+1)-tuple of generator indices:
 
-    def add(acc, vec, c):
-        for k, v in vec.items():
-            s = field.add(acc.get(k, field.zero), field.mul(c, v))
-            if s == field.zero:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
+        phi(f)(y_1..y_n) = sum <q_u0, f(<p_u0, y_1 q_u1>_A, ...,
+                                        <p_u(n-1), y_n q_un>_A) p_un>_B.
 
-    def tuples(width, size):
-        if width == 0:
-            yield ()
-            return
-        for head in tuples(width - 1, size):
-            for last in range(size):
-                yield head + (last,)
+    alg_b is a raw algebra (dim, table, unit), p a raw (A, B)-bimodule
+    and q a raw (B, A)-bimodule (dim, left, right), pairing_a[(i, j)] =
+    <p_i, q_j>_A and pairing_b[(j, i)] = <q_j, p_i>_B, gens_b = [(q_u,
+    p_u)] and f_table[(k_1..k_n)] = f(x_k1..x_kn).  psi^n is the same sum
+    with the roles of the two sides exchanged: pass the raw A, q, p,
+    pairing_b, pairing_a and gens_a.  Returns the nonzero values
+    {(i_1..i_n): {k: c}}."""
+    (_, pl, _), (_, ql, _) = p, q
+    one = field.one
+    qs = [y for y, _ in gens_b]
+    ps = [x for _, x in gens_b]
 
+    def f_of(args):
+        # f is multilinear: each key contributes the product of the
+        # coordinates of the arguments at its indices
+        terms = []
+        for key, vec in f_table.items():
+            c = one
+            for arg, k in zip(args, key):
+                c = field.mul(c, arg.get(k, field.zero))
+            if c != field.zero:
+                terms.append((c, vec))
+        return _combo(field, *terms)
+
+    m = len(gens_b)
+    # bracket[(y, u, v)] = <p_u, y q_v>_A, evaluated once for every triple
+    bracket = {(y, u, v): _act(pairing_a, field, ps[u], _act(ql, field, {y: one}, qs[v]))
+               for y, u, v in product(range(alg_b[0]), range(m), range(m))}
     table = {}
-    for key in tuples(n, ctx.b.dim):
-        out = {}
-        for idx in tuples(n + 1, m):
-            args = [ctx.pair_a(ps[idx[t]],
-                               ctx.q.left_act({key[t]: field.one}, qs[idx[t + 1]]))
-                    for t in range(n)]
-            inner = f.evaluate(*args)
-            if inner:
-                moved = ctx.p.left_act(inner, ps[idx[n]])
-                add(out, ctx.pair_b(qs[idx[0]], moved), field.one)
+    for key in product(range(alg_b[0]), repeat=n):
+        terms = []
+        for idx in product(range(m), repeat=n + 1):
+            args = [bracket[(key[t], idx[t], idx[t + 1])] for t in range(n)]
+            moved = _act(pl, field, f_of(args), ps[idx[n]])
+            terms.append((one, _act(pairing_b, field, qs[idx[0]], moved)))
+        out = _combo(field, *terms)
         if out:
             table[key] = out
     return table
@@ -559,6 +569,80 @@ def brute_context_defects(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens
         out.append(("unit A", ()))
     if _combo(field, *[(one, pb(y, x)) for y, x in gens_b]) != _combo(field, (one, ub)):
         out.append(("unit B", ()))
+    return out
+
+
+def _pairing_bijective(x, y, middle_dim, pairing, target_dim, field):
+    """Whether pairing[(i, j)] = <x_i, y_j> induces a bijection from the
+    balanced product X (x) Y onto a space of dimension target_dim.
+
+    x and y are raw bimodules (dim, left, right) over a middle algebra of
+    dimension middle_dim.  X (x) Y is the dense space on the pairs (i, j)
+    modulo one relation x_i.z_s (x) y_j - x_i (x) z_s.y_j per basis
+    triple; the induced map is a well-defined bijection exactly when the
+    pairing kills every relation, has rank target_dim and the relations
+    have rank dim X dim Y - target_dim."""
+    (dx, _, xr), (dy, yl, _) = x, y
+    one, minus = field.one, field.neg(field.one)
+    width = dx * dy
+
+    def row(vec):
+        return [vec.get(c, field.zero) for c in range(width)]
+
+    relations = []
+    for i, s, j in product(range(dx), range(middle_dim), range(dy)):
+        left = {i2 * dy + j: c for i2, c in _act(xr, field, {i: one}, {s: one}).items()}
+        right = {i * dy + j2: c for j2, c in _act(yl, field, {s: one}, {j: one}).items()}
+        rel = _combo(field, (one, left), (minus, right))
+        if _combo(field, *[(c, pairing.get(divmod(k, dy), {})) for k, c in rel.items()]):
+            return False
+        relations.append(row(rel))
+    values = [[pairing.get(divmod(k, dy), {}).get(t, field.zero) for k in range(width)]
+              for t in range(target_dim)]
+    return (dense_rank(values, width, field) == target_dim
+            and dense_rank(relations, width, field) == width - target_dim)
+
+
+def brute_context_consequences(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens_b,
+                               field):
+    """Every consequence of the axioms of a Morita context that fails,
+    each computed densely from the raw tables.
+
+    The arguments are those of brute_context_defects.  Returns (kind,
+    tuple) pairs, in the order
+
+        ("tensor A", ())         P (x)_B Q -> A is not a well-defined bijection
+        ("tensor B", ())         Q (x)_A P -> B is not
+        ("P from gens_b", (i,))  sum <p_i, q_k>_A p_k != p_i over gens_b
+        ("P from gens_a", (i,))  sum p'_j <q'_j, p_i>_B != p_i over gens_a
+        ("Q from gens_b", (j,))  sum q_k <p_k, q_j>_A != q_j over gens_b
+        ("Q from gens_a", (j,))  sum <q_j, p'_j>_B q'_j != q_j over gens_a
+
+    with p_i and q_j basis elements of P and Q."""
+    (da, _, _), (db, _, _) = alg_a, alg_b
+    (dp, pl, pr), (dq, ql, qr) = p, q
+    one = field.one
+    out = []
+    if not _pairing_bijective(p, q, db, pairing_a, da, field):
+        out.append(("tensor A", ()))
+    if not _pairing_bijective(q, p, da, pairing_b, db, field):
+        out.append(("tensor B", ()))
+    for i in range(dp):
+        e = {i: one}
+        if _combo(field, *[(one, _act(pl, field, _act(pairing_a, field, e, y), x))
+                           for y, x in gens_b]) != e:
+            out.append(("P from gens_b", (i,)))
+        if _combo(field, *[(one, _act(pr, field, x, _act(pairing_b, field, y, e)))
+                           for x, y in gens_a]) != e:
+            out.append(("P from gens_a", (i,)))
+    for j in range(dq):
+        e = {j: one}
+        if _combo(field, *[(one, _act(qr, field, y, _act(pairing_a, field, x, e)))
+                           for y, x in gens_b]) != e:
+            out.append(("Q from gens_b", (j,)))
+        if _combo(field, *[(one, _act(ql, field, _act(pairing_b, field, e, x), y))
+                           for x, y in gens_a]) != e:
+            out.append(("Q from gens_a", (j,)))
     return out
 
 

@@ -54,6 +54,19 @@ def test_basis_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_basis_above_the_size_limit_exits_1(tmp_path, capsys):
+    # k<a, b>/(a^2) has a standard monomial for every word without aa,
+    # about 1.6^n of length n and 3.5 million below length 30: refused at
+    # the default --max-degree once the count passes quiver.MAX_BASIS_DIM
+    path = tmp_path / "free_ab.alg"
+    path.write_text("field Q\nvertex 1\narrow a : 1 -> 1\narrow b : 1 -> 1\n"
+                    "relation a*a\n")
+    assert run(["basis", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: SizeLimitExceeded: more than 4096 standard monomials below length 30\n"
+
+
 def test_field_override(capsys):
     assert run(["basis", data_path("lambda_m2.alg"), "--field", "F5"]) == 0
     _, lines = lines_of(capsys)

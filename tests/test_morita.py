@@ -22,9 +22,9 @@ from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
 from quivdeform.quiver import compute_basis
 
 from conftest import data_path
-from oracles import (brute_bimodule_defects, brute_context_defects,
-                     brute_generated_dimension, brute_transfer,
-                     brute_uple_defects)
+from oracles import (brute_bimodule_defects, brute_context_consequences,
+                     brute_context_defects, brute_generated_dimension,
+                     brute_transfer, brute_uple_defects)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -154,12 +154,13 @@ def test_tensor_regular_is_algebra(dual_numbers, triangle):
         alg = structure_algebra(fixture)
         reg = regular_bimodule(alg)
         ten = TensorProduct(reg, reg)
+        one = alg.field.one
         assert ten.dim == alg.dim
         # every pure tensor collapses onto (x_i x_j) (x) 1
         for i in range(alg.dim):
             for j in range(alg.dim):
                 prod = alg.multiply_basis(i, j)
-                assert ten.pure(i, j) == ten.pure_vec(prod, alg.unit)
+                assert ten.pure_vec({i: one}, {j: one}) == ten.pure_vec(prod, alg.unit)
 
 
 # ---------------------------------------------------------------- contexts
@@ -240,6 +241,20 @@ def test_identity_transfer_is_identity(triangle):
             assert transfer_psi(ctx, f) == f
 
 
+def brute_phi(ctx, f):
+    """phi^n(f) from the oracle, on the raw tables of the context."""
+    return brute_transfer(raw_algebra(ctx.b), raw_bimodule(ctx.p), raw_bimodule(ctx.q),
+                          ctx.pairing_a, ctx.pairing_b, ctx.gens_b, f.table,
+                          f.degree, ctx.field)
+
+
+def brute_psi(ctx, g):
+    """psi^n(g) from the oracle: the sum of phi with the sides exchanged."""
+    return brute_transfer(raw_algebra(ctx.a), raw_bimodule(ctx.q), raw_bimodule(ctx.p),
+                          ctx.pairing_b, ctx.pairing_a, ctx.gens_a, g.table,
+                          g.degree, ctx.field)
+
+
 def test_transfer_against_brute_force(dual_numbers, two_cycle, lambda_m2):
     rng = random.Random(23)
     alg = structure_algebra(dual_numbers)
@@ -248,10 +263,14 @@ def test_transfer_against_brute_force(dual_numbers, two_cycle, lambda_m2):
     contexts.append(corner)
     contexts.append(identity_context(structure_algebra(two_cycle)))
     for ctx in contexts:
-        for degree in (1, 2):
-            for _ in range(3):
-                f = random_cochain(rng, Q, ctx.a.dim, degree)
-                assert transfer_phi(ctx, f).table == brute_transfer(ctx, f, degree)
+        for degree in (1, 2, 3):
+            for dim, transfer, brute in ((ctx.a.dim, transfer_phi, brute_phi),
+                                         (ctx.b.dim, transfer_psi, brute_psi)):
+                zero = FullCochain(dim, degree, Q, {})
+                assert transfer(ctx, zero).table == brute(ctx, zero) == {}
+                for _ in range(3):
+                    f = random_cochain(rng, Q, dim, degree)
+                    assert transfer(ctx, f).table == brute(ctx, f)
 
 
 def test_transfer_degree_errors(dual_numbers):
@@ -363,7 +382,7 @@ def test_corner_transfer_frozen_value(lambda_m2):
         (lab["v*al*u"], lab["v*al*u"]): {lab["e(2)"]: one},
     }
     assert fa.table == want
-    assert brute_transfer(corner.swap(), g, 2) == want
+    assert brute_psi(corner, g) == want
 
 
 # ------------------------------------------------------- deformed bimodules
@@ -719,12 +738,20 @@ CONTEXT_STAGES = {"a.p,q": 0, "p,q.a": 0, "p.b,q": 1, "b.q,p": 2, "q,p.b": 2,
                   "q.a,p": 3, "pqp": 4, "qpq": 4, "unit A": 5, "unit B": 6}
 
 
+def context_consequences(ctx, pairing_a, pairing_b, gens_a, gens_b):
+    return brute_context_consequences(raw_algebra(ctx.a), raw_algebra(ctx.b),
+                                      raw_bimodule(ctx.p), raw_bimodule(ctx.q),
+                                      pairing_a, pairing_b, gens_a, gens_b, ctx.field)
+
+
 def context_verdict(ctx, pairing_a, pairing_b, gens_a, gens_b):
     """MoritaContext accepts the data exactly when the exhaustive oracle
     finds no failing axiom, and its error names a tuple the oracle flags,
     from the stage of the oracle's first defect (both go through the
     stages of CONTEXT_STAGES in order; each stage is complete on
-    generators); returns whether it was accepted."""
+    generators); on accepted data the dense oracle finds every consequence
+    that MoritaContext does not compute to hold; returns whether it was
+    accepted."""
     defects = brute_context_defects(raw_algebra(ctx.a), raw_algebra(ctx.b),
                                     raw_bimodule(ctx.p), raw_bimodule(ctx.q),
                                     pairing_a, pairing_b, gens_a, gens_b, ctx.field)
@@ -741,6 +768,7 @@ def context_verdict(ctx, pairing_a, pairing_b, gens_a, gens_b):
                 return False
         raise AssertionError("unparsed context error: %s" % exc)
     assert not defects, defects[:1]
+    assert context_consequences(ctx, pairing_a, pairing_b, gens_a, gens_b) == []
     return True
 
 
@@ -805,6 +833,58 @@ def test_context_checks_agree_with_the_oracle(dual_numbers, two_cycle, lambda_m2
                  for i in range(alg.dim) for j in range(alg.dim)}
     assert not context_verdict(ctx, ctx.pairing_a, through_e, ctx.gens_a, ctx.gens_b)
     assert not context_verdict(ctx, through_e, ctx.pairing_b, ctx.gens_a, ctx.gens_b)
+
+
+def test_context_consequences_oracle_rejects_refused_data(dual_numbers, two_cycle):
+    # the dense oracle is no rubber stamp: on data that MoritaContext
+    # refuses it finds the consequences broken, the recovery identities
+    # when both pairings are tripled, and the bijection onto B when
+    # <q, p>_B = q e p for the idempotent e of vertex 1, whose ideal AeA
+    # is proper
+    ctx = matrix_context(structure_algebra(dual_numbers), 2)
+    fld = ctx.field
+    three = fld.from_int(3)
+
+    def tripled(pairing):
+        return {k: {r: fld.mul(three, c) for r, c in v.items()} for k, v in pairing.items()}
+
+    data = (tripled(ctx.pairing_a), tripled(ctx.pairing_b), ctx.gens_a, ctx.gens_b)
+    assert not context_verdict(ctx, *data)
+    kinds = {kind for kind, _ in context_consequences(ctx, *data)}
+    assert kinds == {"P from gens_b", "P from gens_a", "Q from gens_b", "Q from gens_a"}
+    alg = structure_algebra(two_cycle)
+    ctx = identity_context(alg)
+    e = vertex_idempotent(two_cycle, "1")
+    through_e = {(i, j): alg.mul(alg.mul({i: Q.one}, e), {j: Q.one})
+                 for i in range(alg.dim) for j in range(alg.dim)}
+    data = (ctx.pairing_a, through_e, ctx.gens_a, ctx.gens_b)
+    assert not context_verdict(ctx, *data)
+    assert ("tensor B", ()) in context_consequences(ctx, *data)
+    assert ("tensor A", ()) not in context_consequences(ctx, *data)
+
+
+def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambda_m2,
+                                                  monkeypatch):
+    # the bijections onto A and B follow from the checked axioms, so a
+    # checked context builds no balanced product
+    built = []
+
+    class Counted(TensorProduct):
+        def __init__(self, x, y):
+            built.append(1)
+            super().__init__(x, y)
+
+    monkeypatch.setattr(morita, "TensorProduct", Counted)
+    alg = structure_algebra(dual_numbers)
+    identity_context(alg)
+    matrix_context(alg, 3)
+    corner_context(lambda_m2)
+    idempotent_context(structure_algebra(two_cycle), dict(structure_algebra(two_cycle).unit))
+    assert built == []
+    # the counter sees the library's own constructions: the certificate
+    # builds one balanced product per side
+    verify_morita_deformed(identity_context(alg), golden_cochain(dual_numbers))
+    assert built == [1, 1]
 
 
 class Unbuildable:

@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import brute_force_dimension
-from quivdeform.errors import InputError, NotFiniteDimensional
+from quivdeform import quiver
+from quivdeform.errors import InputError, NotFiniteDimensional, SizeLimitExceeded
 from quivdeform.fields import Field
 from quivdeform.quiver import (FreeElement, Quiver, compute_basis,
                                decompose_unit, path_order_key, relation_endpoints,
@@ -160,6 +161,28 @@ def test_infinite_dimensional_detected():
     q = Quiver(["1"], [("a", "1", "1")])
     with pytest.raises(NotFiniteDimensional):
         compute_basis(q, [], Q, max_degree=6)
+
+
+def test_basis_size_guard(lambda_m2, monkeypatch):
+    # the largest basis of the tests and the benchmark has 96 elements
+    assert 96 <= quiver.MAX_BASIS_DIM
+    af, basis = lambda_m2
+    assert basis.dim == 8
+    monkeypatch.setattr(quiver, "MAX_BASIS_DIM", 8)
+    assert compute_basis(af.quiver, af.relations, Q).dim == 8
+    monkeypatch.setattr(quiver, "MAX_BASIS_DIM", 7)
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"^more than 7 standard monomials below length 30$"):
+        compute_basis(af.quiver, af.relations, Q)
+    # k[x] is refused at the first monomial past the limit, however large
+    # the length bound; within the limit it is still refused as
+    # infinite-dimensional
+    q = Quiver(["1"], [("a", "1", "1")])
+    monkeypatch.setattr(quiver, "MAX_BASIS_DIM", 50)
+    with pytest.raises(SizeLimitExceeded, match="more than 50 standard monomials"):
+        compute_basis(q, [], Q, max_degree=10 ** 9)
+    with pytest.raises(NotFiniteDimensional):
+        compute_basis(q, [], Q, max_degree=40)
 
 
 def test_no_relations_acyclic():
