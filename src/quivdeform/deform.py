@@ -75,10 +75,12 @@ def deform_structure_algebra(alg, f):
 
 def _deformed_algebra(alg, f):
     """A_f for a full 2-cochain f that the caller has proved to be a
-    cocycle on alg; only the unit is checked."""
+    cocycle on alg; only the unit is checked.  Like a DeformedAlgebra it
+    keeps alg as base and the cochain as f."""
     deformed = FinDimAlgebra(alg.field, 2 * alg.dim, *_deformed_constants(alg, f),
                              check=False)
     deformed.check_unit()
+    deformed.base, deformed.f = alg, f
     return deformed
 
 

@@ -125,6 +125,19 @@ def _rows(amap, lo, hi):
     return out
 
 
+def _lower_block(top, low, right, cols0, rows0):
+    """The sparse map [[top, 0], [low, right]] whose second block column
+    starts at column cols0 and second block row at row rows0."""
+    out = {}
+    for c in set(top) | set(low):
+        col = dict(top.get(c, {}))
+        col.update((rows0 + r, v) for r, v in low.get(c, {}).items())
+        out[c] = col
+    for c, col in right.items():
+        out[cols0 + c] = {rows0 + r: v for r, v in col.items()}
+    return out
+
+
 def _map_rank(amap, field):
     """The rank of a sparse map: the dimension of the span of its columns."""
     span = SpanSolver(field)

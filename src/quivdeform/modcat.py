@@ -13,9 +13,10 @@ deterministic complement.
 These one-sided objects are the bimodule objects of the morita module
 with the ground field k (dimension 1, g = 0) as right algebra: a
 LeftModule is a Bimodule over (A, k), an UpleModule a DeformedBimodule
-over (A_f, k), and a MorphismTriple is checked by triple_violations.
-So every identity is checked by the one implementation there, and each
-error here is the first failure it reports.
+whose glue is an (A_f, k[t]/t^2)-bimodule, F is the left part of that
+glue, and a MorphismTriple is checked by triple_violations.  So every
+identity is checked by the one implementation there, and each error
+here is the first failure it reports.
 
 Every linear map here is a sparse map {column: {row: scalar}} of the
 linalg module (column c is the image of basis vector c), and vectors
@@ -23,12 +24,12 @@ are coordinate dicts; the matrix of a product is the composite of the
 maps.  Module files hold dense rows, which fileio converts.
 """
 
-from .deform import DeformedAlgebra
+from .deform import DeformedAlgebra, _deformed_algebra
 from .errors import InputError
 from .hochschild import FullCochain
 from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _columns,
-                     _identity, _rows, column_kernel, map_apply, map_combine,
-                     map_compose, map_inverse)
+                     _identity, _lower_block, _rows, column_kernel, map_apply,
+                     map_combine, map_compose, map_inverse)
 from .morita import Bimodule, DeformedBimodule, triple_violations
 
 
@@ -53,17 +54,10 @@ def _ground(field):
                          check=False)
 
 
-def _lower_block(top, low, right, cols0, rows0):
-    """The sparse map [[top, 0], [low, right]] whose second block column
-    starts at column cols0 and second block row at row rows0."""
-    out = {}
-    for c in set(top) | set(low):
-        col = dict(top.get(c, {}))
-        col.update((rows0 + r, v) for r, v in low.get(c, {}).items())
-        out[c] = col
-    for c, col in right.items():
-        out[cols0 + c] = {rows0 + r: v for r, v in col.items()}
-    return out
+def _dual_numbers(field):
+    """k[t]/t^2, the ground field deformed by the zero cocycle: the right
+    algebra of the glue of every uple here."""
+    return _deformed_algebra(_ground(field), FullCochain(1, 2, field))
 
 
 class LeftModule(Bimodule):
@@ -110,7 +104,7 @@ def regular_module(alg):
 
 class UpleModule(DeformedBimodule):
     """(M0, M1, T, f_tables) over a fixed deformed algebra: the bimodule
-    uple over (A_f, k) whose right correction g_M is zero.
+    uple over (A_f, k[t]/t^2) whose right correction g_M is zero.
 
     M0 and M1 are modules over the undeformed algebra, T an injective
     intertwiner M0 -> M1, and f_tables[i] the map m -> f_M(a_i, m) from
@@ -119,9 +113,10 @@ class UpleModule(DeformedBimodule):
 
         a f_M(b, m) - f_M(ab, m) + f_M(a, bm) - f(a, b) T m = 0
 
-    for all basis elements a, b and all m.  DeformedBimodule checks it
-    exhaustively, with the conditions on T, at construction; M0 and M1
-    were checked as modules when they were built.
+    for all basis elements a, b and all m.  At construction
+    DeformedBimodule.violations checks it, with the conditions on T and
+    the module axioms of M0 and M1, as the injectivity of T and the
+    bimodule axioms of the glue on the generators of A_f.
     """
 
     def __init__(self, deformed, m0, m1, t, f_tables, check=True):
@@ -136,13 +131,13 @@ class UpleModule(DeformedBimodule):
             raise InputError("f_tables needs one map per basis element")
         f_tables = [_checked(m, m1.dim, m0.dim, fld, "every f_tables entry")
                     for m in f_tables]
-        super().__init__(base, m0.right_alg, deformed.f, FullCochain(1, 2, fld),
-                         m0, m1, t, f_tables, [{}], check=False)
+        super().__init__(deformed, _dual_numbers(fld), m0, m1, t, f_tables, [{}],
+                         check=False)
         if check:
             self._validate()
 
     def _validate(self):
-        bad = self.uple_violations()
+        bad = self.violations()
         if bad:
             raise InputError(bad[0])
 
@@ -156,29 +151,17 @@ def regular_uple(deformed):
     return UpleModule(deformed, reg, reg, _identity(n, base.field), f_tables)
 
 
-def functor_F(uple, deformed=None):
-    """The concrete module on M0 + M1 with the glued action
+def functor_F(uple):
+    """The concrete module on M0 + M1: the left part of the uple's glue,
 
         (a, b) (m0, m1) = (a m0, a m1 + b T m0 + f_M(a, m0)).
 
-    Coordinates stack M0 first, then M1.
+    Coordinates stack M0 first, then M1.  The glue of a checked uple is
+    a bimodule, so its left part is not checked again.
     """
-    if deformed is None:
-        deformed = uple.deformed
-    if deformed is not uple.deformed:
-        raise InputError("uple belongs to a different deformed algebra")
-    fld = deformed.field
-    d0 = uple.m0.dim
-    n = deformed.n
-    actions = []
-    for i in range(deformed.dim):
-        if i < n:
-            actions.append(_lower_block(uple.m0.actions[i], uple.f_tables[i],
-                                        uple.m1.actions[i], d0, d0))
-        else:
-            bt = map_compose(uple.m1.actions[i - n], uple.t, fld)
-            actions.append(_lower_block({}, bt, {}, d0, d0))
-    return LeftModule(deformed, d0 + uple.m1.dim, actions)
+    glued = uple.glued
+    return LeftModule(uple.deformed, glued.dim,
+                      [glued.left_map(i) for i in range(uple.deformed.dim)], check=False)
 
 
 class Reconstruction:
@@ -191,17 +174,14 @@ class Reconstruction:
         self.kernel = kernel          # vectors spanning M1 = Ker T
 
 
-def reconstruct(mod, deformed=None):
+def reconstruct(mod):
     """Split a concrete module into an uple.
 
     T is the action of (0, 1); M1 is its kernel and M0 the complement
     obtained by greedily extending the kernel basis with standard basis
     vectors in declaration order.
     """
-    if deformed is None:
-        deformed = mod.algebra
-    if deformed is not mod.algebra:
-        raise InputError("module belongs to a different deformed algebra")
+    deformed = mod.algebra
     if not isinstance(deformed, DeformedAlgebra):
         raise InputError("reconstruction needs a module over a deformed algebra")
     base = deformed.base
@@ -278,8 +258,8 @@ class MorphismTriple:
 
         u1(a m0) = a u1(m0) - u2(f_M(a, m0)) + f_N(a, u0(m0)),
 
-    all checked on basis elements at construction by triple_violations,
-    which reads the uples as bimodule uples over (A_f, k).
+    all checked at construction by triple_violations as one condition:
+    [[u0, 0], [u1, u2]] intertwines the glues on the generators of A_f.
     """
 
     def __init__(self, source, target, u0, u1, u2, check=True):

@@ -14,12 +14,13 @@ indices, its associativity by multiplying out every basis triple, and
 primality by trial division.  The bimodule and bimodule-uple axioms,
 and the axioms of left modules, left uples and their morphisms, are
 evaluated on every basis tuple, one element at a time, from the raw
-action tables.  The axioms of a Morita context are evaluated on every
-basis tuple from the raw pairing tables, its consequences on dense
-balanced products built on all basis triples, and the transfer phi^n
-term by term from its defining sum; the subalgebra generated by
-a list of basis elements is spanned word by word and measured with the
-dense rank.  Dense Gauss-Jordan elimination, with the rank and the
+action tables; the glue of an uple is written out coordinate by
+coordinate, and a map between glues is tested on every basis element.
+The axioms of a Morita context are evaluated on every basis tuple from
+the raw pairing tables, its consequences on dense balanced products
+built on all basis triples, and the transfer phi^n term by term from
+its defining sum; the subalgebra generated by a list of basis elements
+is spanned word by word and measured with the dense rank.  Dense Gauss-Jordan elimination, with the rank and the
 nullspace it gives, and dense matrix products and inverses are here too,
 as the reference for the library's sparse elimination and sparse maps.
 """
@@ -481,6 +482,63 @@ def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
     return out
 
 
+def brute_uple_glue(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
+    """The raw (A_f, B_g)-bimodule glued from an uple given as in
+    brute_uple_defects: (A_f, B_g, dim, left, right), with A_f and B_g raw
+    algebras rebuilt by brute_deformed_table and the actions written
+    out coordinate by coordinate on M0 + M1 (M1 after M0):
+
+        (a, b)(m0, m1) = (a m0, a m1 + b T(m0) + f_M(a (x) m0)),
+        (m0, m1)(b, c) = (m0 b, m1 b + T(m0) c + g_M(m0 (x) b))."""
+    (dl, tl, ul), (dr, tr, ur) = alg_l, alg_r
+    (n0, l0, r0), (n1, l1, r1) = m0, m1
+
+    def lower(vec):
+        return {n0 + r: c for r, c in vec.items()}
+
+    left, right = {}, {}
+    for m in range(n0):
+        tm = t.get(m, {})
+        for i in range(dl):
+            left[(i, m)] = {**l0.get((i, m), {}), **lower(f_m.get((i, m), {}))}
+            left[(dl + i, m)] = lower(_act(l1, field, {i: field.one}, tm))
+        for j in range(dr):
+            right[(m, j)] = {**r0.get((m, j), {}), **lower(g_m.get((m, j), {}))}
+            right[(m, dr + j)] = lower(_act(r1, field, tm, {j: field.one}))
+    for m in range(n1):
+        for i in range(dl):
+            left[(i, n0 + m)] = lower(l1.get((i, m), {}))
+        for j in range(dr):
+            right[(n0 + m, j)] = lower(r1.get((m, j), {}))
+    a_f = (2 * dl, brute_deformed_table(dl, tl, f), ul)
+    b_g = (2 * dr, brute_deformed_table(dr, tr, g), ur)
+    return a_f, b_g, n0 + n1, left, right
+
+
+def brute_bimodule_map_defects(src, tgt, u, field):
+    """Every ("left", i, m) and ("right", j, m) at which the linear map u
+    fails to commute with the action of basis element i of the left
+    algebra, or j of the right one, on basis vector m, for raw bimodules
+    src and tgt, each (alg_l, alg_r, dim, left, right) over the same
+    algebras; u[m] is the image of basis vector m."""
+    (dl, _, _), (dr, _, _), dim, lx, rx = src
+    _, _, _, ly, ry = tgt
+
+    def umap(vec):
+        return _combo(field, *[(c, u.get(m, {})) for m, c in vec.items()])
+
+    out = []
+    for i, m in product(range(dl), range(dim)):
+        xi, e = {i: field.one}, {m: field.one}
+        if umap(_act(lx, field, xi, e)) != _act(ly, field, xi, umap(e)):
+            out.append(("left", i, m))
+    for j, m in product(range(dr), range(dim)):
+        xj, e = {j: field.one}, {m: field.one}
+        if umap(_act(rx, field, e, xj)) != _act(ry, field, umap(e), xj):
+            out.append(("right", j, m))
+    return out
+
+
 def brute_generated_dimension(alg, gens, field):
     """The dimension of the unital subalgebra generated by the basis
     elements gens of the raw algebra (dim, table, unit): words in gens are
@@ -774,6 +832,16 @@ def _glued(n, uple, field):
         for m in range(n1):
             act[(i, n0 + m)] = lower(a1.get((i, m), {}))
     return n0 + n1, act
+
+
+def brute_left_glue_defects(alg, f, uple, field):
+    """The defects, as brute_module_defects names them, of the module over
+    A_f glued from the raw left uple (m0, m1, t, f_m) of
+    brute_map_defects, for the raw algebra alg and the 2-cochain f."""
+    n, table, unit = alg
+    dim, act = _glued(n, uple, field)
+    return brute_module_defects((2 * n, brute_deformed_table(n, table, f), unit),
+                                dim, act, field)
 
 
 def brute_map_defects(n, src, tgt, u, field):

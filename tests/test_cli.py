@@ -11,7 +11,7 @@ from quivdeform.fileio import (emit_algebra_text, emit_module_text,
                                parse_algebra_text)
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    cochain_from_paths, differential,
-                                   full_differential)
+                                   full_differential, is_full_cocycle)
 from quivdeform.modcat import LeftModule, regular_module
 from quivdeform.quiver import AlgebraElement, FreeElement, compute_basis
 
@@ -534,6 +534,36 @@ def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     assert seen == [2, 8]
+
+
+def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
+                                                                       monkeypatch):
+    # with phi^2(f) bumped off the cocycles, B_g is not associative: the
+    # hat checks FAIL as skipped, and neither A_f nor B_g is built, so no
+    # generator check runs over them
+    real = morita.transfer_phi
+
+    def broken(ctx, f, n=None):
+        g = real(ctx, f, n)
+        bumped = g + FullCochain(ctx.b.dim, 2, ctx.field, {(0, 0): {0: ctx.field.one}})
+        assert not is_full_cocycle(bumped, ctx.b)
+        return bumped
+
+    built = []
+
+    def deformed(alg, f):
+        built.append(alg.dim)
+        raise AssertionError("a deformed algebra was built")
+
+    monkeypatch.setattr(morita, "transfer_phi", broken)
+    monkeypatch.setattr(morita, "_deformed_algebra", deformed)
+    assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
+    out, _ = lines_of(capsys)
+    assert out == ("transferred-cocycle: FAIL  phi^2(f) is a 2-cocycle on B\n"
+                   "deformed-p-bimodule: FAIL  skipped: phi^2(f) is not a cocycle\n"
+                   "deformed-q-bimodule: FAIL  skipped: phi^2(f) is not a cocycle\n"
+                   "overall: FAIL\n")
+    assert built == []
 
 
 def test_verify_morita_corner(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from quivdeform.modcat import (LeftModule, MorphismTriple, UpleModule,
                                regular_module, regular_uple, reconstruct,
                                roundtrip_triple, submodule, triple_from_linear)
 
-from oracles import (brute_left_uple_defects, brute_map_defects,
-                     brute_module_defects, sparse_of)
+from oracles import (brute_left_glue_defects, brute_left_uple_defects,
+                     brute_map_defects, brute_module_defects, sparse_of)
 
 Q = Field.rationals()
 
@@ -108,7 +109,7 @@ def random_uple(d, rng):
         if any(c != Q.zero for c in v.values()):
             break
     sub = submodule(mod, [v])
-    u = reconstruct(sub, d).uple
+    u = reconstruct(sub).uple
     c = Q.parse(str(rng.choice([1, 2, -1, 3])))
     s = sparse_of([[Q.parse(str(rng.randint(-2, 2))) for _ in range(u.m0.dim)]
                    for _ in range(u.m1.dim)], Q)
@@ -219,7 +220,7 @@ def test_submodule_of_regular_two_cycle(two_cycle):
     gen = {d.basis.trivial_indices[0]: Q.one}
     sub = submodule(mod, [gen])
     assert 0 < sub.dim < d.dim
-    reconstruct(sub, d)  # validates
+    reconstruct(sub)  # validates
 
 
 def test_functor_respects_zero_cocycle(two_cycle):
@@ -270,23 +271,38 @@ def module_verdict(alg, dim, actions):
     return True
 
 
+def module_witness(alg, message):
+    """The oracle defect (kind, key) that a left module message names, by
+    the labels of the algebra's basis elements."""
+    hit = re.match(r"left unit fails at (\d+)$", message)
+    if hit:
+        return "unit", (int(hit.group(1)),)
+    hit = re.match(r"left action not associative at \((.+), (.+), (\d+)\)$", message)
+    assert hit, message
+    return "assoc", (alg.labels.index(hit.group(1)), alg.labels.index(hit.group(2)),
+                     int(hit.group(3)))
+
+
 def uple_verdict(d, m0, m1, t, f_tables):
-    """UpleModule accepts exactly the data the oracle finds no defect in,
-    and its error names the first defect by the labels of its basis
-    elements."""
-    defects = brute_left_uple_defects(
-        raw_alg(d.base), d.f.table, raw_module(m0), raw_module(m1), t,
-        {(i, m): col for i, tab in enumerate(f_tables) for m, col in tab.items()}, d.field)
+    """UpleModule accepts exactly the data the oracle finds no defect in.
+    Its error is "T is not injective" exactly when the oracle finds T
+    singular, and otherwise names, by the labels of A_f, a defect of the
+    kind of the first one that the oracle finds on its own glue of the
+    uple."""
+    f_m = {(i, m): col for i, tab in enumerate(f_tables) for m, col in tab.items()}
+    defects = brute_left_uple_defects(raw_alg(d.base), d.f.table, raw_module(m0),
+                                      raw_module(m1), t, f_m, d.field)
     try:
         UpleModule(d, m0, m1, t, f_tables)
     except InputError as exc:
         assert defects, exc
-        kind, key = defects[0]
-        message = {"injective": "T is not injective",
-                   "intertwine": "T does not intertwine the left action of %s",
-                   "correction": "left correction fails at (%s, %s)"}[kind]
-        assert str(exc) == message % tuple(d.base.labels[i] for i in key), \
-            (exc, defects[0])
+        singular = ("injective", ()) in defects
+        assert (str(exc) == "T is not injective") == singular, (exc, defects)
+        if not singular:
+            glue = brute_left_glue_defects(raw_alg(d.base), d.f.table,
+                                           (raw_module(m0), raw_module(m1), t, f_m), d.field)
+            witness = module_witness(d, str(exc))
+            assert witness in glue and witness[0] == glue[0][0], (exc, glue[:1])
         return False
     assert not defects
     return True
@@ -306,8 +322,8 @@ def glued_block(u0, u1, u2, s0, t0):
 
 def triple_verdict(src, tgt, u0, u1, u2):
     """MorphismTriple accepts exactly the triples whose glued map the oracle
-    finds to be a module map; a correction-rule error names the first
-    basis element the oracle flags."""
+    finds to be a module map, and its error names a generator of A_f and
+    a coordinate at which the oracle finds the map fails to commute."""
     block = glued_block(u0, u1, u2, src.m0.dim, tgt.m0.dim)
     defects = brute_map_defects(src.deformed.n, raw_uple(src), raw_uple(tgt), block,
                                 src.deformed.field)
@@ -315,9 +331,11 @@ def triple_verdict(src, tgt, u0, u1, u2):
         MorphismTriple(src, tgt, u0, u1, u2)
     except InputError as exc:
         assert defects, exc
-        if "correction rule" in str(exc):
-            assert str(exc) == ("left correction rule fails for %s"
-                                % src.deformed.base.labels[defects[0][0]]), (exc, defects[0])
+        hit = re.match(r"the triple does not intertwine the left action of (.+) at (\d+)$",
+                       str(exc))
+        assert hit, exc
+        assert (src.deformed.labels.index(hit.group(1)), int(hit.group(2))) in defects, \
+            (exc, defects)
         return False
     assert not defects
     return True

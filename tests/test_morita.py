@@ -22,9 +22,10 @@ from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
 from quivdeform.quiver import compute_basis
 
 from conftest import data_path
-from oracles import (brute_bimodule_defects, brute_context_consequences,
-                     brute_context_defects, brute_generated_dimension,
-                     brute_transfer, brute_uple_defects)
+from oracles import (brute_bimodule_defects, brute_bimodule_map_defects,
+                     brute_context_consequences, brute_context_defects,
+                     brute_generated_dimension, brute_transfer,
+                     brute_uple_defects, brute_uple_glue)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -57,6 +58,14 @@ def random_cochain(rng, field, dim, degree, terms=6):
 
 def all_pass(report):
     return [name for name, ok, _ in report if not ok]
+
+
+def deformed_pair(ctx, f, g=None):
+    """A_f and B_g for the context, with g = phi^2(f) unless given; each
+    is built on its cocycle check."""
+    if g is None:
+        g = transfer_phi(ctx, f, 2)
+    return deform_structure_algebra(ctx.a, f), deform_structure_algebra(ctx.b, g)
 
 
 # ---------------------------------------------------------------- algebras
@@ -392,13 +401,13 @@ def test_hat_bimodules_satisfy_conditions(dual_numbers, lambda_m2):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
     for ctx in (identity_context(alg), matrix_context(alg, 2)):
-        assert build_hat_P(ctx, f).violations() == []
-        assert build_hat_Q(ctx, f).violations() == []
+        assert build_hat_P(ctx, *deformed_pair(ctx, f)).violations() == []
+        assert build_hat_Q(ctx, *deformed_pair(ctx, f)).violations() == []
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
     fa = transfer_psi(corner, g, 2)
-    assert build_hat_P(corner, fa).violations() == []
-    assert build_hat_Q(corner, fa).violations() == []
+    assert build_hat_P(corner, *deformed_pair(corner, fa)).violations() == []
+    assert build_hat_Q(corner, *deformed_pair(corner, fa)).violations() == []
 
 
 def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
@@ -406,7 +415,7 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
     ctx = identity_context(alg)
     bad = FullCochain(alg.dim, 2, Q, {(1, 0): {0: Q.one}})
     with pytest.raises(InputError):
-        build_hat_P(ctx, bad)
+        build_hat_P(ctx, *deformed_pair(ctx, bad))
     F2 = Field.prime(2)
     af = parse_algebra_file(data_path("dual_numbers.alg"), field_override=F2)
     basis2 = compute_basis(af.quiver, af.relations, F2)
@@ -414,7 +423,7 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
     ctx2 = identity_context(alg2)
     f2 = cochain_from_pairs(basis2, af.cocycle_pairs)
     with pytest.raises(CharTwoUnsupported):
-        build_hat_P(ctx2, f2)
+        build_hat_P(ctx2, *deformed_pair(ctx2, f2))
     with pytest.raises(CharTwoUnsupported):
         verify_morita_deformed(ctx2, f2)
 
@@ -422,10 +431,10 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
 def test_regular_uple_glues_to_deformed_algebra(two_cycle):
     alg = structure_algebra(two_cycle)
     f = golden_cochain(two_cycle)
-    uple = regular_deformed_uple(alg, f)
-    assert uple.violations() == []
     d = deform_structure_algebra(alg, f)
-    glued = uple.glue(d, d)
+    uple = regular_deformed_uple(d)
+    assert uple.violations() == []
+    glued = uple.glued
     reg = regular_bimodule(d)
     assert glued.left == reg.left
     assert glued.right == reg.right
@@ -434,7 +443,7 @@ def test_regular_uple_glues_to_deformed_algebra(two_cycle):
 def test_triple_violations_flags_breakage(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
-    uple = regular_deformed_uple(alg, f)
+    uple = regular_deformed_uple(deform_structure_algebra(alg, f))
     # sparse maps {column: {row: scalar}}
     ident = {i: {i: Q.one} for i in range(alg.dim)}
     zero = {}
@@ -447,11 +456,8 @@ def test_glued_hat_p_is_bimodule(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(alg, 2)
-    g = transfer_phi(ctx, f, 2)
-    hat = build_hat_P(ctx, f, g)
-    glued = hat.glue(deform_structure_algebra(alg, f),
-                     deform_structure_algebra(ctx.b, g))
-    assert glued.violations() == []
+    hat = build_hat_P(ctx, *deformed_pair(ctx, f))
+    assert hat.glued.violations() == []
 
 
 # ------------------------------------------------ certificate checks vs oracle
@@ -475,16 +481,6 @@ BIMODULE_MESSAGES = (
     (r"actions do not commute at \((.+), (\d+), (.+)\)$", "commute", "lmr"),
 )
 
-# uple messages: (pattern, oracle kind, algebra of each named label)
-UPLE_MESSAGES = (
-    (r"T is not injective$", "injective", ()),
-    (r"T does not intertwine the left action of (.+)$", "intertwine left", "l"),
-    (r"T does not intertwine the right action of (.+)$", "intertwine right", "r"),
-    (r"left correction fails at \((.+), (.+)\)$", "left correction", "ll"),
-    (r"right correction fails at \((.+), (.+)\)$", "right correction", "rr"),
-    (r"corrections are not compatible at \((.+), (.+)\)$", "compatible", "lr"),
-)
-
 
 def bimodule_witness(left_alg, right_alg, message):
     """The oracle defect (kind, index tuple) that a bimodule message names."""
@@ -496,26 +492,13 @@ def bimodule_witness(left_alg, right_alg, message):
     raise AssertionError("unparsed bimodule violation: " + message)
 
 
-def uple_witness(uple, message):
-    """The oracle defects that the message names; a bimodule message may
-    come from M0 or from M1."""
-    for pattern, kind, sides in UPLE_MESSAGES:
-        hit = re.match(pattern, message)
-        if hit:
-            algs = {"l": uple.left_alg, "r": uple.right_alg}
-            key = tuple(algs[side].labels.index(label)
-                        for side, label in zip(sides, hit.groups()))
-            return [(kind, key)]
-    defect = bimodule_witness(uple.left_alg, uple.right_alg, message)
-    return [("m0", defect), ("m1", defect)]
-
-
-def brute_uple(uple):
+def raw_uple(uple):
+    """The arguments of the uple oracles for a DeformedBimodule."""
     f_m = {(i, m): vec for i, tab in enumerate(uple.f_tables) for m, vec in tab.items()}
     g_m = {(m, j): vec for j, tab in enumerate(uple.g_tables) for m, vec in tab.items()}
-    return brute_uple_defects(raw_algebra(uple.left_alg), raw_algebra(uple.right_alg),
-                              uple.f.table, uple.g.table, raw_bimodule(uple.m0),
-                              raw_bimodule(uple.m1), uple.t, f_m, g_m, uple.field)
+    return (raw_algebra(uple.left_alg), raw_algebra(uple.right_alg), uple.f.table,
+            uple.g.table, raw_bimodule(uple.m0), raw_bimodule(uple.m1), uple.t, f_m, g_m,
+            uple.field)
 
 
 def assert_bimodule_matches_oracle(bim):
@@ -536,11 +519,24 @@ def assert_bimodule_matches_oracle(bim):
 
 
 def assert_uple_matches_oracle(uple):
+    """violations() is empty exactly when the oracle finds no uple defect.
+    Its first message is "T is not injective" exactly when the oracle
+    finds T singular, and otherwise names a defect that the oracle finds
+    on its own glue of the uple, of the kind of the first one there; the
+    oracle's glue has a defect exactly when the uple has one besides
+    injectivity.  Returns the violations."""
     bad = uple.violations()
-    defects = brute_uple(uple)
+    defects = brute_uple_defects(*raw_uple(uple))
+    a_f, b_g, dim, left, right = brute_uple_glue(*raw_uple(uple))
+    glue = brute_bimodule_defects(a_f, b_g, dim, left, right, uple.field)
+    assert bool(glue) == any(kind != "injective" for kind, _ in defects), (glue, defects)
     assert bool(bad) == bool(defects), (bad[:1], defects[:1])
     if bad:
-        assert any(w in defects for w in uple_witness(uple, bad[0])), (bad[0], defects)
+        singular = ("injective", ()) in defects
+        assert (bad[0] == "T is not injective") == singular, (bad[0], defects)
+        if not singular:
+            witness = bimodule_witness(uple.left_def, uple.right_def, bad[0])
+            assert witness in glue and witness[0] == glue[0][0], (bad[0], glue[:1])
     return bad
 
 
@@ -563,9 +559,10 @@ def test_valid_certificates_match_oracle(dual_numbers, two_cycle, triangle,
                                     quantum_plane, lambda_m2):
         assert assert_bimodule_matches_oracle(ctx.p) == []
         assert assert_bimodule_matches_oracle(ctx.q) == []
-        assert assert_uple_matches_oracle(build_hat_P(ctx, f, check=False)) == []
-        assert assert_uple_matches_oracle(build_hat_Q(ctx, f, check=False)) == []
-        assert assert_uple_matches_oracle(regular_deformed_uple(ctx.a, f)) == []
+        a_f, b_g = deformed_pair(ctx, f)
+        assert assert_uple_matches_oracle(build_hat_P(ctx, a_f, b_g, check=False)) == []
+        assert assert_uple_matches_oracle(build_hat_Q(ctx, a_f, b_g, check=False)) == []
+        assert assert_uple_matches_oracle(regular_deformed_uple(a_f)) == []
 
 
 def test_broken_bimodules_match_oracle(dual_numbers):
@@ -591,10 +588,11 @@ def test_broken_uples_match_oracle(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(alg, 2)
-    hat = build_hat_P(ctx, f, check=False)
+    a_f, b_g = deformed_pair(ctx, f)
+    hat = build_hat_P(ctx, a_f, b_g, check=False)
 
     def variant(f_tables=None, g_tables=None, t=None):
-        return DeformedBimodule(hat.left_alg, hat.right_alg, hat.f, hat.g, hat.m0, hat.m1,
+        return DeformedBimodule(hat.left_def, hat.right_def, hat.m0, hat.m1,
                                 t or hat.t, f_tables or hat.f_tables,
                                 g_tables or hat.g_tables, check=False)
 
@@ -607,14 +605,69 @@ def test_broken_uples_match_oracle(dual_numbers):
     singular = {m: col for m, col in hat.t.items() if m != 0}  # T kills x_0
     g2 = transfer_phi(ctx, f, 2).scale(Q.from_int(2))
     for uple in (variant(f_tables=f_tables), variant(g_tables=g_tables), variant(t=t),
-                 variant(t=singular), build_hat_P(ctx, f, g2, check=False)):
+                 variant(t=singular),
+                 build_hat_P(ctx, a_f, deform_structure_algebra(ctx.b, g2), check=False)):
         assert assert_uple_matches_oracle(uple)
     # over the zero cocycle T = 0 meets every condition but injectivity
     zero = FullCochain(alg.dim, 2, Q, {})
-    reg = regular_deformed_uple(alg, zero)
-    uple = DeformedBimodule(alg, alg, zero, zero, reg.m0, reg.m1, {},
+    reg = regular_deformed_uple(deform_structure_algebra(alg, zero))
+    uple = DeformedBimodule(reg.left_def, reg.right_def, reg.m0, reg.m1, {},
                             reg.f_tables, reg.g_tables, check=False)
     assert assert_uple_matches_oracle(uple) == ["T is not injective"]
+
+
+def test_uple_check_is_one_bimodule_check_on_generators(dual_numbers, monkeypatch):
+    # the check of hat P is the rank of T and Bimodule.violations on its
+    # glue: |G_l| dim A_f + dim B_g |G_r| + 2 |G_l| |G_r| compositions, for
+    # the generators G_l of A_f and G_r of B_g; none runs over pairs of
+    # basis elements
+    ctx = matrix_context(structure_algebra(dual_numbers), 2)
+    hat = build_hat_P(ctx, *deformed_pair(ctx, golden_cochain(dual_numbers)), check=False)
+    a_f, b_g = hat.left_def, hat.right_def
+    nl, nr = len(a_f.generators()), len(b_g.generators())
+    calls = []
+    real = morita.map_compose
+
+    def counted(a, b, field):
+        calls.append(1)
+        return real(a, b, field)
+
+    monkeypatch.setattr(morita, "map_compose", counted)
+    assert hat.violations() == []
+    assert len(calls) == nl * a_f.dim + b_g.dim * nr + 2 * nl * nr
+
+
+TRIPLE_MESSAGE = r"the triple does not intertwine the (left|right) action of (.+) at (\d+)$"
+
+
+def test_bimodule_triples_match_oracle(triangle):
+    # right multiplication by (x, 0) on the regular A_f-bimodule is the
+    # triple (R_x, f(-, x), R_x): it commutes with the left action, and
+    # with the right one only when x is central (x = 1 here); dropping its
+    # middle component can break the left action too
+    alg = structure_algebra(triangle)
+    uple = regular_deformed_uple(deform_structure_algebra(alg, golden_cochain(triangle)))
+    glue = brute_uple_glue(*raw_uple(uple))
+    n = alg.dim
+    sides = []
+    for x in [{c: Q.one} for c in range(n)] + [alg.unit]:
+        rc = {m: alg.mul({m: Q.one}, x) for m in range(n) if alg.mul({m: Q.one}, x)}
+        fc = {m: uple.f.evaluate({m: Q.one}, x) for m in range(n)
+              if uple.f.evaluate({m: Q.one}, x)}
+        for u1 in (fc, {}):
+            block = {m: {**rc.get(m, {}), **{n + r: v for r, v in u1.get(m, {}).items()}}
+                     for m in range(n)}
+            block.update({n + m: {n + r: v for r, v in col.items()} for m, col in rc.items()})
+            defects = brute_bimodule_map_defects(glue, glue, block, Q)
+            bad = triple_violations(uple, uple, rc, u1, rc)
+            assert bool(bad) == bool(defects), (x, bad[:1], defects[:1])
+            if bad:
+                side, label, m = re.match(TRIPLE_MESSAGE, bad[0]).groups()
+                algebra = uple.left_def if side == "left" else uple.right_def
+                witness = (side, algebra.labels.index(label), int(m))
+                assert witness in defects and side == defects[0][0], (bad[0], defects)
+            sides.append({side for side, _, _ in defects})
+    assert {"right"} in sides and {"left", "right"} in sides and set() in sides
 
 
 def vector_plus(field, vec, k):
@@ -655,10 +708,9 @@ def bimodule_zoo(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(alg, 2)
-    g = transfer_phi(ctx, f, 2)
-    a_f, b_g = deform_structure_algebra(alg, f), deform_structure_algebra(ctx.b, g)
-    hat_p = build_hat_P(ctx, f, g).glue(a_f, b_g)
-    hat_q = build_hat_Q(ctx, f, g).glue(b_g, a_f)
+    a_f, b_g = deformed_pair(ctx, f)
+    hat_p = build_hat_P(ctx, a_f, b_g).glued
+    hat_q = build_hat_Q(ctx, a_f, b_g).glued
     return [ctx.p, ctx.q, hat_p, TensorProduct(hat_p, hat_q).bimodule]
 
 

@@ -68,3 +68,63 @@ def test_package_modules_use_every_name_they_import():
             if found:
                 unused[name] = found
     assert not unused, unused
+
+
+def unread_parameters(source, filename):
+    """(line, function, parameter) of each parameter that its function
+    never reads, in line order.  A read is a load of the name anywhere in the body,
+    nested functions included; the self or cls of a method (its first
+    parameter, unless it is a staticmethod) is not counted."""
+    tree = ast.parse(source, filename)
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods.update(id(item) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                       for d in item.decorator_list))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        if id(node) in methods:
+            params = params[1:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [(node.lineno, name, p) for p in params if p not in read]
+    return sorted(out)
+
+
+def test_unread_parameter_rule_sees_leftovers():
+    source = ("class C:\n"
+              "    def method(self, used, unused):\n"
+              "        return used\n"
+              "    @staticmethod\n"
+              "    def static(first):\n"
+              "        return 0\n"
+              "def outer(a, b, *rest, key=None, **extra):\n"
+              "    def inner(c):\n"
+              "        return a + c\n"
+              "    b = 1\n"
+              "    return inner, rest, extra\n"
+              "square = lambda x, y: x * x\n")
+    assert unread_parameters(source, "example.py") == [
+        (2, "method", "unused"), (5, "static", "first"), (7, "outer", "b"),
+        (7, "outer", "key"), (12, "<lambda>", "y")]
+
+
+def test_package_functions_read_every_parameter():
+    unread = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                found = unread_parameters(fh.read(), path)
+            if found:
+                unread[name] = found
+    assert not unread, unread
