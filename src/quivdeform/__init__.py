@@ -17,19 +17,19 @@ from .errors import (CharTwoUnsupported, ComputationError, EpsilonUnresolvable,
                      InputError, NormalizationFailed, NotACocycle,
                      NotFiniteDimensional, NotFullIdempotent)
 from .fields import Field
-from .fileio import (AlgebraFile, emit_algebra_text, emit_dot,
+from .fileio import (AlgebraFile, emit_algebra_text, emit_dot, emit_module_text,
                      parse_algebra_file, parse_algebra_text, parse_expression,
                      parse_module_file)
 from .hochschild import (FullCochain, cochain_from_pairs, cochain_from_paths,
                          differential, full_differential, hh_dimension,
                          hh_summary, is_cocycle, is_full_cocycle)
 from .modcat import (LeftModule, MorphismTriple, UpleModule, functor_F,
-                     module_from_file, module_homs, reconstruct,
-                     regular_module, regular_uple, roundtrip_triple)
+                     module_from_file, reconstruct, regular_module,
+                     regular_uple, roundtrip_triple)
 from .linalg import FinDimAlgebra
 from .morita import (MoritaContext, homotopy_h, idempotent_context,
-                     identity_context, matrix_context, transfer_phi,
-                     transfer_psi, verify_morita_deformed)
+                     matrix_context, transfer_phi, transfer_psi,
+                     verify_morita_deformed)
 from .quiver import (AlgebraBasis, AlgebraElement, FreeElement, Quiver,
                      compute_basis, decompose_unit,
                      validate_admissible_relations)
@@ -44,11 +44,11 @@ __all__ = [
     "algebra_of_basis", "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
     "deformation_equivalence", "deformed_multiply", "differential",
-    "emit_algebra_text", "emit_dot", "full_differential",
+    "emit_algebra_text", "emit_dot", "emit_module_text", "full_differential",
     "functor_F", "hat_f", "hh_dimension", "hh_summary", "homotopy_h",
-    "idempotent_context", "identity_context", "interreduce_presentation",
+    "idempotent_context", "interreduce_presentation",
     "is_cocycle", "is_full_cocycle", "matrix_context", "module_from_file",
-    "module_homs", "normalize_cocycle",
+    "normalize_cocycle",
     "parse_algebra_file", "parse_algebra_text", "parse_expression",
     "parse_module_file", "reconstruct", "regular_module", "regular_uple",
     "roundtrip_triple", "transfer_phi", "transfer_psi",

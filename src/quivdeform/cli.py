@@ -10,15 +10,15 @@ import argparse
 import sys
 
 from .deform import (DeformedAlgebra, algebra_of_basis, build_presentation,
-                     deformation_equivalence, deformed_multiply, hat_f,
-                     interreduce_presentation, verify_presentation)
+                     deformation_equivalence, hat_f, interreduce_presentation,
+                     verify_presentation)
 from .errors import ComputationError, InputError, NotACocycle
 from .fields import Field
 from .fileio import (emit_algebra_text, emit_dot, parse_algebra_file,
                      parse_module_file, scalar_str)
 from .hochschild import (cochain_from_pairs, full_differential, hh_summary,
                          is_cocycle, is_full_cocycle)
-from .linalg import _columns, map_compose, map_inverse
+from .linalg import _addinto, _columns, map_compose, map_inverse
 from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
 from .morita import (homotopy_h, idempotent_context, matrix_context,
                      transfer_phi, transfer_psi, verify_morita_deformed)
@@ -120,15 +120,18 @@ def cmd_deform(args):
     return 0
 
 
-def _path_product(basis, deformed, p):
-    """(alpha_1, 0) ... (alpha_s, 0) for the path p, starting from the
-    source idempotent."""
+def _evaluate(basis, deformed, elem):
+    """The free element elem with every arrow alpha sent to (alpha, 0)
+    and every vertex to its idempotent, as coordinates of the deformed
+    algebra."""
     q = basis.quiver
-    cur = (basis.element_from_path((p[0],)), basis.zero())
-    for a in p[1:]:
-        arrow = (basis.element_from_path((q.arrows[a][1], a)), basis.zero())
-        cur = deformed_multiply(cur, arrow, deformed)
-    return cur
+    total = {}
+    for p, c in elem.terms.items():
+        cur = basis.element_from_path((p[0],)).coeffs
+        for a in p[1:]:
+            cur = deformed.mul(cur, basis.element_from_path((q.arrows[a][1], a)).coeffs)
+        _addinto(basis.field, total, cur, c)
+    return total
 
 
 def cmd_verify_deform(args):
@@ -146,7 +149,7 @@ def cmd_verify_deform(args):
         ok_cocycle = False
     checks.append(("cocycle", ok_cocycle,
                    "d^2 f %s 0" % ("=" if ok_cocycle else "!=")))
-    deformed = DeformedAlgebra(basis, f, check_cocycle=False)
+    deformed = DeformedAlgebra(basis, f)
     ok_assoc = deformed.associativity_holds()
     if ok_assoc:
         detail = "all %d^3 basis triples" % deformed.dim
@@ -161,22 +164,16 @@ def cmd_verify_deform(args):
     # products of hatted arrows track f-hat, on basis paths and relations
     bad = 0
     for p in basis.paths:
-        cur = _path_product(basis, deformed, p)
         w = FreeElement.from_path(basis.quiver, fld, p)
-        if cur[0] != basis.normal_form(w) or cur[1] != hat_f(w, basis, f):
+        if _evaluate(basis, deformed, w) != deformed.pair_to_coords(
+                (basis.normal_form(w), hat_f(w, basis, f))):
             bad += 1
     checks.append(("path-products", bad == 0,
                    "%d of %d basis paths multiply to (w, f^(w))"
                    % (basis.dim - bad, basis.dim)))
 
-    bad = 0
-    for rel in basis.relations:
-        total = deformed.zero_pair()
-        for p, c in rel.terms.items():
-            cur = _path_product(basis, deformed, p)
-            total = (total[0] + cur[0].scale(c), total[1] + cur[1].scale(c))
-        if not total[0].is_zero() or total[1] != hat_f(rel, basis, f):
-            bad += 1
+    bad = sum(1 for rel in basis.relations if _evaluate(basis, deformed, rel)
+              != deformed.pair_to_coords((basis.zero(), hat_f(rel, basis, f))))
     checks.append(("relation-identity", bad == 0,
                    "%d of %d relations land on (0, f^(rho))"
                    % (len(basis.relations) - bad, len(basis.relations))))
@@ -185,7 +182,7 @@ def cmd_verify_deform(args):
                    "holds for the given representative" if pres.cocycle is f
                    else "restored by a cohomologous representative"))
     if pres.cocycle is not f:
-        deformed = DeformedAlgebra(basis, pres.cocycle, check_cocycle=False)
+        deformed = DeformedAlgebra(basis, pres.cocycle)
     checks.extend(verify_presentation(deformed, pres, args.max_degree))
     return _emit_report(checks, args.report)
 
@@ -314,6 +311,9 @@ def cmd_module_roundtrip(args):
     af, basis = _load_algebra(args)
     fld = basis.field
     f = cochain_from_pairs(basis, af.cocycle_pairs)
+    if not is_cocycle(f, basis):
+        raise InputError("not a 2-cocycle; the deformed product would "
+                         "not be associative")
     deformed = DeformedAlgebra(basis, f)
     mf = parse_module_file(args.module, fld)
     mod = module_from_file(mf, deformed)
@@ -341,7 +341,7 @@ def cmd_module_roundtrip(args):
                    else "actions disagree after the basis change at %s" % deformed.labels[bad]))
 
     try:
-        tri = roundtrip_triple(uple)
+        tri = roundtrip_triple(uple, rebuilt)
         checks.append(("roundtrip-triple", tri.is_isomorphism(),
                        "comparison triple is an isomorphism"))
     except InputError as exc:

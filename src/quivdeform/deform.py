@@ -5,11 +5,12 @@ For a 2-cocycle f on A the deformed algebra A_f lives on A + At with
     (a0, b0) (a1, b1) = (a0 a1, a0 b1 + b0 a1 + f(a0, a1)),
 
 which is associative exactly because f is a cocycle: the associator is
-(0, df).  One routine, _deformed_constants, writes this product as
-structure constants of a FinDimAlgebra on the basis (x_i, 0), (0, x_i);
-DeformedAlgebra (over the path basis of a bound quiver algebra, with a
-reduced cocycle) and deform_structure_algebra (over any structure-
-constant algebra, with a full cocycle) both build on it.
+(0, df).  Deformation is the one builder of A_f: it writes this product
+as structure constants of a FinDimAlgebra on the basis (x_i, 0),
+(0, x_i), for a full 2-cochain on any structure-constant algebra, and
+checks only the unit.  Each command proves d f = 0 once, where it reads
+the cochain.  DeformedAlgebra is the view of a Deformation over the path
+basis of a bound quiver algebra, for a reduced cochain.
 
 This module also builds the path-lifting map hat_f and a quiver
 presentation of the deformed algebra: every original arrow is doubled
@@ -22,8 +23,8 @@ computation in verify_presentation.
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed, NotACocycle)
 from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
-                         is_cocycle, is_full_cocycle)
-from .linalg import FinDimAlgebra, SpanSolver, _columns, _map_rank
+                         is_cocycle)
+from .linalg import FinDimAlgebra, SpanSolver, _addinto, _columns, _map_rank, map_apply
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
                      relation_endpoints)
 
@@ -36,78 +37,45 @@ def algebra_of_basis(basis):
                          check=False)
 
 
-def _deformed_constants(alg, F):
-    """(table, unit, labels) of A_f on the basis (x_i, 0), (0, x_i) of
-    alg + alg t, for the full 2-cochain F on alg."""
-    n = alg.dim
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            prod = alg.multiply_basis(i, j)
-            value = F.value((i, j))
-            if prod or value:
-                entry = dict(prod)
-                for k, c in value.items():
-                    entry[n + k] = c
-                table[(i, j)] = entry
-            if prod:
-                shifted = {n + k: c for k, c in prod.items()}
-                table[(i, n + j)] = table[(n + i, j)] = shifted
-    labels = list(alg.labels) + ["t*" + s for s in alg.labels]
-    return table, alg.unit, labels
+class Deformation(FinDimAlgebra):
+    """A_f for a full 2-cochain f on a FinDimAlgebra alg, which it keeps
+    as base, with f as f.  Only the unit is checked.  The associator of
+    A_f is (0, -d f) on the basis triples of alg, so A_f is associative
+    exactly when f is a cocycle, which the caller proves.  A full cocycle
+    need not be normalised (f(x, y) = c xy with c != 0 is one), and then
+    (1, 0) is not the unit of A_f, which the unit check refuses.
+    """
+
+    def __init__(self, alg, f):
+        if f.degree != 2 or f.dim != alg.dim:
+            raise InputError("deformation needs a 2-cochain on the same algebra")
+        n = alg.dim
+        table = {}
+        for (i, j), prod in alg.table.items():
+            table[(i, j)] = dict(prod)
+            table[(i, n + j)] = table[(n + i, j)] = {n + k: c for k, c in prod.items()}
+        for key, value in f.table.items():
+            table.setdefault(key, {}).update((n + k, c) for k, c in value.items())
+        labels = list(alg.labels) + ["t*" + s for s in alg.labels]
+        super().__init__(alg.field, 2 * n, table, alg.unit, labels, check=False)
+        self.base, self.f = alg, f
+        self.check_unit()
 
 
-def deform_structure_algebra(alg, f):
-    """A_f for a full 2-cocycle f on an associative FinDimAlgebra.
-
-    The associator of A_f is (0, -d f) on the basis triples of alg, so
-    A_f is associative exactly when d f = 0: the cocycle check is the
-    associativity proof, and the associativity over all basis triples of
-    A_f is not checked a second time.  The unit is: a full cocycle need
-    not be normalised (f(x, y) = c xy with c != 0 is one), and then (1, 0)
-    is not the unit of A_f."""
-    if f.degree != 2 or f.dim != alg.dim:
-        raise InputError("deformation needs a 2-cochain on the same algebra")
-    if not is_full_cocycle(f, alg):
-        raise InputError("the cochain is not a Hochschild 2-cocycle")
-    return _deformed_algebra(alg, f)
-
-
-def _deformed_algebra(alg, f):
-    """A_f for a full 2-cochain f that the caller has proved to be a
-    cocycle on alg; only the unit is checked.  Like a DeformedAlgebra it
-    keeps alg as base and the cochain as f."""
-    deformed = FinDimAlgebra(alg.field, 2 * alg.dim, *_deformed_constants(alg, f),
-                             check=False)
-    deformed.check_unit()
-    deformed.base, deformed.f = alg, f
-    return deformed
-
-
-class DeformedAlgebra(FinDimAlgebra):
-    """A_f for a reduced 2-cocycle f on the path basis of A.
+class DeformedAlgebra(Deformation):
+    """A_f for a reduced 2-cochain f on the path basis of A: the
+    Deformation of algebra_of_basis(basis), with the conversions between
+    its coordinates and pairs of AlgebraElements.
 
     Basis: (gamma, 0) for gamma in the basis of A, then (0, gamma); so
     index i < n is (basis path i, 0) and n + i is (0, basis path i).
-    base is A as a FinDimAlgebra and f the cocycle.
     """
 
-    def __init__(self, basis, f, check_cocycle=True):
-        if f.degree != 2 or f.dim != basis.dim:
-            raise InputError("deformation needs a degree-2 cochain on this algebra")
+    def __init__(self, basis, f):
         check_reduced(f, basis)
-        if check_cocycle and not is_cocycle(f, basis):
-            raise InputError("not a 2-cocycle; the deformed product would "
-                             "not be associative")
         self.basis = basis
-        self.f = f
         self.n = basis.dim
-        self.base = algebra_of_basis(basis)
-        super().__init__(basis.field, 2 * basis.dim,
-                         *_deformed_constants(self.base, f), check=False)
-
-    def zero_pair(self):
-        return (self.basis.zero(), self.basis.zero())
+        super().__init__(algebra_of_basis(basis), f)
 
     def pair_to_coords(self, pair):
         a, b = pair
@@ -127,8 +95,9 @@ class DeformedAlgebra(FinDimAlgebra):
         return (AlgebraElement(self.basis, a), AlgebraElement(self.basis, b))
 
     def associativity_holds(self):
-        """Exhaustive check of (xy)z = x(yz) on basis triples; the first
-        failing triple, or None, is kept as self.witness."""
+        """Whether (xy)z = x(yz) on all basis triples, proved on the triples
+        of associativity_witness; the first failing one, or None, is kept
+        as self.witness."""
         self.witness = self.associativity_witness()
         return self.witness is None
 
@@ -481,32 +450,25 @@ def interreduce_presentation(pres, field, max_degree=30):
 
 def _pi_map(deformed, pres):
     """The evaluation sending hatted arrows to (arrow, 0) and added
-    loops to (0, idempotent), as pairs over the deformed algebra."""
+    loops to (0, idempotent), as coordinates of the deformed algebra."""
     basis = deformed.basis
     q = basis.quiver
     qf = pres.quiver
-    arrow_images = {}
+    fld = basis.field
+    images = {}
     for name, s, t in q.arrows:
-        arrow_images[pres.hat_names[name]] = (
-            basis.element_from_path(q.arrow_path(name)), basis.zero())
+        images[pres.hat_names[name]] = basis.element_from_path(q.arrow_path(name)).coeffs
     for nm in pres.dashed:
-        vid = qf.vertices[qf.arrows[qf.aindex[nm]][1]]
-        vi = q.vindex[vid]
-        arrow_images[nm] = (basis.zero(),
-                            basis.element_from_path((vi,)))
-
-    def pi_path(p):
-        cur = (basis.element_from_path((p[0],)), basis.zero())
-        for a in p[1:]:
-            nm = qf.arrows[a][0]
-            cur = deformed_multiply(cur, arrow_images[nm], deformed)
-        return cur
+        vi = q.vindex[qf.vertices[qf.arrows[qf.aindex[nm]][1]]]
+        images[nm] = deformed.pair_to_coords((basis.zero(), basis.element_from_path((vi,))))
 
     def pi_free(elem):
-        total = deformed.zero_pair()
+        total = {}
         for p, c in elem.terms.items():
-            img = pi_path(p)
-            total = (total[0] + img[0].scale(c), total[1] + img[1].scale(c))
+            cur = basis.element_from_path((p[0],)).coeffs
+            for a in p[1:]:
+                cur = deformed.mul(cur, images[qf.arrows[a][0]])
+            _addinto(fld, total, cur, c)
         return total
 
     return pi_free
@@ -534,8 +496,7 @@ def verify_presentation(deformed, pres, max_degree=30):
     pi_free = _pi_map(deformed, pres)
     bad = []
     for k, r in enumerate(pres.relations):
-        img = pi_free(r)
-        if not (img[0].is_zero() and img[1].is_zero()):
+        if pi_free(r):
             bad.append(k)
     detail = "%d of %d generators evaluate to zero" % (
         len(pres.relations) - len(bad), len(pres.relations))
@@ -551,7 +512,7 @@ def verify_presentation(deformed, pres, max_degree=30):
         vectors.append(pi_free(hat))
         eps = pres.epsilon[q.vertices[q.path_target(p)]].element
         vectors.append(pi_free(hat * eps))
-    rnk = _map_rank(_columns([deformed.pair_to_coords(v) for v in vectors]), fld)
+    rnk = _map_rank(_columns(vectors), fld)
     ok_ind = rnk == 2 * basis.dim
     checks.append(("independence", ok_ind,
                    "rank %d of %d evaluated candidates" % (rnk, len(vectors))))
@@ -572,32 +533,37 @@ class Equivalence:
 
 def deformation_equivalence(f, f2, basis):
     """Explicit isomorphism between the two deformed algebras, or None
-    when the cocycles are not cohomologous.
+    when the cocycles are not cohomologous.  The caller has proved f and
+    f2 to be cocycles, so A_f and A_f2 are associative.
 
     Expanding phi(x) phi(y) = phi(xy) for phi(a, b) = (a, b + g(a))
-    gives f - f2 = dg, which is the equation cobound_solve solves; the
-    multiplicativity is still checked on all basis pairs.
+    gives f - f2 = dg, which is the equation cobound_solve solves.  The
+    multiplicativity is still checked, on the structure constants, at the
+    pairs (x_r, x_j) for r in R = A_f.unit_and_generators() and every
+    basis index j.  That proves it on all basis pairs: T = {x : phi(xy) =
+    phi(x) phi(y) for all y} is a subspace that holds R, so holds 1, and
+    is closed under x -> gx for each generator g, since
+
+        phi((gx)y) = phi(g(xy)) = phi(g) phi(xy) = phi(g) (phi(x) phi(y))
+                   = (phi(g) phi(x)) phi(y) = phi(gx) phi(y)
+
+    by the associativity of A_f and of A_f2; so T holds every word in
+    the generators, as in FinDimAlgebra.associativity_witness.
     """
     g = cobound_solve(f - f2, basis)
     if g is None:
         return None
     d_f = DeformedAlgebra(basis, f)
     d_f2 = DeformedAlgebra(basis, f2)
-    phi = Equivalence(g, basis)
-
-    def pair_of_index(i):
-        if i < basis.dim:
-            return (basis.basis_element(i), basis.zero())
-        return (basis.zero(), basis.basis_element(i - basis.dim))
-
-    for i in range(d_f.dim):
+    n, fld = basis.dim, basis.field
+    # phi on coordinates: (x_i, 0) -> (x_i, g(x_i)) and (0, x_i) fixed
+    phi = {i: {i: fld.one, **{n + k: c for k, c in g.value((i,)).items()}}
+           for i in range(n)}
+    phi.update((n + i, {n + i: fld.one}) for i in range(n))
+    for r in d_f.unit_and_generators():
         for j in range(d_f.dim):
-            x = pair_of_index(i)
-            y = pair_of_index(j)
-            lhs = phi.apply(deformed_multiply(x, y, d_f))
-            rhs = deformed_multiply(phi.apply(x), phi.apply(y), d_f2)
-            if not (lhs[0] == rhs[0] and lhs[1] == rhs[1]):
+            if map_apply(phi, d_f.multiply_basis(r, j), fld) != d_f2.mul(phi[r], phi[j]):
                 raise ComputationError(
                     "the coboundary witness is not multiplicative at the "
-                    "basis pair (%s, %s)" % (d_f.labels[i], d_f.labels[j]))
-    return phi
+                    "basis pair (%s, %s)" % (d_f.labels[r], d_f.labels[j]))
+    return Equivalence(g, basis)

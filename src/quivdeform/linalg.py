@@ -8,6 +8,8 @@ basis vector c, and absent columns, rows and zero scalars are left out,
 so two maps are equal exactly when their dicts are.  map_apply,
 map_compose and map_combine apply, compose and linearly combine such
 maps; map_inverse inverts a square one.  They take the field last.
+_action combines the maps of basis elements by the coordinates of a
+vector, and _differing_columns lists the columns where two maps differ.
 _identity, _columns and _rows build identity maps, maps from column
 lists and row slices, _map_rank gives the rank of a map and
 column_kernel a basis of its kernel.  The Morita and module layers work
@@ -27,6 +29,7 @@ algebra all live in it.  Each one computes its generating set once, on
 first use, for the checks that prove identities on generators.
 """
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, UntaggedSpan
@@ -104,6 +107,19 @@ def map_inverse(amap, n, field):
         if col:
             out[r] = col
     return out
+
+
+def _action(maps, vec, field):
+    """The sparse map sum c * maps[k] over the coordinates {k: c} of vec,
+    for a dict maps of sparse maps in which a missing k is the zero map."""
+    return map_combine([(c, maps.get(k, {})) for k, c in vec.items()], field)
+
+
+def _differing_columns(lhs, rhs, dim):
+    """The columns m < dim on which two sparse maps differ, in order."""
+    if lhs == rhs:
+        return []
+    return [m for m in range(dim) if lhs.get(m) != rhs.get(m)]
 
 
 def _identity(n, field):
@@ -257,9 +273,10 @@ class FinDimAlgebra:
     """Associative unital algebra given by structure constants.
 
     table[(i, j)] = {k: c} holds the product of basis elements i and j;
-    absent entries are zero.  unit is a coordinate dict.  Associativity
-    and two-sided unitality are verified on all basis tuples unless
-    check=False.
+    absent entries are zero.  unit is a coordinate dict.  Unless
+    check=False, two-sided unitality is verified on every basis element
+    and associativity on the triples of associativity_witness, which
+    proves it on all basis triples.
     """
 
     def __init__(self, field, dim, table, unit, labels=None, check=True):
@@ -314,37 +331,38 @@ class FinDimAlgebra:
             self._generators = gens
         return self._generators
 
-    def associativity_witness(self):
-        """The first basis triple (i, j, k) with (x_i x_j) x_k != x_i (x_j x_k),
-        or None when the product is associative.
+    def unit_and_generators(self):
+        """R: the support of the unit and generators(), in increasing
+        order, the left factors on which the checks on generators run."""
+        return sorted(set(self.unit) | set(self.generators()))
 
-        For each (i, j) only the k where a side can be nonzero are visited,
-        in increasing order: x_i (x_j x_k) needs a product x_j x_k in the
-        table, (x_i x_j) x_k a product x_l x_k for some l in the support of
-        x_i x_j.  Every skipped triple has two zero sides, so the witness is
-        the first failing triple in (i, j, k) order."""
+    def associativity_witness(self):
+        """The first triple (r, j, k) with (x_r x_j) x_k != x_r (x_j x_k),
+        for r in R = unit_and_generators() and j, k basis indices, in that
+        order; or None, and then the product is associative on all basis
+        triples.  For each (r, j) it compares L(x_r x_j) with L(x_r) L(x_j)
+        as sparse maps, L(x) the left multiplication by x; k is the first
+        column where they differ.
+
+        Proof that R suffices.  S = {x : (xy)z = x(yz) for all y, z} is a
+        subspace.  It holds R, so it holds the unit vector, a combination
+        of R.  It is closed under x -> gx for each generator g, since
+        ((gx)y)z = (g(xy))z = g((xy)z) = g(x(yz)) = (gx)(yz), with g in S
+        three times and x in S once.  So S holds every word that
+        generators() builds from the unit vector by multiplying with
+        generators on the left, and the generators themselves; together
+        these span the algebra.  No unit axiom is used: the unit vector is
+        only the seed of the words, and its support is in R."""
         fld = self.field
-        right_of = {}
-        for l, k in self.table:
-            right_of.setdefault(l, set()).add(k)
-        for i in range(self.dim):
+        lmaps = defaultdict(dict)
+        for (i, j), vec in self.table.items():
+            lmaps[i][j] = vec
+        for r in self.unit_and_generators():
             for j in range(self.dim):
-                ij = self.multiply_basis(i, j)
-                ks = set(right_of.get(j, ()))
-                for l in ij:
-                    ks.update(right_of.get(l, ()))
-                for k in sorted(ks):
-                    jk = self.multiply_basis(j, k)
-                    left = {}
-                    for l, c in ij.items():
-                        for m, d in self.multiply_basis(l, k).items():
-                            left[m] = fld.add(left.get(m, fld.zero), fld.mul(c, d))
-                    right = {}
-                    for l, c in jk.items():
-                        for m, d in self.multiply_basis(i, l).items():
-                            right[m] = fld.add(right.get(m, fld.zero), fld.mul(c, d))
-                    if _clean(fld, left) != _clean(fld, right):
-                        return (i, j, k)
+                bad = _differing_columns(_action(lmaps, self.multiply_basis(r, j), fld),
+                                         map_compose(lmaps[r], lmaps[j], fld), self.dim)
+                if bad:
+                    return (r, j, bad[0])
         return None
 
     def check_unit(self):

@@ -1,8 +1,8 @@
 """Modules over the deformed algebra, presented two ways.
 
 A concrete module is a vector space with one action per basis element
-of a FinDimAlgebra, here the deformed algebra A_f (a DeformedAlgebra)
-or the original algebra A (its base).  The same data can be packaged as
+of a FinDimAlgebra, here the deformed algebra A_f (a Deformation) or
+the original algebra A (its base).  The same data can be packaged as
 an uple (M0, M1, T, f_tables): two modules over A, an injective
 intertwiner T : M0 -> M1, and a bilinear correction table measuring how
 far the deformed action is from the undeformed one.  The functor F
@@ -16,7 +16,12 @@ LeftModule is a Bimodule over (A, k), an UpleModule a DeformedBimodule
 whose glue is an (A_f, k[t]/t^2)-bimodule, F is the left part of that
 glue, and a MorphismTriple is checked by triple_violations.  So every
 identity is checked by the one implementation there, and each error
-here is the first failure it reports.
+here is the first failure it reports.  The right algebra of every glue,
+k[t]/t^2, is the Deformation of k by the zero cochain.
+
+Each axiom is checked once: a module when it is built, an uple as its
+glue, and the M0 and M1 that reconstruct carves out of a module only as
+blocks of the glue of their uple.
 
 Every linear map here is a sparse map {column: {row: scalar}} of the
 linalg module (column c is the image of basis vector c), and vectors
@@ -24,12 +29,11 @@ are coordinate dicts; the matrix of a product is the composite of the
 maps.  Module files hold dense rows, which fileio converts.
 """
 
-from .deform import DeformedAlgebra, _deformed_algebra
+from .deform import Deformation
 from .errors import InputError
 from .hochschild import FullCochain
-from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _clean, _columns,
-                     _identity, _lower_block, _rows, column_kernel, map_apply,
-                     map_combine, map_compose, map_inverse)
+from .linalg import (FinDimAlgebra, SpanSolver, _clean, _columns, _identity, _rows,
+                     column_kernel, map_apply, map_combine, map_compose, map_inverse)
 from .morita import Bimodule, DeformedBimodule, triple_violations
 
 
@@ -57,7 +61,7 @@ def _ground(field):
 def _dual_numbers(field):
     """k[t]/t^2, the ground field deformed by the zero cocycle: the right
     algebra of the glue of every uple here."""
-    return _deformed_algebra(_ground(field), FullCochain(1, 2, field))
+    return Deformation(_ground(field), FullCochain(1, 2, field))
 
 
 class LeftModule(Bimodule):
@@ -179,10 +183,13 @@ def reconstruct(mod):
 
     T is the action of (0, 1); M1 is its kernel and M0 the complement
     obtained by greedily extending the kernel basis with standard basis
-    vectors in declaration order.
+    vectors in declaration order.  M1 and M0 are built unchecked: once
+    the kernel and the image of T are shown invariant, they are a
+    submodule and a quotient of mod, and the check of the uple proves
+    their axioms again as blocks of its glue.
     """
     deformed = mod.algebra
-    if not isinstance(deformed, DeformedAlgebra):
+    if not isinstance(deformed, Deformation):
         raise InputError("reconstruction needs a module over a deformed algebra")
     base = deformed.base
     fld = base.field
@@ -218,7 +225,7 @@ def reconstruct(mod):
         if m0_part:
             raise InputError("the kernel of T is not invariant")
         act1.append(m1_part)
-    m1 = LeftModule(base, len(kernel), act1)
+    m1 = LeftModule(base, len(kernel), act1, check=False)
 
     # action on M0: a * m = T'(a . T m), solved through the injective T
     t_cols = [map_apply(t_full, v, fld) for v in complement]
@@ -242,7 +249,7 @@ def reconstruct(mod):
         if m0_part:
             raise InputError("the correction does not land in the kernel")
         f_tables.append(m1_part)
-    m0 = LeftModule(base, d0, act0)
+    m0 = LeftModule(base, d0, act0, check=False)
 
     _, t_m = split(_columns(t_cols))
     uple = UpleModule(deformed, m0, m1, t_m, f_tables)
@@ -288,54 +295,14 @@ class MorphismTriple:
                 and map_inverse(self.u2, src.m1.dim, fld) is not None)
 
 
-def identity_triple(u):
-    fld = u.deformed.field
-    return MorphismTriple(u, u, _identity(u.m0.dim, fld), {}, _identity(u.m1.dim, fld))
-
-
-def compose_triples(v, u):
-    """v after u: (v0 u0, v2 u1 + v1 u0, v2 u2)."""
-    if u.target is not v.source:
-        raise InputError("triples do not compose")
-    fld = u.source.deformed.field
-    return MorphismTriple(
-        u.source, v.target,
-        map_compose(v.u0, u.u0, fld),
-        map_combine([(fld.one, map_compose(v.u2, u.u1, fld)),
-                     (fld.one, map_compose(v.u1, u.u0, fld))], fld),
-        map_compose(v.u2, u.u2, fld))
-
-
-def linear_of_triple(tri):
-    """The map F(u0, u1, u2) = [[u0, 0], [u1, u2]]."""
-    return _lower_block(tri.u0, tri.u1, tri.u2, tri.source.m0.dim, tri.target.m0.dim)
-
-
-def triple_from_linear(amap, source, target):
-    """Split an algebra-linear map F(source) -> F(target) into a triple.
-
-    The block M1 -> N0 of any module map vanishes because the target T
-    is injective; a nonzero block means amap is not a module map.
-    """
-    fld = source.deformed.field
-    s0, t0 = source.m0.dim, target.m0.dim
-    t01 = t0 + target.m1.dim
-    amap = _checked(amap, t01, s0 + source.m1.dim, fld, "the map")
-    first = {c: col for c, col in amap.items() if c < s0}
-    second = {c - s0: col for c, col in amap.items() if c >= s0}
-    if _rows(second, 0, t0):
-        raise InputError("the map sends the kernel half outside the kernel")
-    return MorphismTriple(source, target, _rows(first, 0, t0), _rows(first, t0, t01),
-                          _rows(second, t0, t01))
-
-
-def roundtrip_triple(uple):
-    """Explicit isomorphism from the reconstruction of F(uple) back to uple.
+def roundtrip_triple(uple, module):
+    """Explicit isomorphism from the reconstruction of module, which is
+    F(uple) as functor_F builds it, back to uple.
 
     The components read off the full-space coordinates of the chosen
     complement and kernel bases; validity is checked by construction.
     """
-    rec = reconstruct(functor_F(uple))
+    rec = reconstruct(module)
     v = rec.uple
     d0 = uple.m0.dim
     d = d0 + uple.m1.dim
@@ -345,56 +312,6 @@ def roundtrip_triple(uple):
     if not tri.is_isomorphism():
         raise InputError("round trip produced a non-invertible comparison")
     return tri
-
-
-def module_homs(m, n):
-    """Basis of the space of module maps m -> n, as sparse maps."""
-    if m.algebra is not n.algebra:
-        raise InputError("modules live over different algebras")
-    fld = m.field
-    minus = fld.neg(fld.one)
-    # X: m -> n is a module map when a X = X a for every basis element a;
-    # the unknown X[u][v] is column u * m.dim + v, and the equation of the
-    # i-th basis element at entry (r, c) is row (i, r, c)
-    cols = []
-    for u in range(n.dim):
-        for v in range(m.dim):
-            col = {}
-            for i in range(m.algebra.dim):
-                _addinto(fld, col, {(i, r, v): x
-                                    for r, x in n.actions[i].get(u, {}).items()}, fld.one)
-                _addinto(fld, col, {(i, u, c): y[v]
-                                    for c, y in m.actions[i].items() if v in y}, minus)
-            cols.append(col)
-    return [_columns([_clean(fld, {r: vec.get(r * m.dim + c, fld.zero)
-                                   for r in range(n.dim)})
-                      for c in range(m.dim)])
-            for vec in column_kernel(cols, fld)]
-
-
-def submodule(mod, vectors):
-    """The submodule generated by the given vectors, as a module on the
-    closure's own basis (deterministic: closure in basis order)."""
-    fld = mod.field
-    span = SpanSolver(fld)
-    sbasis = []
-    queue = [_clean(fld, v) for v in vectors]
-    while queue:
-        v = queue.pop(0)
-        if not span.add(v, len(sbasis)):
-            continue
-        sbasis.append(v)
-        queue.extend(map_apply(a, v, fld) for a in mod.actions)
-    actions = []
-    for a in mod.actions:
-        cols = []
-        for v in sbasis:
-            x = span.express(map_apply(a, v, fld))
-            if x is None:
-                raise InputError("closure failed; submodule is not closed")
-            cols.append(_clean(fld, x))
-        actions.append(_columns(cols))
-    return LeftModule(mod.algebra, len(sbasis), actions)
 
 
 def module_from_file(mf, deformed):

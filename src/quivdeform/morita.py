@@ -28,24 +28,26 @@ that proves it for all elements.  It needs the acting algebras to be
 associative, which for A_f and B_g is their cocycle condition.  A
 bimodule uple is checked as the (A_f, B_g)-bimodule it glues to, and a
 morphism of uples as a map between the glues (DeformedBimodule and
-triple_violations give the proofs).  A context checks only its axioms: the bijectivity of the induced maps
-P (x)_B Q -> A and Q (x)_A P -> B, and the recovery of P and Q through
-the generator lists, are consequences (MoritaContext._validate gives
-the proof), so no balanced product is built to check a context.
+triple_violations give the proofs).  A context checks only its axioms:
+the bijectivity of the induced maps P (x)_B Q -> A and Q (x)_A P -> B,
+and the recovery of P and Q through the generator lists, are
+consequences (MoritaContext._validate gives the proof), so no balanced
+product is built to check a context.
 
 transfer_phi and transfer_psi work from the support of the cochain: one
 chain of pair weights per key of its table, so the cost follows the
 number of nonzero entries, not the number of basis tuples of B.
 """
 
-from .deform import _deformed_algebra
-from .deform import algebra_of_basis, deform_structure_algebra  # noqa: F401 (re-exported)
+from collections import defaultdict
+
+from .deform import Deformation
 from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
 from .hochschild import FullCochain, is_full_cocycle
-from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _bilinear, _clean,
-                     _columns, _identity, _lower_block, _map_rank, _rows, _scaled,
-                     map_apply, map_combine, map_compose, map_inverse)
+from .linalg import (FinDimAlgebra, SpanSolver, _action, _addinto, _bilinear, _clean,
+                     _columns, _differing_columns, _identity, _lower_block, _map_rank,
+                     _rows, _scaled, map_apply, map_combine, map_compose, map_inverse)
 
 
 class Bimodule:
@@ -126,8 +128,8 @@ class Bimodule:
         lmap, rmap = self.left_map, self.right_map
         lgens, rgens = la.generators(), ra.generators()
         out = []
-        lunit = _action(lmap, la.unit, fld)
-        runit = _action(rmap, ra.unit, fld)
+        lunit = _action(self._left_maps, la.unit, fld)
+        runit = _action(self._right_maps, ra.unit, fld)
         for m in range(self.dim):
             e = {m: fld.one}
             if lunit.get(m) != e:
@@ -136,14 +138,14 @@ class Bimodule:
                 out.append("right unit fails at %d" % m)
         for i in lgens:
             for j in range(la.dim):
-                lhs = _action(lmap, la.multiply_basis(i, j), fld)
+                lhs = _action(self._left_maps, la.multiply_basis(i, j), fld)
                 rhs = map_compose(lmap(i), lmap(j), fld)
                 for m in _differing_columns(lhs, rhs, self.dim):
                     out.append("left action not associative at (%s, %s, %d)"
                                % (la.labels[i], la.labels[j], m))
         for i in range(ra.dim):
             for j in rgens:
-                lhs = _action(rmap, ra.multiply_basis(i, j), fld)
+                lhs = _action(self._right_maps, ra.multiply_basis(i, j), fld)
                 rhs = map_compose(rmap(j), rmap(i), fld)
                 for m in _differing_columns(lhs, rhs, self.dim):
                     out.append("right action not associative at (%d, %s, %s)"
@@ -158,23 +160,9 @@ class Bimodule:
         return out
 
 
-def _action(maps, vec, field):
-    """The sparse map sum c * maps(k) over the coordinates {k: c} of vec."""
-    return map_combine([(c, maps(k)) for k, c in vec.items()], field)
-
-
-def _differing_columns(lhs, rhs, dim):
-    """The columns m < dim on which two sparse maps differ, in order."""
-    if lhs == rhs:
-        return []
-    return [m for m in range(dim) if lhs.get(m) != rhs.get(m)]
-
-
 def regular_bimodule(alg):
     """The algebra as a bimodule over itself."""
-    table = {(i, j): alg.multiply_basis(i, j)
-             for i in range(alg.dim) for j in range(alg.dim)}
-    return Bimodule(alg, alg, alg.dim, table, dict(table), check=False)
+    return Bimodule(alg, alg, alg.dim, alg.table, alg.table, check=False)
 
 
 class TensorProduct:
@@ -323,74 +311,84 @@ class MoritaContext:
         # linearity and balance on generators of A and B: P and Q are
         # bimodules and A, B associative, so each identity extends from
         # generators to all elements by induction on word length, as in
-        # Bimodule.violations; at the unit it holds by the unit axioms
-        one = fld.one
-        gens_of_a, gens_of_b = a.generators(), b.generators()
-        for t in gens_of_a:
-            et = {t: one}
-            for i in range(p.dim):
-                for j in range(q.dim):
-                    base = self.pairing_a.get((i, j), {})
-                    if self.pair_a(p.left_basis(t, i), {j: one}) != a.mul(et, base):
-                        raise InputError("<a.p, q> != a.<p, q> at (%d, %d, %d)" % (t, i, j))
-                    if self.pair_a({i: one}, q.right_basis(j, t)) != a.mul(base, et):
-                        raise InputError("<p, q.a> != <p, q>.a at (%d, %d, %d)" % (i, j, t))
-        for s in gens_of_b:
-            for i in range(p.dim):
-                for j in range(q.dim):
-                    if self.pair_a(p.right_basis(i, s), {j: one}) != \
-                            self.pair_a({i: one}, q.left_basis(s, j)):
-                        raise InputError("<p.b, q> != <p, b.q> at (%d, %d, %d)" % (i, s, j))
-        for s in gens_of_b:
-            es = {s: one}
-            for j in range(q.dim):
-                for i in range(p.dim):
-                    base = self.pairing_b.get((j, i), {})
-                    if self.pair_b(q.left_basis(s, j), {i: one}) != b.mul(es, base):
-                        raise InputError("<b.q, p> != b.<q, p> at (%d, %d, %d)" % (s, j, i))
-                    if self.pair_b({j: one}, p.right_basis(i, s)) != b.mul(base, es):
-                        raise InputError("<q, p.b> != <q, p>.b at (%d, %d, %d)" % (j, i, s))
-        for t in gens_of_a:
-            for j in range(q.dim):
-                for i in range(p.dim):
-                    if self.pair_b(q.right_basis(j, t), {i: one}) != \
-                            self.pair_b({j: one}, p.left_basis(t, i)):
-                        raise InputError("<q.a, p> != <q, a.p> at (%d, %d, %d)" % (j, t, i))
+        # Bimodule.violations; at the unit it holds by the unit axioms.
+        # Both sides of an identity are sparse maps: pa[i] is the map
+        # q -> <p_i, q>_A on Q, pb[j] the map p -> <q_j, p>_B on P,
+        # rho_p[i], rho_q[j] the right actions b -> p_i b and a -> q_j a,
+        # and ra, rb give the multiplications of A and B
+        ra, rb = regular_bimodule(a), regular_bimodule(b)
+        pa, pb, rho_p, rho_q = (defaultdict(dict) for _ in range(4))
+        for (i, j), vec in self.pairing_a.items():
+            if vec:
+                pa[i][j] = vec
+        for (j, i), vec in self.pairing_b.items():
+            if vec:
+                pb[j][i] = vec
+        for rho, module in ((rho_p, p), (rho_q, q)):
+            for (m, s), vec in module.right.items():
+                rho[m][s] = vec
+
+        def compose(x, y):
+            return map_compose(x, y, fld)
+
+        def check(gens, dim, width, *identities):
+            """Raise at the first (g, x, k), g in gens, x < dim, k < width,
+            where lhs(g, x) and rhs(g, x) of an identity (message, lhs, rhs)
+            differ in column k; the earlier identity first at equal k."""
+            for g in gens:
+                for x in range(dim):
+                    hits = [(bad[0], n) for n, (_, lhs, rhs) in enumerate(identities)
+                            for bad in [_differing_columns(lhs(g, x), rhs(g, x), width)]
+                            if bad]
+                    if hits:
+                        k, n = min(hits)
+                        raise InputError(identities[n][0].format(g=g, x=x, k=k))
+
+        check(a.generators(), p.dim, q.dim,
+              ("<a.p, q> != a.<p, q> at ({g}, {x}, {k})",
+               lambda t, i: _action(pa, p.left_basis(t, i), fld),
+               lambda t, i: compose(ra.left_map(t), pa[i])),
+              ("<p, q.a> != <p, q>.a at ({x}, {k}, {g})",
+               lambda t, i: compose(pa[i], q.right_map(t)),
+               lambda t, i: compose(ra.right_map(t), pa[i])))
+        check(b.generators(), p.dim, q.dim,
+              ("<p.b, q> != <p, b.q> at ({x}, {g}, {k})",
+               lambda s, i: _action(pa, p.right_basis(i, s), fld),
+               lambda s, i: compose(pa[i], q.left_map(s))))
+        check(b.generators(), q.dim, p.dim,
+              ("<b.q, p> != b.<q, p> at ({g}, {x}, {k})",
+               lambda s, j: _action(pb, q.left_basis(s, j), fld),
+               lambda s, j: compose(rb.left_map(s), pb[j])),
+              ("<q, p.b> != <q, p>.b at ({x}, {k}, {g})",
+               lambda s, j: compose(pb[j], p.right_map(s)),
+               lambda s, j: compose(rb.right_map(s), pb[j])))
+        check(a.generators(), q.dim, p.dim,
+              ("<q.a, p> != <q, a.p> at ({x}, {g}, {k})",
+               lambda t, j: _action(pb, q.right_basis(j, t), fld),
+               lambda t, j: compose(pb[j], p.left_map(t))))
 
         # <p, q>_A . p' = p . <q, p'>_B  and  <q, p>_B . q' = q . <p, q'>_A
         for i in range(p.dim):
             for j in range(q.dim):
-                pa = self.pairing_a.get((i, j), {})
-                pb = self.pairing_b.get((j, i), {})
-                for k in range(p.dim):
-                    if p.left_act(pa, {k: one}) != p.right_act({i: one},
-                                                               self.pairing_b.get((j, k), {})):
-                        raise InputError("<p,q>.p' != p.<q,p'> at (%d, %d, %d)" % (i, j, k))
-                for k in range(q.dim):
-                    if q.left_act(pb, {k: one}) != q.right_act({j: one},
-                                                               self.pairing_a.get((i, k), {})):
-                        raise InputError("<q,p>.q' != q.<p,q'> at (%d, %d, %d)" % (j, i, k))
+                bad = _differing_columns(_action(p._left_maps, pa[i].get(j, {}), fld),
+                                         compose(rho_p[i], pb[j]), p.dim)
+                if bad:
+                    raise InputError("<p,q>.p' != p.<q,p'> at (%d, %d, %d)" % (i, j, bad[0]))
+                bad = _differing_columns(_action(q._left_maps, pb[j].get(i, {}), fld),
+                                         compose(rho_q[j], pa[i]), q.dim)
+                if bad:
+                    raise InputError("<q,p>.q' != q.<p,q'> at (%d, %d, %d)" % (j, i, bad[0]))
 
         total = {}
         for u, v in self.gens_a:
-            _addinto(fld, total, self.pair_a(u, v), one)
+            _addinto(fld, total, self.pair_a(u, v), fld.one)
         if total != self.a.unit:
             raise InputError("gens_a do not decompose 1_A")
         total = {}
         for u, v in self.gens_b:
-            _addinto(fld, total, self.pair_b(u, v), one)
+            _addinto(fld, total, self.pair_b(u, v), fld.one)
         if total != self.b.unit:
             raise InputError("gens_b do not decompose 1_B")
-
-
-def identity_context(alg):
-    """A seen as Morita equivalent to itself through the regular bimodule."""
-    reg = regular_bimodule(alg)
-    pairing = {(i, j): alg.multiply_basis(i, j)
-               for i in range(alg.dim) for j in range(alg.dim)}
-    gen = [(dict(alg.unit), dict(alg.unit))]
-    return MoritaContext(alg, alg, reg, reg, dict(pairing), dict(pairing),
-                         list(gen), list(gen))
 
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
@@ -732,8 +730,8 @@ class DeformedBimodule:
     """Bimodule uple (M0, M1, T, f_M, g_M) over deformed scalars.
 
     left_def and right_def are the deformed algebras A_f and B_g, each
-    keeping its undeformed algebra as base and its cocycle as f (as
-    deform_structure_algebra and DeformedAlgebra build them); the caller
+    keeping its undeformed algebra as base and its cocycle as f (each a
+    Deformation); the caller
     has proved d f = 0 and d g = 0, so both are associative.  M0 and M1
     are (A, B)-bimodules, T: M0 -> M1, f_tables[i] the map f_M(e_i (x) -)
     and g_tables[j] the map g_M(- (x) e_j), all sparse maps {column:
@@ -847,9 +845,9 @@ def _half(field):
 
 def build_hat_P(ctx, a_f, b_g, check=True):
     """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g),
-    for A_f and B_g the deformations of ctx.a and ctx.b along f and g =
-    phi^2(f) (deform_structure_algebra builds them on their cocycle
-    checks).  check=False skips the bimodule check."""
+    for A_f and B_g the Deformations of ctx.a and ctx.b along f and g =
+    phi^2(f), both proved to be cocycles by the caller.  check=False
+    skips the bimodule check."""
     fld = ctx.field
     half = _half(fld)
     f, g = a_f.f, b_g.f
@@ -1015,8 +1013,8 @@ def _tensor_side(ctx, hat1, hat2, prefix):
         return checks
 
     eps = {ns + i: c for i, c in s_alg.unit.items()}
-    t_left = _action(z.left_map, eps, fld)
-    t_right = _action(z.right_map, eps, fld)
+    t_left = _action(z._left_maps, eps, fld)
+    t_right = _action(z._right_maps, eps, fld)
     checks.append((prefix + "central-t-action", t_left == t_right,
                    "left and right action of (0, 1) on the tensor"))
 
@@ -1214,8 +1212,8 @@ def verify_morita_deformed(ctx, f):
         return checks + [("deformed-p-bimodule", False, skipped),
                          ("deformed-q-bimodule", False, skipped)]
     # d f = 0 and d g = 0 were proved above
-    s_def = _deformed_algebra(ctx.a, f)
-    t_def = _deformed_algebra(ctx.b, g)
+    s_def = Deformation(ctx.a, f)
+    t_def = Deformation(ctx.b, g)
     hat_p = build_hat_P(ctx, s_def, t_def, check=False)
     bad = hat_p.violations()
     checks.append(("deformed-p-bimodule", not bad,

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from quivdeform.fileio import parse_algebra_file
+from quivdeform.morita import MoritaContext, regular_bimodule
 from quivdeform.quiver import compute_basis
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -10,6 +11,16 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name):
     return os.path.join(DATA, name)
+
+
+def identity_context(alg):
+    """A seen as Morita equivalent to itself through the regular bimodule."""
+    reg = regular_bimodule(alg)
+    pairing = {(i, j): alg.multiply_basis(i, j)
+               for i in range(alg.dim) for j in range(alg.dim)}
+    gen = [(dict(alg.unit), dict(alg.unit))]
+    return MoritaContext(alg, alg, reg, reg, dict(pairing), dict(pairing),
+                         list(gen), list(gen))
 
 
 def load(name):

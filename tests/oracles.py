@@ -10,7 +10,9 @@ design.  Both oracles use their own row reduction so that nothing
 under test is in the loop.  The Hochschild differential itself is
 recomputed by evaluating every face on every index tuple.  The deformed
 algebra A_f is rebuilt from the pair formula on every pair of basis
-indices, its associativity by multiplying out every basis triple, and
+indices, its associativity by multiplying out every basis triple (or
+the triples whose first entry is a greedy generator, recomputed here
+with its own echelon rows, or in the support of the unit), and
 primality by trial division.  The bimodule and bimodule-uple axioms,
 and the axioms of left modules, left uples and their morphisms, are
 evaluated on every basis tuple, one element at a time, from the raw
@@ -355,6 +357,52 @@ def brute_associativity_defect(dim, table, field):
     for key in product(range(dim), repeat=3):
         if brute_associator(table, field, *key):
             return key
+    return None
+
+
+def _echelon_add(rows, vec, field):
+    """Add vec to the span of rows {pivot: row}, kept in reduced echelon
+    form with entry 1 at each pivot; True when the span grew."""
+    vec = {k: c for k, c in vec.items() if c != field.zero}
+    for p, row in list(rows.items()):
+        if p in vec:
+            vec = _combo(field, (field.one, vec), (field.neg(vec[p]), row))
+    if not vec:
+        return False
+    p = min(vec)
+    vec = _combo(field, (field.inv(vec[p]), vec))
+    for q, row in list(rows.items()):
+        if p in row:
+            rows[q] = _combo(field, (field.one, row), (field.neg(row[p]), vec))
+    rows[p] = vec
+    return True
+
+
+def brute_generator_associativity_defect(dim, table, unit, field):
+    """The first triple (r, j, k) whose associator is nonzero, for r in
+    the support of the unit or a greedy generator and j, k any basis
+    indices, or None.
+
+    The greedy generators are recomputed here: basis index i is one when
+    x_i lies outside the span of the words that the earlier ones build
+    from the unit vector.  That span is grown length by length, with its
+    own echelon rows, each time a generator is added."""
+    gens, rows = [], None
+    for i in range(dim):
+        if rows is None:
+            rows = {}
+            layer = [dict(unit)] if _echelon_add(rows, unit, field) else []
+            while layer:
+                layer = [word for w in layer for g in gens
+                         for word in [_act(table, field, {g: field.one}, w)]
+                         if _echelon_add(rows, word, field)]
+        if _echelon_add(dict(rows), {i: field.one}, field):
+            gens.append(i)
+            rows = None
+    for r in sorted(set(unit) | set(gens)):
+        for j, k in product(range(dim), repeat=2):
+            if brute_associator(table, field, r, j, k):
+                return (r, j, k)
     return None
 
 

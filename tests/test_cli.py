@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from quivdeform import cli, morita
+from quivdeform import cli, deform, hochschild, morita
 from quivdeform.cli import run
 from quivdeform.deform import DeformedAlgebra, algebra_of_basis
 from quivdeform.fileio import (emit_algebra_text, emit_module_text,
@@ -16,7 +16,8 @@ from quivdeform.modcat import LeftModule, regular_module
 from quivdeform.quiver import AlgebraElement, FreeElement, compute_basis
 
 from conftest import data_path, load_basis
-from oracles import brute_associator, brute_deformed_table
+from oracles import (brute_associator, brute_deformed_table,
+                     brute_generator_associativity_defect)
 
 
 def lines_of(capsys):
@@ -337,8 +338,11 @@ def test_verify_deform_broken_cocycle(tmp_path, capsys):
     labels = [basis.label(i) for i in range(basis.dim)]
     labels += ["t*" + label for label in labels]
     table = brute_deformed_table(basis.dim, basis.table, f.table)
-    triple = [labels.index(name) for name in named.groups()]
+    triple = tuple(labels.index(name) for name in named.groups())
     assert brute_associator(table, af.field, *triple)
+    unit = {i: af.field.one for i in basis.trivial_indices}
+    assert triple == brute_generator_associativity_defect(2 * basis.dim, table, unit,
+                                                          af.field)
 
 
 # ------------------------------------------------------------------- equiv
@@ -377,6 +381,24 @@ def test_equiv_coboundary_shift(tmp_path, capsys):
     out, _ = lines_of(capsys)
     assert "cohomologous: PASS" in out
     assert "multiplicative: PASS" in out
+
+
+def test_equiv_proves_each_cocycle_once(monkeypatch, capsys):
+    # the cocycle-1 and cocycle-2 lines are the proofs of d f = 0 and
+    # d g = 0; cobound_solve checks only its own input f - g
+    checked = []
+    real = hochschild.is_cocycle
+
+    def counted(f, basis):
+        checked.append(f)
+        return real(f, basis)
+
+    for module in (cli, deform, hochschild):
+        monkeypatch.setattr(module, "is_cocycle", counted)
+    assert run(["equiv", data_path("two_cycle.alg"), data_path("two_cycle.alg")]) == 0
+    assert "multiplicative: PASS" in lines_of(capsys)[0]
+    assert len(checked) == 3
+    assert checked[0] == checked[1] and not checked[0].is_zero() and checked[2].is_zero()
 
 
 def test_equiv_different_algebras(capsys):
@@ -556,7 +578,7 @@ def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
         raise AssertionError("a deformed algebra was built")
 
     monkeypatch.setattr(morita, "transfer_phi", broken)
-    monkeypatch.setattr(morita, "_deformed_algebra", deformed)
+    monkeypatch.setattr(morita, "Deformation", deformed)
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
     out, _ = lines_of(capsys)
     assert out == ("transferred-cocycle: FAIL  phi^2(f) is a 2-cocycle on B\n"
@@ -602,6 +624,45 @@ def test_module_roundtrip_regular(tmp_path, capsys):
     assert "roundtrip-triple: PASS" in out
 
 
+def test_module_roundtrip_checks_each_axiom_once(tmp_path, capsys, monkeypatch):
+    # the module as it is read, the uple carved from it and the uple
+    # carved from F(uple): one bimodule check each
+    calls = []
+    real = morita.Bimodule.violations
+
+    def counted(self):
+        calls.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(morita.Bimodule, "violations", counted)
+    for name in ("dual_numbers", "two_cycle"):
+        mod = write_regular_module(tmp_path, name)
+        calls.clear()
+        assert run(["module-roundtrip", data_path(name + ".alg"), str(mod)]) == 0
+        assert "overall: PASS" in lines_of(capsys)[0]
+        dim = 2 * load_basis(name + ".alg")[1].dim
+        assert calls == [dim, dim, dim], name
+
+
+def test_module_roundtrip_refuses_a_non_cocycle(tmp_path, capsys, monkeypatch):
+    mod = write_regular_module(tmp_path)
+    bad = tmp_path / "broken.alg"
+    bad.write_text(BROKEN_COCYCLE)
+    checked = []
+    real = cli.is_cocycle
+
+    def counted(f, basis):
+        checked.append(f)
+        return real(f, basis)
+
+    for module in (cli, deform, hochschild):
+        monkeypatch.setattr(module, "is_cocycle", counted)
+    assert run(["module-roundtrip", str(bad), str(mod)]) == 2
+    assert capsys.readouterr().err == ("error: not a 2-cocycle; the deformed product "
+                                       "would not be associative\n")
+    assert len(checked) == 1
+
+
 def test_module_roundtrip_rejects_non_module(tmp_path, capsys):
     af, basis = load_basis("dual_numbers.alg")
     deformed = DeformedAlgebra(basis, cochain_from_pairs(basis, af.cocycle_pairs))
@@ -631,7 +692,9 @@ def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypat
     out, _ = lines_of(capsys)
     assert ("functor-rebuild: FAIL  actions disagree after the basis change at a\n"
             in out)
-    assert "roundtrip-triple: PASS" in out
+    # the round trip starts from the same F(uple), so it fails at a too
+    assert ("roundtrip-triple: FAIL  the triple does not intertwine the left action "
+            "of a at 0\n" in out)
 
 
 # ------------------------------------------------------------------- usage

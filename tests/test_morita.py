@@ -10,18 +10,18 @@ from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
+from quivdeform.deform import Deformation, algebra_of_basis
 from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
-                               MoritaContext, TensorProduct, algebra_of_basis,
-                               build_hat_P, build_hat_Q,
-                               deform_structure_algebra, homotopy_h,
-                               identity_context, idempotent_context,
+                               MoritaContext, TensorProduct,
+                               build_hat_P, build_hat_Q, homotopy_h,
+                               idempotent_context,
                                matrix_context, regular_bimodule,
                                regular_deformed_uple, transfer_phi,
                                transfer_psi, triple_violations,
                                verify_morita_deformed)
 from quivdeform.quiver import compute_basis
 
-from conftest import data_path
+from conftest import data_path, identity_context
 from oracles import (brute_bimodule_defects, brute_bimodule_map_defects,
                      brute_context_consequences, brute_context_defects,
                      brute_generated_dimension, brute_transfer,
@@ -61,11 +61,15 @@ def all_pass(report):
 
 
 def deformed_pair(ctx, f, g=None):
-    """A_f and B_g for the context, with g = phi^2(f) unless given; each
-    is built on its cocycle check."""
+    """A_f and B_g for the context, with g = phi^2(f) unless given; as in
+    verify_morita_deformed, each cocycle is proved before its Deformation
+    is built, and a non-cocycle raises InputError."""
     if g is None:
         g = transfer_phi(ctx, f, 2)
-    return deform_structure_algebra(ctx.a, f), deform_structure_algebra(ctx.b, g)
+    for alg, cochain in ((ctx.a, f), (ctx.b, g)):
+        if not is_full_cocycle(cochain, alg):
+            raise InputError("not a 2-cocycle")
+    return Deformation(ctx.a, f), Deformation(ctx.b, g)
 
 
 # ---------------------------------------------------------------- algebras
@@ -95,7 +99,7 @@ def test_bad_structure_constants_rejected():
 def test_deformed_structure_dual_numbers(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
-    d = deform_structure_algebra(alg, f)
+    d = Deformation(alg, f)
     assert d.dim == 4
     assert d.labels == ["e(1)", "a", "t*e(1)", "t*a"]
     # (a,0)^2 = (0, e(1)), then twice more reaches (0, a) and dies
@@ -106,11 +110,13 @@ def test_deformed_structure_dual_numbers(dual_numbers):
 
 
 def test_deform_structure_rejects_non_cocycle(dual_numbers):
+    # the builder checks only the unit; the certificate proves d f = 0
+    # where it reads f, before it builds any deformed algebra
     alg = structure_algebra(dual_numbers)
     bad = FullCochain(alg.dim, 2, Q, {(1, 0): {0: Q.one}})
     assert not is_full_cocycle(bad, alg)
-    with pytest.raises(InputError):
-        deform_structure_algebra(alg, bad)
+    with pytest.raises(InputError, match="f must be a Hochschild 2-cocycle on A"):
+        verify_morita_deformed(matrix_context(alg, 2), bad)
 
 
 def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
@@ -124,8 +130,8 @@ def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(alg, 2)
     g = transfer_phi(ctx, f, 2)
-    algebras += [ctx.b, deform_structure_algebra(alg, f),
-                 deform_structure_algebra(ctx.b, g)]
+    algebras += [ctx.b, Deformation(alg, f),
+                 Deformation(ctx.b, g)]
     for alg in algebras:
         gens = alg.generators()
         assert gens == sorted(set(gens)) and gens is alg.generators()
@@ -431,7 +437,7 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
 def test_regular_uple_glues_to_deformed_algebra(two_cycle):
     alg = structure_algebra(two_cycle)
     f = golden_cochain(two_cycle)
-    d = deform_structure_algebra(alg, f)
+    d = Deformation(alg, f)
     uple = regular_deformed_uple(d)
     assert uple.violations() == []
     glued = uple.glued
@@ -443,7 +449,7 @@ def test_regular_uple_glues_to_deformed_algebra(two_cycle):
 def test_triple_violations_flags_breakage(dual_numbers):
     alg = structure_algebra(dual_numbers)
     f = golden_cochain(dual_numbers)
-    uple = regular_deformed_uple(deform_structure_algebra(alg, f))
+    uple = regular_deformed_uple(Deformation(alg, f))
     # sparse maps {column: {row: scalar}}
     ident = {i: {i: Q.one} for i in range(alg.dim)}
     zero = {}
@@ -606,11 +612,11 @@ def test_broken_uples_match_oracle(dual_numbers):
     g2 = transfer_phi(ctx, f, 2).scale(Q.from_int(2))
     for uple in (variant(f_tables=f_tables), variant(g_tables=g_tables), variant(t=t),
                  variant(t=singular),
-                 build_hat_P(ctx, a_f, deform_structure_algebra(ctx.b, g2), check=False)):
+                 build_hat_P(ctx, a_f, Deformation(ctx.b, g2), check=False)):
         assert assert_uple_matches_oracle(uple)
     # over the zero cocycle T = 0 meets every condition but injectivity
     zero = FullCochain(alg.dim, 2, Q, {})
-    reg = regular_deformed_uple(deform_structure_algebra(alg, zero))
+    reg = regular_deformed_uple(Deformation(alg, zero))
     uple = DeformedBimodule(reg.left_def, reg.right_def, reg.m0, reg.m1, {},
                             reg.f_tables, reg.g_tables, check=False)
     assert assert_uple_matches_oracle(uple) == ["T is not injective"]
@@ -646,7 +652,7 @@ def test_bimodule_triples_match_oracle(triangle):
     # with the right one only when x is central (x = 1 here); dropping its
     # middle component can break the left action too
     alg = structure_algebra(triangle)
-    uple = regular_deformed_uple(deform_structure_algebra(alg, golden_cochain(triangle)))
+    uple = regular_deformed_uple(Deformation(alg, golden_cochain(triangle)))
     glue = brute_uple_glue(*raw_uple(uple))
     n = alg.dim
     sides = []

@@ -128,3 +128,65 @@ def test_package_functions_read_every_parameter():
             if found:
                 unread[name] = found
     assert not unread, unread
+
+
+def unreferenced_definitions(sources, exported):
+    """(file, line, name) of each module-level function or class that is
+    not in exported and is referenced nowhere in sources outside its own
+    definition, in file and line order.  sources maps file names to
+    module sources; a reference is a Name or an attribute with the name,
+    so an import alone is none."""
+    trees = {filename: ast.parse(source, filename) for filename, source in sources.items()}
+    used = {}
+    for filename, tree in trees.items():
+        inside = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inside.update((id(n), node.name) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and inside.get(id(node)) != name:
+                used.setdefault(name, set()).add(filename)
+    out = []
+    for filename, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in exported and node.name not in used):
+                out.append((filename, node.lineno, node.name))
+    return out
+
+
+def test_unreferenced_definition_rule_sees_leftovers():
+    sources = {"a.py": ("def kept():\n"
+                        "    return helper()\n"
+                        "def helper():\n"
+                        "    return 1\n"
+                        "def recursive(n):\n"
+                        "    return recursive(n - 1)\n"
+                        "class Lonely:\n"
+                        "    def method(self):\n"
+                        "        return Lonely()\n"),
+               "b.py": ("from a import recursive, Lonely\n"
+                        "import a\n"
+                        "def imported_only():\n"
+                        "    return a.kept\n")}
+    assert unreferenced_definitions(sources, {"kept"}) == [
+        ("a.py", 5, "recursive"), ("a.py", 7, "Lonely"), ("b.py", 3, "imported_only")]
+
+
+def test_package_defines_nothing_that_nothing_reaches():
+    # a function or class of the package is either exported in
+    # __init__.__all__ or used somewhere in the package
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    exported = set()
+    for node in ast.parse(sources["__init__.py"]).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(elt.value for elt in node.value.elts)
+    assert exported
+    assert not unreferenced_definitions(sources, exported)
