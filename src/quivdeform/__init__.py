@@ -9,7 +9,7 @@ context, verifying every identity it claims by direct computation.
 """
 
 from .deform import (DeformedAlgebra, Equivalence, Presentation,
-                     algebra_of_basis, build_presentation,
+                     build_presentation,
                      check_image_condition, deformation_equivalence,
                      deformed_multiply, hat_f, interreduce_presentation,
                      normalize_cocycle, verify_presentation)
@@ -41,7 +41,7 @@ __all__ = [
     "InputError", "LeftModule", "MoritaContext", "MorphismTriple",
     "NormalizationFailed", "NotACocycle", "NotFiniteDimensional", "NotFullIdempotent",
     "Presentation", "Quiver", "UpleModule",
-    "algebra_of_basis", "build_presentation", "check_image_condition",
+    "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
     "deformation_equivalence", "deformed_multiply", "differential",
     "emit_algebra_text", "emit_dot", "emit_module_text", "full_differential",

@@ -9,16 +9,15 @@ pass; bad input exits 2 and typed computation errors exit 1.
 import argparse
 import sys
 
-from .deform import (DeformedAlgebra, algebra_of_basis, build_presentation,
-                     deformation_equivalence, hat_f, interreduce_presentation,
-                     verify_presentation)
+from .deform import (DeformedAlgebra, build_presentation, deformation_equivalence,
+                     hat_f, interreduce_presentation, verify_presentation)
 from .errors import ComputationError, InputError, NotACocycle
 from .fields import Field
 from .fileio import (emit_algebra_text, emit_dot, parse_algebra_file,
-                     parse_module_file, scalar_str)
+                     parse_module_file, signed_sum_str)
 from .hochschild import (cochain_from_pairs, full_differential, hh_summary,
                          is_cocycle, is_full_cocycle)
-from .linalg import _addinto, _columns, map_compose, map_inverse
+from .linalg import _columns, map_compose
 from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
 from .morita import (homotopy_h, idempotent_context, matrix_context,
                      transfer_phi, transfer_psi, verify_morita_deformed)
@@ -60,26 +59,14 @@ def _vec_str(vec, labels, field):
     """Coordinate dict as a signed sum of labelled basis terms."""
     if not vec:
         return "0"
-    bits = []
-    for i in sorted(vec):
-        c = vec[i]
-        negative = field.char == 0 and c < 0
-        mag = -c if negative else c
-        body = labels[i]
-        if mag != field.one:
-            body = "%s*%s" % (scalar_str(mag, field), body)
-        if not bits:
-            bits.append("-" + body if negative else body)
-        else:
-            bits.append(("- " if negative else "+ ") + body)
-    return " ".join(bits)
+    return signed_sum_str([(labels[i], vec[i]) for i in sorted(vec)], field)
 
 
 def cmd_basis(args):
     af, basis = _load_algebra(args)
     print("dim A = %d" % basis.dim)
     for i in range(basis.dim):
-        print(basis.label(i))
+        print(basis.labels[i])
     return 0
 
 
@@ -120,20 +107,6 @@ def cmd_deform(args):
     return 0
 
 
-def _evaluate(basis, deformed, elem):
-    """The free element elem with every arrow alpha sent to (alpha, 0)
-    and every vertex to its idempotent, as coordinates of the deformed
-    algebra."""
-    q = basis.quiver
-    total = {}
-    for p, c in elem.terms.items():
-        cur = basis.element_from_path((p[0],)).coeffs
-        for a in p[1:]:
-            cur = deformed.mul(cur, basis.element_from_path((q.arrows[a][1], a)).coeffs)
-        _addinto(basis.field, total, cur, c)
-    return total
-
-
 def cmd_verify_deform(args):
     af, basis = _load_algebra(args)
     fld = basis.field
@@ -162,17 +135,18 @@ def cmd_verify_deform(args):
         return _emit_report(checks, args.report)
 
     # products of hatted arrows track f-hat, on basis paths and relations
+    evaluate = deformed.evaluation(basis.quiver)
     bad = 0
     for p in basis.paths:
         w = FreeElement.from_path(basis.quiver, fld, p)
-        if _evaluate(basis, deformed, w) != deformed.pair_to_coords(
+        if evaluate(w) != deformed.pair_to_coords(
                 (basis.normal_form(w), hat_f(w, basis, f))):
             bad += 1
     checks.append(("path-products", bad == 0,
                    "%d of %d basis paths multiply to (w, f^(w))"
                    % (basis.dim - bad, basis.dim)))
 
-    bad = sum(1 for rel in basis.relations if _evaluate(basis, deformed, rel)
+    bad = sum(1 for rel in basis.relations if evaluate(rel)
               != deformed.pair_to_coords((basis.zero(), hat_f(rel, basis, f))))
     checks.append(("relation-identity", bad == 0,
                    "%d of %d relations land on (0, f^(rho))"
@@ -236,9 +210,9 @@ def cmd_equiv(args):
     return _emit_report(checks, args.report)
 
 
-def _context_of(args, af, basis, alg):
+def _context_of(args, af, basis):
     if args.matrix is not None:
-        return matrix_context(alg, args.matrix)
+        return matrix_context(basis, args.matrix)
     names = [v.strip() for v in args.idempotent.split(",") if v.strip()]
     if not names:
         raise InputError("--idempotent expects a comma-separated vertex list")
@@ -250,7 +224,7 @@ def _context_of(args, af, basis, alg):
         if idx in evec:
             raise InputError("vertex %r listed twice" % name)
         evec[idx] = basis.field.one
-    return idempotent_context(alg, evec)
+    return idempotent_context(basis, evec)
 
 
 def _cochain_check(name, lhs, rhs, labels, identity):
@@ -266,8 +240,7 @@ def _cochain_check(name, lhs, rhs, labels, identity):
 def cmd_transfer(args):
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    alg = algebra_of_basis(basis)
-    ctx = _context_of(args, af, basis, alg)
+    ctx = _context_of(args, af, basis)
     g = transfer_phi(ctx, f, 2)
 
     labels = ctx.b.labels
@@ -302,8 +275,7 @@ def cmd_transfer(args):
 def cmd_verify_morita(args):
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    alg = algebra_of_basis(basis)
-    ctx = _context_of(args, af, basis, alg)
+    ctx = _context_of(args, af, basis)
     return _emit_report(verify_morita_deformed(ctx, f), args.report)
 
 
@@ -331,9 +303,8 @@ def cmd_module_roundtrip(args):
 
     rebuilt = functor_F(uple)
     s = _columns(rec.complement + rec.kernel)
-    s_inv = map_inverse(s, mod.dim, fld)
     bad = next((i for i in range(deformed.dim)
-                if map_compose(s_inv, map_compose(mod.actions[i], s, fld), fld)
+                if map_compose(rec.inverse, map_compose(mod.actions[i], s, fld), fld)
                 != rebuilt.actions[i]), None)
     checks.append(("functor-rebuild", bad is None,
                    "the basis change intertwines all %d actions" % deformed.dim

@@ -9,15 +9,16 @@ which is associative exactly because f is a cocycle: the associator is
 as structure constants of a FinDimAlgebra on the basis (x_i, 0),
 (0, x_i), for a full 2-cochain on any structure-constant algebra, and
 checks only the unit.  Each command proves d f = 0 once, where it reads
-the cochain.  DeformedAlgebra is the view of a Deformation over the path
-basis of a bound quiver algebra, for a reduced cochain.
+the cochain.  DeformedAlgebra is the Deformation of an AlgebraBasis, the
+path basis of kQ/I and a FinDimAlgebra itself, for a reduced cochain.
 
-This module also builds the path-lifting map hat_f and a quiver
-presentation of the deformed algebra: every original arrow is doubled
-to a hatted copy, vertices whose idempotent is missed by the image of f
-get a new loop, and three relation families cut the result down to the
-right size.  Everything claimed is then re-verified by independent
-computation in verify_presentation.
+This module also builds the path-lifting map hat_f, read from the table
+of kQ/I, and a quiver presentation of the deformed algebra: every
+original arrow is doubled to a hatted copy, vertices whose idempotent is
+missed by the image of f get a new loop, and three relation families cut
+the result down to the right size.  Everything claimed is then
+re-verified by independent computation in verify_presentation, through
+DeformedAlgebra.evaluation, the one evaluation of free elements in A_f.
 """
 
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
@@ -27,14 +28,6 @@ from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
 from .linalg import FinDimAlgebra, SpanSolver, _addinto, _columns, _map_rank, map_apply
 from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
                      relation_endpoints)
-
-
-def algebra_of_basis(basis):
-    """Structure-constant copy of a path-algebra quotient basis."""
-    unit = {i: basis.field.one for i in basis.trivial_indices}
-    labels = [basis.label(i) for i in range(basis.dim)]
-    return FinDimAlgebra(basis.field, basis.dim, basis.table, unit, labels,
-                         check=False)
 
 
 class Deformation(FinDimAlgebra):
@@ -64,8 +57,8 @@ class Deformation(FinDimAlgebra):
 
 class DeformedAlgebra(Deformation):
     """A_f for a reduced 2-cochain f on the path basis of A: the
-    Deformation of algebra_of_basis(basis), with the conversions between
-    its coordinates and pairs of AlgebraElements.
+    Deformation of the AlgebraBasis basis, which is its base, with the
+    conversions between its coordinates and pairs of AlgebraElements.
 
     Basis: (gamma, 0) for gamma in the basis of A, then (0, gamma); so
     index i < n is (basis path i, 0) and n + i is (0, basis path i).
@@ -75,7 +68,7 @@ class DeformedAlgebra(Deformation):
         check_reduced(f, basis)
         self.basis = basis
         self.n = basis.dim
-        super().__init__(algebra_of_basis(basis), f)
+        super().__init__(basis, f)
 
     def pair_to_coords(self, pair):
         a, b = pair
@@ -93,6 +86,36 @@ class DeformedAlgebra(Deformation):
             else:
                 b[k - self.n] = c
         return (AlgebraElement(self.basis, a), AlgebraElement(self.basis, b))
+
+    def evaluation(self, quiver):
+        """The map sending a free element over quiver to its image in
+        A_f, as coordinates: a vertex goes to its idempotent, arrow a of
+        Q to (a, 0) and a loop past the arrows of Q to (0, e_v) at its
+        vertex v.  quiver is Q or the quiver of a presentation, which
+        lists the hatted arrows of Q first, in their order, and then the
+        added loops; a quiver of any other shape is refused."""
+        basis = self.basis
+        q = basis.quiver
+        n_arrows = len(q.arrows)
+        if (quiver.vertices != q.vertices
+                or [a[1:] for a in quiver.arrows[:n_arrows]] != [a[1:] for a in q.arrows]
+                or any(s != t for _, s, t in quiver.arrows[n_arrows:])):
+            raise InputError("the quiver is not Q followed by loops")
+        images = [basis.element_from_path((s, a)).coeffs
+                  for a, (_, s, _) in enumerate(q.arrows)]
+        images += [{self.n + k: c for k, c in basis.element_from_path((s,)).coeffs.items()}
+                   for _, s, _ in quiver.arrows[n_arrows:]]
+
+        def evaluate(elem):
+            total = {}
+            for p, c in elem.terms.items():
+                cur = basis.element_from_path((p[0],)).coeffs
+                for a in p[1:]:
+                    cur = self.mul(cur, images[a])
+                _addinto(self.field, total, cur, c)
+            return total
+
+        return evaluate
 
     def associativity_holds(self):
         """Whether (xy)z = x(yz) on all basis triples, proved on the triples
@@ -118,29 +141,35 @@ def hat_f(w, basis, f):
     """Value of the path-lifting map on a free element.
 
     On a path a_1 ... a_s this is the sum over cut points of
-    f(class of a_1..a_i, class of a_{i+1}) times the class of the tail,
-    and zero for paths of length at most one.
+    f(class of a_1..a_i, class of a_{i+1}) times the class of the tail
+    a_{i+2}..a_s, and zero for paths of length at most one.
+
+    Each path is walked once, in the table of kQ/I: the prefix classes
+    are a running product of the arrow classes from the left, and the
+    tail classes are suffix products from the right.  These are the
+    classes of the words themselves, since w -> [w] is an algebra map
+    kQ -> kQ/I.
     """
     q = basis.quiver
-    out = basis.zero()
+    out = {}
     for p, c in w.terms.items():
         s = len(p) - 1
         if s <= 1:
             continue
-        src = p[0]
+        arrows = [basis.element_from_path((q.arrows[a][1], a)).coeffs for a in p[1:]]
+        tails = [None]  # tails[m]: class of the last m arrows, None for m = 0
+        for x in reversed(arrows[2:]):
+            tails.append(x if tails[-1] is None else basis.mul(x, tails[-1]))
+        prefix = arrows[0]
         for i in range(1, s):
-            prefix = basis.element_from_path((src,) + p[1:1 + i])
-            arrow = basis.element_from_path(q.arrow_path(q.arrows[p[1 + i]][0]))
-            head = AlgebraElement(basis, f.evaluate(prefix.coeffs, arrow.coeffs))
-            if head.is_zero():
-                continue
-            tail_arrows = p[2 + i:]
-            if tail_arrows:
-                tail_src = q.arrows[tail_arrows[0]][1]
-                tail = basis.element_from_path((tail_src,) + tail_arrows)
-                head = head * tail
-            out = out + head.scale(c)
-    return out
+            if i > 1:
+                prefix = basis.mul(prefix, arrows[i - 1])
+            head = f.evaluate(prefix, arrows[i])
+            tail = tails[s - 1 - i]
+            if head and tail is not None:
+                head = basis.mul(head, tail)
+            _addinto(basis.field, out, head, c)
+    return AlgebraElement(basis, out)
 
 
 def _hat_multiple_span(basis, f, endpoints=None):
@@ -302,12 +331,11 @@ class EpsilonEntry:
 class Presentation:
     """Quiver presentation of a deformed algebra."""
 
-    def __init__(self, quiver, relations, origins, hat_names, epsilon,
-                 dashed, extended, cocycle):
+    def __init__(self, quiver, relations, origins, epsilon, dashed,
+                 extended, cocycle):
         self.quiver = quiver
         self.relations = relations
         self.origins = origins
-        self.hat_names = hat_names      # original arrow name -> hatted name
         self.epsilon = epsilon
         self.dashed = dashed            # names of the added loops
         self.extended = extended        # multiples appended to the relation set
@@ -428,7 +456,7 @@ def build_presentation(basis, f):
         emit(lifted - w_free * epsilon[q.vertices[tgt]].element,
              "lift:%d" % k)
 
-    pres = Presentation(quiver_f, rels_f, origins, hat_names, epsilon,
+    pres = Presentation(quiver_f, rels_f, origins, epsilon,
                         set(loop_names.values()),
                         [relations[i] for i in extended], f)
     return pres, epsilon
@@ -444,34 +472,7 @@ def interreduce_presentation(pres, field, max_degree=30):
     for w in sorted(rs.rules, key=lambda p: (len(p) - 1, p[1:], p[0])):
         rels.append(FreeElement.from_path(pres.quiver, field, w) - rs.rules[w])
     return Presentation(pres.quiver, rels, ["interreduced"] * len(rels),
-                        pres.hat_names, pres.epsilon, pres.dashed,
-                        pres.extended, pres.cocycle)
-
-
-def _pi_map(deformed, pres):
-    """The evaluation sending hatted arrows to (arrow, 0) and added
-    loops to (0, idempotent), as coordinates of the deformed algebra."""
-    basis = deformed.basis
-    q = basis.quiver
-    qf = pres.quiver
-    fld = basis.field
-    images = {}
-    for name, s, t in q.arrows:
-        images[pres.hat_names[name]] = basis.element_from_path(q.arrow_path(name)).coeffs
-    for nm in pres.dashed:
-        vi = q.vindex[qf.vertices[qf.arrows[qf.aindex[nm]][1]]]
-        images[nm] = deformed.pair_to_coords((basis.zero(), basis.element_from_path((vi,))))
-
-    def pi_free(elem):
-        total = {}
-        for p, c in elem.terms.items():
-            cur = basis.element_from_path((p[0],)).coeffs
-            for a in p[1:]:
-                cur = deformed.mul(cur, images[qf.arrows[a][0]])
-            _addinto(fld, total, cur, c)
-        return total
-
-    return pi_free
+                        pres.epsilon, pres.dashed, pres.extended, pres.cocycle)
 
 
 def verify_presentation(deformed, pres, max_degree=30):
@@ -493,10 +494,10 @@ def verify_presentation(deformed, pres, max_degree=30):
     checks.append(("dimension", ok_dim,
                    "dim kQ_f/I_f = %d, expected %d" % (basis_f.dim, 2 * basis.dim)))
 
-    pi_free = _pi_map(deformed, pres)
+    evaluate = deformed.evaluation(pres.quiver)
     bad = []
     for k, r in enumerate(pres.relations):
-        if pi_free(r):
+        if evaluate(r):
             bad.append(k)
     detail = "%d of %d generators evaluate to zero" % (
         len(pres.relations) - len(bad), len(pres.relations))
@@ -509,9 +510,9 @@ def verify_presentation(deformed, pres, max_degree=30):
     vectors = []
     for p in basis.paths:
         hat = _hat_free(FreeElement.from_path(q, fld, p), qf, fld)
-        vectors.append(pi_free(hat))
+        vectors.append(evaluate(hat))
         eps = pres.epsilon[q.vertices[q.path_target(p)]].element
-        vectors.append(pi_free(hat * eps))
+        vectors.append(evaluate(hat * eps))
     rnk = _map_rank(_columns(vectors), fld)
     ok_ind = rnk == 2 * basis.dim
     checks.append(("independence", ok_ind,

@@ -248,16 +248,14 @@ def scalar_str(c, field):
     return field.to_str(c)
 
 
-def element_str(elem, quiver, field):
-    """Expression text for a FreeElement; parses back to the same element."""
-    if elem.is_zero():
-        raise InputError("cannot format the zero element as an expression")
+def signed_sum_str(terms, field):
+    """The sum of the ordered (label, coefficient) pairs terms as text:
+    a coefficient 1 is left out, and over Q a negative one becomes a
+    minus sign.  No term gives the empty string."""
     bits = []
-    for p in sorted(elem.terms, key=lambda t: (len(t) - 1, t[1:], t[0])):
-        c = elem.terms[p]
+    for body, c in terms:
         negative = field.char == 0 and c < 0
         mag = -c if negative else c
-        body = quiver.path_str(p)
         if mag != field.one:
             body = "%s*%s" % (scalar_str(mag, field), body)
         if not bits:
@@ -265,6 +263,14 @@ def element_str(elem, quiver, field):
         else:
             bits.append(("- " if negative else "+ ") + body)
     return " ".join(bits)
+
+
+def element_str(elem, quiver, field):
+    """Expression text for a FreeElement; parses back to the same element."""
+    if elem.is_zero():
+        raise InputError("cannot format the zero element as an expression")
+    paths = sorted(elem.terms, key=lambda t: (len(t) - 1, t[1:], t[0]))
+    return signed_sum_str([(quiver.path_str(p), elem.terms[p]) for p in paths], field)
 
 
 def field_str(field):

@@ -31,7 +31,7 @@ otherwise, naming the offending pair.
 """
 
 from .errors import InputError
-from .linalg import SpanSolver
+from .linalg import SpanSolver, _addinto, map_combine
 
 
 def _products(table, keep):
@@ -102,7 +102,7 @@ def _reduced_products(basis):
                     "product of radical elements leaves the radical: %s * %s "
                     "has a component at %s; the reduced complex needs "
                     "admissible relations"
-                    % (basis.label(x), basis.label(y), basis.label(k)))
+                    % (basis.labels[x], basis.labels[y], basis.labels[k]))
     return _products(basis.table, basis.radical_indices)
 
 
@@ -151,7 +151,7 @@ def _check_entry(basis, key, indices):
     for a, b in zip(key, key[1:]):
         if basis.path_target_of_index(a) != basis.path_source_of_index(b):
             raise InputError("cochain key %s is not composable"
-                             % " | ".join(basis.label(i) for i in key))
+                             % " | ".join(basis.labels[i] for i in key))
     src = basis.path_source_of_index(key[0])
     tgt = basis.path_target_of_index(key[-1])
     for i in indices:
@@ -159,7 +159,7 @@ def _check_entry(basis, key, indices):
                 or basis.path_target_of_index(i) != tgt):
             raise InputError(
                 "value of cochain at %s leaves the corner e_%s A e_%s"
-                % (" | ".join(basis.label(i) for i in key),
+                % (" | ".join(basis.labels[i] for i in key),
                    basis.quiver.vertices[src], basis.quiver.vertices[tgt]))
 
 
@@ -227,16 +227,21 @@ def is_cocycle(f, basis):
 
 
 def cobound_solve(f, basis):
-    """One degree-1 g with dg = f, or None.  f must be a 2-cocycle."""
+    """One degree-1 g with dg = f, or None.  f must be a 2-cocycle.
+
+    A cochain that is not a cocycle is never d g, since d d = 0, so d f
+    is computed only when no g is found, to refuse such an f instead of
+    answering None for it.
+    """
     if f.degree != 2:
         raise InputError("cobound_solve expects a degree-2 cochain")
-    if not is_cocycle(f, basis):
-        raise InputError("cobound_solve expects a 2-cocycle")
     solver = SpanSolver(basis.field)
     for tag, image in _reduced_images(basis, 1):
         solver.add(image, tag)
     combo = solver.express(_flat(f.table))
     if combo is None:
+        if not is_cocycle(f, basis):
+            raise InputError("cobound_solve expects a 2-cocycle")
         return None
     table = {}
     for (key, i), c in combo.items():
@@ -297,24 +302,17 @@ class FullCochain:
                 and self.degree == other.degree and self.table == other.table)
 
     def __add__(self, other):
+        # a table has the shape of a sparse map, so map_combine adds them
         f = self.field
-        keys = set(self.table) | set(other.table)
-        out = {}
-        for k in keys:
-            vec = dict(self.value(k))
-            for j, c in other.value(k).items():
-                vec[j] = f.add(vec.get(j, f.zero), c)
-            out[k] = vec
-        return FullCochain(self.dim, self.degree, f, out)
+        return FullCochain(self.dim, self.degree, f,
+                           map_combine([(f.one, self.table), (f.one, other.table)], f))
 
     def __sub__(self, other):
         return self + other.scale(self.field.neg(self.field.one))
 
     def scale(self, c):
-        f = self.field
-        return FullCochain(self.dim, self.degree, f,
-                           {k: {j: f.mul(c, v) for j, v in vec.items()}
-                            for k, vec in self.table.items()})
+        return FullCochain(self.dim, self.degree, self.field,
+                           map_combine([(c, self.table)], self.field))
 
     def evaluate(self, *vecs):
         """Multilinear evaluation on coordinate dicts, returning one."""
@@ -325,12 +323,7 @@ class FullCochain:
 
         def rec(pos, key, coeff):
             if pos == len(vecs):
-                for j, c in self.value(tuple(key)).items():
-                    s = f.add(out.get(j, f.zero), f.mul(coeff, c))
-                    if s == f.zero:
-                        out.pop(j, None)
-                    else:
-                        out[j] = s
+                _addinto(f, out, self.value(tuple(key)), coeff)
                 return
             for i, c in vecs[pos].items():
                 if c == f.zero:

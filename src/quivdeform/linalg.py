@@ -53,7 +53,9 @@ def _bilinear(field, table, x, y):
     out = {}
     for i, ci in x.items():
         for j, cj in y.items():
-            _addinto(field, out, table.get((i, j), {}), field.mul(ci, cj))
+            prod = table.get((i, j))
+            if prod:
+                _addinto(field, out, prod, field.mul(ci, cj))
     return out
 
 

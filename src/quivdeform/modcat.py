@@ -170,12 +170,14 @@ def functor_F(uple):
 
 class Reconstruction:
     """An uple carved out of a concrete module, together with the full-
-    space vectors realising its two halves."""
+    space vectors realising its two halves and the inverse of the basis
+    change whose columns they are, complement first."""
 
-    def __init__(self, uple, complement, kernel):
+    def __init__(self, uple, complement, kernel, inverse):
         self.uple = uple
         self.complement = complement  # vectors spanning M0 inside M
         self.kernel = kernel          # vectors spanning M1 = Ker T
+        self.inverse = inverse        # sparse map M -> M0 + M1
 
 
 def reconstruct(mod):
@@ -253,7 +255,7 @@ def reconstruct(mod):
 
     _, t_m = split(_columns(t_cols))
     uple = UpleModule(deformed, m0, m1, t_m, f_tables)
-    return Reconstruction(uple, complement, kernel)
+    return Reconstruction(uple, complement, kernel, s_inv)
 
 
 class MorphismTriple:

@@ -15,11 +15,17 @@ Standard monomials (paths with no rule word as a subword) then form an
 exact basis of kQ/I, and every normal form is exact, not truncated: the
 completion resolves all overlap ambiguities, so the diamond lemma
 applies to words of every length.
+
+AlgebraBasis is kQ/I as a FinDimAlgebra on the standard monomials: its
+structure table holds the normal forms of products of basis paths, and
+AlgebraElement, an element in basis coordinates, multiplies through it
+with the sparse helpers of linalg.
 """
 
 from collections import deque
 
 from .errors import InputError, NotFiniteDimensional, SizeLimitExceeded
+from .linalg import FinDimAlgebra, _addinto, _scaled
 
 # The most standard monomials that compute_basis enumerates; one more
 # raises SizeLimitExceeded.  On two loops with one monomial relation the
@@ -130,14 +136,7 @@ class FreeElement:
 
     def __add__(self, other):
         f = self.field
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = f.add(out.get(p, f.zero), c)
-            if s == f.zero:
-                out.pop(p, None)
-            else:
-                out[p] = s
-        return FreeElement(self.quiver, f, out)
+        return FreeElement(self.quiver, f, _addinto(f, dict(self.terms), other.terms, f.one))
 
     def __sub__(self, other):
         return self + (-other)
@@ -147,10 +146,7 @@ class FreeElement:
         return FreeElement(self.quiver, f, {p: f.neg(c) for p, c in self.terms.items()})
 
     def scale(self, c):
-        f = self.field
-        if c == f.zero:
-            return FreeElement.zero(self.quiver, f)
-        return FreeElement(self.quiver, f, {p: f.mul(c, v) for p, v in self.terms.items()})
+        return FreeElement(self.quiver, self.field, _scaled(self.field, self.terms, c))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -408,27 +404,17 @@ class AlgebraElement:
         if other.basis is not self.basis:
             raise InputError("elements belong to a different basis")
         f = self.basis.field
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = f.add(out.get(i, f.zero), c)
-            if s == f.zero:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return AlgebraElement(self.basis, out)
+        return AlgebraElement(self.basis, _addinto(f, dict(self.coeffs), other.coeffs, f.one))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         f = self.basis.field
-        return AlgebraElement(self.basis, {i: f.neg(c) for i, c in self.coeffs.items()})
+        return self.scale(f.neg(f.one))
 
     def scale(self, c):
-        f = self.basis.field
-        if c == f.zero:
-            return AlgebraElement(self.basis)
-        return AlgebraElement(self.basis, {i: f.mul(c, v) for i, v in self.coeffs.items()})
+        return AlgebraElement(self.basis, _scaled(self.basis.field, self.coeffs, c))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -438,22 +424,7 @@ class AlgebraElement:
             return self.scale(other)
         if other.basis is not self.basis:
             raise InputError("elements belong to a different basis")
-        b = self.basis
-        f = b.field
-        out = {}
-        for i, ci in self.coeffs.items():
-            for j, cj in other.coeffs.items():
-                prod = b.table.get((i, j))
-                if not prod:
-                    continue
-                c = f.mul(ci, cj)
-                for k, ck in prod.items():
-                    s = f.add(out.get(k, f.zero), f.mul(c, ck))
-                    if s == f.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return AlgebraElement(b, out)
+        return AlgebraElement(self.basis, self.basis.mul(self.coeffs, other.coeffs))
 
     def to_free(self):
         b = self.basis
@@ -466,25 +437,29 @@ class AlgebraElement:
         return repr(self.to_free())
 
 
-class AlgebraBasis:
-    """Monomial basis of kQ/I with exact normal forms and products.
+class AlgebraBasis(FinDimAlgebra):
+    """kQ/I as a FinDimAlgebra on its monomial basis, with exact normal
+    forms.
 
     paths holds the standard monomials sorted by (length, declaration
-    order); index is its inverse; table maps composable basis pairs to
-    the coordinates of their product.
+    order) and index is its inverse.  The table maps composable basis
+    pairs to the coordinates of the normal form of their concatenation,
+    the unit is the sum of the trivial paths and the labels are the
+    path_str of the paths.  No check is needed: the rewriting system is
+    complete, so by the diamond lemma every path has one normal form and
+    the table is the product of kQ/I, which is associative with the
+    trivial paths summing to its unit.
     """
 
     def __init__(self, quiver, field, relations, rewrite, paths):
         self.quiver = quiver
-        self.field = field
         self.relations = list(relations)
         self.rewrite = rewrite
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
-        self.dim = len(paths)
         self.trivial_indices = [i for i, p in enumerate(paths) if len(p) == 1]
         self.radical_indices = [i for i, p in enumerate(paths) if len(p) > 1]
-        self.table = {}
+        table = {}
         for i, p in enumerate(paths):
             for j, q in enumerate(paths):
                 comp = quiver.compose(p, q)
@@ -492,13 +467,13 @@ class AlgebraBasis:
                     continue
                 nf = rewrite.reduce(FreeElement.from_path(quiver, field, comp))
                 if not nf.is_zero():
-                    self.table[(i, j)] = {self.index[t]: c for t, c in nf.terms.items()}
+                    table[(i, j)] = {self.index[t]: c for t, c in nf.terms.items()}
+        super().__init__(field, len(paths), table,
+                         {i: field.one for i in self.trivial_indices},
+                         [quiver.path_str(p) for p in paths], check=False)
 
     def zero(self):
         return AlgebraElement(self)
-
-    def unit(self):
-        return AlgebraElement(self, {i: self.field.one for i in self.trivial_indices})
 
     def basis_element(self, i):
         return AlgebraElement(self, {i: self.field.one})
@@ -522,18 +497,11 @@ class AlgebraBasis:
         """Do all the given free elements lie in this algebra's ideal?"""
         return all(self.reduces_to_zero(r) for r in other_relations)
 
-    def multiply_basis(self, i, j):
-        """Coordinates of the product of basis elements i and j."""
-        return self.table.get((i, j), {})
-
     def path_source_of_index(self, i):
         return self.quiver.path_source(self.paths[i])
 
     def path_target_of_index(self, i):
         return self.quiver.path_target(self.paths[i])
-
-    def label(self, i):
-        return self.quiver.path_str(self.paths[i])
 
 
 def compute_basis(quiver, relations, field, max_degree=30):

@@ -10,7 +10,8 @@ design.  Both oracles use their own row reduction so that nothing
 under test is in the loop.  The Hochschild differential itself is
 recomputed by evaluating every face on every index tuple.  The deformed
 algebra A_f is rebuilt from the pair formula on every pair of basis
-indices, its associativity by multiplying out every basis triple (or
+indices, the path-lifting map as the t-part of products of arrows in
+it, its associativity by multiplying out every basis triple (or
 the triples whose first entry is a greedy generator, recomputed here
 with its own echelon rows, or in the support of the unit), and
 primality by trial division.  The bimodule and bimodule-uple axioms,
@@ -329,6 +330,23 @@ def brute_deformed_table(dim, table, f_table):
             if prod:
                 out[(x, y)] = prod
     return out
+
+
+def brute_path_lift(deformed, dim, arrows, field):
+    """The t-part of (a_1, 0) (a_2, 0) ... (a_s, 0), multiplied from the
+    left in the structure constants deformed of brute_deformed_table for
+    an algebra of dimension dim, where arrows = [a_1, ..., a_s] are
+    coordinate dicts of elements of A.  By the pair product this is
+
+        sum_i f(a_1 ... a_i, a_{i+1}) a_{i+2} ... a_s,
+
+    the path-lifting map on the path a_1 ... a_s.  No arrows give 0."""
+    if not arrows:
+        return {}
+    cur = dict(arrows[0])
+    for a in arrows[1:]:
+        cur = _act(deformed, field, cur, a)
+    return {k - dim: c for k, c in cur.items() if k >= dim}
 
 
 def brute_associator(table, field, i, j, k):

@@ -8,7 +8,7 @@ import random
 import time
 
 from quivdeform.cli import run
-from quivdeform.deform import (DeformedAlgebra, algebra_of_basis, build_presentation,
+from quivdeform.deform import (DeformedAlgebra, build_presentation,
                                deformation_equivalence, deformed_multiply,
                                hat_f, normalize_cocycle, verify_presentation)
 from quivdeform.fields import Field
@@ -194,22 +194,21 @@ def test_criterion_3_associativity_iff_cocycle():
                     failures.append(name + ": associativity and cocycle split")
         # table side: the example table must be defect free, and a unit bump
         # that spoils the cocycle identity must show an associativity defect
-        alg = algebra_of_basis(basis)
-        good = FinDimAlgebra(fld, 2 * alg.dim, deformed_table(alg, f),
-                             dict(alg.unit), check=False)
+        good = FinDimAlgebra(fld, 2 * basis.dim, deformed_table(basis, f),
+                             dict(basis.unit), check=False)
         if associativity_defect(good) is not None:
             failures.append(name + ": cocycle table has an associativity defect")
         broke = False
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for k in range(alg.dim):
+        for i in range(basis.dim):
+            for j in range(basis.dim):
+                for k in range(basis.dim):
                     bumped = f + FullCochain(
-                        alg.dim, 2, fld, {(i, j): {k: fld.one}})
-                    if is_full_cocycle(bumped, alg):
+                        basis.dim, 2, fld, {(i, j): {k: fld.one}})
+                    if is_full_cocycle(bumped, basis):
                         continue
-                    bad = FinDimAlgebra(fld, 2 * alg.dim,
-                                        deformed_table(alg, bumped),
-                                        dict(alg.unit), check=False)
+                    bad = FinDimAlgebra(fld, 2 * basis.dim,
+                                        deformed_table(basis, bumped),
+                                        dict(basis.unit), check=False)
                     if associativity_defect(bad) is None:
                         failures.append(name + ": broken cocycle, no defect")
                     broke = True
@@ -274,22 +273,20 @@ def test_criterion_6_transfer_identities():
 
     af = parse_algebra_file(data_path("dual_numbers.alg"), F7)
     basis7 = compute_basis(af.quiver, af.relations, F7, 30)
-    alg7 = algebra_of_basis(basis7)
-    ctx = identity_context(alg7)
+    ctx = identity_context(basis7)
     for _ in range(20):
-        f = random_full_cochain(rng, F7, alg7.dim, 2)
+        f = random_full_cochain(rng, F7, basis7.dim, 2)
         if transfer_phi(ctx, f, 2) != f or transfer_psi(ctx, f, 2) != f:
             failures.append("identity context moves a cochain")
 
     for field in (F7, Q):
         af = parse_algebra_file(data_path("dual_numbers.alg"), field)
         basis = compute_basis(af.quiver, af.relations, field, 30)
-        alg = algebra_of_basis(basis)
         for n in (2, 3):
-            ctx = matrix_context(alg, n)
+            ctx = matrix_context(basis, n)
             tag = "M_%d over %s" % (n, "F7" if field.char else "Q")
             for _ in range(20):
-                f = random_full_cochain(rng, field, alg.dim, 2)
+                f = random_full_cochain(rng, field, basis.dim, 2)
                 df = full_differential(f, ctx.a)
                 if full_differential(transfer_phi(ctx, f, 2), ctx.b) \
                         != transfer_phi(ctx, df, 3):
@@ -319,12 +316,12 @@ def test_criterion_7_morita_equivalence():
         tag = "F7" if field.char else "Q"
         for name in EXAMPLES:
             af, basis, f = example_cochain(name, field)
-            ctx = identity_context(algebra_of_basis(basis))
+            ctx = identity_context(basis)
             for check, ok, detail in verify_morita_deformed(ctx, f):
                 if not ok:
                     failures.append("%s/%s: %s (%s)" % (name, tag, check, detail))
         af, basis, f = example_cochain("dual_numbers", field)
-        ctx = matrix_context(algebra_of_basis(basis), 2)
+        ctx = matrix_context(basis, 2)
         for check, ok, detail in verify_morita_deformed(ctx, f):
             if not ok:
                 failures.append("M_2/%s: %s (%s)" % (tag, check, detail))
@@ -423,10 +420,9 @@ def test_criterion_9_property_suites():
             g = random_reduced_one_cochain(rng, basis)
             if not differential(differential(g, basis), basis).is_zero():
                 failures.append(name + ": reduced d d != 0")
-        alg = algebra_of_basis(basis)
         for degree in (1, 2):
-            h = random_full_cochain(rng, basis.field, alg.dim, degree)
-            if not full_differential(full_differential(h, alg), alg).is_zero():
+            h = random_full_cochain(rng, basis.field, basis.dim, degree)
+            if not full_differential(full_differential(h, basis), basis).is_zero():
                 failures.append(name + ": full d d != 0")
 
         q = af.quiver

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivdeform.deform import (DeformedAlgebra, Presentation,
-                               algebra_of_basis, build_presentation,
+                               build_presentation,
                                Deformation, check_image_condition,
                                deformation_equivalence, deformed_multiply,
                                hat_f, interreduce_presentation,
@@ -19,11 +19,12 @@ from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_cocycle,
                                    is_full_cocycle)
 from quivdeform.linalg import FinDimAlgebra
-from quivdeform.quiver import AlgebraElement, FreeElement, compute_basis
+from quivdeform.quiver import AlgebraElement, FreeElement, Quiver, compute_basis
 
 from conftest import data_path
-from oracles import (_act, brute_associativity_defect, brute_associator,
-                     brute_deformed_table, brute_generator_associativity_defect)
+from oracles import (_act, _combo, brute_associativity_defect, brute_associator,
+                     brute_deformed_table, brute_differential,
+                     brute_generator_associativity_defect, brute_path_lift)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -119,10 +120,10 @@ def test_both_constructions_of_a_f_match_the_oracle():
         fld = basis.field
         want = oracle_table(basis, f)
         assert brute_associativity_defect(2 * basis.dim, want, fld) is None, name
-        labels = [basis.label(i) for i in range(basis.dim)]
+        labels = list(basis.labels)
         labels += ["t*" + label for label in labels]
         unit = {i: fld.one for i in basis.trivial_indices}
-        for alg in (DeformedAlgebra(basis, f), Deformation(algebra_of_basis(basis), f)):
+        for alg in (DeformedAlgebra(basis, f), Deformation(basis, f)):
             assert alg.dim == 2 * basis.dim, name
             assert alg.table == want, name
             assert alg.labels == labels, name
@@ -253,12 +254,11 @@ def test_deform_structure_algebra_keeps_the_unit_check(dual_numbers):
     # f = dg with g(e(1)) = e(1) is a full cocycle that is not normalized:
     # (1, 0) is no longer the unit of A_f
     af, basis = dual_numbers
-    alg = algebra_of_basis(basis)
-    g = FullCochain(alg.dim, 1, Q, {(0,): {0: Q.one}})
-    f = full_differential(g, alg)
-    assert is_full_cocycle(f, alg) and not f.is_zero()
+    g = FullCochain(basis.dim, 1, Q, {(0,): {0: Q.one}})
+    f = full_differential(g, basis)
+    assert is_full_cocycle(f, basis) and not f.is_zero()
     with pytest.raises(InputError, match=r"unit fails on basis element e\(1\)"):
-        Deformation(alg, f)
+        Deformation(basis, f)
 
 
 def test_deform_structure_algebra_rests_associativity_on_the_cocycle(
@@ -269,17 +269,16 @@ def test_deform_structure_algebra_rests_associativity_on_the_cocycle(
     # (1, 0) without being the unit and is refused
     for fixture in (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2):
         af, basis = fixture
-        alg = algebra_of_basis(basis)
         f = cochain_from_pairs(basis, af.cocycle_pairs)
-        d = Deformation(alg, f)
+        d = Deformation(basis, f)
         assert brute_associativity_defect(d.dim, d.table, d.field) is None, af
         for c in (1, 2, -3):
             scale = Q.from_int(c)
-            cxy = FullCochain(alg.dim, 2, Q, {key: {k: Q.mul(scale, v) for k, v in vec.items()}
-                                              for key, vec in alg.table.items()})
-            assert is_full_cocycle(cxy, alg)
+            cxy = FullCochain(basis.dim, 2, Q, {key: {k: Q.mul(scale, v) for k, v in vec.items()}
+                                              for key, vec in basis.table.items()})
+            assert is_full_cocycle(cxy, basis)
             with pytest.raises(InputError, match="unit fails on basis element"):
-                Deformation(alg, cxy)
+                Deformation(basis, cxy)
 
 
 def test_hat_f_values(dual_numbers, triangle):
@@ -298,6 +297,49 @@ def test_hat_f_values(dual_numbers, triangle):
     f3 = the_cocycle(af3, basis3)
     a1a2 = FreeElement.from_path(q3, Q, q3.path_from_arrow_names(["a1", "a2"]))
     assert hat_f(a1a2, basis3, f3) == basis3.element_from_path(q3.arrow_path("a3"))
+
+
+def _non_cocycle(basis, f):
+    """f moved by 3 x_k at the first basis pair (i, j) and index k where
+    the oracle's differential of the result is not zero."""
+    fld = basis.field
+    for i in range(basis.dim):
+        for j in range(basis.dim):
+            for k in range(basis.dim):
+                g = f + FullCochain(basis.dim, 2, fld, {(i, j): {k: fld.from_int(3)}})
+                if brute_differential(basis.dim, basis.table, fld, g.table, 2):
+                    return g
+    raise AssertionError("every move of f is a cocycle")
+
+
+def test_hat_f_is_the_t_part_of_lifted_arrow_products(monkeypatch):
+    # hat_f reads path classes from the table of kQ/I; the oracle
+    # multiplies (a_1, 0) ... (a_s, 0) out in A_f.  The identity holds for
+    # any cochain, so it is checked for the cocycle and for a non-cocycle,
+    # on every basis path and on every u*rho*v word _hat_multiple_span lifts
+    from conftest import load_basis
+    from quivdeform import deform
+    for name in EXAMPLES + ("lambda_m2",):
+        af, basis = load_basis(name + ".alg")
+        q, fld = af.quiver, basis.field
+        f = cochain_from_pairs(basis, af.cocycle_pairs)
+        for g in (f, _non_cocycle(basis, f)):
+            lifted = brute_deformed_table(basis.dim, basis.table, g.table)
+
+            def oracle(w):
+                return _combo(fld, *[(c, brute_path_lift(
+                    lifted, basis.dim,
+                    [{basis.index[(q.arrows[a][1], a)]: fld.one} for a in p[1:]], fld))
+                    for p, c in w.terms.items()])
+
+            words = [FreeElement.from_path(q, fld, p) for p in basis.paths]
+            monkeypatch.setattr(deform, "hat_f",
+                                lambda w, b, h: words.append(w) or hat_f(w, b, h))
+            deform._hat_multiple_span(basis, g)
+            monkeypatch.undo()
+            assert len(words) > basis.dim or not basis.relations, name
+            for w in words:
+                assert hat_f(w, basis, g).coeffs == oracle(w), (name, w)
 
 
 def test_hat_f_is_linear(two_cycle):
@@ -489,6 +531,26 @@ def test_presentation_precondition(two_cycle):
         verify_presentation(DeformedAlgebra(basis, moved), pres)
 
 
+def test_evaluation_refuses_a_quiver_that_is_not_q_followed_by_loops(two_cycle):
+    # arrow k of the quiver is read as arrow k of Q and every later arrow
+    # as an added loop, so reordered arrows, an added arrow that is not a
+    # loop and other vertices are refused, not evaluated to wrong
+    # coordinates
+    af, basis = two_cycle
+    f = the_cocycle(af, basis)
+    deformed = DeformedAlgebra(basis, f)
+    q = af.quiver
+    pres, _ = build_presentation(basis, f)
+    for quiver in (q, pres.quiver):
+        deformed.evaluation(quiver)
+    arrows = [(name, q.vertices[s], q.vertices[t]) for name, s, t in q.arrows]
+    for quiver in (Quiver(q.vertices, arrows[::-1]),
+                   Quiver(q.vertices, arrows + [("b", "1", "2")]),
+                   Quiver(q.vertices[::-1], arrows)):
+        with pytest.raises(InputError, match="not Q followed by loops"):
+            deformed.evaluation(quiver)
+
+
 def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
     af, basis = two_cycle
     f = the_cocycle(af, basis)
@@ -496,8 +558,7 @@ def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
     qf = pres.quiver
     extra = FreeElement.from_path(qf, Q, qf.arrow_path("a1^"))
     bigger = Presentation(qf, pres.relations + [extra], pres.origins + ["extra:a1^"],
-                          pres.hat_names, pres.epsilon, pres.dashed, pres.extended,
-                          pres.cocycle)
+                          pres.epsilon, pres.dashed, pres.extended, pres.cocycle)
     checks = {name: (ok, detail) for name, ok, detail
               in verify_presentation(DeformedAlgebra(basis, f), bigger)}
     ok, detail = checks["relations-vanish"]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import data_path
 from oracles import brute_differential, full_bar_hh2
-from quivdeform.deform import algebra_of_basis
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
@@ -93,7 +92,7 @@ def test_reduced_layer_refuses_cochains_off_the_reduced_support(dual_numbers, tw
     # the full complex: reading it as reduced would call it a cocycle and
     # build a non-associative A_f
     f = FullCochain(basis.dim, 2, Q, {(e, a): {a: Q.one}})
-    assert not is_full_cocycle(f, algebra_of_basis(basis))
+    assert not is_full_cocycle(f, basis)
     calls = (lambda: differential(f, basis), lambda: is_cocycle(f, basis),
              lambda: cobound_solve(f, basis), lambda: DeformedAlgebra(basis, f),
              lambda: check_image_condition(basis, f))
@@ -336,7 +335,7 @@ def test_full_differential_matches_oracle(name, field):
 @FIELDS
 def test_full_differential_on_matrix_algebra(field):
     af, basis = basis_over("dual_numbers", field)
-    ctx = matrix_context(algebra_of_basis(basis), 2)
+    ctx = matrix_context(basis, 2)
     b = ctx.b
     rng = random.Random(7)
     f = cochain_from_pairs(basis, af.cocycle_pairs)

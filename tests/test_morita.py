@@ -10,7 +10,7 @@ from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
-from quivdeform.deform import Deformation, algebra_of_basis
+from quivdeform.deform import Deformation
 from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
                                build_hat_P, build_hat_Q, homotopy_h,
@@ -31,11 +31,6 @@ Q = Field.rationals()
 F7 = Field.prime(7)
 
 
-def structure_algebra(fixture):
-    af, basis = fixture
-    return algebra_of_basis(basis)
-
-
 def golden_cochain(fixture):
     af, basis = fixture
     return cochain_from_pairs(basis, af.cocycle_pairs)
@@ -44,7 +39,7 @@ def golden_cochain(fixture):
 def vertex_idempotent(fixture, name):
     af, basis = fixture
     return {i: basis.field.one for i in basis.trivial_indices
-            if basis.label(i) == "e(%s)" % name}
+            if basis.labels[i] == "e(%s)" % name}
 
 
 def random_cochain(rng, field, dim, degree, terms=6):
@@ -79,8 +74,8 @@ def test_structure_algebra_validates(dual_numbers, two_cycle, triangle,
                                      quantum_plane, lambda_m2):
     for fixture in (dual_numbers, two_cycle, triangle, quantum_plane,
                     lambda_m2):
-        alg = structure_algebra(fixture)
-        FinDimAlgebra(alg.field, alg.dim, alg.table, alg.unit, alg.labels)
+        _, basis = fixture
+        FinDimAlgebra(basis.field, basis.dim, basis.table, basis.unit, basis.labels)
 
 
 def test_bad_structure_constants_rejected():
@@ -97,9 +92,9 @@ def test_bad_structure_constants_rejected():
 
 
 def test_deformed_structure_dual_numbers(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    d = Deformation(alg, f)
+    d = Deformation(basis, f)
     assert d.dim == 4
     assert d.labels == ["e(1)", "a", "t*e(1)", "t*a"]
     # (a,0)^2 = (0, e(1)), then twice more reaches (0, a) and dies
@@ -112,11 +107,11 @@ def test_deformed_structure_dual_numbers(dual_numbers):
 def test_deform_structure_rejects_non_cocycle(dual_numbers):
     # the builder checks only the unit; the certificate proves d f = 0
     # where it reads f, before it builds any deformed algebra
-    alg = structure_algebra(dual_numbers)
-    bad = FullCochain(alg.dim, 2, Q, {(1, 0): {0: Q.one}})
-    assert not is_full_cocycle(bad, alg)
+    _, basis = dual_numbers
+    bad = FullCochain(basis.dim, 2, Q, {(1, 0): {0: Q.one}})
+    assert not is_full_cocycle(bad, basis)
     with pytest.raises(InputError, match="f must be a Hochschild 2-cocycle on A"):
-        verify_morita_deformed(matrix_context(alg, 2), bad)
+        verify_morita_deformed(matrix_context(basis, 2), bad)
 
 
 def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
@@ -124,13 +119,13 @@ def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
     # the certificate checks rest on these generators, so generation is
     # measured by the oracle's dense rank, on the fixtures, on M_2(A) and
     # on the deformations A_f and B_g of the matrix context
-    algebras = [structure_algebra(fixture) for fixture in
+    algebras = [fixture[1] for fixture in
                 (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2)]
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    ctx = matrix_context(alg, 2)
+    ctx = matrix_context(basis, 2)
     g = transfer_phi(ctx, f, 2)
-    algebras += [ctx.b, Deformation(alg, f),
+    algebras += [ctx.b, Deformation(basis, f),
                  Deformation(ctx.b, g)]
     for alg in algebras:
         gens = alg.generators()
@@ -149,109 +144,108 @@ def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
 
 
 def test_regular_bimodule_checks(triangle):
-    alg = structure_algebra(triangle)
-    reg = regular_bimodule(alg)
+    _, basis = triangle
+    reg = regular_bimodule(basis)
     assert reg.violations() == []
-    assert reg.left_act({0: Q.one}, {0: Q.one}) == alg.multiply_basis(0, 0)
+    assert reg.left_act({0: Q.one}, {0: Q.one}) == basis.multiply_basis(0, 0)
 
 
 def test_broken_bimodule_rejected(dual_numbers):
-    alg = structure_algebra(dual_numbers)
-    reg = regular_bimodule(alg)
+    _, basis = dual_numbers
+    reg = regular_bimodule(basis)
     left = {k: dict(v) for k, v in reg.left.items()}
     left[(1, 1)] = {0: Q.one}  # a . a = e(1) is not the left regular action
     with pytest.raises(InputError):
-        Bimodule(alg, alg, alg.dim, left, dict(reg.right))
+        Bimodule(basis, basis, basis.dim, left, dict(reg.right))
 
 
 def test_tensor_regular_is_algebra(dual_numbers, triangle):
     for fixture in (dual_numbers, triangle):
-        alg = structure_algebra(fixture)
-        reg = regular_bimodule(alg)
+        _, basis = fixture
+        reg = regular_bimodule(basis)
         ten = TensorProduct(reg, reg)
-        one = alg.field.one
-        assert ten.dim == alg.dim
+        one = basis.field.one
+        assert ten.dim == basis.dim
         # every pure tensor collapses onto (x_i x_j) (x) 1
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                prod = alg.multiply_basis(i, j)
-                assert ten.pure_vec({i: one}, {j: one}) == ten.pure_vec(prod, alg.unit)
+        for i in range(basis.dim):
+            for j in range(basis.dim):
+                prod = basis.multiply_basis(i, j)
+                assert ten.pure_vec({i: one}, {j: one}) == ten.pure_vec(prod, basis.unit)
 
 
 # ---------------------------------------------------------------- contexts
 
 
 def test_identity_context(dual_numbers):
-    alg = structure_algebra(dual_numbers)
-    ctx = identity_context(alg)
-    assert ctx.a is alg and ctx.b is alg
+    _, basis = dual_numbers
+    ctx = identity_context(basis)
+    assert ctx.a is basis and ctx.b is basis
     assert ctx.swap().swap() is ctx
 
 
 def test_matrix_context_shapes(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     for n in (1, 2, 3):
-        ctx = matrix_context(alg, n)
-        assert ctx.b.dim == n * n * alg.dim
-        assert ctx.p.dim == ctx.q.dim == n * alg.dim
+        ctx = matrix_context(basis, n)
+        assert ctx.b.dim == n * n * basis.dim
+        assert ctx.p.dim == ctx.q.dim == n * basis.dim
         assert len(ctx.gens_a) == 1 and len(ctx.gens_b) == n
     with pytest.raises(InputError):
-        matrix_context(alg, 0)
+        matrix_context(basis, 0)
 
 
 def test_matrix_context_n1_matches_identity(two_cycle):
-    alg = structure_algebra(two_cycle)
-    ctx1 = matrix_context(alg, 1)
-    ctx0 = identity_context(alg)
+    _, basis = two_cycle
+    ctx1 = matrix_context(basis, 1)
+    ctx0 = identity_context(basis)
     rng = random.Random(5)
     for _ in range(5):
-        f = random_cochain(rng, Q, alg.dim, 2)
+        f = random_cochain(rng, Q, basis.dim, 2)
         assert transfer_phi(ctx1, f, 2) == transfer_phi(ctx0, f, 2)
 
 
 def test_idempotent_context_corner(lambda_m2):
     af, basis = lambda_m2
-    alg = structure_algebra(lambda_m2)
-    ctx = idempotent_context(alg, vertex_idempotent(lambda_m2, "1"))
+    ctx = idempotent_context(basis, vertex_idempotent(lambda_m2, "1"))
     assert ctx.b.dim == 2
     assert ctx.p.dim == 4 and ctx.q.dim == 4
     assert len(ctx.gens_b) == 1
 
 
 def test_idempotent_context_unit_is_whole_algebra(two_cycle):
-    alg = structure_algebra(two_cycle)
-    ctx = idempotent_context(alg, dict(alg.unit))
-    assert ctx.b.dim == alg.dim
-    assert ctx.p.dim == alg.dim
+    _, basis = two_cycle
+    ctx = idempotent_context(basis, dict(basis.unit))
+    assert ctx.b.dim == basis.dim
+    assert ctx.p.dim == basis.dim
 
 
 def test_idempotent_not_full(two_cycle):
-    alg = structure_algebra(two_cycle)
+    _, basis = two_cycle
     with pytest.raises(NotFullIdempotent):
-        idempotent_context(alg, vertex_idempotent(two_cycle, "1"))
+        idempotent_context(basis, vertex_idempotent(two_cycle, "1"))
 
 
 def test_idempotent_rejects_non_idempotent(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     with pytest.raises(InputError):
-        idempotent_context(alg, {1: Q.one})
+        idempotent_context(basis, {1: Q.one})
 
 
 def corner_context(lambda_m2):
-    alg = structure_algebra(lambda_m2)
-    return alg, idempotent_context(alg, vertex_idempotent(lambda_m2, "1"))
+    _, basis = lambda_m2
+    return basis, idempotent_context(basis, vertex_idempotent(lambda_m2, "1"))
 
 
 # ---------------------------------------------------------------- transfer
 
 
 def test_identity_transfer_is_identity(triangle):
-    alg = structure_algebra(triangle)
-    ctx = identity_context(alg)
+    _, basis = triangle
+    ctx = identity_context(basis)
     rng = random.Random(17)
     for degree in (1, 2, 3):
         for _ in range(4):
-            f = random_cochain(rng, Q, alg.dim, degree)
+            f = random_cochain(rng, Q, basis.dim, degree)
             assert transfer_phi(ctx, f) == f
             assert transfer_psi(ctx, f) == f
 
@@ -272,11 +266,11 @@ def brute_psi(ctx, g):
 
 def test_transfer_against_brute_force(dual_numbers, two_cycle, lambda_m2):
     rng = random.Random(23)
-    alg = structure_algebra(dual_numbers)
-    contexts = [matrix_context(alg, 2)]
+    _, basis = dual_numbers
+    contexts = [matrix_context(basis, 2)]
     corner_alg, corner = corner_context(lambda_m2)
     contexts.append(corner)
-    contexts.append(identity_context(structure_algebra(two_cycle)))
+    contexts.append(identity_context(two_cycle[1]))
     for ctx in contexts:
         for degree in (1, 2, 3):
             for dim, transfer, brute in ((ctx.a.dim, transfer_phi, brute_phi),
@@ -289,31 +283,31 @@ def test_transfer_against_brute_force(dual_numbers, two_cycle, lambda_m2):
 
 
 def test_transfer_degree_errors(dual_numbers):
-    alg = structure_algebra(dual_numbers)
-    ctx = identity_context(alg)
-    f = FullCochain(alg.dim, 2, Q, {})
+    _, basis = dual_numbers
+    ctx = identity_context(basis)
+    f = FullCochain(basis.dim, 2, Q, {})
     with pytest.raises(InputError):
         transfer_phi(ctx, f, 3)
     with pytest.raises(InputError):
-        transfer_phi(ctx, FullCochain(alg.dim + 1, 2, Q, {}))
+        transfer_phi(ctx, FullCochain(basis.dim + 1, 2, Q, {}))
     with pytest.raises(InputError):
-        homotopy_h(ctx, FullCochain(alg.dim, 1, Q, {}))
+        homotopy_h(ctx, FullCochain(basis.dim, 1, Q, {}))
 
 
 def test_homotopy_identity_context_closed_form(dual_numbers):
     # over the full complex h^2(f)(a) = -f(1 (x) a) + f(a (x) 1)
-    alg = structure_algebra(dual_numbers)
-    ctx = identity_context(alg)
+    _, basis = dual_numbers
+    ctx = identity_context(basis)
     rng = random.Random(29)
     for _ in range(10):
-        f = random_cochain(rng, Q, alg.dim, 2)
+        f = random_cochain(rng, Q, basis.dim, 2)
         h = homotopy_h(ctx, f, 2)
-        for t in range(alg.dim):
+        for t in range(basis.dim):
             et = {t: Q.one}
             want = {}
-            for k, c in f.evaluate(alg.unit, et).items():
+            for k, c in f.evaluate(basis.unit, et).items():
                 want[k] = Q.neg(c)
-            for k, c in f.evaluate(et, alg.unit).items():
+            for k, c in f.evaluate(et, basis.unit).items():
                 s = Q.add(want.get(k, Q.zero), c)
                 if s == Q.zero:
                     want.pop(k, None)
@@ -323,34 +317,34 @@ def test_homotopy_identity_context_closed_form(dual_numbers):
 
 
 def test_transferred_cocycle_is_cocycle(dual_numbers, lambda_m2):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
     for n in (2, 3):
-        ctx = matrix_context(alg, n)
+        ctx = matrix_context(basis, n)
         g = transfer_phi(ctx, f, 2)
         assert is_full_cocycle(g, ctx.b)
 
 
 def test_chain_maps_matrix_context(dual_numbers):
-    alg = structure_algebra(dual_numbers)
-    ctx = matrix_context(alg, 2)
+    _, basis = dual_numbers
+    ctx = matrix_context(basis, 2)
     rng = random.Random(31)
     for _ in range(5):
-        f = random_cochain(rng, Q, alg.dim, 2)
+        f = random_cochain(rng, Q, basis.dim, 2)
         assert full_differential(transfer_phi(ctx, f, 2), ctx.b) == \
-            transfer_phi(ctx, full_differential(f, alg), 3)
+            transfer_phi(ctx, full_differential(f, basis), 3)
         g = random_cochain(rng, Q, ctx.b.dim, 2)
-        assert full_differential(transfer_psi(ctx, g, 2), alg) == \
+        assert full_differential(transfer_psi(ctx, g, 2), basis) == \
             transfer_psi(ctx, full_differential(g, ctx.b), 3)
 
 
 def test_homotopy_identity(dual_numbers, lambda_m2):
     # h^3 d^3 + d^2 h^2 = Id - psi^2 phi^2 on 2-cochains
     rng = random.Random(37)
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     corner_alg, corner = corner_context(lambda_m2)
-    cases = [(alg, matrix_context(alg, 2)),
-             (alg, identity_context(alg)),
+    cases = [(basis, matrix_context(basis, 2)),
+             (basis, identity_context(basis)),
              (corner_alg, corner)]
     for a, ctx in cases:
         for _ in range(5):
@@ -363,11 +357,11 @@ def test_homotopy_identity(dual_numbers, lambda_m2):
 
 def test_cocycle_transfer_roundtrip_is_coboundary(dual_numbers, lambda_m2):
     # for a cocycle f the roundtrip defect f - psi phi f bounds d(h^2 f)
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    ctx = matrix_context(alg, 3)
+    ctx = matrix_context(basis, 3)
     defect = f - transfer_psi(ctx, transfer_phi(ctx, f, 2), 2)
-    assert defect == full_differential(homotopy_h(ctx, f, 2), alg)
+    assert defect == full_differential(homotopy_h(ctx, f, 2), basis)
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
     fa = transfer_psi(corner, g, 2)
@@ -404,9 +398,9 @@ def test_corner_transfer_frozen_value(lambda_m2):
 
 
 def test_hat_bimodules_satisfy_conditions(dual_numbers, lambda_m2):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    for ctx in (identity_context(alg), matrix_context(alg, 2)):
+    for ctx in (identity_context(basis), matrix_context(basis, 2)):
         assert build_hat_P(ctx, *deformed_pair(ctx, f)).violations() == []
         assert build_hat_Q(ctx, *deformed_pair(ctx, f)).violations() == []
     corner_alg, corner = corner_context(lambda_m2)
@@ -417,16 +411,15 @@ def test_hat_bimodules_satisfy_conditions(dual_numbers, lambda_m2):
 
 
 def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
-    alg = structure_algebra(dual_numbers)
-    ctx = identity_context(alg)
-    bad = FullCochain(alg.dim, 2, Q, {(1, 0): {0: Q.one}})
+    _, basis = dual_numbers
+    ctx = identity_context(basis)
+    bad = FullCochain(basis.dim, 2, Q, {(1, 0): {0: Q.one}})
     with pytest.raises(InputError):
         build_hat_P(ctx, *deformed_pair(ctx, bad))
     F2 = Field.prime(2)
     af = parse_algebra_file(data_path("dual_numbers.alg"), field_override=F2)
     basis2 = compute_basis(af.quiver, af.relations, F2)
-    alg2 = algebra_of_basis(basis2)
-    ctx2 = identity_context(alg2)
+    ctx2 = identity_context(basis2)
     f2 = cochain_from_pairs(basis2, af.cocycle_pairs)
     with pytest.raises(CharTwoUnsupported):
         build_hat_P(ctx2, *deformed_pair(ctx2, f2))
@@ -435,9 +428,9 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
 
 
 def test_regular_uple_glues_to_deformed_algebra(two_cycle):
-    alg = structure_algebra(two_cycle)
+    _, basis = two_cycle
     f = golden_cochain(two_cycle)
-    d = Deformation(alg, f)
+    d = Deformation(basis, f)
     uple = regular_deformed_uple(d)
     assert uple.violations() == []
     glued = uple.glued
@@ -447,11 +440,11 @@ def test_regular_uple_glues_to_deformed_algebra(two_cycle):
 
 
 def test_triple_violations_flags_breakage(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    uple = regular_deformed_uple(Deformation(alg, f))
+    uple = regular_deformed_uple(Deformation(basis, f))
     # sparse maps {column: {row: scalar}}
-    ident = {i: {i: Q.one} for i in range(alg.dim)}
+    ident = {i: {i: Q.one} for i in range(basis.dim)}
     zero = {}
     assert triple_violations(uple, uple, ident, zero, ident) == []
     skew = {1: {0: Q.one}}
@@ -459,9 +452,9 @@ def test_triple_violations_flags_breakage(dual_numbers):
 
 
 def test_glued_hat_p_is_bimodule(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    ctx = matrix_context(alg, 2)
+    ctx = matrix_context(basis, 2)
     hat = build_hat_P(ctx, *deformed_pair(ctx, f))
     assert hat.glued.violations() == []
 
@@ -550,8 +543,8 @@ def certificate_cases(dual_numbers, two_cycle, triangle, quantum_plane, lambda_m
     """(context, cocycle on A) for the valid inputs of the oracle tests."""
     cases = []
     for fixture in (dual_numbers, two_cycle, triangle, quantum_plane):
-        cases.append((identity_context(structure_algebra(fixture)), golden_cochain(fixture)))
-    cases.append((matrix_context(structure_algebra(dual_numbers), 2),
+        cases.append((identity_context(fixture[1]), golden_cochain(fixture)))
+    cases.append((matrix_context(dual_numbers[1], 2),
                   golden_cochain(dual_numbers)))
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
@@ -572,7 +565,7 @@ def test_valid_certificates_match_oracle(dual_numbers, two_cycle, triangle,
 
 
 def test_broken_bimodules_match_oracle(dual_numbers):
-    p = matrix_context(structure_algebra(dual_numbers), 2).p
+    p = matrix_context(dual_numbers[1], 2).p
     left = {k: dict(v) for k, v in p.left.items()}
     left[(1, 1)] = {0: Q.one}  # a . (a in slot 1) is 0, not e(1)
     assert assert_bimodule_matches_oracle(
@@ -583,17 +576,17 @@ def test_broken_bimodules_match_oracle(dual_numbers):
         Bimodule(p.left_alg, p.right_alg, p.dim, p.left, right, check=False))
     # a acts by two square-zero matrices that do not commute: both actions
     # are modules, only the commutation fails
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     left = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}}
     right = {(0, 0): {0: Q.one}, (1, 0): {1: Q.one}, (1, 1): {0: Q.one}}
-    bad = assert_bimodule_matches_oracle(Bimodule(alg, alg, 2, left, right, check=False))
+    bad = assert_bimodule_matches_oracle(Bimodule(basis, basis, 2, left, right, check=False))
     assert bad and all("commute" in msg for msg in bad)
 
 
 def test_broken_uples_match_oracle(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    ctx = matrix_context(alg, 2)
+    ctx = matrix_context(basis, 2)
     a_f, b_g = deformed_pair(ctx, f)
     hat = build_hat_P(ctx, a_f, b_g, check=False)
 
@@ -615,8 +608,8 @@ def test_broken_uples_match_oracle(dual_numbers):
                  build_hat_P(ctx, a_f, Deformation(ctx.b, g2), check=False)):
         assert assert_uple_matches_oracle(uple)
     # over the zero cocycle T = 0 meets every condition but injectivity
-    zero = FullCochain(alg.dim, 2, Q, {})
-    reg = regular_deformed_uple(Deformation(alg, zero))
+    zero = FullCochain(basis.dim, 2, Q, {})
+    reg = regular_deformed_uple(Deformation(basis, zero))
     uple = DeformedBimodule(reg.left_def, reg.right_def, reg.m0, reg.m1, {},
                             reg.f_tables, reg.g_tables, check=False)
     assert assert_uple_matches_oracle(uple) == ["T is not injective"]
@@ -627,7 +620,7 @@ def test_uple_check_is_one_bimodule_check_on_generators(dual_numbers, monkeypatc
     # glue: |G_l| dim A_f + dim B_g |G_r| + 2 |G_l| |G_r| compositions, for
     # the generators G_l of A_f and G_r of B_g; none runs over pairs of
     # basis elements
-    ctx = matrix_context(structure_algebra(dual_numbers), 2)
+    ctx = matrix_context(dual_numbers[1], 2)
     hat = build_hat_P(ctx, *deformed_pair(ctx, golden_cochain(dual_numbers)), check=False)
     a_f, b_g = hat.left_def, hat.right_def
     nl, nr = len(a_f.generators()), len(b_g.generators())
@@ -651,13 +644,13 @@ def test_bimodule_triples_match_oracle(triangle):
     # triple (R_x, f(-, x), R_x): it commutes with the left action, and
     # with the right one only when x is central (x = 1 here); dropping its
     # middle component can break the left action too
-    alg = structure_algebra(triangle)
-    uple = regular_deformed_uple(Deformation(alg, golden_cochain(triangle)))
+    _, basis = triangle
+    uple = regular_deformed_uple(Deformation(basis, golden_cochain(triangle)))
     glue = brute_uple_glue(*raw_uple(uple))
-    n = alg.dim
+    n = basis.dim
     sides = []
-    for x in [{c: Q.one} for c in range(n)] + [alg.unit]:
-        rc = {m: alg.mul({m: Q.one}, x) for m in range(n) if alg.mul({m: Q.one}, x)}
+    for x in [{c: Q.one} for c in range(n)] + [basis.unit]:
+        rc = {m: basis.mul({m: Q.one}, x) for m in range(n) if basis.mul({m: Q.one}, x)}
         fc = {m: uple.f.evaluate({m: Q.one}, x) for m in range(n)
               if uple.f.evaluate({m: Q.one}, x)}
         for u1 in (fc, {}):
@@ -711,9 +704,9 @@ def conjugated(right, dim, field, r, c):
 def bimodule_zoo(dual_numbers):
     """P and Q of M_2(A), the glued P^ over (A_f, B_g) and the balanced
     product P^ (x) Q^ over (A_f, A_f), for A the dual numbers."""
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    ctx = matrix_context(alg, 2)
+    ctx = matrix_context(basis, 2)
     a_f, b_g = deformed_pair(ctx, f)
     hat_p = build_hat_P(ctx, a_f, b_g).glued
     hat_q = build_hat_Q(ctx, a_f, b_g).glued
@@ -832,11 +825,11 @@ def context_verdict(ctx, pairing_a, pairing_b, gens_a, gens_b):
 
 def test_context_checks_agree_with_the_oracle(dual_numbers, two_cycle, lambda_m2):
     rng = random.Random(43)
-    contexts = [identity_context(structure_algebra(dual_numbers)),
-                matrix_context(structure_algebra(dual_numbers), 2),
+    contexts = [identity_context(dual_numbers[1]),
+                matrix_context(dual_numbers[1], 2),
                 corner_context(lambda_m2)[1],
-                idempotent_context(structure_algebra(two_cycle),
-                                   dict(structure_algebra(two_cycle).unit))]
+                idempotent_context(two_cycle[1],
+                                   dict(two_cycle[1].unit))]
     refused = 0
     for ctx in contexts:
         fld = ctx.field
@@ -884,11 +877,11 @@ def test_context_checks_agree_with_the_oracle(dual_numbers, two_cycle, lambda_m2
     # on A = the two-cycle algebra against itself, <q, p>_B = q e p with e
     # the idempotent of vertex 1 is B-linear on both sides and breaks only
     # <q.a, p> = <q, a.p>; <p, q>_A = p e q breaks only <p.b, q> = <p, b.q>
-    alg = structure_algebra(two_cycle)
-    ctx = identity_context(alg)
+    _, basis = two_cycle
+    ctx = identity_context(basis)
     e = vertex_idempotent(two_cycle, "1")
-    through_e = {(i, j): alg.mul(alg.mul({i: Q.one}, e), {j: Q.one})
-                 for i in range(alg.dim) for j in range(alg.dim)}
+    through_e = {(i, j): basis.mul(basis.mul({i: Q.one}, e), {j: Q.one})
+                 for i in range(basis.dim) for j in range(basis.dim)}
     assert not context_verdict(ctx, ctx.pairing_a, through_e, ctx.gens_a, ctx.gens_b)
     assert not context_verdict(ctx, through_e, ctx.pairing_b, ctx.gens_a, ctx.gens_b)
 
@@ -899,7 +892,7 @@ def test_context_consequences_oracle_rejects_refused_data(dual_numbers, two_cycl
     # when both pairings are tripled, and the bijection onto B when
     # <q, p>_B = q e p for the idempotent e of vertex 1, whose ideal AeA
     # is proper
-    ctx = matrix_context(structure_algebra(dual_numbers), 2)
+    ctx = matrix_context(dual_numbers[1], 2)
     fld = ctx.field
     three = fld.from_int(3)
 
@@ -910,11 +903,11 @@ def test_context_consequences_oracle_rejects_refused_data(dual_numbers, two_cycl
     assert not context_verdict(ctx, *data)
     kinds = {kind for kind, _ in context_consequences(ctx, *data)}
     assert kinds == {"P from gens_b", "P from gens_a", "Q from gens_b", "Q from gens_a"}
-    alg = structure_algebra(two_cycle)
-    ctx = identity_context(alg)
+    _, basis = two_cycle
+    ctx = identity_context(basis)
     e = vertex_idempotent(two_cycle, "1")
-    through_e = {(i, j): alg.mul(alg.mul({i: Q.one}, e), {j: Q.one})
-                 for i in range(alg.dim) for j in range(alg.dim)}
+    through_e = {(i, j): basis.mul(basis.mul({i: Q.one}, e), {j: Q.one})
+                 for i in range(basis.dim) for j in range(basis.dim)}
     data = (ctx.pairing_a, through_e, ctx.gens_a, ctx.gens_b)
     assert not context_verdict(ctx, *data)
     assert ("tensor B", ()) in context_consequences(ctx, *data)
@@ -933,15 +926,15 @@ def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambd
             super().__init__(x, y)
 
     monkeypatch.setattr(morita, "TensorProduct", Counted)
-    alg = structure_algebra(dual_numbers)
-    identity_context(alg)
-    matrix_context(alg, 3)
+    _, basis = dual_numbers
+    identity_context(basis)
+    matrix_context(basis, 3)
     corner_context(lambda_m2)
-    idempotent_context(structure_algebra(two_cycle), dict(structure_algebra(two_cycle).unit))
+    idempotent_context(two_cycle[1], dict(two_cycle[1].unit))
     assert built == []
     # the counter sees the library's own constructions: the certificate
     # builds one balanced product per side
-    verify_morita_deformed(identity_context(alg), golden_cochain(dual_numbers))
+    verify_morita_deformed(identity_context(basis), golden_cochain(dual_numbers))
     assert built == [1, 1]
 
 
@@ -968,10 +961,10 @@ def test_matrix_size_guard(dual_numbers, monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         matrix_context(Unbuildable(), 6)
     monkeypatch.setattr(morita, "MAX_MATRIX_DIM", 8)
-    alg = structure_algebra(dual_numbers)
-    assert matrix_context(alg, 2).b.dim == 8
+    _, basis = dual_numbers
+    assert matrix_context(basis, 2).b.dim == 8
     with pytest.raises(SizeLimitExceeded, match="dimension 18, above the limit 8"):
-        matrix_context(alg, 3)
+        matrix_context(basis, 3)
 
 
 # ------------------------------------------------------------ verification
@@ -980,16 +973,16 @@ def test_matrix_size_guard(dual_numbers, monkeypatch):
 def test_verify_identity_contexts(dual_numbers, two_cycle, triangle,
                                   quantum_plane):
     for fixture in (dual_numbers, two_cycle, triangle, quantum_plane):
-        alg = structure_algebra(fixture)
+        _, basis = fixture
         f = golden_cochain(fixture)
-        report = verify_morita_deformed(identity_context(alg), f)
+        report = verify_morita_deformed(identity_context(basis), f)
         assert all_pass(report) == []
 
 
 def test_verify_matrix_context(dual_numbers):
-    alg = structure_algebra(dual_numbers)
+    _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
-    report = verify_morita_deformed(matrix_context(alg, 2), f)
+    report = verify_morita_deformed(matrix_context(basis, 2), f)
     assert all_pass(report) == []
 
 
@@ -1002,9 +995,9 @@ def test_verify_corner_context(lambda_m2):
 
 
 def test_verify_zero_cocycle(two_cycle):
-    alg = structure_algebra(two_cycle)
-    report = verify_morita_deformed(identity_context(alg),
-                                    FullCochain(alg.dim, 2, Q, {}))
+    _, basis = two_cycle
+    report = verify_morita_deformed(identity_context(basis),
+                                    FullCochain(basis.dim, 2, Q, {}))
     assert all_pass(report) == []
 
 
@@ -1012,15 +1005,14 @@ def test_verify_over_f7(dual_numbers):
     af, _ = dual_numbers
     af7 = parse_algebra_file(data_path("dual_numbers.alg"), field_override=F7)
     basis7 = compute_basis(af7.quiver, af7.relations, F7)
-    alg7 = algebra_of_basis(basis7)
     f7 = cochain_from_pairs(basis7, af7.cocycle_pairs)
-    report = verify_morita_deformed(matrix_context(alg7, 2), f7)
+    report = verify_morita_deformed(matrix_context(basis7, 2), f7)
     assert all_pass(report) == []
 
 
 def test_verify_rejects_non_cocycle(dual_numbers):
-    alg = structure_algebra(dual_numbers)
-    ctx = identity_context(alg)
+    _, basis = dual_numbers
+    ctx = identity_context(basis)
     with pytest.raises(InputError):
-        verify_morita_deformed(ctx, FullCochain(alg.dim, 2, Q,
+        verify_morita_deformed(ctx, FullCochain(basis.dim, 2, Q,
                                                 {(1, 0): {0: Q.one}}))

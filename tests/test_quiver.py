@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_dimension
+from conftest import load_basis
+from oracles import brute_force_dimension, brute_generated_dimension
 from quivdeform import quiver
 from quivdeform.errors import InputError, NotFiniteDimensional, SizeLimitExceeded
 from quivdeform.fields import Field
-from quivdeform.quiver import (FreeElement, Quiver, compute_basis,
+from quivdeform.linalg import FinDimAlgebra
+from quivdeform.quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
                                decompose_unit, path_order_key, relation_endpoints,
                                validate_admissible_relations)
 
@@ -72,7 +74,7 @@ def test_validate_admissible():
 def test_dual_numbers_basis(dual_numbers):
     af, basis = dual_numbers
     assert basis.dim == 2
-    labels = [basis.label(i) for i in range(basis.dim)]
+    labels = list(basis.labels)
     assert labels == ["e(1)", "a"]
     aa = FreeElement.from_path(af.quiver, af.field,
                                af.quiver.path_from_arrow_names(["a", "a"]), Q.one)
@@ -85,7 +87,7 @@ def test_dual_numbers_basis(dual_numbers):
 def test_two_cycle_basis(two_cycle):
     af, basis = two_cycle
     assert basis.dim == 5
-    labels = [basis.label(i) for i in range(basis.dim)]
+    labels = list(basis.labels)
     assert labels == ["e(1)", "e(2)", "a1", "a2", "a2*a1"]
     assert brute_force_dimension(af.quiver, af.relations, af.field, 6) == 5
     assert brute_force_dimension(af.quiver, af.relations, af.field, 7) == 5
@@ -120,7 +122,7 @@ def test_triangle_basis(triangle):
 def test_quantum_plane_basis(quantum_plane):
     af, basis = quantum_plane
     assert basis.dim == 4
-    labels = [basis.label(i) for i in range(basis.dim)]
+    labels = list(basis.labels)
     assert labels == ["e(1)", "a", "b", "b*a"]
     q = af.params["q"]
     ab = FreeElement.from_path(af.quiver, af.field,
@@ -134,7 +136,7 @@ def test_quantum_plane_basis(quantum_plane):
 def test_lambda_m2_basis(lambda_m2):
     af, basis = lambda_m2
     assert basis.dim == 8
-    labels = [basis.label(i) for i in range(basis.dim)]
+    labels = list(basis.labels)
     assert labels == ["e(1)", "e(2)", "u", "v", "al", "v*al", "al*u", "v*al*u"]
     assert brute_force_dimension(af.quiver, af.relations, af.field, 7) == 8
     assert brute_force_dimension(af.quiver, af.relations, af.field, 8) == 8
@@ -146,7 +148,7 @@ def test_lambda_m2_basis(lambda_m2):
 
 def test_unit_and_table(two_cycle):
     af, basis = two_cycle
-    unit = basis.unit()
+    unit = AlgebraElement(basis, basis.unit)
     for i in range(basis.dim):
         x = basis.basis_element(i)
         assert unit * x == x
@@ -155,6 +157,20 @@ def test_unit_and_table(two_cycle):
         [af.quiver.trivial_path("1"), af.quiver.trivial_path("2")]
     assert set(decompose_unit(basis)) == {af.quiver.trivial_path("1"),
                                           af.quiver.trivial_path("2")}
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "two_cycle", "triangle",
+                                  "quantum_plane", "lambda_m2"])
+def test_basis_passes_the_algebra_checks(name):
+    # AlgebraBasis is built unchecked, as the diamond lemma allows: its
+    # table, unit and labels pass the full unit and associativity check,
+    # and its greedy generators span it by the oracle's own words
+    _, basis = load_basis(name + ".alg")
+    assert isinstance(basis, FinDimAlgebra)
+    FinDimAlgebra(basis.field, basis.dim, basis.table, basis.unit, basis.labels,
+                  check=True)
+    raw = (basis.dim, basis.table, basis.unit)
+    assert brute_generated_dimension(raw, basis.generators(), basis.field) == basis.dim
 
 
 def test_infinite_dimensional_detected():

@@ -1,6 +1,7 @@
 """Rules about the test suite itself."""
 
 import ast
+import importlib.util
 import os
 
 ORACLES = os.path.join(os.path.dirname(__file__), "oracles.py")
@@ -190,3 +191,17 @@ def test_package_defines_nothing_that_nothing_reaches():
             exported.update(elt.value for elt in node.value.elts)
     assert exported
     assert not unreferenced_definitions(sources, exported)
+
+
+def test_trace_pins_methods_that_their_classes_define():
+    # bench/trace.py wraps each (class, attribute) of its METHODS through
+    # vars(class)[attribute], so a pinned method that moves to a base
+    # class breaks the traced benchmark run; it is loaded by path under a
+    # name that does not shadow the standard library's trace module
+    path = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "bench", "trace.py")
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    pins = [(cls, attr) for methods in trace.METHODS.values() for cls, attr in methods]
+    assert pins
+    assert [(cls.__name__, attr) for cls, attr in pins if attr not in vars(cls)] == []
