@@ -27,7 +27,7 @@ from .modcat import (LeftModule, MorphismTriple, UpleModule, functor_F,
                      module_from_file, reconstruct, regular_module,
                      regular_uple, roundtrip_triple)
 from .linalg import FinDimAlgebra
-from .morita import (MoritaContext, homotopy_h, idempotent_context,
+from .morita import (MoritaContext, TensorProduct, homotopy_h, idempotent_context,
                      matrix_context, transfer_phi, transfer_psi,
                      verify_morita_deformed)
 from .quiver import (AlgebraBasis, AlgebraElement, FreeElement, Quiver,
@@ -40,7 +40,7 @@ __all__ = [
     "Equivalence", "Field", "FinDimAlgebra", "FreeElement", "FullCochain",
     "InputError", "LeftModule", "MoritaContext", "MorphismTriple",
     "NormalizationFailed", "NotACocycle", "NotFiniteDimensional", "NotFullIdempotent",
-    "Presentation", "Quiver", "UpleModule",
+    "Presentation", "Quiver", "TensorProduct", "UpleModule",
     "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
     "deformation_equivalence", "deformed_multiply", "differential",

@@ -20,12 +20,14 @@ evaluated on every basis tuple, one element at a time, from the raw
 action tables; the glue of an uple is written out coordinate by
 coordinate, and a map between glues is tested on every basis element.
 The axioms of a Morita context are evaluated on every basis tuple from
-the raw pairing tables, its consequences on dense balanced products
-built on all basis triples, and the transfer phi^n term by term from
-its defining sum; the subalgebra generated by a list of basis elements
-is spanned word by word and measured with the dense rank.  Dense Gauss-Jordan elimination, with the rank and the
-nullspace it gives, and dense matrix products and inverses are here too,
-as the reference for the library's sparse elimination and sparse maps.
+the raw pairing tables, its consequences on balanced products built
+on all basis triples and ranked with their own echelon rows, and the
+transfer phi^n term by term from its defining sum; the subalgebra
+generated by a list of basis elements is spanned word by word and
+measured with the dense rank.  Dense Gauss-Jordan elimination, with the
+rank and the nullspace it gives, and dense matrix products and inverses
+are here too, as the reference for the library's sparse elimination and
+sparse maps.
 """
 
 from itertools import product
@@ -696,23 +698,38 @@ def brute_context_defects(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens
     return out
 
 
+def _sparse_rank(rows, field, enough):
+    """The rank of the sparse rows {column: scalar}, or enough once it
+    gets there: echelon rows keyed by their least column, each new row
+    reduced at its least column until that is free or the row is 0."""
+    basis = {}
+    for vec in rows:
+        while vec and min(vec) in basis:
+            p = min(vec)
+            vec = _combo(field, (field.one, vec), (field.neg(vec[p]), basis[p]))
+        if vec:
+            p = min(vec)
+            basis[p] = _combo(field, (field.inv(vec[p]), vec))
+            if len(basis) == enough:
+                break
+    return len(basis)
+
+
 def _pairing_bijective(x, y, middle_dim, pairing, target_dim, field):
     """Whether pairing[(i, j)] = <x_i, y_j> induces a bijection from the
     balanced product X (x) Y onto a space of dimension target_dim.
 
     x and y are raw bimodules (dim, left, right) over a middle algebra of
-    dimension middle_dim.  X (x) Y is the dense space on the pairs (i, j)
+    dimension middle_dim.  X (x) Y is the space on the pairs (i, j)
     modulo one relation x_i.z_s (x) y_j - x_i (x) z_s.y_j per basis
     triple; the induced map is a well-defined bijection exactly when the
-    pairing kills every relation, has rank target_dim and the relations
-    have rank dim X dim Y - target_dim."""
+    pairing kills every relation, has dense rank target_dim and the
+    relations have rank dim X dim Y - target_dim.  The pairing then has a
+    kernel of that dimension, which holds every relation, so the rank of
+    the relations can stop there."""
     (dx, _, xr), (dy, yl, _) = x, y
     one, minus = field.one, field.neg(field.one)
     width = dx * dy
-
-    def row(vec):
-        return [vec.get(c, field.zero) for c in range(width)]
-
     relations = []
     for i, s, j in product(range(dx), range(middle_dim), range(dy)):
         left = {i2 * dy + j: c for i2, c in _act(xr, field, {i: one}, {s: one}).items()}
@@ -720,11 +737,11 @@ def _pairing_bijective(x, y, middle_dim, pairing, target_dim, field):
         rel = _combo(field, (one, left), (minus, right))
         if _combo(field, *[(c, pairing.get(divmod(k, dy), {})) for k, c in rel.items()]):
             return False
-        relations.append(row(rel))
+        relations.append(rel)
     values = [[pairing.get(divmod(k, dy), {}).get(t, field.zero) for k in range(width)]
               for t in range(target_dim)]
     return (dense_rank(values, width, field) == target_dim
-            and dense_rank(relations, width, field) == width - target_dim)
+            and _sparse_rank(relations, field, width - target_dim) == width - target_dim)
 
 
 def brute_context_consequences(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens_b,

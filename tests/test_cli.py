@@ -532,6 +532,46 @@ def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
 # ------------------------------------------------------------ verify-morita
 
 
+VERIFY_MORITA_HEAD = """\
+transferred-cocycle: PASS  phi^2(f) is a 2-cocycle on B
+deformed-p-bimodule: PASS  hat P satisfies all bimodule conditions
+deformed-q-bimodule: PASS  hat Q satisfies all bimodule conditions
+"""
+
+VERIFY_MORITA_SIDE = """\
+{side}:tensor-dimension: PASS  dim {dim}, expected {dim}
+{side}:central-t-action: PASS  left and right action of (0, 1) on the tensor
+{side}:second-slot-collapse: PASS  (0, x) (x) (0, y) vanishes in the tensor
+{side}:kernel-description: PASS  (x, 0) (x) (0, y) spans ker T: rank {half}, nullity {half}
+{side}:complement-split: PASS  corrected generators complement the kernel
+{side}:t-isomorphism: PASS  T maps the complement bijectively onto the kernel
+{side}:summands-stable: PASS  both splitting summands are stable under the plain action
+{side}:quotient-uple: PASS  carved uple conditions: all hold
+{side}:pairing-morphism: PASS  w = (w0, w1, w2) is a morphism of uples
+{side}:pairing-well-defined: PASS  w agrees with its defining formulas on all pure generators
+{side}:pairing-invertible: PASS  w0 and w2 are invertible
+{side}:inverse-morphism: PASS  the inverse triple composes to the identity both ways
+{side}:concrete-isomorphism: PASS  glued w intertwines both deformed actions
+"""
+
+
+def verify_morita_golden(dim_a, dim_b):
+    """The passing report for algebras A and B of these dimensions."""
+    sides = [VERIFY_MORITA_SIDE.format(side=side, dim=2 * dim, half=dim)
+             for side, dim in (("A-side", dim_a), ("B-side", dim_b))]
+    return VERIFY_MORITA_HEAD + "".join(sides) + "overall: PASS\n"
+
+
+def test_verify_morita_golden(capsys):
+    # the full text of two passing certificates: M_2 of the dual numbers
+    # (dimensions 2 and 8) and the two-cycle algebra against its corner at
+    # the unit, which is the whole algebra (dimension 5 on both sides)
+    assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
+    assert capsys.readouterr().out == verify_morita_golden(2, 8)
+    assert run(["verify-morita", data_path("two_cycle.alg"), "--idempotent", "1,2"]) == 0
+    assert capsys.readouterr().out == verify_morita_golden(5, 5)
+
+
 def test_verify_morita_matrix(capsys):
     assert run(["verify-morita", data_path("dual_numbers.alg"),
                 "--matrix", "2", "--report", "json-lines"]) == 0
@@ -647,9 +687,10 @@ def test_module_roundtrip_checks_each_axiom_once(tmp_path, capsys, monkeypatch):
 
 def test_module_roundtrip_inverts_the_basis_change_once(tmp_path, capsys, monkeypatch):
     # functor-rebuild reads the inverse basis change that reconstruct
-    # computed, so a run makes 6 inversions where inverting it again
-    # made 7: one basis change in each of the two reconstructions, and
-    # the blocks u0 and u2 of the round-trip triple, twice
+    # computed, and the roundtrip-triple line reads the isomorphism check
+    # of roundtrip_triple, so a run makes 4 inversions: one basis change
+    # in each of the two reconstructions, and the blocks u0 and u2 of the
+    # round-trip triple, once
     calls = []
     real = linalg.map_inverse
 
@@ -666,7 +707,7 @@ def test_module_roundtrip_inverts_the_basis_change_once(tmp_path, capsys, monkey
         assert run(["module-roundtrip", data_path(name + ".alg"), str(mod)]) == 0
         assert "overall: PASS" in lines_of(capsys)[0]
         dim = 2 * load_basis(name + ".alg")[1].dim
-        assert calls == [dim, dim] + [dim // 2] * 4, name
+        assert calls == [dim, dim] + [dim // 2] * 2, name
 
 
 def test_module_roundtrip_refuses_a_non_cocycle(tmp_path, capsys, monkeypatch):

@@ -11,13 +11,13 @@ from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
 from quivdeform.deform import Deformation
-from quivdeform.morita import (Bimodule, DeformedBimodule, FinDimAlgebra,
+from quivdeform.linalg import _columns, _identity
+from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
                                build_hat_P, build_hat_Q, homotopy_h,
                                idempotent_context,
                                matrix_context, regular_bimodule,
-                               regular_deformed_uple, transfer_phi,
-                               transfer_psi, triple_violations,
+                               transfer_phi, transfer_psi, triple_violations,
                                verify_morita_deformed)
 from quivdeform.quiver import compute_basis
 
@@ -49,6 +49,17 @@ def random_cochain(rng, field, dim, degree, terms=6):
         col = table.setdefault(key, {})
         col[rng.randrange(dim)] = field.from_int(rng.randrange(1, 7))
     return FullCochain(dim, degree, field, table)
+
+
+def regular_deformed_uple(a_f):
+    """(A, A, Id, f, f) over (A_f, A_f): the uple whose glue is the
+    regular A_f-bimodule."""
+    alg, f = a_f.base, a_f.f
+    reg = regular_bimodule(alg)
+    f_tables = [_columns([f.value((i, m)) for m in range(alg.dim)]) for i in range(alg.dim)]
+    g_tables = [_columns([f.value((m, i)) for m in range(alg.dim)]) for i in range(alg.dim)]
+    return DeformedBimodule(a_f, a_f, reg, reg, _identity(alg.dim, alg.field),
+                            f_tables, g_tables, check=False)
 
 
 def all_pass(report):
@@ -795,6 +806,25 @@ def context_consequences(ctx, pairing_a, pairing_b, gens_a, gens_b):
                                       pairing_a, pairing_b, gens_a, gens_b, ctx.field)
 
 
+def context_witness(message, defects):
+    """The oracle defect (kind, index tuple) that a MoritaContext error
+    names, asserted to be among the oracle's defects."""
+    for pattern, kind in CONTEXT_MESSAGES:
+        hit = re.match(pattern, message)
+        if hit:
+            witness = (kind, tuple(int(x) for x in hit.groups()))
+            assert witness in defects, (message, defects)
+            return witness
+    raise AssertionError("unparsed context error: %s" % message)
+
+
+def assert_context_witness(message, defects):
+    """The error names a tuple that the oracle flags, from the stage of
+    the oracle's first defect."""
+    kind, _ = context_witness(message, defects)
+    assert CONTEXT_STAGES[kind] == CONTEXT_STAGES[defects[0][0]], (message, defects[0])
+
+
 def context_verdict(ctx, pairing_a, pairing_b, gens_a, gens_b):
     """MoritaContext accepts the data exactly when the exhaustive oracle
     finds no failing axiom, and its error names a tuple the oracle flags,
@@ -809,15 +839,8 @@ def context_verdict(ctx, pairing_a, pairing_b, gens_a, gens_b):
     try:
         MoritaContext(ctx.a, ctx.b, ctx.p, ctx.q, pairing_a, pairing_b, gens_a, gens_b)
     except InputError as exc:
-        assert defects, exc
-        for pattern, kind in CONTEXT_MESSAGES:
-            hit = re.match(pattern, str(exc))
-            if hit:
-                assert (kind, tuple(int(x) for x in hit.groups())) in defects, (exc, defects)
-                assert CONTEXT_STAGES[kind] == CONTEXT_STAGES[defects[0][0]], \
-                    (exc, defects[0])
-                return False
-        raise AssertionError("unparsed context error: %s" % exc)
+        assert_context_witness(str(exc), defects)
+        return False
     assert not defects, defects[:1]
     assert context_consequences(ctx, pairing_a, pairing_b, gens_a, gens_b) == []
     return True
@@ -917,7 +940,9 @@ def test_context_consequences_oracle_rejects_refused_data(dual_numbers, two_cycl
 def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambda_m2,
                                                   monkeypatch):
     # the bijections onto A and B follow from the checked axioms, so a
-    # checked context builds no balanced product
+    # checked context builds no balanced product, and neither does the
+    # certificate: its two sides are one context over (A_f, B_g), whose
+    # axioms are checked once
     built = []
 
     class Counted(TensorProduct):
@@ -932,10 +957,150 @@ def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambd
     corner_context(lambda_m2)
     idempotent_context(two_cycle[1], dict(two_cycle[1].unit))
     assert built == []
-    # the counter sees the library's own constructions: the certificate
-    # builds one balanced product per side
-    verify_morita_deformed(identity_context(basis), golden_cochain(dual_numbers))
-    assert built == [1, 1]
+    ctx = matrix_context(basis, 2)
+    report, validated = certify(ctx, golden_cochain(dual_numbers), monkeypatch)
+    assert all_pass(report) == [] and built == []
+    assert len(validated) == 1
+    deformed = validated[0]
+    assert isinstance(deformed.a, Deformation) and deformed.a.base is ctx.a
+    assert isinstance(deformed.b, Deformation) and deformed.b.base is ctx.b
+    # the counter sees a construction through the module
+    morita.TensorProduct(ctx.p, ctx.q)
+    assert built == [1]
+
+
+def certify(ctx, f, monkeypatch):
+    """verify_morita_deformed(ctx, f), and the contexts whose axioms it
+    checked."""
+    validated = []
+
+    class Recorded(MoritaContext):
+        def _validate(self):
+            validated.append(self)
+            super()._validate()
+
+    monkeypatch.setattr(morita, "MoritaContext", Recorded)
+    report = verify_morita_deformed(ctx, f)
+    monkeypatch.setattr(morita, "MoritaContext", MoritaContext)
+    return report, validated
+
+
+def context_oracles(dctx):
+    """The failed axioms and the failed consequences that the exhaustive
+    oracles find on the raw tables of a context."""
+    args = (raw_algebra(dctx.a), raw_algebra(dctx.b), raw_bimodule(dctx.p),
+            raw_bimodule(dctx.q), dctx.pairing_a, dctx.pairing_b, dctx.gens_a,
+            dctx.gens_b, dctx.field)
+    return brute_context_defects(*args), brute_context_consequences(*args)
+
+
+def deformed_cases(fld):
+    """(name, context, cocycle on A) over fld: the five fixtures against
+    themselves and against M_2, lambda_m2 against its corner at e(1) and
+    the two-cycle algebra against its corner at the unit.  lambda_m2
+    carries the cocycle lifted from al (x) al -> e(1) on the corner."""
+    cases = []
+    for name in ("dual_numbers", "two_cycle", "triangle", "quantum_plane", "lambda_m2"):
+        af = parse_algebra_file(data_path(name + ".alg"), field_override=fld)
+        basis = compute_basis(af.quiver, af.relations, fld)
+        f = cochain_from_pairs(basis, af.cocycle_pairs)
+        if name == "lambda_m2":
+            corner = idempotent_context(basis, vertex_idempotent((af, basis), "1"))
+            g = FullCochain(corner.b.dim, 2, fld, {(1, 1): dict(corner.b.unit)})
+            f = transfer_psi(corner, g, 2)
+            cases.append((name + " corner", corner, f))
+        if name == "two_cycle":
+            cases.append((name + " corner", idempotent_context(basis, dict(basis.unit)), f))
+        cases += [(name, identity_context(basis), f), (name + " M_2", matrix_context(basis, 2), f)]
+    return cases
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_deformed_context_passes_the_oracles(fld, monkeypatch):
+    # the one context the certificate checks, read as raw tables: A_f,
+    # B_g, the glues of hat P and hat Q, both pairings and the generators;
+    # the oracles find no failing axiom on any basis tuple, and both
+    # balanced products, built densely on all basis triples, map
+    # bijectively onto A_f and B_g
+    for name, ctx, f in deformed_cases(fld):
+        report, validated = certify(ctx, f, monkeypatch)
+        assert all_pass(report) == [], name
+        assert len(validated) == 1, name
+        assert context_oracles(validated[0]) == ([], []), name
+
+
+def test_broken_deformed_contexts_fail_every_side_line(dual_numbers, lambda_m2,
+                                                       monkeypatch):
+    # omega doubled, or one entry of the pairing into B_g moved by a basis
+    # vector: the oracle finds a failing axiom, and every side line of the
+    # certificate fails with the context's message, which names a tuple
+    # the oracle flags, from the stage of its first defect
+    rng = random.Random(47)
+    real = morita._deformed_pairing
+    corner_alg, corner = corner_context(lambda_m2)
+    cases = [(matrix_context(dual_numbers[1], 2), golden_cochain(dual_numbers)),
+             (corner, transfer_psi(corner, FullCochain(corner.b.dim, 2, Q,
+                                                       {(1, 1): dict(corner.b.unit)}), 2))]
+    for base, f in cases:
+        fld = base.field
+        two = fld.from_int(2)
+
+        def omega_doubled(ctx, hat):
+            out = real(ctx, hat)
+            for (x, y), vec in out.items():
+                if x < ctx.p.dim and y < ctx.q.dim:
+                    out[(x, y)] = {r: (fld.mul(two, c) if r >= ctx.a.dim else c)
+                                   for r, c in vec.items()}
+            return out
+
+        def moved_on_b(ctx, hat):
+            out = real(ctx, hat)
+            if ctx.a is base.b:
+                key = (rng.randrange(2 * ctx.p.dim), rng.randrange(2 * ctx.q.dim))
+                out[key] = vector_plus(fld, out.get(key, {}), rng.randrange(2 * ctx.a.dim))
+            return out
+
+        for variant in (omega_doubled, moved_on_b, moved_on_b):
+            monkeypatch.setattr(morita, "_deformed_pairing", variant)
+            report, validated = certify(base, f, monkeypatch)
+            assert [ok for _, ok, _ in report[:3]] == [True] * 3
+            sides = report[3:]
+            assert len(sides) == 2 * len(SIDE_LINES)
+            assert not any(ok for _, ok, _ in sides)
+            witnesses = {detail for _, _, detail in sides}
+            assert len(witnesses) == 1
+            defects, _ = context_oracles(validated[0])
+            assert defects
+            assert_context_witness(witnesses.pop(), defects)
+    monkeypatch.setattr(morita, "_deformed_pairing", real)
+
+
+def test_deformed_context_over_doubled_transfer_is_refused(dual_numbers, monkeypatch):
+    # B_g built from 2 phi^2(f): the certificate stops at hat P, which is
+    # no bimodule; the context glued from the hats over (A_f, B_2g) is
+    # refused by its own axiom check and by both oracles
+    ctx = matrix_context(dual_numbers[1], 2)
+    f = golden_cochain(dual_numbers)
+    g2 = transfer_phi(ctx, f, 2).scale(Q.from_int(2))
+    real = morita.transfer_phi
+    monkeypatch.setattr(morita, "transfer_phi", lambda c, cochain, n=None:
+                        real(c, cochain, n).scale(Q.from_int(2)))
+    report = verify_morita_deformed(ctx, f)
+    assert [(name, ok) for name, ok, _ in report] == [
+        ("transferred-cocycle", True), ("deformed-p-bimodule", False),
+        ("deformed-q-bimodule", False)]
+    a_f, b_2g = deformed_pair(ctx, f, g2)
+    hat_p = build_hat_P(ctx, a_f, b_2g, check=False)
+    hat_q = build_hat_Q(ctx, a_f, b_2g, check=False)
+    dctx = MoritaContext(a_f, b_2g, hat_p.glued, hat_q.glued,
+                         morita._deformed_pairing(ctx, hat_p),
+                         morita._deformed_pairing(ctx.swap(), hat_q),
+                         ctx.gens_a, ctx.gens_b, check=False)
+    with pytest.raises(InputError) as exc:
+        dctx._validate()
+    defects, consequences = context_oracles(dctx)
+    assert consequences
+    context_witness(str(exc.value), defects)
 
 
 class Unbuildable:
