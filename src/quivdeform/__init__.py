@@ -8,11 +8,10 @@ quiver presentation of it, and transfers of cocycles across a Morita
 context, verifying every identity it claims by direct computation.
 """
 
-from .deform import (DeformedAlgebra, Equivalence, Presentation,
-                     build_presentation,
-                     check_image_condition, deformation_equivalence,
-                     deformed_multiply, hat_f, interreduce_presentation,
-                     normalize_cocycle, verify_presentation)
+from .deform import (DeformedAlgebra, Presentation, build_presentation,
+                     check_image_condition, deformation_equivalence, hat_f,
+                     interreduce_presentation, normalize_cocycle,
+                     verify_presentation)
 from .errors import (CharTwoUnsupported, ComputationError, EpsilonUnresolvable,
                      InputError, NormalizationFailed, NotACocycle,
                      NotFiniteDimensional, NotFullIdempotent)
@@ -30,20 +29,18 @@ from .linalg import FinDimAlgebra
 from .morita import (MoritaContext, TensorProduct, homotopy_h, idempotent_context,
                      matrix_context, transfer_phi, transfer_psi,
                      verify_morita_deformed)
-from .quiver import (AlgebraBasis, AlgebraElement, FreeElement, Quiver,
-                     compute_basis, decompose_unit,
-                     validate_admissible_relations)
+from .quiver import (AlgebraBasis, FreeElement, Quiver, compute_basis,
+                     decompose_unit, validate_admissible_relations)
 
 __all__ = [
-    "AlgebraBasis", "AlgebraElement", "AlgebraFile", "CharTwoUnsupported",
-    "ComputationError", "DeformedAlgebra", "EpsilonUnresolvable",
-    "Equivalence", "Field", "FinDimAlgebra", "FreeElement", "FullCochain",
+    "AlgebraBasis", "AlgebraFile", "CharTwoUnsupported",
+    "ComputationError", "DeformedAlgebra", "EpsilonUnresolvable", "Field", "FinDimAlgebra", "FreeElement", "FullCochain",
     "InputError", "LeftModule", "MoritaContext", "MorphismTriple",
     "NormalizationFailed", "NotACocycle", "NotFiniteDimensional", "NotFullIdempotent",
     "Presentation", "Quiver", "TensorProduct", "UpleModule",
     "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
-    "deformation_equivalence", "deformed_multiply", "differential",
+    "deformation_equivalence", "differential",
     "emit_algebra_text", "emit_dot", "emit_module_text", "full_differential",
     "functor_F", "hat_f", "hh_dimension", "hh_summary", "homotopy_h",
     "idempotent_context", "interreduce_presentation",

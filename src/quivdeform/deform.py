@@ -11,6 +11,9 @@ as structure constants of a FinDimAlgebra on the basis (x_i, 0),
 checks only the unit.  Each command proves d f = 0 once, where it reads
 the cochain.  DeformedAlgebra is the Deformation of an AlgebraBasis, the
 path basis of kQ/I and a FinDimAlgebra itself, for a reduced cochain.
+Elements of kQ/I and of A_f are coordinate dicts {index: scalar}, as for
+every FinDimAlgebra; (a, b) in A_f has a at the indices below dim A and b
+shifted by dim A.
 
 This module also builds the path-lifting map hat_f, read from the table
 of kQ/I, and a quiver presentation of the deformed algebra: every
@@ -26,8 +29,7 @@ from .errors import (ComputationError, EpsilonUnresolvable, InputError,
 from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
                          is_cocycle)
 from .linalg import FinDimAlgebra, SpanSolver, _addinto, _columns, _map_rank, map_apply
-from .quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
-                     relation_endpoints)
+from .quiver import FreeElement, Quiver, compute_basis, relation_endpoints
 
 
 class Deformation(FinDimAlgebra):
@@ -57,35 +59,16 @@ class Deformation(FinDimAlgebra):
 
 class DeformedAlgebra(Deformation):
     """A_f for a reduced 2-cochain f on the path basis of A: the
-    Deformation of the AlgebraBasis basis, which is its base, with the
-    conversions between its coordinates and pairs of AlgebraElements.
+    Deformation of the AlgebraBasis basis, which is its base.
 
     Basis: (gamma, 0) for gamma in the basis of A, then (0, gamma); so
-    index i < n is (basis path i, 0) and n + i is (0, basis path i).
+    index i < n is (basis path i, 0) and n + i is (0, basis path i), for
+    n = base.dim.
     """
 
     def __init__(self, basis, f):
         check_reduced(f, basis)
-        self.basis = basis
-        self.n = basis.dim
         super().__init__(basis, f)
-
-    def pair_to_coords(self, pair):
-        a, b = pair
-        vec = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            vec[self.n + k] = c
-        return vec
-
-    def coords_to_pair(self, vec):
-        a = {}
-        b = {}
-        for k, c in vec.items():
-            if k < self.n:
-                a[k] = c
-            else:
-                b[k - self.n] = c
-        return (AlgebraElement(self.basis, a), AlgebraElement(self.basis, b))
 
     def evaluation(self, quiver):
         """The map sending a free element over quiver to its image in
@@ -94,22 +77,21 @@ class DeformedAlgebra(Deformation):
         vertex v.  quiver is Q or the quiver of a presentation, which
         lists the hatted arrows of Q first, in their order, and then the
         added loops; a quiver of any other shape is refused."""
-        basis = self.basis
+        basis = self.base
         q = basis.quiver
         n_arrows = len(q.arrows)
         if (quiver.vertices != q.vertices
                 or [a[1:] for a in quiver.arrows[:n_arrows]] != [a[1:] for a in q.arrows]
                 or any(s != t for _, s, t in quiver.arrows[n_arrows:])):
             raise InputError("the quiver is not Q followed by loops")
-        images = [basis.element_from_path((s, a)).coeffs
-                  for a, (_, s, _) in enumerate(q.arrows)]
-        images += [{self.n + k: c for k, c in basis.element_from_path((s,)).coeffs.items()}
+        images = [basis.element_from_path((s, a)) for a, (_, s, _) in enumerate(q.arrows)]
+        images += [{basis.dim + k: c for k, c in basis.element_from_path((s,)).items()}
                    for _, s, _ in quiver.arrows[n_arrows:]]
 
         def evaluate(elem):
             total = {}
             for p, c in elem.terms.items():
-                cur = basis.element_from_path((p[0],)).coeffs
+                cur = basis.element_from_path((p[0],))
                 for a in p[1:]:
                     cur = self.mul(cur, images[a])
                 _addinto(self.field, total, cur, c)
@@ -125,20 +107,8 @@ class DeformedAlgebra(Deformation):
         return self.witness is None
 
 
-def deformed_multiply(x, y, deformed):
-    """(a0, b0)(a1, b1) in the deformed algebra."""
-    a0, b0 = x
-    a1, b1 = y
-    basis = deformed.basis
-    if (a0.basis is not basis or b0.basis is not basis
-            or a1.basis is not basis or b1.basis is not basis):
-        raise InputError("pair components belong to a different algebra")
-    return deformed.coords_to_pair(deformed.mul(deformed.pair_to_coords(x),
-                                                deformed.pair_to_coords(y)))
-
-
 def hat_f(w, basis, f):
-    """Value of the path-lifting map on a free element.
+    """Value of the path-lifting map on a free element, as coordinates.
 
     On a path a_1 ... a_s this is the sum over cut points of
     f(class of a_1..a_i, class of a_{i+1}) times the class of the tail
@@ -156,7 +126,7 @@ def hat_f(w, basis, f):
         s = len(p) - 1
         if s <= 1:
             continue
-        arrows = [basis.element_from_path((q.arrows[a][1], a)).coeffs for a in p[1:]]
+        arrows = [basis.element_from_path((q.arrows[a][1], a)) for a in p[1:]]
         tails = [None]  # tails[m]: class of the last m arrows, None for m = 0
         for x in reversed(arrows[2:]):
             tails.append(x if tails[-1] is None else basis.mul(x, tails[-1]))
@@ -169,7 +139,7 @@ def hat_f(w, basis, f):
             if head and tail is not None:
                 head = basis.mul(head, tail)
             _addinto(basis.field, out, head, c)
-    return AlgebraElement(basis, out)
+    return out
 
 
 def _hat_multiple_span(basis, f, endpoints=None):
@@ -194,9 +164,8 @@ def _hat_multiple_span(basis, f, endpoints=None):
                 if m.is_zero():
                     continue
                 val = hat_f(m, basis, f)
-                if val.is_zero():
-                    continue
-                solver.add(dict(val.coeffs), (u, k, v))
+                if val:
+                    solver.add(val, (u, k, v))
     return solver
 
 
@@ -241,60 +210,44 @@ def _arrow_cuts(q, p):
 def _transported_cocycle(basis, f):
     """The cohomologous representative obtained by pushing f through
     the two projective resolutions (down with the contracting homotopy,
-    back up with the cut-point comparison map)."""
+    back up with the cut-point comparison map).
+
+    Down, the generator at (w1, w2) goes to w1 c(w2) - c(w1 w2) + c(w1) w2,
+    where c(w) has one term l (x) a (x) r per occurrence of an arrow a in
+    w, l and r the classes of the paths before and after it.  Up, a term
+    with l the class of a path gamma goes to hat_f(gamma a - [gamma a]) r.
+    In c(w1 w2) and c(w1) w2 each such gamma a is a prefix of a basis
+    path, which is a standard monomial, since subwords of standard
+    monomials are standard; so [gamma a] = gamma a and those terms vanish.
+    Only w1 c(w2) is pushed, with l the class of w1 times the path before
+    a.
+    """
     q = basis.quiver
     fld = basis.field
-
-    def one_chains(path):
-        # image of the generator at a radical basis path in the
-        # arrow-spanned resolution: one term per arrow occurrence
-        return [(fld.one, basis.element_from_path(left), a,
-                 basis.element_from_path(right))
-                for left, a, right in _arrow_cuts(q, path)]
-
-    def scale_chain(chain, c, left=None, right=None):
-        out = []
-        for coef, l, a, r in chain:
-            nl = left * l if left is not None else l
-            nr = r * right if right is not None else r
-            out.append((fld.mul(coef, c), nl, a, nr))
-        return out
-
     table = {}
     rad = [basis.paths[i] for i in basis.radical_indices]
     for w1 in rad:
         for w2 in rad:
             if q.path_target(w1) != q.path_source(w2):
                 continue
-            e1 = basis.element_from_path(w1)
-            e2 = basis.element_from_path(w2)
-            chain = []
-            chain += scale_chain(one_chains(w2), fld.one, left=e1)
-            # admissible relations keep e1 * e2 in the radical; for
-            # others the is_cocycle check of normalize_cocycle refuses
-            for i, c in (e1 * e2).coeffs.items():
-                chain += scale_chain(one_chains(basis.paths[i]), fld.neg(c))
-            chain += scale_chain(one_chains(w1), fld.one, right=e2)
-            # push each term a (x) arrow (x) b through the relation-spanned
-            # resolution and evaluate
-            total = basis.zero()
-            for coef, l, a, r in chain:
-                for li, lc in l.coeffs.items():
+            total = {}
+            for left, a, right in _arrow_cuts(q, w2):
+                r = basis.element_from_path(right)
+                for li, lc in basis.element_from_path(q.compose(w1, left)).items():
                     gamma = basis.paths[li]
                     if len(gamma) == 1:
                         continue  # a trivial left slot contributes nothing
                     word = q.compose(gamma, (q.arrows[a][1], a))
                     if word is None:
                         continue
-                    expansion = basis.element_from_path(word)
-                    rho = FreeElement.from_path(q, fld, word) - expansion.to_free()
+                    rho = (FreeElement.from_path(q, fld, word)
+                           - basis.to_free(basis.element_from_path(word)))
                     if rho.is_zero():
                         continue
                     val = hat_f(rho, basis, f)
-                    if val.is_zero():
-                        continue
-                    total = total + (val * r).scale(fld.mul(coef, lc))
-            if not total.is_zero():
+                    if val:
+                        _addinto(fld, total, basis.mul(val, r), lc)
+            if total:
                 table[(w1, w2)] = total
     return cochain_from_paths(basis, 2, table)
 
@@ -403,8 +356,8 @@ def build_presentation(basis, f):
             src, tgt = relation_endpoints(rel)
             if (src, tgt) == (vi, vi):
                 val = hat_f(rel, basis, f)
-                if not val.is_zero():
-                    solver.add(dict(val.coeffs), len(candidates))
+                if val:
+                    solver.add(val, len(candidates))
                     candidates.append(k)
         combo = solver.express(e_vec(vi))
         if combo is None:
@@ -450,8 +403,7 @@ def build_presentation(basis, f):
              "commute:%s" % name)
     for k, rel in enumerate(relations):
         src, tgt = relation_endpoints(rel)
-        w = hat_f(rel, basis, f)
-        w_free = _hat_free(w.to_free(), quiver_f, fld)
+        w_free = _hat_free(basis.to_free(hat_f(rel, basis, f)), quiver_f, fld)
         lifted = _hat_free(rel, quiver_f, fld)
         emit(lifted - w_free * epsilon[q.vertices[tgt]].element,
              "lift:%d" % k)
@@ -485,7 +437,7 @@ def verify_presentation(deformed, pres, max_degree=30):
     """
     if deformed.f != pres.cocycle:
         raise InputError("the presentation was built for another cocycle")
-    basis = deformed.basis
+    basis = deformed.base
     fld = basis.field
     checks = []
 
@@ -520,22 +472,11 @@ def verify_presentation(deformed, pres, max_degree=30):
     return checks
 
 
-class Equivalence:
-    """Isomorphism between two deformations: (a, b) -> (a, b + g(a))."""
-
-    def __init__(self, g, basis):
-        self.g = g
-        self.basis = basis
-
-    def apply(self, pair):
-        a, b = pair
-        return (a, b + AlgebraElement(self.basis, self.g.evaluate(a.coeffs)))
-
-
 def deformation_equivalence(f, f2, basis):
-    """Explicit isomorphism between the two deformed algebras, or None
-    when the cocycles are not cohomologous.  The caller has proved f and
-    f2 to be cocycles, so A_f and A_f2 are associative.
+    """Explicit isomorphism phi: A_f -> A_f2, as a sparse map {index:
+    coordinates}, or None when the cocycles are not cohomologous.  The
+    caller has proved f and f2 to be cocycles, so A_f and A_f2 are
+    associative.
 
     Expanding phi(x) phi(y) = phi(xy) for phi(a, b) = (a, b + g(a))
     gives f - f2 = dg, which is the equation cobound_solve solves.  The
@@ -567,4 +508,4 @@ def deformation_equivalence(f, f2, basis):
                 raise ComputationError(
                     "the coboundary witness is not multiplicative at the "
                     "basis pair (%s, %s)" % (d_f.labels[r], d_f.labels[j]))
-    return Equivalence(g, basis)
+    return phi

@@ -31,7 +31,7 @@ otherwise, naming the offending pair.
 """
 
 from .errors import InputError
-from .linalg import SpanSolver, _addinto, map_combine
+from .linalg import SpanSolver, _addinto, _clean, map_combine
 
 
 def _products(table, keep):
@@ -176,7 +176,7 @@ def check_reduced(f, basis):
 
 def cochain_from_paths(basis, degree, table):
     """The cochain of degree 1, 2 or 3 whose value at a tuple of basis
-    paths is the AlgebraElement table[paths], keyed by basis indices.
+    paths is the coordinate dict table[paths], keyed by basis indices.
 
     This is the one entry point for path-keyed cochains, and it checks
     what the reduced complex needs: every key is a composable tuple of
@@ -197,9 +197,9 @@ def cochain_from_paths(basis, degree, table):
                 raise InputError("cochain key path %s is not a basis path"
                                  % q.path_str(p))
         key = tuple(basis.index[p] for p in key)
-        _check_entry(basis, key, value.coeffs)
-        if not value.is_zero():
-            out[key] = value.coeffs
+        value = _clean(basis.field, value)
+        _check_entry(basis, key, value)
+        out[key] = value
     return FullCochain(basis.dim, degree, basis.field, out)
 
 
@@ -263,9 +263,8 @@ def hh_summary(basis):
     return dim_z2, d1.dim, dim_z2 - d1.dim
 
 
-def hh_dimension(basis, n=2):
-    if n != 2:
-        raise InputError("only dim HH^2 is supported")
+def hh_dimension(basis):
+    """dim HH^2 on the reduced complex."""
     return hh_summary(basis)[2]
 
 

@@ -589,8 +589,9 @@ def idempotent_context(alg, evec):
     return MoritaContext(alg, b, p, q, pairing_a, pairing_b, gens_a, gens_b)
 
 
-def transfer_phi(ctx, f, n=None):
-    """phi^n(f): cochains on A to cochains on B, literal in gens_b.
+def transfer_phi(ctx, f):
+    """phi^n(f) for the degree n of f: cochains on A to cochains on B,
+    literal in gens_b.
 
     phi^n(f)(b_1..b_n) is the sum over generator indices u_0..u_n of
 
@@ -603,10 +604,7 @@ def transfer_phi(ctx, f, n=None):
     value f(x_k1..x_kn) closes the chain through V(k0)[u][v] =
     <q_u, x_k0 . p_v>_B.  The zero cochain costs nothing.
     """
-    if n is None:
-        n = f.degree
-    if n != f.degree:
-        raise InputError("cochain degree %d does not match n=%d" % (f.degree, n))
+    n = f.degree
     if not 1 <= n <= 3:
         raise InputError("transfer is implemented for degrees 1..3")
     if f.dim != ctx.a.dim:
@@ -654,22 +652,19 @@ def transfer_phi(ctx, f, n=None):
     return FullCochain(ctx.b.dim, n, fld, table)
 
 
-def transfer_psi(ctx, g, n=None):
+def transfer_psi(ctx, g):
     """psi^n(g): cochains on B to cochains on A; phi of the swapped context."""
-    return transfer_phi(ctx.swap(), g, n)
+    return transfer_phi(ctx.swap(), g)
 
 
-def homotopy_h(ctx, f, n=None):
-    """The homotopy h^n sending an n-cochain on A to an (n-1)-cochain.
+def homotopy_h(ctx, f):
+    """The homotopy h^n sending an n-cochain f on A to an (n-1)-cochain.
 
     Implemented for n = 2 and n = 3 from the displayed specializations
     h^2 = -h_1 + h_2 and h^3 = -h_1 + h_2 - h_3.  Together with the
     transfers it satisfies h d + d h = Id - psi phi on 2-cochains.
     """
-    if n is None:
-        n = f.degree
-    if n != f.degree:
-        raise InputError("cochain degree %d does not match n=%d" % (f.degree, n))
+    n = f.degree
     if f.dim != ctx.a.dim:
         raise InputError("cochain lives on the wrong algebra")
     if n not in (2, 3):
@@ -847,7 +842,7 @@ def build_hat_P(ctx, a_f, b_g, check=True):
     half = _half(fld)
     f, g = a_f.f, b_g.f
     p = ctx.p
-    h2f = homotopy_h(ctx, f, 2)
+    h2f = homotopy_h(ctx, f)
     one = fld.one
     f_tables = []
     for i in range(ctx.a.dim):
@@ -898,7 +893,7 @@ def build_hat_Q(ctx, a_f, b_g, check=True):
     half = _half(fld)
     f, g = a_f.f, b_g.f
     q = ctx.q
-    h2f = homotopy_h(ctx, f, 2)
+    h2f = homotopy_h(ctx, f)
     one = fld.one
     g_tables = []
     for j in range(ctx.b.dim):
@@ -1074,7 +1069,7 @@ def verify_morita_deformed(ctx, f):
         raise InputError("expected a 2-cochain on A")
     if not is_full_cocycle(f, ctx.a):
         raise InputError("f must be a Hochschild 2-cocycle on A")
-    g = transfer_phi(ctx, f, 2)
+    g = transfer_phi(ctx, f)
     checks = [("transferred-cocycle", is_full_cocycle(g, ctx.b),
                "phi^2(f) is a 2-cocycle on B")]
     if not checks[0][1]:

@@ -18,8 +18,8 @@ applies to words of every length.
 
 AlgebraBasis is kQ/I as a FinDimAlgebra on the standard monomials: its
 structure table holds the normal forms of products of basis paths, and
-AlgebraElement, an element in basis coordinates, multiplies through it
-with the sparse helpers of linalg.
+an element of kQ/I is, as for every FinDimAlgebra, a coordinate dict
+{basis index: scalar} that multiplies through that table.
 """
 
 from collections import deque
@@ -379,64 +379,6 @@ class RewriteSystem:
         return out
 
 
-class AlgebraElement:
-    """Element of kQ/I in basis coordinates: {basis index: scalar}."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis, coeffs=None):
-        self.basis = basis
-        f = basis.field
-        self.coeffs = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                if c != f.zero:
-                    self.coeffs[i] = c
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement) and self.basis is other.basis
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if other.basis is not self.basis:
-            raise InputError("elements belong to a different basis")
-        f = self.basis.field
-        return AlgebraElement(self.basis, _addinto(f, dict(self.coeffs), other.coeffs, f.one))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.basis.field
-        return self.scale(f.neg(f.one))
-
-    def scale(self, c):
-        return AlgebraElement(self.basis, _scaled(self.basis.field, self.coeffs, c))
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return self.scale(other)
-        if other.basis is not self.basis:
-            raise InputError("elements belong to a different basis")
-        return AlgebraElement(self.basis, self.basis.mul(self.coeffs, other.coeffs))
-
-    def to_free(self):
-        b = self.basis
-        return FreeElement(b.quiver, b.field,
-                           {b.paths[i]: c for i, c in self.coeffs.items()})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return repr(self.to_free())
-
-
 class AlgebraBasis(FinDimAlgebra):
     """kQ/I as a FinDimAlgebra on its monomial basis, with exact normal
     forms.
@@ -472,23 +414,21 @@ class AlgebraBasis(FinDimAlgebra):
                          {i: field.one for i in self.trivial_indices},
                          [quiver.path_str(p) for p in paths], check=False)
 
-    def zero(self):
-        return AlgebraElement(self)
-
-    def basis_element(self, i):
-        return AlgebraElement(self, {i: self.field.one})
-
     def element_from_path(self, p):
         # a standard monomial is irreducible, so only other words rewrite
         i = self.index.get(p)
         if i is not None:
-            return self.basis_element(i)
+            return {i: self.field.one}
         return self.normal_form(FreeElement.from_path(self.quiver, self.field, p))
 
     def normal_form(self, x):
         """Image of a free element in kQ/I, in basis coordinates."""
         nf = self.rewrite.reduce(x)
-        return AlgebraElement(self, {self.index[p]: c for p, c in nf.terms.items()})
+        return {self.index[p]: c for p, c in nf.terms.items()}
+
+    def to_free(self, vec):
+        """The combination of basis paths with the coordinates vec."""
+        return FreeElement(self.quiver, self.field, {self.paths[i]: c for i, c in vec.items()})
 
     def reduces_to_zero(self, x):
         return self.rewrite.reduce(x).is_zero()

@@ -9,8 +9,8 @@ import time
 
 from quivdeform.cli import run
 from quivdeform.deform import (DeformedAlgebra, build_presentation,
-                               deformation_equivalence, deformed_multiply,
-                               hat_f, normalize_cocycle, verify_presentation)
+                               deformation_equivalence, hat_f,
+                               normalize_cocycle, verify_presentation)
 from quivdeform.fields import Field
 from quivdeform.fileio import (emit_algebra_text, parse_algebra_file,
                                parse_algebra_text, parse_expression)
@@ -18,12 +18,12 @@ from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    cochain_from_paths, differential,
                                    full_differential, hh_dimension, is_cocycle,
                                    is_full_cocycle)
+from quivdeform.linalg import map_apply
 from quivdeform.modcat import (LeftModule, functor_F, reconstruct,
                                regular_module, regular_uple, roundtrip_triple)
 from quivdeform.morita import (FinDimAlgebra, homotopy_h, matrix_context,
                                transfer_phi, transfer_psi, verify_morita_deformed)
-from quivdeform.quiver import (AlgebraElement, FreeElement, Quiver,
-                               compute_basis)
+from quivdeform.quiver import FreeElement, Quiver, compute_basis
 
 from conftest import data_path, identity_context, load_basis
 from oracles import dense_inverse, dense_matmul, sparse_of
@@ -51,12 +51,12 @@ def example_cochain(name, field=None):
 
 
 def path_product(basis, deformed, p):
-    """(alpha_1, 0) ... (alpha_s, 0) along the path p."""
+    """(alpha_1, 0) ... (alpha_s, 0) along the path p, as coordinates of
+    A_f, where (a, b) has b shifted by dim A."""
     q = basis.quiver
-    cur = (basis.element_from_path((p[0],)), basis.zero())
+    cur = basis.element_from_path((p[0],))
     for a in p[1:]:
-        arrow = (basis.element_from_path((q.arrows[a][1], a)), basis.zero())
-        cur = deformed_multiply(cur, arrow, deformed)
+        cur = deformed.mul(cur, basis.element_from_path((q.arrows[a][1], a)))
     return cur
 
 
@@ -115,9 +115,9 @@ def test_criterion_1_example_presentations(tmp_path):
         if not (mine.dim == them.dim == exp["dim"]):
             failures.append("%s: dims %d/%d, expected %d"
                             % (name, mine.dim, them.dim, exp["dim"]))
-        if any(not them.normal_form(r).is_zero() for r in back.relations):
+        if any(them.normal_form(r) for r in back.relations):
             failures.append(name + ": emitted ideal escapes the golden one")
-        if any(not mine.normal_form(r).is_zero() for r in want):
+        if any(mine.normal_form(r) for r in want):
             failures.append(name + ": golden ideal escapes the emitted one")
     elapsed = time.monotonic() - start
     if elapsed >= 5.0:
@@ -233,7 +233,8 @@ def test_criterion_4_image_lemma():
         for p in basis.paths:
             cur = path_product(basis, deformed, p)
             w = FreeElement.from_path(basis.quiver, basis.field, p)
-            if cur[0] != basis.normal_form(w) or cur[1] != hat_f(w, basis, f):
+            t_part = {basis.dim + k: c for k, c in hat_f(w, basis, f).items()}
+            if cur != {**basis.normal_form(w), **t_part}:
                 failures.append("%s: path %s" % (name, basis.quiver.path_str(p)))
     report(4, "arrow products track (w, f^(w)) on all basis paths", failures)
 
@@ -276,7 +277,7 @@ def test_criterion_6_transfer_identities():
     ctx = identity_context(basis7)
     for _ in range(20):
         f = random_full_cochain(rng, F7, basis7.dim, 2)
-        if transfer_phi(ctx, f, 2) != f or transfer_psi(ctx, f, 2) != f:
+        if transfer_phi(ctx, f) != f or transfer_psi(ctx, f) != f:
             failures.append("identity context moves a cochain")
 
     for field in (F7, Q):
@@ -288,16 +289,16 @@ def test_criterion_6_transfer_identities():
             for _ in range(20):
                 f = random_full_cochain(rng, field, basis.dim, 2)
                 df = full_differential(f, ctx.a)
-                if full_differential(transfer_phi(ctx, f, 2), ctx.b) \
-                        != transfer_phi(ctx, df, 3):
+                if full_differential(transfer_phi(ctx, f), ctx.b) \
+                        != transfer_phi(ctx, df):
                     failures.append(tag + ": phi chain map")
                 g = random_full_cochain(rng, field, ctx.b.dim, 2)
-                if full_differential(transfer_psi(ctx, g, 2), ctx.a) \
-                        != transfer_psi(ctx, full_differential(g, ctx.b), 3):
+                if full_differential(transfer_psi(ctx, g), ctx.a) \
+                        != transfer_psi(ctx, full_differential(g, ctx.b)):
                     failures.append(tag + ": psi chain map")
-                lhs = homotopy_h(ctx, df, 3) \
-                    + full_differential(homotopy_h(ctx, f, 2), ctx.a)
-                if lhs != f - transfer_psi(ctx, transfer_phi(ctx, f, 2), 2):
+                lhs = homotopy_h(ctx, df) \
+                    + full_differential(homotopy_h(ctx, f), ctx.a)
+                if lhs != f - transfer_psi(ctx, transfer_phi(ctx, f)):
                     failures.append(tag + ": homotopy identity")
     elapsed = time.monotonic() - start
     if elapsed >= 30.0:
@@ -393,7 +394,7 @@ def random_reduced_one_cochain(rng, basis):
                     and rng.randrange(2)):
                 coeffs[j] = basis.field.from_int(rng.randrange(1, 5))
         if coeffs:
-            table[(p,)] = AlgebraElement(basis, coeffs)
+            table[(p,)] = coeffs
     return cochain_from_paths(basis, 1, table)
 
 
@@ -437,10 +438,10 @@ def test_criterion_9_property_suites():
                     q, basis.field, random_walk(rng, q, rng.randrange(5)),
                     basis.field.from_int(rng.randrange(-3, 4)))
             nx = basis.normal_form(x)
-            if basis.normal_form(nx.to_free()) != nx:
+            if basis.normal_form(basis.to_free(nx)) != nx:
                 failures.append(name + ": normal form not idempotent")
             if basis.normal_form(x * y) != basis.normal_form(
-                    nx.to_free() * basis.normal_form(y).to_free()):
+                    basis.to_free(nx) * basis.to_free(basis.normal_form(y))):
                 failures.append(name + ": normal form not multiplicative")
 
         emitted = emit_algebra_text(af.field, af.quiver, af.relations,
@@ -463,15 +464,10 @@ def test_criterion_9_property_suites():
                 failures.append(name + ": coboundary shift not recognised")
                 continue
             other = DeformedAlgebra(basis, f2)
-            n = basis.dim
-            pairs = [(basis.basis_element(i % n), basis.zero()) if i < n
-                     else (basis.zero(), basis.basis_element(i % n))
-                     for i in range(2 * n)]
-            for x in pairs:
-                for y in pairs:
-                    lhs = phi.apply(deformed_multiply(x, y, deformed))
-                    rhs = deformed_multiply(phi.apply(x), phi.apply(y), other)
-                    if lhs[0] != rhs[0] or lhs[1] != rhs[1]:
+            for i in range(deformed.dim):
+                for j in range(deformed.dim):
+                    lhs = map_apply(phi, deformed.multiply_basis(i, j), basis.field)
+                    if lhs != other.mul(phi[i], phi[j]):
                         failures.append(name + ": equivalence not multiplicative")
     report(9, "differential, normal form, file and equivalence properties",
            failures)

@@ -8,12 +8,12 @@ from quivdeform import cli, deform, hochschild, linalg, modcat, morita
 from quivdeform.cli import run
 from quivdeform.deform import DeformedAlgebra
 from quivdeform.fileio import (emit_algebra_text, emit_module_text,
-                               parse_algebra_text)
+                               parse_algebra_file, parse_algebra_text)
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    cochain_from_paths, differential,
                                    full_differential, is_full_cocycle)
 from quivdeform.modcat import LeftModule, regular_module
-from quivdeform.quiver import AlgebraElement, FreeElement, compute_basis
+from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path, load_basis
 from oracles import (brute_associator, brute_deformed_table,
@@ -140,6 +140,61 @@ def test_deform_dual_numbers_golden(capsys):
     assert out == DUAL_PRESENTATION
 
 
+# the other fixtures; test_deform_dual_numbers_golden has the dual numbers
+DEFORM_GOLDEN = {
+    "two_cycle": """\
+# presentation of the deformed algebra (dim 10)
+field Q
+vertex 1 2
+arrow a1^ : 1 -> 2
+arrow a2^ : 2 -> 1
+arrow e^2 : 2 -> 2
+relation a1^*a2^*a1^*a2^  # origin: square-zero:1
+relation e^2*e^2  # origin: square-zero:2
+relation -a1^*e^2 + a1^*a2^*a1^  # origin: commute:a1
+relation e^2*a2^ - a2^*a1^*a2^  # origin: commute:a2
+""",
+    "triangle": """\
+# presentation of the deformed algebra (dim 12)
+field Q
+vertex 1 2 3
+arrow a1^ : 1 -> 2
+arrow a2^ : 2 -> 3
+arrow a3^ : 1 -> 3
+arrow e^1 : 1 -> 1
+arrow e^2 : 2 -> 2
+arrow e^3 : 3 -> 3
+relation e^1*e^1  # origin: square-zero:1
+relation e^2*e^2  # origin: square-zero:2
+relation e^3*e^3  # origin: square-zero:3
+relation -a1^*e^2 + e^1*a1^  # origin: commute:a1
+relation -a2^*e^3 + e^2*a2^  # origin: commute:a2
+relation -a3^*e^3 + e^1*a3^  # origin: commute:a3
+relation a1^*a2^ - a3^*e^3  # origin: lift:0
+""",
+    "quantum_plane": """\
+# presentation of the deformed algebra (dim 8)
+field Q
+vertex 1
+arrow a^ : 1 -> 1
+arrow b^ : 1 -> 1
+arrow e^1 : 1 -> 1
+relation e^1*e^1  # origin: square-zero:1
+relation -a^*e^1 + e^1*a^  # origin: commute:a
+relation -b^*e^1 + e^1*b^  # origin: commute:b
+relation a^*a^  # origin: lift:0
+relation b^*b^  # origin: lift:1
+relation a^*b^ + b^*a^ - b^*a^*e^1  # origin: lift:2
+""",
+}
+
+
+def test_deform_golden(capsys):
+    for name, text in DEFORM_GOLDEN.items():
+        assert run(["deform", data_path(name + ".alg")]) == 0, name
+        assert capsys.readouterr().out == text, name
+
+
 def test_deform_output_roundtrips_and_doubles(capsys):
     for name in ("dual_numbers", "two_cycle", "triangle", "quantum_plane"):
         af, basis = load_basis(name + ".alg")
@@ -200,10 +255,10 @@ def test_deform_interreduce_same_ideal(capsys):
     basis_red = compute_basis(red.quiver, red.relations, red.field, 30)
     for r in raw.relations:
         assert basis_red.normal_form(
-            FreeElement(red.quiver, red.field, dict(r.terms))).is_zero()
+            FreeElement(red.quiver, red.field, dict(r.terms))) == {}
     for r in red.relations:
         assert basis_raw.normal_form(
-            FreeElement(raw.quiver, raw.field, dict(r.terms))).is_zero()
+            FreeElement(raw.quiver, raw.field, dict(r.terms))) == {}
 
 
 def _truncated_with_cocycle(n):
@@ -248,6 +303,33 @@ def test_verify_deform_all_fixtures(capsys):
         assert "overall: PASS" in out
 
 
+VERIFY_DEFORM = """\
+cocycle: PASS  d^2 f = 0
+associativity: PASS  all {dim}^3 basis triples
+path-products: PASS  {paths} of {paths} basis paths multiply to (w, f^(w))
+relation-identity: PASS  {rels} of {rels} relations land on (0, f^(rho))
+image-condition: PASS  {image}
+dimension: PASS  dim kQ_f/I_f = {dim}, expected {dim}
+relations-vanish: PASS  {gens} of {gens} generators evaluate to zero
+independence: PASS  rank {dim} of {dim} evaluated candidates
+overall: PASS
+"""
+
+
+def verify_deform_golden(dim, paths, rels, gens,
+                         image="holds for the given representative"):
+    """The passing report for A_f of dimension dim, with paths basis paths
+    and rels relations in A and gens generators in the presentation."""
+    return VERIFY_DEFORM.format(dim=dim, paths=paths, rels=rels, gens=gens, image=image)
+
+
+def test_verify_deform_golden(capsys):
+    for name, sizes in (("dual_numbers", (4, 2, 1, 1)), ("two_cycle", (10, 5, 1, 4)),
+                        ("triangle", (12, 6, 1, 7)), ("quantum_plane", (8, 4, 3, 6))):
+        assert run(["verify-deform", data_path(name + ".alg")]) == 0, name
+        assert capsys.readouterr().out == verify_deform_golden(*sizes), name
+
+
 def test_verify_deform_needs_admissible_relations(capsys):
     # relations like u*v - e(1) put trivial paths into radical products;
     # the reduced complex is not defined there and the input is refused
@@ -277,7 +359,7 @@ def shifted_two_cycle(tmp_path):
     g = cochain_from_paths(basis, 1, {(q.path_from_arrow_names(["a2", "a1"]),):
                                       basis.element_from_path(q.trivial_path("2"))})
     shifted = cochain_from_pairs(basis, af.cocycle_pairs) + differential(g, basis)
-    pairs = {tuple(basis.paths[i] for i in key): AlgebraElement(basis, vec).to_free()
+    pairs = {tuple(basis.paths[i] for i in key): basis.to_free(vec)
              for key, vec in shifted.table.items()}
     path = tmp_path / "shifted.alg"
     path.write_text(emit_algebra_text(af.field, af.quiver, af.relations,
@@ -318,6 +400,25 @@ def test_verify_deform_checks_each_cocycle_once(tmp_path, capsys, monkeypatch):
     assert [len(v) for v in seen.values()] == [2, 2]
     for cochains in seen.values():
         assert all(a != b for k, a in enumerate(cochains) for b in cochains[k + 1:])
+
+
+def test_deform_golden_after_a_coboundary_shift(tmp_path, capsys):
+    # the moved cocycle fails the image condition, so the presentation is
+    # built for the representative of normalize_cocycle: here the file's
+    # own cocycle, so the text is that of the unmoved two-cycle algebra
+    path = shifted_two_cycle(tmp_path)
+    assert run(["deform", str(path)]) == 0
+    assert capsys.readouterr().out == DEFORM_GOLDEN["two_cycle"]
+    assert run(["verify-deform", str(path)]) == 0
+    assert capsys.readouterr().out == verify_deform_golden(
+        10, 5, 1, 4, image="restored by a cohomologous representative")
+    af = parse_algebra_file(str(path))
+    basis = compute_basis(af.quiver, af.relations, af.field, 30)
+    moved = cochain_from_pairs(basis, af.cocycle_pairs)
+    pres, _ = deform.build_presentation(basis, moved)
+    af0, _ = load_basis("two_cycle.alg")
+    assert pres.cocycle != moved
+    assert pres.cocycle == cochain_from_pairs(basis, af0.cocycle_pairs)
 
 
 def test_verify_deform_broken_cocycle(tmp_path, capsys):
@@ -370,10 +471,9 @@ def test_equiv_coboundary_shift(tmp_path, capsys):
     q = af.quiver
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     g = cochain_from_paths(basis, 1, {(q.arrow_path("a1"),):
-                           basis.element_from_path(q.arrow_path("a1")).scale(
-                               basis.field.parse("2"))})
+                           {basis.index[q.arrow_path("a1")]: basis.field.parse("2")}})
     shifted = f + differential(g, basis)
-    pairs = {tuple(basis.paths[i] for i in key): AlgebraElement(basis, vec).to_free()
+    pairs = {tuple(basis.paths[i] for i in key): basis.to_free(vec)
              for key, vec in shifted.table.items()}
     moved = tmp_path / "shifted.alg"
     moved.write_text(emit_algebra_text(af.field, af.quiver, af.relations,
@@ -498,8 +598,8 @@ def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
     af, basis = load_basis("dual_numbers.alg")
     one = basis.field.one
 
-    def broken_psi(ctx, g, n=None):
-        out = morita.transfer_psi(ctx, g, n)
+    def broken_psi(ctx, g):
+        out = morita.transfer_psi(ctx, g)
         if out.degree == 2:
             out = out + FullCochain(out.dim, 2, out.field, {(0, 1): {0: one}})
         return out
@@ -512,14 +612,14 @@ def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
 
     ctx = morita.matrix_context(basis, 2)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    g = morita.transfer_phi(ctx, f, 2)
-    back = broken_psi(ctx, g, 2)
+    g = morita.transfer_phi(ctx, f)
+    back = broken_psi(ctx, g)
     df = full_differential(f, basis)
     sides = {
         "chain-map-psi": (full_differential(back, basis),
-                          broken_psi(ctx, full_differential(g, ctx.b), 3)),
-        "homotopy": (morita.homotopy_h(ctx, df, 3)
-                     + full_differential(morita.homotopy_h(ctx, f, 2), basis), f - back),
+                          broken_psi(ctx, full_differential(g, ctx.b))),
+        "homotopy": (morita.homotopy_h(ctx, df)
+                     + full_differential(morita.homotopy_h(ctx, f), basis), f - back),
     }
     for name, (lhs, rhs) in sides.items():
         line = next(l for l in lines if l.startswith(name + ": FAIL"))
@@ -606,8 +706,8 @@ def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
     # generator check runs over them
     real = morita.transfer_phi
 
-    def broken(ctx, f, n=None):
-        g = real(ctx, f, n)
+    def broken(ctx, f):
+        g = real(ctx, f)
         bumped = g + FullCochain(ctx.b.dim, 2, ctx.field, {(0, 0): {0: ctx.field.one}})
         assert not is_full_cocycle(bumped, ctx.b)
         return bumped

@@ -71,7 +71,7 @@ def test_functor_on_regular_uple_is_left_multiplication(
 
 def test_regular_reconstruction_recovers_f(dual_numbers):
     d = deformed_of(dual_numbers)
-    basis = d.basis
+    basis = d.base
     rec = reconstruct(regular_module(d))
     u = rec.uple
     assert u.t == {i: {i: Q.one} for i in range(basis.dim)}
@@ -93,8 +93,8 @@ def test_zero_module(dual_numbers):
 def test_t_action_is_central_among_first_components(two_cycle):
     d = deformed_of(two_cycle)
     mod = regular_module(d)
-    n = d.n
-    t_mat = mod.action_of({n + i: Q.one for i in d.basis.trivial_indices})
+    n = d.base.dim
+    t_mat = mod.action_of({n + i: Q.one for i in d.base.trivial_indices})
     for i in range(n):
         assert map_compose(t_mat, mod.actions[i], Q) == map_compose(mod.actions[i], t_mat, Q)
 
@@ -141,7 +141,7 @@ def random_uple(d, rng):
     fld = d.field
     new_t = map_combine([(c, u.t)], fld)
     new_f = []
-    for i in range(d.n):
+    for i in range(d.base.dim):
         delta = map_compose(u.m1.actions[i], s, fld)
         move = map_compose(s, u.m0.actions[i], fld)
         new_f.append(map_combine([(c, u.f_tables[i]), (fld.one, delta),
@@ -198,7 +198,7 @@ def test_submodule_of_regular_two_cycle(two_cycle):
     mod = regular_module(d)
     # the cyclic module generated by (e(1), 0): spans e1, a1, and the
     # deformed products that fall out of them
-    gen = {d.basis.trivial_indices[0]: Q.one}
+    gen = {d.base.trivial_indices[0]: Q.one}
     sub = submodule(mod, [gen])
     assert 0 < sub.dim < d.dim
     reconstruct(sub)  # validates
@@ -306,7 +306,7 @@ def triple_verdict(src, tgt, u0, u1, u2):
     finds to be a module map, and its error names a generator of A_f and
     a coordinate at which the oracle finds the map fails to commute."""
     block = glued_block(u0, u1, u2, src.m0.dim, tgt.m0.dim)
-    defects = brute_map_defects(src.deformed.n, raw_uple(src), raw_uple(tgt), block,
+    defects = brute_map_defects(src.deformed.base.dim, raw_uple(src), raw_uple(tgt), block,
                                 src.deformed.field)
     try:
         MorphismTriple(src, tgt, u0, u1, u2)
@@ -344,7 +344,7 @@ def test_uples_agree_with_the_oracle(dual_numbers, two_cycle, triangle, quantum_
     rng = random.Random(17)
     for fixture in (dual_numbers, two_cycle, triangle, quantum_plane):
         d = deformed_of(fixture)
-        n = d.n
+        n = d.base.dim
         for u in (regular_uple(d), random_uple(d, rng)):
             assert uple_verdict(d, u.m0, u.m1, u.t, u.f_tables)
             # some perturbed entries still give an uple (f_M may move by a

@@ -71,7 +71,7 @@ def deformed_pair(ctx, f, g=None):
     verify_morita_deformed, each cocycle is proved before its Deformation
     is built, and a non-cocycle raises InputError."""
     if g is None:
-        g = transfer_phi(ctx, f, 2)
+        g = transfer_phi(ctx, f)
     for alg, cochain in ((ctx.a, f), (ctx.b, g)):
         if not is_full_cocycle(cochain, alg):
             raise InputError("not a 2-cocycle")
@@ -135,7 +135,7 @@ def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
     _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(basis, 2)
-    g = transfer_phi(ctx, f, 2)
+    g = transfer_phi(ctx, f)
     algebras += [ctx.b, Deformation(basis, f),
                  Deformation(ctx.b, g)]
     for alg in algebras:
@@ -212,7 +212,7 @@ def test_matrix_context_n1_matches_identity(two_cycle):
     rng = random.Random(5)
     for _ in range(5):
         f = random_cochain(rng, Q, basis.dim, 2)
-        assert transfer_phi(ctx1, f, 2) == transfer_phi(ctx0, f, 2)
+        assert transfer_phi(ctx1, f) == transfer_phi(ctx0, f)
 
 
 def test_idempotent_context_corner(lambda_m2):
@@ -296,9 +296,8 @@ def test_transfer_against_brute_force(dual_numbers, two_cycle, lambda_m2):
 def test_transfer_degree_errors(dual_numbers):
     _, basis = dual_numbers
     ctx = identity_context(basis)
-    f = FullCochain(basis.dim, 2, Q, {})
-    with pytest.raises(InputError):
-        transfer_phi(ctx, f, 3)
+    with pytest.raises(InputError, match="degrees 1..3"):
+        transfer_phi(ctx, FullCochain(basis.dim, 4, Q, {}))
     with pytest.raises(InputError):
         transfer_phi(ctx, FullCochain(basis.dim + 1, 2, Q, {}))
     with pytest.raises(InputError):
@@ -312,7 +311,7 @@ def test_homotopy_identity_context_closed_form(dual_numbers):
     rng = random.Random(29)
     for _ in range(10):
         f = random_cochain(rng, Q, basis.dim, 2)
-        h = homotopy_h(ctx, f, 2)
+        h = homotopy_h(ctx, f)
         for t in range(basis.dim):
             et = {t: Q.one}
             want = {}
@@ -332,7 +331,7 @@ def test_transferred_cocycle_is_cocycle(dual_numbers, lambda_m2):
     f = golden_cochain(dual_numbers)
     for n in (2, 3):
         ctx = matrix_context(basis, n)
-        g = transfer_phi(ctx, f, 2)
+        g = transfer_phi(ctx, f)
         assert is_full_cocycle(g, ctx.b)
 
 
@@ -342,11 +341,11 @@ def test_chain_maps_matrix_context(dual_numbers):
     rng = random.Random(31)
     for _ in range(5):
         f = random_cochain(rng, Q, basis.dim, 2)
-        assert full_differential(transfer_phi(ctx, f, 2), ctx.b) == \
-            transfer_phi(ctx, full_differential(f, basis), 3)
+        assert full_differential(transfer_phi(ctx, f), ctx.b) == \
+            transfer_phi(ctx, full_differential(f, basis))
         g = random_cochain(rng, Q, ctx.b.dim, 2)
-        assert full_differential(transfer_psi(ctx, g, 2), basis) == \
-            transfer_psi(ctx, full_differential(g, ctx.b), 3)
+        assert full_differential(transfer_psi(ctx, g), basis) == \
+            transfer_psi(ctx, full_differential(g, ctx.b))
 
 
 def test_homotopy_identity(dual_numbers, lambda_m2):
@@ -360,9 +359,9 @@ def test_homotopy_identity(dual_numbers, lambda_m2):
     for a, ctx in cases:
         for _ in range(5):
             f = random_cochain(rng, Q, a.dim, 2)
-            lhs = homotopy_h(ctx, full_differential(f, a), 3) + \
-                full_differential(homotopy_h(ctx, f, 2), a)
-            rhs = f - transfer_psi(ctx, transfer_phi(ctx, f, 2), 2)
+            lhs = homotopy_h(ctx, full_differential(f, a)) + \
+                full_differential(homotopy_h(ctx, f), a)
+            rhs = f - transfer_psi(ctx, transfer_phi(ctx, f))
             assert lhs == rhs
 
 
@@ -371,14 +370,14 @@ def test_cocycle_transfer_roundtrip_is_coboundary(dual_numbers, lambda_m2):
     _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(basis, 3)
-    defect = f - transfer_psi(ctx, transfer_phi(ctx, f, 2), 2)
-    assert defect == full_differential(homotopy_h(ctx, f, 2), basis)
+    defect = f - transfer_psi(ctx, transfer_phi(ctx, f))
+    assert defect == full_differential(homotopy_h(ctx, f), basis)
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
-    fa = transfer_psi(corner, g, 2)
+    fa = transfer_psi(corner, g)
     assert is_full_cocycle(fa, corner_alg)
-    defect = fa - transfer_psi(corner, transfer_phi(corner, fa, 2), 2)
-    assert defect == full_differential(homotopy_h(corner, fa, 2), corner_alg)
+    defect = fa - transfer_psi(corner, transfer_phi(corner, fa))
+    assert defect == full_differential(homotopy_h(corner, fa), corner_alg)
 
 
 def test_corner_transfer_frozen_value(lambda_m2):
@@ -388,7 +387,7 @@ def test_corner_transfer_frozen_value(lambda_m2):
     af, basis = lambda_m2
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
-    fa = transfer_psi(corner, g, 2)
+    fa = transfer_psi(corner, g)
     lab = {name: i for i, name in enumerate(corner_alg.labels)}
     one = Q.one
     want = {
@@ -416,7 +415,7 @@ def test_hat_bimodules_satisfy_conditions(dual_numbers, lambda_m2):
         assert build_hat_Q(ctx, *deformed_pair(ctx, f)).violations() == []
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
-    fa = transfer_psi(corner, g, 2)
+    fa = transfer_psi(corner, g)
     assert build_hat_P(corner, *deformed_pair(corner, fa)).violations() == []
     assert build_hat_Q(corner, *deformed_pair(corner, fa)).violations() == []
 
@@ -559,7 +558,7 @@ def certificate_cases(dual_numbers, two_cycle, triangle, quantum_plane, lambda_m
                   golden_cochain(dual_numbers)))
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
-    cases.append((corner, transfer_psi(corner, g, 2)))
+    cases.append((corner, transfer_psi(corner, g)))
     return cases
 
 
@@ -613,7 +612,7 @@ def test_broken_uples_match_oracle(dual_numbers):
     t = dict(hat.t)
     t[0] = {0: Q.from_int(2)}  # T scaled on one column no longer intertwines
     singular = {m: col for m, col in hat.t.items() if m != 0}  # T kills x_0
-    g2 = transfer_phi(ctx, f, 2).scale(Q.from_int(2))
+    g2 = transfer_phi(ctx, f).scale(Q.from_int(2))
     for uple in (variant(f_tables=f_tables), variant(g_tables=g_tables), variant(t=t),
                  variant(t=singular),
                  build_hat_P(ctx, a_f, Deformation(ctx.b, g2), check=False)):
@@ -1007,7 +1006,7 @@ def deformed_cases(fld):
         if name == "lambda_m2":
             corner = idempotent_context(basis, vertex_idempotent((af, basis), "1"))
             g = FullCochain(corner.b.dim, 2, fld, {(1, 1): dict(corner.b.unit)})
-            f = transfer_psi(corner, g, 2)
+            f = transfer_psi(corner, g)
             cases.append((name + " corner", corner, f))
         if name == "two_cycle":
             cases.append((name + " corner", idempotent_context(basis, dict(basis.unit)), f))
@@ -1040,7 +1039,7 @@ def test_broken_deformed_contexts_fail_every_side_line(dual_numbers, lambda_m2,
     corner_alg, corner = corner_context(lambda_m2)
     cases = [(matrix_context(dual_numbers[1], 2), golden_cochain(dual_numbers)),
              (corner, transfer_psi(corner, FullCochain(corner.b.dim, 2, Q,
-                                                       {(1, 1): dict(corner.b.unit)}), 2))]
+                                                       {(1, 1): dict(corner.b.unit)})))]
     for base, f in cases:
         fld = base.field
         two = fld.from_int(2)
@@ -1081,10 +1080,10 @@ def test_deformed_context_over_doubled_transfer_is_refused(dual_numbers, monkeyp
     # refused by its own axiom check and by both oracles
     ctx = matrix_context(dual_numbers[1], 2)
     f = golden_cochain(dual_numbers)
-    g2 = transfer_phi(ctx, f, 2).scale(Q.from_int(2))
+    g2 = transfer_phi(ctx, f).scale(Q.from_int(2))
     real = morita.transfer_phi
-    monkeypatch.setattr(morita, "transfer_phi", lambda c, cochain, n=None:
-                        real(c, cochain, n).scale(Q.from_int(2)))
+    monkeypatch.setattr(morita, "transfer_phi", lambda c, cochain:
+                        real(c, cochain).scale(Q.from_int(2)))
     report = verify_morita_deformed(ctx, f)
     assert [(name, ok) for name, ok, _ in report] == [
         ("transferred-cocycle", True), ("deformed-p-bimodule", False),
@@ -1154,9 +1153,26 @@ def test_verify_matrix_context(dual_numbers):
 def test_verify_corner_context(lambda_m2):
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
-    fa = transfer_psi(corner, g, 2)
+    fa = transfer_psi(corner, g)
     report = verify_morita_deformed(corner, fa)
     assert all_pass(report) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known false FAIL: the formulas of hat P, hat Q and omega assume that f "
+    "vanishes on products of generator brackets, and f + d c below does not"))
+def test_verify_corner_context_of_a_cocycle_not_normalized_at_the_idempotents(two_cycle):
+    # f + d c with c(e(1)) = a1 and c(e(2)) = -a1 is a cocycle cohomologous
+    # to f, with the same unit (1, 0) in A_f, so the corner of the two-cycle
+    # algebra at e(1) + e(2) is a deformed Morita equivalence; the report
+    # fails 26 of its 29 lines with <p, q.a> != <p, q>.a at (1, 3, 0)
+    _, basis = two_cycle
+    e1, e2, a1 = (basis.labels.index(name) for name in ("e(1)", "e(2)", "a1"))
+    c = FullCochain(basis.dim, 1, Q, {(e1,): {a1: Q.one}, (e2,): {a1: Q.neg(Q.one)}})
+    moved = golden_cochain(two_cycle) + full_differential(c, basis)
+    assert is_full_cocycle(moved, basis)
+    corner = idempotent_context(basis, {e1: Q.one, e2: Q.one})
+    assert all_pass(verify_morita_deformed(corner, moved)) == []
 
 
 def test_verify_zero_cocycle(two_cycle):

@@ -8,7 +8,7 @@ from quivdeform import quiver
 from quivdeform.errors import InputError, NotFiniteDimensional, SizeLimitExceeded
 from quivdeform.fields import Field
 from quivdeform.linalg import FinDimAlgebra
-from quivdeform.quiver import (AlgebraElement, FreeElement, Quiver, compute_basis,
+from quivdeform.quiver import (FreeElement, Quiver, compute_basis,
                                decompose_unit, path_order_key, relation_endpoints,
                                validate_admissible_relations)
 
@@ -78,7 +78,7 @@ def test_dual_numbers_basis(dual_numbers):
     assert labels == ["e(1)", "a"]
     aa = FreeElement.from_path(af.quiver, af.field,
                                af.quiver.path_from_arrow_names(["a", "a"]), Q.one)
-    assert basis.normal_form(aa).is_zero()
+    assert basis.normal_form(aa) == {}
     # oracle: stable brute-force dimension
     assert brute_force_dimension(af.quiver, af.relations, af.field, 5) == 2
     assert brute_force_dimension(af.quiver, af.relations, af.field, 6) == 2
@@ -93,24 +93,10 @@ def test_two_cycle_basis(two_cycle):
     assert brute_force_dimension(af.quiver, af.relations, af.field, 7) == 5
     a1 = basis.element_from_path(af.quiver.arrow_path("a1"))
     a2 = basis.element_from_path(af.quiver.arrow_path("a2"))
-    prod = a2 * a1
+    prod = basis.mul(a2, a1)
     assert prod == basis.element_from_path(af.quiver.path_from_arrow_names(["a2", "a1"]))
-    assert (a1 * a2).is_zero()
-    assert (prod * prod).is_zero()
-
-
-def test_elements_of_different_bases_do_not_mix(dual_numbers, triangle):
-    # the index of a in the dual numbers is also an index of the triangle,
-    # so a product or sum that trusted the indices would mix the algebras
-    af, dual = dual_numbers
-    _, tri = triangle
-    a = dual.element_from_path(af.quiver.arrow_path("a"))
-    e = tri.basis_element(0)
-    for combine in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
-        with pytest.raises(InputError, match="elements belong to a different basis"):
-            combine(a, e)
-        with pytest.raises(InputError, match="elements belong to a different basis"):
-            combine(e, a)
+    assert basis.mul(a1, a2) == {}
+    assert basis.mul(prod, prod) == {}
 
 
 def test_triangle_basis(triangle):
@@ -129,7 +115,7 @@ def test_quantum_plane_basis(quantum_plane):
                                af.quiver.path_from_arrow_names(["a", "b"]), Q.one)
     nf = basis.normal_form(ab)
     ba = basis.element_from_path(af.quiver.path_from_arrow_names(["b", "a"]))
-    assert nf == ba.scale(af.field.neg(q))
+    assert nf == {i: af.field.mul(af.field.neg(q), c) for i, c in ba.items()}
     assert brute_force_dimension(af.quiver, af.relations, af.field, 6) == 4
 
 
@@ -148,11 +134,10 @@ def test_lambda_m2_basis(lambda_m2):
 
 def test_unit_and_table(two_cycle):
     af, basis = two_cycle
-    unit = AlgebraElement(basis, basis.unit)
     for i in range(basis.dim):
-        x = basis.basis_element(i)
-        assert unit * x == x
-        assert x * unit == x
+        x = {i: Q.one}
+        assert basis.mul(basis.unit, x) == x
+        assert basis.mul(x, basis.unit) == x
     assert [basis.paths[i] for i in basis.trivial_indices] == \
         [af.quiver.trivial_path("1"), af.quiver.trivial_path("2")]
     assert set(decompose_unit(basis)) == {af.quiver.trivial_path("1"),
@@ -258,11 +243,11 @@ def quantum_plane_elements(draw):
 @given(quantum_plane_elements(), quantum_plane_elements())
 def test_normal_form_is_multiplicative(x, y):
     lhs = QP_BASIS.normal_form(x * y)
-    rhs = QP_BASIS.normal_form(x) * QP_BASIS.normal_form(y)
+    rhs = QP_BASIS.mul(QP_BASIS.normal_form(x), QP_BASIS.normal_form(y))
     assert lhs == rhs
 
 
 @given(quantum_plane_elements())
 def test_normal_form_is_idempotent(x):
     nf = QP_BASIS.normal_form(x)
-    assert QP_BASIS.normal_form(nf.to_free()) == nf
+    assert QP_BASIS.normal_form(QP_BASIS.to_free(nf)) == nf

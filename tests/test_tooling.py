@@ -205,3 +205,25 @@ def test_trace_pins_methods_that_their_classes_define():
     pins = [(cls, attr) for methods in trace.METHODS.values() for cls, attr in methods]
     assert pins
     assert [(cls.__name__, attr) for cls, attr in pins if attr not in vars(cls)] == []
+
+
+def test_readme_library_use_runs(monkeypatch, capsys):
+    # the python block under "## Library use" in README.md, run from the
+    # repository root as documented, so that the documented API cannot go
+    # stale; its asserts check the values it describes
+    root = os.path.dirname(os.path.dirname(PACKAGE))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "compute_basis" in block
+    monkeypatch.chdir(root)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.startswith("5 1\n")
+
+
+def test_package_exports_resolve_once():
+    import quivdeform
+    names = quivdeform.__all__
+    assert len(names) == len(set(names)), [n for n in names if names.count(n) > 1]
+    assert [n for n in names if not hasattr(quivdeform, n)] == []
