@@ -138,29 +138,36 @@ def _reduced_images(basis, n):
             yield (key, i), _flat(_push({key: {i: fld.one}}, n, products, fld))
 
 
+def _is_index(basis, i):
+    return isinstance(i, int) and 0 <= i < basis.dim
+
+
 def _check_entry(basis, key, indices):
     """Refuse a reduced-complex entry: key must be a composable tuple of
-    radical basis indices and every index of its value must lie in the
-    corner e_{s(g_1)} A e_{t(g_n)} of the key (g_1, ..., g_n)."""
+    radical basis indices and every index of its value must be a basis
+    index in the corner e_{s(g_1)} A e_{t(g_n)} of the key (g_1, ...,
+    g_n)."""
     for i in key:
-        if not (isinstance(i, int) and 0 <= i < basis.dim):
+        if not _is_index(basis, i):
             raise InputError("cochain key %r is not a tuple of basis indices"
                              % (key,))
         if len(basis.paths[i]) == 1:
             raise InputError("cochain keys must be non-trivial paths")
+    name = " | ".join(basis.labels[i] for i in key)
     for a, b in zip(key, key[1:]):
         if basis.path_target_of_index(a) != basis.path_source_of_index(b):
-            raise InputError("cochain key %s is not composable"
-                             % " | ".join(basis.labels[i] for i in key))
+            raise InputError("cochain key %s is not composable" % name)
     src = basis.path_source_of_index(key[0])
     tgt = basis.path_target_of_index(key[-1])
     for i in indices:
+        if not _is_index(basis, i):
+            raise InputError("value of cochain at %s has index %r, not a basis index"
+                             % (name, i))
         if (basis.path_source_of_index(i) != src
                 or basis.path_target_of_index(i) != tgt):
             raise InputError(
                 "value of cochain at %s leaves the corner e_%s A e_%s"
-                % (" | ".join(basis.labels[i] for i in key),
-                   basis.quiver.vertices[src], basis.quiver.vertices[tgt]))
+                % (name, basis.quiver.vertices[src], basis.quiver.vertices[tgt]))
 
 
 def check_reduced(f, basis):

@@ -31,7 +31,10 @@ morphism of uples as a map between the glues (DeformedBimodule and
 triple_violations give the proofs).  A context checks only its axioms:
 the bijectivity of the induced maps P (x)_B Q -> A and Q (x)_A P -> B,
 and the recovery of P and Q through the generator lists, are
-consequences (MoritaContext._validate gives the proof).
+consequences (MoritaContext._validate gives the proof).  The axioms of
+one side, P and the pairing into A, are written once; the Q side is the
+same check run on the swapped context, which exchanges A and B, P and Q,
+the pairings and the generator lists.
 
 The deformed equivalence is one more context.  Once the deformed
 bimodules hat P and hat Q are checked, verify_morita_deformed builds the
@@ -45,9 +48,15 @@ builds one, is the reference that the tests compare against.
 transfer_phi and transfer_psi work from the support of the cochain: one
 chain of pair weights per key of its table, so the cost follows the
 number of nonzero entries, not the number of basis tuples of B.
+homotopy_h is the one sum h^n = sum_l (-1)^l h_l of the paper in every
+degree, its chains of generator pairs grown as those of transfer_phi.
+The tables of the matrix and corner contexts are read off one product:
+the table of M_n(A), whose first row is P and first column Q, or the
+multiplication of A restricted to eAe, Ae and eA.
 """
 
 from collections import defaultdict
+from itertools import product
 
 from .deform import Deformation
 from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
@@ -237,6 +246,18 @@ class TensorProduct:
         return self.project(raw)
 
 
+# The messages of the checks of a context, as (P side, Q side) pairs: the
+# Q message is the P message with a and b, p and q, A and B exchanged.
+_SIDE_MESSAGES = (
+    ("P must be an (A, B)-bimodule", "Q must be a (B, A)-bimodule"),
+    ("<a.p, q> != a.<p, q> at ({g}, {x}, {k})", "<b.q, p> != b.<q, p> at ({g}, {x}, {k})"),
+    ("<p, q.a> != <p, q>.a at ({x}, {k}, {g})", "<q, p.b> != <q, p>.b at ({x}, {k}, {g})"),
+    ("<p.b, q> != <p, b.q> at ({x}, {g}, {k})", "<q.a, p> != <q, a.p> at ({x}, {g}, {k})"),
+    ("<p,q>.p' != p.<q,p'> at ({x}, {y}, {k})", "<q,p>.q' != q.<p,q'> at ({x}, {y}, {k})"),
+    ("gens_a do not decompose 1_A", "gens_b do not decompose 1_B"),
+)
+
+
 class MoritaContext:
     """Inverse bimodules with fixed pairings and generator lists.
 
@@ -285,11 +306,16 @@ class MoritaContext:
         return self._swapped
 
     def _validate(self):
-        """Raise InputError at the first failed axiom of the context, in
-        this order: the sides of P and Q, linearity and balance of the
-        pairings (on generators, see below), the two associativities
-        <p, q>_A p' = p <q, p'>_B and <q, p>_B q' = q <p, q'>_A, and the
-        decompositions of 1_A and 1_B.
+        """Raise InputError at the first failed axiom of the context.
+
+        The axioms of the P side are stated once, in _side_stages: P is
+        an (A, B)-bimodule, <p, q>_A is linear over A on both sides and
+        balanced over B (on generators, see there), <p, q>_A p' = p <q,
+        p'>_B, and gens_a decomposes 1_A.  The Q side is the P side of
+        swap(), which exchanges a and b, p and q and the two pairings and
+        generator lists.  Both sides run stage by stage, P before Q: the
+        sides of the bimodules, linearity and balance, the two
+        associativities, then 1_A and 1_B.
 
         The rest of a Morita context follows from these, for P and Q
         bimodules.  Recovery: x = x 1_B = sum x <q_k, p_k>_B = sum <x,
@@ -309,94 +335,77 @@ class MoritaContext:
         mirror argument, through gens_b, gives Q (x)_A P -> B.  This is
         the Morita context lemma (Bass, Algebraic K-Theory, 1968).
         """
+        for _ in zip(self._side_stages(0), self.swap()._side_stages(1)):
+            pass
+
+    def _side_stages(self, side):
+        """The checks of the P side, with the messages of the given side
+        of _SIDE_MESSAGES (0 for P, 1 for Q, run on swap()), yielding
+        after each stage so that _validate can alternate the sides.
+
+        Linearity and balance are checked on generators of A and B: P and
+        Q are bimodules and A, B associative, so each identity extends
+        from generators to all elements by induction on word length, as
+        in Bimodule.violations; at the unit it holds by the unit axioms.
+        Both sides of an identity are sparse maps: pa[i] is the map q ->
+        <p_i, q>_A on Q, pb[j] the map p -> <q_j, p>_B on P, rho[i] the
+        right action b -> p_i b, and ra gives the multiplication of A.
+        """
+        module, left, right, balance, assoc, unit = (pair[side] for pair in _SIDE_MESSAGES)
         fld = self.field
         a, b, p, q = self.a, self.b, self.p, self.q
         if p.left_alg is not a or p.right_alg is not b:
-            raise InputError("P must be an (A, B)-bimodule")
-        if q.left_alg is not b or q.right_alg is not a:
-            raise InputError("Q must be a (B, A)-bimodule")
+            raise InputError(module)
+        yield
 
-        # linearity and balance on generators of A and B: P and Q are
-        # bimodules and A, B associative, so each identity extends from
-        # generators to all elements by induction on word length, as in
-        # Bimodule.violations; at the unit it holds by the unit axioms.
-        # Both sides of an identity are sparse maps: pa[i] is the map
-        # q -> <p_i, q>_A on Q, pb[j] the map p -> <q_j, p>_B on P,
-        # rho_p[i], rho_q[j] the right actions b -> p_i b and a -> q_j a,
-        # and ra, rb give the multiplications of A and B
-        ra, rb = regular_bimodule(a), regular_bimodule(b)
-        pa, pb, rho_p, rho_q = (defaultdict(dict) for _ in range(4))
-        for (i, j), vec in self.pairing_a.items():
-            if vec:
-                pa[i][j] = vec
-        for (j, i), vec in self.pairing_b.items():
-            if vec:
-                pb[j][i] = vec
-        for rho, module in ((rho_p, p), (rho_q, q)):
-            for (m, s), vec in module.right.items():
-                rho[m][s] = vec
+        ra = regular_bimodule(a)
+        pa, pb, rho = (defaultdict(dict) for _ in range(3))
+        for maps, table in ((pa, self.pairing_a), (pb, self.pairing_b), (rho, p.right)):
+            for (x, y), vec in table.items():
+                if vec:
+                    maps[x][y] = vec
 
         def compose(x, y):
             return map_compose(x, y, fld)
 
-        def check(gens, dim, width, *identities):
-            """Raise at the first (g, x, k), g in gens, x < dim, k < width,
-            where lhs(g, x) and rhs(g, x) of an identity (message, lhs, rhs)
-            differ in column k; the earlier identity first at equal k."""
+        def check(gens, *identities):
+            """Raise at the first (g, x, k), g in gens, x < dim P, k <
+            dim Q, where lhs(g, x) and rhs(g, x) of an identity (message,
+            lhs, rhs) differ in column k; the earlier identity first at
+            equal k."""
             for g in gens:
-                for x in range(dim):
+                for x in range(p.dim):
                     hits = [(bad[0], n) for n, (_, lhs, rhs) in enumerate(identities)
-                            for bad in [_differing_columns(lhs(g, x), rhs(g, x), width)]
+                            for bad in [_differing_columns(lhs(g, x), rhs(g, x), q.dim)]
                             if bad]
                     if hits:
                         k, n = min(hits)
                         raise InputError(identities[n][0].format(g=g, x=x, k=k))
 
-        check(a.generators(), p.dim, q.dim,
-              ("<a.p, q> != a.<p, q> at ({g}, {x}, {k})",
-               lambda t, i: _action(pa, p.left_basis(t, i), fld),
+        check(a.generators(),
+              (left, lambda t, i: _action(pa, p.left_basis(t, i), fld),
                lambda t, i: compose(ra.left_map(t), pa[i])),
-              ("<p, q.a> != <p, q>.a at ({x}, {k}, {g})",
-               lambda t, i: compose(pa[i], q.right_map(t)),
+              (right, lambda t, i: compose(pa[i], q.right_map(t)),
                lambda t, i: compose(ra.right_map(t), pa[i])))
-        check(b.generators(), p.dim, q.dim,
-              ("<p.b, q> != <p, b.q> at ({x}, {g}, {k})",
-               lambda s, i: _action(pa, p.right_basis(i, s), fld),
+        check(b.generators(),
+              (balance, lambda s, i: _action(pa, p.right_basis(i, s), fld),
                lambda s, i: compose(pa[i], q.left_map(s))))
-        check(b.generators(), q.dim, p.dim,
-              ("<b.q, p> != b.<q, p> at ({g}, {x}, {k})",
-               lambda s, j: _action(pb, q.left_basis(s, j), fld),
-               lambda s, j: compose(rb.left_map(s), pb[j])),
-              ("<q, p.b> != <q, p>.b at ({x}, {k}, {g})",
-               lambda s, j: compose(pb[j], p.right_map(s)),
-               lambda s, j: compose(rb.right_map(s), pb[j])))
-        check(a.generators(), q.dim, p.dim,
-              ("<q.a, p> != <q, a.p> at ({x}, {g}, {k})",
-               lambda t, j: _action(pb, q.right_basis(j, t), fld),
-               lambda t, j: compose(pb[j], p.left_map(t))))
+        yield
 
-        # <p, q>_A . p' = p . <q, p'>_B  and  <q, p>_B . q' = q . <p, q'>_A
         for i in range(p.dim):
             for j in range(q.dim):
                 bad = _differing_columns(_action(p._left_maps, pa[i].get(j, {}), fld),
-                                         compose(rho_p[i], pb[j]), p.dim)
+                                         compose(rho[i], pb[j]), p.dim)
                 if bad:
-                    raise InputError("<p,q>.p' != p.<q,p'> at (%d, %d, %d)" % (i, j, bad[0]))
-                bad = _differing_columns(_action(q._left_maps, pb[j].get(i, {}), fld),
-                                         compose(rho_q[j], pa[i]), q.dim)
-                if bad:
-                    raise InputError("<q,p>.q' != q.<p,q'> at (%d, %d, %d)" % (j, i, bad[0]))
+                    raise InputError(assoc.format(x=i, y=j, k=bad[0]))
+        yield
 
         total = {}
         for u, v in self.gens_a:
             _addinto(fld, total, self.pair_a(u, v), fld.one)
-        if total != self.a.unit:
-            raise InputError("gens_a do not decompose 1_A")
-        total = {}
-        for u, v in self.gens_b:
-            _addinto(fld, total, self.pair_b(u, v), fld.one)
-        if total != self.b.unit:
-            raise InputError("gens_b do not decompose 1_B")
+        if total != a.unit:
+            raise InputError(unit)
+        yield
 
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
@@ -437,63 +446,34 @@ def matrix_context(alg, n):
                         if prod:
                             btable[(bidx(r, c, g), bidx(c, c2, g2))] = \
                                 {bidx(r, c2, k): v for k, v in prod.items()}
-    bunit = {}
-    for r in range(n):
-        for u, cu in alg.unit.items():
-            bunit[bidx(r, r, u)] = cu
+    bunit = {bidx(r, r, u): cu for r in range(n) for u, cu in alg.unit.items()}
     blabels = ["E%d%d*%s" % (r + 1, c + 1, alg.labels[g])
                for r in range(n) for c in range(n) for g in range(d)]
     b = FinDimAlgebra(fld, dim_b, btable, bunit, blabels, check=True)
 
-    pdim = n * d
-
+    # P is the first row of B and Q its first column, A = E_11 B E_11;
+    # each table below is a block of the table of B, renumbered
     def pidx(c, g):
         return c * d + g
 
-    pleft, pright = {}, {}
-    qleft, qright = {}, {}
-    for t in range(d):
-        for c in range(n):
-            for g in range(d):
-                prod = alg.multiply_basis(t, g)
-                if prod:
-                    pleft[(t, pidx(c, g))] = {pidx(c, k): v for k, v in prod.items()}
-                prod = alg.multiply_basis(g, t)
-                if prod:
-                    qright[(pidx(c, g), t)] = {pidx(c, k): v for k, v in prod.items()}
-    for c in range(n):
-        for g in range(d):
-            for g2 in range(d):
-                prod = alg.multiply_basis(g, g2)
-                if prod:
-                    for c3 in range(n):
-                        pright[(pidx(c, g), bidx(c, c3, g2))] = \
-                            {pidx(c3, k): v for k, v in prod.items()}
-                rprod = alg.multiply_basis(g2, g)
-                if rprod:
-                    for c3 in range(n):
-                        qleft[(bidx(c3, c, g2), pidx(c, g))] = \
-                            {pidx(c3, k): v for k, v in rprod.items()}
-    p = Bimodule(alg, b, pdim, pleft, pright, check=True)
-    q = Bimodule(b, alg, pdim, qleft, qright, check=True)
+    on_a = {bidx(0, 0, g): g for g in range(d)}
+    row = {bidx(0, c, g): pidx(c, g) for c in range(n) for g in range(d)}
+    col = {bidx(c, 0, g): pidx(c, g) for c in range(n) for g in range(d)}
+    on_b = {x: x for x in range(dim_b)}
 
-    pairing_a = {}
-    pairing_b = {}
-    for c in range(n):
-        for g in range(d):
-            for c2 in range(n):
-                for g2 in range(d):
-                    prod = alg.multiply_basis(g, g2)
-                    if not prod:
-                        continue
-                    if c == c2:
-                        pairing_a[(pidx(c, g), pidx(c2, g2))] = dict(prod)
-                    pairing_b[(pidx(c, g), pidx(c2, g2))] = \
-                        {bidx(c, c2, k): v for k, v in prod.items()}
+    def block(left, right, out):
+        """{(left[x], right[y]): x y} over the products in B of x in left
+        and y in right, each coordinate k of x y renumbered to out[k]."""
+        return {(left[x], right[y]): {out[k]: v for k, v in prod.items()}
+                for (x, y), prod in b.table.items() if x in left and y in right}
+
+    p = Bimodule(alg, b, n * d, block(on_a, row, row), block(row, on_b, row), check=True)
+    q = Bimodule(b, alg, n * d, block(on_b, col, col), block(col, on_a, col), check=True)
     unit_slot = [{pidx(r, u): cu for u, cu in alg.unit.items()} for r in range(n)]
     gens_a = [(dict(unit_slot[0]), dict(unit_slot[0]))]
     gens_b = [(dict(unit_slot[r]), dict(unit_slot[r])) for r in range(n)]
-    return MoritaContext(alg, b, p, q, pairing_a, pairing_b, gens_a, gens_b)
+    return MoritaContext(alg, b, p, q, block(row, col, on_a), block(col, row, on_b),
+                         gens_a, gens_b)
 
 
 def idempotent_context(alg, evec):
@@ -508,85 +488,52 @@ def idempotent_context(alg, evec):
         raise InputError("the given element is not idempotent")
 
     def span_of(images):
+        """A basis of the span of images, and the coordinates in it of a
+        vector of the span."""
         solver = SpanSolver(fld)
         basis = []
         for vec in images:
             if vec and solver.add(vec, len(basis)):
                 basis.append(vec)
-        return solver, basis
 
-    def coords(solver, vec):
-        if not vec:
-            return {}
-        combo = solver.express(vec)
-        if combo is None:
-            raise InputError("product escapes the expected subspace")
-        return _clean(fld, combo)
+        def coords(vec):
+            combo = solver.express(vec)
+            if combo is None:
+                raise InputError("product escapes the expected subspace")
+            return _clean(fld, combo)
+        return basis, coords
 
-    e_images = [alg.mul(evec, alg.mul({i: fld.one}, evec)) for i in range(alg.dim)]
-    bsolver, bbasis = span_of(e_images)
-    p_images = [alg.mul({i: fld.one}, evec) for i in range(alg.dim)]
-    psolver, pbasis = span_of(p_images)
-    q_images = [alg.mul(evec, {i: fld.one}) for i in range(alg.dim)]
-    qsolver, qbasis = span_of(q_images)
+    def products(xs, ys, coords):
+        """{(r, s): coords(xs[r] ys[s])} over the nonzero products."""
+        out = {}
+        for r, x in enumerate(xs):
+            for s, y in enumerate(ys):
+                vec = alg.mul(x, y)
+                if vec:
+                    out[(r, s)] = coords(vec)
+        return out
 
-    btable = {}
-    for r, x in enumerate(bbasis):
-        for s, y in enumerate(bbasis):
-            prod = alg.mul(x, y)
-            if prod:
-                btable[(r, s)] = coords(bsolver, prod)
-    b = FinDimAlgebra(fld, len(bbasis), btable, coords(bsolver, evec), check=True)
-
-    pleft, pright = {}, {}
-    for r, x in enumerate(pbasis):
-        for t in range(alg.dim):
-            vec = alg.mul({t: fld.one}, x)
-            if vec:
-                pleft[(t, r)] = coords(psolver, vec)
-        for s, y in enumerate(bbasis):
-            vec = alg.mul(x, y)
-            if vec:
-                pright[(r, s)] = coords(psolver, vec)
-    p = Bimodule(alg, b, len(pbasis), pleft, pright, check=True)
-
-    qleft, qright = {}, {}
-    for r, x in enumerate(qbasis):
-        for s, y in enumerate(bbasis):
-            vec = alg.mul(y, x)
-            if vec:
-                qleft[(s, r)] = coords(qsolver, vec)
-        for t in range(alg.dim):
-            vec = alg.mul(x, {t: fld.one})
-            if vec:
-                qright[(r, t)] = coords(qsolver, vec)
-    q = Bimodule(b, alg, len(qbasis), qleft, qright, check=True)
-
-    pairing_a = {}
-    pairing_b = {}
-    prod_in_a = {}
-    for r, x in enumerate(pbasis):
-        for s, y in enumerate(qbasis):
-            vec = alg.mul(x, y)
-            prod_in_a[(r, s)] = vec
-            if vec:
-                pairing_a[(r, s)] = vec
-    for s, y in enumerate(qbasis):
-        for r, x in enumerate(pbasis):
-            vec = alg.mul(y, x)
-            if vec:
-                pairing_b[(s, r)] = coords(bsolver, vec)
-
+    units = [{i: fld.one} for i in range(alg.dim)]
+    bbasis, bcoords = span_of(alg.mul(evec, alg.mul(x, evec)) for x in units)
+    pbasis, pcoords = span_of(alg.mul(x, evec) for x in units)
+    qbasis, qcoords = span_of(alg.mul(evec, x) for x in units)
+    b = FinDimAlgebra(fld, len(bbasis), products(bbasis, bbasis, bcoords), bcoords(evec),
+                      check=True)
+    p = Bimodule(alg, b, len(pbasis), products(units, pbasis, pcoords),
+                 products(pbasis, bbasis, pcoords), check=True)
+    q = Bimodule(b, alg, len(qbasis), products(bbasis, qbasis, qcoords),
+                 products(qbasis, units, qcoords), check=True)
+    pairing_a = products(pbasis, qbasis, dict)
     witness = SpanSolver(fld)
-    for (r, s), vec in sorted(prod_in_a.items()):
-        if vec:
-            witness.add(vec, (r, s))
+    for rs, vec in sorted(pairing_a.items()):
+        witness.add(vec, rs)
     combo = witness.express(alg.unit)
     if combo is None:
         raise NotFullIdempotent("AeA is a proper ideal; e is not full")
     gens_a = [({r: c}, {s: fld.one}) for (r, s), c in sorted(combo.items())]
-    gens_b = [(coords(qsolver, evec), coords(psolver, evec))]
-    return MoritaContext(alg, b, p, q, pairing_a, pairing_b, gens_a, gens_b)
+    gens_b = [(qcoords(evec), pcoords(evec))]
+    return MoritaContext(alg, b, p, q, pairing_a, products(qbasis, pbasis, bcoords),
+                         gens_a, gens_b)
 
 
 def transfer_phi(ctx, f):
@@ -658,11 +605,24 @@ def transfer_psi(ctx, g):
 
 
 def homotopy_h(ctx, f):
-    """The homotopy h^n sending an n-cochain f on A to an (n-1)-cochain.
+    """The homotopy h^n sending an n-cochain f on A to an (n-1)-cochain,
+    for n = 2 and n = 3: h^n = sum_{l=1..n} (-1)^l h_l, which is h^2 =
+    -h_1 + h_2 and h^3 = -h_1 + h_2 - h_3.
 
-    Implemented for n = 2 and n = 3 from the displayed specializations
-    h^2 = -h_1 + h_2 and h^3 = -h_1 + h_2 - h_3.  Together with the
-    transfers it satisfies h d + d h = Id - psi phi on 2-cochains.
+    h_l sums over chains of l pairs of generator indices, gens_a outer.
+    The k-th pair (j, i) of a chain gives X_k = <p'_j, q_i>_A and Y_k =
+    <p_i, q'_j>_A, for gens_a = [(p'_j, q'_j)] and gens_b = [(q_i, p_i)]:
+
+        h_l(f)(a_1..a_(n-1)) = sum X_0 f(Y_0 a_1 X_1, ..., Y_(l-3) a_(l-2) X_(l-2),
+                                         Y_(l-2) a_(l-1), X_(l-1), Y_(l-1) a_l,
+                                         a_(l+1), ..., a_(n-1)) Y_(l-1),
+
+    where the argument Y_(l-1) a_l is there for l < n and the factor
+    Y_(l-1) on the right for l = n, and h_1 has X_0 as its first
+    argument instead of as a factor on the left.  Each chain is grown
+    one pair at a time, so the arguments of a prefix are computed once
+    for all its extensions.  Together with the transfers h satisfies
+    h d + d h = Id - psi phi on 2-cochains.
     """
     n = f.degree
     if f.dim != ctx.a.dim:
@@ -671,62 +631,42 @@ def homotopy_h(ctx, f):
         raise InputError("homotopy is implemented for degrees 2 and 3")
     fld = ctx.field
     alg = ctx.a
-    # mixed brackets: ba[j][i] = <p'_j, q_i>_A and ab[i][j] = <p_i, q'_j>_A
-    ba = [[ctx.pair_a(pj, qi) for qi, _ in ctx.gens_b] for pj, _ in ctx.gens_a]
-    ab = [[ctx.pair_a(pi, qj) for _, qj in ctx.gens_a] for _, pi in ctx.gens_b]
-    mp = len(ctx.gens_a)
-    m = len(ctx.gens_b)
+    one, minus = fld.one, fld.neg(fld.one)
+    pairs = [(ctx.pair_a(pj, qi), ctx.pair_a(pi, qj))
+             for pj, qj in ctx.gens_a for qi, pi in ctx.gens_b]
     table = {}
-
-    def emit(key, vec, sign):
-        if not vec:
-            return
-        tv = table.setdefault(key, {})
-        _addinto(fld, tv, vec, sign)
-        if not tv:
-            table.pop(key, None)
-
-    minus, plus = fld.neg(fld.one), fld.one
-    if n == 2:
-        for t in range(alg.dim):
-            et = {t: fld.one}
-            for j in range(mp):
-                for i in range(m):
-                    emit((t,), f.evaluate(ba[j][i], alg.mul(ab[i][j], et)), minus)
-            for j0 in range(mp):
-                for i0 in range(m):
-                    for j1 in range(mp):
-                        for i1 in range(m):
-                            inner = f.evaluate(alg.mul(ab[i0][j0], et), ba[j1][i1])
-                            val = alg.mul(ba[j0][i0], alg.mul(inner, ab[i1][j1]))
-                            emit((t,), val, plus)
-    else:
-        for t0 in range(alg.dim):
-            for t1 in range(alg.dim):
-                e0, e1 = {t0: fld.one}, {t1: fld.one}
-                key = (t0, t1)
-                for j in range(mp):
-                    for i in range(m):
-                        emit(key, f.evaluate(ba[j][i], alg.mul(ab[i][j], e0), e1), minus)
-                for j0 in range(mp):
-                    for i0 in range(m):
-                        for j1 in range(mp):
-                            for i1 in range(m):
-                                inner = f.evaluate(alg.mul(ab[i0][j0], e0), ba[j1][i1],
-                                                   alg.mul(ab[i1][j1], e1))
-                                emit(key, alg.mul(ba[j0][i0], inner), plus)
-                for j0 in range(mp):
-                    for i0 in range(m):
-                        for j1 in range(mp):
-                            for i1 in range(m):
-                                left = alg.mul(alg.mul(ab[i0][j0], e0), ba[j1][i1])
-                                mid = alg.mul(ab[i1][j1], e1)
-                                for j2 in range(mp):
-                                    for i2 in range(m):
-                                        inner = f.evaluate(left, mid, ba[j2][i2])
-                                        val = alg.mul(ba[j0][i0],
-                                                      alg.mul(inner, ab[i2][j2]))
-                                        emit(key, val, minus)
+    for key in product(range(alg.dim), repeat=n - 1):
+        args_a = [{t: one} for t in key]
+        # ya[k][u] = Y_u a_(k+1) for the u-th pair (X_u, Y_u)
+        ya = [[alg.mul(y, a) for _, y in pairs] for a in args_a]
+        out = {}
+        for l in range(1, n + 1):
+            # a chain is (left factor or None, arguments so far, index of
+            # its last pair); a zero factor or argument makes its terms 0
+            chains = [(x, [], u) if l > 1 else (None, [x], u)
+                      for u, (x, _) in enumerate(pairs) if x]
+            for k in range(1, l):
+                grown = []
+                for left, args, u in chains:
+                    head = ya[k - 1][u]
+                    if not head:
+                        continue
+                    for v, (x, _) in enumerate(pairs):
+                        tail = [alg.mul(head, x)] if k < l - 1 else [head, x]
+                        if all(tail):
+                            grown.append((left, args + tail, v))
+                chains = grown
+            sign = one if l % 2 == 0 else minus
+            for left, args, u in chains:
+                if l < n:
+                    val = f.evaluate(*args, ya[l - 1][u], *args_a[l:])
+                    if left is not None:
+                        val = alg.mul(left, val)
+                else:
+                    val = alg.mul(alg.mul(left, f.evaluate(*args)), pairs[u][1])
+                _addinto(fld, out, val, sign)
+        if out:
+            table[key] = out
     return FullCochain(alg.dim, n - 1, fld, table)
 
 

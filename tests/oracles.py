@@ -21,8 +21,9 @@ action tables; the glue of an uple is written out coordinate by
 coordinate, and a map between glues is tested on every basis element.
 The axioms of a Morita context are evaluated on every basis tuple from
 the raw pairing tables, its consequences on balanced products built
-on all basis triples and ranked with their own echelon rows, and the
-transfer phi^n term by term from its defining sum; the subalgebra
+on all basis triples and ranked with their own echelon rows, the
+transfer phi^n term by term from its defining sum, and the homotopy
+h^2 and h^3 term by term from their displayed sums; the subalgebra
 generated by a list of basis elements is spanned word by word and
 measured with the dense rank.  Dense Gauss-Jordan elimination, with the
 rank and the nullspace it gives, and dense matrix products and inverses
@@ -248,6 +249,20 @@ def brute_differential(dim, table, field, cochain_table, n):
     return result
 
 
+def _evaluate(field, f_table, args):
+    """f(args) for the cochain table f_table and coordinate dicts args: f
+    is multilinear, so each key contributes its value times the product
+    of the coordinates of the arguments at its indices."""
+    terms = []
+    for key, vec in f_table.items():
+        c = field.one
+        for arg, k in zip(args, key):
+            c = field.mul(c, arg.get(k, field.zero))
+        if c != field.zero:
+            terms.append((c, vec))
+    return _combo(field, *terms)
+
+
 def brute_transfer(alg_b, p, q, pairing_a, pairing_b, gens_b, f_table, n, field):
     """phi^n(f) by direct evaluation of its defining sum, one term per
     n-tuple of basis elements of B and (n+1)-tuple of generator indices:
@@ -266,19 +281,6 @@ def brute_transfer(alg_b, p, q, pairing_a, pairing_b, gens_b, f_table, n, field)
     one = field.one
     qs = [y for y, _ in gens_b]
     ps = [x for _, x in gens_b]
-
-    def f_of(args):
-        # f is multilinear: each key contributes the product of the
-        # coordinates of the arguments at its indices
-        terms = []
-        for key, vec in f_table.items():
-            c = one
-            for arg, k in zip(args, key):
-                c = field.mul(c, arg.get(k, field.zero))
-            if c != field.zero:
-                terms.append((c, vec))
-        return _combo(field, *terms)
-
     m = len(gens_b)
     # bracket[(y, u, v)] = <p_u, y q_v>_A, evaluated once for every triple
     bracket = {(y, u, v): _act(pairing_a, field, ps[u], _act(ql, field, {y: one}, qs[v]))
@@ -288,12 +290,63 @@ def brute_transfer(alg_b, p, q, pairing_a, pairing_b, gens_b, f_table, n, field)
         terms = []
         for idx in product(range(m), repeat=n + 1):
             args = [bracket[(key[t], idx[t], idx[t + 1])] for t in range(n)]
-            moved = _act(pl, field, f_of(args), ps[idx[n]])
+            moved = _act(pl, field, _evaluate(field, f_table, args), ps[idx[n]])
             terms.append((one, _act(pairing_b, field, qs[idx[0]], moved)))
         out = _combo(field, *terms)
         if out:
             table[key] = out
     return table
+
+
+def brute_homotopy(alg_a, pairing_a, gens_a, gens_b, f_table, n, field):
+    """h^n(f) for n = 2, 3 by direct evaluation of the displayed sums, on
+    every (n-1)-tuple of basis elements of A.  With X_ji = <p'_j, q_i>_A
+    and Y_ij = <p_i, q'_j>_A for gens_a = [(p'_j, q'_j)] and gens_b =
+    [(q_i, p_i)], every sum running over all generator indices,
+
+        h^2(f)(a) = - sum f(X_ji, Y_ij a) + sum X_j0i0 f(Y_i0j0 a, X_j1i1) Y_i1j1,
+        h^3(f)(a, b) = - sum f(X_ji, Y_ij a, b)
+                       + sum X_j0i0 f(Y_i0j0 a, X_j1i1, Y_i1j1 b)
+                       - sum X_j0i0 f(Y_i0j0 a X_j1i1, Y_i1j1 b, X_j2i2) Y_i2j2.
+
+    alg_a is a raw algebra (dim, table, unit), pairing_a[(i, j)] = <p_i,
+    q_j>_A and f_table[(k_1..k_n)] = f(x_k1..x_kn).  Returns the nonzero
+    values {(i_1..i_(n-1)): {k: c}}."""
+    dim, table, _ = alg_a
+    one, minus = field.one, field.neg(field.one)
+
+    def mul(*vecs):
+        out = vecs[0]
+        for vec in vecs[1:]:
+            out = _act(table, field, out, vec)
+        return out
+
+    def f_of(*args):
+        return _evaluate(field, f_table, args)
+
+    pairs = [(_act(pairing_a, field, pj, qi), _act(pairing_a, field, pi, qj))
+             for pj, qj in gens_a for qi, pi in gens_b]
+    out = {}
+    for key in product(range(dim), repeat=n - 1):
+        a = [{t: one} for t in key]
+        terms = []
+        if n == 2:
+            for x, y in pairs:
+                terms.append((minus, f_of(x, mul(y, a[0]))))
+            for (x0, y0), (x1, y1) in product(pairs, repeat=2):
+                terms.append((one, mul(x0, f_of(mul(y0, a[0]), x1), y1)))
+        else:
+            for x, y in pairs:
+                terms.append((minus, f_of(x, mul(y, a[0]), a[1])))
+            for (x0, y0), (x1, y1) in product(pairs, repeat=2):
+                terms.append((one, mul(x0, f_of(mul(y0, a[0]), x1, mul(y1, a[1])))))
+            for (x0, y0), (x1, y1), (x2, y2) in product(pairs, repeat=3):
+                terms.append((minus, mul(x0, f_of(mul(y0, a[0], x1), mul(y1, a[1]), x2),
+                                         y2)))
+        value = _combo(field, *terms)
+        if value:
+            out[key] = value
+    return out
 
 
 def trial_division_is_prime(n):

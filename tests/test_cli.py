@@ -533,6 +533,23 @@ def test_transfer_matrix_one_golden(capsys):
     ]
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("fixture, context, golden", [
+    ("two_cycle.alg", ["--matrix", "2"], "transfer_two_cycle_matrix_2.txt"),
+    ("dual_numbers.alg", ["--matrix", "3"], "transfer_dual_numbers_matrix_3.txt"),
+    ("lambda_m2.alg", ["--idempotent", "1"], "transfer_lambda_m2_idempotent_1.txt"),
+    ("two_cycle.alg", ["--idempotent", "1,2"], "transfer_two_cycle_idempotent_1_2.txt"),
+])
+def test_transfer_golden(fixture, context, golden, capsys):
+    # the whole stdout, g and the four checks, on matrix and corner
+    # contexts; g is read off the tables of P, Q and both pairings
+    assert run(["transfer", data_path(fixture)] + context) == 0
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_transfer_matrix_two_checks_pass(capsys):
     assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2",
                 "--report", "json-lines"]) == 0

@@ -87,6 +87,23 @@ def test_bad_keys_rejected(two_cycle):
         cochain_from_paths(basis, 4, {})
 
 
+def test_value_indices_outside_the_basis_rejected(two_cycle):
+    # 99 is past the basis and -1 would read the last basis element
+    af, basis = two_cycle
+    q = af.quiver
+    a1, a2 = q.arrow_path("a1"), q.arrow_path("a2")
+    i1, i2 = basis.index[a1], basis.index[a2]
+    one = basis.field.one
+    for index in (99, -1):
+        message = r"value of cochain at a\d \| a\d has index %d, not a basis index" % index
+        with pytest.raises(InputError, match=r"value of cochain at a1 has index %d, not" % index):
+            cochain_from_paths(basis, 1, {(a1,): {index: one}})
+        with pytest.raises(InputError, match=message):
+            cochain_from_paths(basis, 2, {(a2, a1): {index: one}})
+        with pytest.raises(InputError, match=message):
+            is_cocycle(FullCochain(basis.dim, 2, Q, {(i1, i2): {index: one}}), basis)
+
+
 def test_reduced_layer_refuses_cochains_off_the_reduced_support(dual_numbers, two_cycle):
     from quivdeform.deform import DeformedAlgebra, check_image_condition
     af, basis = dual_numbers

@@ -24,7 +24,7 @@ from quivdeform.quiver import compute_basis
 from conftest import data_path, identity_context
 from oracles import (brute_bimodule_defects, brute_bimodule_map_defects,
                      brute_context_consequences, brute_context_defects,
-                     brute_generated_dimension, brute_transfer,
+                     brute_generated_dimension, brute_homotopy, brute_transfer,
                      brute_uple_defects, brute_uple_glue)
 
 Q = Field.rationals()
@@ -324,6 +324,23 @@ def test_homotopy_identity_context_closed_form(dual_numbers):
                 else:
                     want[k] = s
             assert h.value((t,)) == want
+
+
+def test_homotopy_against_brute_force(dual_numbers, two_cycle, lambda_m2):
+    # h^2 and h^3 against the displayed sums, evaluated term by term on
+    # every basis tuple, on matrix, identity and corner contexts
+    rng = random.Random(41)
+    _, basis = dual_numbers
+    contexts = [matrix_context(basis, 2), matrix_context(basis, 3),
+                identity_context(two_cycle[1]), corner_context(lambda_m2)[1],
+                idempotent_context(two_cycle[1], dict(two_cycle[1].unit))]
+    for ctx in contexts:
+        for degree in (2, 3):
+            for _ in range(3):
+                f = random_cochain(rng, Q, ctx.a.dim, degree, terms=20)
+                want = brute_homotopy(raw_algebra(ctx.a), ctx.pairing_a, ctx.gens_a,
+                                      ctx.gens_b, f.table, degree, Q)
+                assert want and homotopy_h(ctx, f).table == want
 
 
 def test_transferred_cocycle_is_cocycle(dual_numbers, lambda_m2):

@@ -227,3 +227,71 @@ def test_package_exports_resolve_once():
     names = quivdeform.__all__
     assert len(names) == len(set(names)), [n for n in names if names.count(n) > 1]
     assert [n for n in names if not hasattr(quivdeform, n)] == []
+
+
+# transcripts whose input file the README names but the repository does
+# not ship: shifted.alg is the user's own copy of two_cycle.alg with a
+# cocycle moved by a coboundary
+README_MISSING_INPUTS = {"shifted.alg"}
+
+
+def readme_transcripts(readme):
+    """(argv, expected stdout lines) of each "$ quivdeform ..." line in a
+    fenced block of the README; the output runs to the next "$ " line or
+    the end of the block, without trailing blank lines."""
+    out = []
+    for block in readme.split("```")[1::2]:
+        current = None
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                current = (line[2:].split()[1:], [])
+                out.append(current)
+            elif current is not None:
+                current[1].append(line)
+    for _, lines in out:
+        while lines and not lines[-1].strip():
+            lines.pop()
+    return out
+
+
+def matches_transcript(expected, actual):
+    """Whether the lines match, a line "..." standing for any run of lines."""
+    if not expected:
+        return not actual
+    if expected[0] == "...":
+        return any(matches_transcript(expected[1:], actual[k:])
+                   for k in range(len(actual) + 1))
+    return bool(actual) and actual[0] == expected[0] and \
+        matches_transcript(expected[1:], actual[1:])
+
+
+def test_transcript_matcher_sees_mismatches():
+    assert matches_transcript(["a", "...", "d"], ["a", "b", "c", "d"])
+    assert matches_transcript(["a", "...", "b"], ["a", "b"])
+    assert not matches_transcript(["a", "...", "d"], ["a", "b", "c"])
+    assert not matches_transcript(["a", "b"], ["a", "b", "c"])
+    assert not matches_transcript(["a", "c"], ["a", "b"])
+
+
+def test_readme_transcripts_run(monkeypatch, capsys):
+    # every "$ quivdeform ..." transcript of README.md whose input files
+    # the repository ships, run from the repository root: its stdout
+    # matches the transcript line by line
+    from quivdeform.cli import run
+    root = os.path.dirname(os.path.dirname(PACKAGE))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        transcripts = readme_transcripts(fh.read())
+    monkeypatch.chdir(root)
+    ran, missing = 0, set()
+    for argv, expected in transcripts:
+        absent = {arg for arg in argv
+                  if os.path.splitext(arg)[1] and not os.path.exists(arg)}
+        if absent:
+            missing |= absent
+            continue
+        run(argv)
+        actual = capsys.readouterr().out.splitlines()
+        assert matches_transcript(expected, actual), (argv, actual)
+        ran += 1
+    assert missing == README_MISSING_INPUTS
+    assert ran >= 4
