@@ -1,8 +1,9 @@
 """Exact ground fields: the rationals or a prime field F_p.
 
-Scalars are plain values, not wrapped: Fraction in characteristic 0,
-int in [0, p) in characteristic p.  All arithmetic goes through a Field
-instance so the rest of the library never branches on the characteristic.
+Scalars are plain values, not wrapped: over Q an int while it is an
+integer and a Fraction otherwise (the two mix exactly, and compare, hash
+and print alike), in F_p an int in [0, p).  All arithmetic goes through a
+Field instance so the rest of the library never branches on the characteristic.
 """
 
 from fractions import Fraction
@@ -40,6 +41,11 @@ def _is_prime(n):
     return True
 
 
+def _rational(q):
+    """The Fraction q as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """ℚ (characteristic 0) or F_p (characteristic p prime)."""
 
@@ -50,12 +56,8 @@ class Field:
         if characteristic != 0 and not _is_prime(characteristic):
             raise InputError("characteristic must be 0 or a prime, got %r" % (characteristic,))
         self.char = characteristic
-        if characteristic == 0:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-        else:
-            self.zero = 0
-            self.one = 1
+        self.zero = 0
+        self.one = 1
 
     @classmethod
     def rationals(cls):
@@ -82,7 +84,7 @@ class Field:
 
     def from_int(self, n):
         if self.char == 0:
-            return Fraction(n)
+            return n
         return n % self.char
 
     def add(self, a, b):
@@ -109,7 +111,7 @@ class Field:
         if a == self.zero:
             raise ZeroDivisionError("inverting zero in %r" % self)
         if self.char == 0:
-            return 1 / a
+            return _rational(Fraction(1) / a)
         # Fermat: a^(p-2) is the inverse mod p
         return pow(a, self.char - 2, self.char)
 
@@ -130,7 +132,7 @@ class Field:
         if denominator == 0:
             raise InputError("zero denominator in %r" % token)
         if self.char == 0:
-            return Fraction(numerator, denominator)
+            return _rational(Fraction(numerator, denominator))
         if denominator % self.char == 0:
             raise InputError("denominator of %r is divisible by %d" % (token, self.char))
         return self.mul(self.from_int(numerator), self.inv(self.from_int(denominator)))

@@ -773,16 +773,15 @@ def _half(field):
     return field.inv(two)
 
 
-def build_hat_P(ctx, a_f, b_g, check=True):
+def build_hat_P(ctx, a_f, b_g, h2f, check=True):
     """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g),
     for A_f and B_g the Deformations of ctx.a and ctx.b along f and g =
-    phi^2(f), both proved to be cocycles by the caller.  check=False
-    skips the bimodule check."""
+    phi^2(f), both proved to be cocycles by the caller, and h2f =
+    homotopy_h(ctx, f).  check=False skips the bimodule check."""
     fld = ctx.field
     half = _half(fld)
     f, g = a_f.f, b_g.f
     p = ctx.p
-    h2f = homotopy_h(ctx, f)
     one = fld.one
     f_tables = []
     for i in range(ctx.a.dim):
@@ -825,15 +824,14 @@ def build_hat_P(ctx, a_f, b_g, check=True):
                             f_tables, g_tables, check=check)
 
 
-def build_hat_Q(ctx, a_f, b_g, check=True):
+def build_hat_Q(ctx, a_f, b_g, h2f, check=True):
     """The deformed bimodule Q^ = (Q, Q, Id, g_Q, f_Q) over (B_g, A_f),
-    for A_f and B_g as in build_hat_P.  check=False skips the bimodule
-    check."""
+    for A_f, B_g and h2f as in build_hat_P.  check=False skips the
+    bimodule check."""
     fld = ctx.field
     half = _half(fld)
     f, g = a_f.f, b_g.f
     q = ctx.q
-    h2f = homotopy_h(ctx, f)
     one = fld.one
     g_tables = []
     for j in range(ctx.b.dim):
@@ -1020,11 +1018,12 @@ def verify_morita_deformed(ctx, f):
     # d f = 0 and d g = 0 were proved above
     s_def = Deformation(ctx.a, f)
     t_def = Deformation(ctx.b, g)
-    hat_p = build_hat_P(ctx, s_def, t_def, check=False)
+    h2f = homotopy_h(ctx, f)
+    hat_p = build_hat_P(ctx, s_def, t_def, h2f, check=False)
     bad = hat_p.violations()
     checks.append(("deformed-p-bimodule", not bad,
                    bad[0] if bad else "hat P satisfies all bimodule conditions"))
-    hat_q = build_hat_Q(ctx, s_def, t_def, check=False)
+    hat_q = build_hat_Q(ctx, s_def, t_def, h2f, check=False)
     bad = hat_q.violations()
     checks.append(("deformed-q-bimodule", not bad,
                    bad[0] if bad else "hat Q satisfies all bimodule conditions"))

@@ -52,6 +52,32 @@ def test_invert_rationals():
         Q.inv(Fraction(0))
 
 
+def test_rational_scalars_are_ints_while_they_are_integers():
+    for value in (Q.zero, Q.one, Q.from_int(3), Q.parse("4/2"), Q.parse("-4"),
+                  Q.inv(1), Q.inv(-1), Q.inv(Fraction(1, 2))):
+        assert type(value) is int
+    assert (Q.from_int(3), Q.parse("4/2"), Q.inv(-1), Q.inv(Fraction(1, 2))) == (3, 2, -1, 2)
+    for value in (Q.parse("1/3"), Q.inv(3), Q.inv(Fraction(3, 2))):
+        assert type(value) is Fraction
+    assert (Q.parse("1/3"), Q.inv(3), Q.inv(Fraction(3, 2))) == (
+        Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
+    assert Q.inv(2) * 2 == Q.one
+    assert Q.mul(Q.inv(-6), Q.from_int(-6)) == Q.one
+
+
+def test_integral_fraction_acts_as_its_int():
+    # arithmetic may leave a Fraction with denominator 1, such as 1/2 * 4;
+    # it prints, compares and hashes as the int, so the two mix freely
+    made = Q.mul(Q.inv(2), Q.from_int(4))
+    assert type(made) is Fraction and type(Fraction(4, 2)) is Fraction
+    for value in (made, Fraction(4, 2)):
+        assert value == 2 and hash(value) == hash(2)
+        assert Q.to_str(value) == Q.to_str(2) == "2"
+        assert 1 < value < 3 and -value == -2
+        assert {value: "x"} == {2: "x"}
+        assert type(Q.parse(Q.to_str(value))) is int
+
+
 def test_non_prime_characteristic_rejected():
     with pytest.raises(InputError):
         Field.prime(6)

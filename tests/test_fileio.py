@@ -7,7 +7,8 @@ from quivdeform.errors import InputError
 from quivdeform.fields import Field
 from quivdeform.fileio import (emit_algebra_text, emit_dot, emit_module_text,
                                parse_algebra_file, parse_algebra_text,
-                               parse_expression, parse_module_text, parse_path)
+                               parse_expression, parse_module_text, parse_path,
+                               signed_sum_str)
 
 Q = Field.rationals()
 
@@ -165,3 +166,11 @@ def test_module_file_errors():
         parse_module_text("dim 2\nact(a) = 1 ; 0\n", Q)  # short rows
     with pytest.raises(InputError):
         parse_module_text("dim 1\nact(a) = 1\nact(a) = 0\n", Q)
+
+
+def test_int_and_fraction_coefficients_print_alike():
+    # over Q an integer scalar may be an int or a Fraction with denominator 1
+    ints = [("a", 1), ("b", -1), ("c", 2), ("d", -3), ("e", Fraction(1, 2))]
+    fractions = [("a", Fraction(2, 2)), ("b", Fraction(-1)), ("c", Fraction(4, 2)),
+                 ("d", Fraction(-6, 2)), ("e", Fraction(1, 2))]
+    assert signed_sum_str(ints, Q) == signed_sum_str(fractions, Q) == "a - b + 2*c - 3*d + 1/2*e"

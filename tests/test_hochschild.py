@@ -389,3 +389,15 @@ def test_cobound_solve_inverts_the_differential(seed):
     assert got is not None
     assert differential(got, basis) == dg
     assert cobound_solve(dg + cochain_from_pairs(basis, af.cocycle_pairs), basis) is None
+
+
+def test_int_and_fraction_coefficients_give_equal_cochains(dual_numbers):
+    # over Q an integer scalar may be an int or a Fraction with denominator 1
+    af, basis = dual_numbers
+    as_int = FullCochain(basis.dim, 2, Q, {(1, 1): {0: 2, 1: -1}, (0, 1): {1: 0}})
+    as_fraction = FullCochain(basis.dim, 2, Q, {(1, 1): {0: Fraction(4, 2), 1: Fraction(-3, 3)},
+                                                (0, 1): {1: Fraction(0, 5)}})
+    assert as_int == as_fraction and (as_int - as_fraction).is_zero()
+    assert as_int.table == {(1, 1): {0: 2, 1: -1}}
+    assert as_int == the_cocycle(af, basis).scale(Q.from_int(2)) + \
+        FullCochain(basis.dim, 2, Q, {(1, 1): {1: Fraction(-1)}})

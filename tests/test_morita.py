@@ -428,13 +428,15 @@ def test_hat_bimodules_satisfy_conditions(dual_numbers, lambda_m2):
     _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
     for ctx in (identity_context(basis), matrix_context(basis, 2)):
-        assert build_hat_P(ctx, *deformed_pair(ctx, f)).violations() == []
-        assert build_hat_Q(ctx, *deformed_pair(ctx, f)).violations() == []
+        h2f = homotopy_h(ctx, f)
+        assert build_hat_P(ctx, *deformed_pair(ctx, f), h2f).violations() == []
+        assert build_hat_Q(ctx, *deformed_pair(ctx, f), h2f).violations() == []
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
     fa = transfer_psi(corner, g)
-    assert build_hat_P(corner, *deformed_pair(corner, fa)).violations() == []
-    assert build_hat_Q(corner, *deformed_pair(corner, fa)).violations() == []
+    h2f = homotopy_h(corner, fa)
+    assert build_hat_P(corner, *deformed_pair(corner, fa), h2f).violations() == []
+    assert build_hat_Q(corner, *deformed_pair(corner, fa), h2f).violations() == []
 
 
 def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
@@ -442,14 +444,14 @@ def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
     ctx = identity_context(basis)
     bad = FullCochain(basis.dim, 2, Q, {(1, 0): {0: Q.one}})
     with pytest.raises(InputError):
-        build_hat_P(ctx, *deformed_pair(ctx, bad))
+        build_hat_P(ctx, *deformed_pair(ctx, bad), homotopy_h(ctx, bad))
     F2 = Field.prime(2)
     af = parse_algebra_file(data_path("dual_numbers.alg"), field_override=F2)
     basis2 = compute_basis(af.quiver, af.relations, F2)
     ctx2 = identity_context(basis2)
     f2 = cochain_from_pairs(basis2, af.cocycle_pairs)
     with pytest.raises(CharTwoUnsupported):
-        build_hat_P(ctx2, *deformed_pair(ctx2, f2))
+        build_hat_P(ctx2, *deformed_pair(ctx2, f2), homotopy_h(ctx2, f2))
     with pytest.raises(CharTwoUnsupported):
         verify_morita_deformed(ctx2, f2)
 
@@ -478,11 +480,29 @@ def test_triple_violations_flags_breakage(dual_numbers):
     assert triple_violations(uple, uple, ident, zero, skew)
 
 
+def test_certificate_computes_the_homotopy_once(dual_numbers, monkeypatch):
+    # hat P and hat Q both read h^2(f); verify_morita_deformed computes it
+    # once and hands it to both builders
+    ctx = matrix_context(dual_numbers[1], 2)
+    f = golden_cochain(dual_numbers)
+    calls = []
+    real = morita.homotopy_h
+
+    def counted(c, cochain):
+        calls.append(cochain)
+        return real(c, cochain)
+
+    monkeypatch.setattr(morita, "homotopy_h", counted)
+    report = verify_morita_deformed(ctx, f)
+    assert report and all(ok for _, ok, _ in report)
+    assert calls == [f]
+
+
 def test_glued_hat_p_is_bimodule(dual_numbers):
     _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(basis, 2)
-    hat = build_hat_P(ctx, *deformed_pair(ctx, f))
+    hat = build_hat_P(ctx, *deformed_pair(ctx, f), homotopy_h(ctx, f))
     assert hat.glued.violations() == []
 
 
@@ -586,8 +606,9 @@ def test_valid_certificates_match_oracle(dual_numbers, two_cycle, triangle,
         assert assert_bimodule_matches_oracle(ctx.p) == []
         assert assert_bimodule_matches_oracle(ctx.q) == []
         a_f, b_g = deformed_pair(ctx, f)
-        assert assert_uple_matches_oracle(build_hat_P(ctx, a_f, b_g, check=False)) == []
-        assert assert_uple_matches_oracle(build_hat_Q(ctx, a_f, b_g, check=False)) == []
+        h2f = homotopy_h(ctx, f)
+        assert assert_uple_matches_oracle(build_hat_P(ctx, a_f, b_g, h2f, check=False)) == []
+        assert assert_uple_matches_oracle(build_hat_Q(ctx, a_f, b_g, h2f, check=False)) == []
         assert assert_uple_matches_oracle(regular_deformed_uple(a_f)) == []
 
 
@@ -615,7 +636,8 @@ def test_broken_uples_match_oracle(dual_numbers):
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(basis, 2)
     a_f, b_g = deformed_pair(ctx, f)
-    hat = build_hat_P(ctx, a_f, b_g, check=False)
+    h2f = homotopy_h(ctx, f)
+    hat = build_hat_P(ctx, a_f, b_g, h2f, check=False)
 
     def variant(f_tables=None, g_tables=None, t=None):
         return DeformedBimodule(hat.left_def, hat.right_def, hat.m0, hat.m1,
@@ -632,7 +654,7 @@ def test_broken_uples_match_oracle(dual_numbers):
     g2 = transfer_phi(ctx, f).scale(Q.from_int(2))
     for uple in (variant(f_tables=f_tables), variant(g_tables=g_tables), variant(t=t),
                  variant(t=singular),
-                 build_hat_P(ctx, a_f, Deformation(ctx.b, g2), check=False)):
+                 build_hat_P(ctx, a_f, Deformation(ctx.b, g2), h2f, check=False)):
         assert assert_uple_matches_oracle(uple)
     # over the zero cocycle T = 0 meets every condition but injectivity
     zero = FullCochain(basis.dim, 2, Q, {})
@@ -648,7 +670,8 @@ def test_uple_check_is_one_bimodule_check_on_generators(dual_numbers, monkeypatc
     # the generators G_l of A_f and G_r of B_g; none runs over pairs of
     # basis elements
     ctx = matrix_context(dual_numbers[1], 2)
-    hat = build_hat_P(ctx, *deformed_pair(ctx, golden_cochain(dual_numbers)), check=False)
+    f = golden_cochain(dual_numbers)
+    hat = build_hat_P(ctx, *deformed_pair(ctx, f), homotopy_h(ctx, f), check=False)
     a_f, b_g = hat.left_def, hat.right_def
     nl, nr = len(a_f.generators()), len(b_g.generators())
     calls = []
@@ -735,8 +758,9 @@ def bimodule_zoo(dual_numbers):
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(basis, 2)
     a_f, b_g = deformed_pair(ctx, f)
-    hat_p = build_hat_P(ctx, a_f, b_g).glued
-    hat_q = build_hat_Q(ctx, a_f, b_g).glued
+    h2f = homotopy_h(ctx, f)
+    hat_p = build_hat_P(ctx, a_f, b_g, h2f).glued
+    hat_q = build_hat_Q(ctx, a_f, b_g, h2f).glued
     return [ctx.p, ctx.q, hat_p, TensorProduct(hat_p, hat_q).bimodule]
 
 
@@ -1106,8 +1130,9 @@ def test_deformed_context_over_doubled_transfer_is_refused(dual_numbers, monkeyp
         ("transferred-cocycle", True), ("deformed-p-bimodule", False),
         ("deformed-q-bimodule", False)]
     a_f, b_2g = deformed_pair(ctx, f, g2)
-    hat_p = build_hat_P(ctx, a_f, b_2g, check=False)
-    hat_q = build_hat_Q(ctx, a_f, b_2g, check=False)
+    h2f = homotopy_h(ctx, f)
+    hat_p = build_hat_P(ctx, a_f, b_2g, h2f, check=False)
+    hat_q = build_hat_Q(ctx, a_f, b_2g, h2f, check=False)
     dctx = MoritaContext(a_f, b_2g, hat_p.glued, hat_q.glued,
                          morita._deformed_pairing(ctx, hat_p),
                          morita._deformed_pairing(ctx.swap(), hat_q),

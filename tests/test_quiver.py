@@ -15,6 +15,17 @@ from quivdeform.quiver import (FreeElement, Quiver, compute_basis,
 Q = Field.rationals()
 
 
+@pytest.mark.parametrize("name", ["dual_numbers", "two_cycle", "triangle",
+                                  "quantum_plane", "lambda_m2"])
+def test_fixture_tables_over_Q_hold_ints(name):
+    # over Q a scalar is an int while it is an integer; every structure
+    # constant of the fixtures is one, so no Fraction arithmetic is paid
+    af, basis = load_basis(name + ".alg")
+    assert af.field == Q
+    values = [c for vec in list(basis.table.values()) + [basis.unit] for c in vec.values()]
+    assert values and {type(c) for c in values} == {int}
+
+
 def test_quiver_validation():
     with pytest.raises(InputError):
         Quiver([], [])

@@ -71,6 +71,23 @@ def test_package_modules_use_every_name_they_import():
     assert not unused, unused
 
 
+def test_only_fields_imports_fractions():
+    # over Q a scalar is an int while it is an integer and a Fraction
+    # otherwise; Field makes every one, so no other module builds a Fraction
+    importers = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if "fractions" in modules:
+                    importers.append(name)
+    assert importers == ["fields.py"]
+
+
 def unread_parameters(source, filename):
     """(line, function, parameter) of each parameter that its function
     never reads, in line order.  A read is a load of the name anywhere in the body,
