@@ -143,27 +143,38 @@ def hat_f(w, basis, f):
 
 
 def _hat_multiple_span(basis, f, endpoints=None):
-    """SpanSolver over hat_f of u*rho*v multiples of the relations.
+    """SpanSolver over hat_f of u*rho*v multiples of the relations, for a
+    reduced 2-cocycle f.
 
     Tags are (u, relation index, v) with u and v basis paths.  With
     endpoints=(i, i) only multiples starting and ending at that vertex
     are taken.
+
+    No multiple is formed in kQ: hat_f(u rho v) = [u] hat_f(rho) [v].
+    For a reduced cocycle, w -> ([w], hat_f(w)) is the algebra map
+    kQ -> A_f sending a trivial path to its idempotent (e, 0) and an
+    arrow a to ([a], 0), since hat_f of a path is the t-part of the
+    product of its arrows in A_f; it needs A_f associative, so d f = 0.
+    As [rho] = 0, the image of u rho v is ([u], hat_f(u)) (0, hat_f(rho))
+    ([v], hat_f(v)) = (0, [u] hat_f(rho) [v]).  When u, rho and v do not
+    compose, u rho v = 0 in kQ, and [u] hat_f(rho) [v] = 0 too, since
+    hat_f(rho) lies in the corner of the endpoints of rho.
     """
     q = basis.quiver
-    fld = basis.field
-    solver = SpanSolver(fld)
+    one = basis.field.one
+    solver = SpanSolver(basis.field)
     for k, rel in enumerate(basis.relations):
-        for u in basis.paths:
-            for v in basis.paths:
-                if endpoints is not None:
-                    if (q.path_source(u) != endpoints[0]
-                            or q.path_target(v) != endpoints[1]):
-                        continue
-                m = FreeElement.from_path(q, fld, u) * rel \
-                    * FreeElement.from_path(q, fld, v)
-                if m.is_zero():
+        hat_rel = hat_f(rel, basis, f)
+        for i, u in enumerate(basis.paths):
+            if endpoints is not None and q.path_source(u) != endpoints[0]:
+                continue
+            left = basis.mul({i: one}, hat_rel)
+            if not left:
+                continue
+            for j, v in enumerate(basis.paths):
+                if endpoints is not None and q.path_target(v) != endpoints[1]:
                     continue
-                val = hat_f(m, basis, f)
+                val = basis.mul(left, {j: one})
                 if val:
                     solver.add(val, (u, k, v))
     return solver
@@ -177,7 +188,14 @@ class ImageConditionReport:
 
 
 def check_image_condition(basis, f):
-    """Is every value of f expressible through hat_f of ideal elements?"""
+    """Is every value of f expressible through hat_f of ideal elements?
+
+    f is a reduced 2-cocycle, which the caller proves, as for
+    Deformation: hat_f of the multiples u*rho*v is read off hat_f of the
+    relations by an identity that needs d f = 0 (_hat_multiple_span).
+    build_presentation proves it before normalize_cocycle, and that
+    proves it for its representative before the second check.
+    """
     check_reduced(f, basis)
     solver = _hat_multiple_span(basis, f)
     witnesses = {}
@@ -253,7 +271,8 @@ def _transported_cocycle(basis, f):
 
 
 def normalize_cocycle(basis, f):
-    """Replace f by a cohomologous cocycle whose image condition holds.
+    """Replace the cocycle f, which the caller proves one, by a
+    cohomologous cocycle whose image condition holds.
 
     Returns f itself when the condition already holds.
     """

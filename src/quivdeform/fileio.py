@@ -219,12 +219,19 @@ def parse_algebra_text(text, field_override=None):
         origins.append(origin)
 
     cocycle_pairs = {}
+    key_paths = {}  # key path text -> path; family files repeat each many times
+
+    def key_path(text):
+        if text not in key_paths:
+            key_paths[text] = parse_path(text, quiver)
+        return key_paths[text]
+
     for lineno, rest in cocycle_lines:
         m = re.match(r"^f\((.*?),(.*?)\)\s*=\s*(.*)$", rest)
         if not m:
             raise InputError("line %d: malformed cocycle line" % lineno)
         try:
-            key = (parse_path(m.group(1), quiver), parse_path(m.group(2), quiver))
+            key = (key_path(m.group(1)), key_path(m.group(2)))
             value = parse_expression(m.group(3), quiver, field, params)
         except InputError as e:
             raise InputError("line %d: %s" % (lineno, e))

@@ -391,6 +391,16 @@ class AlgebraBasis(FinDimAlgebra):
     complete, so by the diamond lemma every path has one normal form and
     the table is the product of kQ/I, which is associative with the
     trivial paths summing to its unit.
+
+    The table is filled by the right action of the arrows.  A prefix q'
+    of a standard monomial q = q'a is standard, since standard monomials
+    are closed under subwords (standard_monomials), so it is a basis path
+    of smaller index; and w -> [w] is an algebra map kQ -> kQ/I, so
+    [p q] = [[p q'] a] = sum_k c_k [p_k a] for [p q'] = sum_k c_k p_k.
+    Rows are filled in basis order, which is by length, so [p q'] is
+    known when [p q] is needed, and each class [p_k a] is rewritten at
+    most once, only when p_k a is not itself a basis path: at most
+    dim * |arrows| calls to reduce in all.
     """
 
     def __init__(self, quiver, field, relations, rewrite, paths):
@@ -401,18 +411,25 @@ class AlgebraBasis(FinDimAlgebra):
         self.index = {p: i for i, p in enumerate(paths)}
         self.trivial_indices = [i for i, p in enumerate(paths) if len(p) == 1]
         self.radical_indices = [i for i, p in enumerate(paths) if len(p) > 1]
-        table = {}
-        for i, p in enumerate(paths):
-            for j, q in enumerate(paths):
-                comp = quiver.compose(p, q)
-                if comp is None:
-                    continue
-                nf = rewrite.reduce(FreeElement.from_path(quiver, field, comp))
-                if not nf.is_zero():
-                    table[(i, j)] = {self.index[t]: c for t, c in nf.terms.items()}
-        super().__init__(field, len(paths), table,
+        super().__init__(field, len(paths), {},
                          {i: field.one for i in self.trivial_indices},
                          [quiver.path_str(p) for p in paths], check=False)
+        table = self.table
+        acted = {}  # p_k a -> [p_k a]
+        for i, p in enumerate(paths):
+            for j, q in enumerate(paths):
+                if len(q) == 1:
+                    if quiver.path_target(p) == q[0]:
+                        table[(i, j)] = {i: field.one}
+                    continue
+                prod = {}
+                for k, c in table.get((i, self.index[q[:-1]]), {}).items():
+                    w = paths[k] + q[-1:]
+                    if w not in acted:
+                        acted[w] = self.element_from_path(w)
+                    _addinto(field, prod, acted[w], c)
+                if prod:
+                    table[(i, j)] = prod
 
     def element_from_path(self, p):
         # a standard monomial is irreducible, so only other words rewrite

@@ -2,7 +2,9 @@
 
 Dimensions of bound quiver algebras are recomputed here by listing all
 paths up to a length cap and row-reducing the span of u*r*v multiples
-of the input relations, with no rewriting involved.  Hochschild numbers
+of the input relations, with no rewriting involved; the structure table
+of kQ/I reduces each product of two basis paths against the same rows,
+with the paths outside the basis as leading columns.  Hochschild numbers
 are recomputed on the full bar complex Hom(A^{tensor n}, A) from raw
 structure constants; only dim HH^2 is comparable with the reduced
 relative complex the library uses, the Z and B dimensions differ by
@@ -124,6 +126,63 @@ def brute_force_dimension(quiver, relations, field, max_len):
                 if touched:
                     rows.append(row)
     return len(paths) - dense_rank(rows, len(paths), field)
+
+
+def brute_structure_table(quiver, relations, field, paths, max_len):
+    """Structure constants {(i, j): {k: c}} of kQ/I on the basis paths
+    paths, with no rewriting: [p q] for each composable pair of basis
+    paths is read off the dense row reduction of the u*r*v multiples of
+    degree <= max_len, as in brute_force_dimension, with the paths
+    outside the basis as the leading columns.  Reducing p q against
+    those rows leaves a combination of basis paths congruent to it.
+
+    Raises AssertionError when the rows reach a basis column (a
+    combination of basis paths lies in the ideal) or leave p q off the
+    basis (max_len is too small for it)."""
+    listed = set(paths)
+    columns = [p for p in _enumerate_paths(quiver, max_len) if p not in listed]
+    lead = len(columns)
+    columns += list(paths)
+    index = {p: i for i, p in enumerate(columns)}
+    rows = set()
+    for rel in relations:
+        max_term = max(len(p) - 1 for p in rel.terms)
+        for u in columns:
+            for v in columns:
+                if (len(u) - 1) + max_term + (len(v) - 1) > max_len:
+                    continue
+                row = [field.zero] * len(columns)
+                for p, c in rel.terms.items():
+                    up = quiver.compose(u, p)
+                    upv = None if up is None else quiver.compose(up, v)
+                    if upv is not None:
+                        row[index[upv]] = field.add(row[index[upv]], c)
+                if any(x != field.zero for x in row):
+                    rows.add(tuple(row))
+    rows = [list(r) for r in rows]
+    pivots = dense_rref(rows, len(columns), field)
+    if pivots and pivots[-1] >= lead:
+        raise AssertionError("a combination of the basis paths lies in the ideal")
+    table = {}
+    for i, p in enumerate(paths):
+        for j, q in enumerate(paths):
+            pq = quiver.compose(p, q)
+            if pq is None:
+                continue
+            if len(pq) - 1 > max_len:
+                raise AssertionError("%r is longer than max_len" % (pq,))
+            vec = [field.zero] * len(columns)
+            vec[index[pq]] = field.one
+            for row, col in zip(rows, pivots):
+                c = vec[col]
+                if c != field.zero:
+                    vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
+            if any(x != field.zero for x in vec[:lead]):
+                raise AssertionError("max_len %d leaves %r off the basis" % (max_len, pq))
+            prod = {k: c for k, c in enumerate(vec[lead:]) if c != field.zero}
+            if prod:
+                table[(i, j)] = prod
+    return table
 
 
 def full_bar_hh2(dim, table, field):
@@ -459,16 +518,28 @@ def brute_generator_associativity_defect(dim, table, unit, field):
     The greedy generators are recomputed here: basis index i is one when
     x_i lies outside the span of the words that the earlier ones build
     from the unit vector.  That span is grown length by length, with its
-    own echelon rows, each time a generator is added."""
+    own echelon rows, each time a generator is added.  Each word the span
+    accepts raises its rank, so a span that accepts more than dim words
+    (under a broken field, say) raises AssertionError instead of growing
+    without end."""
     gens, rows = [], None
+
+    def accept(word):
+        if not _echelon_add(rows, word, field):
+            return False
+        accepted.append(word)
+        if len(accepted) > dim:
+            raise AssertionError("the span accepted more than %d words" % dim)
+        return True
+
     for i in range(dim):
         if rows is None:
-            rows = {}
-            layer = [dict(unit)] if _echelon_add(rows, unit, field) else []
+            rows, accepted = {}, []
+            layer = [dict(unit)] if accept(unit) else []
             while layer:
                 layer = [word for w in layer for g in gens
                          for word in [_act(table, field, {g: field.one}, w)]
-                         if _echelon_add(rows, word, field)]
+                         if accept(word)]
         if _echelon_add(dict(rows), {i: field.one}, field):
             gens.append(i)
             rows = None

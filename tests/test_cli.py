@@ -330,6 +330,18 @@ def test_verify_deform_golden(capsys):
         assert capsys.readouterr().out == verify_deform_golden(*sizes), name
 
 
+@pytest.mark.parametrize("command", ["deform", "verify-deform"])
+def test_lifted_multiples_golden(command, capsys):
+    # the idempotent of k[x]/(x^3) is reached only through lifted
+    # multiples u*rho*v of x*x*x, which join the relations as lift:1 and
+    # lift:2; the goldens were captured before hat_f of the multiples was
+    # read off hat_f of the relation
+    assert run([command, data_path("cube_multiples.alg")]) == 0
+    golden = "%s_cube_multiples.txt" % command.replace("-", "_")
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_verify_deform_needs_admissible_relations(capsys):
     # relations like u*v - e(1) put trivial paths into radical products;
     # the reduced complex is not defined there and the input is refused

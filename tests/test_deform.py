@@ -314,17 +314,34 @@ def _non_cocycle(basis, f):
     raise AssertionError("every move of f is a cocycle")
 
 
-def test_hat_f_is_the_t_part_of_lifted_arrow_products(monkeypatch):
+def _products_in_kq(basis, endpoints=None):
+    """((u, k, v), u*rho_k*v) for basis paths u, v and relations rho_k,
+    multiplied out in kQ, in k, u, v order, when the product is not zero
+    and, with endpoints = (s, t), u starts at s and v ends at t."""
+    q, fld = basis.quiver, basis.field
+    for k, rel in enumerate(basis.relations):
+        for u in basis.paths:
+            for v in basis.paths:
+                if endpoints is not None and (q.path_source(u), q.path_target(v)) != endpoints:
+                    continue
+                m = FreeElement.from_path(q, fld, u) * rel * FreeElement.from_path(q, fld, v)
+                if not m.is_zero():
+                    yield (u, k, v), m
+
+
+def test_hat_f_is_the_t_part_of_lifted_arrow_products():
     # hat_f reads path classes from the table of kQ/I; the oracle
     # multiplies (a_1, 0) ... (a_s, 0) out in A_f.  The identity holds for
     # any cochain, so it is checked for the cocycle and for a non-cocycle,
-    # on every basis path and on every u*rho*v word _hat_multiple_span lifts
+    # on every basis path and on every nonzero product u*rho*v in kQ
     from conftest import load_basis
-    from quivdeform import deform
+    grown = 0
     for name in EXAMPLES + ("lambda_m2",):
         af, basis = load_basis(name + ".alg")
         q, fld = af.quiver, basis.field
         f = cochain_from_pairs(basis, af.cocycle_pairs)
+        multiples = [m for _, m in _products_in_kq(basis)]
+        grown += len(multiples) - len(basis.relations)
         for g in (f, _non_cocycle(basis, f)):
             lifted = brute_deformed_table(basis.dim, basis.table, g.table)
 
@@ -334,14 +351,10 @@ def test_hat_f_is_the_t_part_of_lifted_arrow_products(monkeypatch):
                     [{basis.index[(q.arrows[a][1], a)]: fld.one} for a in p[1:]], fld))
                     for p, c in w.terms.items()])
 
-            words = [FreeElement.from_path(q, fld, p) for p in basis.paths]
-            monkeypatch.setattr(deform, "hat_f",
-                                lambda w, b, h: words.append(w) or hat_f(w, b, h))
-            deform._hat_multiple_span(basis, g)
-            monkeypatch.undo()
-            assert len(words) > basis.dim or not basis.relations, name
+            words = [FreeElement.from_path(q, fld, p) for p in basis.paths] + multiples
             for w in words:
                 assert hat_f(w, basis, g) == oracle(w), (name, w)
+    assert grown > 0
 
 
 def test_hat_f_is_linear(two_cycle):
@@ -417,6 +430,100 @@ def test_image_condition_failure(two_cycle):
     assert rep.failing
 
 
+def _multiples_in_kq(basis, f, endpoints=None):
+    """The (tag, vector) pairs of _hat_multiple_span the slow way: hat_f
+    of each product u*rho*v multiplied out in kQ, in the same order and
+    with the same filters."""
+    return [(tag, val) for tag, m in _products_in_kq(basis, endpoints)
+            for val in [hat_f(m, basis, f)] if val]
+
+
+def _recorded_multiples(basis, f, endpoints=None):
+    """The (tag, vector) pairs _hat_multiple_span adds to its span, in order."""
+    from quivdeform import deform
+    added = []
+
+    class Recording(deform.SpanSolver):
+        def add(self, vec, tag=None):
+            added.append((tag, dict(vec)))
+            return super().add(vec, tag)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deform, "SpanSolver", Recording)
+        deform._hat_multiple_span(basis, f, endpoints)
+    return added
+
+
+def _random_coboundary(basis, rng):
+    """The oracle's d g for a 1-cochain g with a random value on each
+    radical basis path, spread over the basis paths with the same
+    endpoints, and zero on the trivial paths."""
+    fld = basis.field
+    table = {}
+    for i in basis.radical_indices:
+        table[(i,)] = {j: fld.from_int(rng.choice((-2, -1, 1, 3)))
+                       for j in range(basis.dim)
+                       if basis.path_source_of_index(j) == basis.path_source_of_index(i)
+                       and basis.path_target_of_index(j) == basis.path_target_of_index(i)
+                       and rng.random() < 0.5}
+    return FullCochain(basis.dim, 2, fld,
+                       brute_differential(basis.dim, basis.table, fld, table, 1))
+
+
+def multiple_span_cases():
+    """(name, basis, reduced 2-cocycle): the fixtures and
+    deformation_cases, k[x]/(x^n) and cyclic quivers with the cocycle of
+    a cycle = t, each also moved by a random d g, and the two cocycles
+    of two_cycle whose image condition fails."""
+    from conftest import load_basis
+    cases = [(name, basis, f) for name, basis, f in deformation_cases()]
+    for name in ("lambda_m2", "cube_multiples"):
+        af, basis = load_basis(name + ".alg")
+        cases.append((name, basis, cochain_from_pairs(basis, af.cocycle_pairs)))
+    for n in (3, 5):
+        af = parse_algebra_text(truncated_polynomial_text(n))
+        basis = compute_basis(af.quiver, af.relations, af.field, 30)
+        cases.append(("trunc%d" % n, basis, cochain_from_pairs(basis, af.cocycle_pairs)))
+    for m, length in ((2, 4), (3, 6)):
+        af = parse_algebra_text(cyclic_quiver_text(m, length))
+        basis = compute_basis(af.quiver, af.relations, af.field, 2 * length + 2)
+        cases.append(("cyclic%d_%d" % (m, length), basis, cycle_cocycle(basis, length)))
+    rng = random.Random(17)
+    cases += [(name + "+dg", basis, f + _random_coboundary(basis, rng))
+              for name, basis, f in list(cases)]
+    af, basis = load_basis("two_cycle.alg")
+    q = af.quiver
+    a2, a1 = q.arrow_path("a2"), q.arrow_path("a1")
+    a2a1 = q.path_from_arrow_names(["a2", "a1"])
+    cases.append(("stray", basis, cochain_from_paths(
+        basis, 2, {(a2, a1): basis.element_from_path(a2a1)})))
+    g = cochain_from_paths(basis, 1, {(a2a1,): basis.element_from_path(q.trivial_path("2"))})
+    cases.append(("moved", basis, the_cocycle(af, basis) + differential(g, basis)))
+    return cases
+
+
+def test_multiple_span_matches_the_products_in_kq():
+    # _hat_multiple_span reads hat_f(u rho v) as [u] hat_f(rho) [v] off the
+    # table of kQ/I; for a cocycle that is hat_f of the product in kQ, so
+    # its span gets the same tagged vectors in the same order
+    cases = multiple_span_cases()
+    failing = lifted = 0
+    for name, basis, f in cases:
+        fld = basis.field
+        assert not brute_differential(basis.dim, basis.table, fld, f.table, 2), name
+        want = _multiples_in_kq(basis, f)
+        assert _recorded_multiples(basis, f) == want, name
+        lifted += bool(want)
+        failing += not check_image_condition(basis, f).ok
+        vertices = range(len(basis.quiver.vertices))
+        for ends in [(s, t) for s in vertices for t in vertices]:
+            assert (_recorded_multiples(basis, f, ends)
+                    == _multiples_in_kq(basis, f, ends)), (name, ends)
+    # only lambda_m2, whose cocycle is zero, and stray lift nothing
+    assert lifted == len(cases) - 2
+    assert failing >= 2
+
+
 def test_presentation_dual_numbers(dual_numbers):
     af, basis = dual_numbers
     f = the_cocycle(af, basis)
@@ -490,6 +597,24 @@ def test_presentation_quantum_plane(quantum_plane):
     assert compute_basis(pres.quiver, pres.relations, Q, 30).dim == 8
     checks = verify_presentation(DeformedAlgebra(basis, f), pres)
     assert all(ok for _, ok, _ in checks)
+
+
+def test_presentation_appends_lifted_multiples():
+    # hat_f(x*x*x) alone misses e(1), so the presentation resolves it
+    # through multiples u*rho*v and appends the ones it uses
+    from conftest import load_basis
+    af, basis = load_basis("cube_multiples.alg")
+    q = af.quiver
+    f = the_cocycle(af, basis)
+    assert is_cocycle(f, basis)
+    pres, eps = build_presentation(basis, f)
+    assert pres.cocycle is f
+    x3, x5 = (FreeElement.from_path(q, Q, q.path_from_arrow_names(["x"] * n)) for n in (3, 5))
+    assert pres.extended == [x3, x5]
+    assert eps["1"].kind == "combination"
+    assert eps["1"].witness == {1: Fraction(1, 2), 2: Fraction(-3, 4)}
+    assert [o for o in pres.origins if o.startswith("lift")] == ["lift:0", "lift:1", "lift:2"]
+    assert all(ok for _, ok, _ in verify_presentation(DeformedAlgebra(basis, f), pres))
 
 
 def test_presentation_zero_cocycle(two_cycle):

@@ -174,3 +174,16 @@ def test_int_and_fraction_coefficients_print_alike():
     fractions = [("a", Fraction(2, 2)), ("b", Fraction(-1)), ("c", Fraction(4, 2)),
                  ("d", Fraction(-6, 2)), ("e", Fraction(1, 2))]
     assert signed_sum_str(ints, Q) == signed_sum_str(fractions, Q) == "a - b + 2*c - 3*d + 1/2*e"
+
+
+def test_cocycle_key_paths_are_parsed_once(monkeypatch):
+    from quivdeform import fileio
+    text = ("field Q\nvertex 1\narrow x : 1 -> 1\nrelation x*x*x\n"
+            "cocycle f(x, x) = x\ncocycle f(x, x*x) = e(1)\n"
+            "cocycle f(x*x, x) = e(1)\ncocycle f(x*x, x*x) = x\n")
+    seen = []
+    monkeypatch.setattr(fileio, "parse_path", lambda t, q: seen.append(t) or parse_path(t, q))
+    af = parse_algebra_text(text)
+    assert sorted(seen) == [" x", " x*x", "x", "x*x"]
+    x, xx = af.quiver.path_from_arrow_names(["x"]), af.quiver.path_from_arrow_names(["x", "x"])
+    assert list(af.cocycle_pairs) == [(x, x), (x, xx), (xx, x), (xx, xx)]

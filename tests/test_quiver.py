@@ -2,13 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import load_basis
-from oracles import brute_force_dimension, brute_generated_dimension
+from conftest import data_path, load_basis
+from oracles import brute_force_dimension, brute_generated_dimension, brute_structure_table
 from quivdeform import quiver
+from quivdeform.deform import build_presentation
 from quivdeform.errors import InputError, NotFiniteDimensional, SizeLimitExceeded
 from quivdeform.fields import Field
+from quivdeform.fileio import parse_algebra_file
+from quivdeform.hochschild import cochain_from_pairs
 from quivdeform.linalg import FinDimAlgebra
-from quivdeform.quiver import (FreeElement, Quiver, compute_basis,
+from quivdeform.quiver import (AlgebraBasis, FreeElement, Quiver, compute_basis,
                                decompose_unit, path_order_key, relation_endpoints,
                                validate_admissible_relations)
 
@@ -24,6 +27,58 @@ def test_fixture_tables_over_Q_hold_ints(name):
     assert af.field == Q
     values = [c for vec in list(basis.table.values()) + [basis.unit] for c in vec.values()]
     assert values and {type(c) for c in values} == {int}
+
+
+FIXTURES = ("dual_numbers", "two_cycle", "triangle", "quantum_plane", "lambda_m2",
+            "cube_multiples")
+
+
+def structure_table_cases(fld):
+    """(name, quiver, relations, basis) over fld: each fixture and, for
+    each fixture with a cocycle, the quiver and relations of the
+    presentation of its deformed algebra."""
+    for name in FIXTURES:
+        af = parse_algebra_file(data_path(name + ".alg"), fld)
+        basis = compute_basis(af.quiver, af.relations, fld, 30)
+        yield name, af.quiver, af.relations, basis
+        if af.cocycle_pairs:
+            pres, _ = build_presentation(basis, cochain_from_pairs(basis, af.cocycle_pairs))
+            yield (name + "^", pres.quiver, pres.relations,
+                   compute_basis(pres.quiver, pres.relations, fld, 30))
+
+
+@pytest.mark.parametrize("fld", [Q, Field.prime(3), Field.prime(5)], ids=repr)
+def test_structure_table_matches_the_oracle(fld):
+    # the table is filled by the arrow action; the oracle solves each
+    # [p q] by dense elimination against the multiples of the relations.
+    # Products of basis paths have length at most twice the longest one,
+    # and one more degree of multiples reaches every normal form here
+    for name, q, relations, basis in structure_table_cases(fld):
+        top = max(len(p) - 1 for p in basis.paths)
+        want = brute_structure_table(q, relations, fld, basis.paths, 2 * top + 1)
+        assert basis.table == want, name
+        assert list(basis.table) == list(want) == sorted(want), name
+
+
+def test_structure_table_rewrites_at_most_dim_times_arrows(monkeypatch):
+    # only the products p_k * a of a basis path and an arrow that are not
+    # basis paths are rewritten, each once, not every pair of basis paths
+    x = Quiver(["1"], [("x", "1", "1")])
+    cases = [(x, [FreeElement.from_path(x, Q, x.path_from_arrow_names(["x"] * 8))])]
+    for _, q, relations, _ in structure_table_cases(Q):
+        cases.append((q, relations))
+    for q, relations in cases:
+        basis = compute_basis(q, relations, Q, 30)
+        calls = []
+        reduce = basis.rewrite.reduce
+        monkeypatch.setattr(basis.rewrite, "reduce", lambda e: calls.append(e) or reduce(e))
+        again = AlgebraBasis(q, Q, relations, basis.rewrite, basis.paths)
+        monkeypatch.undo()
+        assert again.table == basis.table
+        assert len(calls) <= basis.dim * len(q.arrows), (basis.dim, len(calls))
+        off_basis = [(p, a) for p in basis.paths for a, (_, s, _) in enumerate(q.arrows)
+                     if q.path_target(p) == s and p + (a,) not in basis.index]
+        assert len(calls) <= len(off_basis)
 
 
 def test_quiver_validation():
