@@ -4,10 +4,15 @@ Every subcommand reads an algebra file, runs exact computations, and
 prints either plain values (basis, hh, deform, transfer tables) or a
 report of named checks.  The process exits 0 only when all checks
 pass; bad input exits 2 and typed computation errors exit 1.
+
+The command line is read from the COMMANDS table the way argparse read
+it, without argparse: importing it and building its parsers took longer
+than many commands take to compute.
 """
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 from .deform import (DeformedAlgebra, build_presentation, deformation_equivalence,
                      hat_f, interreduce_presentation, verify_presentation)
@@ -96,13 +101,13 @@ def cmd_deform(args):
     text = emit_algebra_text(basis.field, pres.quiver, pres.relations,
                              origins=pres.origins, header=header)
     if args.output:
-        with open(args.output, "w") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     if args.dot:
         dot = emit_dot(pres.quiver, dashed_arrows=pres.dashed, graph_name="Qf")
-        with open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
     return 0
 
@@ -324,88 +329,172 @@ def cmd_module_roundtrip(args):
     return _emit_report(checks, args.report)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="quivdeform",
-        description="Exact deformations of bound quiver algebras.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
+# A long option maps to (metavar, default, convert, help).  A flag has no
+# metavar and turns its default False to True; convert is int, a tuple of
+# the accepted values, or None for any string.
+_COMMON = {
+    "--field": ("K", None, None, "override the field declared in the file (Q or F<p>)"),
+    "--max-degree": ("N", 30, int, "path length cap for basis computations (default 30)"),
+    "--report": ("{text,json-lines}", "text", ("text", "json-lines"),
+                 "format of the check lines (default text)"),
+}
+_CONTEXT = {
+    **_COMMON,
+    "--matrix": ("N", None, int, "matrix amplification M_N(A)"),
+    "--idempotent": ("V1,V2,...", None, None,
+                     "corner context at the sum of the named vertex idempotents"),
+}
+_SHORT = {"-h": "--help", "-o": "--output"}
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", metavar="K", default=None,
-                        help="override the field declared in the file (Q or F<p>)")
-    common.add_argument("--max-degree", type=int, default=30, metavar="N",
-                        help="path length cap for basis computations (default 30)")
-    common.add_argument("--report", choices=("text", "json-lines"),
-                        default="text", help="format of the check lines")
+# command -> (positionals, long options, handler, help)
+COMMANDS = {
+    "basis": (("file",), _COMMON, cmd_basis, "print the monomial basis of kQ/I"),
+    "hh": (("file",), _COMMON, cmd_hh,
+           "dimensions of degree-2 cocycles, coboundaries and HH^2"),
+    "check-cocycle": (("file",), _COMMON, cmd_check_cocycle,
+                      "check d^2 f = 0 for the cocycle lines of the file"),
+    "deform": (("file",), {
+        **_COMMON,
+        "--output": ("OUT", None, None, "write the presentation here instead of stdout"),
+        "--dot": ("OUT", None, None, "also write the deformed quiver as a DOT digraph"),
+        "--interreduce": (None, False, None,
+                          "emit the completed rewrite rules instead of the raw generators"),
+    }, cmd_deform, "emit a quiver presentation of the deformed algebra"),
+    "verify-deform": (("file",), _COMMON, cmd_verify_deform,
+                      "verify the deformed algebra and its presentation"),
+    "equiv": (("file", "other"), _COMMON, cmd_equiv,
+              "decide whether two cocycles give equivalent deformations"),
+    "transfer": (("file",), _CONTEXT, cmd_transfer,
+                 "transfer the cocycle across a Morita context"),
+    "verify-morita": (("file",), _CONTEXT, cmd_verify_morita,
+                      "verify the deformed Morita equivalence"),
+    "module-roundtrip": (("file", "module"), _COMMON, cmd_module_roundtrip,
+                         "carve a module over the deformed algebra into an uple "
+                         "and rebuild it"),
+}
 
-    p = sub.add_parser("basis", parents=[common],
-                       help="print the monomial basis of kQ/I")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_basis)
 
-    p = sub.add_parser("hh", parents=[common],
-                       help="dimensions of degree-2 cocycles, coboundaries and HH^2")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_hh)
+def _usage(command):
+    if command is None:
+        return "usage: quivdeform [-h] COMMAND [options] ..."
+    positionals, options = COMMANDS[command][:2]
+    words = [p.upper() for p in positionals]
+    if "--matrix" in options:
+        words.append("(--matrix N | --idempotent V1,V2,...)")
+    return "usage: quivdeform %s [options] %s" % (command, " ".join(words))
 
-    p = sub.add_parser("check-cocycle", parents=[common],
-                       help="check d^2 f = 0 for the cocycle lines of the file")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_check_cocycle)
 
-    p = sub.add_parser("deform", parents=[common],
-                       help="emit a quiver presentation of the deformed algebra")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", metavar="OUT",
-                   help="write the presentation here instead of stdout")
-    p.add_argument("--dot", metavar="OUT",
-                   help="also write the deformed quiver as a DOT digraph")
-    p.add_argument("--interreduce", action="store_true",
-                   help="emit the completed rewrite rules instead of the raw generators")
-    p.set_defaults(handler=cmd_deform)
+def _help(command):
+    if command is None:
+        lines = ["Exact deformations of bound quiver algebras.", "", "commands:"]
+        lines += ["  %-18s%s" % (name, spec[3]) for name, spec in COMMANDS.items()]
+        lines += ["", "`quivdeform COMMAND -h` lists the options of a command."]
+    else:
+        shorts = {name: short + ", " for short, name in _SHORT.items()}
+        options = {**COMMANDS[command][1], "--help": (None, None, None, "show this help and exit")}
+        lines = [COMMANDS[command][3], "", "options:"]
+        for name, (metavar, _, _, text) in options.items():
+            spelling = shorts.get(name, "") + name + (" " + metavar if metavar else "")
+            lines.append("  %-28s%s" % (spelling, text))
+    return "\n".join([_usage(command), ""] + lines)
 
-    p = sub.add_parser("verify-deform", parents=[common],
-                       help="verify the deformed algebra and its presentation")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_verify_deform)
 
-    p = sub.add_parser("equiv", parents=[common],
-                       help="decide whether two cocycles give equivalent deformations")
-    p.add_argument("file")
-    p.add_argument("other")
-    p.set_defaults(handler=cmd_equiv)
+def _fail(command, message):
+    sys.stderr.write("%s\nquivdeform: error: %s\n" % (_usage(command), message))
+    raise SystemExit(2)
 
-    for name, handler, text in (
-            ("transfer", cmd_transfer,
-             "transfer the cocycle across a Morita context"),
-            ("verify-morita", cmd_verify_morita,
-             "verify the deformed Morita equivalence")):
-        p = sub.add_parser(name, parents=[common], help=text)
-        p.add_argument("file")
-        grp = p.add_mutually_exclusive_group(required=True)
-        grp.add_argument("--matrix", type=int, metavar="N",
-                         help="matrix amplification M_N(A)")
-        grp.add_argument("--idempotent", metavar="V1,V2,...",
-                         help="corner context at the sum of the named vertex idempotents")
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("module-roundtrip", parents=[common],
-                       help="carve a module into an uple and rebuild it")
-    p.add_argument("file", help="algebra file with cocycle lines")
-    p.add_argument("module", help="module file over the deformed algebra")
-    p.set_defaults(handler=cmd_module_roundtrip)
-    return parser
+def _option_of(token, names, command):
+    """How argparse reads token, given the option spellings names: None
+    for a positional, else (name, value).  name is the long option the
+    token names, or None when it names none; value is what "=" or a
+    short option attaches, or None."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[:2] == "--":
+        head, eq, value = token.partition("=")
+        found = ([head] if head in names
+                 else [n for n in names if len(head) > 2 and n.startswith(head)])
+    else:
+        head, value = token[:2], token[2:]
+        eq = value[:1] == "="
+        found = [head] if head in names else []
+        value = value[1:] if eq else value
+    if len(found) > 1:
+        _fail(command, "ambiguous option: %s could match %s" % (head, ", ".join(found)))
+    if found:
+        return _SHORT.get(found[0], found[0]), value if eq or value else None
+    # argparse takes a negative number, or a word with a space, as a value
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_args(argv):
+    """The command line argv as a namespace: the command, each positional
+    and each long option by its name, dashes made underscores, as argparse
+    gave them.  Prints the help and raises SystemExit(0) at -h or --help;
+    prints a usage error and raises SystemExit(2) on a malformed line."""
+    if not argv:
+        _fail(None, "a command is required")
+    command = argv[0]
+    if command not in COMMANDS:
+        if _option_of(command, ("--help", "-h"), None) == ("--help", None):
+            print(_help(None))
+            raise SystemExit(0)
+        _fail(None, "invalid command %r (choose from %s)" % (command, ", ".join(COMMANDS)))
+    positionals, options = COMMANDS[command][:2]
+    names = [*options, "--help"]
+    names += [short for short, name in _SHORT.items() if name in names]
+    values = {name[2:].replace("-", "_"): spec[1] for name, spec in options.items()}
+    given, rest = [], iter(argv[1:])
+    for token in rest:
+        if token == "--":
+            given.extend(rest)
+            break
+        found = _option_of(token, names, command)
+        if found is None:
+            given.append(token)
+            continue
+        name, value = found
+        if name is None:
+            _fail(command, "unrecognized option %s" % token)
+        if name == "--help" or options[name][0] is None:
+            if value is not None:
+                _fail(command, "%s takes no value" % name)
+            if name == "--help":
+                print(_help(command))
+                raise SystemExit(0)
+            value = True
+        elif value is None:
+            value = next(rest, None)
+            if value is None or _option_of(value, names, command):
+                _fail(command, "%s expects a value" % name)
+        convert = options[name][2]
+        if convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, "%s expects an integer, got %r" % (name, value))
+        elif convert is not None and value not in convert:
+            _fail(command, "%s expects one of %s, got %r" % (name, ", ".join(convert), value))
+        values[name[2:].replace("-", "_")] = value
+    if len(given) < len(positionals):
+        _fail(command, "missing %s" % " ".join(p.upper() for p in positionals[len(given):]))
+    if len(given) > len(positionals):
+        _fail(command, "unexpected argument %s" % " ".join(given[len(positionals):]))
+    if "--matrix" in options and (values["matrix"] is None) == (values["idempotent"] is None):
+        _fail(command, "exactly one of --matrix and --idempotent is required")
+    return SimpleNamespace(command=command, **dict(zip(positionals, given)), **values)
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return exc.code
     try:
-        return args.handler(args)
+        return COMMANDS[args.command][2](args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -6,8 +6,6 @@ and print alike), in F_p an int in [0, p).  All arithmetic goes through a
 Field instance so the rest of the library never branches on the characteristic.
 """
 
-from fractions import Fraction
-
 from .errors import InputError
 
 
@@ -41,9 +39,15 @@ def _is_prime(n):
     return True
 
 
-def _rational(q):
-    """The Fraction q as an int when its denominator is 1."""
-    return q.numerator if q.denominator == 1 else q
+def _rational(n, d):
+    """The rational n/d of two ints: an int when d divides n, a Fraction
+    otherwise.  fractions is imported here, at the first scalar that is
+    not an integer, since its import (decimal and numbers with it) costs
+    more than the package itself and many runs never make such a scalar."""
+    if n % d == 0:
+        return n // d
+    from fractions import Fraction
+    return Fraction(n, d)
 
 
 class Field:
@@ -111,7 +115,8 @@ class Field:
         if a == self.zero:
             raise ZeroDivisionError("inverting zero in %r" % self)
         if self.char == 0:
-            return _rational(Fraction(1) / a)
+            # 1/a, for an int a as for a Fraction
+            return _rational(a.denominator, a.numerator)
         # Fermat: a^(p-2) is the inverse mod p
         return pow(a, self.char - 2, self.char)
 
@@ -132,7 +137,7 @@ class Field:
         if denominator == 0:
             raise InputError("zero denominator in %r" % token)
         if self.char == 0:
-            return _rational(Fraction(numerator, denominator))
+            return _rational(numerator, denominator)
         if denominator % self.char == 0:
             raise InputError("denominator of %r is divisible by %d" % (token, self.char))
         return self.mul(self.from_int(numerator), self.inv(self.from_int(denominator)))

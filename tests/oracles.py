@@ -30,9 +30,11 @@ generated by a list of basis elements is spanned word by word and
 measured with the dense rank.  Dense Gauss-Jordan elimination, with the
 rank and the nullspace it gives, and dense matrix products and inverses
 are here too, as the reference for the library's sparse elimination and
-sparse maps.
+sparse maps.  The command line is parsed here by argparse, as the
+reference for the package's own table-driven parser.
 """
 
+import argparse
 from itertools import product
 
 
@@ -1070,3 +1072,47 @@ def brute_map_defects(n, src, tgt, u, field):
         if umap(_act(ax, field, xi, e)) != _act(ay, field, xi, umap(e)):
             out.append((i, m))
     return out
+
+
+def build_parser():
+    """The command line of quivdeform as an argparse parser.  The command
+    name, under "command", stands where the package keeps its handler, so
+    the namespace it gives is the package parser's attribute for attribute."""
+    parser = argparse.ArgumentParser(
+        prog="quivdeform",
+        description="Exact deformations of bound quiver algebras.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub.required = True
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--field", metavar="K", default=None,
+                        help="override the field declared in the file (Q or F<p>)")
+    common.add_argument("--max-degree", type=int, default=30, metavar="N",
+                        help="path length cap for basis computations (default 30)")
+    common.add_argument("--report", choices=("text", "json-lines"),
+                        default="text", help="format of the check lines")
+
+    for name in ("basis", "hh", "check-cocycle", "verify-deform"):
+        sub.add_parser(name, parents=[common]).add_argument("file")
+
+    p = sub.add_parser("deform", parents=[common])
+    p.add_argument("file")
+    p.add_argument("-o", "--output", metavar="OUT")
+    p.add_argument("--dot", metavar="OUT")
+    p.add_argument("--interreduce", action="store_true")
+
+    p = sub.add_parser("equiv", parents=[common])
+    p.add_argument("file")
+    p.add_argument("other")
+
+    for name in ("transfer", "verify-morita"):
+        p = sub.add_parser(name, parents=[common])
+        p.add_argument("file")
+        grp = p.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--matrix", type=int, metavar="N")
+        grp.add_argument("--idempotent", metavar="V1,V2,...")
+
+    p = sub.add_parser("module-roundtrip", parents=[common])
+    p.add_argument("file")
+    p.add_argument("module")
+    return parser

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path, load_basis
 from oracles import (brute_associator, brute_deformed_table,
-                     brute_generator_associativity_defect)
+                     brute_generator_associativity_defect, build_parser)
 
 
 def lines_of(capsys):
@@ -896,11 +898,203 @@ def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypat
 
 
 def test_usage_errors(capsys):
-    assert run([]) == 2
+    # each usage error exits 2 with a usage line and an error line on stderr
+    for argv in ([], ["frobnicate"], ["transfer", data_path("two_cycle.alg")],
+                 ["transfer", data_path("two_cycle.alg"), "--matrix", "1",
+                  "--idempotent", "1"]):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage: quivdeform"), argv
+        assert lines[1].startswith("quivdeform: error: "), argv
+
+
+def test_help_lists_the_commands_and_their_options(capsys):
+    for argv in (["-h"], ["--help"], ["--he"]):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: quivdeform")
+        assert [name for name in cli.COMMANDS if "\n  %s " % name in out] == list(cli.COMMANDS)
+    for command, (_, options, _, _) in cli.COMMANDS.items():
+        for flag in ("-h", "--help"):
+            assert run([command, flag]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith("usage: quivdeform %s " % command)
+            assert all(name in out for name in options), command
+    assert run(["deform", "x.alg", "--max-degree", "4", "-h"]) == 0
+    assert "-o, --output OUT" in capsys.readouterr().out
+
+
+# argv shapes of the benchmark's jobs (bench/gen.py), on the fixtures
+ALG, OTHER = data_path("dual_numbers.alg"), data_path("two_cycle.alg")
+BENCH_SHAPES = [[command, ALG] for command in ("hh", "check-cocycle", "verify-deform")] + [
+    ["equiv", ALG, OTHER], ["hh", "--field", "F5", ALG],
+    ["deform", "--interreduce", ALG],
+    ["verify-deform", "--max-degree", "18", ALG],
+    ["check-cocycle", "--max-degree", "26", ALG],
+    ["deform", "--interreduce", "--max-degree", "14", ALG],
+    ["module-roundtrip", "--max-degree", "18", ALG, "regular.mod"],
+    ["equiv", "--max-degree", "14", ALG, OTHER],
+    ["transfer", ALG, "--matrix", "3"], ["verify-morita", ALG, "--matrix", "2"],
+    ["transfer", ALG, "--idempotent", "1"],
+    ["verify-morita", ALG, "--idempotent", "1,2"],
+]
+
+# a value for every long option of some command; each is tried on every
+# command, so that an option of another command is refused too
+OPTION_VALUES = {"--field": "F5", "--max-degree": "7", "--report": "json-lines",
+                 "--output": "o.txt", "--dot": "q.dot", "--interreduce": None,
+                 "--matrix": "2", "--idempotent": "1,2"}
+
+
+def spelling_grid():
+    """argvs that spell each option of OPTION_VALUES, on each command, as
+    --name value, --name=value and by two prefixes (which may be ambiguous),
+    before, between and after the positionals, and -o as -o FILE, -oFILE
+    and -o=FILE."""
+    positionals = {command: ["A.alg"] for command in cli.COMMANDS}
+    positionals.update({"equiv": ["A.alg", "B.alg"], "module-roundtrip": ["A.alg", "M.mod"]})
+    out = []
+    for command, args in positionals.items():
+        for name, value in OPTION_VALUES.items():
+            spellings = [[spell + ("" if value is None else "=" + value)]
+                         for spell in (name, name[:5], name[:3])]
+            if value is not None:
+                spellings += [[name, value], [name[:5], value]]
+            if name == "--output":
+                spellings += [["-o", value], ["-o" + value], ["-o=" + value]]
+            context = ([] if name in ("--matrix", "--idempotent")
+                       or command not in ("transfer", "verify-morita") else ["--matrix", "2"])
+            for spelled in spellings:
+                for at in range(len(args) + 1):
+                    out.append([command] + args[:at] + spelled + args[at:] + context)
+    return out
+
+
+# argvs whose reading turns on "--", repeats, "-", negative numbers and
+# words with spaces
+EDGE_CASES = [
+    ["hh", "--", "-A.alg"], ["hh", "--field", "Q", "--", "--max-degree"],
+    ["equiv", "A.alg", "--", "-B.alg"], ["equiv", "--", "A.alg", "B.alg"],
+    ["hh", "--max-degree", "7", "A.alg", "--max-degree=9"],
+    ["hh", "--report", "json-lines", "--report", "text", "A.alg"],
+    ["deform", "A.alg", "-o", "x", "--output", "y", "--interreduce", "--interreduce"],
+    ["deform", "A.alg", "-o", "-"], ["deform", "A.alg", "--dot="], ["hh", "--field=", "A.alg"],
+    ["transfer", "A.alg", "--matrix", "2", "--matrix", "3"],
+    ["transfer", "A.alg", "--matrix", "-1"], ["transfer", "A.alg", "--matrix=-1"],
+    ["hh", "--max-degree", "-3", "A.alg"], ["hh", "--max-degree", " 3 ", "A.alg"],
+    ["basis", "-"], ["basis", "-5"], ["basis", "a b.alg"], ["basis", "-a b"],
+    ["basis", "--a b"], ["hh", "--field", "-a b", "A.alg"],
+    ["transfer", "A.alg", "--idempotent", "-1"],
+]
+
+# command lines that both parsers refuse
+MALFORMED = [
+    [], ["frobnicate", "A.alg"], ["--field", "Q", "basis", "A.alg"], ["--", "hh", "A.alg"],
+    ["hh"], ["hh", "A.alg", "B.alg"], ["equiv", "A.alg"], ["module-roundtrip", "A.alg"],
+    ["hh", "A.alg", "--bogus"], ["hh", "-x", "A.alg"], ["hh", "--matrix", "2", "A.alg"],
+    ["hh", "A.alg", "-o", "x"], ["deform", "A.alg", "--idempotent", "1"],
+    ["transfer", "A.alg", "--ma", "2"], ["transfer", "A.alg", "--m=2"],
+    ["hh", "A.alg", "--max-degree"], ["deform", "A.alg", "-o"], ["deform", "A.alg", "--dot"],
+    ["hh", "A.alg", "--field", "--report", "text"], ["deform", "A.alg", "--output", "--"],
+    ["hh", "A.alg", "--max-degree", "x"], ["hh", "A.alg", "--max-degree", "2.5"],
+    ["hh", "A.alg", "--max-degree="], ["transfer", "A.alg", "--matrix", "two"],
+    ["hh", "A.alg", "--report", "yaml"], ["hh", "A.alg", "--report", "json"],
+    ["transfer", "A.alg"], ["verify-morita", "A.alg", "--report", "text"],
+    ["transfer", "A.alg", "--matrix", "2", "--idempotent", "1"],
+    ["verify-morita", "--idempotent=1", "A.alg", "--mat", "1"],
+    ["deform", "A.alg", "--interreduce=yes"], ["deform", "A.alg", "--interreduce="],
+    ["hh", "A.alg", "--help=1"],
+    ["hh", "A.alg", "--", "--max-degree", "3"], ["hh", "--", "A.alg", "B.alg"],
+]
+
+
+def parsed(parse, argv):
+    """The attributes parse gives argv, or its exit code."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_parser_reads_each_command_line_as_argparse_does(capsys):
+    # the table-driven parser against the argparse parser it replaced,
+    # which tests/oracles.py keeps as the reference
+    oracle = build_parser()
+    grid = spelling_grid()
+    assert len(grid) > 500
+    refused = 0
+    for argv in BENCH_SHAPES + grid + EDGE_CASES:
+        expected = parsed(oracle.parse_args, argv)
+        assert parsed(cli.parse_args, argv) == expected, argv
+        refused += expected == 2
     capsys.readouterr()
-    assert run(["frobnicate"]) == 2
-    capsys.readouterr()
-    assert run(["transfer", data_path("two_cycle.alg")]) == 2
-    capsys.readouterr()
-    assert run(["transfer", data_path("two_cycle.alg"),
-                "--matrix", "1", "--idempotent", "1"]) == 2
+    # the grid holds options of other commands and ambiguous prefixes
+    assert 0 < refused < len(grid)
+    assert all(isinstance(parsed(cli.parse_args, argv), dict) for argv in BENCH_SHAPES)
+
+
+def test_parser_refuses_what_argparse_refuses(capsys):
+    oracle = build_parser()
+    for argv in MALFORMED:
+        assert parsed(oracle.parse_args, argv) == 2, argv
+        capsys.readouterr()
+        assert parsed(cli.parse_args, argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: quivdeform"), argv
+        assert err.splitlines()[-1].startswith("quivdeform: error: "), argv
+
+
+def in_fresh_process(code, *flags):
+    """(exit code, stdout, stderr) of python running code with src/ on the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+START_UP_IMPORTS = ("argparse", "gettext", "locale", "fractions", "decimal")
+
+
+def test_integer_jobs_import_neither_argparse_nor_fractions():
+    # a job whose scalars stay integers pays for no parser library and no
+    # rational arithmetic
+    code = ("import sys\n"
+            "from quivdeform import cli\n"
+            "for command in ('basis', 'verify-deform'):\n"
+            "    assert cli.run([command, %r]) == 0\n"
+            "print(sorted(set(%r) & set(sys.modules)))\n"
+            % (data_path("two_cycle.alg"), START_UP_IMPORTS))
+    code_, out, err = in_fresh_process(code)
+    assert (code_, err) == (0, "")
+    assert out.splitlines()[0] == "dim A = 5"
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_job_with_a_fraction_loads_fractions_and_prints_the_same():
+    # verify-morita on M_2 of the dual numbers halves a scalar
+    code = ("import sys\n"
+            "from quivdeform import cli\n"
+            "assert cli.run(['verify-morita', %r, '--matrix', '2']) == 0\n"
+            "print(sorted(set(%r) & set(sys.modules)))\n"
+            % (data_path("dual_numbers.alg"), START_UP_IMPORTS))
+    code_, out, err = in_fresh_process(code)
+    assert (code_, err) == (0, "")
+    *report, loaded = out.splitlines(keepends=True)
+    assert "".join(report) == verify_morita_golden(2, 8)
+    assert loaded == "['decimal', 'fractions']\n"
+
+
+def test_deform_writes_its_files_as_utf8(tmp_path):
+    # fileio reads utf-8, so -o and --dot write it whatever the locale;
+    # under these flags an open() without an encoding raises
+    alg, dot = tmp_path / "qf.alg", tmp_path / "qf.dot"
+    code = ("from quivdeform import cli\n"
+            "raise SystemExit(cli.run(['deform', %r, '-o', %r, '--dot', %r]))\n"
+            % (data_path("two_cycle.alg"), str(alg), str(dot)))
+    assert in_fresh_process(code, "-X", "warn_default_encoding",
+                            "-W", "error::EncodingWarning") == (0, "", "")
+    assert dot.read_text(encoding="utf-8") == TWO_CYCLE_DOT
+    assert alg.read_text(encoding="utf-8") == DEFORM_GOLDEN["two_cycle"]

@@ -65,6 +65,50 @@ def test_rational_scalars_are_ints_while_they_are_integers():
     assert Q.mul(Q.inv(-6), Q.from_int(-6)) == Q.one
 
 
+def as_before(q):
+    """A rational as Field made it when every one went through Fraction:
+    the int when its denominator is 1, else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def same_scalar(a, b):
+    return type(a) is type(b) and a == b and str(a) == str(b) and hash(a) == hash(b)
+
+
+def test_rational_parse_and_inverse_agree_with_fraction():
+    tokens = ["a/b", "-4/-2", "1/-2", "6/3", "3/6", "-7/21", "0/5", "12/-4", "-9/-6", "7"]
+    for num in range(-12, 13):
+        for den in (-6, -3, -2, -1, 1, 2, 3, 4, 6):
+            tokens.append("%d/%d" % (num, den))
+    for token in tokens:
+        if token == "a/b":
+            with pytest.raises(InputError):
+                Q.parse(token)
+            continue
+        n, _, d = token.partition("/")
+        expected = as_before(Fraction(int(n), int(d or 1)))
+        assert same_scalar(Q.parse(token), expected), token
+    assert [Q.parse(t) for t in ("-4/-2", "1/-2", "6/3")] == [2, Fraction(-1, 2), 2]
+    values = [Fraction(n, d) for n in range(-12, 13) for d in (1, 2, 3, 5, 6) if n]
+    values += [n for n in range(-12, 13) if n] + [Q.mul(Q.inv(2), 4), Fraction(-3, 1)]
+    for a in values:
+        assert same_scalar(Q.inv(a), as_before(Fraction(1) / a)), a
+
+
+def test_prime_field_parse_agrees_with_modular_inverse():
+    for p in (2, 3, 7, 101):
+        fld = Field.prime(p)
+        for num in range(-15, 16):
+            assert same_scalar(fld.parse(str(num)), num % p)
+            for den in range(-9, 10):
+                token = "%d/%d" % (num, den)
+                if den % p == 0:
+                    with pytest.raises(InputError):
+                        fld.parse(token)
+                else:
+                    assert same_scalar(fld.parse(token), num * pow(den, -1, p) % p), token
+
+
 def test_integral_fraction_acts_as_its_int():
     # arithmetic may leave a Fraction with denominator 1, such as 1/2 * 4;
     # it prints, compares and hashes as the int, so the two mix freely

@@ -246,6 +246,22 @@ def test_package_exports_resolve_once():
     assert [n for n in names if not hasattr(quivdeform, n)] == []
 
 
+def test_readme_names_every_command_and_option_of_the_parser():
+    # the command block under "## Command line" lists the subcommands of
+    # the parser's table, in its order, and the section names each option
+    from quivdeform.cli import COMMANDS
+    root = os.path.dirname(os.path.dirname(PACKAGE))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    assert [line.split()[1] for line in block.splitlines()
+            if line.startswith("quivdeform ")] == list(COMMANDS)
+    options = {name for _, table, _, _ in COMMANDS.values() for name in table}
+    assert len(options) == 8
+    assert sorted(name for name in options | {"--help", "-h", "-o"}
+                  if "`%s" % name not in section) == []
+
+
 # transcripts whose input file the README names but the repository does
 # not ship: shifted.alg is the user's own copy of two_cycle.alg with a
 # cocycle moved by a coboundary
