@@ -94,7 +94,7 @@ def cmd_check_cocycle(args):
 
 def cmd_deform(args):
     af, basis = _load_algebra(args)
-    pres, _ = build_presentation(basis, cochain_from_pairs(basis, af.cocycle_pairs))
+    pres = build_presentation(basis, cochain_from_pairs(basis, af.cocycle_pairs))
     if args.interreduce:
         pres = interreduce_presentation(pres, basis.field, args.max_degree)
     header = "presentation of the deformed algebra (dim %d)" % (2 * basis.dim)
@@ -121,7 +121,7 @@ def cmd_verify_deform(args):
     # the presentation is built first, since build_presentation proves
     # the cocycle condition and the image condition on its way
     try:
-        pres, _ = build_presentation(basis, f)
+        pres = build_presentation(basis, f)
         ok_cocycle = True
     except NotACocycle:
         ok_cocycle = False

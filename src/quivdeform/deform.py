@@ -329,7 +329,8 @@ def build_presentation(basis, f):
     The presentation needs the image condition.  When f fails it, the
     cohomologous representative of normalize_cocycle is presented
     instead, and pres.cocycle says which cocycle was presented.
-    Returns (Presentation, {vertex id: EpsilonEntry}).
+    Returns the Presentation; pres.epsilon maps each vertex id to its
+    EpsilonEntry.
     """
     if not is_cocycle(f, basis):
         raise NotACocycle("the cochain does not satisfy d^2 f = 0")
@@ -427,10 +428,8 @@ def build_presentation(basis, f):
         emit(lifted - w_free * epsilon[q.vertices[tgt]].element,
              "lift:%d" % k)
 
-    pres = Presentation(quiver_f, rels_f, origins, epsilon,
-                        set(loop_names.values()),
+    return Presentation(quiver_f, rels_f, origins, epsilon, set(loop_names.values()),
                         [relations[i] for i in extended], f)
-    return pres, epsilon
 
 
 def interreduce_presentation(pres, field, max_degree=30):

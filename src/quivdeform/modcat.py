@@ -135,8 +135,7 @@ class UpleModule(DeformedBimodule):
             raise InputError("f_tables needs one map per basis element")
         f_tables = [_checked(m, m1.dim, m0.dim, fld, "every f_tables entry")
                     for m in f_tables]
-        super().__init__(deformed, _dual_numbers(fld), m0, m1, t, f_tables, [{}],
-                         check=False)
+        super().__init__(deformed, _dual_numbers(fld), m0, m1, t, f_tables, [{}])
         if check:
             self._validate()
 

@@ -21,29 +21,31 @@ The transfer maps phi/psi, the homotopy h and every construction below are
 literal in those lists, so two contexts for the same pair of algebras may
 disagree on raw cochains while agreeing on cohomology classes.
 
-Every identity of a bimodule and of a context is checked on the
-generators of the acting algebras (FinDimAlgebra.generators()), not on
-all pairs of basis elements; Bimodule.violations gives the induction
-that proves it for all elements.  It needs the acting algebras to be
-associative, which for A_f and B_g is their cocycle condition.  A
-bimodule uple is checked as the (A_f, B_g)-bimodule it glues to, and a
-morphism of uples as a map between the glues (DeformedBimodule and
-triple_violations give the proofs).  A context checks only its axioms:
-the bijectivity of the induced maps P (x)_B Q -> A and Q (x)_A P -> B,
-and the recovery of P and Q through the generator lists, are
-consequences (MoritaContext._validate gives the proof).  The axioms of
-one side, P and the pairing into A, are written once; the Q side is the
-same check run on the swapped context, which exchanges A and B, P and Q,
-the pairings and the generator lists.
+Every identity of a bimodule is checked on the generators of the
+acting algebras (FinDimAlgebra.generators()), not on all pairs of basis
+elements; Bimodule.violations gives the induction that proves it for
+all elements.  It needs the acting algebras to be associative, which
+for A_f and B_g is their cocycle condition.  A bimodule uple is checked
+as the (A_f, B_g)-bimodule it glues to, and a morphism of uples as a map
+between the glues (DeformedBimodule and triple_violations give the
+proofs).  A context is checked as one algebra, its Morita ring [[A, P],
+[Q, B]] (MoritaContext.ring): the ring is associative and unital
+exactly when A and B are algebras, P and Q bimodules and the pairings
+linear, balanced and associative, so FinDimAlgebra's own checks prove
+every axiom of the context at once.  The bijectivity of the induced maps
+P (x)_B Q -> A and Q (x)_A P -> B, and the recovery of P and Q through
+the generator lists, are consequences (MoritaContext._validate gives
+both proofs).
 
-The deformed equivalence is one more context.  Once the deformed
-bimodules hat P and hat Q are checked, verify_morita_deformed builds the
-context over (A_f, B_g) from their glues, the pairings of
-_deformed_pairing and the plain generator lists, and checks its axioms
-once; the Morita context lemma gives hat P (x)_{B_g} hat Q = A_f and hat
-Q (x)_{A_f} hat P = B_g, and each of the 13 report lines per side
-follows from it.  No balanced product is built: TensorProduct, which
-builds one, is the reference that the tests compare against.
+The deformed equivalence is one more context.  verify_morita_deformed
+builds the context over (A_f, B_g) from the glues of the deformed
+bimodules hat P and hat Q, the pairings of _deformed_pairing and the
+plain generator lists, and checks its ring once, which also proves that
+both glues are bimodules; the Morita context lemma gives hat P
+(x)_{B_g} hat Q = A_f and hat Q (x)_{A_f} hat P = B_g, and each of the
+13 report lines per side follows from it.  No balanced product is
+built: TensorProduct, which builds one, is the reference that the tests
+compare against.
 
 transfer_phi and transfer_psi work from the support of the cochain: one
 chain of pair weights per key of its table, so the cost follows the
@@ -55,7 +57,6 @@ the table of M_n(A), whose first row is P and first column Q, or the
 multiplication of A restricted to eAe, Ae and eA.
 """
 
-from collections import defaultdict
 from itertools import product
 
 from .deform import Deformation
@@ -177,11 +178,6 @@ class Bimodule:
         return out
 
 
-def regular_bimodule(alg):
-    """The algebra as a bimodule over itself."""
-    return Bimodule(alg, alg, alg.dim, alg.table, alg.table, check=False)
-
-
 class TensorProduct:
     """Balanced product X tensor_B Y with explicit quotient coordinates.
 
@@ -246,18 +242,6 @@ class TensorProduct:
         return self.project(raw)
 
 
-# The messages of the checks of a context, as (P side, Q side) pairs: the
-# Q message is the P message with a and b, p and q, A and B exchanged.
-_SIDE_MESSAGES = (
-    ("P must be an (A, B)-bimodule", "Q must be a (B, A)-bimodule"),
-    ("<a.p, q> != a.<p, q> at ({g}, {x}, {k})", "<b.q, p> != b.<q, p> at ({g}, {x}, {k})"),
-    ("<p, q.a> != <p, q>.a at ({x}, {k}, {g})", "<q, p.b> != <q, p>.b at ({x}, {k}, {g})"),
-    ("<p.b, q> != <p, b.q> at ({x}, {g}, {k})", "<q.a, p> != <q, a.p> at ({x}, {g}, {k})"),
-    ("<p,q>.p' != p.<q,p'> at ({x}, {y}, {k})", "<q,p>.q' != q.<p,q'> at ({x}, {y}, {k})"),
-    ("gens_a do not decompose 1_A", "gens_b do not decompose 1_B"),
-)
-
-
 class MoritaContext:
     """Inverse bimodules with fixed pairings and generator lists.
 
@@ -265,13 +249,13 @@ class MoritaContext:
     pairing_a[(i, j)] = coords in a of <p_i, q_j>_A; pairing_b[(j, i)]
     = coords in b of <q_j, p_i>_B.  gens_a = [(p', q')] with
     sum <p', q'>_A = 1_A; gens_b = [(q, p)] with sum <q, p>_B = 1_B.
-    Unless check=False, the pairings are checked to be linear over both
-    actions and balanced (on the generators of a and b), to associate
-    with each other and to give the units through gens_a and gens_b.
-    That the pairings induce bijections from the balanced products onto
-    a and b, and that every element of P and Q is recovered through
-    gens_a and gens_b, follows from these (see _validate), so neither is
-    computed.
+    Unless check=False, the Morita ring (see ring) is checked to be an
+    associative unital algebra, which proves the algebras, both
+    bimodules and both pairings at once, and gens_a and gens_b to give
+    the units.  That the pairings induce bijections from the balanced
+    products onto a and b, and that every element of P and Q is
+    recovered through gens_a and gens_b, follows from these (see
+    _validate), so neither is computed.
     """
 
     def __init__(self, a, b, p, q, pairing_a, pairing_b, gens_a, gens_b, check=True):
@@ -305,17 +289,63 @@ class MoritaContext:
             self._swapped = sw
         return self._swapped
 
+    def ring(self):
+        """The Morita ring [[A, P], [Q, B]] as an unchecked FinDimAlgebra.
+
+        Its basis is that of A, then P, then Q, then B, labelled a:x,
+        p3, q0 and b:y for a label x of A and y of B.  Its product is
+
+            (a, p, q, b)(a', p', q', b') = (a a' + <p, q'>_A, a p' + p b',
+                                            q a' + b q', <q, p'>_B + b b'),
+
+        read off the tables of A and B, the actions on P and Q and the
+        two pairings, and its unit is 1_A + 1_B."""
+        a, b, p, q = self.a, self.b, self.p, self.q
+        at_p = a.dim
+        at_q = at_p + p.dim
+        at_b = at_q + q.dim
+        table = {}
+        for rows, cols, out, products in (
+                (0, 0, 0, a.table), (0, at_p, at_p, p.left), (at_p, at_b, at_p, p.right),
+                (at_p, at_q, 0, self.pairing_a), (at_b, at_q, at_q, q.left),
+                (at_q, 0, at_q, q.right), (at_q, at_p, at_b, self.pairing_b),
+                (at_b, at_b, at_b, b.table)):
+            for (x, y), vec in products.items():
+                table[(rows + x, cols + y)] = {out + k: c for k, c in vec.items()}
+        unit = dict(a.unit)
+        unit.update((at_b + k, c) for k, c in b.unit.items())
+        labels = (["a:" + x for x in a.labels] + ["p%d" % i for i in range(p.dim)]
+                  + ["q%d" % j for j in range(q.dim)] + ["b:" + y for y in b.labels])
+        return FinDimAlgebra(self.field, at_b + b.dim, table, unit, labels, check=False)
+
     def _validate(self):
         """Raise InputError at the first failed axiom of the context.
 
-        The axioms of the P side are stated once, in _side_stages: P is
-        an (A, B)-bimodule, <p, q>_A is linear over A on both sides and
-        balanced over B (on generators, see there), <p, q>_A p' = p <q,
-        p'>_B, and gens_a decomposes 1_A.  The Q side is the P side of
-        swap(), which exchanges a and b, p and q and the two pairings and
-        generator lists.  Both sides run stage by stage, P before Q: the
-        sides of the bimodules, linearity and balance, the two
-        associativities, then 1_A and 1_B.
+        P must act over (a, b) and Q over (b, a).  Then the ring is
+        checked: its unit on every basis element, and its associativity
+        on the triples of FinDimAlgebra.associativity_witness, whose
+        first failing triple the error names.  Last, gens_a must
+        decompose 1_A and gens_b 1_B.
+
+        The ring is associative and unital exactly when A and B are
+        associative, P and Q are unital bimodules, the pairings are
+        linear and balanced, and both associativities hold.  The product
+        is bilinear, so associativity is (x y) z = x (y z) on basis
+        triples.  The product of two blocks is 0 unless they chain as
+        matrix units do, so both sides of a triple vanish unless its
+        blocks chain, and 16 kinds of triple remain.  (A, A, A) and (B,
+        B, B) are the associativity of A and B.  (A, A, P), (P, B, B)
+        and (A, P, B) are the left and right associativity of P and the
+        commutation of its actions, and (B, B, Q), (Q, A, A), (B, Q, A)
+        the same for Q.  (A, P, Q) is <a.p, q> = a.<p, q>, (P, Q, A) is
+        <p, q.a> = <p, q>.a and (P, B, Q) is <p.b, q> = <p, b.q>: the
+        pairing into A is linear on both sides and balanced.  (B, Q, P),
+        (Q, P, B) and (Q, A, P) say the same of the pairing into B.  (P,
+        Q, P) is <p, q>_A p' = p <q, p'>_B and (Q, P, Q) is <q, p>_B q' =
+        q <p, q'>_A.  The unit 1_A + 1_B acts as the identity on each
+        block exactly when 1_A and 1_B are units and P and Q are unital.
+        This is the classical reading of a Morita context as the ring of
+        its 2 x 2 matrices.
 
         The rest of a Morita context follows from these, for P and Q
         bimodules.  Recovery: x = x 1_B = sum x <q_k, p_k>_B = sum <x,
@@ -335,83 +365,35 @@ class MoritaContext:
         mirror argument, through gens_b, gives Q (x)_A P -> B.  This is
         the Morita context lemma (Bass, Algebraic K-Theory, 1968).
         """
-        for _ in zip(self._side_stages(0), self.swap()._side_stages(1)):
-            pass
-
-    def _side_stages(self, side):
-        """The checks of the P side, with the messages of the given side
-        of _SIDE_MESSAGES (0 for P, 1 for Q, run on swap()), yielding
-        after each stage so that _validate can alternate the sides.
-
-        Linearity and balance are checked on generators of A and B: P and
-        Q are bimodules and A, B associative, so each identity extends
-        from generators to all elements by induction on word length, as
-        in Bimodule.violations; at the unit it holds by the unit axioms.
-        Both sides of an identity are sparse maps: pa[i] is the map q ->
-        <p_i, q>_A on Q, pb[j] the map p -> <q_j, p>_B on P, rho[i] the
-        right action b -> p_i b, and ra gives the multiplication of A.
-        """
-        module, left, right, balance, assoc, unit = (pair[side] for pair in _SIDE_MESSAGES)
-        fld = self.field
         a, b, p, q = self.a, self.b, self.p, self.q
         if p.left_alg is not a or p.right_alg is not b:
-            raise InputError(module)
-        yield
-
-        ra = regular_bimodule(a)
-        pa, pb, rho = (defaultdict(dict) for _ in range(3))
-        for maps, table in ((pa, self.pairing_a), (pb, self.pairing_b), (rho, p.right)):
-            for (x, y), vec in table.items():
-                if vec:
-                    maps[x][y] = vec
-
-        def compose(x, y):
-            return map_compose(x, y, fld)
-
-        def check(gens, *identities):
-            """Raise at the first (g, x, k), g in gens, x < dim P, k <
-            dim Q, where lhs(g, x) and rhs(g, x) of an identity (message,
-            lhs, rhs) differ in column k; the earlier identity first at
-            equal k."""
-            for g in gens:
-                for x in range(p.dim):
-                    hits = [(bad[0], n) for n, (_, lhs, rhs) in enumerate(identities)
-                            for bad in [_differing_columns(lhs(g, x), rhs(g, x), q.dim)]
-                            if bad]
-                    if hits:
-                        k, n = min(hits)
-                        raise InputError(identities[n][0].format(g=g, x=x, k=k))
-
-        check(a.generators(),
-              (left, lambda t, i: _action(pa, p.left_basis(t, i), fld),
-               lambda t, i: compose(ra.left_map(t), pa[i])),
-              (right, lambda t, i: compose(pa[i], q.right_map(t)),
-               lambda t, i: compose(ra.right_map(t), pa[i])))
-        check(b.generators(),
-              (balance, lambda s, i: _action(pa, p.right_basis(i, s), fld),
-               lambda s, i: compose(pa[i], q.left_map(s))))
-        yield
-
-        for i in range(p.dim):
-            for j in range(q.dim):
-                bad = _differing_columns(_action(p._left_maps, pa[i].get(j, {}), fld),
-                                         compose(rho[i], pb[j]), p.dim)
-                if bad:
-                    raise InputError(assoc.format(x=i, y=j, k=bad[0]))
-        yield
-
-        total = {}
-        for u, v in self.gens_a:
-            _addinto(fld, total, self.pair_a(u, v), fld.one)
-        if total != a.unit:
-            raise InputError(unit)
-        yield
+            raise InputError("P must be an (A, B)-bimodule")
+        if q.left_alg is not b or q.right_alg is not a:
+            raise InputError("Q must be a (B, A)-bimodule")
+        ring = self.ring()
+        try:
+            ring.check_unit()
+        except InputError as exc:
+            raise InputError("the Morita ring: %s" % exc) from None
+        bad = ring.associativity_witness()
+        if bad is not None:
+            raise InputError("the Morita ring is not associative at (%s, %s, %s)"
+                             % tuple(ring.labels[x] for x in bad))
+        fld = self.field
+        for gens, pair, unit, message in (
+                (self.gens_a, self.pair_a, a.unit, "gens_a do not decompose 1_A"),
+                (self.gens_b, self.pair_b, b.unit, "gens_b do not decompose 1_B")):
+            total = {}
+            for u, v in gens:
+                _addinto(fld, total, pair(u, v), fld.one)
+            if total != unit:
+                raise InputError(message)
 
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
 # The certificate's checks grow with the square or the cube of it:
-# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.5 s end to
-# end (2 cores, Python 3.11), and each doubling of the dimension
+# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.25-0.4 s end
+# to end (2 cores, Python 3.11), and each doubling of the dimension
 # multiplies that by 4 to 8.
 MAX_MATRIX_DIM = 64
 
@@ -422,7 +404,9 @@ def matrix_context(alg, n):
     B basis: E_rc x_g, flattened (r*n + c)*dim + g.  P is the row space
     A^(1 x n), Q the column space; both pairings are matrix products.
     Raises SizeLimitExceeded, before building anything, when n^2 dim A
-    is above MAX_MATRIX_DIM.
+    is above MAX_MATRIX_DIM.  B, P and Q are built unchecked: the check
+    of the context's ring proves B's unit and associativity and the
+    axioms of both bimodules.
     """
     if n < 1:
         raise InputError("matrix amplification needs n >= 1")
@@ -449,7 +433,7 @@ def matrix_context(alg, n):
     bunit = {bidx(r, r, u): cu for r in range(n) for u, cu in alg.unit.items()}
     blabels = ["E%d%d*%s" % (r + 1, c + 1, alg.labels[g])
                for r in range(n) for c in range(n) for g in range(d)]
-    b = FinDimAlgebra(fld, dim_b, btable, bunit, blabels, check=True)
+    b = FinDimAlgebra(fld, dim_b, btable, bunit, blabels, check=False)
 
     # P is the first row of B and Q its first column, A = E_11 B E_11;
     # each table below is a block of the table of B, renumbered
@@ -467,8 +451,8 @@ def matrix_context(alg, n):
         return {(left[x], right[y]): {out[k]: v for k, v in prod.items()}
                 for (x, y), prod in b.table.items() if x in left and y in right}
 
-    p = Bimodule(alg, b, n * d, block(on_a, row, row), block(row, on_b, row), check=True)
-    q = Bimodule(b, alg, n * d, block(on_b, col, col), block(col, on_a, col), check=True)
+    p = Bimodule(alg, b, n * d, block(on_a, row, row), block(row, on_b, row), check=False)
+    q = Bimodule(b, alg, n * d, block(on_b, col, col), block(col, on_a, col), check=False)
     unit_slot = [{pidx(r, u): cu for u, cu in alg.unit.items()} for r in range(n)]
     gens_a = [(dict(unit_slot[0]), dict(unit_slot[0]))]
     gens_b = [(dict(unit_slot[r]), dict(unit_slot[r])) for r in range(n)]
@@ -480,7 +464,8 @@ def idempotent_context(alg, evec):
     """A against the corner algebra eAe, through P = Ae and Q = eA.
 
     Raises NotFullIdempotent when 1_A cannot be written as a sum of
-    products (x e)(e y), that is when AeA is a proper ideal.
+    products (x e)(e y), that is when AeA is a proper ideal.  eAe, Ae
+    and eA are built unchecked, as in matrix_context.
     """
     fld = alg.field
     evec = _clean(fld, evec)
@@ -518,11 +503,11 @@ def idempotent_context(alg, evec):
     pbasis, pcoords = span_of(alg.mul(x, evec) for x in units)
     qbasis, qcoords = span_of(alg.mul(evec, x) for x in units)
     b = FinDimAlgebra(fld, len(bbasis), products(bbasis, bbasis, bcoords), bcoords(evec),
-                      check=True)
+                      check=False)
     p = Bimodule(alg, b, len(pbasis), products(units, pbasis, pcoords),
-                 products(pbasis, bbasis, pcoords), check=True)
+                 products(pbasis, bbasis, pcoords), check=False)
     q = Bimodule(b, alg, len(qbasis), products(bbasis, qbasis, qcoords),
-                 products(qbasis, units, qcoords), check=True)
+                 products(qbasis, units, qcoords), check=False)
     pairing_a = products(pbasis, qbasis, dict)
     witness = SpanSolver(fld)
     for rs, vec in sorted(pairing_a.items()):
@@ -685,11 +670,10 @@ class DeformedBimodule:
         (a, b)(m0, m1) = (a m0, a m1 + b T(m0) + f_M(a (x) m0)),
         (m0, m1)(b, c) = (m0 b, m1 b + T(m0) c + g_M(m0 (x) b)),
 
-    built once at construction and checked by violations unless
-    check=False.
+    built once at construction, unchecked; violations checks it.
     """
 
-    def __init__(self, left_def, right_def, m0, m1, t, f_tables, g_tables, check=True):
+    def __init__(self, left_def, right_def, m0, m1, t, f_tables, g_tables):
         self.left_def = left_def
         self.right_def = right_def
         self.left_alg = left_def.base
@@ -703,10 +687,6 @@ class DeformedBimodule:
         self.g_tables = g_tables
         self.field = left_def.field
         self.glued = self._glue()
-        if check:
-            bad = self.violations()
-            if bad:
-                raise InputError("; ".join(bad))
 
     def violations(self):
         """Every failed uple condition: "T is not injective", then the
@@ -773,11 +753,11 @@ def _half(field):
     return field.inv(two)
 
 
-def build_hat_P(ctx, a_f, b_g, h2f, check=True):
+def build_hat_P(ctx, a_f, b_g, h2f):
     """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g),
     for A_f and B_g the Deformations of ctx.a and ctx.b along f and g =
     phi^2(f), both proved to be cocycles by the caller, and h2f =
-    homotopy_h(ctx, f).  check=False skips the bimodule check."""
+    homotopy_h(ctx, f); unchecked."""
     fld = ctx.field
     half = _half(fld)
     f, g = a_f.f, b_g.f
@@ -821,13 +801,12 @@ def build_hat_P(ctx, a_f, b_g, h2f, check=True):
             cols.append(_scaled(fld, acc, half))
         g_tables.append(_columns(cols))
     return DeformedBimodule(a_f, b_g, p, p, _identity(p.dim, fld),
-                            f_tables, g_tables, check=check)
+                            f_tables, g_tables)
 
 
-def build_hat_Q(ctx, a_f, b_g, h2f, check=True):
+def build_hat_Q(ctx, a_f, b_g, h2f):
     """The deformed bimodule Q^ = (Q, Q, Id, g_Q, f_Q) over (B_g, A_f),
-    for A_f, B_g and h2f as in build_hat_P.  check=False skips the
-    bimodule check."""
+    for A_f, B_g and h2f as in build_hat_P; unchecked."""
     fld = ctx.field
     half = _half(fld)
     f, g = a_f.f, b_g.f
@@ -870,7 +849,7 @@ def build_hat_Q(ctx, a_f, b_g, h2f, check=True):
             cols.append(_scaled(fld, acc, half))
         f_tables.append(_columns(cols))
     return DeformedBimodule(b_g, a_f, q, q, _identity(q.dim, fld),
-                            g_tables, f_tables, check=check)
+                            g_tables, f_tables)
 
 
 def triple_violations(src, tgt, u0, u1, u2):
@@ -975,14 +954,21 @@ def verify_morita_deformed(ctx, f):
 
     Returns a list of (name, passed, detail) triples: the transferred
     cocycle, the deformed bimodules hat P and hat Q, and the SIDE_LINES of
-    each side.  Once hat P and hat Q are checked, both sides are one
-    context over (A_f, B_g): their glues, the pairings of
-    _deformed_pairing and the plain generator lists.  Its axioms are
-    checked once, and the Morita context lemma (MoritaContext._validate)
-    makes the pairing an isomorphism of A_f-bimodules W: hat P (x)_{B_g}
-    hat Q -> A_f, and its mirror one onto B_g.  If the check raises, every
-    side line fails with its message as the witness.  Otherwise each line
-    follows from W, on the A side (the B side is the mirror, ns = dim B):
+    each side.  Both sides are one context over (A_f, B_g): the glues of
+    hat P and hat Q, the pairings of _deformed_pairing and the plain
+    generator lists.  That context is checked first.  The (A, A, P),
+    (A, P, B) and (P, B, B) blocks of its ring and the ring's unit on P
+    are the bimodule axioms of the glue of hat P, the (B, B, Q),
+    (B, Q, A) and (Q, A, A) blocks and the unit on Q those of hat Q, and
+    T = Id is injective, so when the check passes both
+    deformed-*-bimodule lines pass.  Only when it raises are hat P and
+    hat Q checked on their own (DeformedBimodule.violations); if either
+    fails, the report stops after its line.  Otherwise the Morita context lemma
+    (MoritaContext._validate) makes the pairing an isomorphism of
+    A_f-bimodules W: hat P (x)_{B_g} hat Q -> A_f, and its mirror one
+    onto B_g.  If the context check raised, every side line fails with
+    its message as the witness.  Otherwise each line follows from W, on
+    the A side (the B side is the mirror, ns = dim B):
 
     - tensor-dimension: the tensor has dimension dim A_f = 2 ns;
     - central-t-action: t = (0, 1) is central in A_f and W is bilinear;
@@ -1019,16 +1005,8 @@ def verify_morita_deformed(ctx, f):
     s_def = Deformation(ctx.a, f)
     t_def = Deformation(ctx.b, g)
     h2f = homotopy_h(ctx, f)
-    hat_p = build_hat_P(ctx, s_def, t_def, h2f, check=False)
-    bad = hat_p.violations()
-    checks.append(("deformed-p-bimodule", not bad,
-                   bad[0] if bad else "hat P satisfies all bimodule conditions"))
-    hat_q = build_hat_Q(ctx, s_def, t_def, h2f, check=False)
-    bad = hat_q.violations()
-    checks.append(("deformed-q-bimodule", not bad,
-                   bad[0] if bad else "hat Q satisfies all bimodule conditions"))
-    if not all(ok for _, ok, _ in checks):
-        return checks
+    hat_p = build_hat_P(ctx, s_def, t_def, h2f)
+    hat_q = build_hat_Q(ctx, s_def, t_def, h2f)
     deformed = MoritaContext(s_def, t_def, hat_p.glued, hat_q.glued,
                              _deformed_pairing(ctx, hat_p),
                              _deformed_pairing(ctx.swap(), hat_q),
@@ -1038,6 +1016,13 @@ def verify_morita_deformed(ctx, f):
         witness = None
     except InputError as exc:
         witness = str(exc)
+    for name, label, hat in (("deformed-p-bimodule", "hat P", hat_p),
+                             ("deformed-q-bimodule", "hat Q", hat_q)):
+        bad = hat.violations() if witness else []
+        checks.append((name, not bad,
+                       bad[0] if bad else label + " satisfies all bimodule conditions"))
+    if not all(ok for _, ok, _ in checks):
+        return checks
     for prefix, ns in (("A-side:", ctx.a.dim), ("B-side:", ctx.b.dim)):
         checks += [(prefix + name, witness is None, witness or detail.format(2 * ns, ns))
                    for name, detail in SIDE_LINES]

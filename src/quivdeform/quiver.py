@@ -329,12 +329,7 @@ class RewriteSystem:
             c = terms.pop(p)
             replaced = FreeElement.from_path(q, f, left) * self.rules[w] \
                 * FreeElement.from_path(q, f, right)
-            for rp, rc in replaced.terms.items():
-                s = f.add(terms.get(rp, f.zero), f.mul(c, rc))
-                if s == f.zero:
-                    terms.pop(rp, None)
-                else:
-                    terms[rp] = s
+            _addinto(f, terms, replaced.terms, c)
         return FreeElement(q, f, terms)
 
     def is_reducible(self, p):

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from quivdeform.fileio import parse_algebra_file
-from quivdeform.morita import MoritaContext, regular_bimodule
+from quivdeform.morita import Bimodule, MoritaContext
 from quivdeform.quiver import compute_basis
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -15,7 +15,7 @@ def data_path(name):
 
 def identity_context(alg):
     """A seen as Morita equivalent to itself through the regular bimodule."""
-    reg = regular_bimodule(alg)
+    reg = Bimodule(alg, alg, alg.dim, alg.table, alg.table, check=False)
     pairing = {(i, j): alg.multiply_basis(i, j)
                for i in range(alg.dim) for j in range(alg.dim)}
     gen = [(dict(alg.unit), dict(alg.unit))]

@@ -248,7 +248,7 @@ def test_criterion_5_presentation_checks():
         af, basis, f = example_cochain(name)
         for tag, coc in (("f", normalize_cocycle(basis, f)),
                          ("0", cochain_from_paths(basis, 2, {}))):
-            pres, _ = build_presentation(basis, coc)
+            pres = build_presentation(basis, coc)
             for check, ok, detail in verify_presentation(DeformedAlgebra(basis, coc), pres, 30):
                 if not ok:
                     failures.append("%s[%s]: %s (%s)" % (name, tag, check, detail))

@@ -527,11 +527,11 @@ def test_multiple_span_matches_the_products_in_kq():
 def test_presentation_dual_numbers(dual_numbers):
     af, basis = dual_numbers
     f = the_cocycle(af, basis)
-    pres, eps = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     assert pres.quiver.vertices == ["1"]
     assert [a[0] for a in pres.quiver.arrows] == ["a^"]  # no new loop
     assert pres.dashed == set()
-    entry = eps["1"]
+    entry = pres.epsilon["1"]
     assert entry.kind == "combination"
     assert entry.witness == {0: Fraction(1)}
     expected = relations_from("a^*a^*a^*a^", pres.quiver)
@@ -544,11 +544,11 @@ def test_presentation_dual_numbers(dual_numbers):
 def test_presentation_two_cycle(two_cycle):
     af, basis = two_cycle
     f = the_cocycle(af, basis)
-    pres, eps = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     assert [a[0] for a in pres.quiver.arrows] == ["a1^", "a2^", "e^2"]
     assert pres.dashed == {"e^2"}
-    assert eps["1"].kind == "combination"
-    assert eps["2"].kind == "arrow"
+    assert pres.epsilon["1"].kind == "combination"
+    assert pres.epsilon["2"].kind == "arrow"
     expected = relations_from(
         """a1^*a2^*a1^*a2^
            e^2*e^2
@@ -564,7 +564,7 @@ def test_presentation_two_cycle(two_cycle):
 def test_presentation_triangle(triangle):
     af, basis = triangle
     f = the_cocycle(af, basis)
-    pres, eps = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     assert [a[0] for a in pres.quiver.arrows] == \
         ["a1^", "a2^", "a3^", "e^1", "e^2", "e^3"]
     expected = relations_from(
@@ -584,7 +584,7 @@ def test_presentation_triangle(triangle):
 def test_presentation_quantum_plane(quantum_plane):
     af, basis = quantum_plane
     f = the_cocycle(af, basis)
-    pres, eps = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     assert [a[0] for a in pres.quiver.arrows] == ["a^", "b^", "e^1"]
     expected = relations_from(
         """e^1*e^1
@@ -607,12 +607,12 @@ def test_presentation_appends_lifted_multiples():
     q = af.quiver
     f = the_cocycle(af, basis)
     assert is_cocycle(f, basis)
-    pres, eps = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     assert pres.cocycle is f
     x3, x5 = (FreeElement.from_path(q, Q, q.path_from_arrow_names(["x"] * n)) for n in (3, 5))
     assert pres.extended == [x3, x5]
-    assert eps["1"].kind == "combination"
-    assert eps["1"].witness == {1: Fraction(1, 2), 2: Fraction(-3, 4)}
+    assert pres.epsilon["1"].kind == "combination"
+    assert pres.epsilon["1"].witness == {1: Fraction(1, 2), 2: Fraction(-3, 4)}
     assert [o for o in pres.origins if o.startswith("lift")] == ["lift:0", "lift:1", "lift:2"]
     assert all(ok for _, ok, _ in verify_presentation(DeformedAlgebra(basis, f), pres))
 
@@ -620,7 +620,7 @@ def test_presentation_appends_lifted_multiples():
 def test_presentation_zero_cocycle(two_cycle):
     af, basis = two_cycle
     zero = cochain_from_paths(basis, 2, {})
-    pres, eps = build_presentation(basis, zero)
+    pres = build_presentation(basis, zero)
     assert pres.dashed == {"e^1", "e^2"}
     assert compute_basis(pres.quiver, pres.relations, Q, 30).dim == 2 * basis.dim
     checks = verify_presentation(DeformedAlgebra(basis, zero), pres)
@@ -635,7 +635,7 @@ def test_presentation_precondition(two_cycle):
                                basis.element_from_path(q.trivial_path("2"))})
     with pytest.raises(NotACocycle):
         build_presentation(basis, f + tweak)
-    pres, _ = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     assert pres.cocycle is f
     # a cocycle whose image condition fails is not presented itself: the
     # presentation is of the representative normalize_cocycle gives
@@ -643,7 +643,7 @@ def test_presentation_precondition(two_cycle):
                                       basis.element_from_path(q.trivial_path("2"))})
     moved = f + differential(g, basis)
     assert not check_image_condition(basis, moved).ok
-    pres, _ = build_presentation(basis, moved)
+    pres = build_presentation(basis, moved)
     assert pres.cocycle == normalize_cocycle(basis, moved) != moved
     assert check_image_condition(basis, pres.cocycle).ok
     assert all(ok for _, ok, _ in
@@ -662,7 +662,7 @@ def test_evaluation_refuses_a_quiver_that_is_not_q_followed_by_loops(two_cycle):
     f = the_cocycle(af, basis)
     deformed = DeformedAlgebra(basis, f)
     q = af.quiver
-    pres, _ = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     for quiver in (q, pres.quiver):
         deformed.evaluation(quiver)
     arrows = [(name, q.vertices[s], q.vertices[t]) for name, s, t in q.arrows]
@@ -676,7 +676,7 @@ def test_evaluation_refuses_a_quiver_that_is_not_q_followed_by_loops(two_cycle):
 def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
     af, basis = two_cycle
     f = the_cocycle(af, basis)
-    pres, _ = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     qf = pres.quiver
     extra = FreeElement.from_path(qf, Q, qf.arrow_path("a1^"))
     bigger = Presentation(qf, pres.relations + [extra], pres.origins + ["extra:a1^"],
@@ -693,7 +693,7 @@ def test_verify_presentation_names_a_relation_that_does_not_vanish(two_cycle):
 def test_interreduce_keeps_ideal(dual_numbers):
     af, basis = dual_numbers
     f = the_cocycle(af, basis)
-    pres, _ = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     red = interreduce_presentation(pres, Q)
     assert same_ideal(pres.quiver, pres.relations, red.relations, Q)
     assert all(tag == "interreduced" for tag in red.origins)
@@ -781,7 +781,7 @@ def test_presentation_round_trips_through_files(two_cycle):
     from quivdeform.fileio import emit_algebra_text
     af, basis = two_cycle
     f = the_cocycle(af, basis)
-    pres, _ = build_presentation(basis, f)
+    pres = build_presentation(basis, f)
     text = emit_algebra_text(Q, pres.quiver, pres.relations, origins=pres.origins)
     back = parse_algebra_text(text)
     assert back.quiver == pres.quiver

@@ -42,7 +42,7 @@ def structure_table_cases(fld):
         basis = compute_basis(af.quiver, af.relations, fld, 30)
         yield name, af.quiver, af.relations, basis
         if af.cocycle_pairs:
-            pres, _ = build_presentation(basis, cochain_from_pairs(basis, af.cocycle_pairs))
+            pres = build_presentation(basis, cochain_from_pairs(basis, af.cocycle_pairs))
             yield (name + "^", pres.quiver, pres.relations,
                    compute_basis(pres.quiver, pres.relations, fld, 30))
 

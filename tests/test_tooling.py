@@ -222,6 +222,11 @@ def test_trace_pins_methods_that_their_classes_define():
     pins = [(cls, attr) for methods in trace.METHODS.values() for cls, attr in methods]
     assert pins
     assert [(cls.__name__, attr) for cls, attr in pins if attr not in vars(cls)] == []
+    # the field operations that count_replacements counts are read the
+    # same way, from vars(fields.Field)
+    ops = [(cls, op) for cls, op, _ in trace.count_replacements({})]
+    assert [op for _, op in ops] == ["mul", "add", "inv"]
+    assert [(cls.__name__, op) for cls, op in ops if op not in vars(cls)] == []
 
 
 def test_readme_library_use_runs(monkeypatch, capsys):
