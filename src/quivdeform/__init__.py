@@ -6,31 +6,13 @@ monomial bases by rewriting, Hochschild 2-cocycles and their
 coboundaries, the doubled algebra twisted by a cocycle together with a
 quiver presentation of it, and transfers of cocycles across a Morita
 context, verifying every identity it claims by direct computation.
+
+Importing the package loads none of its layers: each name below is
+imported from its layer when it is first used (PEP 562), so a command
+line process loads only the layers its command runs.
 """
 
-from .deform import (DeformedAlgebra, Presentation, build_presentation,
-                     check_image_condition, deformation_equivalence, hat_f,
-                     interreduce_presentation, normalize_cocycle,
-                     verify_presentation)
-from .errors import (CharTwoUnsupported, ComputationError, EpsilonUnresolvable,
-                     InputError, NormalizationFailed, NotACocycle,
-                     NotFiniteDimensional, NotFullIdempotent)
-from .fields import Field
-from .fileio import (AlgebraFile, emit_algebra_text, emit_dot, emit_module_text,
-                     parse_algebra_file, parse_algebra_text, parse_expression,
-                     parse_module_file)
-from .hochschild import (FullCochain, cochain_from_pairs, cochain_from_paths,
-                         differential, full_differential, hh_dimension,
-                         hh_summary, is_cocycle, is_full_cocycle)
-from .modcat import (LeftModule, MorphismTriple, UpleModule, functor_F,
-                     module_from_file, reconstruct, regular_module,
-                     regular_uple, roundtrip_triple)
-from .linalg import FinDimAlgebra
-from .morita import (MoritaContext, TensorProduct, homotopy_h, idempotent_context,
-                     matrix_context, transfer_phi, transfer_psi,
-                     verify_morita_deformed)
-from .quiver import (AlgebraBasis, FreeElement, Quiver, compute_basis,
-                     decompose_unit, validate_admissible_relations)
+from importlib import import_module
 
 __all__ = [
     "AlgebraBasis", "AlgebraFile", "CharTwoUnsupported",
@@ -52,3 +34,38 @@ __all__ = [
     "validate_admissible_relations", "verify_morita_deformed",
     "verify_presentation",
 ]
+
+_LAYERS = {
+    "deform": ("DeformedAlgebra", "Presentation", "build_presentation",
+               "check_image_condition", "deformation_equivalence", "hat_f",
+               "interreduce_presentation", "normalize_cocycle", "verify_presentation"),
+    "errors": ("CharTwoUnsupported", "ComputationError", "EpsilonUnresolvable",
+               "InputError", "NormalizationFailed", "NotACocycle",
+               "NotFiniteDimensional", "NotFullIdempotent"),
+    "fields": ("Field",),
+    "fileio": ("AlgebraFile", "emit_algebra_text", "emit_dot", "emit_module_text",
+               "parse_algebra_file", "parse_algebra_text", "parse_expression",
+               "parse_module_file"),
+    "hochschild": ("FullCochain", "cochain_from_pairs", "cochain_from_paths",
+                   "differential", "full_differential", "hh_dimension",
+                   "hh_summary", "is_cocycle", "is_full_cocycle"),
+    "linalg": ("FinDimAlgebra",),
+    "modcat": ("LeftModule", "MorphismTriple", "UpleModule", "functor_F",
+               "module_from_file", "reconstruct", "regular_module",
+               "regular_uple", "roundtrip_triple"),
+    "morita": ("MoritaContext", "TensorProduct", "homotopy_h", "idempotent_context",
+               "matrix_context", "transfer_phi", "transfer_psi",
+               "verify_morita_deformed"),
+    "quiver": ("AlgebraBasis", "FreeElement", "Quiver", "compute_basis",
+               "decompose_unit", "validate_admissible_relations"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + layer, __name__), name)
+    globals()[name] = value
+    return value

@@ -7,25 +7,20 @@ pass; bad input exits 2 and typed computation errors exit 1.
 
 The command line is read from the COMMANDS table the way argparse read
 it, without argparse: importing it and building its parsers took longer
-than many commands take to compute.
+than many commands take to compute.  For the same reason each handler
+imports the layers past quiver that it uses (hochschild, deform, morita,
+modcat) when it runs, so a command loads only what it computes with.
 """
 
+import os
 import re
 import sys
 from types import SimpleNamespace
 
-from .deform import (DeformedAlgebra, build_presentation, deformation_equivalence,
-                     hat_f, interreduce_presentation, verify_presentation)
 from .errors import ComputationError, InputError, NotACocycle
 from .fields import Field
 from .fileio import (emit_algebra_text, emit_dot, parse_algebra_file,
                      parse_module_file, signed_sum_str)
-from .hochschild import (cochain_from_pairs, full_differential, hh_summary,
-                         is_cocycle, is_full_cocycle)
-from .linalg import _columns, map_compose
-from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
-from .morita import (homotopy_h, idempotent_context, matrix_context,
-                     transfer_phi, transfer_psi, verify_morita_deformed)
 from .quiver import FreeElement, compute_basis
 
 
@@ -76,6 +71,7 @@ def cmd_basis(args):
 
 
 def cmd_hh(args):
+    from .hochschild import hh_summary
     af, basis = _load_algebra(args)
     z2, b2, hh2 = hh_summary(basis)
     print("dim Z^2 = %d" % z2)
@@ -85,6 +81,7 @@ def cmd_hh(args):
 
 
 def cmd_check_cocycle(args):
+    from .hochschild import cochain_from_pairs, is_cocycle
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     ok = is_cocycle(f, basis)
@@ -93,6 +90,8 @@ def cmd_check_cocycle(args):
 
 
 def cmd_deform(args):
+    from .deform import build_presentation, interreduce_presentation
+    from .hochschild import cochain_from_pairs
     af, basis = _load_algebra(args)
     pres = build_presentation(basis, cochain_from_pairs(basis, af.cocycle_pairs))
     if args.interreduce:
@@ -113,6 +112,8 @@ def cmd_deform(args):
 
 
 def cmd_verify_deform(args):
+    from .deform import DeformedAlgebra, build_presentation, hat_f, verify_presentation
+    from .hochschild import cochain_from_pairs
     af, basis = _load_algebra(args)
     fld = basis.field
     f = cochain_from_pairs(basis, af.cocycle_pairs)
@@ -171,6 +172,8 @@ def cmd_verify_deform(args):
 
 
 def cmd_equiv(args):
+    from .deform import deformation_equivalence
+    from .hochschild import cochain_from_pairs, is_cocycle
     af, basis = _load_algebra(args)
     fld = basis.field
     af2 = parse_algebra_file(args.other, _parse_field_flag(args.field))
@@ -220,6 +223,7 @@ def cmd_equiv(args):
 
 
 def _context_of(args, af, basis):
+    from .morita import idempotent_context, matrix_context
     if args.matrix is not None:
         return matrix_context(basis, args.matrix)
     names = [v.strip() for v in args.idempotent.split(",") if v.strip()]
@@ -247,6 +251,8 @@ def _cochain_check(name, lhs, rhs, labels, identity):
 
 
 def cmd_transfer(args):
+    from .hochschild import cochain_from_pairs, full_differential, is_full_cocycle
+    from .morita import homotopy_h, transfer_phi, transfer_psi
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     ctx = _context_of(args, af, basis)
@@ -282,6 +288,8 @@ def cmd_transfer(args):
 
 
 def cmd_verify_morita(args):
+    from .hochschild import cochain_from_pairs
+    from .morita import verify_morita_deformed
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     ctx = _context_of(args, af, basis)
@@ -289,6 +297,10 @@ def cmd_verify_morita(args):
 
 
 def cmd_module_roundtrip(args):
+    from .deform import DeformedAlgebra
+    from .hochschild import cochain_from_pairs, is_cocycle
+    from .linalg import _columns, map_compose
+    from .modcat import functor_F, module_from_file, reconstruct, roundtrip_triple
     af, basis = _load_algebra(args)
     fld = basis.field
     f = cochain_from_pairs(basis, af.cocycle_pairs)
@@ -489,6 +501,8 @@ def parse_args(argv):
 
 
 def run(argv=None):
+    """Run the command line argv (sys.argv[1:] when None) in this process
+    and return its exit code; it never exits the process."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
@@ -507,7 +521,20 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    """The process entry point: run the command line, flush stdout and
+    stderr, and end the process with run's exit code without interpreter
+    teardown, which costs some 11 ms and does nothing this program needs:
+    every file a command writes is closed before run returns, and nothing
+    registers an atexit handler or starts a thread.  When a flush fails
+    (a closed pipe, a full disk), sys.exit lets the interpreter report it
+    as it always has, by "Exception ignored" and exit code 120."""
+    code = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

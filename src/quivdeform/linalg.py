@@ -359,8 +359,13 @@ class FinDimAlgebra:
         lmaps = defaultdict(dict)
         for (i, j), vec in self.table.items():
             lmaps[i][j] = vec
+        # image[j]: the coordinates that some x_j x_k has.  When x_r x_j =
+        # 0 and L(x_r) is 0 on all of them, both sides are 0 at (r, j)
+        image = [set().union(*lmaps[j].values()) for j in range(self.dim)]
         for r in self.unit_and_generators():
             for j in range(self.dim):
+                if (r, j) not in self.table and image[j].isdisjoint(lmaps[r]):
+                    continue
                 bad = _differing_columns(_action(lmaps, self.multiply_basis(r, j), fld),
                                          map_compose(lmaps[r], lmaps[j], fld), self.dim)
                 if bad:

@@ -392,7 +392,7 @@ class MoritaContext:
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
 # The certificate's checks grow with the square or the cube of it:
-# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.25-0.4 s end
+# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.28-0.42 s end
 # to end (2 cores, Python 3.11), and each doubling of the dimension
 # multiplies that by 4 to 8.
 MAX_MATRIX_DIM = 64

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -509,7 +510,7 @@ def test_equiv_proves_each_cocycle_once(monkeypatch, capsys):
         checked.append(f)
         return real(f, basis)
 
-    for module in (cli, deform, hochschild):
+    for module in (deform, hochschild):
         monkeypatch.setattr(module, "is_cocycle", counted)
     assert run(["equiv", data_path("two_cycle.alg"), data_path("two_cycle.alg")]) == 0
     assert "multiplicative: PASS" in lines_of(capsys)[0]
@@ -628,14 +629,15 @@ def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
     # at which its two sides really differ
     af, basis = load_basis("dual_numbers.alg")
     one = basis.field.one
+    real = morita.transfer_psi
 
     def broken_psi(ctx, g):
-        out = morita.transfer_psi(ctx, g)
+        out = real(ctx, g)
         if out.degree == 2:
             out = out + FullCochain(out.dim, 2, out.field, {(0, 1): {0: one}})
         return out
 
-    monkeypatch.setattr(cli, "transfer_psi", broken_psi)
+    monkeypatch.setattr(morita, "transfer_psi", broken_psi)
     assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
     _, lines = lines_of(capsys)
     assert "cocycle: PASS  d^2 g = 0 on B" in lines
@@ -846,13 +848,13 @@ def test_module_roundtrip_refuses_a_non_cocycle(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "broken.alg"
     bad.write_text(BROKEN_COCYCLE)
     checked = []
-    real = cli.is_cocycle
+    real = hochschild.is_cocycle
 
     def counted(f, basis):
         checked.append(f)
         return real(f, basis)
 
-    for module in (cli, deform, hochschild):
+    for module in (deform, hochschild):
         monkeypatch.setattr(module, "is_cocycle", counted)
     assert run(["module-roundtrip", str(bad), str(mod)]) == 2
     assert capsys.readouterr().err == ("error: not a 2-cocycle; the deformed product "
@@ -875,7 +877,7 @@ def test_module_roundtrip_rejects_non_module(tmp_path, capsys):
 
 def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypatch):
     mod = write_regular_module(tmp_path)
-    real = cli.functor_F
+    real = modcat.functor_F
 
     def broken(uple):
         glued = real(uple)
@@ -884,7 +886,7 @@ def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypat
         actions[1][0] = {**actions[1].get(0, {}), 3: glued.field.one}
         return LeftModule(glued.algebra, glued.dim, actions, check=False)
 
-    monkeypatch.setattr(cli, "functor_F", broken)
+    monkeypatch.setattr(modcat, "functor_F", broken)
     assert run(["module-roundtrip", data_path("dual_numbers.alg"), str(mod)]) == 1
     out, _ = lines_of(capsys)
     assert ("functor-rebuild: FAIL  actions disagree after the basis change at a\n"
@@ -1085,6 +1087,124 @@ def test_job_with_a_fraction_loads_fractions_and_prints_the_same():
     *report, loaded = out.splitlines(keepends=True)
     assert "".join(report) == verify_morita_golden(2, 8)
     assert loaded == "['decimal', 'fractions']\n"
+
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    # importing the package loads no layer; cli loads errors, fields,
+    # fileio and quiver, which builds on linalg, and each handler imports
+    # the further layers it computes with when it runs
+    two = data_path("two_cycle.alg")
+    groups = [[["basis", two]], [["hh", two], ["check-cocycle", two]],
+              [["verify-deform", two], ["deform", two], ["equiv", two, two]]]
+    code = ("import contextlib, io, sys\n"
+            "def layers():\n"
+            "    print(sorted(m[11:] for m in sys.modules if m.startswith('quivdeform.')))\n"
+            "import quivdeform\n"
+            "layers()\n"
+            "from quivdeform import cli\n"
+            "layers()\n"
+            "for group in %r:\n"
+            "    for argv in group:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.run(argv) == 0, argv\n"
+            "    layers()\n" % groups)
+    code_, out, err = in_fresh_process(code)
+    assert (code_, err) == (0, "")
+    base = ["cli", "errors", "fields", "fileio", "linalg", "quiver"]
+    assert out.splitlines() == [str(layers) for layers in (
+        [], base, base, sorted(base + ["hochschild"]),
+        sorted(base + ["deform", "hochschild"]))]
+
+
+def test_package_exports_resolve_on_first_use():
+    # each name of __all__ is imported from its layer when it is first
+    # read, by attribute or by a star import, and is the layer's object
+    code = ("import sys\n"
+            "import quivdeform\n"
+            "assert not hasattr(quivdeform, 'no_such_name')\n"
+            "from quivdeform import *\n"
+            "layers = [m for n, m in sys.modules.items() if n.startswith('quivdeform.')]\n"
+            "print([n for n in quivdeform.__all__ if not any(\n"
+            "    vars(m).get(n) is globals()[n] is getattr(quivdeform, n) for m in layers)])\n")
+    assert in_fresh_process(code) == (0, "[]\n", "")
+
+
+def cli_process(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """(exit code, stdout bytes, stderr text) of argv run as its own
+    python -m quivdeform.cli process, with src/ on the path and
+    PYTHONUNBUFFERED set or unset; stdout is None when it is not a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "quivdeform.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+def test_process_prints_what_run_prints_above_64_kib(tmp_path, capsys):
+    # main flushes stdout and ends the process without interpreter
+    # teardown; what the process writes to a file or a pipe, with stdout
+    # buffered or not, is byte for byte what run prints
+    arrow = "x" * 40
+    alg = tmp_path / "power.alg"
+    alg.write_text("field Q\nvertex 1\narrow %s : 1 -> 1\nrelation %s\n"
+                   % (arrow, "*".join([arrow] * 60)))
+    argv = ["basis", str(alg), "--max-degree", "60"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    assert len(want) > 64 * 1024
+    out = tmp_path / "out.txt"
+    for unbuffered in (False, True):
+        assert cli_process(argv, unbuffered=unbuffered) == (0, want, "")
+        with open(out, "wb") as fh:
+            assert cli_process(argv, fh, unbuffered) == (0, None, "")
+        assert out.read_bytes() == want
+
+
+def test_process_exit_codes_are_those_of_run(tmp_path, capsys):
+    bad = tmp_path / "broken.alg"
+    bad.write_text(BROKEN_COCYCLE)
+    for argv, code in ((["check-cocycle", data_path("two_cycle.alg")], 0),
+                       (["check-cocycle", str(bad)], 1),
+                       (["hh", str(tmp_path / "missing.alg")], 2),
+                       (["hh"], 2), (["-h"], 0)):
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert cli_process(argv) == (code, out.encode("utf-8"), err), argv
+
+
+def test_process_deform_files_are_complete_when_it_ends(tmp_path):
+    alg, dot = tmp_path / "qf.alg", tmp_path / "qf.dot"
+    argv = ["deform", data_path("two_cycle.alg"), "-o", str(alg), "--dot", str(dot)]
+    assert cli_process(argv) == (0, b"", "")
+    assert alg.read_text(encoding="utf-8") == DEFORM_GOLDEN["two_cycle"]
+    assert dot.read_text(encoding="utf-8") == TWO_CYCLE_DOT
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_reports_a_failed_write_as_the_interpreter_does():
+    # buffered, the output fails at main's flush, and the interpreter's
+    # own exit reports it: "Exception ignored", exit 120.  Unbuffered,
+    # print fails inside run, which reports the OSError with exit 2
+    argv = ["basis", data_path("two_cycle.alg")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        broken = [cli_process(argv, write_end, unbuffered) for unbuffered in (False, True)]
+    finally:
+        os.close(write_end)
+    with open("/dev/full", "wb") as full:
+        filled = [cli_process(argv, full, unbuffered) for unbuffered in (False, True)]
+    for (buffered, unbuffered), (name, number) in ((broken, ("BrokenPipeError", errno.EPIPE)),
+                                                   (filled, ("OSError", errno.ENOSPC))):
+        error = "[Errno %d] %s" % (number, os.strerror(number))
+        code, out, err = buffered
+        head, *rest = err.splitlines()
+        assert (code, out, rest) == (120, None, ["%s: %s" % (name, error)])
+        assert head.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert unbuffered == (2, None, "error: %s\n" % error)
 
 
 def test_deform_writes_its_files_as_utf8(tmp_path):

@@ -12,7 +12,7 @@ from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
 from quivdeform.deform import Deformation
-from quivdeform.linalg import _columns, _identity
+from quivdeform.linalg import _action, _columns, _differing_columns, _identity, map_compose
 from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
                                build_hat_P, build_hat_Q, homotopy_h,
@@ -23,8 +23,9 @@ from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlg
 from quivdeform.quiver import compute_basis
 
 from conftest import data_path, identity_context
-from oracles import (brute_bimodule_defects, brute_bimodule_map_defects,
-                     brute_context_consequences, brute_context_defects,
+from oracles import (brute_associativity_defect, brute_bimodule_defects,
+                     brute_bimodule_map_defects, brute_context_consequences,
+                     brute_context_defects, brute_generator_associativity_defect,
                      brute_generated_dimension, brute_homotopy, brute_transfer,
                      brute_uple_defects, brute_uple_glue)
 
@@ -1023,6 +1024,98 @@ def test_context_checks_agree_with_the_oracle(dual_numbers, two_cycle, lambda_m2
     with pytest.raises(InputError, match="the Morita ring: unit fails on basis element p1$"):
         data._validate()
     assert not context_accepted(data)
+
+
+
+def unskipped_witness(alg):
+    """FinDimAlgebra.associativity_witness without its skip of the pairs
+    (r, j) at which both sides are 0: every (r, j) is compared."""
+    fld = alg.field
+    lmaps = {}
+    for (i, j), vec in alg.table.items():
+        lmaps.setdefault(i, {})[j] = vec
+    for r in alg.unit_and_generators():
+        for j in range(alg.dim):
+            bad = _differing_columns(_action(lmaps, alg.multiply_basis(r, j), fld),
+                                     map_compose(lmaps.get(r, {}), lmaps.get(j, {}), fld),
+                                     alg.dim)
+            if bad:
+                return (r, j, bad[0])
+    return None
+
+
+def incidence_algebra(rng, points, field):
+    """The incidence algebra of a random partial order on points, in the
+    basis c_xy e_xy, x <= y, for random nonzero scalars c_xy: its table
+    is sparse, since e_xy e_zw = 0 unless y = z, and its entries are not
+    all 1."""
+    below = [{x} for x in range(points)]
+    for y in range(points):
+        for x in range(y):
+            if rng.random() < 0.4:
+                below[y] |= below[x]
+    pairs = [(x, y) for y in range(points) for x in sorted(below[y])]
+    index = {pair: n for n, pair in enumerate(pairs)}
+    scale = {pair: field.from_int(rng.choice((1, 2, 3, -1, -2))) for pair in pairs}
+    table = {}
+    for (x, y) in pairs:
+        for (y2, z) in pairs:
+            if y == y2:
+                c = field.mul(field.mul(scale[(x, y)], scale[(y, z)]), field.inv(scale[(x, z)]))
+                table[(index[(x, y)], index[(y, z)])] = {index[(x, z)]: c}
+    unit = {index[(x, x)]: field.inv(scale[(x, x)]) for x in range(points)}
+    return len(pairs), table, unit
+
+
+def test_witness_skips_only_pairs_whose_sides_are_both_zero(dual_numbers, two_cycle,
+                                                            lambda_m2):
+    # the witness passes over (r, j) when x_r x_j = 0 and L(x_r) is 0 on
+    # every x_j x_k; on Morita rings with one broken block, and on sparse
+    # random tables with a defect planted in them, it still names the
+    # triple that the full loop and the oracle name first.  A planted
+    # defect adds to one product or deletes it: a deleted x_j e_v = x_j
+    # leaves j out of the coordinates of the x_j x_k, so L(x_r) can be 0
+    # on all of them while x_r x_j is not
+    rng = random.Random(2026)
+    cases = []
+    for ctx in (identity_context(dual_numbers[1]), matrix_context(dual_numbers[1], 2),
+                corner_context(lambda_m2)[1],
+                idempotent_context(two_cycle[1], dict(two_cycle[1].unit))):
+        ring = ctx.ring()
+        start = block_starts(ctx)
+        size = {"A": ctx.a.dim, "P": ctx.p.dim, "Q": ctx.q.dim, "B": ctx.b.dim}
+        # the eight nonzero blocks of the product: (row, column, value)
+        for rows, cols, out in ("AAA", "APP", "PBP", "PQA", "BQQ", "QAQ", "QPB", "BBB"):
+            for _ in range(2):
+                x = start[rows] + rng.randrange(size[rows])
+                y = start[cols] + rng.randrange(size[cols])
+                z = start[out] + rng.randrange(size[out])
+                cases.append((ring.field, ring.dim, ring.table, ring.unit, (x, y, z)))
+    for n in range(10):
+        fld = (Q, F7)[n % 2]
+        dim, table, unit = incidence_algebra(rng, 4 + n % 3, fld)
+        assert brute_associativity_defect(dim, table, fld) is None
+        cases.append((fld, dim, table, unit, None))
+        for _ in range(4):
+            cases.append((fld, dim, table, unit, tuple(rng.randrange(dim) for _ in range(3))))
+            cases.append((fld, dim, table, unit, rng.choice(sorted(table))))
+    found = 0
+    for fld, dim, table, unit, bump in cases:
+        table = {key: dict(vec) for key, vec in table.items()}
+        if bump is not None and len(bump) == 2:
+            del table[bump]
+        elif bump is not None:
+            x, y, z = bump
+            entry = table.setdefault((x, y), {})
+            entry[z] = fld.add(entry.get(z, fld.zero), fld.from_int(rng.choice((1, 2, -1))))
+            if not entry[z]:
+                del entry[z]
+        alg = FinDimAlgebra(fld, dim, table, unit, check=False)
+        bad = alg.associativity_witness()
+        assert bad == unskipped_witness(alg), bump
+        assert bad == brute_generator_associativity_defect(dim, table, unit, fld), bump
+        found += bad is not None
+    assert 0.5 * len(cases) < found < len(cases)
 
 
 def test_context_consequences_oracle_rejects_refused_data(dual_numbers, two_cycle):

@@ -153,7 +153,8 @@ def unreferenced_definitions(sources, exported):
     not in exported and is referenced nowhere in sources outside its own
     definition, in file and line order.  sources maps file names to
     module sources; a reference is a Name or an attribute with the name,
-    so an import alone is none."""
+    so an import alone is none.  A dunder such as a module's __getattr__
+    is a hook that the interpreter calls, and is not reported."""
     trees = {filename: ast.parse(source, filename) for filename, source in sources.items()}
     used = {}
     for filename, tree in trees.items():
@@ -170,7 +171,8 @@ def unreferenced_definitions(sources, exported):
     for filename, tree in sorted(trees.items()):
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in exported and node.name not in used):
+                    and node.name not in exported and node.name not in used
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
                 out.append((filename, node.lineno, node.name))
     return out
 
@@ -184,13 +186,18 @@ def test_unreferenced_definition_rule_sees_leftovers():
                         "    return recursive(n - 1)\n"
                         "class Lonely:\n"
                         "    def method(self):\n"
-                        "        return Lonely()\n"),
+                        "        return Lonely()\n"
+                        "def __getattr__(name):\n"
+                        "    return name\n"
+                        "def __getattr(name):\n"
+                        "    return name\n"),
                "b.py": ("from a import recursive, Lonely\n"
                         "import a\n"
                         "def imported_only():\n"
                         "    return a.kept\n")}
     assert unreferenced_definitions(sources, {"kept"}) == [
-        ("a.py", 5, "recursive"), ("a.py", 7, "Lonely"), ("b.py", 3, "imported_only")]
+        ("a.py", 5, "recursive"), ("a.py", 7, "Lonely"), ("a.py", 12, "__getattr"),
+        ("b.py", 3, "imported_only")]
 
 
 def test_package_defines_nothing_that_nothing_reaches():
