@@ -62,6 +62,13 @@ def _vec_str(vec, labels, field):
     return signed_sum_str([(labels[i], vec[i]) for i in sorted(vec)], field)
 
 
+def _cocycle_detail(witness, labels):
+    """d^2 f = 0, or d^2 f != 0 at the basis tuple witness, by its labels."""
+    if witness is None:
+        return "d^2 f = 0"
+    return "d^2 f != 0 at (%s)" % ", ".join(labels[i] for i in witness)
+
+
 def cmd_basis(args):
     af, basis = _load_algebra(args)
     print("dim A = %d" % basis.dim)
@@ -81,12 +88,12 @@ def cmd_hh(args):
 
 
 def cmd_check_cocycle(args):
-    from .hochschild import cochain_from_pairs, is_cocycle
+    from .hochschild import cochain_from_pairs, cocycle_witness
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    ok = is_cocycle(f, basis)
-    detail = "%d table entries, d^2 f %s 0" % (len(f.table), "=" if ok else "!=")
-    return _emit_report([("cocycle", ok, detail)], args.report)
+    bad = cocycle_witness(f, basis)
+    detail = "%d table entries, %s" % (len(f.table), _cocycle_detail(bad, basis.labels))
+    return _emit_report([("cocycle", bad is None, detail)], args.report)
 
 
 def cmd_deform(args):
@@ -123,11 +130,11 @@ def cmd_verify_deform(args):
     # the cocycle condition and the image condition on its way
     try:
         pres = build_presentation(basis, f)
-        ok_cocycle = True
-    except NotACocycle:
-        ok_cocycle = False
-    checks.append(("cocycle", ok_cocycle,
-                   "d^2 f %s 0" % ("=" if ok_cocycle else "!=")))
+        witness = None
+    except NotACocycle as exc:
+        witness = exc.witness
+    ok_cocycle = witness is None
+    checks.append(("cocycle", ok_cocycle, _cocycle_detail(witness, basis.labels)))
     deformed = DeformedAlgebra(basis, f)
     ok_assoc = deformed.associativity_holds()
     if ok_assoc:
@@ -502,13 +509,14 @@ def parse_args(argv):
 
 def run(argv=None):
     """Run the command line argv (sys.argv[1:] when None) in this process
-    and return its exit code; it never exits the process."""
+    and return its exit code; it never exits the process.  A failed write
+    to stdout, of the help or of a report, exits 2 with "error: ..." as
+    bad input does."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        return COMMANDS[args.command][2](args)
     except SystemExit as exc:
         return exc.code
-    try:
-        return COMMANDS[args.command][2](args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

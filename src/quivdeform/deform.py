@@ -27,7 +27,7 @@ DeformedAlgebra.evaluation, the one evaluation of free elements in A_f.
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed, NotACocycle)
 from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
-                         is_cocycle)
+                         cocycle_witness, is_cocycle)
 from .linalg import FinDimAlgebra, SpanSolver, _addinto, _columns, _map_rank, map_apply
 from .quiver import FreeElement, Quiver, compute_basis, relation_endpoints
 
@@ -324,7 +324,8 @@ def _hat_free(elem, quiver_f, field):
 
 def build_presentation(basis, f):
     """Quiver and relations presenting the deformed algebra of the
-    2-cocycle f; raises NotACocycle for any other cochain.
+    2-cocycle f; raises NotACocycle for any other cochain, with the
+    first basis tuple where d f is nonzero as its witness.
 
     The presentation needs the image condition.  When f fails it, the
     cohomologous representative of normalize_cocycle is presented
@@ -332,8 +333,9 @@ def build_presentation(basis, f):
     Returns the Presentation; pres.epsilon maps each vertex id to its
     EpsilonEntry.
     """
-    if not is_cocycle(f, basis):
-        raise NotACocycle("the cochain does not satisfy d^2 f = 0")
+    witness = cocycle_witness(f, basis)
+    if witness is not None:
+        raise NotACocycle("the cochain does not satisfy d^2 f = 0", witness)
     f = normalize_cocycle(basis, f)
     q = basis.quiver
     fld = basis.field

@@ -11,7 +11,12 @@ class InputError(Exception):
 
 
 class NotACocycle(InputError):
-    """A cochain given where a 2-cocycle is needed has d f != 0."""
+    """A cochain given where a 2-cocycle is needed has d f != 0; witness
+    is the first basis tuple where d f is nonzero, when it is known."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ComputationError(Exception):

@@ -31,7 +31,7 @@ otherwise, naming the offending pair.
 """
 
 from .errors import InputError
-from .linalg import SpanSolver, _addinto, _clean, map_combine
+from .linalg import SpanSolver, _addinto, _bilinear, _clean, map_combine
 
 
 def _products(table, keep):
@@ -227,10 +227,17 @@ def differential(f, basis):
                        _push(f.table, f.degree, _reduced_products(basis), basis.field))
 
 
-def is_cocycle(f, basis):
+def cocycle_witness(f, basis):
+    """The first basis tuple, in sorted order, where d f is nonzero, or
+    None when f is a 2-cocycle."""
     if f.degree != 2:
         raise InputError("is_cocycle expects a degree-2 cochain")
-    return differential(f, basis).is_zero()
+    df = differential(f, basis)
+    return min(df.table) if df.table else None
+
+
+def is_cocycle(f, basis):
+    return cocycle_witness(f, basis) is None
 
 
 def cobound_solve(f, basis):
@@ -325,20 +332,15 @@ class FullCochain:
         if len(vecs) != self.degree:
             raise InputError("expected %d arguments" % self.degree)
         f = self.field
+        if self.degree == 2:
+            return _bilinear(f, self.table, *vecs)
+        terms = [((), f.one)]
+        for vec in vecs:
+            terms = [(key + (i,), f.mul(coeff, c)) for key, coeff in terms
+                     for i, c in vec.items() if c != f.zero]
         out = {}
-
-        def rec(pos, key, coeff):
-            if pos == len(vecs):
-                _addinto(f, out, self.value(tuple(key)), coeff)
-                return
-            for i, c in vecs[pos].items():
-                if c == f.zero:
-                    continue
-                key.append(i)
-                rec(pos + 1, key, f.mul(coeff, c))
-                key.pop()
-
-        rec(0, [], f.one)
+        for key, coeff in terms:
+            _addinto(f, out, self.table.get(key, {}), coeff)
         return out
 
 

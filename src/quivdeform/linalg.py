@@ -357,17 +357,32 @@ class FinDimAlgebra:
         only the seed of the words, and its support is in R."""
         fld = self.field
         lmaps = defaultdict(dict)
+        # basis[i][j] = m when x_i x_j is x_m itself: then L(x_i x_j) is the
+        # stored map L(x_m), and column j of L(x_r) L(x_i) the stored column
+        # m of L(x_r), both read as they are and never written to
+        basis = defaultdict(dict)
         for (i, j), vec in self.table.items():
             lmaps[i][j] = vec
+            if len(vec) == 1 and fld.one in vec.values():
+                basis[i][j], = vec
         # image[j]: the coordinates that some x_j x_k has.  When x_r x_j =
         # 0 and L(x_r) is 0 on all of them, both sides are 0 at (r, j)
         image = [set().union(*lmaps[j].values()) for j in range(self.dim)]
         for r in self.unit_and_generators():
+            left = lmaps[r]
             for j in range(self.dim):
-                if (r, j) not in self.table and image[j].isdisjoint(lmaps[r]):
+                prod = self.table.get((r, j))
+                if prod is None and image[j].isdisjoint(left):
                     continue
-                bad = _differing_columns(_action(lmaps, self.multiply_basis(r, j), fld),
-                                         map_compose(lmaps[r], lmaps[j], fld), self.dim)
+                m = basis[r].get(j)
+                lhs = lmaps[m] if m is not None else _action(lmaps, prod or {}, fld)
+                rhs = {}
+                for k, col in lmaps[j].items():
+                    m = basis[j].get(k)
+                    img = left.get(m) if m is not None else map_apply(left, col, fld)
+                    if img:
+                        rhs[k] = img
+                bad = _differing_columns(lhs, rhs, self.dim)
                 if bad:
                     return (r, j, bad[0])
         return None

@@ -62,6 +62,7 @@ from itertools import product
 from .deform import Deformation
 from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
+from .fields import _rational
 from .hochschild import FullCochain, is_full_cocycle
 from .linalg import (FinDimAlgebra, SpanSolver, _action, _addinto, _bilinear, _clean,
                      _columns, _differing_columns, _identity, _lower_block, _map_rank,
@@ -392,7 +393,7 @@ class MoritaContext:
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
 # The certificate's checks grow with the square or the cube of it:
-# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.28-0.42 s end
+# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.16-0.27 s end
 # to end (2 cores, Python 3.11), and each doubling of the dimension
 # multiplies that by 4 to 8.
 MAX_MATRIX_DIM = 64
@@ -746,59 +747,74 @@ class DeformedBimodule:
         return Bimodule(self.left_def, self.right_def, n0 + n1, left, right, check=False)
 
 
-def _half(field):
+def _halver(field):
+    """vec -> vec / 2 on coordinate dicts without zeros, exact over Q, so an
+    even int stays an int; characteristic 2 raises CharTwoUnsupported."""
     two = field.add(field.one, field.one)
     if two == field.zero:
         raise CharTwoUnsupported("the deformed bimodule maps divide by 2")
-    return field.inv(two)
+    if field.char:
+        half = field.inv(two)
+        return lambda vec: {k: field.mul(half, v) for k, v in vec.items()}
+    return lambda vec: {k: _rational(v.numerator, 2 * v.denominator) for k, v in vec.items()}
+
+
+def _brackets(ctx):
+    """The pairings of hat P and hat Q that depend on no element of P or
+    Q, as nested lists: inner[i][l][l'] = <q'_l, e_i p'_l'>_B for a basis
+    index i of A, and outer[j][k][k'] = <p_k e_j, q_k'>_A for one j of B."""
+    one, p = ctx.field.one, ctx.p
+    inner = [[[ctx.pair_b(q0, p.left_act({i: one}, p1)) for p1, _ in ctx.gens_a]
+              for _, q0 in ctx.gens_a] for i in range(ctx.a.dim)]
+    outer = [[[ctx.pair_a(moved, qk1) for qk1, _ in ctx.gens_b]
+              for moved in [p.right_act(pk0, {j: one}) for _, pk0 in ctx.gens_b]]
+             for j in range(ctx.b.dim)]
+    return inner, outer
 
 
 def build_hat_P(ctx, a_f, b_g, h2f):
     """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g),
     for A_f and B_g the Deformations of ctx.a and ctx.b along f and g =
     phi^2(f), both proved to be cocycles by the caller, and h2f =
-    homotopy_h(ctx, f); unchecked."""
+    homotopy_h(ctx, f); unchecked.  Each pairing in f_P and g_P is computed
+    once, outside the loops over the basis indices it does not depend on."""
     fld = ctx.field
-    half = _half(fld)
+    halve = _halver(fld)
     f, g = a_f.f, b_g.f
     p = ctx.p
     one = fld.one
+    inner, outer = _brackets(ctx)
+    units = [{x: one} for x in range(p.dim)]
+    # <x, q_k>_A with p_k, and <q'_l, x>_B, for each x
+    xq = [[(ctx.pair_a(ex, qk), pk) for qk, pk in ctx.gens_b] for ex in units]
+    qx = [[ctx.pair_b(q1, ex) for _, q1 in ctx.gens_a] for ex in units]
     f_tables = []
     for i in range(ctx.a.dim):
         ei = {i: one}
         hvec = h2f.value((i,))
         cols = []
-        for x in range(p.dim):
-            ex = {x: one}
+        for x, ex in enumerate(units):
             acc = {}
-            for qk, pk in ctx.gens_b:
-                val = f.evaluate(ei, ctx.pair_a(ex, qk))
-                _addinto(fld, acc, p.left_act(val, pk), one)
-            for p0, q0 in ctx.gens_a:
-                for p1, q1 in ctx.gens_a:
-                    mid = ctx.pair_b(q0, p.left_act(ei, p1))
-                    val = g.evaluate(mid, ctx.pair_b(q1, ex))
-                    _addinto(fld, acc, p.right_act(p0, val), one)
+            for a, pk in xq[x]:
+                _addinto(fld, acc, p.left_act(f.evaluate(ei, a), pk), one)
+            for (p0, _), mids in zip(ctx.gens_a, inner[i]):
+                for mid, b in zip(mids, qx[x]):
+                    _addinto(fld, acc, p.right_act(p0, g.evaluate(mid, b)), one)
             _addinto(fld, acc, p.left_act(hvec, ex), one)
-            cols.append(_scaled(fld, acc, half))
+            cols.append(halve(acc))
         f_tables.append(_columns(cols))
     g_tables = []
     for j in range(ctx.b.dim):
         ej = {j: one}
         cols = []
         for x in range(p.dim):
-            ex = {x: one}
             acc = {}
-            for (qk0, pk0) in ctx.gens_b:
-                first = ctx.pair_a(ex, qk0)
-                moved = p.right_act(pk0, ej)
-                for (qk1, pk1) in ctx.gens_b:
-                    val = f.evaluate(first, ctx.pair_a(moved, qk1))
-                    _addinto(fld, acc, p.left_act(val, pk1), one)
-            for p0, q0 in ctx.gens_a:
-                val = g.evaluate(ctx.pair_b(q0, ex), ej)
-                _addinto(fld, acc, p.right_act(p0, val), one)
-            cols.append(_scaled(fld, acc, half))
+            for (first, _), row in zip(xq[x], outer[j]):
+                for a, (_, pk1) in zip(row, ctx.gens_b):
+                    _addinto(fld, acc, p.left_act(f.evaluate(first, a), pk1), one)
+            for (p0, _), b in zip(ctx.gens_a, qx[x]):
+                _addinto(fld, acc, p.right_act(p0, g.evaluate(b, ej)), one)
+            cols.append(halve(acc))
         g_tables.append(_columns(cols))
     return DeformedBimodule(a_f, b_g, p, p, _identity(p.dim, fld),
                             f_tables, g_tables)
@@ -806,47 +822,45 @@ def build_hat_P(ctx, a_f, b_g, h2f):
 
 def build_hat_Q(ctx, a_f, b_g, h2f):
     """The deformed bimodule Q^ = (Q, Q, Id, g_Q, f_Q) over (B_g, A_f),
-    for A_f, B_g and h2f as in build_hat_P; unchecked."""
+    for A_f, B_g and h2f as in build_hat_P; unchecked, with its pairings
+    computed as in build_hat_P."""
     fld = ctx.field
-    half = _half(fld)
+    halve = _halver(fld)
     f, g = a_f.f, b_g.f
     q = ctx.q
     one = fld.one
+    inner, outer = _brackets(ctx)
+    units = [{y: one} for y in range(q.dim)]
+    # <p_k, y>_A and <y, p'_l>_B, for each y
+    py = [[ctx.pair_a(pk, ey) for _, pk in ctx.gens_b] for ey in units]
+    yp = [[ctx.pair_b(ey, p0) for p0, _ in ctx.gens_a] for ey in units]
     g_tables = []
     for j in range(ctx.b.dim):
         ej = {j: one}
         cols = []
         for y in range(q.dim):
-            ey = {y: one}
             acc = {}
-            for (qk0, pk0) in ctx.gens_b:
-                moved = ctx.p.right_act(pk0, ej)
-                for (qk1, pk1) in ctx.gens_b:
-                    val = f.evaluate(ctx.pair_a(moved, qk1), ctx.pair_a(pk1, ey))
-                    _addinto(fld, acc, q.right_act(qk0, val), one)
-            for p0, q0 in ctx.gens_a:
-                val = g.evaluate(ej, ctx.pair_b(ey, p0))
-                _addinto(fld, acc, q.left_act(val, q0), one)
-            cols.append(_scaled(fld, acc, half))
+            for (qk0, _), row in zip(ctx.gens_b, outer[j]):
+                for a, b in zip(row, py[y]):
+                    _addinto(fld, acc, q.right_act(qk0, f.evaluate(a, b)), one)
+            for (_, q0), b in zip(ctx.gens_a, yp[y]):
+                _addinto(fld, acc, q.left_act(g.evaluate(ej, b), q0), one)
+            cols.append(halve(acc))
         g_tables.append(_columns(cols))
     f_tables = []
     for i in range(ctx.a.dim):
         ei = {i: one}
         hvec = h2f.value((i,))
         cols = []
-        for y in range(q.dim):
-            ey = {y: one}
+        for y, ey in enumerate(units):
             acc = {}
-            for qk, pk in ctx.gens_b:
-                val = f.evaluate(ctx.pair_a(pk, ey), ei)
-                _addinto(fld, acc, q.right_act(qk, val), one)
-            for p0, q0 in ctx.gens_a:
-                first = ctx.pair_b(ey, p0)
-                for p1, q1 in ctx.gens_a:
-                    val = g.evaluate(first, ctx.pair_b(q0, ctx.p.left_act(ei, p1)))
-                    _addinto(fld, acc, q.left_act(val, q1), one)
+            for (qk, _), a in zip(ctx.gens_b, py[y]):
+                _addinto(fld, acc, q.right_act(qk, f.evaluate(a, ei)), one)
+            for first, mids in zip(yp[y], inner[i]):
+                for mid, (_, q1) in zip(mids, ctx.gens_a):
+                    _addinto(fld, acc, q.left_act(g.evaluate(first, mid), q1), one)
             _addinto(fld, acc, q.right_act(ey, hvec), one)
-            cols.append(_scaled(fld, acc, half))
+            cols.append(halve(acc))
         f_tables.append(_columns(cols))
     return DeformedBimodule(b_g, a_f, q, q, _identity(q.dim, fld),
                             g_tables, f_tables)
@@ -988,7 +1002,7 @@ def verify_morita_deformed(ctx, f):
       bijective, w0 and w2 are W modulo t and on t A_f, and the inverse of
       a bimodule isomorphism is one.
     """
-    _half(ctx.field)
+    _halver(ctx.field)
     if f.degree != 2 or f.dim != ctx.a.dim:
         raise InputError("expected a 2-cochain on A")
     if not is_full_cocycle(f, ctx.a):

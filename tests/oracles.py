@@ -733,6 +733,73 @@ def brute_bimodule_map_defects(src, tgt, u, field):
     return out
 
 
+def brute_hat_tables(dim_a, dim_b, p, q, pairing_a, pairing_b, gens_a, gens_b,
+                     f, g, h, field):
+    """The structure maps of hat P and hat Q, each entry transcribed from
+    its defining sum, halved by multiplying with the inverse of 2:
+
+        f_P(e_i (x) x) = 1/2 (sum_k f(e_i, <x, q_k>) p_k
+                              + sum_ll' p'_l g(<q'_l, e_i p'_l'>, <q'_l', x>)
+                              + h(e_i) x),
+        g_P(x (x) e_j) = 1/2 (sum_kk' f(<x, q_k>, <p_k e_j, q_k'>) p_k'
+                              + sum_l p'_l g(<q'_l, x>, e_j)),
+        g_Q(e_j (x) y) = 1/2 (sum_kk' q_k f(<p_k e_j, q_k'>, <p_k', y>)
+                              + sum_l g(e_j, <y, p'_l>) q'_l),
+        f_Q(y (x) e_i) = 1/2 (sum_k q_k f(<p_k, y>, e_i)
+                              + sum_ll' g(<y, p'_l>, <q'_l, e_i p'_l'>) q'_l'
+                              + y h(e_i)),
+
+    for gens_a = [(p'_l, q'_l)], gens_b = [(q_k, p_k)], the 2-cochains f
+    on A and g on B and the 1-cochain h on A as tables, and p and q raw
+    bimodules (dim, left, right).  Returns four dicts, f_P and f_Q keyed
+    (i, x) and g_P and g_Q keyed (j, x), each holding every basis pair,
+    zero values included."""
+    (dp, pl, pr), (dq, ql, qr) = p, q
+    one = field.one
+    half = field.inv(field.add(one, one))
+
+    def pa(x, y):
+        return _act(pairing_a, field, x, y)
+
+    def pb(y, x):
+        return _act(pairing_b, field, y, x)
+
+    def ev(table, *args):
+        return _evaluate(field, table, args)
+
+    def halved(terms):
+        return _combo(field, (half, _combo(field, *((one, t) for t in terms))))
+
+    f_p, g_p, g_q, f_q = {}, {}, {}, {}
+    for i, x in product(range(dim_a), range(dp)):
+        ei, ex = {i: one}, {x: one}
+        f_p[(i, x)] = halved(
+            [_act(pl, field, ev(f, ei, pa(ex, qk)), pk) for qk, pk in gens_b]
+            + [_act(pr, field, p0, ev(g, pb(q0, _act(pl, field, ei, p1)), pb(q1, ex)))
+               for p0, q0 in gens_a for p1, q1 in gens_a]
+            + [_act(pl, field, ev(h, ei), ex)])
+    for j, x in product(range(dim_b), range(dp)):
+        ej, ex = {j: one}, {x: one}
+        g_p[(j, x)] = halved(
+            [_act(pl, field, ev(f, pa(ex, qk), pa(_act(pr, field, pk, ej), qk1)), pk1)
+             for qk, pk in gens_b for qk1, pk1 in gens_b]
+            + [_act(pr, field, p0, ev(g, pb(q0, ex), ej)) for p0, q0 in gens_a])
+    for j, y in product(range(dim_b), range(dq)):
+        ej, ey = {j: one}, {y: one}
+        g_q[(j, y)] = halved(
+            [_act(qr, field, qk, ev(f, pa(_act(pr, field, pk, ej), qk1), pa(pk1, ey)))
+             for qk, pk in gens_b for qk1, pk1 in gens_b]
+            + [_act(ql, field, ev(g, ej, pb(ey, p0)), q0) for p0, q0 in gens_a])
+    for i, y in product(range(dim_a), range(dq)):
+        ei, ey = {i: one}, {y: one}
+        f_q[(i, y)] = halved(
+            [_act(qr, field, qk, ev(f, pa(pk, ey), ei)) for qk, pk in gens_b]
+            + [_act(ql, field, ev(g, pb(ey, p0), pb(q0, _act(pl, field, ei, p1))), q1)
+               for p0, q0 in gens_a for p1, q1 in gens_a]
+            + [_act(qr, field, ey, ev(h, ei))])
+    return f_p, g_p, g_q, f_q
+
+
 def brute_generated_dimension(alg, gens, field):
     """The dimension of the unital subalgebra generated by the basis
     elements gens of the raw algebra (dim, table, unit): words in gens are

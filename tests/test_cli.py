@@ -19,7 +19,7 @@ from quivdeform.modcat import LeftModule, regular_module
 from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path, load_basis
-from oracles import (brute_associator, brute_deformed_table,
+from oracles import (brute_associator, brute_deformed_table, brute_differential,
                      brute_generator_associativity_defect, build_parser)
 
 
@@ -123,6 +123,37 @@ def test_check_cocycle_fail(tmp_path, capsys):
     out, _ = lines_of(capsys)
     assert "cocycle: FAIL" in out
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("text", [
+    BROKEN_COCYCLE,
+    # the two-cycle cocycle with two of its four values dropped
+    BROKEN_COCYCLE.replace("a1*a2\n", "a1*a2\ncocycle f(a2*a1, a2*a1) = a2*a1\n")],
+    ids=["one-value", "two-values"])
+def test_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(
+        text, tmp_path, capsys, monkeypatch):
+    # check-cocycle and verify-deform name the first radical tuple of d f,
+    # which the full bar differential of the oracle finds nonzero there;
+    # verify-deform takes it from the one differential it computes
+    bad = tmp_path / "broken.alg"
+    bad.write_text(text)
+    af = parse_algebra_text(text)
+    basis = compute_basis(af.quiver, af.relations, af.field, 30)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
+    radical = set(basis.radical_indices)
+    df = brute_differential(basis.dim, basis.table, af.field, f.table, 2)
+    first = min(key for key in df if radical.issuperset(key))
+    at = "d^2 f != 0 at (%s)" % ", ".join(basis.labels[i] for i in first)
+    calls = []
+    monkeypatch.setattr(hochschild, "differential",
+                        lambda *args: calls.append(args) or differential(*args))
+    assert run(["check-cocycle", str(bad)]) == 1
+    _, lines = lines_of(capsys)
+    assert lines[0] == "cocycle: FAIL  %d table entries, %s" % (len(f.table), at)
+    assert run(["verify-deform", str(bad)]) == 1
+    _, lines = lines_of(capsys)
+    assert lines[0] == "cocycle: FAIL  " + at
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------ deform
@@ -384,18 +415,19 @@ def shifted_two_cycle(tmp_path):
 
 def test_verify_deform_checks_each_cocycle_once(tmp_path, capsys, monkeypatch):
     # the cocycle check and the image condition of a cochain are computed
-    # once and passed on, not redone by the presentation and its checks
+    # once and passed on, not redone by the presentation and its checks;
+    # every cocycle check, is_cocycle's too, goes through cocycle_witness
     from quivdeform import deform, hochschild
-    seen = {"is_cocycle": [], "check_image_condition": []}
+    seen = {"cocycle_witness": [], "check_image_condition": []}
 
     def counted(name, fn):
         def wrapper(*args):
-            f = args[0] if name == "is_cocycle" else args[1]
+            f = args[0] if name == "cocycle_witness" else args[1]
             seen[name].append(f)
             return fn(*args)
         return wrapper
 
-    originals = {"is_cocycle": hochschild.is_cocycle,
+    originals = {"cocycle_witness": hochschild.cocycle_witness,
                  "check_image_condition": deform.check_image_condition}
     for module in (cli, deform, hochschild):
         for name, fn in originals.items():
@@ -1062,32 +1094,31 @@ START_UP_IMPORTS = ("argparse", "gettext", "locale", "fractions", "decimal")
 
 def test_integer_jobs_import_neither_argparse_nor_fractions():
     # a job whose scalars stay integers pays for no parser library and no
-    # rational arithmetic
+    # rational arithmetic; verify-morita halves its sums exactly, so an
+    # even integer stays an int
     code = ("import sys\n"
             "from quivdeform import cli\n"
             "for command in ('basis', 'verify-deform'):\n"
             "    assert cli.run([command, %r]) == 0\n"
+            "assert cli.run(['verify-morita', %r, '--matrix', '2']) == 0\n"
             "print(sorted(set(%r) & set(sys.modules)))\n"
-            % (data_path("two_cycle.alg"), START_UP_IMPORTS))
+            % (data_path("two_cycle.alg"), data_path("dual_numbers.alg"), START_UP_IMPORTS))
     code_, out, err = in_fresh_process(code)
     assert (code_, err) == (0, "")
     assert out.splitlines()[0] == "dim A = 5"
-    assert out.splitlines()[-1] == "[]"
+    assert out.endswith(verify_morita_golden(2, 8) + "[]\n")
 
 
 def test_job_with_a_fraction_loads_fractions_and_prints_the_same():
-    # verify-morita on M_2 of the dual numbers halves a scalar
+    # hh on the dual numbers eliminates with a scalar that is not an integer
     code = ("import sys\n"
             "from quivdeform import cli\n"
-            "assert cli.run(['verify-morita', %r, '--matrix', '2']) == 0\n"
+            "assert cli.run(['hh', %r]) == 0\n"
             "print(sorted(set(%r) & set(sys.modules)))\n"
             % (data_path("dual_numbers.alg"), START_UP_IMPORTS))
     code_, out, err = in_fresh_process(code)
     assert (code_, err) == (0, "")
-    *report, loaded = out.splitlines(keepends=True)
-    assert "".join(report) == verify_morita_golden(2, 8)
-    assert loaded == "['decimal', 'fractions']\n"
-
+    assert out == "dim Z^2 = 2\ndim B^2 = 1\ndim HH^2 = 1\n['decimal', 'fractions']\n"
 
 
 def test_each_command_loads_only_the_layers_it_runs():
@@ -1183,12 +1214,12 @@ def test_process_deform_files_are_complete_when_it_ends(tmp_path):
     assert dot.read_text(encoding="utf-8") == TWO_CYCLE_DOT
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_process_reports_a_failed_write_as_the_interpreter_does():
-    # buffered, the output fails at main's flush, and the interpreter's
-    # own exit reports it: "Exception ignored", exit 120.  Unbuffered,
-    # print fails inside run, which reports the OSError with exit 2
-    argv = ["basis", data_path("two_cycle.alg")]
+def assert_failed_writes_reported(argv):
+    """argv, run as a process with stdout on a closed pipe and on a full
+    disk, buffered and not: buffered, the output fails at main's flush,
+    and the interpreter's own exit reports it ("Exception ignored", exit
+    120); unbuffered, print fails inside run, which reports the OSError
+    with exit 2."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -1205,6 +1236,19 @@ def test_process_reports_a_failed_write_as_the_interpreter_does():
         assert (code, out, rest) == (120, None, ["%s: %s" % (name, error)])
         assert head.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
         assert unbuffered == (2, None, "error: %s\n" % error)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_reports_a_failed_write_as_the_interpreter_does():
+    assert_failed_writes_reported(["basis", data_path("two_cycle.alg")])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_reports_a_failed_write_of_the_help_as_any_other():
+    # the help is printed inside run too, that of the command line and
+    # that of a command
+    for argv in (["-h"], ["verify-morita", "--help"]):
+        assert_failed_writes_reported(argv)
 
 
 def test_deform_writes_its_files_as_utf8(tmp_path):

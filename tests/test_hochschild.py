@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import data_path
-from oracles import _combo, brute_differential, full_bar_hh2
+from oracles import _combo, _evaluate, brute_differential, full_bar_hh2
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
@@ -401,3 +401,31 @@ def test_int_and_fraction_coefficients_give_equal_cochains(dual_numbers):
     assert as_int.table == {(1, 1): {0: 2, 1: -1}}
     assert as_int == the_cocycle(af, basis).scale(Q.from_int(2)) + \
         FullCochain(basis.dim, 2, Q, {(1, 1): {1: Fraction(-1)}})
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_evaluate_matches_the_oracle(field, degree):
+    # multilinear evaluation on random cochains and arguments, explicit
+    # zero coordinates included, one-coordinate arguments among them
+    rng = random.Random(7 * degree + field.char)
+    dim = 5
+    for _ in range(40):
+        table = {}
+        for _ in range(rng.randint(0, 12)):
+            key = tuple(rng.randrange(dim) for _ in range(degree))
+            table.setdefault(key, {})[rng.randrange(dim)] = field.from_int(rng.randint(-3, 3))
+        f = FullCochain(dim, degree, field, table)
+        args = [{i: field.from_int(rng.randint(-2, 2))
+                 for i in rng.sample(range(dim), rng.randint(0, 3))}
+                for _ in range(degree)]
+        assert f.evaluate(*args) == _evaluate(field, f.table, args)
+    # a zero coordinate in any one slot, on the key of a nonzero value
+    f = FullCochain(dim, degree, field, {tuple(range(degree)): {4: field.one}})
+    for slot in range(degree):
+        args = [{i: field.zero if i == slot else field.one} for i in range(degree)]
+        assert f.evaluate(*args) == {} == _evaluate(field, f.table, args)
+        args[slot][slot] = field.one
+        assert f.evaluate(*args) == {4: field.one}
+    with pytest.raises(InputError):
+        f.evaluate(*args, {})

@@ -1,5 +1,7 @@
+import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 
 from quivdeform.errors import UntaggedSpan
 from quivdeform.fields import Field
-from quivdeform.linalg import (SpanSolver, column_kernel, map_apply, map_combine,
-                               map_compose, map_inverse)
+from quivdeform.linalg import (FinDimAlgebra, SpanSolver, column_kernel, map_apply,
+                               map_combine, map_compose, map_inverse)
 
-from oracles import (dense_inverse, dense_matmul, dense_nullspace, dense_rank,
-                     sparse_of)
+from oracles import (_act, brute_generator_associativity_defect, dense_inverse,
+                     dense_matmul, dense_nullspace, dense_rank, sparse_of)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -255,3 +257,81 @@ def test_express_is_refused_after_an_untagged_add():
         span.express({0: Q.one})
     with pytest.raises(UntaggedSpan):
         span.express({5: Q.one})
+
+
+def matrix_dual_numbers(field):
+    """M_2(k[x]/(x^2)) in the basis E_rc x^g, flattened (2 r + c) 2 + g:
+    every product of two basis elements is one basis element or 0."""
+    table = {}
+    for r, c, d, g, h in product(range(2), repeat=5):
+        if g + h < 2:
+            table[((2 * r + c) * 2 + g, (2 * c + d) * 2 + h)] = {(2 * r + d) * 2 + g + h: field.one}
+    return table, {0: field.one, 6: field.one}
+
+
+def rebased(table, unit, field, change):
+    """The same algebra in the basis y_i = sum_k change[k][i] x_k."""
+    dim = len(change)
+    inverse = dense_inverse(change, field)
+
+    def coords(vec):
+        # y-coordinates of a vector given in x-coordinates
+        out = {}
+        for i in range(dim):
+            c = field.zero
+            for k, v in vec.items():
+                c = field.add(c, field.mul(inverse[i][k], v))
+            if c != field.zero:
+                out[i] = c
+        return out
+
+    ys = [{k: change[k][i] for k in range(dim) if change[k][i]} for i in range(dim)]
+    out = {}
+    for i, j in product(range(dim), repeat=2):
+        vec = coords(_act(table, field, ys[i], ys[j]))
+        if vec:
+            out[(i, j)] = vec
+    return out, coords(unit)
+
+
+def entry_kind(vec, field):
+    if len(vec) > 1:
+        return "several"
+    return "unit" if field.one in vec.values() else "scaled"
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_witness_on_unit_scaled_and_mixed_products_matches_the_oracle(field):
+    # M_2(k[x]/(x^2)) in its matrix-unit basis, rescaled, and rescaled
+    # with y_0 = x_0 + x_1: the tables hold products and columns that are
+    # one basis vector with coefficient 1, scaled ones and sums.  The
+    # witness finds no defect, changes neither the algebra nor its table,
+    # and on one planted defect per table entry names the oracle's triple
+    base, unit = matrix_dual_numbers(field)
+    dim = 8
+    scale = [field.from_int(s) for s in (1, 2, 1, -1, 3, 1, 1, 2)]
+    diagonal = [[scale[i] if i == k else field.zero for i in range(dim)] for k in range(dim)]
+    sheared = [list(row) for row in diagonal]
+    sheared[1][0] = field.one
+    found = {}
+    for table, unit in [(base, unit), rebased(base, unit, field, diagonal),
+                        rebased(base, unit, field, sheared)]:
+        alg = FinDimAlgebra(field, dim, table, unit, check=False)
+        alg.unit_and_generators()
+        before = copy.deepcopy(vars(alg))
+        assert alg.associativity_witness() is None
+        assert brute_generator_associativity_defect(dim, table, unit, field) is None
+        assert vars(alg) == before
+        for key, vec in table.items():
+            kind = entry_kind(vec, field)
+            bumped = {k: dict(v) for k, v in table.items()}
+            m = min(vec)
+            if kind == "unit":
+                bumped[key] = {(m + 1) % dim: field.one}
+            else:
+                bumped[key][m] = field.add(vec[m], field.one) or field.one
+            bad = FinDimAlgebra(field, dim, bumped, unit, check=False).associativity_witness()
+            assert bad == brute_generator_associativity_defect(dim, bumped, unit, field), key
+            found.setdefault(kind, []).append(bad is not None)
+    assert {kind: any(hits) for kind, hits in found.items()} == \
+        {"unit": True, "scaled": True, "several": True}

@@ -8,7 +8,7 @@ from quivdeform import morita
 from quivdeform.errors import (CharTwoUnsupported, InputError,
                                NotFullIdempotent, SizeLimitExceeded)
 from quivdeform.fields import Field
-from quivdeform.fileio import parse_algebra_file
+from quivdeform.fileio import parse_algebra_file, parse_algebra_text
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
 from quivdeform.deform import Deformation
@@ -26,8 +26,8 @@ from conftest import data_path, identity_context
 from oracles import (brute_associativity_defect, brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
                      brute_context_defects, brute_generator_associativity_defect,
-                     brute_generated_dimension, brute_homotopy, brute_transfer,
-                     brute_uple_defects, brute_uple_glue)
+                     brute_generated_dimension, brute_hat_tables, brute_homotopy,
+                     brute_transfer, brute_uple_defects, brute_uple_glue)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -439,6 +439,57 @@ def test_hat_bimodules_satisfy_conditions(dual_numbers, lambda_m2):
     h2f = homotopy_h(corner, fa)
     assert build_hat_P(corner, *deformed_pair(corner, fa), h2f).violations() == []
     assert build_hat_Q(corner, *deformed_pair(corner, fa), h2f).violations() == []
+
+
+EXTERIOR2 = """\
+field Q
+vertex 1
+arrow x1 : 1 -> 1
+arrow x2 : 1 -> 1
+relation x1*x1
+relation x2*x2
+relation x1*x2 + x2*x1
+cocycle f(x1, x1) = e(1)
+cocycle f(x1, x2*x1) = -x2
+cocycle f(x2*x1, x1) = x2
+"""
+
+
+def hat_cases(fld):
+    """(name, context, cocycle on A) over fld: M_2 of the dual numbers and
+    of the exterior algebra on 2 letters with its Clifford cocycle, the
+    lambda_m2 corner at e(1) with the cocycle of deformed_cases and the
+    two-cycle algebra against its corner at the unit."""
+    cases = []
+    for name, af in (("dual_numbers", parse_algebra_file(data_path("dual_numbers.alg"), fld)),
+                     ("exterior2", parse_algebra_text(EXTERIOR2, fld))):
+        basis = compute_basis(af.quiver, af.relations, fld)
+        cases.append((name + " M_2", matrix_context(basis, 2),
+                      cochain_from_pairs(basis, af.cocycle_pairs)))
+    cases += [(name, ctx, f) for name, ctx, f in deformed_cases(fld) if "corner" in name]
+    return cases
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_hat_tables_match_their_defining_sums(fld):
+    # every entry of f_P, g_P, g_Q and f_Q is the dense oracle's sum; over
+    # Q the halving keeps an integer an int
+    for name, ctx, f in hat_cases(fld):
+        a_f, b_g = deformed_pair(ctx, f)
+        h2f = homotopy_h(ctx, f)
+        hat_p, hat_q = (build(ctx, a_f, b_g, h2f) for build in (build_hat_P, build_hat_Q))
+        want = brute_hat_tables(ctx.a.dim, ctx.b.dim, raw_bimodule(ctx.p),
+                                raw_bimodule(ctx.q), ctx.pairing_a, ctx.pairing_b,
+                                ctx.gens_a, ctx.gens_b, f.table, b_g.f.table, h2f.table, fld)
+        # hat Q keeps its left maps, by B, as f_tables and its right ones as
+        # g_tables
+        got = [{(i, x): tables[i].get(x, {}) for i, x in want_part}
+               for tables, want_part in zip((hat_p.f_tables, hat_p.g_tables,
+                                             hat_q.f_tables, hat_q.g_tables), want)]
+        assert got == list(want), name
+        assert all(any(part.values()) for part in want), name
+        scalars = [c for part in got for vec in part.values() for c in vec.values()]
+        assert all(type(c) is int or c.denominator != 1 for c in scalars), name
 
 
 def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
