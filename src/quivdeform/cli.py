@@ -180,7 +180,7 @@ def cmd_verify_deform(args):
 
 def cmd_equiv(args):
     from .deform import deformation_equivalence
-    from .hochschild import cochain_from_pairs, is_cocycle
+    from .hochschild import cochain_from_pairs, cocycle_witness
     af, basis = _load_algebra(args)
     fld = basis.field
     af2 = parse_algebra_file(args.other, _parse_field_flag(args.field))
@@ -202,20 +202,19 @@ def cmd_equiv(args):
     checks.append(("same-algebra", same, detail))
 
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    ok_f = is_cocycle(f, basis)
-    checks.append(("cocycle-1", ok_f, "d^2 f %s 0" % ("=" if ok_f else "!=")))
-    ok_g = False
-    g = None
+    witness = cocycle_witness(f, basis)
+    checks.append(("cocycle-1", witness is None, _cocycle_detail(witness, basis.labels)))
     if same:
         g = cochain_from_pairs(basis, {
             key: FreeElement(af.quiver, fld, dict(value.terms))
             for key, value in af2.cocycle_pairs.items()})
-        ok_g = is_cocycle(g, basis)
-    checks.append(("cocycle-2", ok_g,
-                   "d^2 f %s 0" % ("=" if ok_g else "!=") if same
-                   else "skipped: different algebras"))
+        witness = cocycle_witness(g, basis)
+        checks.append(("cocycle-2", witness is None, _cocycle_detail(witness, basis.labels)))
+    else:
+        checks.append(("cocycle-2", False, "skipped: different algebras"))
 
-    if same and ok_f and ok_g:
+    # same-algebra, cocycle-1 and cocycle-2
+    if all(ok for _, ok, _ in checks):
         phi = deformation_equivalence(f, g, basis)
         checks.append(("cohomologous", phi is not None,
                        "the difference is a coboundary" if phi is not None
@@ -258,7 +257,7 @@ def _cochain_check(name, lhs, rhs, labels, identity):
 
 
 def cmd_transfer(args):
-    from .hochschild import cochain_from_pairs, full_differential, is_full_cocycle
+    from .hochschild import FullCochain, cochain_from_pairs, full_differential
     from .morita import homotopy_h, transfer_phi, transfer_psi
     af, basis = _load_algebra(args)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
@@ -278,16 +277,16 @@ def cmd_transfer(args):
             print("g(%s, %s) = %s" % (labels[key[0]], labels[key[1]],
                                       _vec_str(g.table[key], labels, ctx.field)))
 
-    checks = []
-    checks.append(("cocycle", is_full_cocycle(g, ctx.b), "d^2 g = 0 on B"))
+    dg = full_differential(g, ctx.b)
+    checks = [_cochain_check("cocycle", dg, FullCochain(ctx.b.dim, 3, ctx.field), labels,
+                             "d^2 g = 0 on B")]
     df = full_differential(f, ctx.a)
-    checks.append(_cochain_check("chain-map-phi", full_differential(g, ctx.b),
-                                 transfer_phi(ctx, df), labels,
+    checks.append(_cochain_check("chain-map-phi", dg, transfer_phi(ctx, df), labels,
                                  "d phi^2 f = phi^3 d f"))
     back = transfer_psi(ctx, g)
     checks.append(_cochain_check("chain-map-psi", full_differential(back, ctx.a),
-                                 transfer_psi(ctx, full_differential(g, ctx.b)),
-                                 ctx.a.labels, "d psi^2 g = psi^3 d g"))
+                                 transfer_psi(ctx, dg), ctx.a.labels,
+                                 "d psi^2 g = psi^3 d g"))
     lhs = homotopy_h(ctx, df) + full_differential(homotopy_h(ctx, f), ctx.a)
     checks.append(_cochain_check("homotopy", lhs, f - back, ctx.a.labels,
                                  "h^3 d f + d h^2 f = f - psi^2 phi^2 f"))

@@ -14,10 +14,10 @@ These one-sided objects are the bimodule objects of the morita module
 with the ground field k (dimension 1, g = 0) as right algebra: a
 LeftModule is a Bimodule over (A, k), an UpleModule a DeformedBimodule
 whose glue is an (A_f, k[t]/t^2)-bimodule, F is the left part of that
-glue, and a MorphismTriple is checked by triple_violations.  So every
-identity is checked by the one implementation there, and each error
-here is the first failure it reports.  The right algebra of every glue,
-k[t]/t^2, is the Deformation of k by the zero cochain.
+glue, and a MorphismTriple is checked by triple_violations.  So a module
+M is checked as its ring [[A, M], [0, k]] and an uple as that of its
+glue, each error here naming the first failure of that ring.  The right
+algebra of every glue, k[t]/t^2, is k deformed by the zero cochain.
 
 Each axiom is checked once: a module when it is built, an uple as its
 glue, and the M0 and M1 that reconstruct carves out of a module only as
@@ -69,10 +69,9 @@ class LeftModule(Bimodule):
     over (algebra, k) on which the ground field k acts by scalars.
 
     actions[i] is the sparse map of the i-th basis element on dim
-    coordinates.  Bimodule.violations checks at construction that the
-    unit acts as the identity and that the action of each generator of
-    the algebra, composed with that of each basis element, matches the
-    structure constants, which proves it for all pairs.
+    coordinates.  Unless check=False it is checked at construction as
+    its ring [[A, M], [0, k]] (Bimodule.violations), which also proves
+    the algebra associative and unital.
     """
 
     def __init__(self, algebra, dim, actions, check=True):
@@ -119,8 +118,8 @@ class UpleModule(DeformedBimodule):
 
     for all basis elements a, b and all m.  At construction
     DeformedBimodule.violations checks it, with the conditions on T and
-    the module axioms of M0 and M1, as the injectivity of T and the
-    bimodule axioms of the glue on the generators of A_f.
+    the module axioms of M0 and M1, as the injectivity of T and the ring
+    check of the glue.
     """
 
     def __init__(self, deformed, m0, m1, t, f_tables, check=True):

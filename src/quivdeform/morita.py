@@ -21,21 +21,20 @@ The transfer maps phi/psi, the homotopy h and every construction below are
 literal in those lists, so two contexts for the same pair of algebras may
 disagree on raw cochains while agreeing on cohomology classes.
 
-Every identity of a bimodule is checked on the generators of the
-acting algebras (FinDimAlgebra.generators()), not on all pairs of basis
-elements; Bimodule.violations gives the induction that proves it for
-all elements.  It needs the acting algebras to be associative, which
-for A_f and B_g is their cocycle condition.  A bimodule uple is checked
-as the (A_f, B_g)-bimodule it glues to, and a morphism of uples as a map
-between the glues (DeformedBimodule and triple_violations give the
-proofs).  A context is checked as one algebra, its Morita ring [[A, P],
-[Q, B]] (MoritaContext.ring): the ring is associative and unital
-exactly when A and B are algebras, P and Q bimodules and the pairings
-linear, balanced and associative, so FinDimAlgebra's own checks prove
-every axiom of the context at once.  The bijectivity of the induced maps
-P (x)_B Q -> A and Q (x)_A P -> B, and the recovery of P and Q through
-the generator lists, are consequences (MoritaContext._validate gives
-both proofs).
+Every axiom is checked by one engine, the unit and associativity checks
+of FinDimAlgebra, on a ring of 2 x 2 block matrices built by block_ring:
+an (A, B)-bimodule M as its triangular ring [[A, M], [0, B]]
+(Bimodule.violations) and a context as its Morita ring [[A, P], [Q, B]]
+(MoritaContext.ring), the first failure named by ring_failure.  The
+ring is associative and unital exactly when A and B are algebras, P and
+Q bimodules and the pairings linear, balanced and associative, so one
+check proves every axiom at once, the associativity of the acting
+algebras included.  A bimodule uple is checked as the (A_f, B_g)-
+bimodule it glues to, and a morphism of uples as a map between the
+glues (DeformedBimodule and triple_violations give the proofs).  The
+bijectivity of the induced maps P (x)_B Q -> A and Q (x)_A P -> B, and
+the recovery of P and Q through the generator lists, are consequences
+(MoritaContext._validate gives both proofs).
 
 The deformed equivalence is one more context.  verify_morita_deformed
 builds the context over (A_f, B_g) from the glues of the deformed
@@ -64,9 +63,59 @@ from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
 from .fields import _rational
 from .hochschild import FullCochain, is_full_cocycle
-from .linalg import (FinDimAlgebra, SpanSolver, _action, _addinto, _bilinear, _clean,
-                     _columns, _differing_columns, _identity, _lower_block, _map_rank,
-                     _scaled, map_apply, map_compose)
+from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _bilinear, _clean, _columns,
+                     _differing_columns, _identity, _lower_block, _map_rank, _scaled,
+                     map_apply, map_compose)
+
+
+def block_ring(a, b, p, q=None, pairing_a=None, pairing_b=None):
+    """The ring [[A, P], [Q, B]] as an unchecked FinDimAlgebra, for an
+    (A, B)-bimodule P and, unless q is None, a (B, A)-bimodule Q with the
+    pairings pairing_a of P x Q into A and pairing_b of Q x P into B.
+
+    Its basis is that of A, then P, then Q, then B, labelled a:x, p3, q0
+    and b:y for a label x of A and y of B.  Its product is
+
+        (a, p, q, b)(a', p', q', b') = (a a' + <p, q'>_A, a p' + p b',
+                                        q a' + b q', <q, p'>_B + b b'),
+
+    read off the tables of A and B, the actions on P and Q and the two
+    pairings, and its unit is 1_A + 1_B.  With q None the Q block and
+    both pairings are left out: that is the triangular ring [[A, P], [0,
+    B]], the Morita ring of Q = 0."""
+    at_p = a.dim
+    at_q = at_p + p.dim
+    at_b = at_q + (q.dim if q is not None else 0)
+    blocks = [(0, 0, 0, a.table), (0, at_p, at_p, p.left), (at_p, at_b, at_p, p.right)]
+    if q is not None:
+        blocks += [(at_p, at_q, 0, pairing_a), (at_b, at_q, at_q, q.left),
+                   (at_q, 0, at_q, q.right), (at_q, at_p, at_b, pairing_b)]
+    blocks.append((at_b, at_b, at_b, b.table))
+    table = {}
+    for rows, cols, out, products in blocks:
+        for (x, y), vec in products.items():
+            table[(rows + x, cols + y)] = {out + k: c for k, c in vec.items()}
+    unit = dict(a.unit)
+    unit.update((at_b + k, c) for k, c in b.unit.items())
+    labels = (["a:" + x for x in a.labels] + ["p%d" % i for i in range(p.dim)]
+              + ["q%d" % j for j in range(at_b - at_q)] + ["b:" + y for y in b.labels])
+    return FinDimAlgebra(a.field, at_b + b.dim, table, unit, labels, check=False)
+
+
+def ring_failure(ring, name):
+    """None, or the message of the first failure of ring as an associative
+    unital algebra, under the name given: FinDimAlgebra.check_unit on
+    every basis element, then the first triple of associativity_witness,
+    each named by the ring's labels."""
+    try:
+        ring.check_unit()
+    except InputError as exc:
+        return "%s: %s" % (name, exc)
+    bad = ring.associativity_witness()
+    if bad is not None:
+        return "%s is not associative at (%s, %s, %s)" % (
+            (name,) + tuple(ring.labels[x] for x in bad))
+    return None
 
 
 class Bimodule:
@@ -74,10 +123,9 @@ class Bimodule:
 
     left[(i, m)] = coordinates of e_i . x_m, right[(m, j)] = x_m . e_j.
     left_map(i) and right_map(j) are the two actions of one basis element
-    as sparse maps {m: vector}.  Unitality, both associativities and
-    commutation of the two actions are checked unless check=False: the
-    units on every m, the rest on the generators of the acting algebras
-    (see violations).
+    as sparse maps {m: vector}.  Unless check=False, the bimodule is
+    checked as its triangular ring (see violations), and the first
+    failure raises InputError.
     """
 
     def __init__(self, left_alg, right_alg, dim, left, right, check=True):
@@ -103,7 +151,7 @@ class Bimodule:
         if check:
             bad = self.violations()
             if bad:
-                raise InputError("; ".join(bad))
+                raise InputError(bad[0])
 
     def left_basis(self, i, m):
         return self.left.get((i, m), {})
@@ -124,59 +172,15 @@ class Bimodule:
         return _bilinear(self.field, self.right, mvec, bvec)
 
     def violations(self):
-        """Every failed bimodule axiom, as messages in this order: the two
-        units on each coordinate m, left associativity at (generator of
-        left_alg, basis element, m), right associativity at (m, basis
-        element, generator of right_alg), commutation at (left generator,
-        m, right generator).  Algebra elements are named by their labels,
-        module coordinates by index.
-
-        Checking on generators proves the axioms for all elements, since
-        both acting algebras are associative and the units are checked
-        first.  If rho(g b) = rho(g) rho(b) for every generator g and
-        basis element b, the x with rho(x b) = rho(x) rho(b) for all b
-        form a subspace that holds 1 and is closed under x -> g x, which
-        is the whole algebra (induction on word length).  The right action
-        is the mirror image, and commutation of the actions of two
-        generators extends to all elements by the same induction, once
-        both actions are known to be associative.  Each message is a
-        tuple at which the axiom fails.
-        """
-        fld = self.field
-        la, ra = self.left_alg, self.right_alg
-        lmap, rmap = self.left_map, self.right_map
-        lgens, rgens = la.generators(), ra.generators()
-        out = []
-        lunit = _action(self._left_maps, la.unit, fld)
-        runit = _action(self._right_maps, ra.unit, fld)
-        for m in range(self.dim):
-            e = {m: fld.one}
-            if lunit.get(m) != e:
-                out.append("left unit fails at %d" % m)
-            if runit.get(m) != e:
-                out.append("right unit fails at %d" % m)
-        for i in lgens:
-            for j in range(la.dim):
-                lhs = _action(self._left_maps, la.multiply_basis(i, j), fld)
-                rhs = map_compose(lmap(i), lmap(j), fld)
-                for m in _differing_columns(lhs, rhs, self.dim):
-                    out.append("left action not associative at (%s, %s, %d)"
-                               % (la.labels[i], la.labels[j], m))
-        for i in range(ra.dim):
-            for j in rgens:
-                lhs = _action(self._right_maps, ra.multiply_basis(i, j), fld)
-                rhs = map_compose(rmap(j), rmap(i), fld)
-                for m in _differing_columns(lhs, rhs, self.dim):
-                    out.append("right action not associative at (%d, %s, %s)"
-                               % (m, ra.labels[i], ra.labels[j]))
-        for i in lgens:
-            for j in rgens:
-                lhs = map_compose(rmap(j), lmap(i), fld)
-                rhs = map_compose(lmap(i), rmap(j), fld)
-                for m in _differing_columns(lhs, rhs, self.dim):
-                    out.append("actions do not commute at (%s, %d, %s)"
-                               % (la.labels[i], m, ra.labels[j]))
-        return out
+        """[] or the one message of ring_failure on the bimodule ring
+        [[A, M], [0, B]] (block_ring with no Q), which names a basis element
+        of A or B by a: or b: and its label, and a coordinate m of M as
+        p<m>.  The ring is associative and unital exactly when A and B are
+        algebras and M is a unital bimodule (MoritaContext._validate, with
+        Q = 0), so the check also proves A and B associative."""
+        bad = ring_failure(block_ring(self.left_alg, self.right_alg, self),
+                           "the bimodule ring")
+        return [bad] if bad else []
 
 
 class TensorProduct:
@@ -291,42 +295,17 @@ class MoritaContext:
         return self._swapped
 
     def ring(self):
-        """The Morita ring [[A, P], [Q, B]] as an unchecked FinDimAlgebra.
-
-        Its basis is that of A, then P, then Q, then B, labelled a:x,
-        p3, q0 and b:y for a label x of A and y of B.  Its product is
-
-            (a, p, q, b)(a', p', q', b') = (a a' + <p, q'>_A, a p' + p b',
-                                            q a' + b q', <q, p'>_B + b b'),
-
-        read off the tables of A and B, the actions on P and Q and the
-        two pairings, and its unit is 1_A + 1_B."""
-        a, b, p, q = self.a, self.b, self.p, self.q
-        at_p = a.dim
-        at_q = at_p + p.dim
-        at_b = at_q + q.dim
-        table = {}
-        for rows, cols, out, products in (
-                (0, 0, 0, a.table), (0, at_p, at_p, p.left), (at_p, at_b, at_p, p.right),
-                (at_p, at_q, 0, self.pairing_a), (at_b, at_q, at_q, q.left),
-                (at_q, 0, at_q, q.right), (at_q, at_p, at_b, self.pairing_b),
-                (at_b, at_b, at_b, b.table)):
-            for (x, y), vec in products.items():
-                table[(rows + x, cols + y)] = {out + k: c for k, c in vec.items()}
-        unit = dict(a.unit)
-        unit.update((at_b + k, c) for k, c in b.unit.items())
-        labels = (["a:" + x for x in a.labels] + ["p%d" % i for i in range(p.dim)]
-                  + ["q%d" % j for j in range(q.dim)] + ["b:" + y for y in b.labels])
-        return FinDimAlgebra(self.field, at_b + b.dim, table, unit, labels, check=False)
+        """The Morita ring [[A, P], [Q, B]] of the context (block_ring)."""
+        return block_ring(self.a, self.b, self.p, self.q, self.pairing_a, self.pairing_b)
 
     def _validate(self):
         """Raise InputError at the first failed axiom of the context.
 
         P must act over (a, b) and Q over (b, a).  Then the ring is
-        checked: its unit on every basis element, and its associativity
-        on the triples of FinDimAlgebra.associativity_witness, whose
-        first failing triple the error names.  Last, gens_a must
-        decompose 1_A and gens_b 1_B.
+        checked by ring_failure: its unit on every basis element, and its
+        associativity on the triples of
+        FinDimAlgebra.associativity_witness, whose first failing triple
+        the error names.  Last, gens_a must decompose 1_A and gens_b 1_B.
 
         The ring is associative and unital exactly when A and B are
         associative, P and Q are unital bimodules, the pairings are
@@ -371,15 +350,9 @@ class MoritaContext:
             raise InputError("P must be an (A, B)-bimodule")
         if q.left_alg is not b or q.right_alg is not a:
             raise InputError("Q must be a (B, A)-bimodule")
-        ring = self.ring()
-        try:
-            ring.check_unit()
-        except InputError as exc:
-            raise InputError("the Morita ring: %s" % exc) from None
-        bad = ring.associativity_witness()
-        if bad is not None:
-            raise InputError("the Morita ring is not associative at (%s, %s, %s)"
-                             % tuple(ring.labels[x] for x in bad))
+        bad = ring_failure(self.ring(), "the Morita ring")
+        if bad:
+            raise InputError(bad)
         fld = self.field
         for gens, pair, unit, message in (
                 (self.gens_a, self.pair_a, a.unit, "gens_a do not decompose 1_A"),
@@ -691,9 +664,9 @@ class DeformedBimodule:
 
     def violations(self):
         """Every failed uple condition: "T is not injective", then the
-        failed axioms of glued, as Bimodule.violations names them (a
-        generator and a basis element of A_f or B_g by label, a coordinate
-        of M0 + M1 by index).
+        first failure of glued, as Bimodule.violations names it (a basis
+        element of A_f or B_g by a: or b: and its label, a coordinate m of
+        M0 + M1 as p<m>).
 
         Injectivity is the one uple condition that is not a bimodule
         axiom.  The others are the axioms of glued read block by block:
@@ -703,15 +676,13 @@ class DeformedBimodule:
         is the left correction rule a0 f_M(a1 (x) m0) - f_M(a0 a1 (x) m0)
         + f_M(a0 (x) a1 m0) = f(a0, a1) T(m0), and the mirror gives the
         right one; commutation on (m0, 0) is the compatibility of f_M with
-        g_M.  The unit of A_f is (1, 0) (its unit check), so f(1, 1) = 0
-        and the left correction rule at (1, 1) says f_M(1 (x) m0) = 0,
-        which with M0 and M1 unital is the left unit axiom; the right one
-        is the mirror.  A_f and B_g are associative, so checking on their
-        generators is complete."""
-        out = []
-        if _map_rank(self.t, self.field) != self.m0.dim:
-            out.append("T is not injective")
-        return out + self.glued.violations()
+        g_M.  The unit of A_f is (1, 0), which the ring's unit check
+        proves, so f(1, 1) = 0 and the left correction rule at (1, 1)
+        says f_M(1 (x) m0) = 0, which with M0 and M1 unital is the left
+        unit axiom; the right one is the mirror.  The ring check also
+        proves A_f and B_g associative, that is d f = 0 and d g = 0."""
+        injective = _map_rank(self.t, self.field) == self.m0.dim
+        return ([] if injective else ["T is not injective"]) + self.glued.violations()
 
     def _glue(self):
         """The (A_f, B_g)-bimodule on M0 + M1, unchecked."""
@@ -1011,7 +982,7 @@ def verify_morita_deformed(ctx, f):
     checks = [("transferred-cocycle", is_full_cocycle(g, ctx.b),
                "phi^2(f) is a 2-cocycle on B")]
     if not checks[0][1]:
-        # B_g is not associative, so no generator check over it is complete
+        # B_g is not associative, so neither hat is a bimodule over it
         skipped = "skipped: phi^2(f) is not a cocycle"
         return checks + [("deformed-p-bimodule", False, skipped),
                          ("deformed-q-bimodule", False, skipped)]

@@ -1,10 +1,15 @@
 import os
+import re
+from collections import namedtuple
+from itertools import accumulate
 
 import pytest
 
 from quivdeform.fileio import parse_algebra_file
 from quivdeform.morita import Bimodule, MoritaContext
 from quivdeform.quiver import compute_basis
+
+from oracles import brute_bimodule_defects, brute_block_ring, brute_greedy_generators
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -55,3 +60,131 @@ def quantum_plane():
 @pytest.fixture(scope="session")
 def lambda_m2():
     return load_basis("lambda_m2.alg")
+
+
+# ------------------------------------------------- witnesses of block rings
+
+
+def raw_algebra(alg):
+    return (alg.dim, alg.table, alg.unit)
+
+
+def raw_bimodule(m):
+    return (m.dim, m.left, m.right)
+
+
+# the blocks of the ring [[A, P], [Q, B]] in the triple that each oracle
+# kind names, in the order of its index tuple: the kinds of
+# brute_context_defects, then those of brute_bimodule_defects on P and Q
+RING_BLOCKS = {"a.p,q": "APQ", "p,q.a": "PQA", "p.b,q": "PBQ", "b.q,p": "BQP",
+               "q,p.b": "QPB", "q.a,p": "QAP", "pqp": "PQP", "qpq": "QPQ",
+               "P left assoc": "AAP", "P right assoc": "PBB", "P commute": "APB",
+               "Q left assoc": "BBQ", "Q right assoc": "QAA", "Q commute": "BQA"}
+KIND_OF_BLOCKS = {blocks: kind for kind, blocks in RING_BLOCKS.items()}
+
+RING_MESSAGES = (
+    (r"the %s ring is not associative at \((.+), (.+), (.+)\)$", "ring"),
+    (r"the %s ring: unit fails on basis element (.+)$", "unit"),
+    (r"gens_a do not decompose 1_A$", "unit A"),
+    (r"gens_b do not decompose 1_B$", "unit B"),
+)
+
+# A ring of block_ring as the oracles see it: its name in messages
+# ("Morita" or "bimodule"), the algebras A and B (read for their labels),
+# the dimensions of A, P, Q and B, the oracle's raw ring and the field.
+RingBlocks = namedtuple("RingBlocks", "name a b sizes raw field")
+
+
+def context_blocks(ctx):
+    """The RingBlocks of the Morita ring of a context."""
+    raw = brute_block_ring(raw_algebra(ctx.a), raw_algebra(ctx.b), raw_bimodule(ctx.p),
+                           raw_bimodule(ctx.q), ctx.pairing_a, ctx.pairing_b, ctx.field)
+    sizes = (ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim)
+    return RingBlocks("Morita", ctx.a, ctx.b, sizes, raw, ctx.field)
+
+
+def bimodule_blocks(left_alg, right_alg, raw_left, raw_right, bim, field):
+    """(RingBlocks, defects) of the ring [[A, M], [0, B]] of the raw
+    bimodule bim = (dim, left, right) over the raw algebras raw_left and
+    raw_right, whose labels are those of left_alg and right_alg: the
+    defects of brute_bimodule_defects, their kinds prefixed with "P "."""
+    defects = [("P " + kind, tup)
+               for kind, tup in brute_bimodule_defects(raw_left, raw_right, *bim, field)]
+    raw = brute_block_ring(raw_left, raw_right, bim, None, None, None, field)
+    sizes = (raw_left[0], bim[0], 0, raw_right[0])
+    return RingBlocks("bimodule", left_alg, right_alg, sizes, raw, field), defects
+
+
+def block_starts(sizes):
+    """The index of the first basis element of each block of the ring."""
+    return dict(zip("APQB", accumulate((0,) + tuple(sizes[:3]))))
+
+
+def ring_element(blocks, label):
+    """(block, index in the block) of a basis label of the ring."""
+    if label[:2] in ("a:", "b:"):
+        alg = blocks.a if label[0] == "a" else blocks.b
+        return label[0].upper(), alg.labels.index(label[2:])
+    block, i = label[0].upper(), int(label[1:])
+    assert 0 <= i < blocks.sizes["APQB".index(block)], label
+    return block, i
+
+
+def ring_triple(blocks, kind, indices):
+    """The basis indices in the ring of the triple an oracle defect names."""
+    start = block_starts(blocks.sizes)
+    return tuple(start[block] + i for block, i in zip(RING_BLOCKS[kind], indices))
+
+
+def ring_witness(message, blocks, defects):
+    """The oracle defect (kind, index tuple) that a ring message names,
+    asserted to be among the oracle's defects: for a triple of the ring,
+    the kind of its blocks; for a unit failure of the ring, the first
+    unit defect of P or Q at that basis element."""
+    for pattern, kind in RING_MESSAGES:
+        hit = re.match(pattern.replace("%s", blocks.name), message)
+        if not hit:
+            continue
+        if kind == "ring":
+            elements = [ring_element(blocks, label) for label in hit.groups()]
+            names = "".join(block for block, _ in elements)
+            witness = (KIND_OF_BLOCKS.get(names, names), tuple(i for _, i in elements))
+        elif kind == "unit":
+            block, i = ring_element(blocks, hit.group(1))
+            witness = next((d for d in defects if d[1] == (i,)
+                            and d[0] in (block + " left unit", block + " right unit")), None)
+        else:
+            witness = (kind, ())
+        assert witness in defects, (message, defects)
+        return witness
+    raise AssertionError("unparsed %s ring error: %s" % (blocks.name, message))
+
+
+def assert_ring_message(message, blocks, defects):
+    """message is None exactly when the oracle finds no defect, and
+    otherwise names the first defect that the checks of the ring reach,
+    in their order: the unit of the ring on each basis element, the
+    oracle's unit defect of least ring index; else the triples (r, j, k)
+    of the ring in that order, for r in the support of the unit or a
+    greedy generator of the oracle's ring, the first that the oracle
+    flags; else the first remaining defect.  Returns whether message is
+    None."""
+    if message is None:
+        assert not defects, defects[:1]
+        return True
+    kind, indices = ring_witness(message, blocks, defects)
+    start = block_starts(blocks.sizes)
+    units = sorted(start[k[0]] + tup[0] for k, tup in defects
+                   if k.endswith(("left unit", "right unit")))
+    dim, table, unit = blocks.raw
+    firsts = set(unit) | set(brute_greedy_generators(dim, table, unit, blocks.field))
+    triples = sorted(t for t in (ring_triple(blocks, k, tup) for k, tup in defects
+                                 if k in RING_BLOCKS) if t[0] in firsts)
+    if units:
+        assert kind.endswith(("left unit", "right unit")), (message, defects)
+        assert start[kind[0]] + indices[0] == units[0], (message, defects)
+    elif triples:
+        assert ring_triple(blocks, kind, indices) == triples[0], (message, triples[0])
+    else:
+        assert (kind, indices) == defects[0], (message, defects)
+    return False

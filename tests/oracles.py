@@ -21,8 +21,10 @@ and the axioms of left modules, left uples and their morphisms, are
 evaluated on every basis tuple, one element at a time, from the raw
 action tables; the glue of an uple is written out coordinate by
 coordinate, and a map between glues is tested on every basis element.
-The axioms of a Morita context are evaluated on every basis tuple from
-the raw pairing tables, its consequences on balanced products built
+The ring [[A, P], [Q, B]] of a context, or [[A, M], [0, B]] of a
+bimodule, is written out from its matrix product on every pair of basis
+elements.  The axioms of a Morita context are evaluated on every basis
+tuple from the raw pairing tables, its consequences on balanced products built
 on all basis triples and ranked with their own echelon rows, the
 transfer phi^n term by term from its defining sum, and the homotopy
 h^2 and h^3 term by term from their displayed sums; the subalgebra
@@ -512,12 +514,8 @@ def _echelon_add(rows, vec, field):
     return True
 
 
-def brute_generator_associativity_defect(dim, table, unit, field):
-    """The first triple (r, j, k) whose associator is nonzero, for r in
-    the support of the unit or a greedy generator and j, k any basis
-    indices, or None.
-
-    The greedy generators are recomputed here: basis index i is one when
+def brute_greedy_generators(dim, table, unit, field):
+    """The greedy generators of the raw algebra: basis index i is one when
     x_i lies outside the span of the words that the earlier ones build
     from the unit vector.  That span is grown length by length, with its
     own echelon rows, each time a generator is added.  Each word the span
@@ -545,6 +543,14 @@ def brute_generator_associativity_defect(dim, table, unit, field):
         if _echelon_add(dict(rows), {i: field.one}, field):
             gens.append(i)
             rows = None
+    return gens
+
+
+def brute_generator_associativity_defect(dim, table, unit, field):
+    """The first triple (r, j, k) whose associator is nonzero, for r in
+    the support of the unit or a greedy generator (brute_greedy_generators)
+    and j, k any basis indices, or None."""
+    gens = brute_greedy_generators(dim, table, unit, field)
     for r in sorted(set(unit) | set(gens)):
         for j, k in product(range(dim), repeat=2):
             if brute_associator(table, field, r, j, k):
@@ -605,6 +611,51 @@ def brute_bimodule_defects(alg_l, alg_r, dim, left, right, field):
                 _act(left, field, xi, _act(right, field, e, xj)):
             out.append(("commute", (i, m, j)))
     return out
+
+
+def brute_block_ring(alg_a, alg_b, p, q, pairing_a, pairing_b, field):
+    """The raw algebra (dim, table, unit) of the ring [[A, P], [Q, B]],
+    with the basis of A, then P, then Q, then B, each product of two basis
+    elements evaluated from the matrix product
+
+        (a, p, q, b)(a', p', q', b') = (a a' + <p, q'>_A, a p' + p b',
+                                        q a' + b q', <q, p'>_B + b b')
+
+    and the unit (1_A, 0, 0, 1_B).  alg_a and alg_b are raw algebras, p a
+    raw (A, B)-bimodule and q a raw (B, A)-bimodule (dim, left, right),
+    pairing_a[(i, j)] = <p_i, q_j>_A and pairing_b[(j, i)] = <q_j, p_i>_B.
+    With q None, Q is 0: the triangular ring [[A, P], [0, B]]."""
+    (da, ta, ua), (db, tb, ub) = alg_a, alg_b
+    dp, pl, pr = p
+    dq, ql, qr = q if q is not None else (0, {}, {})
+    pairing_a, pairing_b = pairing_a or {}, pairing_b or {}
+    sizes = (da, dp, dq, db)
+    starts = [sum(sizes[:k]) for k in range(4)]
+    one = field.one
+
+    def element(x):
+        """The basis element x of the ring as four coordinate dicts."""
+        parts = [{}, {}, {}, {}]
+        block = max(k for k in range(4) if starts[k] <= x and sizes[k])
+        parts[block][x - starts[block]] = one
+        return parts
+
+    def add(*vecs):
+        return _combo(field, *[(one, v) for v in vecs])
+
+    table = {}
+    for x, y in product(range(sum(sizes)), repeat=2):
+        (a, p0, q0, b), (a1, p1, q1, b1) = element(x), element(y)
+        parts = (add(_act(ta, field, a, a1), _act(pairing_a, field, p0, q1)),
+                 add(_act(pl, field, a, p1), _act(pr, field, p0, b1)),
+                 add(_act(qr, field, q0, a1), _act(ql, field, b, q1)),
+                 add(_act(pairing_b, field, q0, p1), _act(tb, field, b, b1)))
+        prod = {starts[k] + i: c for k, part in enumerate(parts) for i, c in part.items()}
+        if prod:
+            table[(x, y)] = prod
+    unit = dict(ua)
+    unit.update((starts[3] + i, c) for i, c in ub.items())
+    return sum(sizes), table, unit
 
 
 def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):
@@ -1108,16 +1159,6 @@ def _glued(n, uple, field):
         for m in range(n1):
             act[(i, n0 + m)] = lower(a1.get((i, m), {}))
     return n0 + n1, act
-
-
-def brute_left_glue_defects(alg, f, uple, field):
-    """The defects, as brute_module_defects names them, of the module over
-    A_f glued from the raw left uple (m0, m1, t, f_m) of
-    brute_map_defects, for the raw algebra alg and the 2-cochain f."""
-    n, table, unit = alg
-    dim, act = _glued(n, uple, field)
-    return brute_module_defects((2 * n, brute_deformed_table(n, table, f), unit),
-                                dim, act, field)
 
 
 def brute_map_defects(n, src, tgt, u, field):

@@ -100,6 +100,19 @@ cocycle f(a1, a2) = e(1)
 """
 
 
+# the two-cycle cocycle with two of its four values dropped
+TWO_VALUES = BROKEN_COCYCLE.replace("a1*a2\n", "a1*a2\ncocycle f(a2*a1, a2*a1) = a2*a1\n")
+
+
+def first_nonzero_tuple(basis, f):
+    """d^2 f != 0 at the first radical tuple where the oracle's full bar
+    differential of f is nonzero, as the cocycle lines print it."""
+    radical = set(basis.radical_indices)
+    df = brute_differential(basis.dim, basis.table, basis.field, f.table, 2)
+    first = min(key for key in df if radical.issuperset(key))
+    return "d^2 f != 0 at (%s)" % ", ".join(basis.labels[i] for i in first)
+
+
 def test_hh_and_check_cocycle_need_admissible_relations(capsys):
     # the refusal names the first pair of radical paths whose product
     # has a component at a vertex idempotent
@@ -125,11 +138,7 @@ def test_check_cocycle_fail(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
-@pytest.mark.parametrize("text", [
-    BROKEN_COCYCLE,
-    # the two-cycle cocycle with two of its four values dropped
-    BROKEN_COCYCLE.replace("a1*a2\n", "a1*a2\ncocycle f(a2*a1, a2*a1) = a2*a1\n")],
-    ids=["one-value", "two-values"])
+@pytest.mark.parametrize("text", [BROKEN_COCYCLE, TWO_VALUES], ids=["one-value", "two-values"])
 def test_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(
         text, tmp_path, capsys, monkeypatch):
     # check-cocycle and verify-deform name the first radical tuple of d f,
@@ -140,10 +149,7 @@ def test_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(
     af = parse_algebra_text(text)
     basis = compute_basis(af.quiver, af.relations, af.field, 30)
     f = cochain_from_pairs(basis, af.cocycle_pairs)
-    radical = set(basis.radical_indices)
-    df = brute_differential(basis.dim, basis.table, af.field, f.table, 2)
-    first = min(key for key in df if radical.issuperset(key))
-    at = "d^2 f != 0 at (%s)" % ", ".join(basis.labels[i] for i in first)
+    at = first_nonzero_tuple(basis, f)
     calls = []
     monkeypatch.setattr(hochschild, "differential",
                         lambda *args: calls.append(args) or differential(*args))
@@ -534,20 +540,41 @@ def test_equiv_coboundary_shift(tmp_path, capsys):
 def test_equiv_proves_each_cocycle_once(monkeypatch, capsys):
     # the cocycle-1 and cocycle-2 lines are the proofs of d f = 0 and
     # d g = 0; cobound_solve computes d (f - g) only when it finds no
-    # solution, and f - g = 0 here has one
+    # solution, and f - g = 0 here has one.  is_cocycle goes through
+    # cocycle_witness, so the count sees every cocycle check
     checked = []
-    real = hochschild.is_cocycle
+    real = hochschild.cocycle_witness
 
     def counted(f, basis):
         checked.append(f)
         return real(f, basis)
 
     for module in (deform, hochschild):
-        monkeypatch.setattr(module, "is_cocycle", counted)
+        monkeypatch.setattr(module, "cocycle_witness", counted)
     assert run(["equiv", data_path("two_cycle.alg"), data_path("two_cycle.alg")]) == 0
     assert "multiplicative: PASS" in lines_of(capsys)[0]
     assert len(checked) == 2
     assert checked[0] == checked[1] and not checked[0].is_zero()
+
+
+def test_equiv_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(tmp_path,
+                                                                            capsys):
+    bad = tmp_path / "broken.alg"
+    bad.write_text(TWO_VALUES)
+    af = parse_algebra_text(TWO_VALUES)
+    basis = compute_basis(af.quiver, af.relations, af.field, 30)
+    at = first_nonzero_tuple(basis, cochain_from_pairs(basis, af.cocycle_pairs))
+    good = data_path("two_cycle.alg")
+    for files, details in (((str(bad), good), (at, "d^2 f = 0")),
+                           ((good, str(bad)), ("d^2 f = 0", at))):
+        assert run(["equiv", *files]) == 1
+        lines = lines_of(capsys)[1]
+        assert lines[:3] == ["same-algebra: PASS  field, quiver and relation ideal agree",
+                             "cocycle-1: %s  %s" % ("FAIL" if "!=" in details[0] else "PASS",
+                                                    details[0]),
+                             "cocycle-2: %s  %s" % ("FAIL" if "!=" in details[1] else "PASS",
+                                                    details[1])]
+        assert lines[3:5] == ["cohomologous: FAIL  skipped", "multiplicative: FAIL  skipped"]
 
 
 def test_equiv_different_algebras(capsys):
@@ -692,6 +719,34 @@ def test_transfer_fail_lines_name_a_differing_tuple(monkeypatch, capsys):
         assert named, line
         key = tuple(basis.labels.index(label) for label in named.group(1).split(", "))
         assert lhs.value(key) != rhs.value(key), line
+
+
+def test_transfer_cocycle_fail_line_names_the_first_tuple_of_d_g(tmp_path, capsys,
+                                                                 monkeypatch):
+    # transfer checks no cocycle condition on f, so a non-cocycle f gives
+    # a g with d g != 0 on B; the cocycle line names the first tuple where
+    # the oracle's full bar differential of g is nonzero, and d g is
+    # computed once, for that line and both chain maps
+    bad = tmp_path / "broken.alg"
+    bad.write_text(TWO_VALUES)
+    af = parse_algebra_text(TWO_VALUES)
+    basis = compute_basis(af.quiver, af.relations, af.field, 30)
+    ctx = morita.matrix_context(basis, 2)
+    g = morita.transfer_phi(ctx, cochain_from_pairs(basis, af.cocycle_pairs))
+    first = min(brute_differential(ctx.b.dim, ctx.b.table, ctx.field, g.table, 2))
+    calls = []
+    monkeypatch.setattr(hochschild, "full_differential",
+                        lambda cochain, alg: calls.append(cochain)
+                        or full_differential(cochain, alg))
+    assert run(["transfer", str(bad), "--matrix", "2"]) == 1
+    _, lines = lines_of(capsys)
+    assert lines[-5:] == [
+        "cocycle: FAIL  d^2 g != 0 on B at (%s)" % ", ".join(ctx.b.labels[i] for i in first),
+        "chain-map-phi: PASS  d phi^2 f = phi^3 d f",
+        "chain-map-psi: PASS  d psi^2 g = psi^3 d g",
+        "homotopy: PASS  h^3 d f + d h^2 f = f - psi^2 phi^2 f",
+        "overall: FAIL"]
+    assert sum(cochain == g for cochain in calls) == 1
 
 
 # ------------------------------------------------------------ verify-morita
@@ -903,8 +958,10 @@ def test_module_roundtrip_rejects_non_module(tmp_path, capsys):
     path.write_text(emit_module_text(4, actions, basis.field))
     assert run(["module-roundtrip", data_path("dual_numbers.alg"),
                 str(path)]) == 2
-    # a acts as the identity, so a.(a.e_0) = e_0 while (a*a).e_0 = 0
-    assert "left action not associative at (a, a, 0)" in capsys.readouterr().err
+    # a acts as the identity, so a.(a.e_0) = e_0 while (a*a).e_0 = 0: the
+    # triple (a, a, e_0) of the module's ring [[A_f, M], [0, k]]
+    assert capsys.readouterr().err == ("error: the bimodule ring is not associative "
+                                       "at (a:a, a:a, p0)\n")
 
 
 def test_module_roundtrip_fail_line_names_the_action(tmp_path, capsys, monkeypatch):

@@ -15,8 +15,9 @@ from quivdeform.modcat import (LeftModule, MorphismTriple, UpleModule, functor_F
                                module_from_file, regular_module, regular_uple,
                                reconstruct, roundtrip_triple)
 
-from oracles import (brute_left_glue_defects, brute_left_uple_defects,
-                     brute_map_defects, brute_module_defects, sparse_of)
+from conftest import assert_ring_message, bimodule_blocks, raw_algebra, raw_bimodule
+from oracles import (brute_left_uple_defects, brute_map_defects, brute_module_defects,
+                     brute_uple_glue, sparse_of)
 
 Q = Field.rationals()
 
@@ -110,8 +111,11 @@ def test_invalid_modules_rejected(dual_numbers):
     # e(1) is the unit of A_f; acting by zero breaks unitality
     no_unit = list(good)
     no_unit[0] = {}
-    with pytest.raises(InputError, match="left unit fails at 0"):
+    with pytest.raises(InputError) as exc:
         LeftModule(d, d.dim, no_unit)
+    assert str(exc.value) == "the bimodule ring: unit fails on basis element p0"
+    assert not module_verdict(d, d.dim, no_unit)
+    assert not module_verdict(d, d.dim, bad)
 
 
 def test_invalid_uples_rejected(dual_numbers):
@@ -215,10 +219,6 @@ def test_functor_respects_zero_cocycle(two_cycle):
 # ------------------------------------------------ checks against the oracles
 
 
-def raw_alg(alg):
-    return alg.dim, alg.table, alg.unit
-
-
 def raw_module(mod):
     return mod.dim, {(i, m): col for i, a in enumerate(mod.actions) for m, col in a.items()}
 
@@ -228,50 +228,35 @@ def raw_uple(u):
     return raw_module(u.m0), raw_module(u.m1), u.t, f_m
 
 
+def raw_ground(field):
+    """The ground field k as a raw algebra, the right algebra of a module."""
+    return 1, {(0, 0): {0: field.one}}, {0: field.one}
+
+
 def module_verdict(alg, dim, actions):
-    """LeftModule accepts exactly the actions the oracle finds no defect
-    in, and its error names the first defect the oracle finds at a unit
-    or at a generator of the algebra, by the labels of the algebra's
-    basis elements."""
+    """LeftModule accepts exactly the actions the oracles find no defect
+    in, and its error names the first defect of its ring [[A, M], [0, k]]
+    that the bimodule oracle finds (assert_ring_message)."""
     raw = {(i, m): col for i, a in enumerate(actions) for m, col in a.items()}
-    defects = brute_module_defects(raw_alg(alg), dim, raw, alg.field)
+    scalars = {(m, 0): {m: alg.field.one} for m in range(dim)}
+    k = LeftModule(alg, dim, actions, check=False).right_alg
+    blocks, defects = bimodule_blocks(alg, k, raw_algebra(alg), raw_ground(alg.field),
+                                      (dim, raw, scalars), alg.field)
+    assert bool(defects) == bool(brute_module_defects(raw_algebra(alg), dim, raw, alg.field))
     try:
         LeftModule(alg, dim, actions)
     except InputError as exc:
-        assert defects, exc
-        kind, key = next((kind, key) for kind, key in defects
-                         if kind == "unit" or key[0] in alg.generators())
-        if kind == "unit":
-            assert str(exc) == "left unit fails at %d" % key, (exc, key)
-        else:
-            i, j, m = key
-            assert str(exc) == ("left action not associative at (%s, %s, %d)"
-                                % (alg.labels[i], alg.labels[j], m)), (exc, key)
-        return False
-    assert not defects
-    return True
-
-
-def module_witness(alg, message):
-    """The oracle defect (kind, key) that a left module message names, by
-    the labels of the algebra's basis elements."""
-    hit = re.match(r"left unit fails at (\d+)$", message)
-    if hit:
-        return "unit", (int(hit.group(1)),)
-    hit = re.match(r"left action not associative at \((.+), (.+), (\d+)\)$", message)
-    assert hit, message
-    return "assoc", (alg.labels.index(hit.group(1)), alg.labels.index(hit.group(2)),
-                     int(hit.group(3)))
+        return assert_ring_message(str(exc), blocks, defects)
+    return assert_ring_message(None, blocks, defects)
 
 
 def uple_verdict(d, m0, m1, t, f_tables):
     """UpleModule accepts exactly the data the oracle finds no defect in.
     Its error is "T is not injective" exactly when the oracle finds T
-    singular, and otherwise names, by the labels of A_f, a defect of the
-    kind of the first one that the oracle finds on its own glue of the
-    uple."""
+    singular, and otherwise names the first defect of the ring of the
+    oracle's own glue of the uple, an (A_f, k[t]/t^2)-bimodule."""
     f_m = {(i, m): col for i, tab in enumerate(f_tables) for m, col in tab.items()}
-    defects = brute_left_uple_defects(raw_alg(d.base), d.f.table, raw_module(m0),
+    defects = brute_left_uple_defects(raw_algebra(d.base), d.f.table, raw_module(m0),
                                       raw_module(m1), t, f_m, d.field)
     try:
         UpleModule(d, m0, m1, t, f_tables)
@@ -280,10 +265,13 @@ def uple_verdict(d, m0, m1, t, f_tables):
         singular = ("injective", ()) in defects
         assert (str(exc) == "T is not injective") == singular, (exc, defects)
         if not singular:
-            glue = brute_left_glue_defects(raw_alg(d.base), d.f.table,
-                                           (raw_module(m0), raw_module(m1), t, f_m), d.field)
-            witness = module_witness(d, str(exc))
-            assert witness in glue and witness[0] == glue[0][0], (exc, glue[:1])
+            a_f, b_g, dim, left, right = brute_uple_glue(
+                raw_algebra(d.base), raw_ground(d.field), d.f.table, {}, raw_bimodule(m0),
+                raw_bimodule(m1), t, f_m, {}, d.field)
+            # the labels of A_f and k[t]/t^2 that the message uses
+            unchecked = UpleModule(d, m0, m1, t, f_tables, check=False)
+            assert_ring_message(str(exc), *bimodule_blocks(
+                unchecked.left_def, unchecked.right_def, a_f, b_g, (dim, left, right), d.field))
         return False
     assert not defects
     return True

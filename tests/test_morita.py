@@ -1,6 +1,5 @@
 import random
 import re
-from itertools import accumulate
 
 import pytest
 
@@ -12,6 +11,7 @@ from quivdeform.fileio import parse_algebra_file, parse_algebra_text
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential, is_full_cocycle)
 from quivdeform.deform import Deformation
+from quivdeform.modcat import regular_module, regular_uple
 from quivdeform.linalg import _action, _columns, _differing_columns, _identity, map_compose
 from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
@@ -22,12 +22,13 @@ from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlg
                                verify_morita_deformed)
 from quivdeform.quiver import compute_basis
 
-from conftest import data_path, identity_context
+from conftest import (assert_ring_message, bimodule_blocks, block_starts, context_blocks,
+                      data_path, identity_context, raw_algebra, raw_bimodule, ring_witness)
 from oracles import (brute_associativity_defect, brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
                      brute_context_defects, brute_generator_associativity_defect,
-                     brute_generated_dimension, brute_hat_tables, brute_homotopy,
-                     brute_transfer, brute_uple_defects, brute_uple_glue)
+                     brute_generated_dimension, brute_greedy_generators, brute_hat_tables,
+                     brute_homotopy, brute_transfer, brute_uple_defects, brute_uple_glue)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -562,35 +563,6 @@ def test_glued_hat_p_is_bimodule(dual_numbers):
 # ------------------------------------------------ certificate checks vs oracle
 
 
-def raw_algebra(alg):
-    return (alg.dim, alg.table, alg.unit)
-
-
-def raw_bimodule(m):
-    return (m.dim, m.left, m.right)
-
-
-# bimodule messages: (pattern, oracle kind, what each slot names: a label
-# of the left or right algebra, or a module coordinate)
-BIMODULE_MESSAGES = (
-    (r"left unit fails at (\d+)$", "left unit", "m"),
-    (r"right unit fails at (\d+)$", "right unit", "m"),
-    (r"left action not associative at \((.+), (.+), (\d+)\)$", "left assoc", "llm"),
-    (r"right action not associative at \((\d+), (.+), (.+)\)$", "right assoc", "mrr"),
-    (r"actions do not commute at \((.+), (\d+), (.+)\)$", "commute", "lmr"),
-)
-
-
-def bimodule_witness(left_alg, right_alg, message):
-    """The oracle defect (kind, index tuple) that a bimodule message names."""
-    read = {"l": left_alg.labels.index, "r": right_alg.labels.index, "m": int}
-    for pattern, kind, slots in BIMODULE_MESSAGES:
-        hit = re.match(pattern, message)
-        if hit:
-            return kind, tuple(read[slot](x) for slot, x in zip(slots, hit.groups()))
-    raise AssertionError("unparsed bimodule violation: " + message)
-
-
 def raw_uple(uple):
     """The arguments of the uple oracles for a DeformedBimodule."""
     f_m = {(i, m): vec for i, tab in enumerate(uple.f_tables) for m, vec in tab.items()}
@@ -600,42 +572,41 @@ def raw_uple(uple):
             uple.field)
 
 
+def bimodule_witnesses(bim):
+    """(RingBlocks, defects) of the ring [[A, M], [0, B]] of a Bimodule."""
+    return bimodule_blocks(bim.left_alg, bim.right_alg, raw_algebra(bim.left_alg),
+                           raw_algebra(bim.right_alg), raw_bimodule(bim), bim.field)
+
+
 def assert_bimodule_matches_oracle(bim):
     """violations() is empty exactly when the oracle finds no defect, and
-    its first message names a tuple that the oracle flags, of the kind of
-    the oracle's first defect (both check the units, left and right
-    associativity and commutation in that order, and each kind is
-    complete on generators); returns the violations."""
+    otherwise one message, which names the first defect of the ring's
+    check order that the oracle flags (assert_ring_message); returns the
+    violations."""
     bad = bim.violations()
-    defects = brute_bimodule_defects(raw_algebra(bim.left_alg), raw_algebra(bim.right_alg),
-                                     bim.dim, bim.left, bim.right, bim.field)
-    assert bool(bad) == bool(defects), (bad[:1], defects[:1])
-    if bad:
-        witness = bimodule_witness(bim.left_alg, bim.right_alg, bad[0])
-        assert witness in defects, (bad[0], defects)
-        assert witness[0] == defects[0][0], (bad[0], defects[0])
+    assert len(bad) <= 1, bad
+    assert_ring_message(bad[0] if bad else None, *bimodule_witnesses(bim))
     return bad
 
 
 def assert_uple_matches_oracle(uple):
-    """violations() is empty exactly when the oracle finds no uple defect.
-    Its first message is "T is not injective" exactly when the oracle
-    finds T singular, and otherwise names a defect that the oracle finds
-    on its own glue of the uple, of the kind of the first one there; the
-    oracle's glue has a defect exactly when the uple has one besides
-    injectivity.  Returns the violations."""
+    """violations() starts with "T is not injective" exactly when the
+    oracle finds T singular; the rest is empty exactly when the oracle
+    finds no defect on its own glue of the uple, and otherwise one
+    message, which names the first defect of the glue's ring that the
+    oracle flags.  The oracle's glue has a defect exactly when the uple
+    has one besides injectivity.  Returns the violations."""
     bad = uple.violations()
     defects = brute_uple_defects(*raw_uple(uple))
+    singular = ("injective", ()) in defects
+    assert (bad[:1] == ["T is not injective"]) == singular, (bad, defects)
+    rest = bad[1:] if singular else bad
+    assert len(rest) <= 1, bad
     a_f, b_g, dim, left, right = brute_uple_glue(*raw_uple(uple))
-    glue = brute_bimodule_defects(a_f, b_g, dim, left, right, uple.field)
+    blocks, glue = bimodule_blocks(uple.left_def, uple.right_def, a_f, b_g,
+                                   (dim, left, right), uple.field)
     assert bool(glue) == any(kind != "injective" for kind, _ in defects), (glue, defects)
-    assert bool(bad) == bool(defects), (bad[:1], defects[:1])
-    if bad:
-        singular = ("injective", ()) in defects
-        assert (bad[0] == "T is not injective") == singular, (bad[0], defects)
-        if not singular:
-            witness = bimodule_witness(uple.left_def, uple.right_def, bad[0])
-            assert witness in glue and witness[0] == glue[0][0], (bad[0], glue[:1])
+    assert_ring_message(rest[0] if rest else None, blocks, glue)
     return bad
 
 
@@ -670,18 +641,22 @@ def test_broken_bimodules_match_oracle(dual_numbers):
     left = {k: dict(v) for k, v in p.left.items()}
     left[(1, 1)] = {0: Q.one}  # a . (a in slot 1) is 0, not e(1)
     assert assert_bimodule_matches_oracle(
-        Bimodule(p.left_alg, p.right_alg, p.dim, left, p.right, check=False))
+        Bimodule(p.left_alg, p.right_alg, p.dim, left, p.right, check=False)) == [
+        "the bimodule ring is not associative at (a:a, a:a, p0)"]
     right = {k: dict(v) for k, v in p.right.items()}
     right[(0, 1)] = {1: Q.one, 2: Q.one}  # e(1) . E11*a is a, in slot 1 only
     assert assert_bimodule_matches_oracle(
-        Bimodule(p.left_alg, p.right_alg, p.dim, p.left, right, check=False))
+        Bimodule(p.left_alg, p.right_alg, p.dim, p.left, right, check=False)) == [
+        "the bimodule ring is not associative at (a:a, p0, b:E11*a)"]
     # a acts by two square-zero matrices that do not commute: both actions
     # are modules, only the commutation fails
     _, basis = dual_numbers
     left = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}}
     right = {(0, 0): {0: Q.one}, (1, 0): {1: Q.one}, (1, 1): {0: Q.one}}
-    bad = assert_bimodule_matches_oracle(Bimodule(basis, basis, 2, left, right, check=False))
-    assert bad and all("commute" in msg for msg in bad)
+    bim = Bimodule(basis, basis, 2, left, right, check=False)
+    assert assert_bimodule_matches_oracle(bim) == [
+        "the bimodule ring is not associative at (a:a, p0, b:a)"]
+    assert {kind for kind, _ in bimodule_witnesses(bim)[1]} == {"P commute"}
 
 
 def test_broken_uples_match_oracle(dual_numbers):
@@ -705,38 +680,23 @@ def test_broken_uples_match_oracle(dual_numbers):
     t[0] = {0: Q.from_int(2)}  # T scaled on one column no longer intertwines
     singular = {m: col for m, col in hat.t.items() if m != 0}  # T kills x_0
     g2 = transfer_phi(ctx, f).scale(Q.from_int(2))
+    found = []
     for uple in (variant(f_tables=f_tables), variant(g_tables=g_tables), variant(t=t),
                  variant(t=singular),
                  build_hat_P(ctx, a_f, Deformation(ctx.b, g2), h2f)):
-        assert assert_uple_matches_oracle(uple)
+        found += assert_uple_matches_oracle(uple)
+    assert found == [
+        "the bimodule ring is not associative at (a:a, p0, b:E11*e(1))",
+        "the bimodule ring is not associative at (a:a, p2, b:E11*a)",
+        "the bimodule ring is not associative at (a:a, a:a, p0)",
+        "T is not injective", "the bimodule ring is not associative at (a:a, a:a, p0)",
+        "the bimodule ring is not associative at (a:a, a:a, p0)"]
     # over the zero cocycle T = 0 meets every condition but injectivity
     zero = FullCochain(basis.dim, 2, Q, {})
     reg = regular_deformed_uple(Deformation(basis, zero))
     uple = DeformedBimodule(reg.left_def, reg.right_def, reg.m0, reg.m1, {},
                             reg.f_tables, reg.g_tables)
     assert assert_uple_matches_oracle(uple) == ["T is not injective"]
-
-
-def test_uple_check_is_one_bimodule_check_on_generators(dual_numbers, monkeypatch):
-    # the check of hat P is the rank of T and Bimodule.violations on its
-    # glue: |G_l| dim A_f + dim B_g |G_r| + 2 |G_l| |G_r| compositions, for
-    # the generators G_l of A_f and G_r of B_g; none runs over pairs of
-    # basis elements
-    ctx = matrix_context(dual_numbers[1], 2)
-    f = golden_cochain(dual_numbers)
-    hat = build_hat_P(ctx, *deformed_pair(ctx, f), homotopy_h(ctx, f))
-    a_f, b_g = hat.left_def, hat.right_def
-    nl, nr = len(a_f.generators()), len(b_g.generators())
-    calls = []
-    real = morita.map_compose
-
-    def counted(a, b, field):
-        calls.append(1)
-        return real(a, b, field)
-
-    monkeypatch.setattr(morita, "map_compose", counted)
-    assert hat.violations() == []
-    assert len(calls) == nl * a_f.dim + b_g.dim * nr + 2 * nl * nr
 
 
 TRIPLE_MESSAGE = r"the triple does not intertwine the (left|right) action of (.+) at (\d+)$"
@@ -804,90 +764,136 @@ def conjugated(right, dim, field, r, c):
     return out
 
 
-def bimodule_zoo(dual_numbers):
-    """P and Q of M_2(A), the glued P^ over (A_f, B_g) and the balanced
-    product P^ (x) Q^ over (A_f, A_f), for A the dual numbers."""
-    _, basis = dual_numbers
-    f = golden_cochain(dual_numbers)
-    ctx = matrix_context(basis, 2)
-    a_f, b_g = deformed_pair(ctx, f)
-    h2f = homotopy_h(ctx, f)
-    hat_p = build_hat_P(ctx, a_f, b_g, h2f).glued
-    hat_q = build_hat_Q(ctx, a_f, b_g, h2f).glued
-    return [ctx.p, ctx.q, hat_p, TensorProduct(hat_p, hat_q).bimodule]
+def bimodule_zoo(fld):
+    """(name, Bimodule) over fld: the regular bimodule of the two-cycle
+    algebra and its regular right module, a bimodule over (k, A), P and Q
+    of M_2 of the dual numbers and of the lambda_m2 corner at e(1), and,
+    over A_f for the dual numbers with their cocycle, the regular module
+    as a bimodule over (A_f, k), the glue of the regular uple over (A_f,
+    k[t]/t^2) and the glue of hat P of M_2."""
+    def load(name):
+        af = parse_algebra_file(data_path(name + ".alg"), field_override=fld)
+        return af, compute_basis(af.quiver, af.relations, fld)
+
+    dual, cycle, lam = load("dual_numbers"), load("two_cycle")[1], load("lambda_m2")
+    f = golden_cochain(dual)
+    ctx = matrix_context(dual[1], 2)
+    corner = idempotent_context(lam[1], vertex_idempotent(lam, "1"))
+    a_f = Deformation(dual[1], f)
+    hat = build_hat_P(ctx, *deformed_pair(ctx, f), homotopy_h(ctx, f))
+    one = fld.one
+    ground = FinDimAlgebra(fld, 1, {(0, 0): {0: one}}, {0: one}, ["1"])
+    return [("regular", Bimodule(cycle, cycle, cycle.dim, cycle.table, cycle.table,
+                                 check=False)),
+            ("right module", Bimodule(ground, cycle, cycle.dim,
+                                      {(0, m): {m: one} for m in range(cycle.dim)},
+                                      cycle.table, check=False)),
+            ("M_2 P", ctx.p), ("M_2 Q", ctx.q), ("corner P", corner.p), ("corner Q", corner.q),
+            ("module", regular_module(a_f)), ("uple glue", regular_uple(a_f).glued),
+            ("hat P glue", hat.glued)]
 
 
-def test_generator_checks_agree_with_the_oracle_on_broken_bimodules(dual_numbers):
-    # one entry of the left or right action moved, or the right action
-    # conjugated so that only the commutation can fail: the generator
-    # checks find a failure exactly when the exhaustive oracle does, and
-    # their first witness is one of the oracle's failing tuples
-    rng = random.Random(41)
-    first_kinds = set()
-    for bim in bimodule_zoo(dual_numbers):
-        fld = bim.field
-        la, ra = bim.left_alg, bim.right_alg
-        assert assert_bimodule_matches_oracle(bim) == []
-        variants = []
-        for _ in range(3):
-            # a basis element outside the support of the unit, so that the
-            # unit checks still pass and the associativity checks decide
-            i = rng.choice([k for k in range(la.dim) if k not in la.unit])
-            m, r = rng.randrange(bim.dim), rng.randrange(bim.dim)
-            left = dict(bim.left)
-            left[(i, m)] = vector_plus(fld, left.get((i, m), {}), r)
-            variants.append((left, bim.right))
-            j = rng.choice([k for k in range(ra.dim) if k not in ra.unit])
-            right = dict(bim.right)
-            right[(m, j)] = vector_plus(fld, right.get((m, j), {}), r)
-            variants.append((bim.left, right))
-        for r, c in ((0, bim.dim - 1), (bim.dim - 1, 0)):
-            variants.append((bim.left, conjugated(bim.right, bim.dim, fld, r, c)))
-        for left, right in variants:
-            broken = Bimodule(la, ra, bim.dim, left, right, check=False)
+def planted(bim, rng):
+    """(kind, left, right): the tables of bim with one defect planted of
+    each kind.  "left" and "right" move one entry of the action of a basis
+    element outside the support of the unit (one in it when there is no
+    other) by a basis vector, "unit" moves the left action of the unit on
+    one coordinate, and "commute" conjugates the right action, which
+    keeps it a unital right action."""
+    fld, la, ra, dim = bim.field, bim.left_alg, bim.right_alg, bim.dim
+    m, r = rng.randrange(dim), rng.randrange(dim)
+
+    def outside(alg):
+        rest = [k for k in range(alg.dim) if k not in alg.unit]
+        return rng.choice(rest) if rest else min(alg.unit)
+
+    def bumped(table, key):
+        out = dict(table)
+        out[key] = vector_plus(fld, out.get(key, {}), r)
+        return out
+
+    return [("left", bumped(bim.left, (outside(la), m)), bim.right),
+            ("right", bim.left, bumped(bim.right, (m, outside(ra)))),
+            ("unit", bumped(bim.left, (min(la.unit), m)), bim.right),
+            ("commute", bim.left, conjugated(bim.right, dim, fld, 0, dim - 1))]
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_bimodule_rings_name_the_first_defect_of_the_oracle(fld):
+    # every bimodule of the zoo, and each with one defect planted of each
+    # kind: violations() is empty exactly when the exhaustive oracle finds
+    # no defect, and otherwise names the oracle's unit defect of least
+    # ring index, or the first triple of the ring's check order that the
+    # oracle flags
+    rng = random.Random(53)
+    firsts = {}
+    for name, bim in bimodule_zoo(fld):
+        assert assert_bimodule_matches_oracle(bim) == [], name
+        for kind, left, right in planted(bim, rng):
+            broken = Bimodule(bim.left_alg, bim.right_alg, bim.dim, left, right, check=False)
             bad = assert_bimodule_matches_oracle(broken)
             if bad:
-                first_kinds.add(bimodule_witness(la, ra, bad[0])[0])
-    assert {"left assoc", "right assoc", "commute"} <= first_kinds
+                witness = ring_witness(bad[0], *bimodule_witnesses(broken))
+                firsts.setdefault(kind, set()).add(witness[0])
+    # a defect of the right action is met first at (a, m, b) unless the
+    # left algebra is the ground field, and one of the right unit when
+    # the right algebra is; so is one of the left action, whose only
+    # basis element over the ground field is the unit
+    assert firsts == {"left": {"P left assoc", "P left unit"},
+                      "right": {"P commute", "P right assoc", "P right unit"},
+                      "commute": {"P commute"}, "unit": {"P left unit"}}
 
 
-def test_bimodule_check_composes_on_generators_only(dual_numbers, monkeypatch):
-    # one composite per (left generator, basis element) and per (basis
-    # element, right generator), and the two composites of each commuting
-    # pair of generators; the exhaustive check made dim^2 and 2 dim dim'
+def test_bimodule_check_is_one_ring_witness(dual_numbers, monkeypatch):
+    # a bimodule or uple check composes no map of its own: it runs
+    # associativity_witness once, on the ring [[A, M], [0, B]] of
+    # dimension dim A + dim M + dim B whose table and unit are those of
+    # the oracle's ring, and the witness takes its left factors from
+    # ring.unit_and_generators(), which are the oracle's greedy generators
+    # and the support of the unit; a context's ring is the oracle's too
     calls = []
-    real = morita.map_compose
+    real_witness = FinDimAlgebra.associativity_witness
+    real_factors = FinDimAlgebra.unit_and_generators
+    real_compose = morita.map_compose
 
-    def counted(a, b, field):
-        calls.append(1)
-        return real(a, b, field)
+    def witness(self):
+        calls.append(("witness", self))
+        return real_witness(self)
 
-    bimodules = bimodule_zoo(dual_numbers)
-    monkeypatch.setattr(morita, "map_compose", counted)
-    for bim in bimodules:
-        la, ra = bim.left_alg, bim.right_alg
-        gl, gr = len(la.generators()), len(ra.generators())
+    def factors(self):
+        calls.append(("factors", self))
+        return real_factors(self)
+
+    def compose(*args):
+        calls.append(("compose", None))
+        return real_compose(*args)
+
+    monkeypatch.setattr(FinDimAlgebra, "associativity_witness", witness)
+    monkeypatch.setattr(FinDimAlgebra, "unit_and_generators", factors)
+    monkeypatch.setattr(morita, "map_compose", compose)
+    zoo = bimodule_zoo(Q)
+    ctx = matrix_context(dual_numbers[1], 2)
+    hat = build_hat_P(ctx, *deformed_pair(ctx, golden_cochain(dual_numbers)),
+                      homotopy_h(ctx, golden_cochain(dual_numbers)))
+    for name, check, bim in [(name, bim.violations, bim) for name, bim in zoo] + [
+            ("hat P", hat.violations, hat.glued)]:
         del calls[:]
-        assert bim.violations() == []
-        assert len(calls) == gl * la.dim + ra.dim * gr + 2 * gl * gr
-        assert len(calls) < la.dim ** 2 + ra.dim ** 2 + 2 * la.dim * ra.dim
-
-
-# the blocks of the Morita ring [[A, P], [Q, B]] in the triple that each
-# oracle kind names, in the order of its index tuple: the kinds of
-# brute_context_defects, then those of brute_bimodule_defects on P and Q
-RING_BLOCKS = {"a.p,q": "APQ", "p,q.a": "PQA", "p.b,q": "PBQ", "b.q,p": "BQP",
-               "q,p.b": "QPB", "q.a,p": "QAP", "pqp": "PQP", "qpq": "QPQ",
-               "P left assoc": "AAP", "P right assoc": "PBB", "P commute": "APB",
-               "Q left assoc": "BBQ", "Q right assoc": "QAA", "Q commute": "BQA"}
-KIND_OF_BLOCKS = {blocks: kind for kind, blocks in RING_BLOCKS.items()}
-
-CONTEXT_MESSAGES = (
-    (r"the Morita ring is not associative at \((.+), (.+), (.+)\)$", "ring"),
-    (r"the Morita ring: unit fails on basis element (.+)$", "unit"),
-    (r"gens_a do not decompose 1_A$", "unit A"),
-    (r"gens_b do not decompose 1_B$", "unit B"),
-)
+        assert check() == [], name
+        ring = calls[0][1]
+        assert calls == [("witness", ring), ("factors", ring)], name
+        la, ra = bim.left_alg, bim.right_alg
+        assert ring.dim == la.dim + bim.dim + ra.dim, name
+        dim, table, unit = bimodule_witnesses(bim)[0].raw
+        assert (ring.dim, ring.table, ring.unit) == (dim, table, unit), name
+        assert ring.labels == (["a:" + x for x in la.labels]
+                               + ["p%d" % m for m in range(bim.dim)]
+                               + ["b:" + y for y in ra.labels]), name
+        assert real_factors(ring) == sorted(set(unit) | set(
+            brute_greedy_generators(dim, table, unit, Q))), name
+    for ctx in (ctx, idempotent_context(dual_numbers[1], dict(dual_numbers[1].unit))):
+        ring = ctx.ring()
+        dim, table, unit = context_blocks(ctx).raw
+        assert (ring.dim, ring.table, ring.unit) == (dim, table, unit)
 
 
 def context_defects(ctx):
@@ -910,80 +916,17 @@ def context_consequences(ctx, pairing_a, pairing_b, gens_a, gens_b):
                                       pairing_a, pairing_b, gens_a, gens_b, ctx.field)
 
 
-def block_starts(ctx):
-    """The index of the first basis element of each block of the ring."""
-    return dict(zip("APQB", accumulate((0, ctx.a.dim, ctx.p.dim, ctx.q.dim))))
-
-
-def ring_element(ctx, label):
-    """(block, index in the block) of a basis label of the ring of ctx."""
-    if label[:2] in ("a:", "b:"):
-        alg = ctx.a if label[0] == "a" else ctx.b
-        return label[0].upper(), alg.labels.index(label[2:])
-    return label[0].upper(), int(label[1:])
-
-
-def ring_triple(ctx, kind, indices):
-    """The basis indices in the ring of the triple an oracle defect names."""
-    start = block_starts(ctx)
-    return tuple(start[block] + i for block, i in zip(RING_BLOCKS[kind], indices))
-
-
-def context_witness(message, ctx, defects):
-    """The oracle defect (kind, index tuple) that a MoritaContext error
-    names, asserted to be among the oracle's defects: for a triple of the
-    ring, the kind of its blocks; for a unit failure of the ring, the
-    first unit defect of P or Q at that basis element."""
-    for pattern, kind in CONTEXT_MESSAGES:
-        hit = re.match(pattern, message)
-        if not hit:
-            continue
-        if kind == "ring":
-            elements = [ring_element(ctx, label) for label in hit.groups()]
-            blocks = "".join(block for block, _ in elements)
-            witness = (KIND_OF_BLOCKS.get(blocks, blocks), tuple(i for _, i in elements))
-        elif kind == "unit":
-            block, i = ring_element(ctx, hit.group(1))
-            witness = next((d for d in defects if d[1] == (i,)
-                            and d[0] in (block + " left unit", block + " right unit")), None)
-        else:
-            witness = (kind, ())
-        assert witness in defects, (message, defects)
-        return witness
-    raise AssertionError("unparsed context error: %s" % message)
-
-
-def assert_context_witness(message, ctx, defects):
-    """The error names the first defect that the checks of the context
-    reach, in their order: the unit of the ring on each basis element;
-    the triples (r, j, k) of the ring in that order, for r over its
-    unit_and_generators(); then the decompositions of 1_A and 1_B."""
-    kind, indices = context_witness(message, ctx, defects)
-    start = block_starts(ctx)
-    units = sorted(start[k[0]] + tup[0] for k, tup in defects
-                   if k.endswith(("left unit", "right unit")))
-    firsts = set(ctx.ring().unit_and_generators())
-    triples = sorted(t for t in (ring_triple(ctx, k, tup) for k, tup in defects
-                                 if k in RING_BLOCKS) if t[0] in firsts)
-    if units:
-        assert start[kind[0]] + indices[0] == units[0], (message, defects)
-    elif triples:
-        assert ring_triple(ctx, kind, indices) == triples[0], (message, triples[0])
-    else:
-        assert (kind, indices) == defects[0], (message, defects)
-
-
 def context_accepted(ctx):
     """MoritaContext._validate accepts ctx exactly when the exhaustive
     oracles find no failing axiom, and its error names the defect that
-    assert_context_witness expects; on an accepted context the dense
+    assert_ring_message expects; on an accepted context the dense
     oracle finds every consequence that MoritaContext does not compute to
     hold.  Returns whether it was accepted."""
     defects = context_defects(ctx)
     try:
         ctx._validate()
     except InputError as exc:
-        assert_context_witness(str(exc), ctx, defects)
+        assert_ring_message(str(exc), context_blocks(ctx), defects)
         return False
     assert not defects, defects[:1]
     assert context_consequences(ctx, ctx.pairing_a, ctx.pairing_b, ctx.gens_a,
@@ -1133,7 +1076,7 @@ def test_witness_skips_only_pairs_whose_sides_are_both_zero(dual_numbers, two_cy
                 corner_context(lambda_m2)[1],
                 idempotent_context(two_cycle[1], dict(two_cycle[1].unit))):
         ring = ctx.ring()
-        start = block_starts(ctx)
+        start = block_starts((ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim))
         size = {"A": ctx.a.dim, "P": ctx.p.dim, "Q": ctx.q.dim, "B": ctx.b.dim}
         # the eight nonzero blocks of the product: (row, column, value)
         for rows, cols, out in ("AAA", "APP", "PBP", "PQA", "BQQ", "QAQ", "QPB", "BBB"):
@@ -1329,7 +1272,7 @@ def test_broken_deformed_contexts_fail_every_side_line(dual_numbers, lambda_m2,
             assert len(witnesses) == 1
             defects, _ = context_oracles(validated[0])
             assert defects
-            assert_context_witness(witnesses.pop(), validated[0], defects)
+            assert_ring_message(witnesses.pop(), context_blocks(validated[0]), defects)
     monkeypatch.setattr(morita, "_deformed_pairing", real)
 
 
@@ -1365,7 +1308,7 @@ def test_deformed_context_over_doubled_transfer_is_refused(dual_numbers, monkeyp
         dctx._validate()
     defects, consequences = context_oracles(dctx)
     assert consequences
-    assert_context_witness(str(exc.value), dctx, defects)
+    assert_ring_message(str(exc.value), context_blocks(dctx), defects)
 
 
 def test_deformed_context_check_agrees_with_the_oracle(dual_numbers, two_cycle, triangle,
@@ -1387,7 +1330,8 @@ def test_deformed_context_check_agrees_with_the_oracle(dual_numbers, two_cycle, 
     with pytest.raises(InputError, match=r"not associative at \(p1, q1, a:a2\)$") as exc:
         dctx._validate()
     # the basis element a2 of A_f has index 3
-    assert context_witness(str(exc.value), dctx, context_defects(dctx)) == ("p,q.a", (1, 1, 3))
+    assert ring_witness(str(exc.value), context_blocks(dctx),
+                        context_defects(dctx)) == ("p,q.a", (1, 1, 3))
     assert not context_accepted(dctx)
 
 
