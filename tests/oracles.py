@@ -23,7 +23,10 @@ action tables; the glue of an uple is written out coordinate by
 coordinate, and a map between glues is tested on every basis element.
 The ring [[A, P], [Q, B]] of a context, or [[A, M], [0, B]] of a
 bimodule, is written out from its matrix product on every pair of basis
-elements.  The axioms of a Morita context are evaluated on every basis
+elements.  M_n(A) is multiplied out as n x n matrices over A, the corner
+eCe with eC and Ce is read off the basis elements that e fixes, for e a
+sum of basis elements such as vertex idempotents, and a unit is
+decomposed through the greedy independent brackets by dense elimination.  The axioms of a Morita context are evaluated on every basis
 tuple from the raw pairing tables, its consequences on balanced products built
 on all basis triples and ranked with their own echelon rows, the
 transfer phi^n term by term from its defining sum, and the homotopy
@@ -656,6 +659,113 @@ def brute_block_ring(alg_a, alg_b, p, q, pairing_a, pairing_b, field):
     unit = dict(ua)
     unit.update((starts[3] + i, c) for i, c in ub.items())
     return sum(sizes), table, unit
+
+
+def brute_matrix_algebra(alg, labels, n, field):
+    """M_n(A) from its definition, for the raw algebra alg = (dim, table,
+    unit) with basis labels: an element is an n x n matrix of coordinate
+    dicts of A, the product is the matrix product, sum_c X[r][c] Y[c][s],
+    and the unit is the diagonal matrix of 1_A.  The basis element E_rc x_g
+    (the matrix with x_g at row r, column c and 0 elsewhere) is flattened
+    to (r*n + c)*dim + g and labelled E<r+1><c+1>*<label of x_g>.  Returns
+    (dim, table, unit, labels)."""
+    dim, table, unit = alg
+    one = field.one
+    cells = list(product(range(n), repeat=2))
+
+    def matrix(r, c, vec):
+        out = {cell: {} for cell in cells}
+        out[(r, c)] = vec
+        return out
+
+    def flat(mat):
+        return {(r * n + c) * dim + g: x for (r, c), vec in mat.items() for g, x in vec.items()}
+
+    def times(x, y):
+        return {(r, s): _combo(field, *((one, _act(table, field, x[(r, c)], y[(c, s)]))
+                                        for c in range(n)))
+                for r, s in cells}
+
+    basis = [matrix(r, c, {g: one}) for r, c in cells for g in range(dim)]
+    out = {}
+    for i, j in product(range(len(basis)), repeat=2):
+        prod = flat(times(basis[i], basis[j]))
+        if prod:
+            out[(i, j)] = prod
+    diagonal = {cell: dict(unit) if cell[0] == cell[1] else {} for cell in cells}
+    names = ["E%d%d*%s" % (r + 1, c + 1, labels[g]) for r, c in cells for g in range(dim)]
+    return len(basis), out, flat(diagonal), names
+
+
+def brute_corner(alg, e, field):
+    """The corner eCe of the raw algebra alg = (dim, table, unit) of C, with
+    eC and Ce, for e a sum of basis elements that fixes or kills every
+    basis element on each side (a sum of vertex idempotents of a path
+    algebra, say); AssertionError for any other e.  The basis of eCe is
+    the basis elements x with e x e = x, that of eC those with e x = x
+    and that of Ce those with x e = x, each in the order of C and
+    renumbered from 0.  Every product is the product of C, read in the
+    basis of the block it lands in.  Returns a dict:
+
+        corner     eCe as a raw algebra (dim, table, unit), its unit e;
+        p, q       eC as a raw (eCe, C)-bimodule and Ce as a raw
+                   (C, eCe)-bimodule (dim, left, right);
+        pairing_a  {(i, j): x_i y_j in eCe} for x_i in eC, y_j in Ce;
+        pairing_b  {(j, i): y_j x_i in C};
+        at_a, at_p, at_q  the position in eCe, eC and Ce of each basis
+                   index of C that lies in it."""
+    dim, table, _ = alg
+    one = field.one
+    fixed = {}
+    for side in ("left", "right"):
+        fixed[side] = set()
+        for i in range(dim):
+            moved = (_act(table, field, e, {i: one}) if side == "left"
+                     else _act(table, field, {i: one}, e))
+            assert moved in ({}, {i: one}), "e moves basis element %d" % i
+            if moved:
+                fixed[side].add(i)
+    at_a = {i: k for k, i in enumerate(sorted(fixed["left"] & fixed["right"]))}
+    at_p = {i: k for k, i in enumerate(sorted(fixed["left"]))}
+    at_q = {i: k for k, i in enumerate(sorted(fixed["right"]))}
+    at_c = {i: i for i in range(dim)}
+
+    def block(left, right, out):
+        """{(left[x], right[y]): x y read through out} over nonzero products."""
+        got = {}
+        for x, y in product(left, right):
+            vec = table.get((x, y), {})
+            if vec:
+                got[(left[x], right[y])] = {out[k]: c for k, c in vec.items()}
+        return got
+
+    return {"corner": (len(at_a), block(at_a, at_a, at_a), {at_a[k]: c for k, c in e.items()}),
+            "p": (len(at_p), block(at_a, at_p, at_p), block(at_p, at_c, at_p)),
+            "q": (len(at_q), block(at_c, at_q, at_q), block(at_q, at_a, at_q)),
+            "pairing_a": block(at_p, at_q, at_a), "pairing_b": block(at_q, at_p, at_c),
+            "at_a": at_a, "at_p": at_p, "at_q": at_q}
+
+
+def brute_greedy_decomposition(tagged, target, field):
+    """The combination {tag: scalar} of the greedy independent vectors of
+    tagged, a list of (tag, coordinate dict) in order, that equals target,
+    or None when target is outside their span.  A vector is kept when it
+    is outside the span of the ones kept before it (their own echelon
+    rows); the kept vectors are independent, so the combination is unique,
+    and it is read off the dense Gauss-Jordan form of [kept | target].
+    Tags with scalar 0 are left out."""
+    rows, kept = {}, []
+    for tag, vec in tagged:
+        if _echelon_add(rows, vec, field):
+            kept.append((tag, vec))
+    coords = sorted(set(target).union(*(vec for _, vec in kept)))
+    work = [[vec.get(k, field.zero) for _, vec in kept] + [target.get(k, field.zero)]
+            for k in coords]
+    pivots = dense_rref(work, len(kept) + 1, field)
+    if len(kept) in pivots:
+        return None
+    return {kept[c][0]: work[r][-1] for r, c in enumerate(pivots)
+            if work[r][-1] != field.zero}
 
 
 def brute_uple_defects(alg_l, alg_r, f, g, m0, m1, t, f_m, g_m, field):

@@ -801,19 +801,20 @@ def test_verify_morita_matrix(capsys):
 
 
 def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
-    # d f = 0 is proved once on A and d g = 0 once on B; the deformed
-    # bimodules and A_f, B_g are built on those two proofs
+    # d f = 0 is proved once on A (by is_full_cocycle) and d g = 0 once on
+    # B (by the d g that names the FAIL witness); the deformed bimodules
+    # and A_f, B_g are built on those two proofs
     from quivdeform import deform, hochschild
     seen = []
-    original = hochschild.is_full_cocycle
+    original = hochschild.full_differential
 
     def counted(f, alg):
         seen.append(alg.dim)
         return original(f, alg)
 
     for module in (cli, deform, hochschild, morita):
-        if hasattr(module, "is_full_cocycle"):
-            monkeypatch.setattr(module, "is_full_cocycle", counted)
+        if hasattr(module, "full_differential"):
+            monkeypatch.setattr(module, "full_differential", counted)
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     assert seen == [2, 8]
@@ -825,11 +826,13 @@ def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
     # hat checks FAIL as skipped, and neither A_f nor B_g is built, so no
     # generator check runs over them
     real = morita.transfer_phi
+    bumps = []
 
     def broken(ctx, f):
         g = real(ctx, f)
         bumped = g + FullCochain(ctx.b.dim, 2, ctx.field, {(0, 0): {0: ctx.field.one}})
         assert not is_full_cocycle(bumped, ctx.b)
+        bumps.append((ctx.b, bumped))
         return bumped
 
     built = []
@@ -842,7 +845,12 @@ def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
     monkeypatch.setattr(morita, "Deformation", deformed)
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
     out, _ = lines_of(capsys)
-    assert out == ("transferred-cocycle: FAIL  phi^2(f) is a 2-cocycle on B\n"
+    # the FAIL line names the first tuple where the oracle's full bar
+    # differential of the bumped g is nonzero
+    [(alg_b, bumped)] = bumps
+    first = min(brute_differential(alg_b.dim, alg_b.table, alg_b.field, bumped.table, 2))
+    assert out == ("transferred-cocycle: FAIL  d^2 g != 0 on B at (%s)\n"
+                   % ", ".join(alg_b.labels[i] for i in first) +
                    "deformed-p-bimodule: FAIL  skipped: phi^2(f) is not a cocycle\n"
                    "deformed-q-bimodule: FAIL  skipped: phi^2(f) is not a cocycle\n"
                    "overall: FAIL\n")

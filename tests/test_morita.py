@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -27,8 +28,10 @@ from conftest import (assert_ring_message, bimodule_blocks, block_starts, contex
 from oracles import (brute_associativity_defect, brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
                      brute_context_defects, brute_generator_associativity_defect,
-                     brute_generated_dimension, brute_greedy_generators, brute_hat_tables,
-                     brute_homotopy, brute_transfer, brute_uple_defects, brute_uple_glue)
+                     brute_corner, brute_generated_dimension, brute_greedy_decomposition,
+                     brute_greedy_generators, brute_hat_tables, brute_homotopy,
+                     brute_matrix_algebra, brute_transfer, brute_uple_defects,
+                     brute_uple_glue)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -245,6 +248,72 @@ def test_idempotent_rejects_non_idempotent(dual_numbers):
         idempotent_context(basis, {1: Q.one})
 
 
+CONTEXT_FIXTURES = ("dual_numbers", "two_cycle", "triangle", "lambda_m2", "quantum_plane")
+
+
+def raw_context(ctx):
+    return (raw_bimodule(ctx.p), raw_bimodule(ctx.q), ctx.pairing_a, ctx.pairing_b)
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_contexts_match_the_dense_oracles(fld):
+    # every matrix context within MAX_MATRIX_DIM and every vertex sum,
+    # against M_n(A) multiplied out and the corner read off the basis:
+    # tables, units, labels, actions, pairings and generator lists
+    one = fld.one
+    for name in CONTEXT_FIXTURES:
+        af = parse_algebra_file(data_path(name + ".alg"), fld)
+        basis = compute_basis(af.quiver, af.relations, fld)
+        d = basis.dim
+        for n in (1, 2, 3):
+            if n * n * d > morita.MAX_MATRIX_DIM:
+                with pytest.raises(SizeLimitExceeded):
+                    matrix_context(basis, n)
+                continue
+            dim, table, unit, labels = brute_matrix_algebra(raw_algebra(basis), basis.labels,
+                                                            n, fld)
+
+            def e_rc(r, c):
+                return {(r * n + c) * d + u: x for u, x in basis.unit.items()}
+
+            corner = brute_corner((dim, table, unit), e_rc(0, 0), fld)
+            at_p, at_q = corner["at_p"], corner["at_q"]
+            ctx = matrix_context(basis, n)
+            assert ctx.a is basis, (name, n)
+            assert raw_algebra(basis) == corner["corner"], (name, n)
+            assert (raw_algebra(ctx.b), ctx.b.labels) == ((dim, table, unit), labels), (name, n)
+            assert raw_context(ctx) == (corner["p"], corner["q"], corner["pairing_a"],
+                                        corner["pairing_b"]), (name, n)
+            assert ctx.gens_a == [({at_p[k]: x for k, x in e_rc(0, 0).items()},
+                                   {at_q[k]: x for k, x in e_rc(0, 0).items()})], (name, n)
+            assert ctx.gens_b == [({at_q[k]: x for k, x in e_rc(r, 0).items()},
+                                   {at_p[k]: x for k, x in e_rc(0, r).items()})
+                                  for r in range(n)], (name, n)
+        vertices = basis.trivial_indices
+        for size in range(1, len(vertices) + 1):
+            for chosen in combinations(vertices, size):
+                e = {i: one for i in chosen}
+                corner = brute_corner(raw_algebra(basis), e, fld)
+                # 1_A = sum c (x e)(e y) through the greedy brackets of Ae x eA
+                combo = brute_greedy_decomposition(sorted(corner["pairing_b"].items()),
+                                                   basis.unit, fld)
+                if combo is None:
+                    with pytest.raises(NotFullIdempotent) as caught:
+                        idempotent_context(basis, e)
+                    assert str(caught.value) == "AeA is a proper ideal; e is not full"
+                    continue
+                ctx = idempotent_context(basis, e)
+                dim_b = corner["corner"][0]
+                assert ctx.a is basis, (name, chosen)
+                assert (raw_algebra(ctx.b), ctx.b.labels) == (
+                    corner["corner"], ["x%d" % i for i in range(dim_b)]), (name, chosen)
+                assert raw_context(ctx) == (corner["q"], corner["p"], corner["pairing_b"],
+                                            corner["pairing_a"]), (name, chosen)
+                assert ctx.gens_a == [({r: x}, {s: one}) for (r, s), x in sorted(combo.items())]
+                assert ctx.gens_b == [({corner["at_p"][k]: x for k, x in e.items()},
+                                       {corner["at_q"][k]: x for k, x in e.items()})]
+
+
 def corner_context(lambda_m2):
     _, basis = lambda_m2
     return basis, idempotent_context(basis, vertex_idempotent(lambda_m2, "1"))
@@ -457,27 +526,35 @@ cocycle f(x2*x1, x1) = x2
 
 
 def hat_cases(fld):
-    """(name, context, cocycle on A) over fld: M_2 of the dual numbers and
-    of the exterior algebra on 2 letters with its Clifford cocycle, the
-    lambda_m2 corner at e(1) with the cocycle of deformed_cases and the
-    two-cycle algebra against its corner at the unit."""
+    """(name, context, cocycle on A) over fld: M_2 of the dual numbers, of
+    the two-cycle algebra, whose unit e(1) + e(2) makes every generator a
+    sum of two terms, and of the exterior algebra on 2 letters with its
+    Clifford cocycle, the lambda_m2 corner at e(1) with the cocycle of
+    deformed_cases, and the two-cycle algebra against its corner at the
+    unit, with its cocycle and with the cocycle of unnormalised_corner,
+    the one case whose h^2(f) is nonzero."""
     cases = []
     for name, af in (("dual_numbers", parse_algebra_file(data_path("dual_numbers.alg"), fld)),
+                     ("two_cycle", parse_algebra_file(data_path("two_cycle.alg"), fld)),
                      ("exterior2", parse_algebra_text(EXTERIOR2, fld))):
         basis = compute_basis(af.quiver, af.relations, fld)
         cases.append((name + " M_2", matrix_context(basis, 2),
                       cochain_from_pairs(basis, af.cocycle_pairs)))
+        if name == "two_cycle":
+            cases.append(("two_cycle corner, f + d c", *unnormalised_corner((af, basis))))
     cases += [(name, ctx, f) for name, ctx, f in deformed_cases(fld) if "corner" in name]
     return cases
 
 
 @pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
 def test_hat_tables_match_their_defining_sums(fld):
-    # every entry of f_P, g_P, g_Q and f_Q is the dense oracle's sum; over
-    # Q the halving keeps an integer an int
+    # every entry of f_P, g_P, g_Q and f_Q is the dense oracle's sum, the
+    # terms of h^2(f) included; over Q the halving keeps an integer an int
+    homotopies = []
     for name, ctx, f in hat_cases(fld):
         a_f, b_g = deformed_pair(ctx, f)
         h2f = homotopy_h(ctx, f)
+        homotopies.append(h2f)
         hat_p, hat_q = (build(ctx, a_f, b_g, h2f) for build in (build_hat_P, build_hat_Q))
         want = brute_hat_tables(ctx.a.dim, ctx.b.dim, raw_bimodule(ctx.p),
                                 raw_bimodule(ctx.q), ctx.pairing_a, ctx.pairing_b,
@@ -491,6 +568,7 @@ def test_hat_tables_match_their_defining_sums(fld):
         assert all(any(part.values()) for part in want), name
         scalars = [c for part in got for vec in part.values() for c in vec.values()]
         assert all(type(c) is int or c.denominator != 1 for c in scalars), name
+    assert not all(h2f.is_zero() for h2f in homotopies)
 
 
 def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
@@ -1434,10 +1512,11 @@ def unnormalised_corner(two_cycle):
     cohomologous to f, with the same unit (1, 0) in A_f, that does not
     vanish on products of generator brackets."""
     _, basis = two_cycle
+    fld = basis.field
     e1, e2, a1 = (basis.labels.index(name) for name in ("e(1)", "e(2)", "a1"))
-    c = FullCochain(basis.dim, 1, Q, {(e1,): {a1: Q.one}, (e2,): {a1: Q.neg(Q.one)}})
+    c = FullCochain(basis.dim, 1, fld, {(e1,): {a1: fld.one}, (e2,): {a1: fld.neg(fld.one)}})
     moved = golden_cochain(two_cycle) + full_differential(c, basis)
-    return idempotent_context(basis, {e1: Q.one, e2: Q.one}), moved
+    return idempotent_context(basis, {e1: fld.one, e2: fld.one}), moved
 
 
 @pytest.mark.xfail(strict=True, reason=(
