@@ -4,12 +4,12 @@ This layer works with the structure-constant algebras of the linalg
 module (FinDimAlgebra), so that a path-algebra quotient, a matrix
 amplification and a corner algebra all go through the same code; the
 deformed algebras A_f and B_g come from the deform module's builder,
-which verify_morita_deformed calls directly once it has proved d f = 0
-and d g = 0, so each cocycle is checked once.  Elements are sparse
-coordinate dicts {basis_index: scalar} and linear maps are sparse maps
-{column: {row: scalar}}, both handled by the linalg helpers, so no layer
-here builds a dense matrix; cochains are the FullCochain tables from the
-hochschild module.
+which verify_morita_deformed reaches only when its check fails, after
+it has proved d f = 0 and d g = 0, so each cocycle is checked once.
+Elements are sparse coordinate dicts {basis_index: scalar} and linear
+maps are sparse maps {column: {row: scalar}}, both handled by the
+linalg helpers, so no layer here builds a dense matrix; cochains are
+the FullCochain tables from the hochschild module.
 
 A MoritaContext fixes the two algebras, the inverse bimodules, both
 pairings and one finite generator list on each side:
@@ -36,15 +36,21 @@ bijectivity of the induced maps P (x)_B Q -> A and Q (x)_A P -> B, and
 the recovery of P and Q through the generator lists, are consequences
 (MoritaContext._validate gives both proofs).
 
-The deformed equivalence is one more context.  verify_morita_deformed
-builds the context over (A_f, B_g) from the glues of the deformed
-bimodules hat P and hat Q, the pairings of _deformed_pairing and the
-plain generator lists, and checks its ring once, which also proves that
-both glues are bimodules; the Morita context lemma gives hat P
-(x)_{B_g} hat Q = A_f and hat Q (x)_{A_f} hat P = B_g, and each of the
-13 report lines per side follows from it.  No balanced product is
-built: TensorProduct, which builds one, is the reference that the tests
-compare against.
+The deformed equivalence is one more context, over (A_f, B_g), from
+the glues of the deformed bimodules hat P and hat Q, the deformed
+pairings and the plain generator lists.  Its ring is the deformation
+R_F of the plain Morita ring R along one 2-cochain F on R, whose blocks
+are f, g, the correction maps of hat P and hat Q and the t-parts of the
+pairings (_deformation_blocks), and R_F is associative exactly when R is
+and d F = 0 (Gerstenhaber, Ann. Math. 1964).  verify_morita_deformed
+checks it on R, which the context has already proved, by the unit of
+R_F, d F on R's left factors and the generator sums of F
+(_deformation_failure), without building R_F, A_f, B_g or either glue;
+its docstring proves the four checks exact.  A pass proves both glues
+bimodules, and the Morita context lemma gives hat P (x)_{B_g} hat Q =
+A_f and hat Q (x)_{A_f} hat P = B_g, from which each of the 13 report
+lines per side follows.  No balanced product is built: TensorProduct,
+which builds one, is the reference that the tests compare against.
 
 transfer_phi and transfer_psi work from the support of the cochain: one
 chain of pair weights per key of its table, so the cost follows the
@@ -66,9 +72,9 @@ from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
 from .fields import _rational
 from .hochschild import FullCochain, full_differential, is_full_cocycle
-from .linalg import (FinDimAlgebra, SpanSolver, _addinto, _bilinear, _clean, _columns,
-                     _differing_columns, _identity, _lower_block, _map_rank, _scaled,
-                     map_apply, map_compose)
+from .linalg import (FinDimAlgebra, SpanSolver, _action, _addinto, _bilinear, _clean,
+                     _columns, _differing_columns, _identity, _lower_block, _map_rank,
+                     _scaled, map_apply, map_combine, map_compose)
 
 
 def block_ring(a, b, p, q=None, pairing_a=None, pairing_b=None):
@@ -83,26 +89,40 @@ def block_ring(a, b, p, q=None, pairing_a=None, pairing_b=None):
                                         q a' + b q', <q, p'>_B + b b'),
 
     read off the tables of A and B, the actions on P and Q and the two
-    pairings, and its unit is 1_A + 1_B.  With q None the Q block and
-    both pairings are left out: that is the triangular ring [[A, P], [0,
-    B]], the Morita ring of Q = 0."""
+    pairings (_block_table), and its unit is 1_A + 1_B.  With q None the
+    Q block and both pairings are left out: that is the triangular ring
+    [[A, P], [0, B]], the Morita ring of Q = 0."""
     at_p = a.dim
     at_q = at_p + p.dim
     at_b = at_q + (q.dim if q is not None else 0)
-    blocks = [(0, 0, 0, a.table), (0, at_p, at_p, p.left), (at_p, at_b, at_p, p.right)]
-    if q is not None:
-        blocks += [(at_p, at_q, 0, pairing_a), (at_b, at_q, at_q, q.left),
-                   (at_q, 0, at_q, q.right), (at_q, at_p, at_b, pairing_b)]
-    blocks.append((at_b, at_b, at_b, b.table))
-    table = {}
-    for rows, cols, out, products in blocks:
-        for (x, y), vec in products.items():
-            table[(rows + x, cols + y)] = {out + k: c for k, c in vec.items()}
+    quads = (q.left, q.right, pairing_a, pairing_b) if q is not None else ()
+    table = _block_table((at_p, at_q, at_b), a.table, p.left, p.right, b.table, *quads)
     unit = dict(a.unit)
     unit.update((at_b + k, c) for k, c in b.unit.items())
     labels = (["a:" + x for x in a.labels] + ["p%d" % i for i in range(p.dim)]
               + ["q%d" % j for j in range(at_b - at_q)] + ["b:" + y for y in b.labels])
     return FinDimAlgebra(a.field, at_b + b.dim, table, unit, labels, check=False)
+
+
+def _block_table(starts, on_a, p_left, p_right, on_b, q_left=None, q_right=None,
+                 pairing_a=None, pairing_b=None):
+    """One table {(x, y): vector} on the basis A, P, Q, B of a block ring,
+    whose blocks P, Q and B start at starts = (at_p, at_q, at_b), from its
+    eight blocks, each keyed by the indices within its two factors: A x A
+    and B x B, the actions A x P, P x B, B x Q and Q x A, and the pairings
+    P x Q into A and Q x P into B.  With q_left None the four Q blocks are
+    left out."""
+    at_p, at_q, at_b = starts
+    blocks = [(0, 0, 0, on_a), (0, at_p, at_p, p_left), (at_p, at_b, at_p, p_right)]
+    if q_left is not None:
+        blocks += [(at_p, at_q, 0, pairing_a), (at_b, at_q, at_q, q_left),
+                   (at_q, 0, at_q, q_right), (at_q, at_p, at_b, pairing_b)]
+    blocks.append((at_b, at_b, at_b, on_b))
+    table = {}
+    for rows, cols, out, products in blocks:
+        for (x, y), vec in products.items():
+            table[(rows + x, cols + y)] = {out + k: c for k, c in vec.items()}
+    return table
 
 
 def ring_failure(ring, name):
@@ -263,7 +283,8 @@ class MoritaContext:
     the units.  That the pairings induce bijections from the balanced
     products onto a and b, and that every element of P and Q is
     recovered through gens_a and gens_b, follows from these (see
-    _validate), so neither is computed.
+    _validate), so neither is computed.  A checked context keeps its ring
+    and the ring's left factors (proved_ring), and so does its swap.
     """
 
     def __init__(self, a, b, p, q, pairing_a, pairing_b, gens_a, gens_b, check=True):
@@ -278,6 +299,7 @@ class MoritaContext:
         self.gens_a = [(_clean(fld, u), _clean(fld, v)) for u, v in gens_a]
         self.gens_b = [(_clean(fld, u), _clean(fld, v)) for u, v in gens_b]
         self._swapped = None
+        self._proved = None
         if check:
             self._validate()
 
@@ -300,6 +322,29 @@ class MoritaContext:
     def ring(self):
         """The Morita ring [[A, P], [Q, B]] of the context (block_ring)."""
         return block_ring(self.a, self.b, self.p, self.q, self.pairing_a, self.pairing_b)
+
+    def proved_ring(self):
+        """(R, factors): the Morita ring R, proved unital and associative
+        with the generator lists, and its left factors factors =
+        R.unit_and_generators(), on which checks on generators run.
+
+        A context that was not checked checks itself on the first call,
+        and raises InputError at its first failed axiom.  The swap of a
+        proved context is proved by its mirror: its ring is the mirror's
+        with the blocks in the order B, Q, P, A, and the mirror's factors,
+        moved to that order, are the support of its unit and a generating
+        set of it."""
+        if self._proved is None:
+            mirror = self._swapped._proved if self._swapped is not None else None
+            if mirror is None:
+                self._validate()
+            else:
+                na, np_, nq, nb = self.a.dim, self.p.dim, self.q.dim, self.b.dim
+                # index in the mirror's ring -> index in this ring
+                moved = [at + i for at, n in ((na + np_ + nq, nb), (na + np_, nq), (na, np_),
+                                              (0, na)) for i in range(n)]
+                self._proved = (self.ring(), sorted(moved[r] for r in mirror[1]))
+        return self._proved
 
     def _validate(self):
         """Raise InputError at the first failed axiom of the context.
@@ -347,24 +392,36 @@ class MoritaContext:
         image is a two-sided ideal by linearity and holds 1_A.  The
         mirror argument, through gens_b, gives Q (x)_A P -> B.  This is
         the Morita context lemma (Bass, Algebraic K-Theory, 1968).
+
+        On success the ring and its left factors are kept (proved_ring).
         """
         a, b, p, q = self.a, self.b, self.p, self.q
         if p.left_alg is not a or p.right_alg is not b:
             raise InputError("P must be an (A, B)-bimodule")
         if q.left_alg is not b or q.right_alg is not a:
             raise InputError("Q must be a (B, A)-bimodule")
-        bad = ring_failure(self.ring(), "the Morita ring")
+        ring = self.ring()
+        bad = (ring_failure(ring, "the Morita ring")
+               or _decomposition_failure(self, "a", self.pair_a, a.unit, a.labels)
+               or _decomposition_failure(self, "b", self.pair_b, b.unit, b.labels))
         if bad:
             raise InputError(bad)
-        fld = self.field
-        for gens, pair, unit, message in (
-                (self.gens_a, self.pair_a, a.unit, "gens_a do not decompose 1_A"),
-                (self.gens_b, self.pair_b, b.unit, "gens_b do not decompose 1_B")):
-            total = {}
-            for u, v in gens:
-                _addinto(fld, total, pair(u, v), fld.one)
-            if total != unit:
-                raise InputError(message)
+        self._proved = (ring, ring.unit_and_generators())
+
+
+def _decomposition_failure(ctx, side, pair, unit, labels):
+    """None, or "gens_a do not decompose 1_A at a:x" for side "a" (and
+    "gens_b ... 1_B at b:x" for "b"): the sum of pair(u, v) over the pairs
+    (u, v) of ctx.gens_a (or gens_b) differs from unit, first at the
+    coordinate labelled x."""
+    fld = ctx.field
+    total = _scaled(fld, unit, fld.neg(fld.one))
+    for u, v in (ctx.gens_a if side == "a" else ctx.gens_b):
+        _addinto(fld, total, pair(u, v), fld.one)
+    if total:
+        return "gens_%s do not decompose 1_%s at %s:%s" % (side, side.upper(), side,
+                                                           labels[min(total)])
+    return None
 
 
 def _corner_context(c, e, corner=None, gens=None):
@@ -436,9 +493,10 @@ def _corner_context(c, e, corner=None, gens=None):
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
 # The certificate's checks grow with the square or the cube of it:
-# verify-morita on k[x]/(x^6) at n = 3 (dimension 54) takes 0.16-0.27 s end
-# to end (2 cores, Python 3.11), and each doubling of the dimension
-# multiplies that by 4 to 8.
+# verify-morita on k[x]/(x^6) at n = 3 (dimension 54), with the cocycle of
+# x^6 = t, takes 0.13-0.23 s end to end (medians of 5 runs in each of 6
+# sessions on a shared 2-core machine, Python 3.11), and each doubling of
+# the dimension multiplies that by 4 to 8.
 MAX_MATRIX_DIM = 64
 
 
@@ -723,16 +781,15 @@ def _halver(field):
     return lambda vec: {k: _rational(v.numerator, 2 * v.denominator) for k, v in vec.items()}
 
 
-def _hat(ctx, left_def, right_def, h_left, h_right):
-    """The deformed bimodule (P, P, Id, f_P, g_P) over (A_f, B_g), for
-    left_def = A_f and right_def = B_g the Deformations of ctx.a and
-    ctx.b along cocycles f and g proved by the caller; unchecked.  f_P
+def _hat(ctx, f, g, h_left, h_right):
+    """(f_tables, g_tables): the maps f_P and g_P of the deformed bimodule
+    (P, P, Id, f_P, g_P) over (A_f, B_g), as DeformedBimodule takes them,
+    for cocycles f on ctx.a and g on ctx.b proved by the caller.  f_P
     carries the term h_left(e_i) x of a 1-cochain on A, g_P the term x
     h_right(e_j) of one on B.  Each pairing is computed once, outside the
     loops over the basis indices it does not depend on."""
     fld = ctx.field
     halve = _halver(fld)
-    f, g = left_def.f, right_def.f
     p = ctx.p
     one = fld.one
     # <q'_l, e_i p'_l'>_B for each i of A, and <p_k e_j, q_k'>_A for each j of B
@@ -775,17 +832,17 @@ def _hat(ctx, left_def, right_def, h_left, h_right):
             _addinto(fld, acc, p.right_act(ex, hvec), one)
             cols.append(halve(acc))
         g_tables.append(_columns(cols))
-    return DeformedBimodule(left_def, right_def, p, p, _identity(p.dim, fld),
-                            f_tables, g_tables)
+    return f_tables, g_tables
 
 
 def build_hat_P(ctx, a_f, b_g, h2f):
     """The deformed bimodule P^ = (P, P, Id, f_P, g_P) over (A_f, B_g),
     for A_f and B_g the Deformations of ctx.a and ctx.b along f and g =
     phi^2(f), both proved to be cocycles by the caller, and h2f =
-    homotopy_h(ctx, f); unchecked.  It is _hat with h2f on the left and
-    no homotopy term on the right."""
-    return _hat(ctx, a_f, b_g, h2f, FullCochain(ctx.b.dim, 1, ctx.field))
+    homotopy_h(ctx, f); unchecked.  Its maps are _hat with h2f on the
+    left and no homotopy term on the right."""
+    tables = _hat(ctx, a_f.f, b_g.f, h2f, FullCochain(ctx.b.dim, 1, ctx.field))
+    return DeformedBimodule(a_f, b_g, ctx.p, ctx.p, _identity(ctx.p.dim, ctx.field), *tables)
 
 
 def build_hat_Q(ctx, a_f, b_g, h2f):
@@ -794,7 +851,8 @@ def build_hat_Q(ctx, a_f, b_g, h2f):
     swapped context with h2f on the right: by balance <p_k e_j, q_k'>_A =
     <p_k, e_j q_k'>_A, so g_Q is f_P of the swap without its h term and
     f_Q is g_P of the swap plus y h(e_i)."""
-    return _hat(ctx.swap(), b_g, a_f, FullCochain(ctx.b.dim, 1, ctx.field), h2f)
+    tables = _hat(ctx.swap(), b_g.f, a_f.f, FullCochain(ctx.b.dim, 1, ctx.field), h2f)
+    return DeformedBimodule(b_g, a_f, ctx.q, ctx.q, _identity(ctx.q.dim, ctx.field), *tables)
 
 
 def triple_violations(src, tgt, u0, u1, u2):
@@ -826,57 +884,116 @@ def triple_violations(src, tgt, u0, u1, u2):
     return out
 
 
-def _deformed_pairing(ctx, hat):
-    """The pairing w: hat P x hat Q -> A_f of the deformed context, for hat
-    the uple of P over (A_f, B_g); with ctx.swap() and hat Q it is the
-    pairing into B_g.  In hat P, x < pdim is (x, 0) and pdim + x is
-    (0, x), likewise in hat Q, and t e_r is ns + r in A_f.  For gens_b =
-    [(q_k, p_k)] and c_x = sum_k f_P(<x, q_k> (x) p_k), the lower half of
-    sum_k (<x, q_k>, 0)(p_k, 0) = (x, c_x) in hat P:
+def _deformed_pairing(ctx, f, f_tables):
+    """The t-part w of the pairing hat P x hat Q -> A_f of the deformed
+    context on the pairs ((x, 0), (y, 0)), as a table {(x, y): vector of
+    A}, for the cocycle f on ctx.a and the maps f_P of hat P (_hat); with
+    ctx.swap(), g and the maps g_Q of hat Q it is the t-part of the
+    pairing into B_g.  For gens_b =
+    [(q_k, p_k)] and c_x = sum_k f_P(<x, q_k> (x) p_k), the t-part of
+    sum_k (<x, q_k>, 0)(p_k, 0) = (x, c_x) in hat P, the deformed pairing
+    is
 
         w((x, 0), (y, 0)) = sum_k (<x, q_k>, 0)(<p_k, y>, 0) - t <c_x, y>
                           = (<x, y>, sum_k f(<x, q_k>, <p_k, y>) - <c_x, y>),
         w((0, x), (y, 0)) = w((x, 0), (0, y)) = t <x, y>,  w((0, x), (0, y)) = 0.
 
-    The plain generator lists decompose the deformed units, so none is
-    corrected.  Let v = sum_k w_B((q_k, 0), (p_k, 0)) = (1, s) in B_g.
-    Summed over gens_b, the associativity w(x^, y^) x'^ = x^ w_B(y^, x'^),
-    checked before the units, gives (x, 0) v = (x, x s) on the right (as
-    g_P(x (x) 1) = 0) and, on the left, (x, sum_lk f(<x, q_l>, H_lk) p_k)
-    for H_lk = <p_l, q_k>_A, the c terms cancelling by the recovery sum_k
-    <z, q_k> p_k = z.  With <x, q_l> = sum_m <x, q_m> H_ml, d f = 0 and
-    H^2 = H, that is sum_m <x, q_m> sum_lk f(H_ml, H_lk) p_k, and s =
-    sum_k <q_k, p_k s>_B.  So s = 0 when f vanishes on pairs of brackets,
-    and the mirror over gens_a asks the same of g on the brackets
-    <q'_j, p'_j'>_B.  In the corner context (eCe, C) of _corner_context,
-    gens_a = [(e, e)] has the one bracket e in C, and the brackets of
-    gens_b are H_lk = p_l q_k in eCe.  A matrix context is the corner of
-    M_n(A) at E_11 with the matrix units as gens_b: H_lk is 0 or 1, f(1,
-    1) = 0 as (1, 0) is the unit of A_f, and g(E_11, E_11) = <q_1, f(1,
-    1) p_1>_B = 0.  An idempotent context is the swap, so its gens_b is
-    [(e, e)] with H = (e), and it needs f(e, e) e = 0.  The unit check
-    stays exact for any other context.
-    """
+    Off ((x, 0), (y, 0)) it is the plain pairing times t, and on those
+    pairs its t^0 part is the plain pairing, so the deformed pairing is
+    the product of the deformation R_F (see verify_morita_deformed) and
+    only its t-part w is computed."""
     fld = ctx.field
     one, minus = fld.one, fld.neg(fld.one)
-    ns, pdim, qdim = ctx.a.dim, ctx.p.dim, ctx.q.dim
     out = {}
-    for x in range(pdim):
-        ex = {x: one}
-        firsts = [(ctx.pair_a(ex, qk), pk) for qk, pk in ctx.gens_b]
-        moved = {}
+    for x in range(ctx.p.dim):
+        firsts = [(ctx.pair_a({x: one}, qk), pk) for qk, pk in ctx.gens_b]
+        c_x = {}
         for a, pk in firsts:
-            _addinto(fld, moved, hat.glued.left_act(a, pk), one)
-        c_x = {r - pdim: c for r, c in moved.items() if r >= pdim}
-        for y in range(qdim):
+            for i, c in a.items():
+                _addinto(fld, c_x, map_apply(f_tables[i], pk, fld), c)
+        for y in range(ctx.q.dim):
             ey = {y: one}
-            vec = _scaled(fld, {ns + r: c for r, c in ctx.pair_a(c_x, ey).items()}, minus)
+            vec = _scaled(fld, ctx.pair_a(c_x, ey), minus)
             for a, pk in firsts:
-                _addinto(fld, vec, hat.left_def.mul(a, ctx.pair_a(pk, ey)), one)
-            out[(x, y)] = vec
-            out[(pdim + x, y)] = out[(x, qdim + y)] = \
-                {ns + r: c for r, c in ctx.pair_a(ex, ey).items()}
+                _addinto(fld, vec, f.evaluate(a, ctx.pair_a(pk, ey)), one)
+            if vec:
+                out[(x, y)] = vec
     return out
+
+
+def _by_pairs(tables, acting_left):
+    """The maps tables[i] of a list, {m: vector} each, as one table keyed
+    (i, m) for acting_left, else (m, i)."""
+    return {((i, m) if acting_left else (m, i)): vec
+            for i, tab in enumerate(tables) for m, vec in tab.items()}
+
+
+def _deformation_blocks(ctx, f, g, hat_p, hat_q):
+    """The eight blocks of the 2-cochain F on the Morita ring R of ctx
+    whose deformation R_F is the ring of the deformed context, for the
+    cocycles f on A and g on B and the maps hat_p = (f_P, g_P) and hat_q
+    = (g_Q, f_Q) of _hat, in the order of _block_table, each keyed by the
+    indices within its two factors: f (A x A), f_P (A x P), g_P (P x B), g
+    (B x B), g_Q (B x Q), f_Q (Q x A), and the t-parts of the deformed
+    pairings into A_f (P x Q) and into B_g (Q x P)."""
+    (f_p, g_p), (g_q, f_q) = hat_p, hat_q
+    return (f.table, _by_pairs(f_p, True), _by_pairs(g_p, False), g.table,
+            _by_pairs(g_q, True), _by_pairs(f_q, False),
+            _deformed_pairing(ctx, f, f_p), _deformed_pairing(ctx.swap(), g, g_q))
+
+
+def _deformation_failure(ctx, blocks):
+    """None, or the message of the first failure of the deformation R_F
+    of the Morita ring R of ctx along the 2-cochain F with the given
+    blocks (_deformation_blocks), read as the ring of the deformed
+    context over (A_f, B_g): its unit (check 2 of verify_morita_deformed),
+    its associativity (check 3), then the plain generator lists as
+    decompositions of the deformed units (check 4).  R itself is proved
+    first, by ctx.proved_ring() (check 1).  A triple is named by R's
+    labels, and a coordinate of the t-part of a deformed unit by a:t*x or
+    b:t*y."""
+    ring, factors = ctx.proved_ring()
+    fld = ctx.field
+    at_p = ctx.a.dim
+    at_q = at_p + ctx.p.dim
+    cochain = _block_table((at_p, at_q, at_q + ctx.q.dim), *blocks)
+    fmaps = {}
+    for (x, y), vec in cochain.items():
+        fmaps.setdefault(x, {})[y] = vec
+    # F(1, x) as the column x of one map, and F(x, 1) for each x
+    bad = set(_action(fmaps, ring.unit, fld))
+    bad.update(x for x, cols in fmaps.items() if map_apply(cols, ring.unit, fld))
+    if bad:
+        return "the Morita ring: unit fails on basis element %s" % ring.labels[min(bad)]
+    lmaps = {}
+    for (x, y), vec in ring.table.items():
+        lmaps.setdefault(x, {})[y] = vec
+    # the coordinates that some F(x_j, z), or some x_j z, has
+    f_image = {j: set().union(*cols.values()) for j, cols in fmaps.items()}
+    l_image = {j: set().union(*cols.values()) for j, cols in lmaps.items()}
+    one = fld.one
+    for r in factors:
+        left, f_left = lmaps.get(r, {}), fmaps.get(r, {})
+        for j in range(ring.dim):
+            # dF(r, j, .) = L_r F_j + F_r L_j - F_(x_r x_j) - L_(F(r, j)) as maps
+            # of z, each term left out when it is 0 by its supports
+            terms = []
+            if not f_image.get(j, set()).isdisjoint(left):
+                terms.append((one, map_compose(left, fmaps[j], fld)))
+            if not l_image.get(j, set()).isdisjoint(f_left):
+                terms.append((one, map_compose(f_left, lmaps[j], fld)))
+            for maps, vec in ((fmaps, ring.table.get((r, j))), (lmaps, cochain.get((r, j)))):
+                if vec:
+                    terms += [(fld.neg(c), maps[k]) for k, c in vec.items() if k in maps]
+            diff = map_combine(terms, fld) if terms else None
+            if diff:
+                return "the Morita ring is not associative at (%s, %s, %s)" % tuple(
+                    ring.labels[x] for x in (r, j, min(diff)))
+    omega_a, omega_b = blocks[6:]
+    return (_decomposition_failure(ctx, "a", lambda u, v: _bilinear(fld, omega_a, u, v), {},
+                                   ["t*" + x for x in ctx.a.labels])
+            or _decomposition_failure(ctx, "b", lambda v, u: _bilinear(fld, omega_b, v, u),
+                                      {}, ["t*" + y for y in ctx.b.labels]))
 
 
 # the 13 lines of each side of the certificate and their details on a
@@ -904,20 +1021,77 @@ def verify_morita_deformed(ctx, f):
     Returns a list of (name, passed, detail) triples: the transferred
     cocycle, the deformed bimodules hat P and hat Q, and the SIDE_LINES of
     each side.  Both sides are one context over (A_f, B_g): the glues of
-    hat P and hat Q, the pairings of _deformed_pairing and the plain
-    generator lists.  That context is checked first.  The (A, A, P),
-    (A, P, B) and (P, B, B) blocks of its ring and the ring's unit on P
-    are the bimodule axioms of the glue of hat P, the (B, B, Q),
-    (B, Q, A) and (Q, A, A) blocks and the unit on Q those of hat Q, and
-    T = Id is injective, so when the check passes both
-    deformed-*-bimodule lines pass.  Only when it raises are hat P and
-    hat Q checked on their own (DeformedBimodule.violations); if either
-    fails, the report stops after its line.  Otherwise the Morita context lemma
-    (MoritaContext._validate) makes the pairing an isomorphism of
-    A_f-bimodules W: hat P (x)_{B_g} hat Q -> A_f, and its mirror one
-    onto B_g.  If the context check raised, every side line fails with
-    its message as the witness.  Otherwise each line follows from W, on
-    the A side (the B side is the mirror, ns = dim B):
+    hat P and hat Q, the deformed pairings and the plain generator lists.
+    Its ring is the deformation R_F of the Morita ring R = [[A, P], [Q,
+    B]] along one 2-cochain F on R, the product
+
+        (r0 + r1 t)(s0 + s1 t) = r0 s0 + (r0 s1 + r1 s0 + F(r0, s0)) t
+
+    on R + R t, whose (x, 0) and (0, x) in each block are x and x t.  The
+    blocks of F (_deformation_blocks) are f and g, the maps f_P, g_P of
+    hat P and g_Q, f_Q of hat Q, and the t-parts w of the two deformed
+    pairings (_deformed_pairing): A_f, B_g, both glues with T = Id and
+    both pairings are this product block by block.  R_F is associative
+    exactly when R is and d F = 0 (Gerstenhaber, "On the deformation of
+    rings and algebras", Ann. Math. 1964): on basis elements of R the
+    associator of R_F is that of R minus (d F) t, and on a triple with a
+    factor x t it is the associator of R times t, or 0.  So the context
+    is checked by four exact checks (_deformation_failure), none of which
+    builds R_F:
+
+    1. R is unital and associative, and the generator lists decompose 1_A
+       and 1_B: the context's own check, kept on it (proved_ring).
+    2. F(1_R, x) = F(x, 1_R) = 0 for every basis element x of R.  Since
+       1_R x = x + F(1_R, x) t, x 1_R = x + F(x, 1_R) t and 1_R (x t) =
+       x t = (x t) 1_R, this is exactly that 1_R = 1_A + 1_B is the unit
+       of R_F.
+    3. d F(r, y, z) = 0 for r in R.unit_and_generators() and all basis
+       elements y, z.  This is complete by the induction of
+       FinDimAlgebra.associativity_witness applied to R_F: the set S of w
+       with (w y) z = w (y z) for all y, z is a subspace closed under w ->
+       g w for g in S; once R is associative it holds every x t, and it
+       holds r = (r, 0) exactly when d F(r, ., .) = 0.  So S holds the
+       unit vector and the generators of R, hence every word of R in
+       them, read in R_F up to an element of R t; these span R_F.
+    4. sum_j F(p'_j, q'_j) = 0 over gens_a and sum_i F(q_i, p_i) = 0 over
+       gens_b.  The sum over gens_a of the deformed pairing is (sum_j
+       <p'_j, q'_j>_A, sum_j F(p'_j, q'_j)) = (1_A, sum_j F(p'_j, q'_j))
+       by check 1, so this is exactly that the plain lists decompose the
+       unit (1_A, 0) of A_f, and the mirror for B_g.
+
+    Check 4 holds for every context the command line builds, so no
+    generator is corrected.  Let v = sum_k w_B((q_k, 0), (p_k, 0)) = (1,
+    s) in B_g.  Summed over gens_b, the associativity w(x^, y^) x'^ = x^
+    w_B(y^, x'^), proved by check 3, gives (x, 0) v = (x, x s) on the
+    right (as g_P(x (x) 1) = 0) and, on the left, (x, sum_lk f(<x, q_l>,
+    H_lk) p_k) for H_lk = <p_l, q_k>_A, the c terms of _deformed_pairing
+    cancelling by the recovery sum_k <z, q_k> p_k = z.  With <x, q_l> =
+    sum_m <x, q_m> H_ml, d f = 0 and H^2 = H, that is sum_m <x, q_m>
+    sum_lk f(H_ml, H_lk) p_k, and s = sum_k <q_k, p_k s>_B.  So s = 0 when
+    f vanishes on pairs of brackets, and the mirror over gens_a asks the
+    same of g on the brackets <q'_j, p'_j'>_B.  In the corner context
+    (eCe, C) of _corner_context, gens_a = [(e, e)] has the one bracket e
+    in C, and the brackets of gens_b are H_lk = p_l q_k in eCe.  A matrix
+    context is the corner of M_n(A) at E_11 with the matrix units as
+    gens_b: H_lk is 0 or 1, f(1, 1) = 0 by check 2, and g(E_11, E_11) =
+    <q_1, f(1, 1) p_1>_B = 0.  An idempotent context is the swap, so its
+    gens_b is [(e, e)] with H = (e), and it needs f(e, e) e = 0.  Check 4
+    stays exact for any other context.
+
+    The (A, A, P), (A, P, B) and (P, B, B) triples of R_F and its unit on
+    P are the bimodule axioms of the glue of hat P, the (B, B, Q), (B, Q,
+    A) and (Q, A, A) triples and the unit on Q those of hat Q, and T = Id
+    is injective, so when the checks pass both deformed-*-bimodule lines
+    pass.  Only when they fail are A_f, B_g, hat P and hat Q built
+    (build_hat_P, build_hat_Q) and the hats checked on their own
+    (DeformedBimodule.violations); if either fails, the report stops
+    after its line.  Otherwise every side line fails with the first
+    failure as its witness, named by R's labels, which are those of the (x, 0) in
+    the ring of the deformed context.  When the checks pass, the Morita
+    context lemma (MoritaContext._validate) makes the pairing an
+    isomorphism of A_f-bimodules W: hat P (x)_{B_g} hat Q -> A_f, and its
+    mirror one onto B_g, and each line follows from W, on the A side (the
+    B side is the mirror, ns = dim B):
 
     - tensor-dimension: the tensor has dimension dim A_f = 2 ns;
     - central-t-action: t = (0, 1) is central in A_f and W is bilinear;
@@ -940,6 +1114,7 @@ def verify_morita_deformed(ctx, f):
     _halver(ctx.field)
     if f.degree != 2 or f.dim != ctx.a.dim:
         raise InputError("expected a 2-cochain on A")
+    ctx.proved_ring()  # check 1, which an unchecked context makes here
     if not is_full_cocycle(f, ctx.a):
         raise InputError("f must be a Hochschild 2-cocycle on A")
     g = transfer_phi(ctx, f)
@@ -952,24 +1127,18 @@ def verify_morita_deformed(ctx, f):
                 ("deformed-p-bimodule", False, skipped),
                 ("deformed-q-bimodule", False, skipped)]
     checks = [("transferred-cocycle", True, "phi^2(f) is a 2-cocycle on B")]
-    # d f = 0 and d g = 0 were proved above
-    s_def = Deformation(ctx.a, f)
-    t_def = Deformation(ctx.b, g)
     h2f = homotopy_h(ctx, f)
-    hat_p = build_hat_P(ctx, s_def, t_def, h2f)
-    hat_q = build_hat_Q(ctx, s_def, t_def, h2f)
-    deformed = MoritaContext(s_def, t_def, hat_p.glued, hat_q.glued,
-                             _deformed_pairing(ctx, hat_p),
-                             _deformed_pairing(ctx.swap(), hat_q),
-                             ctx.gens_a, ctx.gens_b, check=False)
-    try:
-        deformed._validate()
-        witness = None
-    except InputError as exc:
-        witness = str(exc)
+    none = FullCochain(ctx.b.dim, 1, ctx.field)
+    witness = _deformation_failure(ctx, _deformation_blocks(
+        ctx, f, g, _hat(ctx, f, g, h2f, none), _hat(ctx.swap(), g, f, none, h2f)))
+    hat_p = hat_q = None
+    if witness:
+        # d f = 0 and d g = 0 were proved above
+        a_f, b_g = Deformation(ctx.a, f), Deformation(ctx.b, g)
+        hat_p, hat_q = build_hat_P(ctx, a_f, b_g, h2f), build_hat_Q(ctx, a_f, b_g, h2f)
     for name, label, hat in (("deformed-p-bimodule", "hat P", hat_p),
                              ("deformed-q-bimodule", "hat Q", hat_q)):
-        bad = hat.violations() if witness else []
+        bad = hat.violations() if hat else []
         checks.append((name, not bad,
                        bad[0] if bad else label + " satisfies all bimodule conditions"))
     if not all(ok for _, ok, _ in checks):

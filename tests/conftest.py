@@ -85,8 +85,8 @@ KIND_OF_BLOCKS = {blocks: kind for kind, blocks in RING_BLOCKS.items()}
 RING_MESSAGES = (
     (r"the %s ring is not associative at \((.+), (.+), (.+)\)$", "ring"),
     (r"the %s ring: unit fails on basis element (.+)$", "unit"),
-    (r"gens_a do not decompose 1_A$", "unit A"),
-    (r"gens_b do not decompose 1_B$", "unit B"),
+    (r"gens_a do not decompose 1_A at (a:.+)$", "unit A"),
+    (r"gens_b do not decompose 1_B at (b:.+)$", "unit B"),
 )
 
 # A ring of block_ring as the oracles see it: its name in messages
@@ -140,7 +140,8 @@ def ring_witness(message, blocks, defects):
     """The oracle defect (kind, index tuple) that a ring message names,
     asserted to be among the oracle's defects: for a triple of the ring,
     the kind of its blocks; for a unit failure of the ring, the first
-    unit defect of P or Q at that basis element."""
+    unit defect of P or Q at that basis element; for a generator list,
+    the coordinate where its sum first differs from the unit."""
     for pattern, kind in RING_MESSAGES:
         hit = re.match(pattern.replace("%s", blocks.name), message)
         if not hit:
@@ -154,7 +155,7 @@ def ring_witness(message, blocks, defects):
             witness = next((d for d in defects if d[1] == (i,)
                             and d[0] in (block + " left unit", block + " right unit")), None)
         else:
-            witness = (kind, ())
+            witness = (kind, (ring_element(blocks, hit.group(1))[1],))
         assert witness in defects, (message, defects)
         return witness
     raise AssertionError("unparsed %s ring error: %s" % (blocks.name, message))

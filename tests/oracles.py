@@ -23,7 +23,8 @@ action tables; the glue of an uple is written out coordinate by
 coordinate, and a map between glues is tested on every basis element.
 The ring [[A, P], [Q, B]] of a context, or [[A, M], [0, B]] of a
 bimodule, is written out from its matrix product on every pair of basis
-elements.  M_n(A) is multiplied out as n x n matrices over A, the corner
+elements, and the ring of a deformed context from the doubled algebras,
+the glues of its uples and its pairings written out in full.  M_n(A) is multiplied out as n x n matrices over A, the corner
 eCe with eC and Ce is read off the basis elements that e fixes, for e a
 sum of basis elements such as vertex idempotents, and a unit is
 decomposed through the greedy independent brackets by dense elimination.  The axioms of a Morita context are evaluated on every basis
@@ -661,6 +662,42 @@ def brute_block_ring(alg_a, alg_b, p, q, pairing_a, pairing_b, field):
     return sum(sizes), table, unit
 
 
+def brute_deformed_block_ring(alg_a, alg_b, p, q, pairing_a, pairing_b, blocks, field):
+    """The raw ring [[A_f, hat P], [hat Q, B_g]] of a deformed context,
+    for the raw algebras, bimodules and pairings of a plain context as in
+    brute_block_ring and the eight blocks (f, f_P, g_P, g, g_Q, f_Q, w_A,
+    w_B) of a 2-cochain on its ring, each keyed by the indices within its
+    two factors: A_f and B_g and the glues of the uples (P, P, Id, f_P,
+    g_P) and (Q, Q, Id, g_Q, f_Q) are written out by brute_uple_glue, and
+    the pairing of hat P and hat Q into A_f coordinate by coordinate,
+
+        w((x, 0), (y, 0)) = (<x, y>_A, w_A(x, y)),
+        w((0, x), (y, 0)) = w((x, 0), (0, y)) = (0, <x, y>_A),
+        w((0, x), (0, y)) = 0,
+
+    and the one into B_g from <., .>_B and w_B; then brute_block_ring."""
+    f, f_p, g_p, g, g_q, f_q, w_a, w_b = blocks
+    one = field.one
+
+    def doubled(pairing, w, ns, rows, cols):
+        out = {}
+        for x, y in product(range(rows), range(cols)):
+            plain = pairing.get((x, y), {})
+            out[(x, y)] = {**plain, **{ns + k: c for k, c in w.get((x, y), {}).items()}}
+            out[(rows + x, y)] = out[(x, cols + y)] = {ns + k: c for k, c in plain.items()}
+        return out
+
+    glues = []
+    for left, right, m, f_m, g_m, first, second in ((alg_a, alg_b, p, f_p, g_p, f, g),
+                                                     (alg_b, alg_a, q, g_q, f_q, g, f)):
+        ident = {k: {k: one} for k in range(m[0])}
+        glues.append(brute_uple_glue(left, right, first, second, m, m, ident, f_m, g_m, field))
+    (a_f, b_g, dp, pl, pr), (_, _, dq, ql, qr) = glues
+    return brute_block_ring(a_f, b_g, (dp, pl, pr), (dq, ql, qr),
+                            doubled(pairing_a, w_a, alg_a[0], p[0], q[0]),
+                            doubled(pairing_b, w_b, alg_b[0], q[0], p[0]), field)
+
+
 def brute_matrix_algebra(alg, labels, n, field):
     """M_n(A) from its definition, for the raw algebra alg = (dim, table,
     unit) with basis labels: an element is an n x n matrix of coordinate
@@ -1003,8 +1040,8 @@ def brute_context_defects(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens
         ("q.a,p", (j, t, i))    <q_j x_t, p_i>_B != <q_j, x_t p_i>_B
         ("pqp", (i, j, k))      <p_i, q_j>_A p_k != p_i <q_j, p_k>_B
         ("qpq", (j, i, k))      <q_j, p_i>_B q_k != q_j <p_i, q_k>_A
-        ("unit A", ())          sum <p', q'>_A != 1_A
-        ("unit B", ())          sum <q, p>_B != 1_B
+        ("unit A", (t,))        sum <p', q'>_A != 1_A, first at coordinate t
+        ("unit B", (s,))        sum <q, p>_B != 1_B, first at coordinate s
 
     with x_t, y_s, p_i, q_j basis elements of A, B, P and Q."""
     (da, ta, ua), (db, tb, ub) = alg_a, alg_b
@@ -1045,10 +1082,12 @@ def brute_context_defects(alg_a, alg_b, p, q, pairing_a, pairing_b, gens_a, gens
     for j, i, k in product(range(dq), range(dp), range(dq)):
         if _act(ql, field, pb(e(j), e(i)), e(k)) != _act(qr, field, e(j), pa(e(i), e(k))):
             out.append(("qpq", (j, i, k)))
-    if _combo(field, *[(one, pa(x, y)) for x, y in gens_a]) != _combo(field, (one, ua)):
-        out.append(("unit A", ()))
-    if _combo(field, *[(one, pb(y, x)) for y, x in gens_b]) != _combo(field, (one, ub)):
-        out.append(("unit B", ()))
+    minus = field.neg(one)
+    for kind, pairs, unit in (("unit A", [pa(x, y) for x, y in gens_a], ua),
+                              ("unit B", [pb(y, x) for y, x in gens_b], ub)):
+        diff = _combo(field, (minus, unit), *[(one, vec) for vec in pairs])
+        if diff:
+            out.append((kind, (min(diff),)))
     return out
 
 

@@ -1157,21 +1157,37 @@ def in_fresh_process(code, *flags):
 START_UP_IMPORTS = ("argparse", "gettext", "locale", "fractions", "decimal")
 
 
-def test_integer_jobs_import_neither_argparse_nor_fractions():
+# k[x]/(x^3) with the cocycle of x^3 = t scaled by 2
+TRUNC3_DOUBLED = """field Q
+vertex 1
+arrow x : 1 -> 1
+relation x*x*x
+cocycle f(x, x*x) = 2*e(1)
+cocycle f(x*x, x) = 2*e(1)
+cocycle f(x*x, x*x) = 2*x
+"""
+
+
+def test_integer_jobs_import_neither_argparse_nor_fractions(tmp_path):
     # a job whose scalars stay integers pays for no parser library and no
     # rational arithmetic; verify-morita halves its sums exactly, so an
-    # even integer stays an int
+    # even integer stays an int, and checks the deformed context without
+    # a greedy span over its doubled ring, which would divide
+    trunc3 = tmp_path / "trunc3.alg"
+    trunc3.write_text(TRUNC3_DOUBLED, encoding="utf-8")
     code = ("import sys\n"
             "from quivdeform import cli\n"
             "for command in ('basis', 'verify-deform'):\n"
             "    assert cli.run([command, %r]) == 0\n"
-            "assert cli.run(['verify-morita', %r, '--matrix', '2']) == 0\n"
+            "for path in (%r, %r):\n"
+            "    assert cli.run(['verify-morita', path, '--matrix', '2']) == 0\n"
             "print(sorted(set(%r) & set(sys.modules)))\n"
-            % (data_path("two_cycle.alg"), data_path("dual_numbers.alg"), START_UP_IMPORTS))
+            % (data_path("two_cycle.alg"), data_path("dual_numbers.alg"), str(trunc3),
+               START_UP_IMPORTS))
     code_, out, err = in_fresh_process(code)
     assert (code_, err) == (0, "")
     assert out.splitlines()[0] == "dim A = 5"
-    assert out.endswith(verify_morita_golden(2, 8) + "[]\n")
+    assert out.endswith(verify_morita_golden(2, 8) + verify_morita_golden(3, 12) + "[]\n")
 
 
 def test_job_with_a_fraction_loads_fractions_and_prints_the_same():

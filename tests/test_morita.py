@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import pytest
 
@@ -25,10 +25,11 @@ from quivdeform.quiver import compute_basis
 
 from conftest import (assert_ring_message, bimodule_blocks, block_starts, context_blocks,
                       data_path, identity_context, raw_algebra, raw_bimodule, ring_witness)
-from oracles import (brute_associativity_defect, brute_bimodule_defects,
+from oracles import (_act, brute_associativity_defect, brute_associator, brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
                      brute_context_defects, brute_generator_associativity_defect,
-                     brute_corner, brute_generated_dimension, brute_greedy_decomposition,
+                     brute_corner, brute_deformed_block_ring, brute_generated_dimension,
+                     brute_greedy_decomposition,
                      brute_greedy_generators, brute_hat_tables, brute_homotopy,
                      brute_matrix_algebra, brute_transfer, brute_uple_defects,
                      brute_uple_glue)
@@ -547,10 +548,15 @@ def hat_cases(fld):
 
 
 @pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
-def test_hat_tables_match_their_defining_sums(fld):
+def test_hat_tables_match_their_defining_sums(fld, monkeypatch):
     # every entry of f_P, g_P, g_Q and f_Q is the dense oracle's sum, the
-    # terms of h^2(f) included; over Q the halving keeps an integer an int
-    homotopies = []
+    # terms of h^2(f) included, and the certificate checks the 2-cochain F
+    # read off exactly these maps; over Q the halving keeps an integer an
+    # int
+    homotopies, checked = [], []
+    real = morita._deformation_failure
+    monkeypatch.setattr(morita, "_deformation_failure",
+                        lambda ctx, blocks: checked.append(blocks) or real(ctx, blocks))
     for name, ctx, f in hat_cases(fld):
         a_f, b_g = deformed_pair(ctx, f)
         h2f = homotopy_h(ctx, f)
@@ -568,6 +574,11 @@ def test_hat_tables_match_their_defining_sums(fld):
         assert all(any(part.values()) for part in want), name
         scalars = [c for part in got for vec in part.values() for c in vec.values()]
         assert all(type(c) is int or c.denominator != 1 for c in scalars), name
+        checked.clear()
+        verify_morita_deformed(ctx, f)
+        assert checked == [morita._deformation_blocks(
+            ctx, f, b_g.f, (hat_p.f_tables, hat_p.g_tables),
+            (hat_q.f_tables, hat_q.g_tables))], name
     assert not all(h2f.is_zero() for h2f in homotopies)
 
 
@@ -1070,9 +1081,18 @@ def test_context_checks_agree_with_the_oracle(dual_numbers, two_cycle, lambda_m2
                                ctx.gens_a, ctx.gens_b)
     assert not context_verdict(ctx, ctx.pairing_a, weighted(ctx.pairing_b, 0),
                                ctx.gens_a, ctx.gens_b)
-    # one of the two generator pairs of B left out: only 1_B is missed
+    # one of the two generator pairs of B left out: only 1_B is missed,
+    # first at E22; gens_a with its bracket doubled misses 1_A at e(1)
     assert context_defects(ctx) == []
     assert not context_verdict(ctx, ctx.pairing_a, ctx.pairing_b, ctx.gens_a, ctx.gens_b[:1])
+    doubled_a = [(u, {r: ctx.field.mul(two, c) for r, c in v.items()}) for u, v in ctx.gens_a]
+    assert not context_verdict(ctx, ctx.pairing_a, ctx.pairing_b, doubled_a, ctx.gens_b)
+    for gens_a, gens_b, message in (
+            (ctx.gens_a, ctx.gens_b[:1], "gens_b do not decompose 1_B at b:E22*e(1)"),
+            (doubled_a, ctx.gens_b, "gens_a do not decompose 1_A at a:e(1)")):
+        with pytest.raises(InputError) as caught:
+            MoritaContext(ctx.a, ctx.b, ctx.p, ctx.q, ctx.pairing_a, ctx.pairing_b, gens_a, gens_b)
+        assert str(caught.value) == message
     # on A = the two-cycle algebra against itself, <q, p>_B = q e p with e
     # the idempotent of vertex 1 is B-linear on both sides and breaks only
     # <q.a, p> = <q, a.p>; <p, q>_A = p e q breaks only <p.b, q> = <p, b.q>
@@ -1222,8 +1242,8 @@ def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambd
                                                   monkeypatch):
     # the bijections onto A and B follow from the checked axioms, so a
     # checked context builds no balanced product, and neither does the
-    # certificate: its two sides are one context over (A_f, B_g), whose
-    # axioms are checked once
+    # certificate: its two sides are one deformation of the context's own
+    # ring, checked without building a context, a ring or a Deformation
     built = []
 
     class Counted(TensorProduct):
@@ -1238,13 +1258,28 @@ def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambd
     corner_context(lambda_m2)
     idempotent_context(two_cycle[1], dict(two_cycle[1].unit))
     assert built == []
-    ctx = matrix_context(basis, 2)
-    report, validated = certify(ctx, golden_cochain(dual_numbers), monkeypatch)
-    assert all_pass(report) == [] and built == []
-    assert len(validated) == 1
-    deformed = validated[0]
-    assert isinstance(deformed.a, Deformation) and deformed.a.base is ctx.a
-    assert isinstance(deformed.b, Deformation) and deformed.b.base is ctx.b
+    deformations, rings = [], []
+    real_deformation, real_block_ring = morita.Deformation, morita.block_ring
+    monkeypatch.setattr(morita, "Deformation",
+                        lambda *args: deformations.append(args) or real_deformation(*args))
+    monkeypatch.setattr(morita, "block_ring",
+                        lambda *args: rings.append(args) or real_block_ring(*args))
+    for fixture, ctx, built_rings in (
+            (dual_numbers, matrix_context(basis, 2), 0),
+            (two_cycle, idempotent_context(two_cycle[1], dict(two_cycle[1].unit)), 1)):
+        rings.clear()
+        report, validated = certify(ctx, golden_cochain(fixture), monkeypatch)
+        assert all_pass(report) == [] and built == []
+        assert validated == [] and deformations == []
+        # a matrix context keeps the ring it checked; the swap of a checked
+        # corner builds its own ring once and reads its factors off its
+        # mirror: the support of the unit and a generating set
+        ring, factors = ctx.proved_ring()
+        assert len(rings) == built_rings
+        raw = context_blocks(ctx).raw
+        assert (ring.dim, ring.table, ring.unit) == raw
+        assert set(ring.unit) <= set(factors)
+        assert brute_generated_dimension(raw, factors, ctx.field) == ring.dim
     # the counter sees a construction through the module
     morita.TensorProduct(ctx.p, ctx.q)
     assert built == [1]
@@ -1296,24 +1331,42 @@ def deformed_cases(fld):
 
 @pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
 def test_deformed_context_passes_the_oracles(fld, monkeypatch):
-    # the one context the certificate checks, read as raw tables: A_f,
-    # B_g, the glues of hat P and hat Q, both pairings and the generators;
-    # the oracles find no failing axiom on any basis tuple, and both
-    # balanced products, built densely on all basis triples, map
-    # bijectively onto A_f and B_g
+    # the context over (A_f, B_g) whose ring the certificate checks as a
+    # deformation of the plain ring, written out as raw tables: A_f, B_g,
+    # the glues of hat P and hat Q, both pairings and the generators; the
+    # oracles find no failing axiom on any basis tuple, and both balanced
+    # products, built densely on all basis triples, map bijectively onto
+    # A_f and B_g; the certificate checks no context of its own
     for name, ctx, f in deformed_cases(fld):
         report, validated = certify(ctx, f, monkeypatch)
         assert all_pass(report) == [], name
-        assert len(validated) == 1, name
-        assert context_oracles(validated[0]) == ([], []), name
+        assert validated == [], name
+        assert context_oracles(deformed_context(ctx, f)) == ([], []), name
+
+
+def planted_pairing(monkeypatch, base, change):
+    """Make morita._deformed_pairing return change(ctx, w) for the t-part
+    w of a deformed pairing, the same table for each side every time it
+    is called, for the rest of the test."""
+    real = morita._deformed_pairing
+    cache = {}
+
+    def variant(ctx, f, f_tables):
+        side = ctx.a is base.a
+        if side not in cache:
+            cache[side] = change(ctx, real(ctx, f, f_tables))
+        return cache[side]
+
+    monkeypatch.setattr(morita, "_deformed_pairing", variant)
 
 
 def test_broken_deformed_contexts_fail_every_side_line(dual_numbers, lambda_m2,
                                                        monkeypatch):
-    # omega doubled, or one entry of the pairing into B_g moved by a basis
-    # vector: the oracle finds a failing axiom, and every side line of the
-    # certificate fails with the context's message, which names the first
-    # tuple of the ring's check order that the oracle flags
+    # the t-part w of both deformed pairings doubled, or one entry of the
+    # t-part of the pairing into B_g moved by a basis vector: the oracle
+    # finds a failing axiom of the deformed context, and every side line
+    # of the certificate fails with one message, the first failure of the
+    # certificate's check order that the oracles find
     rng = random.Random(47)
     real = morita._deformed_pairing
     corner_alg, corner = corner_context(lambda_m2)
@@ -1324,47 +1377,66 @@ def test_broken_deformed_contexts_fail_every_side_line(dual_numbers, lambda_m2,
         fld = base.field
         two = fld.from_int(2)
 
-        def omega_doubled(ctx, hat):
-            out = real(ctx, hat)
-            for (x, y), vec in out.items():
-                if x < ctx.p.dim and y < ctx.q.dim:
-                    out[(x, y)] = {r: (fld.mul(two, c) if r >= ctx.a.dim else c)
-                                   for r, c in vec.items()}
-            return out
+        def omega_doubled(ctx, w):
+            return {k: {r: fld.mul(two, c) for r, c in vec.items()} for k, vec in w.items()}
 
-        def moved_on_b(ctx, hat):
-            out = real(ctx, hat)
+        def moved_on_b(ctx, w):
             if ctx.a is base.b:
-                key = (rng.randrange(2 * ctx.p.dim), rng.randrange(2 * ctx.q.dim))
-                out[key] = vector_plus(fld, out.get(key, {}), rng.randrange(2 * ctx.a.dim))
-            return out
+                key = (rng.randrange(ctx.p.dim), rng.randrange(ctx.q.dim))
+                w[key] = vector_plus(fld, w.get(key, {}), rng.randrange(ctx.a.dim))
+            return w
 
-        for variant in (omega_doubled, moved_on_b, moved_on_b):
-            monkeypatch.setattr(morita, "_deformed_pairing", variant)
+        for change in (omega_doubled, moved_on_b, moved_on_b):
+            planted_pairing(monkeypatch, base, change)
             report, validated = certify(base, f, monkeypatch)
+            assert validated == []
             assert [ok for _, ok, _ in report[:3]] == [True] * 3
             sides = report[3:]
             assert len(sides) == 2 * len(SIDE_LINES)
             assert not any(ok for _, ok, _ in sides)
             witnesses = {detail for _, _, detail in sides}
             assert len(witnesses) == 1
-            defects, _ = context_oracles(validated[0])
+            dctx = deformed_context(base, f)
+            defects, _ = context_oracles(dctx)
             assert defects
-            assert_ring_message(witnesses.pop(), context_blocks(validated[0]), defects)
+            message = witnesses.pop()
+            assert ring_witness(message, context_blocks(dctx), defects)
+            assert message == first_deformation_failure(base, context_blocks(dctx).raw,
+                                                        checked_factors(base))
     monkeypatch.setattr(morita, "_deformed_pairing", real)
 
 
+def full_pairing(ctx, w):
+    """The deformed pairing of hat P and hat Q into A_f with t-part w on
+    the pairs ((x, 0), (y, 0)) (morita._deformed_pairing), written out:
+
+        w((x, 0), (y, 0)) = (<x, y>, w(x, y)),
+        w((0, x), (y, 0)) = w((x, 0), (0, y)) = (0, <x, y>),  w((0, x), (0, y)) = 0;
+
+    with ctx.swap() and the t-part of the other side, the pairing into
+    B_g."""
+    ns, pdim, qdim = ctx.a.dim, ctx.p.dim, ctx.q.dim
+    out = {}
+    for x in range(pdim):
+        for y in range(qdim):
+            plain = ctx.pairing_a.get((x, y), {})
+            out[(x, y)] = {**plain, **{ns + r: c for r, c in w.get((x, y), {}).items()}}
+            out[(pdim + x, y)] = out[(x, qdim + y)] = {ns + r: c for r, c in plain.items()}
+    return out
+
+
 def deformed_context(ctx, f, g=None):
-    """The context over (A_f, B_g) that verify_morita_deformed checks,
-    unchecked, with g = phi^2(f) unless given."""
+    """The context over (A_f, B_g) whose ring the certificate checks as
+    the deformation of the ring of ctx, unchecked, with g = phi^2(f)
+    unless given: the glues of hat P and hat Q and the full pairings."""
     a_f, b_g = deformed_pair(ctx, f, g)
     h2f = homotopy_h(ctx, f)
     hat_p = build_hat_P(ctx, a_f, b_g, h2f)
     hat_q = build_hat_Q(ctx, a_f, b_g, h2f)
-    return MoritaContext(a_f, b_g, hat_p.glued, hat_q.glued,
-                         morita._deformed_pairing(ctx, hat_p),
-                         morita._deformed_pairing(ctx.swap(), hat_q),
-                         ctx.gens_a, ctx.gens_b, check=False)
+    w_a = morita._deformed_pairing(ctx, a_f.f, hat_p.f_tables)
+    w_b = morita._deformed_pairing(ctx.swap(), b_g.f, hat_q.f_tables)
+    return MoritaContext(a_f, b_g, hat_p.glued, hat_q.glued, full_pairing(ctx, w_a),
+                         full_pairing(ctx.swap(), w_b), ctx.gens_a, ctx.gens_b, check=False)
 
 
 def test_deformed_context_over_doubled_transfer_is_refused(dual_numbers, monkeypatch):
@@ -1415,8 +1487,9 @@ def test_deformed_context_check_agrees_with_the_oracle(dual_numbers, two_cycle, 
 
 def test_certificate_checks_the_hats_only_when_the_ring_fails(dual_numbers, monkeypatch):
     # a passing certificate reads both deformed-bimodule lines off the
-    # ring check and runs neither hat check; a context whose ring fails
-    # runs both, and the report reads as before
+    # check of the deformed ring and runs neither hat check; one whose
+    # ring fails, here at a t-part of the pairing, runs both, and the
+    # report reads as before
     calls = []
     real = DeformedBimodule.violations
 
@@ -1432,14 +1505,8 @@ def test_certificate_checks_the_hats_only_when_the_ring_fails(dual_numbers, monk
     assert report[1:3] == [
         ("deformed-p-bimodule", True, "hat P satisfies all bimodule conditions"),
         ("deformed-q-bimodule", True, "hat Q satisfies all bimodule conditions")]
-    pairing = morita._deformed_pairing
-
-    def shifted(c, hat):
-        out = pairing(c, hat)
-        out[(0, 0)] = vector_plus(c.field, out.get((0, 0), {}), 0)
-        return out
-
-    monkeypatch.setattr(morita, "_deformed_pairing", shifted)
+    planted_pairing(monkeypatch, ctx, lambda c, w: {
+        **w, (0, 0): vector_plus(c.field, w.get((0, 0), {}), 0)})
     report = verify_morita_deformed(ctx, f)
     assert [hat.left_alg for hat in calls] == [ctx.a, ctx.b]
     assert report[1:3] == [
@@ -1448,6 +1515,241 @@ def test_certificate_checks_the_hats_only_when_the_ring_fails(dual_numbers, monk
     assert len(report) == 3 + 2 * len(SIDE_LINES)
     assert all_pass(report) == [prefix + name for prefix in ("A-side:", "B-side:")
                                 for name, _ in SIDE_LINES]
+
+
+def checked_factors(ctx):
+    """The left factors of ctx.proved_ring(), asserted to hold the support
+    of the unit and to generate the ring (brute_generated_dimension), and
+    to be the support of the unit and the greedy generators
+    (brute_greedy_generators) unless ctx read them off its mirror, as the
+    swap of a checked context does."""
+    raw = context_blocks(ctx).raw
+    _, factors = ctx.proved_ring()
+    assert set(raw[2]) <= set(factors) and factors == sorted(set(factors))
+    assert brute_generated_dimension(raw, factors, ctx.field) == raw[0]
+    if ctx.swap()._proved is None:
+        assert factors == sorted(set(raw[2]) | set(brute_greedy_generators(*raw, ctx.field)))
+    return factors
+
+
+def first_deformation_failure(ctx, raw, factors):
+    """The message that the certificate's check of its deformed ring gives
+    for raw, the oracle's ring of a deformed context over ctx, in the
+    order of its checks: the first basis element x of the ring R of ctx
+    whose (x, 0) fails the unit; else the first triple of R with its
+    first entry among the left factors of R (checked_factors), whose (x,
+    0) have a nonzero associator; else the first coordinate where the sum
+    of the pairing over gens_a, then over gens_b, misses the unit of A_f
+    or of B_g; else None."""
+    dim, table, unit = raw
+    fld, one = ctx.field, ctx.field.one
+    sizes = (ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim)
+    starts = [sum(sizes[:k]) for k in range(4)]
+
+    def doubled(i):
+        """The index in raw of (x_i, 0) for a basis index i of R."""
+        k = max(k for k in range(4) if starts[k] <= i and sizes[k])
+        return 2 * starts[k] + i - starts[k]
+
+    labels = (["a:" + x for x in ctx.a.labels] + ["p%d" % m for m in range(ctx.p.dim)]
+              + ["q%d" % m for m in range(ctx.q.dim)] + ["b:" + y for y in ctx.b.labels])
+    n = sum(sizes)
+    for i in range(n):
+        e = {doubled(i): one}
+        if _act(table, fld, unit, e) != e or _act(table, fld, e, unit) != e:
+            return "the Morita ring: unit fails on basis element %s" % labels[i]
+    for r in factors:
+        for j, k in product(range(n), repeat=2):
+            if brute_associator(table, fld, doubled(r), doubled(j), doubled(k)):
+                return "the Morita ring is not associative at (%s, %s, %s)" % (
+                    labels[r], labels[j], labels[k])
+    for side, gens, at, alg, first, second in (
+            ("a", ctx.gens_a, 0, ctx.a, starts[1], starts[2]),
+            ("b", ctx.gens_b, 2 * starts[3], ctx.b, starts[2], starts[1])):
+        total = {k - at: fld.neg(c) for k, c in unit.items() if at <= k < at + 2 * alg.dim}
+        for u, v in gens:
+            x = {doubled(first + m): c for m, c in u.items()}
+            y = {doubled(second + m): c for m, c in v.items()}
+            for k, c in _act(table, fld, x, y).items():
+                total[k - at] = fld.add(total.get(k - at, fld.zero), c)
+        total = {k: c for k, c in total.items() if c != fld.zero}
+        if total:
+            k = min(total)
+            name = alg.labels[k] if k < alg.dim else "t*" + alg.labels[k - alg.dim]
+            return "gens_%s do not decompose 1_%s at %s:%s" % (side, side.upper(), side, name)
+    return None
+
+
+# the blocks of F in the order of morita._block_table: (left factor,
+# right factor, block of the value)
+F_BLOCKS = ("AAA", "APP", "PBP", "BBB", "BQQ", "QAQ", "PQA", "QPB")
+
+
+def add_on_ring(ctx, blocks, cochain):
+    """blocks with the 2-cochain cochain {(x, y): vector} on the Morita
+    ring of ctx added, each entry in the block of its two factors."""
+    sizes = dict(zip("APQB", (ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim)))
+    starts = dict(zip("APQB", accumulate((0, sizes["A"], sizes["P"], sizes["Q"]))))
+
+    def local(i):
+        return next((b, i - starts[b]) for b in "BQPA" if starts[b] <= i and sizes[b])
+
+    out = [{k: dict(v) for k, v in block.items()} for block in blocks]
+    for (x, y), vec in cochain.items():
+        (bx, x0), (by, y0) = local(x), local(y)
+        k = [b[:2] for b in F_BLOCKS].index(bx + by)
+        entry = out[k].setdefault((x0, y0), {})
+        for i, c in vec.items():
+            bi, i0 = local(i)
+            assert bi == F_BLOCKS[k][2], (x, y, i)
+            entry[i0] = ctx.field.add(entry.get(i0, ctx.field.zero), c)
+        out[k][(x0, y0)] = {i: c for i, c in entry.items() if c != ctx.field.zero}
+    return tuple(out)
+
+
+def coboundary_on_ring(ctx, raw, c):
+    """d c(x, y) = x c(y) - c(x y) + c(x) y on the Morita ring of ctx, the
+    oracle's raw ring raw, for a 1-cochain c given as {basis index:
+    vector} on it."""
+    dim, table, _ = raw
+    fld = ctx.field
+    out = {}
+    for x, y in product(range(dim), repeat=2):
+        ex, ey = {x: fld.one}, {y: fld.one}
+        cy, cx = c.get(y, {}), c.get(x, {})
+        c_xy = {}
+        for k, v in _act(table, fld, ex, ey).items():
+            for m, w in c.get(k, {}).items():
+                c_xy[m] = fld.add(c_xy.get(m, fld.zero), fld.mul(v, w))
+        value = {}
+        for vec, sign in ((_act(table, fld, ex, cy), fld.one), (c_xy, fld.neg(fld.one)),
+                          (_act(table, fld, cx, ey), fld.one)):
+            for k, v in vec.items():
+                value[k] = fld.add(value.get(k, fld.zero), fld.mul(sign, v))
+        value = {k: v for k, v in value.items() if v != fld.zero}
+        if value:
+            out[(x, y)] = value
+    return out
+
+
+def deformation_plantings(ctx, blocks, rng):
+    """(what, blocks) with one defect planted: a basis vector added to one
+    entry of each of the eight blocks, one entry F(u, p) for u in the
+    support of 1_A, and the coboundaries d c of 1-cochains c that keep
+    F(1, -) = 0 and d F = 0 but move a generator sum: c the identity on
+    P, which moves the sum over gens_a by 1_A, and c a coordinate
+    projection of P or Q under which that sum stays and the one over
+    gens_b moves, when there is one."""
+    sizes = dict(zip("APQB", (ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim)))
+    out = []
+    for k, (x, y, z) in enumerate(F_BLOCKS):
+        key = (rng.randrange(sizes[x]), rng.randrange(sizes[y]))
+        planted = list(blocks)
+        planted[k] = {**blocks[k], key: vector_plus(ctx.field, blocks[k].get(key, {}),
+                                                    rng.randrange(sizes[z]))}
+        out.append(("block " + x + y, tuple(planted)))
+    key = (min(ctx.a.unit), rng.randrange(sizes["P"]))
+    planted = list(blocks)
+    planted[1] = {**blocks[1], key: vector_plus(ctx.field, blocks[1].get(key, {}), 0)}
+    out.append(("unit", tuple(planted)))
+    fld, one = ctx.field, ctx.field.one
+    at_p, at_q = sizes["A"], sizes["A"] + sizes["P"]
+    raw = context_blocks(ctx).raw
+    identity_p = {at_p + m: {at_p + m: one} for m in range(sizes["P"])}
+    out.append(("sum A", add_on_ring(ctx, blocks, coboundary_on_ring(ctx, raw, identity_p))))
+
+    def moved_sum(delta, gens, first, second):
+        """The sum of delta(u, v) over the pairs (u, v) of gens, u and v
+        read in the blocks that start at first and second."""
+        total = {}
+        for u, v in gens:
+            x = {first + k: a for k, a in u.items()}
+            y = {second + k: a for k, a in v.items()}
+            for k, a in _act(delta, fld, x, y).items():
+                total[k] = fld.add(total.get(k, fld.zero), a)
+        return {k: a for k, a in total.items() if a != fld.zero}
+
+    for at, block in ((at_p, "P"), (at_q, "Q")):
+        for m in range(sizes[block]):
+            delta = coboundary_on_ring(ctx, raw, {at + m: {at + m: one}})
+            if not moved_sum(delta, ctx.gens_a, at_p, at_q) and moved_sum(delta, ctx.gens_b,
+                                                                        at_q, at_p):
+                return out + [("sum B", add_on_ring(ctx, blocks, delta))]
+    return out
+
+
+FAILURE_KINDS = ("the Morita ring: unit fails", "the Morita ring is not associative",
+                 "gens_a do not decompose 1_A", "gens_b do not decompose 1_B")
+CERTIFICATE_CASES = ("dual_numbers", "two_cycle", "triangle", "quantum_plane",
+                     "dual_numbers M_2", "lambda_m2 corner")
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_deformed_ring_check_matches_the_doubled_ring_oracle(fld):
+    # the check of the deformed context as the deformation R_F of the
+    # plain ring, against the oracle's ring of that context, written out
+    # from the glues of hat P and hat Q and the full pairings: on each
+    # case of certificate_cases and with one defect planted in each block
+    # of F, in the unit and in each generator sum, it passes exactly when
+    # the doubled ring is unital and associative and the plain generator
+    # lists decompose its units, and its message is the oracle's first
+    # failure in the check order (first_deformation_failure)
+    rng = random.Random(61)
+    kinds = set()
+    for name, ctx, f in deformed_cases(fld):
+        if name not in CERTIFICATE_CASES:
+            continue
+        h2f, (a_f, b_g) = homotopy_h(ctx, f), deformed_pair(ctx, f)
+        hat_p, hat_q = (build(ctx, a_f, b_g, h2f) for build in (build_hat_P, build_hat_Q))
+        blocks = morita._deformation_blocks(ctx, a_f.f, b_g.f,
+                                            (hat_p.f_tables, hat_p.g_tables),
+                                            (hat_q.f_tables, hat_q.g_tables))
+        factors = checked_factors(ctx)
+        for what, planted in [("none", blocks)] + deformation_plantings(ctx, blocks, rng):
+            message = morita._deformation_failure(ctx, planted)
+            raw = brute_deformed_block_ring(raw_algebra(ctx.a), raw_algebra(ctx.b),
+                                            *raw_context(ctx), planted, fld)
+            expected = first_deformation_failure(ctx, raw, factors)
+            if what == "none":
+                # the unplanted ring is that of deformed_context, which
+                # test_deformed_context_passes_the_oracles finds unital
+                # and associative on every basis triple
+                assert raw == context_blocks(deformed_context(ctx, f)).raw, name
+            assert message == expected, (name, what)
+            assert (message is None) == (what == "none"), (name, what)
+            kinds.add((what, next((kind for kind in FAILURE_KINDS
+                                   if (message or "").startswith(kind)), None)))
+    # every kind of planting was made, a generator sum over gens_b alone
+    # included, and every kind of failure was reached
+    assert {what for what, _ in kinds} >= {"none", "unit", "sum A", "sum B"}
+    assert {kind for _, kind in kinds} == {None, *FAILURE_KINDS}
+
+
+def test_certificate_proves_an_unchecked_context_first(dual_numbers, lambda_m2):
+    # a context built with check=False is checked by the certificate before
+    # anything else, so a library call gets the whole proof: a valid copy
+    # certifies as the checked context does and keeps the same ring and
+    # factors; a broken one raises the first failure of its own check
+    for ctx, f in ((matrix_context(dual_numbers[1], 2), golden_cochain(dual_numbers)),
+                   (identity_context(lambda_m2[1]), golden_cochain(lambda_m2))):
+        def copy(pairing_a=ctx.pairing_a, gens_b=ctx.gens_b):
+            return MoritaContext(ctx.a, ctx.b, ctx.p, ctx.q, pairing_a, ctx.pairing_b,
+                                 ctx.gens_a, gens_b, check=False)
+
+        data = copy()
+        assert verify_morita_deformed(data, f) == verify_morita_deformed(ctx, f)
+        (ring, factors), (real, real_factors) = data.proved_ring(), ctx.proved_ring()
+        assert (ring.table, ring.unit, ring.labels, factors) == (
+            real.table, real.unit, real.labels, real_factors)
+        bumped = dict(ctx.pairing_a)
+        bumped[(0, 0)] = vector_plus(ctx.field, bumped.get((0, 0), {}), ctx.a.dim - 1)
+        for broken in (copy(pairing_a=bumped), copy(gens_b=ctx.gens_b * 2)):
+            with pytest.raises(InputError) as caught:
+                copy(broken.pairing_a, broken.gens_b)._validate()
+            assert not context_accepted(broken)
+            with pytest.raises(InputError) as certified:
+                verify_morita_deformed(broken, f)
+            assert str(certified.value) == str(caught.value)
 
 
 class Unbuildable:
