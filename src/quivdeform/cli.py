@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 from .errors import ComputationError, InputError, NotACocycle
 from .fields import Field
-from .fileio import (emit_algebra_text, emit_dot, parse_algebra_file,
+from .fileio import (element_str, emit_algebra_text, emit_dot, parse_algebra_file,
                      parse_module_file, signed_sum_str)
 from .quiver import FreeElement, compute_basis
 
@@ -155,19 +155,23 @@ def cmd_verify_deform(args):
         t_part = hat_f(w, basis, f)
         return evaluate(w) == {**a, **{basis.dim + k: c for k, c in t_part.items()}}
 
-    bad = 0
-    for p in basis.paths:
+    bad = []
+    for i, p in enumerate(basis.paths):
         w = FreeElement.from_path(basis.quiver, fld, p)
         if not lands_on(w, basis.normal_form(w)):
-            bad += 1
-    checks.append(("path-products", bad == 0,
-                   "%d of %d basis paths multiply to (w, f^(w))"
-                   % (basis.dim - bad, basis.dim)))
+            bad.append(basis.labels[i])
+    detail = ("%d of %d basis paths multiply to (w, f^(w))"
+              % (basis.dim - len(bad), basis.dim))
+    if bad:
+        detail += "; the first that does not is %s" % bad[0]
+    checks.append(("path-products", not bad, detail))
 
-    bad = sum(1 for rel in basis.relations if not lands_on(rel, {}))
-    checks.append(("relation-identity", bad == 0,
-                   "%d of %d relations land on (0, f^(rho))"
-                   % (len(basis.relations) - bad, len(basis.relations))))
+    bad = [rel for rel in basis.relations if not lands_on(rel, {})]
+    detail = ("%d of %d relations land on (0, f^(rho))"
+              % (len(basis.relations) - len(bad), len(basis.relations)))
+    if bad:
+        detail += "; the first that does not is %s" % element_str(bad[0], basis.quiver, fld)
+    checks.append(("relation-identity", not bad, detail))
 
     checks.append(("image-condition", True,
                    "holds for the given representative" if pres.cocycle is f

@@ -28,7 +28,7 @@ from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed, NotACocycle)
 from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
                          cocycle_witness, is_cocycle)
-from .linalg import FinDimAlgebra, SpanSolver, _addinto, _columns, _map_rank, map_apply
+from .linalg import FinDimAlgebra, SpanSolver, _addinto, map_apply
 from .quiver import FreeElement, Quiver, compute_basis, relation_endpoints
 
 
@@ -477,18 +477,24 @@ def verify_presentation(deformed, pres, max_degree=30):
         detail += "; the first that does not is %s" % pres.origins[bad[0]]
     checks.append(("relations-vanish", not bad, detail))
 
+    # the candidates w^ and w^ * eps(v) for each basis path w ending at v,
+    # named by the hatted path
     q = basis.quiver
     qf = pres.quiver
-    vectors = []
+    span = SpanSolver(fld)
+    dependent = []
     for p in basis.paths:
         hat = _hat_free(FreeElement.from_path(q, fld, p), qf, fld)
-        vectors.append(evaluate(hat))
-        eps = pres.epsilon[q.vertices[q.path_target(p)]].element
-        vectors.append(evaluate(hat * eps))
-    rnk = _map_rank(_columns(vectors), fld)
-    ok_ind = rnk == 2 * basis.dim
-    checks.append(("independence", ok_ind,
-                   "rank %d of %d evaluated candidates" % (rnk, len(vectors))))
+        vertex = q.vertices[q.path_target(p)]
+        name = qf.path_str(p)
+        for value, label in ((hat, name), (hat * pres.epsilon[vertex].element,
+                                           "%s*eps(%s)" % (name, vertex))):
+            if not span.add(evaluate(value)):
+                dependent.append(label)
+    detail = "rank %d of %d evaluated candidates" % (span.dim, 2 * basis.dim)
+    if dependent:
+        detail += "; the first in the span of the earlier ones is %s" % dependent[0]
+    checks.append(("independence", not dependent, detail))
     return checks
 
 

@@ -6,6 +6,8 @@ and print alike), in F_p an int in [0, p).  All arithmetic goes through a
 Field instance so the rest of the library never branches on the characteristic.
 """
 
+from math import gcd
+
 from .errors import InputError
 
 
@@ -119,6 +121,24 @@ class Field:
             return _rational(a.denominator, a.numerator)
         # Fermat: a^(p-2) is the inverse mod p
         return pow(a, self.char - 2, self.char)
+
+    def div(self, a, b):
+        """a / b for b != 0; over Q an int whenever b divides a."""
+        if self.char == 0:
+            return _rational(a.numerator * b.denominator, a.denominator * b.numerator)
+        return self.mul(a, self.inv(b))
+
+    def primitive(self, lead, vecs):
+        """The coordinate dicts vecs divided by one scalar, chosen so that
+        no Fraction is made: over F_p by lead, which leaves a 1 where lead
+        was; over Q, when every entry is an int, by the gcd of all entries
+        with the sign of lead, and otherwise by lead."""
+        if self.char or not all(type(v) is int for vec in vecs for v in vec.values()):
+            inv = self.inv(lead)
+            return [{k: self.mul(v, inv) for k, v in vec.items()} for vec in vecs]
+        g = gcd(*(v for vec in vecs for v in vec.values()))
+        g = g if lead > 0 else -g
+        return [{k: v // g for k, v in vec.items()} for vec in vecs]
 
     def parse(self, token):
         """Parse `[-]digits` or `[-]digits/digits` into a scalar."""

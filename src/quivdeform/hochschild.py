@@ -1,4 +1,4 @@
-"""Hochschild cochains in degrees 1 to 3 and their differential.
+"""Hochschild cochains in degrees 1 to 3, their differential, and HH^2.
 
 One cochain type lives here.  `FullCochain` is a cochain of the
 unreduced complex Hom(A^{(x)n}, A) of an algebra given by structure
@@ -28,10 +28,51 @@ for admissible relations, under which no product of non-trivial basis
 paths has a component at a vertex idempotent.  Every reduced
 computation checks this on the structure table first and refuses
 otherwise, naming the offending pair.
+
+`hh_summary` eliminates no bar differential.  It reads HH^2 off the
+small complex of the completed rules S of quiver.RewriteSystem, each
+rewriting a leading word w_s to phi_s: the start of the projective
+resolution built from ambiguities (Chouhy-Solotar, J. Algebra 2015;
+Bardzell, J. Algebra 1997, for monomial relations), in the first-order
+form of Barmeier-Wang (arXiv 2020).  E is the span of the vertex
+idempotents.
+
+    C^1 = Hom_E-E(kQ_1, A): one coordinate per (arrow, parallel basis
+          element);
+    C^2 = Hom_E-E(kS, A): one coordinate per (rule, parallel basis
+          element);
+    delta^1 phi (s) = D_phi(w_s - phi_s), read in A, for D_phi the
+          derivation of kQ that sends each arrow a to phi(a);
+    d^2 g (W), at each proper overlap W = u v z of w_1 = u v and
+          w_2 = v z, self-overlaps included: the difference of the
+          t-parts of the reductions of W by the rules w_s -> phi_s +
+          t g(s) through w_1 and through w_2.  The first step counts,
+          as g(s_1) [z] and [u] g(s_2), and each further step (c, l, s,
+          r) of RewriteSystem.steps adds c [l] g(s) [r].
+
+Completion interreduces the leading words: a new rule's word is reduced
+against the others, and older rules whose word contains it are redone.
+So no leading word contains another, there are no inclusion
+ambiguities, and the overlaps are all the ambiguities.  By Bergman's
+diamond lemma (Adv. Math. 1978), the rules w_s -> phi_s + t g(s) define
+a flat first-order deformation exactly when every overlap resolves, that
+is d^2 g = 0, and g is trivial exactly when it is delta^1 phi.  Hence
+
+    dim HH^2 = dim C^2 - rank d^2 - rank delta^1,
+    dim B^2  = #(radical basis element, parallel basis element)
+               - dim C^1 + rank delta^1,
+    dim Z^2  = dim B^2 + dim HH^2,
+
+with B^2 and Z^2 those of the reduced bar complex.  The B^2 formula
+holds because both complexes compute HH^1 and share their degree-0 part,
+the sum of the e_v A e_v, with the same map into degree 1: so they have
+the same Z^1, and B^2 of the bar complex is its C^1 minus that Z^1.
 """
 
+from itertools import chain
+
 from .errors import InputError
-from .linalg import SpanSolver, _addinto, _bilinear, _clean, map_combine
+from .linalg import SpanSolver, _addinto, _bilinear, _clean, _map_rank, map_combine
 
 
 def _products(table, keep):
@@ -90,8 +131,9 @@ def _push(table, n, products, field):
     return result
 
 
-def _reduced_products(basis):
-    """Products over the radical indices of an admissible quotient."""
+def _check_admissible(basis):
+    """Refuse a quotient in which a product of radical basis elements has
+    a component at a vertex idempotent, naming the first such pair."""
     trivial = set(basis.trivial_indices)
     for (x, y), prod in basis.table.items():
         if x in trivial or y in trivial:
@@ -103,39 +145,37 @@ def _reduced_products(basis):
                     "has a component at %s; the reduced complex needs "
                     "admissible relations"
                     % (basis.labels[x], basis.labels[y], basis.labels[k]))
+
+
+def _reduced_products(basis):
+    """Products over the radical indices of an admissible quotient."""
+    _check_admissible(basis)
     return _products(basis.table, basis.radical_indices)
 
 
-def _composable_tuples(basis, n):
-    """Composable n-tuples of radical basis indices, in basis order."""
-    by_source = {}
-    for i in basis.radical_indices:
-        by_source.setdefault(basis.path_source_of_index(i), []).append(i)
-    tuples = [(i,) for i in basis.radical_indices]
-    for _ in range(n - 1):
-        tuples = [t + (i,) for t in tuples
-                  for i in by_source.get(basis.path_target_of_index(t[-1]), ())]
-    return tuples
+def _corners(basis):
+    """{(s, t): the basis indices of the corner e_s A e_t}."""
+    corners = {}
+    for i in range(basis.dim):
+        ends = (basis.path_source_of_index(i), basis.path_target_of_index(i))
+        corners.setdefault(ends, []).append(i)
+    return corners
 
 
 def _flat(table):
     return {key + (m,): c for key, vec in table.items() for m, c in vec.items()}
 
 
-def _reduced_images(basis, n):
-    """((key, i), flattened d of the basis cochain key -> e_i) for every
-    reduced basis cochain of degree n."""
+def _coboundary_images(basis):
+    """(((g,), i), flattened d of the basis 1-cochain g -> e_i) for every
+    radical basis index g and basis index i in its corner."""
     products = _reduced_products(basis)
     fld = basis.field
-    corners = {}
-    for i in range(basis.dim):
-        ends = (basis.path_source_of_index(i), basis.path_target_of_index(i))
-        corners.setdefault(ends, []).append(i)
-    for key in _composable_tuples(basis, n):
-        ends = (basis.path_source_of_index(key[0]),
-                basis.path_target_of_index(key[-1]))
-        for i in corners.get(ends, ()):
-            yield (key, i), _flat(_push({key: {i: fld.one}}, n, products, fld))
+    corners = _corners(basis)
+    for g in basis.radical_indices:
+        for i in corners.get((basis.path_source_of_index(g),
+                              basis.path_target_of_index(g)), ()):
+            yield ((g,), i), _flat(_push({(g,): {i: fld.one}}, 1, products, fld))
 
 
 def _is_index(basis, i):
@@ -250,7 +290,7 @@ def cobound_solve(f, basis):
     if f.degree != 2:
         raise InputError("cobound_solve expects a degree-2 cochain")
     solver = SpanSolver(basis.field)
-    for tag, image in _reduced_images(basis, 1):
+    for tag, image in _coboundary_images(basis):
         solver.add(image, tag)
     combo = solver.express(_flat(f.table))
     if combo is None:
@@ -264,17 +304,66 @@ def cobound_solve(f, basis):
 
 
 def hh_summary(basis):
-    """(dim Z^2, dim B^2, dim HH^2) on the reduced complex."""
-    d1 = SpanSolver(basis.field)
-    for _, image in _reduced_images(basis, 1):
-        d1.add(image)
-    d2 = SpanSolver(basis.field)
-    dim_c2 = 0
-    for _, image in _reduced_images(basis, 2):
-        d2.add(image)
-        dim_c2 += 1
-    dim_z2 = dim_c2 - d2.dim
-    return dim_z2, d1.dim, dim_z2 - d1.dim
+    """(dim Z^2, dim B^2, dim HH^2) of the reduced complex, computed on the
+    small complex of the rewriting system of basis (module docstring)."""
+    _check_admissible(basis)
+    fld, q = basis.field, basis.quiver
+    one, minus = fld.one, fld.neg(fld.one)
+    rewrite = basis.rewrite
+    rules = rewrite.rules
+    corners = _corners(basis)
+    classes = {}
+
+    def parallel(p):
+        return corners.get((q.path_source(p), q.path_target(p)), ())
+
+    def put(cols, col, row, left, b, right, c):
+        # column col gains c [left] e_b [right], at the coordinates (row, k)
+        for p in (left, right):
+            if p not in classes:
+                classes[p] = basis.element_from_path(p)
+        prod = basis.mul(basis.mul(classes[left], {b: one}), classes[right])
+        _addinto(fld, cols.setdefault(col, {}), {(row, k): v for k, v in prod.items()}, c)
+
+    # delta^1 phi at the rule s is D_phi(w_s - phi_s), D_phi the derivation
+    # of kQ with D_phi(a) = phi(a); column (a, b) is phi(a) = e_b
+    delta = {}
+    for w in rules:
+        relation = _addinto(fld, {w: one}, rules[w].terms, minus)
+        for p, c in relation.items():
+            n = len(p) - 1
+            for i, a in enumerate(p[1:]):
+                left, right = q.subpath(p, 0, i), q.subpath(p, i + 1, n)
+                for b in parallel(q.subpath(p, i, i + 1)):
+                    put(delta, (a, b), w, left, b, right, c)
+
+    # d^2 g at the overlap W = u v z of w_1 = u v and w_2 = v z: the
+    # t-parts of the reductions of W through w_1 and through w_2, each
+    # step (c, l, s, r) contributing c [l] g(s) [r]; column (s, b) is
+    # g(s) = e_b
+    d2 = {}
+    overlap = 0
+    for w1 in rules:
+        for w2 in rules:
+            for u, z in rewrite.overlaps(w1, w2):
+                start, end = (w1[0],), (q.path_target(w2),)
+                sides = ((one, (one, start, w1, z),
+                          {q.compose(p, z): c for p, c in rules[w1].terms.items()}),
+                         (minus, (one, u, w2, end),
+                          {q.compose(u, p): c for p, c in rules[w2].terms.items()}))
+                for sign, first, terms in sides:
+                    for c, left, w, right in chain([first], rewrite.steps(terms)):
+                        for b in parallel(w):
+                            put(d2, (w, b), overlap, left, b, right, fld.mul(sign, c))
+                overlap += 1
+
+    dim_c1 = sum(len(corners.get((s, t), ())) for _, s, t in q.arrows)
+    dim_c2 = sum(len(parallel(w)) for w in rules)
+    bar_c1 = sum(len(parallel(basis.paths[g])) for g in basis.radical_indices)
+    rank_d1, rank_d2 = _map_rank(delta, fld), _map_rank(d2, fld)
+    hh2 = dim_c2 - rank_d2 - rank_d1
+    b2 = bar_c1 - dim_c1 + rank_d1
+    return b2 + hh2, b2, hh2
 
 
 def hh_dimension(basis):

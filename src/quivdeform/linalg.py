@@ -18,10 +18,13 @@ on sparse maps only.
 SpanSolver is the one elimination: an incremental row reducer over
 sparse vectors, keyed by pivot.  A row's pivot is its smallest
 coordinate in natural order (coordinates are ints or int tuples), and
-rows stay in echelon form without back reduction.  It answers rank,
-membership and normal-form queries; a vector added with a tag also
-carries its combination of inserted vectors, which express returns as
-the witness of a membership.  After an untagged add, express refuses.
+rows stay in echelon form without back reduction.  It clears a
+coordinate by cross-multiplication, so rank and membership never
+divide: over Q, integer vectors give integer rows, and no Fraction is
+made.  It answers rank, membership and normal-form queries; a vector
+added with a tag also carries its combination of inserted vectors,
+which express returns as the witness of a membership.  After an
+untagged add, express refuses.
 
 FinDimAlgebra is the one structure-constant algebra type: a path-algebra
 quotient, its deformation A_f, a matrix amplification and a corner
@@ -184,9 +187,14 @@ class SpanSolver:
 
     Vectors are dicts {coordinate: scalar} with mutually comparable
     coordinates (ints or int tuples).  Stored rows are keyed by pivot: a
-    row's pivot is its smallest coordinate, with entry 1.  A row is never
-    reduced against later pivots, so a vector is reduced by eliminating
-    its smallest coordinate while that coordinate is a pivot.
+    row's pivot is its smallest coordinate.  A row is stored divided by
+    Field.primitive: over F_p its pivot entry is 1, and over Q an integer
+    row keeps integer entries with no common factor.  A row is never
+    reduced against later pivots, so a vector is reduced by clearing its
+    smallest coordinate while that coordinate is a pivot: for the entry c
+    there and the row's pivot entry p, v <- p v - c row.  Rank and
+    membership divide by nothing; normal_form and express divide once, at
+    the end, by the product of the p used.
 
     A row added with a tag keeps its combination of the tagged vectors as
     inserted, which express returns.  After an untagged add no
@@ -199,13 +207,17 @@ class SpanSolver:
         self._tagged = True
 
     def _reduce(self, vec, combo, full=False):
-        """Eliminate pivots of vec in place, smallest coordinate first, and
-        subtract the same multiples of the row combinations from combo.
-        Stops at the first coordinate that is not a pivot and returns it,
-        or None once vec is zero; with full=True every pivot is eliminated
-        and None is returned."""
+        """Clear pivots of vec in place, smallest coordinate first, and
+        apply the same steps to combo.  Stops at the first coordinate that
+        is not a pivot, or with full=True runs on past each of them, and
+        returns (that coordinate, or None once vec is zero or with
+        full=True; s), where s is the product of the pivot entries used:
+        vec now is s times the input minus a member of the span, and combo
+        is s times its input minus that member's combination."""
         f = self.field
+        one = f.one
         rows = self.rows
+        scale = one
         heap = list(vec)
         heapify(heap)
         while heap:
@@ -217,8 +229,14 @@ class SpanSolver:
             if hit is None:
                 if full:
                     continue
-                return k
+                return k, scale
             row, row_combo = hit
+            p = row[k]
+            if p != one:
+                scale = f.mul(scale, p)
+                for acc in (vec, combo or {}):
+                    for j, v in acc.items():
+                        acc[j] = f.mul(v, p)
             neg = f.neg(c)
             fresh = [j for j in row if j not in vec]
             _addinto(f, vec, row, neg)
@@ -226,7 +244,7 @@ class SpanSolver:
                 heappush(heap, j)
             if combo is not None:
                 _addinto(f, combo, row_combo, neg)
-        return None
+        return None, scale
 
     def add(self, vec, tag=None):
         """Insert a vector; returns True if it enlarged the span."""
@@ -235,22 +253,23 @@ class SpanSolver:
             self._tagged = False
         combo = {tag: f.one} if self._tagged else None
         vec = _clean(f, vec)
-        pivot = self._reduce(vec, combo)
+        pivot, _ = self._reduce(vec, combo)
         if pivot is None:
             return False
-        inv = f.inv(vec[pivot])
-        self.rows[pivot] = (_scaled(f, vec, inv),
-                            None if combo is None else _scaled(f, combo, inv))
+        if combo is None:
+            self.rows[pivot] = (f.primitive(vec[pivot], [vec])[0], None)
+        else:
+            self.rows[pivot] = tuple(f.primitive(vec[pivot], [vec, combo]))
         return True
 
     def contains(self, vec):
-        return self._reduce(_clean(self.field, vec), None) is None
+        return self._reduce(_clean(self.field, vec), None)[0] is None
 
     def normal_form(self, vec):
         """vec minus the member of the span that clears every pivot."""
         vec = _clean(self.field, vec)
-        self._reduce(vec, None, full=True)
-        return vec
+        _, scale = self._reduce(vec, None, full=True)
+        return self._divided(vec, scale)
 
     def express(self, vec):
         """Combination {tag: scalar} with sum(tag_vector * scalar) = vec, or None.
@@ -262,9 +281,16 @@ class SpanSolver:
             raise UntaggedSpan("express needs every vector added with a tag")
         f = self.field
         combo = {}
-        if self._reduce(_clean(f, vec), combo) is not None:
+        stop, scale = self._reduce(_clean(f, vec), combo)
+        if stop is not None:
             return None
-        return {t: f.neg(v) for t, v in combo.items()}
+        return self._divided({t: f.neg(v) for t, v in combo.items()}, scale)
+
+    def _divided(self, vec, scale):
+        f = self.field
+        if scale == f.one:
+            return vec
+        return {k: f.div(v, scale) for k, v in vec.items()}
 
     @property
     def dim(self):

@@ -91,6 +91,13 @@ class Quiver:
             seq.append(self.arrows[a][2])
         return seq
 
+    def subpath(self, p, i, j):
+        """The path of the arrows i to j - 1 of p; when i == j, the trivial
+        path at the vertex before arrow i."""
+        if i == j:
+            return (self.vertex_seq(p)[i],)
+        return (self.arrows[p[1 + i]][1],) + p[1 + i:1 + j]
+
     def path_str(self, p):
         if len(p) == 1:
             return "e(%s)" % self.vertices[p[0]]
@@ -259,12 +266,6 @@ class RewriteSystem:
         n, m = len(wa), len(ta)
         return any(ta[i:i + n] == wa for i in range(m - n + 1))
 
-    def _subpaths(self, p, i, j):
-        """Path formed by arrows i..j-1 of p (trivial when i == j)."""
-        if i == j:
-            return (self.quiver.vertex_seq(p)[i],)
-        return (self.quiver.vertex_seq(p)[i],) + p[1 + i:1 + j]
-
     def _spolys(self, w1, r1, w2, r2):
         """Elements witnessing the ambiguities of w1 against w2."""
         q, f = self.quiver, self.field
@@ -277,20 +278,24 @@ class RewriteSystem:
             for i, u in enumerate(seq):
                 if u != v:
                     continue
-                left = FreeElement.from_path(q, f, self._subpaths(w2, 0, i))
-                right = FreeElement.from_path(q, f, self._subpaths(w2, i, len(a2)))
+                left = FreeElement.from_path(q, f, q.subpath(w2, 0, i))
+                right = FreeElement.from_path(q, f, q.subpath(w2, i, len(a2)))
                 out.append(r2 - left * r1 * right)
             return out
-        if len(a2) == 0:
-            return out  # handled with the roles swapped
-        # proper overlaps: suffix of w1 = prefix of w2
-        for k in range(1, min(len(a1), len(a2))):
-            if a1[len(a1) - k:] != a2[:k]:
-                continue
-            u = FreeElement.from_path(q, f, self._subpaths(w1, 0, len(a1) - k))
-            v = FreeElement.from_path(q, f, self._subpaths(w2, k, len(a2)))
-            out.append(r1 * v - u * r2)
+        for u, z in self.overlaps(w1, w2):
+            out.append(r1 * FreeElement.from_path(q, f, z)
+                       - FreeElement.from_path(q, f, u) * r2)
         return out
+
+    def overlaps(self, w1, w2):
+        """The proper overlaps of the words w1 = u v and w2 = v z, where v
+        has 1 to min(|w1|, |w2|) - 1 arrows, as the pairs (u, z) of paths;
+        w1 = w2 gives the self-overlaps."""
+        q = self.quiver
+        a1, a2 = w1[1:], w2[1:]
+        for k in range(1, min(len(a1), len(a2))):
+            if a1[len(a1) - k:] == a2[:k]:
+                yield q.subpath(w1, 0, len(a1) - k), q.subpath(w2, k, len(a2))
 
     def _find_match(self, p):
         """(left, word, right) splitting p around some rule word, or None."""
@@ -302,19 +307,21 @@ class RewriteSystem:
             if not wa:
                 for i, u in enumerate(seq):
                     if u == w[0]:
-                        return self._subpaths(p, 0, i), w, self._subpaths(p, i, len(arrows))
+                        return q.subpath(p, 0, i), w, q.subpath(p, i, len(arrows))
                 continue
             n = len(wa)
             for i in range(len(arrows) - n + 1):
                 if arrows[i:i + n] == wa:
-                    return self._subpaths(p, 0, i), w, self._subpaths(p, i + n, len(arrows))
+                    return q.subpath(p, 0, i), w, q.subpath(p, i + n, len(arrows))
         return None
 
-    def reduce(self, elem):
-        """Exact normal form of elem modulo the ideal."""
+    def steps(self, terms):
+        """The rewrite steps that bring the coordinate dict terms {path: c}
+        to its normal form, in place.  Each step rewrites the largest
+        reducible term c*left*w*right to c*left*rules[w]*right and is
+        yielded, after it is made, as (c, left, w, right)."""
         f = self.field
         q = self.quiver
-        terms = dict(elem.terms)
         while True:
             best = None
             for p in terms:
@@ -324,13 +331,20 @@ class RewriteSystem:
                 if best is None or path_order_key(p) > path_order_key(best[0]):
                     best = (p, m)
             if best is None:
-                break
+                return
             p, (left, w, right) = best
             c = terms.pop(p)
             replaced = FreeElement.from_path(q, f, left) * self.rules[w] \
                 * FreeElement.from_path(q, f, right)
             _addinto(f, terms, replaced.terms, c)
-        return FreeElement(q, f, terms)
+            yield c, left, w, right
+
+    def reduce(self, elem):
+        """Exact normal form of elem modulo the ideal."""
+        terms = dict(elem.terms)
+        for _ in self.steps(terms):
+            pass
+        return FreeElement(self.quiver, self.field, terms)
 
     def is_reducible(self, p):
         return self._find_match(p) is not None

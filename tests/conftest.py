@@ -4,10 +4,14 @@ from collections import namedtuple
 from itertools import accumulate
 
 import pytest
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
+from quivdeform.errors import NotFiniteDimensional, SizeLimitExceeded
+from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
 from quivdeform.morita import Bimodule, MoritaContext
-from quivdeform.quiver import compute_basis
+from quivdeform.quiver import FreeElement, Quiver, compute_basis
 
 from oracles import brute_bimodule_defects, brute_block_ring, brute_greedy_generators
 
@@ -60,6 +64,66 @@ def quantum_plane():
 @pytest.fixture(scope="session")
 def lambda_m2():
     return load_basis("lambda_m2.alg")
+
+
+# ------------------------------------------------------ drawn algebras
+
+# the settings of every test that draws algebras: the same draws on every
+# run and every Python, and no health check suppressed
+settings.register_profile("drawn-algebras", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+DRAWN_ALGEBRAS = settings.get_profile("drawn-algebras")
+
+
+def quiver_paths(quiver, lengths):
+    """The paths of the quiver with a number of arrows in lengths."""
+    layer = [(v,) for v in range(len(quiver.vertices))]
+    out = []
+    for n in range(max(lengths) + 1):
+        if n in lengths:
+            out.extend(layer)
+        layer = [p + (a,) for p in layer for a, (_, s, _) in enumerate(quiver.arrows)
+                 if s == quiver.path_target(p)]
+    return out
+
+
+@st.composite
+def bound_quiver_algebras(draw):
+    """The basis of kQ/I for a drawn quiver Q, with 1 to 3 vertices and 1
+    to 3 arrows, and 1 to 6 drawn relations over Q, F_3, F_5 or F_7.  A
+    relation is a path of 2 or 3 arrows, or such a path plus c times a
+    parallel path of 1 to 3 arrows, c in {1, -1, 2, -3}.  A draw is kept
+    when the basis is certified below length 8, has dimension at most
+    24, and no product of radical basis paths has a component at a
+    vertex."""
+    nv = draw(st.integers(1, 3))
+    ends = st.integers(0, nv - 1)
+    arrows = [("a%d" % k, str(draw(ends)), str(draw(ends)))
+              for k in range(draw(st.integers(1, 3)))]
+    quiver = Quiver([str(v) for v in range(nv)], arrows)
+    field = draw(st.sampled_from((Field.rationals(), Field.prime(3), Field.prime(5),
+                                  Field.prime(7))))
+    long = quiver_paths(quiver, (2, 3))
+    assume(long)
+    relations = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.sampled_from(long))
+        terms = {p: field.one}
+        parallel = [r for r in quiver_paths(quiver, (1, 2, 3)) if r != p
+                    and (r[0], quiver.path_target(r)) == (p[0], quiver.path_target(p))]
+        if parallel and draw(st.booleans()):
+            c = field.from_int(draw(st.sampled_from((1, -1, 2, -3))))
+            terms[draw(st.sampled_from(parallel))] = c
+        relations.append(FreeElement(quiver, field, terms))
+    try:
+        basis = compute_basis(quiver, relations, field, max_degree=8)
+    except (NotFiniteDimensional, SizeLimitExceeded):
+        assume(False)
+    assume(basis.dim <= 24)
+    trivial = set(basis.trivial_indices)
+    assume(not any(trivial & set(prod) for (x, y), prod in basis.table.items()
+                   if x not in trivial and y not in trivial))
+    return basis
 
 
 # ------------------------------------------------- witnesses of block rings

@@ -8,8 +8,11 @@ with the paths outside the basis as leading columns.  Hochschild numbers
 are recomputed on the full bar complex Hom(A^{tensor n}, A) from raw
 structure constants; only dim HH^2 is comparable with the reduced
 relative complex the library uses, the Z and B dimensions differ by
-design.  Both oracles use their own row reduction so that nothing
-under test is in the loop.  The Hochschild differential itself is
+design.  The three dimensions of that reduced complex are recomputed
+from the structure constants and the ends of the basis elements, its
+differentials written out face by face (reduced_bar_summary).  These
+oracles use their own row reduction so that nothing under test is in
+the loop.  The Hochschild differential itself is
 recomputed by evaluating every face on every index tuple.  The deformed
 algebra A_f is rebuilt from the pair formula on every pair of basis
 indices, the path-lifting map as the t-part of products of arrows in
@@ -264,6 +267,72 @@ def full_bar_hh2(dim, table, field):
     rank_d1 = sparse_rank(d1_cols, dim ** 3)
     dim_z2 = dim ** 3 - rank_d2
     return dim_z2 - rank_d1
+
+
+def reduced_bar_summary(dim, table, ends, radical, field):
+    """(dim Z^2, dim B^2, dim HH^2) of the reduced bar complex of the
+    algebra with structure constants table[(i, j)] = {k: c}, relative to
+    its vertex idempotents: ends[i] = (source, target) of basis element i
+    and radical lists the basis elements that are not idempotents.  A
+    basis n-cochain sends one composable n-tuple of radical elements to
+    one basis element e_i with the ends of the tuple, and is zero
+    elsewhere.  Its differential is written out face by face,
+
+        (d f)(x, y)    = x f(y) - f(x y) + f(x) y,
+        (d f)(x, y, z) = x f(y, z) - f(x y, z) + f(x, y z) - f(x, y) z,
+
+    on the composable radical tuples, one column per basis cochain, and
+    the columns are ranked by _sparse_rank."""
+    def after(x):
+        return [y for y in radical if ends[y][0] == ends[x][1]]
+
+    def before(x):
+        return [y for y in radical if ends[y][1] == ends[x][0]]
+
+    def corner(s, t):
+        return [i for i in range(dim) if ends[i] == (s, t)]
+
+    # split[k] = [(x, y, c)]: the composable radical pairs whose product
+    # has c at e_k
+    split = {}
+    for x in radical:
+        for y in after(x):
+            for k, c in table.get((x, y), {}).items():
+                split.setdefault(k, []).append((x, y, c))
+
+    def put(col, key, vec, c):
+        for m, v in vec.items():
+            col[key + (m,)] = field.add(col.get(key + (m,), field.zero), field.mul(c, v))
+
+    minus = field.neg(field.one)
+    d1 = []
+    for g in radical:
+        for i in corner(*ends[g]):
+            col = {}
+            for x in before(g):
+                put(col, (x, g), table.get((x, i), {}), field.one)
+            for x, y, c in split.get(g, ()):
+                put(col, (x, y), {i: c}, minus)
+            for y in after(g):
+                put(col, (g, y), table.get((i, y), {}), field.one)
+            d1.append({k: v for k, v in col.items() if v != field.zero})
+    d2 = []
+    for g in radical:
+        for h in after(g):
+            for i in corner(ends[g][0], ends[h][1]):
+                col = {}
+                for x in before(g):
+                    put(col, (x, g, h), table.get((x, i), {}), field.one)
+                for x, y, c in split.get(g, ()):
+                    put(col, (x, y, h), {i: c}, minus)
+                for y, z, c in split.get(h, ()):
+                    put(col, (g, y, z), {i: c}, field.one)
+                for z in after(h):
+                    put(col, (g, h, z), table.get((i, z), {}), minus)
+                d2.append({k: v for k, v in col.items() if v != field.zero})
+    dim_z2 = len(d2) - _sparse_rank(d2, field, None)
+    dim_b2 = _sparse_rank(d1, field, None)
+    return dim_z2, dim_b2, dim_z2 - dim_b2
 
 
 def brute_differential(dim, table, field, cochain_table, n):

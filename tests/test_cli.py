@@ -403,6 +403,66 @@ def test_verify_deform_json_lines(capsys):
         assert isinstance(r["detail"], str) and r["detail"]
 
 
+def plant_in_evaluation(monkeypatch, planted):
+    """Make DeformedAlgebra.evaluation send each free element elem over a
+    quiver to planted(quiver, elem, evaluate), where evaluate is the
+    evaluation it had."""
+    original = DeformedAlgebra.evaluation
+
+    def evaluation(self, quiver):
+        evaluate = original(self, quiver)
+        return lambda elem: planted(quiver, elem, evaluate)
+    monkeypatch.setattr(DeformedAlgebra, "evaluation", evaluation)
+
+
+def verify_deform_line(capsys, name, check):
+    assert run(["verify-deform", data_path(name + ".alg")]) == 1
+    return next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(check + ": "))
+
+
+def test_path_products_fail_line_names_the_first_failing_path(monkeypatch, capsys):
+    # the paths a2 and a2*a1 of Q evaluate one unit off, at e(1)
+    def planted(quiver, elem, evaluate):
+        value = evaluate(elem)
+        names = [quiver.path_str(p) for p in elem.terms]
+        if quiver.arrows[0][0] == "a1" and names in (["a2"], ["a2*a1"]):
+            value = {**value, 0: value.get(0, 0) + 1}
+        return value
+    plant_in_evaluation(monkeypatch, planted)
+    assert verify_deform_line(capsys, "two_cycle", "path-products") == (
+        "path-products: FAIL  3 of 5 basis paths multiply to (w, f^(w)); "
+        "the first that does not is a2")
+
+
+def test_relation_identity_fail_line_names_the_first_failing_relation(monkeypatch,
+                                                                      capsys):
+    # the relations b*b and a*b + b*a of Q evaluate to e(1) off their value
+    def planted(quiver, elem, evaluate):
+        value = evaluate(elem)
+        names = {quiver.path_str(p) for p in elem.terms}
+        if quiver.arrows[0][0] == "a" and names in ({"b*b"}, {"a*b", "b*a"}):
+            value = {**value, 0: value.get(0, 0) + 1}
+        return value
+    plant_in_evaluation(monkeypatch, planted)
+    assert verify_deform_line(capsys, "quantum_plane", "relation-identity") == (
+        "relation-identity: FAIL  1 of 3 relations land on (0, f^(rho)); "
+        "the first that does not is b*b")
+
+
+def test_independence_fail_line_names_the_first_dependent_candidate(monkeypatch, capsys):
+    # the hatted arrow a2^ evaluates to the value of a1^, the candidate
+    # before it
+    def planted(quiver, elem, evaluate):
+        if [quiver.path_str(p) for p in elem.terms] == ["a2^"]:
+            elem = FreeElement.from_path(quiver, elem.field, quiver.arrow_path("a1^"))
+        return evaluate(elem)
+    plant_in_evaluation(monkeypatch, planted)
+    assert verify_deform_line(capsys, "two_cycle", "independence") == (
+        "independence: FAIL  rank 9 of 10 evaluated candidates; "
+        "the first in the span of the earlier ones is a2^")
+
+
 def shifted_two_cycle(tmp_path):
     """The two-cycle algebra file with its cocycle moved by the coboundary
     of e(2) at a2*a1; the image condition fails for the moved cocycle."""
@@ -1172,31 +1232,46 @@ def test_integer_jobs_import_neither_argparse_nor_fractions(tmp_path):
     # a job whose scalars stay integers pays for no parser library and no
     # rational arithmetic; verify-morita halves its sums exactly, so an
     # even integer stays an int, and checks the deformed context without
-    # a greedy span over its doubled ring, which would divide
+    # a greedy span over its doubled ring, which would divide; hh ranks
+    # its differentials by cross-multiplication, which divides nothing
     trunc3 = tmp_path / "trunc3.alg"
     trunc3.write_text(TRUNC3_DOUBLED, encoding="utf-8")
+    trunc6 = tmp_path / "trunc6.alg"
+    trunc6.write_text("field Q\nvertex 1\narrow x : 1 -> 1\nrelation %s\n"
+                      % "*".join(["x"] * 6), encoding="utf-8")
     code = ("import sys\n"
             "from quivdeform import cli\n"
             "for command in ('basis', 'verify-deform'):\n"
             "    assert cli.run([command, %r]) == 0\n"
             "for path in (%r, %r):\n"
             "    assert cli.run(['verify-morita', path, '--matrix', '2']) == 0\n"
+            "for path in (%r, %r, %r):\n"
+            "    assert cli.run(['hh', path]) == 0\n"
             "print(sorted(set(%r) & set(sys.modules)))\n"
             % (data_path("two_cycle.alg"), data_path("dual_numbers.alg"), str(trunc3),
+               data_path("dual_numbers.alg"), data_path("quantum_plane.alg"), str(trunc6),
                START_UP_IMPORTS))
     code_, out, err = in_fresh_process(code)
     assert (code_, err) == (0, "")
     assert out.splitlines()[0] == "dim A = 5"
-    assert out.endswith(verify_morita_golden(2, 8) + verify_morita_golden(3, 12) + "[]\n")
+    hh = "".join("dim Z^2 = %d\ndim B^2 = %d\ndim HH^2 = %d\n" % triple
+                 for triple in ((2, 1, 1), (12, 6, 6), (30, 25, 5)))
+    assert out.endswith(verify_morita_golden(2, 8) + verify_morita_golden(3, 12) + hh
+                        + "[]\n")
 
 
-def test_job_with_a_fraction_loads_fractions_and_prints_the_same():
-    # hh on the dual numbers eliminates with a scalar that is not an integer
+def test_job_with_a_fraction_loads_fractions_and_prints_the_same(tmp_path):
+    # the dual numbers with their cocycle halved: the file's 1/2 is a
+    # scalar that is not an integer, and hh prints what it prints on the
+    # dual numbers
+    half = tmp_path / "half.alg"
+    half.write_text("field Q\nvertex 1\narrow a : 1 -> 1\nrelation a*a\n"
+                    "cocycle f(a, a) = 1/2*e(1)\n", encoding="utf-8")
     code = ("import sys\n"
             "from quivdeform import cli\n"
             "assert cli.run(['hh', %r]) == 0\n"
             "print(sorted(set(%r) & set(sys.modules)))\n"
-            % (data_path("dual_numbers.alg"), START_UP_IMPORTS))
+            % (str(half), START_UP_IMPORTS))
     code_, out, err = in_fresh_process(code)
     assert (code_, err) == (0, "")
     assert out == "dim Z^2 = 2\ndim B^2 = 1\ndim HH^2 = 1\n['decimal', 'fractions']\n"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import data_path
-from oracles import _combo, _evaluate, brute_differential, full_bar_hh2
+from conftest import DRAWN_ALGEBRAS, bound_quiver_algebras, data_path
+from oracles import (_combo, _evaluate, brute_differential, full_bar_hh2,
+                     reduced_bar_summary)
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file
@@ -370,11 +371,82 @@ def test_hh_summary_matches_full_bar_complex(name, field):
 def test_hh2_of_truncated_polynomial_ring(field, hh2):
     # HH^2 of k[x]/(x^n) is k[x]/(x^n, n x^(n-1)): n - 1 dimensional, or n
     # when the characteristic divides n; here n = 10
+    assert hh_summary(truncated_polynomial_ring(10, field))[2] == hh2
+
+
+def truncated_polynomial_ring(n, field):
     from quivdeform.fileio import parse_algebra_text
     af = parse_algebra_text("field Q\nvertex 1\narrow x : 1 -> 1\nrelation %s\n"
-                            % "*".join(["x"] * 10), field_override=field)
-    basis = compute_basis(af.quiver, af.relations, af.field, 30)
-    assert hh_summary(basis)[2] == hh2
+                            % "*".join(["x"] * n), field_override=field)
+    return compute_basis(af.quiver, af.relations, af.field, 40)
+
+
+def bar_summary(basis):
+    """reduced_bar_summary on the raw data of basis."""
+    ends = [(basis.path_source_of_index(i), basis.path_target_of_index(i))
+            for i in range(basis.dim)]
+    return reduced_bar_summary(basis.dim, basis.table, ends, basis.radical_indices,
+                               basis.field)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), Field.prime(5)], ids=["Q", "F2", "F5"])
+@pytest.mark.parametrize("name", ADMISSIBLE + ("cube_multiples",))
+def test_hh_summary_matches_the_reduced_bar_complex(name, field):
+    _, basis = basis_over(name, field)
+    assert hh_summary(basis) == bar_summary(basis)
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=60)
+@given(bound_quiver_algebras())
+def test_hh_summary_matches_the_reduced_bar_complex_on_drawn_algebras(basis):
+    assert hh_summary(basis) == bar_summary(basis)
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=30)
+@given(bound_quiver_algebras().filter(lambda basis: basis.dim <= 6))
+def test_hh2_matches_the_full_bar_complex_on_small_drawn_algebras(basis):
+    assert hh_summary(basis)[2] == full_bar_hh2(basis.dim, basis.table, basis.field)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("kind", ["Q", "p not dividing n", "p dividing n"])
+def test_hh_of_truncated_polynomial_rings_in_closed_form(kind):
+    # HH^2 of k[x]/(x^n) is k[x]/(x^n, n x^(n-1)): (Z^2, B^2, HH^2) =
+    # (n(n-1), (n-1)^2, n-1), and (n(n-1), n(n-2), n) when the
+    # characteristic divides n; the bar complex of x^30 alone has 25,230
+    # basis 2-cochains
+    for n in range(2, 31):
+        if kind == "Q":
+            p = 0
+        elif kind == "p not dividing n":
+            p = next(p for p in PRIMES if n % p)
+        else:
+            p = next(p for p in PRIMES if n % p == 0)
+        want = ((n * (n - 1), n * (n - 2), n) if p and n % p == 0
+                else (n * (n - 1), (n - 1) ** 2, n - 1))
+        assert hh_summary(truncated_polynomial_ring(n, Field(p))) == want, (n, p)
+
+
+def exterior_algebra(m, field):
+    from quivdeform.fileio import parse_algebra_text
+    names = ["x%d" % i for i in range(m)]
+    text = "field Q\nvertex 1\n" + "".join("arrow %s : 1 -> 1\n" % x for x in names)
+    for i, x in enumerate(names):
+        text += "relation %s*%s\n" % (x, x)
+        text += "".join("relation %s*%s + %s*%s\n" % (x, y, y, x) for y in names[i + 1:])
+    af = parse_algebra_text(text, field_override=field)
+    return compute_basis(af.quiver, af.relations, af.field, 30)
+
+
+# (Z^2, B^2, HH^2) of the exterior algebras as the bar complex computed them
+@pytest.mark.parametrize("m, p, triple", [
+    (2, 0, (12, 6, 6)), (2, 2, (16, 4, 12)), (2, 3, (12, 6, 6)),
+    (3, 0, (65, 41, 24)), (3, 2, (80, 32, 48)), (3, 3, (65, 41, 24)),
+    (4, 0, (280, 200, 80)), (4, 2, (336, 176, 160)), (4, 3, (280, 200, 80))])
+def test_hh_of_exterior_algebras(m, p, triple):
+    assert hh_summary(exterior_algebra(m, Field(p))) == triple
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

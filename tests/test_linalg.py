@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -205,8 +206,17 @@ def test_engine_agrees_with_the_dense_oracle(data, case):
     for c, col in enumerate(cols):
         span.add(col, c)
     assert span.dim == r == dense_rank(a, n, field)
-    # every row has its smallest coordinate as pivot, with entry 1
-    assert all(min(row) == p and row[p] == field.one for p, (row, _) in span.rows.items())
+    # every row has its smallest coordinate as pivot; over F_7 with entry
+    # 1, over Q as a primitive integer row, together with its combination,
+    # with a positive entry there, since rank and membership never divide
+    for p, (row, combo) in span.rows.items():
+        assert min(row) == p
+        if field.char:
+            assert row[p] == field.one
+        else:
+            entries = list(row.values()) + list(combo.values())
+            assert row[p] > 0 and all(type(v) is int for v in entries)
+            assert gcd(*entries) == 1
 
     v = data.draw(vectors(field, m))
     member = dense_rank([[col.get(i, field.zero) for i in range(m)] for col in cols]

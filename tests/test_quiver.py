@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import data_path, load_basis
+from conftest import (DRAWN_ALGEBRAS, bound_quiver_algebras, data_path, load_basis,
+                      quiver_paths)
 from oracles import brute_force_dimension, brute_generated_dimension, brute_structure_table
 from quivdeform import quiver
 from quivdeform.deform import build_presentation
@@ -317,3 +318,24 @@ def test_normal_form_is_multiplicative(x, y):
 def test_normal_form_is_idempotent(x):
     nf = QP_BASIS.normal_form(x)
     assert QP_BASIS.normal_form(QP_BASIS.to_free(nf)) == nf
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=20)
+@given(bound_quiver_algebras(), st.data())
+def test_rewrite_steps_account_for_the_normal_form(basis, data):
+    # x minus the sum of c * left * (w - rules[w]) * right over the steps
+    # (c, left, w, right) of its reduction is what the steps leave, which
+    # is the normal form that reduce returns, with no reducible term left
+    rs, q, fld = basis.rewrite, basis.quiver, basis.field
+    paths = quiver_paths(q, range(5))
+    x = FreeElement(q, fld, {p: fld.from_int(data.draw(st.integers(-3, 3)))
+                             for p in data.draw(st.lists(st.sampled_from(paths),
+                                                         min_size=1, max_size=4))})
+    terms = dict(x.terms)
+    rest = x
+    for c, left, w, right in rs.steps(terms):
+        rewritten = FreeElement.from_path(q, fld, w) - rs.rules[w]
+        rest = rest - (FreeElement.from_path(q, fld, left) * rewritten
+                       * FreeElement.from_path(q, fld, right)).scale(c)
+    assert rest.terms == terms == rs.reduce(x).terms
+    assert not any(rs.is_reducible(p) for p in terms)
