@@ -22,11 +22,11 @@ __all__ = [
     "Presentation", "Quiver", "TensorProduct", "UpleModule",
     "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
-    "deformation_equivalence", "differential",
+    "deformation_equivalence", "deformation_witness", "differential",
     "emit_algebra_text", "emit_dot", "emit_module_text", "full_differential",
     "functor_F", "hat_f", "hh_dimension", "hh_summary", "homotopy_h",
     "idempotent_context", "interreduce_presentation",
-    "is_cocycle", "is_full_cocycle", "matrix_context", "module_from_file",
+    "is_cocycle", "matrix_context", "module_from_file",
     "normalize_cocycle",
     "parse_algebra_file", "parse_algebra_text", "parse_expression",
     "parse_module_file", "reconstruct", "regular_module", "regular_uple",
@@ -48,8 +48,8 @@ _LAYERS = {
                "parse_module_file"),
     "hochschild": ("FullCochain", "cochain_from_pairs", "cochain_from_paths",
                    "differential", "full_differential", "hh_dimension",
-                   "hh_summary", "is_cocycle", "is_full_cocycle"),
-    "linalg": ("FinDimAlgebra",),
+                   "hh_summary", "is_cocycle"),
+    "linalg": ("FinDimAlgebra", "deformation_witness"),
     "modcat": ("LeftModule", "MorphismTriple", "UpleModule", "functor_F",
                "module_from_file", "reconstruct", "regular_module",
                "regular_uple", "roundtrip_triple"),

@@ -72,7 +72,8 @@ the same Z^1, and B^2 of the bar complex is its C^1 minus that Z^1.
 from itertools import chain
 
 from .errors import InputError
-from .linalg import SpanSolver, _addinto, _bilinear, _clean, _map_rank, map_combine
+from .linalg import (SpanSolver, _addinto, _bilinear, _clean, _map_rank, deformation_witness,
+                     map_combine)
 
 
 def _products(table, keep):
@@ -186,39 +187,46 @@ def _check_entry(basis, key, indices):
     """Refuse a reduced-complex entry: key must be a composable tuple of
     radical basis indices and every index of its value must be a basis
     index in the corner e_{s(g_1)} A e_{t(g_n)} of the key (g_1, ...,
-    g_n)."""
+    g_n).  The label of the key is built only for a message."""
     for i in key:
         if not _is_index(basis, i):
             raise InputError("cochain key %r is not a tuple of basis indices"
                              % (key,))
         if len(basis.paths[i]) == 1:
             raise InputError("cochain keys must be non-trivial paths")
-    name = " | ".join(basis.labels[i] for i in key)
-    for a, b in zip(key, key[1:]):
-        if basis.path_target_of_index(a) != basis.path_source_of_index(b):
-            raise InputError("cochain key %s is not composable" % name)
-    src = basis.path_source_of_index(key[0])
-    tgt = basis.path_target_of_index(key[-1])
+    ends = [(basis.path_source_of_index(i), basis.path_target_of_index(i)) for i in key]
+    if any(t != s for (_, t), (s, _) in zip(ends, ends[1:])):
+        raise InputError("cochain key %s is not composable" % _key_name(basis, key))
+    corner = (ends[0][0], ends[-1][1])
     for i in indices:
         if not _is_index(basis, i):
             raise InputError("value of cochain at %s has index %r, not a basis index"
-                             % (name, i))
-        if (basis.path_source_of_index(i) != src
-                or basis.path_target_of_index(i) != tgt):
+                             % (_key_name(basis, key), i))
+        if (basis.path_source_of_index(i), basis.path_target_of_index(i)) != corner:
             raise InputError(
                 "value of cochain at %s leaves the corner e_%s A e_%s"
-                % (name, basis.quiver.vertices[src], basis.quiver.vertices[tgt]))
+                % ((_key_name(basis, key),)
+                   + tuple(basis.quiver.vertices[v] for v in corner)))
+
+
+def _key_name(basis, key):
+    return " | ".join(basis.labels[i] for i in key)
 
 
 def check_reduced(f, basis):
     """Raise InputError unless f is a cochain of the reduced complex of
     basis: zero off the composable tuples of radical indices, with each
     value in the corner of its key.  Every reduced computation reads
-    only those tuples, so it calls this first."""
+    only those tuples, so it calls this first.  A cochain is not changed
+    after it is made, so one proved reduced on basis keeps basis as
+    f.reduced_on, and is not checked again there."""
+    if f.reduced_on is basis:
+        return
     if f.dim != basis.dim:
         raise InputError("the cochain lives on an algebra of another dimension")
     for key, vec in f.table.items():
         _check_entry(basis, key, vec)
+    f.reduced_on = basis
 
 
 def cochain_from_paths(basis, degree, table):
@@ -247,7 +255,9 @@ def cochain_from_paths(basis, degree, table):
         value = _clean(basis.field, value)
         _check_entry(basis, key, value)
         out[key] = value
-    return FullCochain(basis.dim, degree, basis.field, out)
+    f = FullCochain(basis.dim, degree, basis.field, out)
+    f.reduced_on = basis
+    return f
 
 
 def cochain_from_pairs(basis, pairs):
@@ -268,12 +278,18 @@ def differential(f, basis):
 
 
 def cocycle_witness(f, basis):
-    """The first basis tuple, in sorted order, where d f is nonzero, or
-    None when f is a 2-cocycle."""
+    """The first basis triple (r, j, k) where d f is nonzero, in the row
+    order of deformation_witness, or None when f is a 2-cocycle.  f is
+    checked to be reduced and the quotient admissible first.  On the
+    radical triples d f is then the full differential, and on a triple
+    with a vertex idempotent the full d f vanishes by balance, so
+    deformation_witness on the rows of basis, the vertex idempotents and
+    the arrows, decides the cocycle condition of the reduced complex."""
     if f.degree != 2:
         raise InputError("is_cocycle expects a degree-2 cochain")
-    df = differential(f, basis)
-    return min(df.table) if df.table else None
+    check_reduced(f, basis)
+    _check_admissible(basis)
+    return deformation_witness(basis, f.table)
 
 
 def is_cocycle(f, basis):
@@ -377,13 +393,15 @@ class FullCochain:
     Conceptually total on all basis index tuples; stored sparsely as
     table[(i_1, ..., i_n)] = {j: c} with missing entries zero.  A reduced
     cochain is one that is zero off the composable tuples of radical
-    indices.
+    indices.  A cochain is not changed after it is made: arithmetic
+    returns a new one.
     """
 
     def __init__(self, dim, degree, field, table=None):
         self.dim = dim
         self.degree = degree
         self.field = field
+        self.reduced_on = None  # the basis check_reduced proved it reduced on
         self.table = {}
         if table:
             for key, vec in table.items():
@@ -439,9 +457,3 @@ def full_differential(F, alg):
     table = _push(F.table, F.degree, _products(alg.table, range(alg.dim)),
                   alg.field)
     return FullCochain(alg.dim, F.degree + 1, alg.field, table)
-
-
-def is_full_cocycle(F, alg):
-    if F.degree != 2:
-        raise InputError("is_full_cocycle expects a degree-2 cochain")
-    return full_differential(F, alg).is_zero()

@@ -29,7 +29,10 @@ untagged add, express refuses.
 FinDimAlgebra is the one structure-constant algebra type: a path-algebra
 quotient, its deformation A_f, a matrix amplification and a corner
 algebra all live in it.  Each one computes its generating set once, on
-first use, for the checks that prove identities on generators.
+first use, for the checks that prove identities on generators, or reads
+it off its structure (kQ/I and A_f do).  deformation_witness is the one
+such check: on those generator rows it proves an algebra associative,
+and a 2-cochain on an associative algebra a cocycle.
 """
 
 from collections import defaultdict
@@ -182,6 +185,125 @@ def column_kernel(cols, field):
     return kernel
 
 
+def _left_maps(table, field):
+    """(maps, single) for a table {(i, j): vector} without zero
+    coordinates: maps[i] = {j: vector}, the sparse map z -> table(x_i, z),
+    and single[i][j] = m when that vector is x_m itself."""
+    maps, single = defaultdict(dict), defaultdict(dict)
+    for (i, j), vec in table.items():
+        if vec:
+            maps[i][j] = vec
+            if len(vec) == 1 and field.one in vec.values():
+                single[i][j], = vec
+    return maps, single
+
+
+def deformation_witness(alg, F=None):
+    """The first triple (r, j, k), for r in R = alg.unit_and_generators()
+    and j, k basis indices, in that order, where d F(x_r, x_j, x_k) != 0;
+    or, when F is None, where (x_r x_j) x_k != x_r (x_j x_k).  None when
+    there is none, and then d F = 0, or the product is associative, on all
+    basis triples.  F is a 2-cochain on alg given by its table {(i, j):
+    vector}, as FullCochain keeps it, and then alg must be associative.
+
+    For each (r, j) it compares two sparse maps of z, with L(x) the left
+    multiplication by x and F_x the map z -> F(x, z):
+
+        associator:  L(x_r x_j)                against  L(x_r) L(x_j),
+        d F:         L(x_r) F_j + F_r L(x_j)   against  F_(x_r x_j) + L(F(x_r, x_j)),
+
+    the second since d F(x, y, z) = x F(y, z) - F(xy, z) + F(x, yz) -
+    F(x, y) z; k is the first column where they differ.  A term that is 0
+    by the supports of its factors is not formed.
+
+    Proof that R suffices.  S = {x : (xy)z = x(yz) for all y, z} is a
+    subspace.  It holds R, so it holds the unit vector, a combination of
+    R.  It is closed under x -> gx for g in S, since ((gx)y)z = (g(xy))z =
+    g((xy)z) = g(x(yz)) = (gx)(yz), with g in S three times and x in S
+    once.  So S holds every word that generators() builds from the unit
+    vector by multiplying with generators on the left, and the generators
+    themselves; together these span the algebra.  No unit axiom is used:
+    the unit vector is only the seed of the words, and its support is in
+    R.
+
+    For F, apply this to the deformation A_F = A + A t, with product (a0
+    + b0 t)(a1 + b1 t) = a0 a1 + (a0 b1 + b0 a1 + F(a0, a1)) t
+    (Gerstenhaber, Ann. Math. 1964).  On x, y, z of A its associator is
+    -d F(x, y, z) t, and on a triple with a factor in A t it is t times an
+    associator of A, which is 0.  So S of A_F holds A t, and it holds x of
+    A exactly when d F(x, ., .) = 0, which the rows check for x in R.
+    For g and w of A in S, their product in A is their product in A_F
+    minus F(g, w) t, so it is in S too; hence S holds the words of A in
+    its generators, which span A, and with A t all of A_F: d F = 0.
+
+    For a reduced cochain on kQ/I the rows at the vertex idempotents
+    vanish by balance: F(e, .) = 0 and F(e y, z) = e F(y, z), so d F(e,
+    y, z) = e F(y, z) - F(e y, z) = 0, and only the arrows do work.
+    """
+    fld = alg.field
+    one = fld.one
+    table = alg.table
+    lmaps, basis = _left_maps(table, fld)
+    # image[j]: the coordinates that some x_j z has
+    image = [set().union(*lmaps[j].values()) for j in range(alg.dim)]
+
+    def over(maps, vec):
+        # sum c maps[m] over the coordinates {m: c} of vec
+        if len(vec) == 1:
+            (m, c), = vec.items()
+            if c == one:
+                return maps.get(m, {})
+        return _action(maps, vec, fld)
+
+    def compose(amap, bmap, single):
+        # amap bmap, column k read off column m of amap when single[k] = m
+        out = {}
+        for k, col in bmap.items():
+            m = single.get(k)
+            img = amap.get(m) if m is not None else map_apply(amap, col, fld)
+            if img:
+                out[k] = img
+        return out
+
+    def added(a, b):
+        return map_combine([(one, a), (one, b)], fld) if a and b else a or b
+
+    if F is None:
+        def sides(r, j):
+            left, prod = lmaps[r], table.get((r, j))
+            if prod is None and image[j].isdisjoint(left):
+                return None  # x_r x_j = 0, and L(x_r) is 0 on every x_j z
+            return over(lmaps, prod or {}), compose(left, lmaps[j], basis[j])
+    else:
+        fmaps, f_basis = _left_maps({key: _clean(fld, vec) for key, vec in F.items()}, fld)
+        f_image = {j: set().union(*cols.values()) for j, cols in fmaps.items()}
+
+        def sides(r, j):
+            left, f_left = lmaps[r], fmaps.get(r, {})
+            f_j, prod, val = fmaps.get(j), table.get((r, j)), f_left.get(j)
+            lhs = rhs = None
+            if f_j and not f_image[j].isdisjoint(left):
+                lhs = compose(left, f_j, f_basis[j])
+            if f_left and not image[j].isdisjoint(f_left):
+                lhs = added(lhs, compose(f_left, lmaps[j], basis[j]))
+            if prod and not fmaps.keys().isdisjoint(prod):
+                rhs = over(fmaps, prod)
+            if val:
+                rhs = added(rhs, over(lmaps, val))
+            if lhs is None and rhs is None:
+                return None
+            return lhs or {}, rhs or {}
+
+    for r in alg.unit_and_generators():
+        for j in range(alg.dim):
+            pair = sides(r, j)
+            if pair is not None:
+                bad = _differing_columns(*pair, alg.dim)
+                if bad:
+                    return (r, j, bad[0])
+    return None
+
+
 class SpanSolver:
     """Incremental span of sparse vectors, kept in echelon form.
 
@@ -331,7 +453,8 @@ class FinDimAlgebra:
 
     def generators(self):
         """Basis indices that generate the algebra as a unital algebra,
-        in increasing order; computed on the first call and kept.
+        in increasing order; computed on the first call and kept, unless
+        the algebra reads them off its structure (kQ/I and A_f do).
 
         Greedy: scans the basis in order and keeps each basis element
         outside the unital subalgebra generated so far, so every basis
@@ -365,53 +488,9 @@ class FinDimAlgebra:
         return sorted(set(self.unit) | set(self.generators()))
 
     def associativity_witness(self):
-        """The first triple (r, j, k) with (x_r x_j) x_k != x_r (x_j x_k),
-        for r in R = unit_and_generators() and j, k basis indices, in that
-        order; or None, and then the product is associative on all basis
-        triples.  For each (r, j) it compares L(x_r x_j) with L(x_r) L(x_j)
-        as sparse maps, L(x) the left multiplication by x; k is the first
-        column where they differ.
-
-        Proof that R suffices.  S = {x : (xy)z = x(yz) for all y, z} is a
-        subspace.  It holds R, so it holds the unit vector, a combination
-        of R.  It is closed under x -> gx for each generator g, since
-        ((gx)y)z = (g(xy))z = g((xy)z) = g(x(yz)) = (gx)(yz), with g in S
-        three times and x in S once.  So S holds every word that
-        generators() builds from the unit vector by multiplying with
-        generators on the left, and the generators themselves; together
-        these span the algebra.  No unit axiom is used: the unit vector is
-        only the seed of the words, and its support is in R."""
-        fld = self.field
-        lmaps = defaultdict(dict)
-        # basis[i][j] = m when x_i x_j is x_m itself: then L(x_i x_j) is the
-        # stored map L(x_m), and column j of L(x_r) L(x_i) the stored column
-        # m of L(x_r), both read as they are and never written to
-        basis = defaultdict(dict)
-        for (i, j), vec in self.table.items():
-            lmaps[i][j] = vec
-            if len(vec) == 1 and fld.one in vec.values():
-                basis[i][j], = vec
-        # image[j]: the coordinates that some x_j x_k has.  When x_r x_j =
-        # 0 and L(x_r) is 0 on all of them, both sides are 0 at (r, j)
-        image = [set().union(*lmaps[j].values()) for j in range(self.dim)]
-        for r in self.unit_and_generators():
-            left = lmaps[r]
-            for j in range(self.dim):
-                prod = self.table.get((r, j))
-                if prod is None and image[j].isdisjoint(left):
-                    continue
-                m = basis[r].get(j)
-                lhs = lmaps[m] if m is not None else _action(lmaps, prod or {}, fld)
-                rhs = {}
-                for k, col in lmaps[j].items():
-                    m = basis[j].get(k)
-                    img = left.get(m) if m is not None else map_apply(left, col, fld)
-                    if img:
-                        rhs[k] = img
-                bad = _differing_columns(lhs, rhs, self.dim)
-                if bad:
-                    return (r, j, bad[0])
-        return None
+        """The first triple where the product is not associative, or None
+        (deformation_witness)."""
+        return deformation_witness(self)
 
     def check_unit(self):
         """Raise InputError naming the first basis element on which the

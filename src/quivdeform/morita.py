@@ -71,10 +71,10 @@ from .deform import Deformation
 from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
                      SizeLimitExceeded)
 from .fields import _rational
-from .hochschild import FullCochain, full_differential, is_full_cocycle
+from .hochschild import FullCochain, full_differential
 from .linalg import (FinDimAlgebra, SpanSolver, _action, _addinto, _bilinear, _clean,
                      _columns, _differing_columns, _identity, _lower_block, _map_rank,
-                     _scaled, map_apply, map_combine, map_compose)
+                     _scaled, deformation_witness, map_apply, map_compose)
 
 
 def block_ring(a, b, p, q=None, pairing_a=None, pairing_b=None):
@@ -331,9 +331,8 @@ class MoritaContext:
         A context that was not checked checks itself on the first call,
         and raises InputError at its first failed axiom.  The swap of a
         proved context is proved by its mirror: its ring is the mirror's
-        with the blocks in the order B, Q, P, A, and the mirror's factors,
-        moved to that order, are the support of its unit and a generating
-        set of it."""
+        with the blocks in the order B, Q, P, A, and it takes the mirror's
+        generators, moved to that order, as its own."""
         if self._proved is None:
             mirror = self._swapped._proved if self._swapped is not None else None
             if mirror is None:
@@ -343,7 +342,9 @@ class MoritaContext:
                 # index in the mirror's ring -> index in this ring
                 moved = [at + i for at, n in ((na + np_ + nq, nb), (na + np_, nq), (na, np_),
                                               (0, na)) for i in range(n)]
-                self._proved = (self.ring(), sorted(moved[r] for r in mirror[1]))
+                ring = self.ring()
+                ring._generators = sorted(moved[g] for g in mirror[0].generators())
+                self._proved = (ring, ring.unit_and_generators())
         return self._proved
 
     def _validate(self):
@@ -952,7 +953,7 @@ def _deformation_failure(ctx, blocks):
     first, by ctx.proved_ring() (check 1).  A triple is named by R's
     labels, and a coordinate of the t-part of a deformed unit by a:t*x or
     b:t*y."""
-    ring, factors = ctx.proved_ring()
+    ring, _ = ctx.proved_ring()
     fld = ctx.field
     at_p = ctx.a.dim
     at_q = at_p + ctx.p.dim
@@ -965,30 +966,10 @@ def _deformation_failure(ctx, blocks):
     bad.update(x for x, cols in fmaps.items() if map_apply(cols, ring.unit, fld))
     if bad:
         return "the Morita ring: unit fails on basis element %s" % ring.labels[min(bad)]
-    lmaps = {}
-    for (x, y), vec in ring.table.items():
-        lmaps.setdefault(x, {})[y] = vec
-    # the coordinates that some F(x_j, z), or some x_j z, has
-    f_image = {j: set().union(*cols.values()) for j, cols in fmaps.items()}
-    l_image = {j: set().union(*cols.values()) for j, cols in lmaps.items()}
-    one = fld.one
-    for r in factors:
-        left, f_left = lmaps.get(r, {}), fmaps.get(r, {})
-        for j in range(ring.dim):
-            # dF(r, j, .) = L_r F_j + F_r L_j - F_(x_r x_j) - L_(F(r, j)) as maps
-            # of z, each term left out when it is 0 by its supports
-            terms = []
-            if not f_image.get(j, set()).isdisjoint(left):
-                terms.append((one, map_compose(left, fmaps[j], fld)))
-            if not l_image.get(j, set()).isdisjoint(f_left):
-                terms.append((one, map_compose(f_left, lmaps[j], fld)))
-            for maps, vec in ((fmaps, ring.table.get((r, j))), (lmaps, cochain.get((r, j)))):
-                if vec:
-                    terms += [(fld.neg(c), maps[k]) for k, c in vec.items() if k in maps]
-            diff = map_combine(terms, fld) if terms else None
-            if diff:
-                return "the Morita ring is not associative at (%s, %s, %s)" % tuple(
-                    ring.labels[x] for x in (r, j, min(diff)))
+    bad = deformation_witness(ring, cochain)
+    if bad is not None:
+        return "the Morita ring is not associative at (%s, %s, %s)" % tuple(
+            ring.labels[x] for x in bad)
     omega_a, omega_b = blocks[6:]
     return (_decomposition_failure(ctx, "a", lambda u, v: _bilinear(fld, omega_a, u, v), {},
                                    ["t*" + x for x in ctx.a.labels])
@@ -1046,13 +1027,13 @@ def verify_morita_deformed(ctx, f):
        x t = (x t) 1_R, this is exactly that 1_R = 1_A + 1_B is the unit
        of R_F.
     3. d F(r, y, z) = 0 for r in R.unit_and_generators() and all basis
-       elements y, z.  This is complete by the induction of
-       FinDimAlgebra.associativity_witness applied to R_F: the set S of w
-       with (w y) z = w (y z) for all y, z is a subspace closed under w ->
-       g w for g in S; once R is associative it holds every x t, and it
-       holds r = (r, 0) exactly when d F(r, ., .) = 0.  So S holds the
-       unit vector and the generators of R, hence every word of R in
-       them, read in R_F up to an element of R t; these span R_F.
+       elements y, z: linalg.deformation_witness(R, F), whose docstring
+       proves it complete.  The set S of w with (w y) z = w (y z) for all
+       y, z of R_F is a subspace closed under w -> g w for g in S; once R
+       is associative it holds every x t, and it holds r = (r, 0) exactly
+       when d F(r, ., .) = 0.  So S holds the unit vector and the
+       generators of R, hence every word of R in them, read in R_F up to
+       an element of R t; these span R_F.
     4. sum_j F(p'_j, q'_j) = 0 over gens_a and sum_i F(q_i, p_i) = 0 over
        gens_b.  The sum over gens_a of the deformed pairing is (sum_j
        <p'_j, q'_j>_A, sum_j F(p'_j, q'_j)) = (1_A, sum_j F(p'_j, q'_j))
@@ -1115,9 +1096,11 @@ def verify_morita_deformed(ctx, f):
     if f.degree != 2 or f.dim != ctx.a.dim:
         raise InputError("expected a 2-cochain on A")
     ctx.proved_ring()  # check 1, which an unchecked context makes here
-    if not is_full_cocycle(f, ctx.a):
+    if deformation_witness(ctx.a, f.table) is not None:
         raise InputError("f must be a Hochschild 2-cocycle on A")
     g = transfer_phi(ctx, f)
+    # the full d g, not the generator rows: rows on B would need its greedy
+    # generators, which cost more than d g on the B that contexts build
     dg = full_differential(g, ctx.b)
     if not dg.is_zero():
         # B_g is not associative, so neither hat is a bimodule over it

@@ -410,6 +410,15 @@ class AlgebraBasis(FinDimAlgebra):
     known when [p q] is needed, and each class [p_k a] is rewritten at
     most once, only when p_k a is not itself a basis path: at most
     dim * |arrows| calls to reduce in all.
+
+    generators() are read off the paths, not searched for: the vertex
+    idempotents and the arrows that are basis paths, which are the basis
+    paths of length at most 1, in increasing order.  They generate kQ/I
+    as a unital algebra.  A basis path p = a_1 ... a_m is a standard
+    monomial, and so is each of its arrows, since standard monomials are
+    closed under subwords; w -> [w] is an algebra map kQ -> kQ/I, so p =
+    [p] = [a_1] ... [a_m] is a word in the arrows, and a trivial basis
+    path is a vertex idempotent.
     """
 
     def __init__(self, quiver, field, relations, rewrite, paths):
@@ -423,6 +432,8 @@ class AlgebraBasis(FinDimAlgebra):
         super().__init__(field, len(paths), {},
                          {i: field.one for i in self.trivial_indices},
                          [quiver.path_str(p) for p in paths], check=False)
+        # generators(), read off the paths (class docstring)
+        self._generators = [i for i, p in enumerate(paths) if len(p) <= 2]
         table = self.table
         acted = {}  # p_k a -> [p_k a]
         for i, p in enumerate(paths):
@@ -470,11 +481,14 @@ class AlgebraBasis(FinDimAlgebra):
         return self.quiver.path_target(self.paths[i])
 
 
-def compute_basis(quiver, relations, field, max_degree=30):
-    """Standard-monomial basis of kQ/<relations>, exact.
+def _standard_paths(quiver, relations, field, max_degree):
+    """(rewrite, paths): the completed RewriteSystem of the relations and
+    the standard monomials of kQ/<relations>, sorted by (length,
+    declaration order).  len(paths) is the dimension of the quotient.
 
     Raises NotFiniteDimensional when a standard monomial of length
-    max_degree survives or completion escapes the degree cap.
+    max_degree survives or completion escapes the degree cap, and
+    SizeLimitExceeded past MAX_BASIS_DIM standard monomials.
     """
     if max_degree < 2:
         raise InputError("max_degree must be at least 2")
@@ -484,6 +498,13 @@ def compute_basis(quiver, relations, field, max_degree=30):
     rewrite = RewriteSystem(quiver, field, relations, degree_cap=2 * max_degree)
     paths = rewrite.standard_monomials(max_degree)
     paths.sort(key=lambda p: (len(p) - 1, p[1:], p[0]))
+    return rewrite, paths
+
+
+def compute_basis(quiver, relations, field, max_degree=30):
+    """Standard-monomial basis of kQ/<relations>, exact, with the errors
+    of _standard_paths."""
+    rewrite, paths = _standard_paths(quiver, relations, field, max_degree)
     return AlgebraBasis(quiver, field, relations, rewrite, paths)
 
 

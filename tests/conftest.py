@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 from collections import namedtuple
 from itertools import accumulate
 
@@ -16,6 +17,21 @@ from quivdeform.quiver import FreeElement, Quiver, compute_basis
 from oracles import brute_bimodule_defects, brute_block_ring, brute_greedy_generators
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# On a failing example the Hypothesis plugin imports
+# hypothesis.extra._patching, which imports libcst, whose use of
+# mypy_extensions.TypedDict warns.  Under -W error that warning, raised
+# inside the reporting hook, ends the session with INTERNALERROR instead
+# of a failure report, and a filterwarnings setting does not reach it,
+# since -W on the command line overrides it.  Importing the module once
+# here, with that one warning ignored, keeps the reports.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def data_path(name):

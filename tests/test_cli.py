@@ -14,13 +14,14 @@ from quivdeform.fileio import (emit_algebra_text, emit_module_text,
                                parse_algebra_file, parse_algebra_text)
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    cochain_from_paths, differential,
-                                   full_differential, is_full_cocycle)
+                                   full_differential)
+from quivdeform.linalg import deformation_witness
 from quivdeform.modcat import LeftModule, regular_module
 from quivdeform.quiver import FreeElement, compute_basis
 
 from conftest import data_path, load_basis
 from oracles import (brute_associator, brute_deformed_table, brute_differential,
-                     brute_generator_associativity_defect, build_parser)
+                     build_parser)
 
 
 def lines_of(capsys):
@@ -105,11 +106,13 @@ TWO_VALUES = BROKEN_COCYCLE.replace("a1*a2\n", "a1*a2\ncocycle f(a2*a1, a2*a1) =
 
 
 def first_nonzero_tuple(basis, f):
-    """d^2 f != 0 at the first radical tuple where the oracle's full bar
-    differential of f is nonzero, as the cocycle lines print it."""
-    radical = set(basis.radical_indices)
+    """d^2 f != 0 at the first tuple (r, j, k) in row order where the
+    oracle's full bar differential of f is nonzero, as the cocycle lines
+    print it: r runs over the rows of kQ/I, its vertex idempotents and
+    arrows (the basis paths of length at most 1), then j and k."""
+    rows = {i for i, p in enumerate(basis.paths) if len(p) <= 2}
     df = brute_differential(basis.dim, basis.table, basis.field, f.table, 2)
-    first = min(key for key in df if radical.issuperset(key))
+    first = min(key for key in df if key[0] in rows)
     return "d^2 f != 0 at (%s)" % ", ".join(basis.labels[i] for i in first)
 
 
@@ -141,9 +144,10 @@ def test_check_cocycle_fail(tmp_path, capsys):
 @pytest.mark.parametrize("text", [BROKEN_COCYCLE, TWO_VALUES], ids=["one-value", "two-values"])
 def test_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(
         text, tmp_path, capsys, monkeypatch):
-    # check-cocycle and verify-deform name the first radical tuple of d f,
-    # which the full bar differential of the oracle finds nonzero there;
-    # verify-deform takes it from the one differential it computes
+    # check-cocycle and verify-deform name the first tuple of d f in row
+    # order, which the full bar differential of the oracle finds nonzero;
+    # verify-deform takes it, for its cocycle and its associativity line,
+    # from the one pass of the engine it makes
     bad = tmp_path / "broken.alg"
     bad.write_text(text)
     af = parse_algebra_text(text)
@@ -151,14 +155,15 @@ def test_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     at = first_nonzero_tuple(basis, f)
     calls = []
-    monkeypatch.setattr(hochschild, "differential",
-                        lambda *args: calls.append(args) or differential(*args))
+    monkeypatch.setattr(hochschild, "deformation_witness",
+                        lambda *args: calls.append(args) or deformation_witness(*args))
     assert run(["check-cocycle", str(bad)]) == 1
     _, lines = lines_of(capsys)
     assert lines[0] == "cocycle: FAIL  %d table entries, %s" % (len(f.table), at)
     assert run(["verify-deform", str(bad)]) == 1
     _, lines = lines_of(capsys)
-    assert lines[0] == "cocycle: FAIL  " + at
+    assert lines[:2] == ["cocycle: FAIL  " + at, "associativity: FAIL  (xy)z != x(yz) at "
+                         "(x, y, z) = " + at.split(" at ", 1)[1]]
     assert len(calls) == 2
 
 
@@ -543,7 +548,8 @@ def test_verify_deform_broken_cocycle(tmp_path, capsys):
     assert "associativity: FAIL" in out
     assert "overall: FAIL" in out
     # the FAIL line names a basis triple of A_f, and the oracle finds
-    # (xy)z != x(yz) there
+    # (xy)z != x(yz) there: the first triple in row order where the
+    # oracle's d f is nonzero, read as the triple of the (x, 0) of A_f
     line = next(l for l in lines if l.startswith("associativity: FAIL"))
     named = re.search(r"at \(x, y, z\) = \((.+), (.+), (.+)\)$", line)
     assert named, line
@@ -555,9 +561,7 @@ def test_verify_deform_broken_cocycle(tmp_path, capsys):
     table = brute_deformed_table(basis.dim, basis.table, f.table)
     triple = tuple(labels.index(name) for name in named.groups())
     assert brute_associator(table, af.field, *triple)
-    unit = {i: af.field.one for i in basis.trivial_indices}
-    assert triple == brute_generator_associativity_defect(2 * basis.dim, table, unit,
-                                                          af.field)
+    assert first_nonzero_tuple(basis, f) == "d^2 f != 0 at (%s)" % ", ".join(named.groups())
 
 
 # ------------------------------------------------------------------- equiv
@@ -861,12 +865,14 @@ def test_verify_morita_matrix(capsys):
 
 
 def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
-    # d f = 0 is proved once on A (by is_full_cocycle) and d g = 0 once on
-    # B (by the d g that names the FAIL witness); the deformed bimodules
-    # and A_f, B_g are built on those two proofs
+    # d f = 0 is proved once on A (by the engine on its generator rows) and
+    # d g = 0 once on B (by the d g that names the FAIL witness); the
+    # deformed bimodules and A_f, B_g are built on those two proofs.  The
+    # engine's other pass is d F = 0 on the Morita ring, of dimension 2 +
+    # 4 + 4 + 8
     from quivdeform import deform, hochschild
-    seen = []
-    original = hochschild.full_differential
+    seen, engine = [], []
+    original, witness = hochschild.full_differential, morita.deformation_witness
 
     def counted(f, alg):
         seen.append(alg.dim)
@@ -875,9 +881,12 @@ def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
     for module in (cli, deform, hochschild, morita):
         if hasattr(module, "full_differential"):
             monkeypatch.setattr(module, "full_differential", counted)
+    monkeypatch.setattr(morita, "deformation_witness",
+                        lambda alg, F=None: engine.append(alg.dim) or witness(alg, F))
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
-    assert seen == [2, 8]
+    assert seen == [8]
+    assert engine == [2, 18]
 
 
 def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
@@ -891,7 +900,7 @@ def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
     def broken(ctx, f):
         g = real(ctx, f)
         bumped = g + FullCochain(ctx.b.dim, 2, ctx.field, {(0, 0): {0: ctx.field.one}})
-        assert not is_full_cocycle(bumped, ctx.b)
+        assert deformation_witness(ctx.b, bumped.table) is not None
         bumps.append((ctx.b, bumped))
         return bumped
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DRAWN_ALGEBRAS, bound_quiver_algebras, data_path
-from oracles import (_combo, _evaluate, brute_differential, full_bar_hh2,
+from oracles import (_combo, _evaluate, brute_associativity_defect, brute_differential,
+                     brute_generator_associativity_defect, full_bar_hh2,
                      reduced_bar_summary)
 from quivdeform.errors import InputError
 from quivdeform.fields import Field
@@ -15,8 +16,8 @@ from quivdeform.fileio import parse_algebra_file
 from quivdeform.hochschild import (FullCochain, cobound_solve,
                                    cochain_from_pairs, cochain_from_paths,
                                    differential, full_differential,
-                                   hh_dimension, hh_summary, is_cocycle,
-                                   is_full_cocycle)
+                                   cocycle_witness, hh_dimension, hh_summary, is_cocycle)
+from quivdeform.linalg import FinDimAlgebra, deformation_witness
 from quivdeform.morita import matrix_context, transfer_phi
 from quivdeform.quiver import Quiver, compute_basis
 
@@ -113,7 +114,7 @@ def test_reduced_layer_refuses_cochains_off_the_reduced_support(dual_numbers, tw
     # the full complex: reading it as reduced would call it a cocycle and
     # build a non-associative A_f
     f = FullCochain(basis.dim, 2, Q, {(e, a): {a: Q.one}})
-    assert not is_full_cocycle(f, basis)
+    assert deformation_witness(basis, f.table) is not None
     calls = (lambda: differential(f, basis), lambda: is_cocycle(f, basis),
              lambda: cobound_solve(f, basis), lambda: DeformedAlgebra(basis, f),
              lambda: check_image_condition(basis, f))
@@ -222,7 +223,7 @@ def test_extend_to_full_dual_numbers(dual_numbers):
 def test_extended_cocycle_is_full_cocycle(two_cycle):
     af, basis = two_cycle
     F = the_cocycle(af, basis)
-    assert is_full_cocycle(F, basis)
+    assert deformation_witness(basis, F.table) is None
 
 
 def test_hh_independent_of_arrow_order():
@@ -339,7 +340,7 @@ def test_full_differential_matches_oracle(name, field):
     expected = brute_differential(basis.dim, basis.table, field, bumped.table, 2)
     assert expected[(e, e, r)] == {e: field.one}
     assert full_differential(bumped, basis).table == expected
-    assert not is_full_cocycle(bumped, basis)
+    assert deformation_witness(basis, bumped.table) is not None
 
 
 @FIELDS
@@ -356,8 +357,8 @@ def test_full_differential_on_matrix_algebra(field):
     for F in (g, h, dh, bumped):
         expected = brute_differential(b.dim, b.table, field, F.table, F.degree)
         assert full_differential(F, b).table == expected
-    assert is_full_cocycle(g, b) and is_full_cocycle(dh, b)
-    assert not is_full_cocycle(bumped, b)
+    assert deformation_witness(b, g.table) is None and deformation_witness(b, dh.table) is None
+    assert deformation_witness(b, bumped.table) is not None
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(2)], ids=["Q", "F2"])
@@ -501,3 +502,141 @@ def test_evaluate_matches_the_oracle(field, degree):
         assert f.evaluate(*args) == {4: field.one}
     with pytest.raises(InputError):
         f.evaluate(*args, {})
+
+
+# ------------------------------------------------- the generator-row engine
+
+F7 = Field.prime(7)
+ENGINE_FIELDS = pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+
+
+def kq_rows(basis):
+    """The rows of kQ/I by their definition: the vertex idempotents and
+    the arrows, its basis paths of length at most 1."""
+    return {i for i, p in enumerate(basis.paths) if len(p) <= 2}
+
+
+def first_in_row_order(triples, rows):
+    """The least triple (r, j, k) of triples with r in rows, or None."""
+    return min((t for t in triples if t[0] in rows), default=None)
+
+
+def plantings(basis, F, rng):
+    """F with one defect planted in each block of A x A that has a basis
+    pair, the blocks being the pairs (x, y) with x and y each a vertex
+    idempotent or a radical basis path: c x_k added at a random key of
+    the block.  The first three blocks leave the reduced complex."""
+    fld = basis.field
+    kinds = (basis.trivial_indices, basis.radical_indices)
+    out = []
+    for xs, ys in product(kinds, repeat=2):
+        if xs and ys:
+            key = (rng.choice(xs), rng.choice(ys))
+            c = fld.from_int(rng.choice((1, 2, -1, 3)))
+            out.append(F + FullCochain(basis.dim, 2, fld, {key: {rng.randrange(basis.dim): c}}))
+    return out
+
+
+def reduced_plantings(basis, f, rng):
+    """f with one defect planted in each corner e_s A e_t that is the
+    corner of a composable pair of radical basis paths: c x_k at a random
+    such pair, x_k in the corner, as a reduced cochain."""
+    fld = basis.field
+    corners = {}
+    for x, y in product(basis.radical_indices, repeat=2):
+        if basis.path_target_of_index(x) == basis.path_source_of_index(y):
+            ends = (basis.path_source_of_index(x), basis.path_target_of_index(y))
+            corners.setdefault(ends, []).append((x, y))
+    out = []
+    for (s, t), pairs in sorted(corners.items()):
+        values = [k for k in range(basis.dim) if (basis.path_source_of_index(k),
+                                                   basis.path_target_of_index(k)) == (s, t)]
+        if values:
+            x, y = rng.choice(pairs)
+            c = fld.from_int(rng.choice((1, 2, -1, 3)))
+            out.append(f + cochain_from_paths(basis, 2, {(basis.paths[x], basis.paths[y]):
+                                                          {rng.choice(values): c}}))
+    return out
+
+
+def assert_engine_matches_the_brute_differential(basis, F):
+    """deformation_witness on basis and F is None exactly when the oracle's
+    full d F is 0, and otherwise its first nonzero key in row order.
+    Returns whether d F is 0."""
+    df = brute_differential(basis.dim, basis.table, basis.field, F.table, 2)
+    witness = deformation_witness(basis, F.table)
+    assert (witness is None) == (not df)
+    assert witness == first_in_row_order(df, kq_rows(basis))
+    return not df
+
+
+def assert_engine_matches_the_brute_associator(alg, table):
+    """The witness of the algebra with alg's unit and the given table, on
+    its greedy rows, is the oracle's first defect on those rows, and None
+    exactly when the exhaustive oracle finds none.  Returns whether it is
+    None."""
+    fld = alg.field
+    bumped = FinDimAlgebra(fld, alg.dim, table, alg.unit, check=False)
+    witness = deformation_witness(bumped)
+    assert (witness is None) == (brute_associativity_defect(alg.dim, table, fld) is None)
+    assert witness == brute_generator_associativity_defect(alg.dim, table, alg.unit, fld)
+    return witness is None
+
+
+def table_plantings(alg, rng):
+    """The structure table of alg with one defect planted in each block of
+    A x A (plantings), each a new table."""
+    fld = alg.field
+    kinds = (alg.trivial_indices, alg.radical_indices)
+    out = []
+    for xs, ys in product(kinds, repeat=2):
+        if xs and ys:
+            key = (rng.choice(xs), rng.choice(ys))
+            table = {k: dict(v) for k, v in alg.table.items()}
+            entry = table.setdefault(key, {})
+            k = rng.randrange(alg.dim)
+            entry[k] = fld.add(entry.get(k, fld.zero), fld.one)
+            out.append(table)
+    return out
+
+
+def check_engine(basis, f, rng):
+    """The engine against the oracles on basis: the cocycle f, the
+    cocycle f + d g for a full 1-cochain g, one defect planted in each
+    block, full and, through cocycle_witness, reduced, and one planted in
+    each block of the structure table.  Returns the verdicts seen."""
+    seen = set()
+    g = random_full(basis.dim, 1, basis.field, rng)
+    for F in [f, f + full_differential(g, basis)]:
+        assert assert_engine_matches_the_brute_differential(basis, F)
+    for F in plantings(basis, f + full_differential(g, basis), rng):
+        seen.add(("full", assert_engine_matches_the_brute_differential(basis, F)))
+    for F in reduced_plantings(basis, f, rng):
+        df = brute_differential(basis.dim, basis.table, basis.field, F.table, 2)
+        assert cocycle_witness(F, basis) == first_in_row_order(df, kq_rows(basis))
+        seen.add(("reduced", not df))
+    for table in table_plantings(basis, rng):
+        seen.add(("table", assert_engine_matches_the_brute_associator(basis, table)))
+    return seen
+
+
+@ENGINE_FIELDS
+def test_deformation_witness_matches_the_oracles_on_the_fixtures(field):
+    # verdict and witness of the generator-row engine against the oracles'
+    # full d F and associator, with one defect planted per block; every
+    # kind of planting both passes and fails somewhere
+    seen = set()
+    for name in ADMISSIBLE:
+        af, basis = basis_over(name, field)
+        rng = random.Random(name)
+        seen |= check_engine(basis, cochain_from_pairs(basis, af.cocycle_pairs), rng)
+    assert seen >= {("full", False), ("reduced", True), ("reduced", False), ("table", False)}
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=40)
+@given(bound_quiver_algebras().filter(lambda basis: basis.dim <= 10))
+def test_deformation_witness_matches_the_oracles_on_drawn_algebras(basis):
+    # the drawn algebras carry no cocycle, so the defects are planted on
+    # the coboundary d g
+    check_engine(basis, FullCochain(basis.dim, 2, basis.field),
+                 random.Random(repr(basis.paths)))

@@ -10,10 +10,11 @@ from quivdeform.errors import (CharTwoUnsupported, InputError,
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file, parse_algebra_text
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
-                                   full_differential, is_full_cocycle)
+                                   full_differential)
 from quivdeform.deform import Deformation
 from quivdeform.modcat import regular_module, regular_uple
-from quivdeform.linalg import _action, _columns, _differing_columns, _identity, map_compose
+from quivdeform.linalg import (_action, _columns, _differing_columns, _identity,
+                               deformation_witness, map_compose)
 from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
                                build_hat_P, build_hat_Q, homotopy_h,
@@ -21,7 +22,7 @@ from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlg
                                matrix_context,
                                transfer_phi, transfer_psi, triple_violations,
                                verify_morita_deformed)
-from quivdeform.quiver import compute_basis
+from quivdeform.quiver import AlgebraBasis, compute_basis
 
 from conftest import (assert_ring_message, bimodule_blocks, block_starts, context_blocks,
                       data_path, identity_context, raw_algebra, raw_bimodule, ring_witness)
@@ -80,7 +81,7 @@ def deformed_pair(ctx, f, g=None):
     if g is None:
         g = transfer_phi(ctx, f)
     for alg, cochain in ((ctx.a, f), (ctx.b, g)):
-        if not is_full_cocycle(cochain, alg):
+        if deformation_witness(alg, cochain.table) is not None:
             raise InputError("not a 2-cocycle")
     return Deformation(ctx.a, f), Deformation(ctx.b, g)
 
@@ -127,7 +128,7 @@ def test_deform_structure_rejects_non_cocycle(dual_numbers):
     # where it reads f, before it builds any deformed algebra
     _, basis = dual_numbers
     bad = FullCochain(basis.dim, 2, Q, {(1, 0): {0: Q.one}})
-    assert not is_full_cocycle(bad, basis)
+    assert deformation_witness(basis, bad.table) is not None
     with pytest.raises(InputError, match="f must be a Hochschild 2-cocycle on A"):
         verify_morita_deformed(matrix_context(basis, 2), bad)
 
@@ -149,11 +150,20 @@ def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
         gens = alg.generators()
         assert gens == sorted(set(gens)) and gens is alg.generators()
         assert brute_generated_dimension(raw_algebra(alg), gens, alg.field) == alg.dim
-        # none can be left out: each one lies outside the subalgebra the
-        # earlier ones generate
-        for k, gen in enumerate(gens):
-            assert brute_generated_dimension(raw_algebra(alg), gens[:k], alg.field) < \
-                brute_generated_dimension(raw_algebra(alg), gens[:k] + [gen], alg.field)
+        if isinstance(alg, AlgebraBasis):
+            # read off kQ/I: its vertex idempotents and arrows
+            assert gens == [i for i, p in enumerate(alg.paths) if len(p) <= 2]
+        elif isinstance(alg, Deformation):
+            # read off the base: its generators as (x, 0), then the (0, e_u)
+            # for u in the support of 1_A
+            base = alg.base
+            assert gens == base.generators() + [base.dim + u for u in sorted(base.unit)]
+        else:
+            # a greedy list: none can be left out, each one lies outside
+            # the subalgebra the earlier ones generate
+            for k, gen in enumerate(gens):
+                assert brute_generated_dimension(raw_algebra(alg), gens[:k], alg.field) < \
+                    brute_generated_dimension(raw_algebra(alg), gens[:k] + [gen], alg.field)
     # M_2(A) has more basis elements than generators
     assert len(ctx.b.generators()) < ctx.b.dim
 
@@ -422,7 +432,7 @@ def test_transferred_cocycle_is_cocycle(dual_numbers, lambda_m2):
     for n in (2, 3):
         ctx = matrix_context(basis, n)
         g = transfer_phi(ctx, f)
-        assert is_full_cocycle(g, ctx.b)
+        assert deformation_witness(ctx.b, g.table) is None
 
 
 def test_chain_maps_matrix_context(dual_numbers):
@@ -465,7 +475,7 @@ def test_cocycle_transfer_roundtrip_is_coboundary(dual_numbers, lambda_m2):
     corner_alg, corner = corner_context(lambda_m2)
     g = FullCochain(corner.b.dim, 2, Q, {(1, 1): dict(corner.b.unit)})
     fa = transfer_psi(corner, g)
-    assert is_full_cocycle(fa, corner_alg)
+    assert deformation_witness(corner_alg, fa.table) is None
     defect = fa - transfer_psi(corner, transfer_phi(corner, fa))
     assert defect == full_differential(homotopy_h(corner, fa), corner_alg)
 
@@ -1829,7 +1839,7 @@ def test_verify_corner_context_of_a_cocycle_not_normalized_at_the_idempotents(tw
     # fails 26 of its 29 lines with the Morita ring is not associative at
     # (p1, q1, a:a2), the axiom <p, q.a> = <p, q>.a
     corner, moved = unnormalised_corner(two_cycle)
-    assert is_full_cocycle(moved, corner.a)
+    assert deformation_witness(corner.a, moved.table) is None
     assert all_pass(verify_morita_deformed(corner, moved)) == []
 
 
