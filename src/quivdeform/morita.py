@@ -58,11 +58,14 @@ number of nonzero entries, not the number of basis tuples of B.
 homotopy_h is the one sum h^n = sum_l (-1)^l h_l of the paper in every
 degree, its chains of generator pairs grown as those of transfer_phi.
 Every context is built as one corner context (_corner_context): eCe
-against C through eC and Ce, each table read off the product of C.  A
-matrix context is the corner of C = M_n(A) at E_11, with eCe read as A
-and the matrix units as generators of 1_C; an idempotent context is the
-swap of the corner of A at e.  hat P and hat Q are one builder too
-(_hat): hat Q is hat P of the swapped context.
+against C through eC and Ce, each table read off the product of C, by
+index when e is a coordinate idempotent, as in every context the
+command line builds.  A matrix context is the corner of C = M_n(A) at
+E_11, with eCe read as A and the matrix units as generators of 1_C; an
+idempotent context is the swap of the corner of A at e.  hat P and hat
+Q are one builder too (_hat): hat Q is hat P of the swapped context.
+_hat and _deformed_pairing work from supports too, one key of f, g or h
+at a time.
 """
 
 from itertools import product
@@ -73,8 +76,8 @@ from .errors import (CharTwoUnsupported, InputError, NotFullIdempotent,
 from .fields import _rational
 from .hochschild import FullCochain, full_differential
 from .linalg import (FinDimAlgebra, SpanSolver, _action, _addinto, _bilinear, _clean,
-                     _columns, _differing_columns, _identity, _lower_block, _map_rank,
-                     _scaled, deformation_witness, map_apply, map_compose)
+                     _differing_columns, _identity, _lower_block, _map_rank,
+                     _scaled, deformation_witness, map_apply, map_combine, map_compose)
 
 
 def block_ring(a, b, p, q=None, pairing_a=None, pairing_b=None):
@@ -425,6 +428,17 @@ def _decomposition_failure(ctx, side, pair, unit, labels):
     return None
 
 
+def _coordinate_blocks(images):
+    """{block: {index in C: index in the block}} for the images {block:
+    [image of each basis element x of C]} of _corner_context when each
+    image of x is x or 0, so when e is a coordinate idempotent; else None.
+    The block holds the x whose image is x, in the order of C."""
+    if not all(v in ({}, x) for vecs in images.values() for v, x in zip(vecs, images["c"])):
+        return None
+    return {name: {i: r for r, i in enumerate(i for i, v in enumerate(vecs) if v)}
+            for name, vecs in images.items()}
+
+
 def _corner_context(c, e, corner=None, gens=None):
     """The corner eCe against C, through P = eC and Q = Ce, for an
     idempotent e of C; both pairings are the product of C, gens_a is
@@ -434,50 +448,88 @@ def _corner_context(c, e, corner=None, gens=None):
     not given, eCe is built and gens_b solved, and NotFullIdempotent is
     raised when CeC is a proper ideal.  eCe, P and Q are unchecked: the
     check of the context's ring proves them.
+
+    The blocks are read by index when e is a coordinate idempotent, that
+    is when e x and x e are each x or 0 for every basis element x of C:
+    a sum of vertex idempotents, or E_11 1_A in M_n(A), so every context
+    the command line builds.  Then each image is a basis element or 0,
+    so each greedy basis is the basis elements the block holds, in the
+    order of C, and a vector lies in the block exactly when its
+    coordinates do, which are then those of C renumbered.  So each
+    product is an entry of C's table, renumbered, and an entry with a
+    coordinate outside its block raises the InputError that the span
+    path raises.  For any other e each block is a span, read through a
+    SpanSolver.  On both paths gens_b is solved through one, the greedy
+    decomposition of 1_C into the brackets of Q x P.
     """
     fld = c.field
     e = _clean(fld, e)
     if c.mul(e, e) != e:
         raise InputError("the given element is not idempotent")
-
-    def span_of(images):
-        """A basis of the span of images, and the coordinates in it of a
-        vector of the span."""
-        solver = SpanSolver(fld)
-        basis = []
-        for vec in images:
-            if vec and solver.add(vec, len(basis)):
-                basis.append(vec)
-
-        def coords(vec):
-            combo = solver.express(vec)
-            if combo is None:
-                raise InputError("product escapes the expected subspace")
-            return _clean(fld, combo)
-        return basis, coords
-
-    def products(xs, ys, coords):
-        """{(r, s): coords(xs[r] ys[s])} over the nonzero products."""
-        out = {}
-        for r, x in enumerate(xs):
-            for s, y in enumerate(ys):
-                vec = c.mul(x, y)
-                if vec:
-                    out[(r, s)] = coords(vec)
-        return out
-
     units = [{i: fld.one} for i in range(c.dim)]
-    abasis, acoords = span_of(c.mul(e, c.mul(x, e)) for x in units)
-    pbasis, pcoords = span_of(c.mul(e, x) for x in units)
-    qbasis, qcoords = span_of(c.mul(x, e) for x in units)
+    rights = [c.mul(x, e) for x in units]
+    # the images of the basis of C in eCe, eC, Ce and C itself
+    images = {"a": [c.mul(e, y) for y in rights], "p": [c.mul(e, x) for x in units],
+              "q": rights, "c": units}
+    at = _coordinate_blocks(images)
+    if at is not None:
+        size = {name: len(pos) for name, pos in at.items()}
+
+        def renumbered(pos):
+            def coords(vec):
+                if not vec.keys() <= pos.keys():
+                    raise InputError("product escapes the expected subspace")
+                return {pos[k]: x for k, x in vec.items()}
+            return coords
+
+        def products(x, y, coords):
+            """{(r, s): coords(x_r y_s)} over the nonzero products of the
+            bases of the blocks x and y."""
+            rows, cols = at[x], at[y]
+            return {(rows[s], cols[t]): coords(vec) for (s, t), vec in c.table.items()
+                    if s in rows and t in cols}
+        acoords, pcoords, qcoords = (renumbered(at[name]) for name in "apq")
+    else:
+        def span_of(vecs):
+            """A basis of the span of vecs, and the coordinates in it of a
+            vector of the span."""
+            solver = SpanSolver(fld)
+            basis = []
+            for vec in vecs:
+                if vec and solver.add(vec, len(basis)):
+                    basis.append(vec)
+
+            def coords(vec):
+                combo = solver.express(vec)
+                if combo is None:
+                    raise InputError("product escapes the expected subspace")
+                return _clean(fld, combo)
+            return basis, coords
+
+        (abasis, acoords), (pbasis, pcoords), (qbasis, qcoords) = (
+            span_of(images[name]) for name in "apq")
+        bases = {"a": abasis, "p": pbasis, "q": qbasis, "c": units}
+        size = {name: len(basis) for name, basis in bases.items()}
+
+        def products(x, y, coords):
+            """{(r, s): coords(x_r y_s)} over the nonzero products of the
+            bases of the blocks x and y."""
+            out = {}
+            for r, xv in enumerate(bases[x]):
+                for s, yv in enumerate(bases[y]):
+                    vec = c.mul(xv, yv)
+                    if vec:
+                        out[(r, s)] = coords(vec)
+            return out
+
     if corner is None:
-        corner = FinDimAlgebra(fld, len(abasis), products(abasis, abasis, acoords),
-                               acoords(e), check=False)
-    p = Bimodule(corner, c, len(pbasis), products(abasis, pbasis, pcoords),
-                 products(pbasis, units, pcoords), check=False)
-    q = Bimodule(c, corner, len(qbasis), products(units, qbasis, qcoords),
-                 products(qbasis, abasis, qcoords), check=False)
-    pairing_b = products(qbasis, pbasis, dict)
+        corner = FinDimAlgebra(fld, size["a"], products("a", "a", acoords), acoords(e),
+                               check=False)
+    p = Bimodule(corner, c, size["p"], products("a", "p", pcoords),
+                 products("p", "c", pcoords), check=False)
+    q = Bimodule(c, corner, size["q"], products("c", "q", qcoords),
+                 products("q", "a", qcoords), check=False)
+    pairing_b = products("q", "p", dict)
     if gens is None:
         witness = SpanSolver(fld)
         for rs, vec in sorted(pairing_b.items()):
@@ -488,16 +540,17 @@ def _corner_context(c, e, corner=None, gens=None):
         gens_b = [({r: x}, {s: fld.one}) for (r, s), x in sorted(combo.items())]
     else:
         gens_b = [(qcoords(x), pcoords(y)) for x, y in gens]
-    return MoritaContext(corner, c, p, q, products(pbasis, qbasis, acoords), pairing_b,
+    return MoritaContext(corner, c, p, q, products("p", "q", acoords), pairing_b,
                          [(pcoords(e), qcoords(e))], gens_b)
 
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
 # The certificate's checks grow with the square or the cube of it:
 # verify-morita on k[x]/(x^6) at n = 3 (dimension 54), with the cocycle of
-# x^6 = t, takes 0.13-0.23 s end to end (medians of 5 runs in each of 6
-# sessions on a shared 2-core machine, Python 3.11), and each doubling of
-# the dimension multiplies that by 4 to 8.
+# x^6 = t, takes 0.074 s end to end and 38 ms in process (medians of 20
+# process runs with cached byte code and of 15 runs in process, on a
+# shared 2-core machine, Python 3.11), and each doubling of the dimension
+# multiplies the time in process by about 5 (8 ms at dimension 27).
 MAX_MATRIX_DIM = 64
 
 
@@ -782,58 +835,115 @@ def _halver(field):
     return lambda vec: {k: _rational(v.numerator, 2 * v.denominator) for k, v in vec.items()}
 
 
+def _with_factors(field, table, vecs, first):
+    """[the sparse map z -> table(vec, z) for vec in vecs] when first,
+    else z -> table(z, vec), for a bilinear map given by its table {(s, t):
+    vector} and vectors without zero coordinates: one pass over the table
+    groups its entries by the coordinate the vectors fill."""
+    by_slot = {}
+    for (s, t), prod in table.items():
+        z, w = (t, s) if first else (s, t)
+        by_slot.setdefault(w, []).append((z, prod))
+    maps = []
+    for vec in vecs:
+        out = {}
+        for w, c in vec.items():
+            for z, prod in by_slot.get(w, ()):
+                _addinto(field, out.setdefault(z, {}), prod, c)
+        maps.append({z: v for z, v in out.items() if v})
+    return maps
+
+
+def _index(keyed):
+    """{(y, k): [(x, c)]} for the pairs (k, sparse map) of keyed: the
+    columns x of the map of k whose coordinate y is c."""
+    out = {}
+    for k, amap in keyed:
+        for x, col in amap.items():
+            for y, c in col.items():
+                out.setdefault((y, k), []).append((x, c))
+    return out
+
+
 def _hat(ctx, f, g, h_left, h_right):
     """(f_tables, g_tables): the maps f_P and g_P of the deformed bimodule
     (P, P, Id, f_P, g_P) over (A_f, B_g), as DeformedBimodule takes them,
-    for cocycles f on ctx.a and g on ctx.b proved by the caller.  f_P
-    carries the term h_left(e_i) x of a 1-cochain on A, g_P the term x
-    h_right(e_j) of one on B.  Each pairing is computed once, outside the
-    loops over the basis indices it does not depend on."""
+    for cocycles f on ctx.a and g on ctx.b proved by the caller.  For
+    gens_a = [(p'_l, q'_l)] and gens_b = [(q_k, p_k)], they are
+
+        f_P(e_i (x) x) = 1/2 (sum_k f(e_i, <x, q_k>) p_k
+                              + sum_ll' p'_l g(<q'_l, e_i p'_l'>, <q'_l', x>)
+                              + h_left(e_i) x),
+        g_P(x (x) e_j) = 1/2 (sum_kk' f(<x, q_k>, <p_k e_j, q_k'>) p_k'
+                              + sum_l p'_l g(<q'_l, x>, e_j) + x h_right(e_j)),
+
+    with h_left a 1-cochain on A and h_right one on B.  They are read off
+    the supports of f, g and the h: f(u, v) is the sum, over the keys (y,
+    z) of f.table, of u_y v_z f(e_y, e_z), and f(e_y, e_z) = 0 off the
+    keys, and so for g.  So each key is pushed once through indexes of
+    the brackets, {(y, k): [(x, <x, q_k>_y)]} and the like (_index), and
+    through the maps a -> a p_k and b -> p'_l b, each built once per
+    generator; each term gets the same products as the defining sum, and
+    the zero cochain costs nothing.  Each column is halved at the end, so
+    over Q an integer stays an int."""
     fld = ctx.field
     halve = _halver(fld)
     p = ctx.p
-    one = fld.one
-    # <q'_l, e_i p'_l'>_B for each i of A, and <p_k e_j, q_k'>_A for each j of B
-    inner = [[[ctx.pair_b(q0, p.left_act({i: one}, p1)) for p1, _ in ctx.gens_a]
-              for _, q0 in ctx.gens_a] for i in range(ctx.a.dim)]
-    outer = [[[ctx.pair_a(moved, qk1) for qk1, _ in ctx.gens_b]
-              for moved in [p.right_act(pk0, {j: one}) for _, pk0 in ctx.gens_b]]
-             for j in range(ctx.b.dim)]
-    units = [{x: one} for x in range(p.dim)]
-    # <x, q_k>_A with p_k, and <q'_l, x>_B, for each x
-    xq = [[(ctx.pair_a(ex, qk), pk) for qk, pk in ctx.gens_b] for ex in units]
-    qx = [[ctx.pair_b(q1, ex) for _, q1 in ctx.gens_a] for ex in units]
-    f_tables = []
-    for i in range(ctx.a.dim):
-        ei = {i: one}
-        hvec = h_left.value((i,))
-        cols = []
-        for x, ex in enumerate(units):
-            acc = {}
-            for a, pk in xq[x]:
-                _addinto(fld, acc, p.left_act(f.evaluate(ei, a), pk), one)
-            for (p0, _), mids in zip(ctx.gens_a, inner[i]):
-                for mid, b in zip(mids, qx[x]):
-                    _addinto(fld, acc, p.right_act(p0, g.evaluate(mid, b)), one)
-            _addinto(fld, acc, p.left_act(hvec, ex), one)
-            cols.append(halve(acc))
-        f_tables.append(_columns(cols))
-    g_tables = []
-    for j in range(ctx.b.dim):
-        ej = {j: one}
-        hvec = h_right.value((j,))
-        cols = []
-        for x, ex in enumerate(units):
-            acc = {}
-            for (first, _), row in zip(xq[x], outer[j]):
-                for a, (_, pk1) in zip(row, ctx.gens_b):
-                    _addinto(fld, acc, p.left_act(f.evaluate(first, a), pk1), one)
-            for (p0, _), b in zip(ctx.gens_a, qx[x]):
-                _addinto(fld, acc, p.right_act(p0, g.evaluate(b, ej)), one)
-            _addinto(fld, acc, p.right_act(ex, hvec), one)
-            cols.append(halve(acc))
-        g_tables.append(_columns(cols))
-    return f_tables, g_tables
+    m, n = len(ctx.gens_b), len(ctx.gens_a)
+    f_cols = [{} for _ in range(ctx.a.dim)]
+    g_cols = [{} for _ in range(ctx.b.dim)]
+
+    def add(cols, x, vec, c):
+        _addinto(fld, cols.setdefault(x, {}), vec, c)
+
+    if f.table or g.table:
+        ps = [pk for _, pk in ctx.gens_b]
+        p1s = [pl for pl, _ in ctx.gens_a]
+        # x -> <x, q_k>_A and x -> <q'_l, x>_B on P
+        x_q = _with_factors(fld, ctx.pairing_a, [qk for qk, _ in ctx.gens_b], False)
+        q1_x = _with_factors(fld, ctx.pairing_b, [ql for _, ql in ctx.gens_a], True)
+        # a -> a p_k, then a -> a p'_l on A; b -> p'_l b, then b -> p_k b on B
+        times = _with_factors(fld, p.left, ps + p1s, False)
+        by = _with_factors(fld, p.right, p1s + ps, True)
+        xq, qx = _index(enumerate(x_q)), _index(enumerate(q1_x))
+    if f.table:
+        # <p_k e_j, q_k'>_A for each j of B, keyed (k, k')
+        outer = _index(((k, k1), map_compose(x_q[k1], by[n + k], fld))
+                       for k in range(m) for k1 in range(m))
+        for (y, z), vec in f.table.items():
+            moved = [map_apply(times[k], vec, fld) for k in range(m)]
+            for k in range(m):
+                # f_P at (e_y, x) for <x, q_k> with a coordinate z
+                for x, c in xq.get((z, k), ()):
+                    add(f_cols[y], x, moved[k], c)
+                xs = xq.get((y, k))
+                for k1 in range(m) if xs else ():
+                    for j, c1 in outer.get((z, (k, k1)), ()):
+                        for x, c in xs:
+                            add(g_cols[j], x, moved[k1], fld.mul(c, c1))
+    if g.table:
+        # <q'_l, e_i p'_l'>_B for each i of A, keyed (l, l')
+        inner = _index(((l, l1), map_compose(q1_x[l], times[m + l1], fld))
+                       for l in range(n) for l1 in range(n))
+        for (u, v), vec in g.table.items():
+            moved = [map_apply(by[l], vec, fld) for l in range(n)]
+            for l in range(n):
+                # g_P at (x, e_v) for <q'_l, x> with a coordinate u
+                for x, c in qx.get((u, l), ()):
+                    add(g_cols[v], x, moved[l], c)
+                for l1 in range(n):
+                    xs = qx.get((v, l1))
+                    for i, c1 in inner.get((u, (l, l1)), ()) if xs else ():
+                        for x, c in xs:
+                            add(f_cols[i], x, moved[l], fld.mul(c1, c))
+    for (i,), hvec in h_left.table.items():
+        for x, vec in map_combine([(c, p.left_map(a)) for a, c in hvec.items()], fld).items():
+            add(f_cols[i], x, vec, fld.one)
+    for (j,), hvec in h_right.table.items():
+        for x, vec in map_combine([(c, p.right_map(b)) for b, c in hvec.items()], fld).items():
+            add(g_cols[j], x, vec, fld.one)
+    return ([{x: halve(vec) for x, vec in cols.items() if vec} for cols in f_cols],
+            [{x: halve(vec) for x, vec in cols.items() if vec} for cols in g_cols])
 
 
 def build_hat_P(ctx, a_f, b_g, h2f):
@@ -902,24 +1012,41 @@ def _deformed_pairing(ctx, f, f_tables):
     Off ((x, 0), (y, 0)) it is the plain pairing times t, and on those
     pairs its t^0 part is the plain pairing, so the deformed pairing is
     the product of the deformation R_F (see verify_morita_deformed) and
-    only its t-part w is computed."""
+    only its t-part w is computed.  Both terms are read off supports, as
+    in _hat: each key (a, b) of f.table adds f(a, b) times the coordinate
+    a of <x, q_k> and b of <p_k, y>, and each nonzero map f_P(e_i (x) -)
+    adds its image of p_k to c_x times the coordinate i of <x, q_k>."""
     fld = ctx.field
-    one, minus = fld.one, fld.neg(fld.one)
+    if not f.table and not any(f_tables):
+        return {}
+    xq = _index(enumerate(
+        _with_factors(fld, ctx.pairing_a, [qk for qk, _ in ctx.gens_b], False)))
     out = {}
-    for x in range(ctx.p.dim):
-        firsts = [(ctx.pair_a({x: one}, qk), pk) for qk, pk in ctx.gens_b]
-        c_x = {}
-        for a, pk in firsts:
-            for i, c in a.items():
-                _addinto(fld, c_x, map_apply(f_tables[i], pk, fld), c)
-        for y in range(ctx.q.dim):
-            ey = {y: one}
-            vec = _scaled(fld, ctx.pair_a(c_x, ey), minus)
-            for a, pk in firsts:
-                _addinto(fld, vec, f.evaluate(a, ctx.pair_a(pk, ey)), one)
-            if vec:
-                out[(x, y)] = vec
-    return out
+    if f.table:
+        py = _index(enumerate(
+            _with_factors(fld, ctx.pairing_a, [pk for _, pk in ctx.gens_b], True)))
+        for (a, b), vec in f.table.items():
+            for k in range(len(ctx.gens_b)):
+                ys = py.get((b, k))
+                if ys:
+                    for x, c in xq.get((a, k), ()):
+                        for y, c1 in ys:
+                            _addinto(fld, out.setdefault((x, y), {}), vec, fld.mul(c, c1))
+    c_of = {}
+    for i, tab in enumerate(f_tables):
+        for k, (_, pk) in enumerate(ctx.gens_b):
+            xs = xq.get((i, k))
+            if tab and xs:
+                moved = map_apply(tab, pk, fld)
+                for x, c in xs:
+                    _addinto(fld, c_of.setdefault(x, {}), moved, c)
+    if c_of:
+        minus = fld.neg(fld.one)
+        # y -> <c_x, y> for each x
+        for x, c_x_y in zip(c_of, _with_factors(fld, ctx.pairing_a, list(c_of.values()), True)):
+            for y, vec in c_x_y.items():
+                _addinto(fld, out.setdefault((x, y), {}), vec, minus)
+    return {key: vec for key, vec in out.items() if vec}
 
 
 def _by_pairs(tables, acting_left):

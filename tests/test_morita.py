@@ -3,8 +3,9 @@ import re
 from itertools import accumulate, combinations, product
 
 import pytest
+from hypothesis import given, settings
 
-from quivdeform import morita
+from quivdeform import cli, morita
 from quivdeform.errors import (CharTwoUnsupported, InputError,
                                NotFullIdempotent, SizeLimitExceeded)
 from quivdeform.fields import Field
@@ -13,7 +14,7 @@ from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
                                    full_differential)
 from quivdeform.deform import Deformation
 from quivdeform.modcat import regular_module, regular_uple
-from quivdeform.linalg import (_action, _columns, _differing_columns, _identity,
+from quivdeform.linalg import (SpanSolver, _action, _columns, _differing_columns, _identity,
                                deformation_witness, map_compose)
 from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlgebra,
                                MoritaContext, TensorProduct,
@@ -24,9 +25,11 @@ from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlg
                                verify_morita_deformed)
 from quivdeform.quiver import AlgebraBasis, compute_basis
 
-from conftest import (assert_ring_message, bimodule_blocks, block_starts, context_blocks,
-                      data_path, identity_context, raw_algebra, raw_bimodule, ring_witness)
-from oracles import (_act, brute_associativity_defect, brute_associator, brute_bimodule_defects,
+from conftest import (DRAWN_ALGEBRAS, assert_ring_message, bimodule_blocks, block_starts,
+                      bound_quiver_algebras, context_blocks, data_path, identity_context,
+                      raw_algebra, raw_bimodule, ring_witness)
+from oracles import (_act, _combo, _evaluate, brute_associativity_defect, brute_associator,
+                     brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
                      brute_context_defects, brute_generator_associativity_defect,
                      brute_corner, brute_deformed_block_ring, brute_generated_dimension,
@@ -266,63 +269,195 @@ def raw_context(ctx):
     return (raw_bimodule(ctx.p), raw_bimodule(ctx.q), ctx.pairing_a, ctx.pairing_b)
 
 
+def assert_contexts_match_the_dense_oracles(basis, name, sizes=(1, 2, 3)):
+    """Every matrix context of basis with n in sizes and every vertex
+    sum, against M_n(A) multiplied out and the corner read off the basis:
+    tables, units, labels, actions, pairings and generator lists; past the
+    limit SizeLimitExceeded, and NotFullIdempotent exactly when 1_A is
+    outside the span of the brackets of Ae x eA."""
+    fld = basis.field
+    one = fld.one
+    d = basis.dim
+    for n in sizes:
+        if n * n * d > morita.MAX_MATRIX_DIM:
+            with pytest.raises(SizeLimitExceeded):
+                matrix_context(basis, n)
+            continue
+        dim, table, unit, labels = brute_matrix_algebra(raw_algebra(basis), basis.labels,
+                                                        n, fld)
+
+        def e_rc(r, c):
+            return {(r * n + c) * d + u: x for u, x in basis.unit.items()}
+
+        corner = brute_corner((dim, table, unit), e_rc(0, 0), fld)
+        at_p, at_q = corner["at_p"], corner["at_q"]
+        ctx = matrix_context(basis, n)
+        assert ctx.a is basis, (name, n)
+        assert raw_algebra(basis) == corner["corner"], (name, n)
+        assert (raw_algebra(ctx.b), ctx.b.labels) == ((dim, table, unit), labels), (name, n)
+        assert raw_context(ctx) == (corner["p"], corner["q"], corner["pairing_a"],
+                                    corner["pairing_b"]), (name, n)
+        assert ctx.gens_a == [({at_p[k]: x for k, x in e_rc(0, 0).items()},
+                               {at_q[k]: x for k, x in e_rc(0, 0).items()})], (name, n)
+        assert ctx.gens_b == [({at_q[k]: x for k, x in e_rc(r, 0).items()},
+                               {at_p[k]: x for k, x in e_rc(0, r).items()})
+                              for r in range(n)], (name, n)
+    vertices = basis.trivial_indices
+    for size in range(1, len(vertices) + 1):
+        for chosen in combinations(vertices, size):
+            e = {i: one for i in chosen}
+            corner = brute_corner(raw_algebra(basis), e, fld)
+            # 1_A = sum c (x e)(e y) through the greedy brackets of Ae x eA
+            combo = brute_greedy_decomposition(sorted(corner["pairing_b"].items()),
+                                               basis.unit, fld)
+            if combo is None:
+                with pytest.raises(NotFullIdempotent) as caught:
+                    idempotent_context(basis, e)
+                assert str(caught.value) == "AeA is a proper ideal; e is not full"
+                continue
+            ctx = idempotent_context(basis, e)
+            dim_b = corner["corner"][0]
+            assert ctx.a is basis, (name, chosen)
+            assert (raw_algebra(ctx.b), ctx.b.labels) == (
+                corner["corner"], ["x%d" % i for i in range(dim_b)]), (name, chosen)
+            assert raw_context(ctx) == (corner["q"], corner["p"], corner["pairing_b"],
+                                        corner["pairing_a"]), (name, chosen)
+            assert ctx.gens_a == [({r: x}, {s: one}) for (r, s), x in sorted(combo.items())]
+            assert ctx.gens_b == [({corner["at_p"][k]: x for k, x in e.items()},
+                                   {corner["at_q"][k]: x for k, x in e.items()})]
+
+
 @pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
 def test_contexts_match_the_dense_oracles(fld):
-    # every matrix context within MAX_MATRIX_DIM and every vertex sum,
-    # against M_n(A) multiplied out and the corner read off the basis:
-    # tables, units, labels, actions, pairings and generator lists
-    one = fld.one
+    for name in CONTEXT_FIXTURES:
+        af = parse_algebra_file(data_path(name + ".alg"), fld)
+        assert_contexts_match_the_dense_oracles(compute_basis(af.quiver, af.relations, fld),
+                                                name)
+
+
+@settings(DRAWN_ALGEBRAS)
+@given(bound_quiver_algebras())
+def test_contexts_match_the_dense_oracles_on_drawn_algebras(basis):
+    assert_contexts_match_the_dense_oracles(basis, repr(basis.paths), sizes=(1, 2))
+
+
+def context_data(ctx):
+    """Everything a context holds, as raw tables and lists."""
+    return (raw_algebra(ctx.a), ctx.a.labels, raw_algebra(ctx.b), ctx.b.labels,
+            raw_context(ctx), ctx.gens_a, ctx.gens_b)
+
+
+def built_on_both_paths(monkeypatch, build):
+    """(what build() gives with the blocks read by index, what it gives
+    with them read through the spans): the context's data, or the class
+    and message of the InputError or NotFullIdempotent it raised.  Checks
+    that the first run reads the blocks by index."""
+    seen = []
+    real = morita._coordinate_blocks
+    monkeypatch.setattr(morita, "_coordinate_blocks",
+                        lambda images: seen.append(real(images)) or seen[-1])
+    out = []
+    for _ in range(2):
+        try:
+            out.append(context_data(build()))
+        except (InputError, NotFullIdempotent) as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+        monkeypatch.setattr(morita, "_coordinate_blocks", lambda images: None)
+    monkeypatch.setattr(morita, "_coordinate_blocks", real)
+    assert seen and all(at is not None for at in seen)
+    return out
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_corner_paths_build_equal_contexts(fld, monkeypatch):
+    # every matrix context within MAX_MATRIX_DIM and every vertex sum:
+    # the blocks read by index and through a SpanSolver give the same
+    # context, or the same refusal of an idempotent that is not full
+    outcomes = []
     for name in CONTEXT_FIXTURES:
         af = parse_algebra_file(data_path(name + ".alg"), fld)
         basis = compute_basis(af.quiver, af.relations, fld)
+        builds = [(n, lambda n=n: matrix_context(basis, n)) for n in (1, 2, 3)
+                  if n * n * basis.dim <= morita.MAX_MATRIX_DIM]
+        builds += [(chosen, lambda chosen=chosen: idempotent_context(
+                        basis, {i: fld.one for i in chosen}))
+                   for size in range(1, len(basis.trivial_indices) + 1)
+                   for chosen in combinations(basis.trivial_indices, size)]
+        for which, build in builds:
+            by_index, by_span = built_on_both_paths(monkeypatch, build)
+            assert by_index == by_span, (name, which)
+            outcomes.append(by_index)
+    refused = [out for out in outcomes if isinstance(out, str)]
+    assert (len(outcomes), len(refused)) == (29, 8)
+    assert set(refused) == {"NotFullIdempotent: AeA is a proper ideal; e is not full"}
+
+
+def moved_out_of_its_block(c, e):
+    """One copy of the table of C for each block of the corner context at
+    the coordinate idempotent e that a product lands in (eCe, eC and Ce):
+    the first product of two basis elements off the support of e that the
+    block's rule sends into it, and that no earlier copy moved, moved to
+    the first basis element outside it.  Off the support of e, e x and x e
+    stay as they were."""
+    fld = c.field
+    one = fld.one
+    left = {x for x in range(c.dim) if c.mul(e, {x: one})}
+    right = {x for x in range(c.dim) if c.mul({x: one}, e)}
+    corner = left & right
+    rest = [x for x in range(c.dim) if x not in e]
+    # (rows, columns, where the product lands): eCe eCe, eCe eC, eC C,
+    # C Ce, Ce eCe and eC Ce
+    rules = ((corner, corner, corner), (corner, left, left), (left, set(rest), left),
+             (set(rest), right, right), (right, corner, right), (left, right, corner))
+    tables, moved = [], set()
+    for rows, cols, lands in rules:
+        s, t = min((s, t) for s in rest if s in rows for t in rest if t in cols
+                   if (s, t) not in moved)
+        moved.add((s, t))
+        table = dict(c.table)
+        table[(s, t)] = {min(x for x in range(c.dim) if x not in lands): one}
+        tables.append(FinDimAlgebra(fld, c.dim, table, c.unit, c.labels, check=False))
+    return tables
+
+
+def test_corner_paths_refuse_a_product_outside_its_block(dual_numbers, two_cycle,
+                                                         monkeypatch):
+    # a table of C with one product moved out of its block: both paths
+    # raise the same InputError, whether eCe is given or built
+    for fixture in (dual_numbers, two_cycle):
+        _, basis = fixture
+        c = matrix_context(basis, 2).b
+        e = {u: x for u, x in basis.unit.items()}
+        for broken in moved_out_of_its_block(c, e):
+            for corner in (None, basis):
+                by_index, by_span = built_on_both_paths(
+                    monkeypatch, lambda: morita._corner_context(broken, e, corner))
+                assert by_index == by_span == (
+                    "InputError: product escapes the expected subspace")
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_a_non_coordinate_idempotent_takes_the_span_path(fld, monkeypatch):
+    # e = (E11 + E12) 1_A in M_2(A) moves E21 1_A to E21 1_A + E22 1_A, so
+    # its blocks are spans; its corner is A again, and the context proves
+    # its ring and both generator lists
+    seen = []
+    real = morita._coordinate_blocks
+    monkeypatch.setattr(morita, "_coordinate_blocks",
+                        lambda images: seen.append(real(images)) or seen[-1])
+    for name in ("dual_numbers", "two_cycle"):
+        af = parse_algebra_file(data_path(name + ".alg"), fld)
+        basis = compute_basis(af.quiver, af.relations, fld)
+        c = matrix_context(basis, 2).b
         d = basis.dim
-        for n in (1, 2, 3):
-            if n * n * d > morita.MAX_MATRIX_DIM:
-                with pytest.raises(SizeLimitExceeded):
-                    matrix_context(basis, n)
-                continue
-            dim, table, unit, labels = brute_matrix_algebra(raw_algebra(basis), basis.labels,
-                                                            n, fld)
-
-            def e_rc(r, c):
-                return {(r * n + c) * d + u: x for u, x in basis.unit.items()}
-
-            corner = brute_corner((dim, table, unit), e_rc(0, 0), fld)
-            at_p, at_q = corner["at_p"], corner["at_q"]
-            ctx = matrix_context(basis, n)
-            assert ctx.a is basis, (name, n)
-            assert raw_algebra(basis) == corner["corner"], (name, n)
-            assert (raw_algebra(ctx.b), ctx.b.labels) == ((dim, table, unit), labels), (name, n)
-            assert raw_context(ctx) == (corner["p"], corner["q"], corner["pairing_a"],
-                                        corner["pairing_b"]), (name, n)
-            assert ctx.gens_a == [({at_p[k]: x for k, x in e_rc(0, 0).items()},
-                                   {at_q[k]: x for k, x in e_rc(0, 0).items()})], (name, n)
-            assert ctx.gens_b == [({at_q[k]: x for k, x in e_rc(r, 0).items()},
-                                   {at_p[k]: x for k, x in e_rc(0, r).items()})
-                                  for r in range(n)], (name, n)
-        vertices = basis.trivial_indices
-        for size in range(1, len(vertices) + 1):
-            for chosen in combinations(vertices, size):
-                e = {i: one for i in chosen}
-                corner = brute_corner(raw_algebra(basis), e, fld)
-                # 1_A = sum c (x e)(e y) through the greedy brackets of Ae x eA
-                combo = brute_greedy_decomposition(sorted(corner["pairing_b"].items()),
-                                                   basis.unit, fld)
-                if combo is None:
-                    with pytest.raises(NotFullIdempotent) as caught:
-                        idempotent_context(basis, e)
-                    assert str(caught.value) == "AeA is a proper ideal; e is not full"
-                    continue
-                ctx = idempotent_context(basis, e)
-                dim_b = corner["corner"][0]
-                assert ctx.a is basis, (name, chosen)
-                assert (raw_algebra(ctx.b), ctx.b.labels) == (
-                    corner["corner"], ["x%d" % i for i in range(dim_b)]), (name, chosen)
-                assert raw_context(ctx) == (corner["q"], corner["p"], corner["pairing_b"],
-                                            corner["pairing_a"]), (name, chosen)
-                assert ctx.gens_a == [({r: x}, {s: one}) for (r, s), x in sorted(combo.items())]
-                assert ctx.gens_b == [({corner["at_p"][k]: x for k, x in e.items()},
-                                       {corner["at_q"][k]: x for k, x in e.items()})]
+        e = {cell * d + u: x for cell in (0, 1) for u, x in basis.unit.items()}
+        seen.clear()
+        ctx = morita._corner_context(c, e)
+        assert seen == [None], name
+        assert (ctx.a.dim, ctx.p.dim, ctx.q.dim) == (d, 2 * d, 2 * d), name
+        ring, _ = ctx.proved_ring()
+        assert morita.ring_failure(ring, "the Morita ring") is None, name
+        assert ctx.a.mul(ctx.a.unit, ctx.a.unit) == ctx.a.unit, name
 
 
 def corner_context(lambda_m2):
@@ -590,6 +725,118 @@ def test_hat_tables_match_their_defining_sums(fld, monkeypatch):
             ctx, f, b_g.f, (hat_p.f_tables, hat_p.g_tables),
             (hat_q.f_tables, hat_q.g_tables))], name
     assert not all(h2f.is_zero() for h2f in homotopies)
+
+
+def hat_raw(ctx):
+    """The context's data as brute_hat_tables takes it, after the two
+    dimensions."""
+    return (raw_bimodule(ctx.p), raw_bimodule(ctx.q), ctx.pairing_a, ctx.pairing_b,
+            ctx.gens_a, ctx.gens_b)
+
+
+def assert_hat_matches_its_sums(ctx, f, g, h_a, h_b, name):
+    """_hat(ctx, f, g, h_a, h_b) against the defining sums of
+    brute_hat_tables: f_P is f_P of the context with h_a, and g_P, whose h
+    term is x h_b(e_j), is f_Q of the swapped context with h_b."""
+    fld = ctx.field
+    f_p, g_p = morita._hat(ctx, f, g, h_a, h_b)
+    want_f_p = brute_hat_tables(ctx.a.dim, ctx.b.dim, *hat_raw(ctx), f.table, g.table,
+                                h_a.table, fld)[0]
+    sw = ctx.swap()
+    want_g_p = brute_hat_tables(sw.a.dim, sw.b.dim, *hat_raw(sw), g.table, f.table,
+                                h_b.table, fld)[3]
+    assert {(i, x): f_p[i].get(x, {}) for i, x in want_f_p} == want_f_p, name
+    assert {(j, x): g_p[j].get(x, {}) for j, x in want_g_p} == want_g_p, name
+    assert (len(f_p), len(g_p)) == (ctx.a.dim, ctx.b.dim), name
+    return f_p, g_p
+
+
+def one_row(cochain):
+    """The cochain with every row but its first nonzero one set to 0."""
+    first = min(cochain.table)[0]
+    return FullCochain(cochain.dim, cochain.degree, cochain.field,
+                       {key: vec for key, vec in cochain.table.items() if key[0] == first})
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_hat_tables_on_the_edges_of_their_supports(fld):
+    # the maps of _hat are linear in f, g and the h, so any cochains are
+    # valid inputs of the defining sums: f and g cut to one row each, the
+    # zero cochains, which give zero tables, and random 1-cochains on both
+    # sides, with f and g and without them
+    rng = random.Random(11)
+    for name, ctx, f in hat_cases(fld):
+        g = transfer_phi(ctx, f)
+        none_a, none_b = (FullCochain(alg.dim, 1, fld) for alg in (ctx.a, ctx.b))
+        h_a = random_cochain(rng, fld, ctx.a.dim, 1)
+        h_b = random_cochain(rng, fld, ctx.b.dim, 1)
+        zero = morita._hat(ctx, FullCochain(ctx.a.dim, 2, fld), FullCochain(ctx.b.dim, 2, fld),
+                           none_a, none_b)
+        assert zero == ([{}] * ctx.a.dim, [{}] * ctx.b.dim), name
+        for f1, g1, h1, h2 in ((one_row(f), one_row(g), none_a, none_b),
+                               (f, g, h_a, h_b),
+                               (FullCochain(ctx.a.dim, 2, fld), FullCochain(ctx.b.dim, 2, fld),
+                                h_a, h_b)):
+            tables = assert_hat_matches_its_sums(ctx, f1, g1, h1, h2, name)
+            assert any(tables[0]) and any(tables[1]), name
+    # a cocycle with one nonzero row: f(a, a) = e(1) on the dual numbers
+    af = parse_algebra_file(data_path("dual_numbers.alg"), fld)
+    basis = compute_basis(af.quiver, af.relations, fld)
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
+    assert len({key[0] for key in f.table}) == 1
+    ctx = matrix_context(basis, 2)
+    g = FullCochain(ctx.b.dim, 2, fld)
+    none_a, none_b = (FullCochain(alg.dim, 1, fld) for alg in (ctx.a, ctx.b))
+    for c in (ctx, ctx.swap()):
+        args = (f, g, none_a, none_b) if c is ctx else (g, f, none_b, none_a)
+        assert_hat_matches_its_sums(c, *args, "dual_numbers M_2")
+
+
+def defining_pairing(ctx, f, f_tables):
+    """The t-part w((x, 0), (y, 0)) = sum_k f(<x, q_k>, <p_k, y>) - <c_x,
+    y> of _deformed_pairing on every basis pair, with c_x = sum_k
+    f_P(<x, q_k> (x) p_k) and f_P(e_i (x) m) = f_tables[i][m], over
+    gens_b = [(q_k, p_k)]."""
+    fld = ctx.field
+    one, minus = fld.one, fld.neg(fld.one)
+    out = {}
+    for x in range(ctx.p.dim):
+        brackets = [(_act(ctx.pairing_a, fld, {x: one}, qk), pk) for qk, pk in ctx.gens_b]
+        c_x = _combo(fld, *((fld.mul(c, cm), f_tables[i].get(m, {}))
+                            for a, pk in brackets for i, c in a.items()
+                            for m, cm in pk.items()))
+        for y in range(ctx.q.dim):
+            ey = {y: one}
+            w = _combo(fld, (minus, _act(ctx.pairing_a, fld, c_x, ey)),
+                       *((one, _evaluate(fld, f.table, (a, _act(ctx.pairing_a, fld, pk, ey))))
+                         for a, pk in brackets))
+            if w:
+                out[(x, y)] = w
+    return out
+
+
+@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
+def test_deformed_pairing_matches_its_defining_sum(fld):
+    # on every context of hat_cases and its swap, with a random 2-cochain
+    # and random maps f_P, halves included, for which c_x is not 0: the
+    # contexts the certificate meets all have c_x = 0.  The maps differ
+    # from one e_i to the next, so reading one map for every i changes the
+    # pairing on some context
+    rng = random.Random(29)
+    half = fld.inv(fld.from_int(2))
+    sensitive = []
+    for name, ctx, _ in hat_cases(fld):
+        for c in (ctx, ctx.swap()):
+            f = random_cochain(rng, fld, c.a.dim, 2)
+            f_tables = [{m: {rng.randrange(c.p.dim): rng.choice((fld.one, half))}
+                         for m in rng.sample(range(c.p.dim), 2)} for _ in range(c.a.dim)]
+            want = defining_pairing(c, f, f_tables)
+            assert morita._deformed_pairing(c, f, f_tables) == want, name
+            assert want != defining_pairing(c, f, [{}] * c.a.dim), name
+            assert morita._deformed_pairing(c, FullCochain(c.a.dim, 2, fld),
+                                            [{}] * c.a.dim) == {}, name
+            sensitive.append(want != defining_pairing(c, f, [f_tables[0]] * c.a.dim))
+    assert any(sensitive)
 
 
 def test_hat_requires_cocycle_and_odd_characteristic(dual_numbers):
@@ -1865,3 +2112,44 @@ def test_verify_rejects_non_cocycle(dual_numbers):
     with pytest.raises(InputError):
         verify_morita_deformed(ctx, FullCochain(basis.dim, 2, Q,
                                                 {(1, 0): {0: Q.one}}))
+
+
+def test_the_morita_layer_takes_no_slow_path(lambda_m2, monkeypatch, capsys):
+    # verify-morita reads the maps of the hats and the deformed pairings
+    # off the supports of the cochains, with no FullCochain.evaluate, and
+    # the corner blocks by index, with no SpanSolver.express: the one
+    # express left is the solve of 1_C for gens_b, when the command gives
+    # no generators (--idempotent)
+    inside, entered, calls = [], [], []
+
+    def watched(name):
+        real = getattr(morita, name)
+
+        def run(*args, **kwargs):
+            inside.append(name)
+            entered.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(morita, name, run)
+
+    for name in ("_hat", "_deformed_pairing", "_corner_context"):
+        watched(name)
+    evaluate, express = FullCochain.evaluate, SpanSolver.express
+    monkeypatch.setattr(FullCochain, "evaluate", lambda self, *args: calls.append(
+        ("evaluate", set(inside), None)) or evaluate(self, *args))
+    monkeypatch.setattr(SpanSolver, "express", lambda self, vec: calls.append(
+        ("express", set(inside), dict(vec))) or express(self, vec))
+    _, basis = lambda_m2
+    for flags, solved in ((["dual_numbers.alg", "--matrix", "2"], []),
+                          (["lambda_m2.alg", "--idempotent", "1"], [basis.unit])):
+        entered.clear()
+        calls.clear()
+        assert cli.run(["verify-morita", data_path(flags[0])] + flags[1:]) == 0, flags
+        assert "FAIL" not in capsys.readouterr().out, flags
+        assert sorted(entered) == ["_corner_context"] + ["_deformed_pairing"] * 2 + ["_hat"] * 2
+        assert [kind for kind, where, _ in calls
+                if kind == "evaluate" and where & {"_hat", "_deformed_pairing"}] == [], flags
+        assert [vec for kind, where, vec in calls
+                if kind == "express" and "_corner_context" in where] == solved, flags
