@@ -13,7 +13,6 @@ modcat) when it runs, so a command loads only what it computes with.
 """
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -448,8 +447,11 @@ def _option_of(token, names, command):
         _fail(command, "ambiguous option: %s could match %s" % (head, ", ".join(found)))
     if found:
         return _SHORT.get(found[0], found[0]), value if eq or value else None
-    # argparse takes a negative number, or a word with a space, as a value
-    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+    # argparse takes a negative number, -D or -[D].D for digit runs D, or a
+    # word with a space, as a value
+    whole, dot, frac = token[1:].partition(".")
+    if dot and frac.isdecimal() and (not whole or whole.isdecimal()) \
+            or not dot and whole.isdecimal() or " " in token:
         return None
     return None, None
 

@@ -26,17 +26,110 @@ label (matrix rows separated by `;`, acting on coordinate columns):
 The parser turns each matrix into a sparse map {column: {row: scalar}},
 the form the module layer works in, and emit_module_text writes such
 maps back as dense rows.
-"""
 
-import re
+The tokens, exactly.  "Space" is a character that str.isspace accepts,
+a "digit" one that str.isdecimal accepts (Unicode decimal digits, so
+`٣` but not `²`), and a "word character" one that str.isalnum accepts,
+or `_`.  Lines are split at str.splitlines.
+
+- comment: everything from the first `#` of a line.  Its origin tag is
+  read at the first `#` that spaces, `origin:`, spaces and a non-space
+  character follow: the run of non-space characters there;
+- arrow line: `arrow N : S -> T`, where N, S and T are runs of non-space
+  characters and the spaces are optional.  The longest N comes first,
+  then the longest S, so `a:b : 1 -> 2` declares `a:b`; N must then be
+  an arrow name;
+- arrow name: an ASCII letter or `_`, then ASCII letters, digits, `_`
+  or `^`;
+- param line: `param N = V`, N one or more word characters, V a run of
+  non-space characters read as a scalar;
+- cocycle line: `cocycle f(X, Y) = E`: X runs to the first comma, Y to
+  the first `)` after it that spaces and `=` follow, E is the rest;
+- act line: `act(L) = ROWS`, L running to the first `)` that spaces and
+  `=` follow;
+- scalar: an optional `-`, digits, and optionally `/` and digits;
+- `e(v)`: the trivial path at v, one or more word characters;
+- expression: a signed sum, spaces ignored, of terms whose `*`-separated
+  factors are arrow names, param names, scalars or `e(v)`.
+"""
 
 from .errors import InputError
 from .fields import Field
 from .quiver import FreeElement, Quiver
 
-_SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
-_TRIVIAL_RE = re.compile(r"^e\((\w+)\)$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_^]*$")
+_RATIONALS = Field.rationals()
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | frozenset("0123456789^")
+
+
+def _is_word(text):
+    # one or more word characters: `_` counts as a letter
+    return text.replace("_", "a").isalnum()
+
+
+def _is_scalar(token):
+    num, slash, den = token.partition("/")
+    if num[:1] == "-":
+        num = num[1:]
+    return num.isdecimal() and (not slash or den.isdecimal())
+
+
+def _is_arrow_name(name):
+    return name[:1] in _NAME_START and all(c in _NAME_CHARS for c in name[1:])
+
+
+def _is_run(text):
+    # one or more characters, none of them a space
+    return text.split() == [text]
+
+
+def _runs_before(text, sep):
+    """The readings of text as R, spaces, sep, spaces, T with R a run of
+    non-space characters: (R, T) pairs, the longest R first."""
+    run = text.split(None, 1)[0] if text[:1] and not text[0].isspace() else ""
+    for end in range(len(run), 0, -1):
+        tail = text[end:].lstrip()
+        if tail.startswith(sep):
+            yield run[:end], tail[len(sep):].lstrip()
+
+
+def _closed_by_equals(text):
+    """(inside, value): text cut at its first `)` that spaces and `=`
+    follow, and what follows the `=` and its spaces; or None."""
+    end = text.find(")")
+    while end >= 0:
+        after = text[end + 1:].lstrip()
+        if after.startswith("="):
+            return text[:end], after[1:].lstrip()
+        end = text.find(")", end + 1)
+    return None
+
+
+def _arrow_fields(rest):
+    """(name, source, target) of an arrow line after `arrow`, or None."""
+    for name, ends in _runs_before(rest, ":"):
+        for source, target in _runs_before(ends, "->"):
+            if _is_run(target):
+                return name, source, target
+    return None
+
+
+def _param_fields(rest):
+    """(name, value) of a param line after `param`, or None."""
+    name, eq, value = rest.partition("=")
+    name, value = name.rstrip(), value.lstrip()
+    if eq and _is_word(name) and _is_run(value):
+        return name, value
+    return None
+
+
+def _cocycle_fields(rest):
+    """(left key, right key, value) of a cocycle line after `cocycle`, or None."""
+    if not rest.startswith("f("):
+        return None
+    left, comma, tail = rest[2:].partition(",")
+    found = _closed_by_equals(tail) if comma else None
+    return None if found is None else (left,) + found
 
 
 class AlgebraFile:
@@ -62,13 +155,17 @@ class AlgebraFile:
 
 
 def _strip_comment(line):
+    body, hash_, comment = line.partition("#")
     origin = None
-    m = re.search(r"#\s*origin:\s*(\S+)", line)
-    if m:
-        origin = m.group(1)
-    if "#" in line:
-        line = line[:line.index("#")]
-    return line.strip(), origin
+    while hash_:
+        rest = comment.lstrip()
+        if rest.startswith("origin:"):
+            tag = rest[len("origin:"):].lstrip()
+            if tag:
+                origin = tag.split(None, 1)[0]
+                break
+        _, hash_, comment = comment.partition("#")
+    return body.strip(), origin
 
 
 def _split_signed_terms(text):
@@ -78,67 +175,69 @@ def _split_signed_terms(text):
         raise InputError("empty expression")
     terms = []
     sign = 1
-    cur = []
-    for ch in text:
-        if ch in "+-":
-            if cur:
-                terms.append((sign, "".join(cur)))
-                cur = []
-                sign = 1
-            sign *= -1 if ch == "-" else 1
-        else:
-            cur.append(ch)
-    if not cur:
+    # each piece is a term or nothing, after at most one minus sign
+    for piece in text.replace("-", "+-").split("+"):
+        if piece[:1] == "-":
+            sign, piece = -sign, piece[1:]
+        if piece:
+            terms.append((sign, piece))
+            sign = 1
+    if not piece:
         raise InputError("dangling sign in expression %r" % text)
-    terms.append((sign, "".join(cur)))
     return terms
 
 
 def parse_expression(text, quiver, field, params):
     """Parse a signed sum of scalar*path terms into a FreeElement."""
-    out = FreeElement.zero(quiver, field)
+    zero, one = field.zero, field.one
+    aindex, arrows, vindex = quiver.aindex, quiver.arrows, quiver.vindex
+    terms = {}
     for sign, term in _split_signed_terms(text):
-        coeff = field.one if sign > 0 else field.neg(field.one)
+        coeff = one if sign > 0 else field.neg(one)
         path = None
         for factor in term.split("*"):
-            if not factor:
-                raise InputError("empty factor in term %r" % term)
-            if _SCALAR_RE.match(factor):
-                coeff = field.mul(coeff, field.parse(factor))
-                continue
-            if factor in params:
+            # arrow and param names are never scalars (parse_algebra_text)
+            a = aindex.get(factor)
+            if a is not None:
+                step = (arrows[a][1], a)
+            elif factor in params:
                 coeff = field.mul(coeff, params[factor])
                 continue
-            m = _TRIVIAL_RE.match(factor)
-            if m:
-                v = m.group(1)
-                if v not in quiver.vindex:
+            elif _is_scalar(factor):
+                coeff = field.mul(coeff, field.parse(factor))
+                continue
+            elif not factor:
+                raise InputError("empty factor in term %r" % term)
+            elif factor[:2] == "e(" and factor[-1:] == ")" and _is_word(factor[2:-1]):
+                if factor[2:-1] not in vindex:
                     raise InputError("unknown vertex in %r" % factor)
-                step = quiver.trivial_path(v)
-            elif factor in quiver.aindex:
-                step = quiver.arrow_path(factor)
+                step = (vindex[factor[2:-1]],)
             else:
                 raise InputError("unknown name %r in term %r" % (factor, term))
             if path is None:
                 path = step
+            elif (arrows[path[-1]][2] if len(path) > 1 else path[0]) != step[0]:
+                raise InputError("factors do not compose in term %r" % term)
             else:
-                path = quiver.compose(path, step)
-                if path is None:
-                    raise InputError("factors do not compose in term %r" % term)
+                path += step[1:]
         if path is None:
             raise InputError("term %r has no path factor" % term)
-        out = out + FreeElement.from_path(quiver, field, path, coeff)
-    return out
+        if coeff != zero:
+            s = field.add(terms.get(path, zero), coeff)
+            if s == zero:
+                del terms[path]
+            else:
+                terms[path] = s
+    return FreeElement(quiver, field, terms)
 
 
 def parse_path(text, quiver):
     """Parse a pure path expression (arrows and e(v) only, no scalars)."""
-    field = Field.rationals()
-    elem = parse_expression(text, quiver, field, {})
+    elem = parse_expression(text, quiver, _RATIONALS, {})
     if len(elem.terms) != 1:
         raise InputError("expected a single path, got %r" % text)
     path, coeff = next(iter(elem.terms.items()))
-    if coeff != field.one:
+    if coeff != _RATIONALS.one:
         raise InputError("path expression %r carries a coefficient" % text)
     return path
 
@@ -151,10 +250,10 @@ def parse_algebra_text(text, field_override=None):
     relation_lines = []
     cocycle_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line, origin = _strip_comment(raw)
+        line, origin = _strip_comment(raw) if "#" in raw else (raw.strip(), None)
         if not line:
             continue
-        head = line.split()[0]
+        head = line.split(None, 1)[0]
         rest = line[len(head):].strip()
         if head == "field":
             if field_line is not None:
@@ -163,18 +262,17 @@ def parse_algebra_text(text, field_override=None):
         elif head == "vertex":
             vertex_ids.extend(rest.split())
         elif head == "arrow":
-            m = re.match(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", rest)
-            if not m:
+            fields = _arrow_fields(rest)
+            if fields is None:
                 raise InputError("line %d: malformed arrow line" % lineno)
-            name = m.group(1)
-            if not _NAME_RE.match(name):
-                raise InputError("line %d: bad arrow name %r" % (lineno, name))
-            arrow_decls.append((name, m.group(2), m.group(3)))
+            if not _is_arrow_name(fields[0]):
+                raise InputError("line %d: bad arrow name %r" % (lineno, fields[0]))
+            arrow_decls.append(fields)
         elif head == "param":
-            m = re.match(r"^(\w+)\s*=\s*(\S+)$", rest)
-            if not m:
+            fields = _param_fields(rest)
+            if fields is None:
                 raise InputError("line %d: malformed param line" % lineno)
-            param_lines.append((lineno, m.group(1), m.group(2)))
+            param_lines.append((lineno,) + fields)
         elif head == "relation":
             relation_lines.append((lineno, rest, origin))
         elif head == "cocycle":
@@ -203,7 +301,7 @@ def parse_algebra_text(text, field_override=None):
 
     params = {}
     for lineno, name, value in param_lines:
-        if name in quiver.aindex or name in quiver.vindex or _SCALAR_RE.match(name):
+        if name in quiver.aindex or name in quiver.vindex or _is_scalar(name):
             raise InputError("line %d: param name %r shadows another token" % (lineno, name))
         if name in params:
             raise InputError("line %d: duplicate param %r" % (lineno, name))
@@ -219,7 +317,9 @@ def parse_algebra_text(text, field_override=None):
         origins.append(origin)
 
     cocycle_pairs = {}
-    key_paths = {}  # key path text -> path; family files repeat each many times
+    # key path text -> path, value text -> element: family files repeat
+    # each many times; every pair gets an element of its own
+    key_paths, values = {}, {}
 
     def key_path(text):
         if text not in key_paths:
@@ -227,17 +327,18 @@ def parse_algebra_text(text, field_override=None):
         return key_paths[text]
 
     for lineno, rest in cocycle_lines:
-        m = re.match(r"^f\((.*?),(.*?)\)\s*=\s*(.*)$", rest)
-        if not m:
+        fields = _cocycle_fields(rest)
+        if fields is None:
             raise InputError("line %d: malformed cocycle line" % lineno)
         try:
-            key = (key_path(m.group(1)), key_path(m.group(2)))
-            value = parse_expression(m.group(3), quiver, field, params)
+            key = (key_path(fields[0]), key_path(fields[1]))
+            if fields[2] not in values:
+                values[fields[2]] = parse_expression(fields[2], quiver, field, params)
         except InputError as e:
             raise InputError("line %d: %s" % (lineno, e))
         if key in cocycle_pairs:
             raise InputError("line %d: duplicate cocycle pair" % lineno)
-        cocycle_pairs[key] = value
+        cocycle_pairs[key] = FreeElement(quiver, field, values[fields[2]].terms)
 
     return AlgebraFile(field, quiver, relations, params, cocycle_pairs, origins)
 
@@ -351,14 +452,14 @@ def parse_module_text(text, field):
             if dim < 0:
                 raise InputError("line %d: negative dimension" % lineno)
         elif head.startswith("act(") or head == "act":
-            m = re.match(r"^act\((.*?)\)\s*=\s*(.*)$", line)
-            if not m:
+            fields = _closed_by_equals(line[4:]) if line.startswith("act(") else None
+            if fields is None:
                 raise InputError("line %d: malformed act line" % lineno)
-            label = "".join(m.group(1).split())
+            label = "".join(fields[0].split())
             if dim is None:
                 raise InputError("line %d: act before dim" % lineno)
             rows = []
-            for row_text in m.group(2).split(";"):
+            for row_text in fields[1].split(";"):
                 entries = row_text.split()
                 if len(entries) != dim:
                     raise InputError("line %d: row of width %d, expected %d"

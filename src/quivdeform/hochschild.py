@@ -157,8 +157,7 @@ def _reduced_products(basis):
 def _corners(basis):
     """{(s, t): the basis indices of the corner e_s A e_t}."""
     corners = {}
-    for i in range(basis.dim):
-        ends = (basis.path_source_of_index(i), basis.path_target_of_index(i))
+    for i, ends in enumerate(basis.ends):
         corners.setdefault(ends, []).append(i)
     return corners
 
@@ -174,8 +173,7 @@ def _coboundary_images(basis):
     fld = basis.field
     corners = _corners(basis)
     for g in basis.radical_indices:
-        for i in corners.get((basis.path_source_of_index(g),
-                              basis.path_target_of_index(g)), ()):
+        for i in corners.get(basis.ends[g], ()):
             yield ((g,), i), _flat(_push({(g,): {i: fld.one}}, 1, products, fld))
 
 
@@ -194,7 +192,7 @@ def _check_entry(basis, key, indices):
                              % (key,))
         if len(basis.paths[i]) == 1:
             raise InputError("cochain keys must be non-trivial paths")
-    ends = [(basis.path_source_of_index(i), basis.path_target_of_index(i)) for i in key]
+    ends = [basis.ends[i] for i in key]
     if any(t != s for (_, t), (s, _) in zip(ends, ends[1:])):
         raise InputError("cochain key %s is not composable" % _key_name(basis, key))
     corner = (ends[0][0], ends[-1][1])
@@ -202,7 +200,7 @@ def _check_entry(basis, key, indices):
         if not _is_index(basis, i):
             raise InputError("value of cochain at %s has index %r, not a basis index"
                              % (_key_name(basis, key), i))
-        if (basis.path_source_of_index(i), basis.path_target_of_index(i)) != corner:
+        if basis.ends[i] != corner:
             raise InputError(
                 "value of cochain at %s leaves the corner e_%s A e_%s"
                 % ((_key_name(basis, key),)

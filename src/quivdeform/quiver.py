@@ -23,6 +23,7 @@ an element of kQ/I is, as for every FinDimAlgebra, a coordinate dict
 """
 
 from collections import deque
+from itertools import count
 
 from .errors import InputError, NotFiniteDimensional, SizeLimitExceeded
 from .linalg import FinDimAlgebra, _addinto, _scaled
@@ -222,6 +223,11 @@ class RewriteSystem:
     overlap ambiguities (including the insertion ambiguities of rules
     whose leading word is a trivial path) are resolved, so reduction
     computes exact normal forms in every degree.
+
+    A match is looked for among the rules that can match: those whose
+    word starts with an arrow of the path, and the trivial-path rules at
+    its vertices.  Of those, the rule added first wins, as if every rule
+    were tried in order.
     """
 
     def __init__(self, quiver, field, elements, degree_cap):
@@ -229,6 +235,10 @@ class RewriteSystem:
         self.field = field
         self.degree_cap = degree_cap
         self.rules = {}  # leading path -> FreeElement
+        self._rank = {}  # leading path -> its place in the order of rules
+        self._ranks = count()
+        self._by_head = {}  # first arrow -> the non-trivial leading paths
+        self._at_vertex = {}  # vertex -> the trivial leading path there
         pending = deque(e for e in elements if not e.is_zero())
         while pending:
             elem = self.reduce(pending.popleft())
@@ -245,7 +255,7 @@ class RewriteSystem:
             rhs = FreeElement(quiver, field, rhs_terms)
             # older rules whose leading word the new rule reaches must be redone
             for old in [ow for ow in self.rules if self._word_hits(w, ow)]:
-                old_rhs = self.rules.pop(old)
+                old_rhs = self._drop_rule(old)
                 pending.append(FreeElement.from_path(quiver, field, old) - old_rhs)
             for other_w, other_rhs in list(self.rules.items()) + [(w, rhs)]:
                 for s in self._spolys(w, rhs, other_w, other_rhs):
@@ -253,10 +263,27 @@ class RewriteSystem:
                 if other_w != w:
                     for s in self._spolys(other_w, other_rhs, w, rhs):
                         pending.append(s)
-            self.rules[w] = rhs
+            self._add_rule(w, rhs)
         # canonical form: rule right-hand sides fully reduced
         for w in list(self.rules):
             self.rules[w] = self.reduce(self.rules[w])
+
+    def _add_rule(self, w, rhs):
+        # w is reduced by the rules so far, so it is not one of them
+        self.rules[w] = rhs
+        self._rank[w] = next(self._ranks)
+        if len(w) == 1:
+            self._at_vertex[w[0]] = w
+        else:
+            self._by_head.setdefault(w[1], []).append(w)
+
+    def _drop_rule(self, w):
+        del self._rank[w]
+        if len(w) == 1:
+            del self._at_vertex[w[0]]
+        else:
+            self._by_head[w[1]].remove(w)
+        return self.rules.pop(w)
 
     def _word_hits(self, w, target):
         """Does rule word w match somewhere inside the word `target`?"""
@@ -298,22 +325,26 @@ class RewriteSystem:
                 yield q.subpath(w1, 0, len(a1) - k), q.subpath(w2, k, len(a2))
 
     def _find_match(self, p):
-        """(left, word, right) splitting p around some rule word, or None."""
-        q = self.quiver
-        seq = q.vertex_seq(p)
+        """(left, word, right) splitting p around the first rule word, in
+        the order of rules, that occurs in p, at its first occurrence; or
+        None.  Positions are scanned left to right and a match replaces
+        the one found only when its rule comes earlier."""
+        q, rank = self.quiver, self._rank
         arrows = p[1:]
-        for w in self.rules:
-            wa = w[1:]
-            if not wa:
-                for i, u in enumerate(seq):
-                    if u == w[0]:
-                        return q.subpath(p, 0, i), w, q.subpath(p, i, len(arrows))
-                continue
-            n = len(wa)
-            for i in range(len(arrows) - n + 1):
-                if arrows[i:i + n] == wa:
-                    return q.subpath(p, 0, i), w, q.subpath(p, i + n, len(arrows))
-        return None
+        best = None  # (rank, start, word, end)
+        if self._at_vertex:
+            for i, u in enumerate(q.vertex_seq(p)):
+                w = self._at_vertex.get(u)
+                if w is not None and (best is None or rank[w] < best[0]):
+                    best = (rank[w], i, w, i)
+        for i, a in enumerate(arrows):
+            for w in self._by_head.get(a, ()):
+                if (best is None or rank[w] < best[0]) and arrows[i:i + len(w) - 1] == w[1:]:
+                    best = (rank[w], i, w, i + len(w) - 1)
+        if best is None:
+            return None
+        _, i, w, j = best
+        return q.subpath(p, 0, i), w, q.subpath(p, j, len(arrows))
 
     def steps(self, terms):
         """The rewrite steps that bring the coordinate dict terms {path: c}
@@ -427,6 +458,7 @@ class AlgebraBasis(FinDimAlgebra):
         self.rewrite = rewrite
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
+        self.ends = [(p[0], quiver.path_target(p)) for p in paths]  # (source, target)
         self.trivial_indices = [i for i, p in enumerate(paths) if len(p) == 1]
         self.radical_indices = [i for i, p in enumerate(paths) if len(p) > 1]
         super().__init__(field, len(paths), {},
@@ -435,15 +467,19 @@ class AlgebraBasis(FinDimAlgebra):
         # generators(), read off the paths (class docstring)
         self._generators = [i for i, p in enumerate(paths) if len(p) <= 2]
         table = self.table
+        # only pairs with t(p_i) = s(p_j) have a product; the basis paths
+        # at each source, in basis order, with the index of each prefix
+        starting = [[] for _ in quiver.vertices]
+        for j, q in enumerate(paths):
+            starting[q[0]].append((j, q, None if len(q) == 1 else self.index[q[:-1]]))
         acted = {}  # p_k a -> [p_k a]
         for i, p in enumerate(paths):
-            for j, q in enumerate(paths):
-                if len(q) == 1:
-                    if quiver.path_target(p) == q[0]:
-                        table[(i, j)] = {i: field.one}
+            for j, q, prefix in starting[quiver.path_target(p)]:
+                if prefix is None:
+                    table[(i, j)] = {i: field.one}
                     continue
                 prod = {}
-                for k, c in table.get((i, self.index[q[:-1]]), {}).items():
+                for k, c in table.get((i, prefix), {}).items():
                     w = paths[k] + q[-1:]
                     if w not in acted:
                         acted[w] = self.element_from_path(w)
@@ -459,9 +495,14 @@ class AlgebraBasis(FinDimAlgebra):
         return self.normal_form(FreeElement.from_path(self.quiver, self.field, p))
 
     def normal_form(self, x):
-        """Image of a free element in kQ/I, in basis coordinates."""
+        """Image of a free element in kQ/I, in basis coordinates.  When
+        every path of x is a basis path, x is its own normal form: a
+        standard monomial is irreducible, so reduce would take no step."""
+        index = self.index
+        if all(p in index for p in x.terms):
+            return {index[p]: c for p, c in x.terms.items()}
         nf = self.rewrite.reduce(x)
-        return {self.index[p]: c for p, c in nf.terms.items()}
+        return {index[p]: c for p, c in nf.terms.items()}
 
     def to_free(self, vec):
         """The combination of basis paths with the coordinates vec."""
@@ -475,10 +516,10 @@ class AlgebraBasis(FinDimAlgebra):
         return all(self.reduces_to_zero(r) for r in other_relations)
 
     def path_source_of_index(self, i):
-        return self.quiver.path_source(self.paths[i])
+        return self.ends[i][0]
 
     def path_target_of_index(self, i):
-        return self.quiver.path_target(self.paths[i])
+        return self.ends[i][1]
 
 
 def _standard_paths(quiver, relations, field, max_degree):

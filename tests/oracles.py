@@ -40,10 +40,14 @@ measured with the dense rank.  Dense Gauss-Jordan elimination, with the
 rank and the nullspace it gives, and dense matrix products and inverses
 are here too, as the reference for the library's sparse elimination and
 sparse maps.  The command line is parsed here by argparse, as the
-reference for the package's own table-driven parser.
+reference for the package's own table-driven parser, and algebra and
+module files are read with the regular expressions the package once
+read them with, as the reference for its string methods; the reader
+takes the Quiver and Field types as arguments.
 """
 
 import argparse
+import re
 from itertools import product
 
 
@@ -1442,3 +1446,260 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("module")
     return parser
+
+
+# ------------------------------------------------------------- file grammar
+
+# The tokens of algebra and module files and the negative numbers of the
+# command line, as regular expressions.  A line never holds "\n" (lines
+# come from str.splitlines), so "$", which also matches before a final
+# "\n", stands for the end of the text.
+SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
+TRIVIAL_RE = re.compile(r"^e\((\w+)\)$")
+NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_^]*$")
+ORIGIN_RE = re.compile(r"#\s*origin:\s*(\S+)")
+ARROW_RE = re.compile(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
+PARAM_RE = re.compile(r"^(\w+)\s*=\s*(\S+)$")
+COCYCLE_RE = re.compile(r"^f\((.*?),(.*?)\)\s*=\s*(.*)$")
+ACT_RE = re.compile(r"^act\((.*?)\)\s*=\s*(.*)$")
+NEGATIVE_NUMBER_RE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+class ParseError(Exception):
+    """A refusal of the reference reader, with the message of the
+    package's InputError."""
+
+
+def regex_strip_comment(line):
+    """(the line before its first #, stripped; the origin tag or None)."""
+    m = ORIGIN_RE.search(line)
+    if "#" in line:
+        line = line[:line.index("#")]
+    return line.strip(), m.group(1) if m else None
+
+
+def _signed_terms(text):
+    text = "".join(text.split())
+    if not text:
+        raise ParseError("empty expression")
+    terms, sign, cur = [], 1, []
+    for ch in text:
+        if ch in "+-":
+            if cur:
+                terms.append((sign, "".join(cur)))
+                cur, sign = [], 1
+            sign *= -1 if ch == "-" else 1
+        else:
+            cur.append(ch)
+    if not cur:
+        raise ParseError("dangling sign in expression %r" % text)
+    terms.append((sign, "".join(cur)))
+    return terms
+
+
+def regex_parse_expression(text, quiver, field, params):
+    """The terms {path: scalar} of an expression, term by term, each
+    factor tested as a scalar, a param, e(v) and an arrow in that order;
+    a term adds into the sum, and a sum that cancels drops its path."""
+    out = {}
+    for sign, term in _signed_terms(text):
+        coeff = field.one if sign > 0 else field.neg(field.one)
+        path = None
+        for factor in term.split("*"):
+            if not factor:
+                raise ParseError("empty factor in term %r" % term)
+            if SCALAR_RE.match(factor):
+                coeff = field.mul(coeff, field.parse(factor))
+                continue
+            if factor in params:
+                coeff = field.mul(coeff, params[factor])
+                continue
+            m = TRIVIAL_RE.match(factor)
+            if m:
+                if m.group(1) not in quiver.vindex:
+                    raise ParseError("unknown vertex in %r" % factor)
+                step = (quiver.vindex[m.group(1)],)
+            elif factor in quiver.aindex:
+                a = quiver.aindex[factor]
+                step = (quiver.arrows[a][1], a)
+            else:
+                raise ParseError("unknown name %r in term %r" % (factor, term))
+            if path is None:
+                path = step
+            elif (quiver.arrows[path[-1]][2] if len(path) > 1 else path[0]) != step[0]:
+                raise ParseError("factors do not compose in term %r" % term)
+            else:
+                path += step[1:]
+        if path is None:
+            raise ParseError("term %r has no path factor" % term)
+        if coeff != field.zero:
+            total = field.add(out.get(path, field.zero), coeff)
+            if total == field.zero:
+                del out[path]
+            else:
+                out[path] = total
+    return out
+
+
+def regex_parse_algebra_text(text, quiver_type, field_type, field_override=None):
+    """(field, quiver, relations, params, cocycle pairs, origins) of an
+    algebra file, relations and values as term dicts; raises ParseError,
+    or the error of quiver_type or field_type, on a malformed file."""
+    field_line, vertex_ids, arrows, param_lines, relation_lines, cocycle_lines = (
+        None, [], [], [], [], [])
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line, origin = regex_strip_comment(raw)
+        if not line:
+            continue
+        head = line.split()[0]
+        rest = line[len(head):].strip()
+        if head == "field":
+            if field_line is not None:
+                raise ParseError("line %d: duplicate field line" % lineno)
+            field_line = (lineno, rest)
+        elif head == "vertex":
+            vertex_ids.extend(rest.split())
+        elif head == "arrow":
+            m = ARROW_RE.match(rest)
+            if not m:
+                raise ParseError("line %d: malformed arrow line" % lineno)
+            if not NAME_RE.match(m.group(1)):
+                raise ParseError("line %d: bad arrow name %r" % (lineno, m.group(1)))
+            arrows.append(m.groups())
+        elif head == "param":
+            m = PARAM_RE.match(rest)
+            if not m:
+                raise ParseError("line %d: malformed param line" % lineno)
+            param_lines.append((lineno,) + m.groups())
+        elif head == "relation":
+            relation_lines.append((lineno, rest, origin))
+        elif head == "cocycle":
+            cocycle_lines.append((lineno, rest))
+        else:
+            raise ParseError("line %d: unknown directive %r" % (lineno, head))
+    if field_override is not None:
+        field = field_override
+    elif field_line is None:
+        raise ParseError("missing field line")
+    else:
+        toks = field_line[1].split()
+        if toks == ["Q"]:
+            field = field_type.rationals()
+        elif len(toks) == 2 and toks[0] == "F":
+            try:
+                p = int(toks[1])
+            except ValueError:
+                raise ParseError("line %d: malformed field line" % field_line[0])
+            field = field_type.prime(p)
+        else:
+            raise ParseError("line %d: malformed field line" % field_line[0])
+    quiver = quiver_type(vertex_ids, arrows)
+    params = {}
+    for lineno, name, value in param_lines:
+        if name in quiver.aindex or name in quiver.vindex or SCALAR_RE.match(name):
+            raise ParseError("line %d: param name %r shadows another token" % (lineno, name))
+        if name in params:
+            raise ParseError("line %d: duplicate param %r" % (lineno, name))
+        params[name] = field.parse(value)
+
+    def in_line(lineno, read, *args):
+        try:
+            return read(*args)
+        except ParseError as e:
+            raise ParseError("line %d: %s" % (lineno, e))
+
+    def path_of(key):
+        q = field_type.rationals()
+        terms = regex_parse_expression(key, quiver, q, {})
+        if len(terms) != 1:
+            raise ParseError("expected a single path, got %r" % key)
+        (path, coeff), = terms.items()
+        if coeff != q.one:
+            raise ParseError("path expression %r carries a coefficient" % key)
+        return path
+
+    relations = [in_line(lineno, regex_parse_expression, expr, quiver, field, params)
+                 for lineno, expr, _ in relation_lines]
+    pairs = {}
+    for lineno, rest in cocycle_lines:
+        m = COCYCLE_RE.match(rest)
+        if not m:
+            raise ParseError("line %d: malformed cocycle line" % lineno)
+        key = (in_line(lineno, path_of, m.group(1)), in_line(lineno, path_of, m.group(2)))
+        value = in_line(lineno, regex_parse_expression, m.group(3), quiver, field, params)
+        if key in pairs:
+            raise ParseError("line %d: duplicate cocycle pair" % lineno)
+        pairs[key] = value
+    return field, quiver, relations, params, pairs, [o for _, _, o in relation_lines]
+
+
+def regex_parse_module_text(text, field):
+    """(dim, actions) of a module file, each action {column: {row: scalar}};
+    raises ParseError, or the field's error, on a malformed file."""
+    dim, actions = None, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line, _ = regex_strip_comment(raw)
+        if not line:
+            continue
+        head = line.split()[0]
+        rest = line[len(head):].strip()
+        if head == "dim":
+            if dim is not None:
+                raise ParseError("line %d: duplicate dim line" % lineno)
+            try:
+                dim = int(rest)
+            except ValueError:
+                raise ParseError("line %d: malformed dim line" % lineno)
+            if dim < 0:
+                raise ParseError("line %d: negative dimension" % lineno)
+        elif head.startswith("act(") or head == "act":
+            m = ACT_RE.match(line)
+            if not m:
+                raise ParseError("line %d: malformed act line" % lineno)
+            label = "".join(m.group(1).split())
+            if dim is None:
+                raise ParseError("line %d: act before dim" % lineno)
+            rows = []
+            for row_text in m.group(2).split(";"):
+                entries = row_text.split()
+                if len(entries) != dim:
+                    raise ParseError("line %d: row of width %d, expected %d"
+                                     % (lineno, len(entries), dim))
+                rows.append([field.parse(tok) for tok in entries])
+            if len(rows) != dim:
+                raise ParseError("line %d: %d rows, expected %d" % (lineno, len(rows), dim))
+            if label in actions:
+                raise ParseError("line %d: duplicate act(%s)" % (lineno, label))
+            actions[label] = {}
+            for r, row in enumerate(rows):
+                for c, x in enumerate(row):
+                    if x != field.zero:
+                        actions[label].setdefault(c, {})[r] = x
+        else:
+            raise ParseError("line %d: unknown directive %r" % (lineno, head))
+    if dim is None:
+        raise ParseError("missing dim line")
+    return dim, actions
+
+
+def plain_find_match(rules, quiver, p):
+    """(left, word, right) splitting the path p around the first word of
+    rules, in their order, that occurs in p, at its first occurrence; or
+    None.  Every rule is tried at every position."""
+    arrows = p[1:]
+    seq = [p[0]] + [quiver.arrows[a][2] for a in arrows]
+
+    def sub(i, j):
+        return (seq[i],) + arrows[i:j]
+
+    for w in rules:
+        word = w[1:]
+        if not word:
+            if w[0] in seq:
+                i = seq.index(w[0])
+                return sub(0, i), w, sub(i, len(arrows))
+            continue
+        for i in range(len(arrows) - len(word) + 1):
+            if arrows[i:i + len(word)] == word:
+                return sub(0, i), w, sub(i + len(word), len(arrows))
+    return None

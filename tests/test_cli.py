@@ -1155,6 +1155,10 @@ EDGE_CASES = [
     ["basis", "-"], ["basis", "-5"], ["basis", "a b.alg"], ["basis", "-a b"],
     ["basis", "--a b"], ["hh", "--field", "-a b", "A.alg"],
     ["transfer", "A.alg", "--idempotent", "-1"],
+    ["basis", "-1.5"], ["basis", "-.5"], ["basis", "-1."], ["basis", "-٣"], ["basis", "-²"],
+    ["basis", "--1"], ["transfer", "A.alg", "--matrix", "-.5"],
+    ["hh", "--field", "-1.5", "A.alg"], ["hh", "--field", "-٣", "A.alg"],
+    ["hh", "--field", "-²", "A.alg"],
 ]
 
 # command lines that both parsers refuse
@@ -1427,3 +1431,66 @@ def test_deform_writes_its_files_as_utf8(tmp_path):
                             "-W", "error::EncodingWarning") == (0, "", "")
     assert dot.read_text(encoding="utf-8") == TWO_CYCLE_DOT
     assert alg.read_text(encoding="utf-8") == DEFORM_GOLDEN["two_cycle"]
+
+
+FIXTURES = ("dual_numbers", "two_cycle", "triangle", "quantum_plane", "lambda_m2",
+            "cube_multiples")
+
+
+def test_no_command_compiles_a_regular_expression(tmp_path, monkeypatch, capsys):
+    # the package reads its files and its command line with str methods:
+    # no call of re._compile comes from a frame of the package, on any
+    # command and fixture.  fractions is imported first, since its import,
+    # which fields makes at the first non-integer scalar, compiles
+    # patterns of its own
+    import fractions  # noqa: F401
+    package = os.path.dirname(cli.__file__) + os.sep
+    compiled, real = [], re._compile
+
+    def spy(pattern, flags):
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_code.co_filename.startswith(package):
+            frame = frame.f_back
+        if frame is not None:
+            compiled.append(pattern)
+        return real(pattern, flags)
+
+    module = write_regular_module(tmp_path)
+    monkeypatch.setattr(re, "_compile", spy)
+    runs = 0
+    for name in FIXTURES:
+        alg = data_path(name + ".alg")
+        for argv in (["basis", alg], ["hh", alg], ["check-cocycle", alg],
+                     ["verify-deform", alg, "--report", "json-lines"],
+                     ["deform", alg, "--interreduce", "-o", str(tmp_path / "out.alg"),
+                      "--dot", str(tmp_path / "out.dot")],
+                     ["equiv", alg, alg], ["transfer", alg, "--matrix", "2"],
+                     ["verify-morita", alg, "--idempotent", "1"],
+                     ["basis", "--field=F7", "--max-degree", "-1.5", alg]):
+            run(argv)
+            runs += 1
+    run(["module-roundtrip", data_path("dual_numbers.alg"), str(module)])
+    capsys.readouterr()
+    assert runs == 54 and compiled == []
+
+
+def test_standard_cocycle_values_are_not_rewritten(monkeypatch):
+    # a value whose paths are all basis paths is its own normal form, so
+    # cochain_from_pairs rewrites nothing; a value with a path outside the
+    # basis is still rewritten
+    from quivdeform.quiver import RewriteSystem
+    calls = []
+    reduce = RewriteSystem.reduce
+    monkeypatch.setattr(RewriteSystem, "reduce",
+                        lambda self, x: calls.append(x) or reduce(self, x))
+    for name in ("dual_numbers", "two_cycle", "triangle", "quantum_plane", "cube_multiples"):
+        af, basis = load_basis(name + ".alg")
+        calls.clear()
+        f = cochain_from_pairs(basis, af.cocycle_pairs)
+        assert calls == [] and f.table, name
+    af = parse_algebra_text("field Q\nvertex 1\narrow a : 1 -> 1\nrelation a*a*a\n"
+                            "cocycle f(a, a) = a*a*a + 2*a*a\n")
+    basis = compute_basis(af.quiver, af.relations, af.field)
+    calls.clear()
+    f = cochain_from_pairs(basis, af.cocycle_pairs)
+    assert len(calls) == 1 and f.table == {(1, 1): {2: 2}}

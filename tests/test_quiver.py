@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (DRAWN_ALGEBRAS, bound_quiver_algebras, data_path, load_basis,
                       quiver_paths)
-from oracles import brute_force_dimension, brute_generated_dimension, brute_structure_table
+from oracles import (brute_force_dimension, brute_generated_dimension, brute_structure_table,
+                     plain_find_match)
 from quivdeform import quiver
 from quivdeform.deform import build_presentation
 from quivdeform.errors import InputError, NotFiniteDimensional, SizeLimitExceeded
@@ -59,6 +60,73 @@ def test_structure_table_matches_the_oracle(fld):
         want = brute_structure_table(q, relations, fld, basis.paths, 2 * top + 1)
         assert basis.table == want, name
         assert list(basis.table) == list(want) == sorted(want), name
+
+
+# a failure is reported without the explain phase, which traces every
+# line of the dense oracle and takes minutes
+QUICK_REPORT = [phase for phase in Phase if phase is not Phase.explain]
+
+
+@settings(DRAWN_ALGEBRAS, phases=QUICK_REPORT)
+@given(bound_quiver_algebras())
+def test_structure_table_matches_the_oracle_on_drawn_algebras(drawn):
+    # the table filled over the composable pairs only, against the dense
+    # oracle, with the drawn relations lifted to integers and read over Q
+    # and over F_7; a basis path combination is its own normal form
+    q, p = drawn.quiver, drawn.field.char
+    lifted = [{path: c - p if p and 2 * c > p else c for path, c in r.terms.items()}
+              for r in drawn.relations]
+    for fld in (Q, Field.prime(7)):
+        relations = [FreeElement(q, fld, {path: fld.from_int(c) for path, c in r.items()})
+                     for r in lifted]
+        try:
+            basis = compute_basis(q, relations, fld, 8)
+        except (NotFiniteDimensional, SizeLimitExceeded):
+            continue
+        top = max(len(path) - 1 for path in basis.paths)
+        want = brute_structure_table(q, relations, fld, basis.paths, 2 * top + 1)
+        assert basis.table == want
+        assert list(basis.table) == sorted(want)
+        vec = {i: fld.from_int(i + 1) for i in range(basis.dim) if fld.from_int(i + 1)}
+        x = basis.to_free(vec)
+        assert basis.normal_form(x) == vec
+        assert basis.rewrite.reduce(x).terms == x.terms
+
+
+def assert_matches_agree(rewrite, quiver, lengths):
+    paths = quiver_paths(quiver, lengths)
+    assert paths
+    for path in paths:
+        assert rewrite._find_match(path) == plain_find_match(rewrite.rules, quiver, path), path
+
+
+def test_rule_index_finds_the_first_match_on_the_fixtures():
+    # the rules tried are those whose word starts with an arrow of the
+    # path, or sits at one of its vertices; the match is still the one
+    # that trying every rule in order finds first.  The fixtures and their
+    # presentations over Q and F_7, a loop power, and a vertex that the
+    # relation e(1) kills, whose trivial-path rule competes with the rule
+    # of m*m*m on m*m*m*v, added before it and after it
+    x = Quiver(["1"], [("x", "1", "1")])
+    v = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1"), ("m", "2", "2")])
+    cube = FreeElement.from_path(v, Q, v.path_from_arrow_names(["m"] * 3))
+    kill = FreeElement.from_path(v, Q, (0,))
+    cases = [(x, [FreeElement.from_path(x, Q, x.path_from_arrow_names(["x"] * 4))]),
+             (v, [kill, cube]), (v, [cube, kill])]
+    for fld in (Q, Field.prime(7)):
+        for _, q, relations, _ in structure_table_cases(fld):
+            cases.append((q, relations))
+    for q, relations in cases:
+        rewrite = compute_basis(q, relations, relations[0].field, 6).rewrite
+        assert_matches_agree(rewrite, q, range(7))
+    assert [[len(w) for w in compute_basis(v, relations, Q, 6).rewrite.rules]
+            for _, relations in cases[1:3]] == [[1, 4], [4, 1]]
+
+
+@settings(DRAWN_ALGEBRAS, phases=QUICK_REPORT)
+@given(bound_quiver_algebras())
+def test_rule_index_finds_the_first_match_on_drawn_algebras(basis):
+    assert_matches_agree(basis.rewrite, basis.quiver, range(6))
 
 
 def test_structure_table_rewrites_at_most_dim_times_arrows(monkeypatch):

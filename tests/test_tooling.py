@@ -71,9 +71,8 @@ def test_package_modules_use_every_name_they_import():
     assert not unused, unused
 
 
-def test_only_fields_imports_fractions():
-    # over Q a scalar is an int while it is an integer and a Fraction
-    # otherwise; Field makes every one, so no other module builds a Fraction
+def importers_of(module):
+    """The package's files that import module, at any depth of their code."""
     importers = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
@@ -83,9 +82,22 @@ def test_only_fields_imports_fractions():
             for node in ast.walk(tree):
                 modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                            else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-                if "fractions" in modules:
+                if module in modules:
                     importers.append(name)
-    assert importers == ["fields.py"]
+    return importers
+
+
+def test_only_fields_imports_fractions():
+    # over Q a scalar is an int while it is an integer and a Fraction
+    # otherwise; Field makes every one, so no other module builds a Fraction
+    assert importers_of("fractions") == ["fields.py"]
+
+
+def test_no_module_imports_re():
+    # files and command lines are read with str methods, since compiling
+    # the patterns cost each process more than reading its file; the
+    # patterns are the reference in tests/oracles.py
+    assert importers_of("re") == []
 
 
 def unread_parameters(source, filename):
