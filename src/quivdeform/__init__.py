@@ -30,7 +30,7 @@ __all__ = [
     "normalize_cocycle",
     "parse_algebra_file", "parse_algebra_text", "parse_expression",
     "parse_module_file", "reconstruct", "regular_module", "regular_uple",
-    "roundtrip_triple", "transfer_phi", "transfer_psi",
+    "roundtrip_triple", "transfer_identities_hold", "transfer_phi", "transfer_psi",
     "validate_admissible_relations", "verify_morita_deformed",
     "verify_presentation",
 ]
@@ -54,8 +54,8 @@ _LAYERS = {
                "module_from_file", "reconstruct", "regular_module",
                "regular_uple", "roundtrip_triple"),
     "morita": ("MoritaContext", "TensorProduct", "homotopy_h", "idempotent_context",
-               "matrix_context", "transfer_phi", "transfer_psi",
-               "verify_morita_deformed"),
+               "matrix_context", "transfer_identities_hold", "transfer_phi",
+               "transfer_psi", "verify_morita_deformed"),
     "quiver": ("AlgebraBasis", "FreeElement", "Quiver", "compute_basis",
                "decompose_unit", "validate_admissible_relations"),
 }

@@ -345,9 +345,12 @@ def build_presentation(basis, f):
     2-cocycle f; raises NotACocycle for any other cochain, with the
     first basis tuple where d f is nonzero as its witness.
 
-    The presentation needs the image condition.  When f fails it, the
-    cohomologous representative of normalize_cocycle is presented
-    instead, and pres.cocycle says which cocycle was presented.
+    The presentation needs every vertex idempotent in the basis of A,
+    and raises InputError (exit code 2) for relations that kill one, as
+    relation e(1)*e(1) does.  It needs the image condition.  When f
+    fails it, the cohomologous representative of normalize_cocycle is
+    presented instead, and pres.cocycle says which cocycle was
+    presented.
     Returns the Presentation; pres.epsilon maps each vertex id to its
     EpsilonEntry.
     """
@@ -357,6 +360,10 @@ def build_presentation(basis, f):
     f = normalize_cocycle(basis, f)
     q = basis.quiver
     fld = basis.field
+    for vi, name in enumerate(q.vertices):
+        if (vi,) not in basis.index:
+            raise InputError("the relations kill the vertex idempotent e(%s); the "
+                             "presentation needs admissible relations" % name)
     image_span = SpanSolver(fld)
     for idx, value in enumerate(f.table.values()):
         image_span.add(dict(value), idx)

@@ -30,13 +30,14 @@ FinDimAlgebra is the one structure-constant algebra type: a path-algebra
 quotient, its deformation A_f, a matrix amplification and a corner
 algebra all live in it.  Each one computes its generating set once, on
 first use, for the checks that prove identities on generators, or reads
-it off its structure (kQ/I and A_f do).  deformation_witness is the one
-such check: on those generator rows it proves an algebra associative,
-and a 2-cochain on an associative algebra a cocycle.
+it off its structure (kQ/I, A_f, M_n(A) and the Morita ring of a
+context do).  deformation_witness is the one such check: on those
+generator rows it proves an algebra associative, and a 2-cochain on an
+associative algebra a cocycle.
 """
 
+from bisect import insort
 from collections import defaultdict
-from heapq import heapify, heappop, heappush
 
 from .errors import InputError, UntaggedSpan
 
@@ -198,13 +199,14 @@ def _left_maps(table, field):
     return maps, single
 
 
-def deformation_witness(alg, F=None):
+def deformation_witness(alg, F=None, rows=None):
     """The first triple (r, j, k), for r in R = alg.unit_and_generators()
-    and j, k basis indices, in that order, where d F(x_r, x_j, x_k) != 0;
-    or, when F is None, where (x_r x_j) x_k != x_r (x_j x_k).  None when
-    there is none, and then d F = 0, or the product is associative, on all
-    basis triples.  F is a 2-cochain on alg given by its table {(i, j):
-    vector}, as FullCochain keeps it, and then alg must be associative.
+    (or the given rows, another such set) and j, k basis indices, in that
+    order, where d F(x_r, x_j, x_k) != 0; or, when F is None, where (x_r
+    x_j) x_k != x_r (x_j x_k).  None when there is none, and then d F =
+    0, or the product is associative, on all basis triples.  F is a
+    2-cochain on alg given by its table {(i, j): vector}, as FullCochain
+    keeps it, and then alg must be associative.
 
     For each (r, j) it compares two sparse maps of z, with L(x) the left
     multiplication by x and F_x the map z -> F(x, z):
@@ -220,11 +222,14 @@ def deformation_witness(alg, F=None):
     subspace.  It holds R, so it holds the unit vector, a combination of
     R.  It is closed under x -> gx for g in S, since ((gx)y)z = (g(xy))z =
     g((xy)z) = g(x(yz)) = (gx)(yz), with g in S three times and x in S
-    once.  So S holds every word that generators() builds from the unit
-    vector by multiplying with generators on the left, and the generators
-    themselves; together these span the algebra.  No unit axiom is used:
-    the unit vector is only the seed of the words, and its support is in
-    R.
+    once.  So S holds every product of elements of R, among them every
+    word that generators() builds from the unit vector by multiplying
+    with generators on the left.  These words span the algebra: by
+    construction for the greedy set, where the unit vector is only the
+    seed of the words and no unit axiom is used, and by the proofs of
+    the builders that read a set off kQ/I, A_f or M_n(A).  The set read
+    off a Morita ring spans by the closure of S and the unit, which the
+    ring's check proves (MoritaContext._validate).
 
     For F, apply this to the deformation A_F = A + A t, with product (a0
     + b0 t)(a1 + b1 t) = a0 a1 + (a0 b1 + b0 a1 + F(a0, a1)) t
@@ -294,7 +299,7 @@ def deformation_witness(alg, F=None):
                 return None
             return lhs or {}, rhs or {}
 
-    for r in alg.unit_and_generators():
+    for r in alg.unit_and_generators() if rows is None else rows:
         for j in range(alg.dim):
             pair = sides(r, j)
             if pair is not None:
@@ -340,10 +345,13 @@ class SpanSolver:
         one = f.one
         rows = self.rows
         scale = one
-        heap = list(vec)
-        heapify(heap)
-        while heap:
-            k = heappop(heap)
+        # the coordinates still to visit, in increasing order from at on;
+        # a row's fresh coordinates exceed its pivot k, so they go after it
+        order = sorted(vec)
+        at = 0
+        while at < len(order):
+            k = order[at]
+            at += 1
             c = vec.get(k)
             if c is None:
                 continue
@@ -363,7 +371,7 @@ class SpanSolver:
             fresh = [j for j in row if j not in vec]
             _addinto(f, vec, row, neg)
             for j in fresh:
-                heappush(heap, j)
+                insort(order, j, at)
             if combo is not None:
                 _addinto(f, combo, row_combo, neg)
         return None, scale
@@ -453,34 +461,38 @@ class FinDimAlgebra:
 
     def generators(self):
         """Basis indices that generate the algebra as a unital algebra,
-        in increasing order; computed on the first call and kept, unless
-        the algebra reads them off its structure (kQ/I and A_f do).
-
-        Greedy: scans the basis in order and keeps each basis element
-        outside the unital subalgebra generated so far, so every basis
-        element is a combination of words in the kept ones and 1.  That
-        subalgebra is the span of the words, grown by multiplying each
-        new word on the left by every generator."""
+        in increasing order, kept once known: read off the structure
+        where its builder knows them (kQ/I, A_f, M_n(A) and the Morita
+        ring of a context do), else found by greedy_generators on the
+        first call."""
         if self._generators is None:
-            fld = self.field
-            span = SpanSolver(fld)
-            words, gens = [], []
-
-            def close(queue):
-                while queue:
-                    word = queue.pop()
-                    if span.add(word):
-                        words.append(word)
-                        queue.extend(self.mul({g: fld.one}, word) for g in gens)
-
-            close([dict(self.unit)])
-            for i in range(self.dim):
-                e = {i: fld.one}
-                if not span.contains(e):
-                    gens.append(i)
-                    close([self.mul(e, w) for w in words])
-            self._generators = gens
+            self._generators = self.greedy_generators()
         return self._generators
+
+    def greedy_generators(self):
+        """The greedy generating set: scans the basis in order and keeps
+        each basis element outside the unital subalgebra generated so far,
+        so every basis element is a combination of words in the kept ones
+        and 1.  That subalgebra is the span of the words, grown by
+        multiplying each new word on the left by every generator."""
+        fld = self.field
+        span = SpanSolver(fld)
+        words, gens = [], []
+
+        def close(queue):
+            while queue:
+                word = queue.pop()
+                if span.add(word):
+                    words.append(word)
+                    queue.extend(self.mul({g: fld.one}, word) for g in gens)
+
+        close([dict(self.unit)])
+        for i in range(self.dim):
+            e = {i: fld.one}
+            if not span.contains(e):
+                gens.append(i)
+                close([self.mul(e, w) for w in words])
+        return gens
 
     def unit_and_generators(self):
         """R: the support of the unit and generators(), in increasing

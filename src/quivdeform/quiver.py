@@ -387,6 +387,10 @@ class RewriteSystem:
         exactly max_len exists the enumeration is complete; otherwise the
         quotient is not certified finite-dimensional and we refuse.  More
         than MAX_BASIS_DIM paths raise SizeLimitExceeded at once.
+
+        A candidate p a extends an irreducible p, so a rule word that
+        occurs in it occurs at its end: a word ending with the arrow a,
+        or the trivial path at the target of a.  Only those are tried.
         """
         q = self.quiver
         out = []
@@ -398,6 +402,17 @@ class RewriteSystem:
         by_target = {}
         for i, (_, s, t) in enumerate(q.arrows):
             by_target.setdefault(s, []).append(i)
+        # the arrows of each non-trivial rule word, by its last arrow
+        by_last = {}
+        for w in self.rules:
+            if len(w) > 1:
+                by_last.setdefault(w[-1], []).append(w[1:])
+
+        def reducible_at_end(cand):
+            arrows = cand[1:]
+            return (q.path_target(cand) in self._at_vertex
+                    or any(len(w) <= len(arrows) and arrows[len(arrows) - len(w):] == w
+                           for w in by_last.get(arrows[-1], ())))
         while layer:
             out.extend(layer)
             if len(layer[0]) - 1 >= max_len:
@@ -409,7 +424,7 @@ class RewriteSystem:
             for p in layer:
                 for a in by_target.get(q.path_target(p), []):
                     cand = p + (a,)
-                    if not self.is_reducible(cand):
+                    if not reducible_at_end(cand):
                         nxt.append(cand)
                         if len(out) + len(nxt) > MAX_BASIS_DIM:
                             raise SizeLimitExceeded(

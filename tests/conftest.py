@@ -5,7 +5,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, settings
+from hypothesis import Phase, assume, settings
 from hypothesis import strategies as st
 
 from quivdeform.errors import NotFiniteDimensional, SizeLimitExceeded
@@ -89,6 +89,9 @@ def lambda_m2():
 settings.register_profile("drawn-algebras", derandomize=True, max_examples=40,
                           deadline=None, database=None)
 DRAWN_ALGEBRAS = settings.get_profile("drawn-algebras")
+# a failure is reported without the explain phase, which traces every
+# line of a dense oracle and takes minutes
+QUICK_REPORT = [phase for phase in Phase if phase is not Phase.explain]
 
 
 def quiver_paths(quiver, lengths):

@@ -865,11 +865,10 @@ def test_verify_morita_matrix(capsys):
 
 
 def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
-    # d f = 0 is proved once on A (by the engine on its generator rows) and
-    # d g = 0 once on B (by the d g that names the FAIL witness); the
-    # deformed bimodules and A_f, B_g are built on those two proofs.  The
-    # engine's other pass is d F = 0 on the Morita ring, of dimension 2 +
-    # 4 + 4 + 8
+    # d f = 0 is proved once on A and d g = 0 once on B, each by the engine
+    # on generator rows, and no full differential is taken; the deformed
+    # bimodules and A_f, B_g are built on those two proofs.  The engine's
+    # other pass is d F = 0 on the Morita ring, of dimension 2 + 4 + 4 + 8
     from quivdeform import deform, hochschild
     seen, engine = [], []
     original, witness = hochschild.full_differential, morita.deformation_witness
@@ -885,8 +884,8 @@ def test_verify_morita_checks_each_cocycle_once(capsys, monkeypatch):
                         lambda alg, F=None: engine.append(alg.dim) or witness(alg, F))
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
-    assert seen == [8]
-    assert engine == [2, 18]
+    assert seen == []
+    assert engine == [2, 8, 18]
 
 
 def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
@@ -911,7 +910,7 @@ def test_verify_morita_skips_the_bimodule_checks_after_a_failed_transfer(capsys,
         raise AssertionError("a deformed algebra was built")
 
     monkeypatch.setattr(morita, "transfer_phi", broken)
-    monkeypatch.setattr(morita, "Deformation", deformed)
+    monkeypatch.setattr(deform, "Deformation", deformed)
     assert run(["verify-morita", data_path("dual_numbers.alg"), "--matrix", "2"]) == 1
     out, _ = lines_of(capsys)
     # the FAIL line names the first tuple where the oracle's full bar
@@ -1315,6 +1314,45 @@ def test_each_command_loads_only_the_layers_it_runs():
     assert out.splitlines() == [str(layers) for layers in (
         [], base, base, sorted(base + ["hochschild"]),
         sorted(base + ["deform", "hochschild"]))]
+
+
+def test_passing_morita_commands_load_neither_deform_nor_heapq():
+    # a passing transfer or verify-morita proves every identity on
+    # generator rows: it builds no A_f or B_g, so the deform layer is not
+    # imported, and no elimination of the package needs heapq
+    two = data_path("two_cycle.alg")
+    jobs = [[command, two] + flag for command in ("transfer", "verify-morita")
+            for flag in (["--matrix", "2"], ["--idempotent", "1,2"])]
+    code = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from quivdeform import cli\n"
+            "for argv in %r:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "print(sorted(m[11:] for m in sys.modules if m.startswith('quivdeform.')))\n"
+            "print(sorted({'heapq', 'quivdeform.deform'} & (set(sys.modules) - before)))\n"
+            % jobs)
+    code_, out, err = in_fresh_process(code)
+    assert (code_, err) == (0, "")
+    assert out.splitlines() == [str(["cli", "errors", "fields", "fileio", "hochschild",
+                                     "linalg", "morita", "quiver"]), "[]"]
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "triangle", "quantum_plane"])
+def test_presentation_refuses_relations_that_kill_a_vertex(name, tmp_path, capsys):
+    # the cocycle line replaced by relation e(1)*e(1), which kills the
+    # vertex idempotent e(1): verify-deform and deform end with a typed
+    # InputError and exit code 2, not a traceback
+    with open(data_path(name + ".alg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines(True)
+    killed = tmp_path / (name + ".alg")
+    killed.write_text("".join("relation e(1)*e(1)\n" if line.startswith("cocycle") else line
+                              for line in lines), encoding="utf-8")
+    for command in ("verify-deform", "deform"):
+        assert run([command, str(killed)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the relations kill the vertex idempotent e(1); the presentation "
+                "needs admissible relations\n")
 
 
 def test_package_exports_resolve_on_first_use():

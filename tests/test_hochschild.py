@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DRAWN_ALGEBRAS, bound_quiver_algebras, data_path
+from conftest import DRAWN_ALGEBRAS, QUICK_REPORT, bound_quiver_algebras, data_path
 from oracles import (_combo, _evaluate, brute_associativity_defect, brute_differential,
                      brute_generator_associativity_defect, full_bar_hh2,
                      reduced_bar_summary)
@@ -397,13 +397,13 @@ def test_hh_summary_matches_the_reduced_bar_complex(name, field):
     assert hh_summary(basis) == bar_summary(basis)
 
 
-@settings(DRAWN_ALGEBRAS, max_examples=60)
+@settings(DRAWN_ALGEBRAS, max_examples=60, phases=QUICK_REPORT)
 @given(bound_quiver_algebras())
 def test_hh_summary_matches_the_reduced_bar_complex_on_drawn_algebras(basis):
     assert hh_summary(basis) == bar_summary(basis)
 
 
-@settings(DRAWN_ALGEBRAS, max_examples=30)
+@settings(DRAWN_ALGEBRAS, max_examples=30, phases=QUICK_REPORT)
 @given(bound_quiver_algebras().filter(lambda basis: basis.dim <= 6))
 def test_hh2_matches_the_full_bar_complex_on_small_drawn_algebras(basis):
     assert hh_summary(basis)[2] == full_bar_hh2(basis.dim, basis.table, basis.field)
@@ -633,7 +633,7 @@ def test_deformation_witness_matches_the_oracles_on_the_fixtures(field):
     assert seen >= {("full", False), ("reduced", True), ("reduced", False), ("table", False)}
 
 
-@settings(DRAWN_ALGEBRAS, max_examples=40)
+@settings(DRAWN_ALGEBRAS, max_examples=40, phases=QUICK_REPORT)
 @given(bound_quiver_algebras().filter(lambda basis: basis.dim <= 10))
 def test_deformation_witness_matches_the_oracles_on_drawn_algebras(basis):
     # the drawn algebras carry no cocycle, so the defects are planted on

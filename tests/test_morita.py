@@ -4,8 +4,9 @@ from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quivdeform import cli, morita
+from quivdeform import cli, deform, morita
 from quivdeform.errors import (CharTwoUnsupported, InputError,
                                NotFullIdempotent, SizeLimitExceeded)
 from quivdeform.fields import Field
@@ -20,14 +21,14 @@ from quivdeform.morita import (SIDE_LINES, Bimodule, DeformedBimodule, FinDimAlg
                                MoritaContext, TensorProduct,
                                build_hat_P, build_hat_Q, homotopy_h,
                                idempotent_context,
-                               matrix_context,
+                               matrix_context, transfer_identities_hold,
                                transfer_phi, transfer_psi, triple_violations,
                                verify_morita_deformed)
 from quivdeform.quiver import AlgebraBasis, compute_basis
 
-from conftest import (DRAWN_ALGEBRAS, assert_ring_message, bimodule_blocks, block_starts,
-                      bound_quiver_algebras, context_blocks, data_path, identity_context,
-                      raw_algebra, raw_bimodule, ring_witness)
+from conftest import (DRAWN_ALGEBRAS, QUICK_REPORT, assert_ring_message, bimodule_blocks,
+                      block_starts, bound_quiver_algebras, context_blocks, data_path,
+                      identity_context, raw_algebra, raw_bimodule, ring_witness)
 from oracles import (_act, _combo, _evaluate, brute_associativity_defect, brute_associator,
                      brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
@@ -136,24 +137,36 @@ def test_deform_structure_rejects_non_cocycle(dual_numbers):
         verify_morita_deformed(matrix_context(basis, 2), bad)
 
 
+def matrix_generators(alg, n):
+    """The generators of M_n(alg) read off alg, at the index (r n + c) dim
+    + x of E_(r+1)(c+1) x: the supports of the E_1j 1_A and E_j1 1_A, and
+    the E_11 x_g for g in gens(alg)."""
+    return sorted(set(alg.generators()) | {(r * n + c) * alg.dim + u for j in range(n)
+                                           for r, c in ((0, j), (j, 0)) for u in alg.unit})
+
+
 def test_algebra_generators_generate(dual_numbers, two_cycle, triangle,
                                      quantum_plane, lambda_m2):
     # the certificate checks rest on these generators, so generation is
-    # measured by the oracle's dense rank, on the fixtures, on M_2(A) and
-    # on the deformations A_f and B_g of the matrix context
+    # measured by the oracle's dense rank, on the fixtures, on M_n(A), whose
+    # generators are read off A, and on the deformations A_f and B_g of
+    # the matrix context
     algebras = [fixture[1] for fixture in
                 (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2)]
     _, basis = dual_numbers
     f = golden_cochain(dual_numbers)
     ctx = matrix_context(basis, 2)
     g = transfer_phi(ctx, f)
-    algebras += [ctx.b, Deformation(basis, f),
-                 Deformation(ctx.b, g)]
+    matrices = [(ctx, 2), (matrix_context(basis, 3), 3), (matrix_context(two_cycle[1], 2), 2)]
+    read_off = {id(c.b): matrix_generators(c.a, n) for c, n in matrices}
+    algebras += [c.b for c, _ in matrices] + [Deformation(basis, f), Deformation(ctx.b, g)]
     for alg in algebras:
         gens = alg.generators()
         assert gens == sorted(set(gens)) and gens is alg.generators()
         assert brute_generated_dimension(raw_algebra(alg), gens, alg.field) == alg.dim
-        if isinstance(alg, AlgebraBasis):
+        if id(alg) in read_off:
+            assert gens == read_off[id(alg)]
+        elif isinstance(alg, AlgebraBasis):
             # read off kQ/I: its vertex idempotents and arrows
             assert gens == [i for i, p in enumerate(alg.paths) if len(p) <= 2]
         elif isinstance(alg, Deformation):
@@ -335,7 +348,7 @@ def test_contexts_match_the_dense_oracles(fld):
                                                 name)
 
 
-@settings(DRAWN_ALGEBRAS)
+@settings(DRAWN_ALGEBRAS, phases=QUICK_REPORT)
 @given(bound_quiver_algebras())
 def test_contexts_match_the_dense_oracles_on_drawn_algebras(basis):
     assert_contexts_match_the_dense_oracles(basis, repr(basis.paths), sizes=(1, 2))
@@ -637,6 +650,110 @@ def test_corner_transfer_frozen_value(lambda_m2):
     }
     assert fa.table == want
     assert brute_psi(corner, g) == want
+
+
+def drawn_contexts(basis, sizes=(1, 2)):
+    """The matrix contexts of basis for n in sizes within MAX_MATRIX_DIM,
+    and the context of every vertex sum whose idempotent is full."""
+    one = basis.field.one
+    out = [matrix_context(basis, n) for n in sizes
+           if n * n * basis.dim <= morita.MAX_MATRIX_DIM]
+    for size in range(1, len(basis.trivial_indices) + 1):
+        for chosen in combinations(basis.trivial_indices, size):
+            try:
+                out.append(idempotent_context(basis, {i: one for i in chosen}))
+            except NotFullIdempotent:
+                pass
+    return out
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=25, phases=QUICK_REPORT)
+@given(bound_quiver_algebras(), st.randoms(use_true_random=False))
+def test_transfer_and_homotopy_match_the_oracles_on_drawn_algebras(basis, rng):
+    # phi, psi and h of random cochains against the defining sums, on
+    # every drawn context; the dense sums run over every basis tuple of
+    # the target, so degree 3 is compared on targets of dimension <= 12
+    fld = basis.field
+    for ctx in drawn_contexts(basis):
+        for degree in (1, 2, 3):
+            for dim, target, transfer, brute in (
+                    (ctx.a.dim, ctx.b.dim, transfer_phi, brute_phi),
+                    (ctx.b.dim, ctx.a.dim, transfer_psi, brute_psi)):
+                if degree < 3 or target <= 12:
+                    f = random_cochain(rng, fld, dim, degree)
+                    assert transfer(ctx, f).table == brute(ctx, f)
+            if degree > 1:
+                f = random_cochain(rng, fld, ctx.a.dim, degree)
+                assert homotopy_h(ctx, f).table == brute_homotopy(
+                    raw_algebra(ctx.a), ctx.pairing_a, ctx.gens_a, ctx.gens_b, f.table,
+                    degree, fld)
+
+
+def transfer_verdicts(ctx, f, g):
+    """The four identities of the transfer report, for f on A and g on B,
+    each decided by the full differentials: d g = 0, d g = phi^3 d f, d
+    psi^2 g = psi^3 d g and h^3 d f + d h^2 f = f - psi^2 g, with the
+    transfers and the homotopy as the morita module holds them."""
+    dg = full_differential(g, ctx.b)
+    df = full_differential(f, ctx.a)
+    psi, h = morita.transfer_psi, morita.homotopy_h
+    back = psi(ctx, g)
+    return [dg.is_zero(), dg == morita.transfer_phi(ctx, df),
+            full_differential(back, ctx.a) == psi(ctx, dg),
+            h(ctx, df) + full_differential(h(ctx, f), ctx.a) == f - back]
+
+
+def bumped(c, at):
+    """c plus one at the key (at, ..., at) and the coordinate at, taken
+    modulo the dimension, when c is not zero."""
+    if not c.table:
+        return c
+    at %= c.dim
+    return c + FullCochain(c.dim, c.degree, c.field, {(at,) * c.degree: {at: c.field.one}})
+
+
+def assert_rows_decide_the_transfer(ctx, rng, monkeypatch):
+    """transfer_identities_hold against transfer_verdicts: for the cocycle
+    d h of a random 1-cochain h, the zero cocycle and a random cochain,
+    with phi^2 and with a bumped g, and with psi and h bumped in turn.  A
+    True verdict is never wrong, and with f a cocycle it is False only
+    when an identity fails."""
+    fld = ctx.field
+    cocycle = full_differential(random_cochain(rng, fld, ctx.a.dim, 1), ctx.a)
+    real_psi, real_h = morita.transfer_psi, morita.homotopy_h
+    at = rng.randrange(ctx.a.dim)
+    planted = [{}, {"transfer_psi": lambda c, g: bumped(real_psi(c, g), at)},
+               {"homotopy_h": lambda c, f: bumped(real_h(c, f), at)}]
+    seen = set()
+    for patch in planted:
+        for name, fn in patch.items():
+            monkeypatch.setattr(morita, name, fn)
+        for f in (cocycle, FullCochain(ctx.a.dim, 2, fld), random_cochain(rng, fld, ctx.a.dim, 2)):
+            for g in (transfer_phi(ctx, f), bumped(transfer_phi(ctx, f), rng.randrange(99))):
+                fast = transfer_identities_hold(ctx, f, g)
+                slow = all(transfer_verdicts(ctx, f, g))
+                is_cocycle = deformation_witness(ctx.a, f.table) is None
+                assert fast == (slow and is_cocycle), (patch, f.table, g.table)
+                seen.add(fast)
+        monkeypatch.setattr(morita, "transfer_psi", real_psi)
+        monkeypatch.setattr(morita, "homotopy_h", real_h)
+    assert seen == {True, False}
+
+
+def test_rows_decide_the_transfer_on_the_fixture_contexts(dual_numbers, two_cycle, triangle,
+                                                         quantum_plane, lambda_m2, monkeypatch):
+    rng = random.Random(53)
+    for _, basis in (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2):
+        for ctx in drawn_contexts(basis, (1, 2, 3)):
+            assert_rows_decide_the_transfer(ctx, rng, monkeypatch)
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=25, phases=QUICK_REPORT)
+@given(bound_quiver_algebras(), st.randoms(use_true_random=False))
+def test_rows_decide_the_transfer_on_drawn_algebras(basis, rng):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for ctx in drawn_contexts(basis):
+            assert_rows_decide_the_transfer(ctx, rng, monkeypatch)
 
 
 # ------------------------------------------------------- deformed bimodules
@@ -1516,8 +1633,8 @@ def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambd
     idempotent_context(two_cycle[1], dict(two_cycle[1].unit))
     assert built == []
     deformations, rings = [], []
-    real_deformation, real_block_ring = morita.Deformation, morita.block_ring
-    monkeypatch.setattr(morita, "Deformation",
+    real_deformation, real_block_ring = deform.Deformation, morita.block_ring
+    monkeypatch.setattr(deform, "Deformation",
                         lambda *args: deformations.append(args) or real_deformation(*args))
     monkeypatch.setattr(morita, "block_ring",
                         lambda *args: rings.append(args) or real_block_ring(*args))
@@ -1774,19 +1891,39 @@ def test_certificate_checks_the_hats_only_when_the_ring_fails(dual_numbers, monk
                                 for name, _ in SIDE_LINES]
 
 
+def read_off_factors(ctx):
+    """The left factors that a context reads off itself: the support of
+    the unit of its ring, the generators of A and of B, and the supports
+    of the p'_j of gens_a and of the q_u of gens_b, as ring indices."""
+    at_p, at_q, at_b = accumulate((ctx.a.dim, ctx.p.dim, ctx.q.dim))
+    return sorted(set(context_blocks(ctx).raw[2]) | set(ctx.a.generators())
+                  | {at_b + y for y in ctx.b.generators()}
+                  | {at_p + x for pj, _ in ctx.gens_a for x in pj}
+                  | {at_q + y for qu, _ in ctx.gens_b for y in qu})
+
+
 def checked_factors(ctx):
-    """The left factors of ctx.proved_ring(), asserted to hold the support
-    of the unit and to generate the ring (brute_generated_dimension), and
-    to be the support of the unit and the greedy generators
-    (brute_greedy_generators) unless ctx read them off its mirror, as the
-    swap of a checked context does."""
+    """The rows on which the certificate names a failed check of the
+    deformed ring: the support of the unit and the greedy generators
+    (brute_greedy_generators) of the ring, or those of the mirror's ring
+    moved to this ring's order when ctx was proved by its mirror, as the
+    swap of a checked context is.  The left factors of ctx.proved_ring(),
+    on which a passing check runs, are asserted to be read_off_factors
+    and to generate the ring (brute_generated_dimension)."""
     raw = context_blocks(ctx).raw
     _, factors = ctx.proved_ring()
-    assert set(raw[2]) <= set(factors) and factors == sorted(set(factors))
+    assert factors == read_off_factors(ctx)
     assert brute_generated_dimension(raw, factors, ctx.field) == raw[0]
-    if ctx.swap()._proved is None:
-        assert factors == sorted(set(raw[2]) | set(brute_greedy_generators(*raw, ctx.field)))
-    return factors
+    if ctx._mirrored is None:
+        gens = brute_greedy_generators(*raw, ctx.field)
+    else:
+        na, np_, nq, nb = ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim
+        # the mirror's blocks B, Q, P, A, each moved to its place here
+        moved = [at + i for at, n in ((na + np_ + nq, nb), (na + np_, nq), (na, np_),
+                                      (0, na)) for i in range(n)]
+        gens = [moved[g] for g in
+                brute_greedy_generators(*context_blocks(ctx.swap()).raw, ctx.field)]
+    return sorted(set(raw[2]) | set(gens))
 
 
 def first_deformation_failure(ctx, raw, factors):

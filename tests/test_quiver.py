@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DRAWN_ALGEBRAS, bound_quiver_algebras, data_path, load_basis,
-                      quiver_paths)
+from conftest import (DRAWN_ALGEBRAS, QUICK_REPORT, bound_quiver_algebras, data_path,
+                      load_basis, quiver_paths)
 from oracles import (brute_force_dimension, brute_generated_dimension, brute_structure_table,
                      plain_find_match)
 from quivdeform import quiver
@@ -60,11 +60,6 @@ def test_structure_table_matches_the_oracle(fld):
         want = brute_structure_table(q, relations, fld, basis.paths, 2 * top + 1)
         assert basis.table == want, name
         assert list(basis.table) == list(want) == sorted(want), name
-
-
-# a failure is reported without the explain phase, which traces every
-# line of the dense oracle and takes minutes
-QUICK_REPORT = [phase for phase in Phase if phase is not Phase.explain]
 
 
 @settings(DRAWN_ALGEBRAS, phases=QUICK_REPORT)
@@ -127,6 +122,45 @@ def test_rule_index_finds_the_first_match_on_the_fixtures():
 @given(bound_quiver_algebras())
 def test_rule_index_finds_the_first_match_on_drawn_algebras(basis):
     assert_matches_agree(basis.rewrite, basis.quiver, range(6))
+
+
+def scanned_standard_monomials(rewrite, q):
+    """The irreducible paths, grown one arrow at a time from the
+    irreducible trivial paths, each candidate tested by the scan of the
+    whole path that is_reducible makes; in the order of
+    RewriteSystem.standard_monomials."""
+    layer = [(v,) for v in range(len(q.vertices)) if not rewrite.is_reducible((v,))]
+    out = []
+    while layer:
+        out.extend(layer)
+        layer = [p + (a,) for p in layer for a, (_, s, _) in enumerate(q.arrows)
+                 if s == q.path_target(p) and not rewrite.is_reducible(p + (a,))]
+    return out
+
+
+def test_standard_monomials_match_the_full_scan():
+    # each candidate p a is tested only at its end, by the rule words
+    # ending with a and the trivial-path rule at its target: the same
+    # paths, in the same order, as the scan of every candidate, on the
+    # fixtures and their presentations, and on a quiver whose relation e(2)
+    # kills a vertex
+    v = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1"), ("m", "1", "1")])
+    kill = [FreeElement.from_path(v, Q, (1,)),
+            FreeElement.from_path(v, Q, v.path_from_arrow_names(["m"] * 3))]
+    cases = [(v, kill, compute_basis(v, kill, Q, 30))]
+    for fld in (Q, Field.prime(7)):
+        cases += [(q, relations, basis)
+                  for _, q, relations, basis in structure_table_cases(fld)]
+    for q, relations, basis in cases:
+        assert basis.rewrite.standard_monomials(30) == scanned_standard_monomials(
+            basis.rewrite, q)
+
+
+@settings(DRAWN_ALGEBRAS, phases=QUICK_REPORT)
+@given(bound_quiver_algebras())
+def test_standard_monomials_match_the_full_scan_on_drawn_algebras(basis):
+    assert basis.rewrite.standard_monomials(8) == scanned_standard_monomials(
+        basis.rewrite, basis.quiver)
 
 
 def test_structure_table_rewrites_at_most_dim_times_arrows(monkeypatch):
@@ -388,7 +422,7 @@ def test_normal_form_is_idempotent(x):
     assert QP_BASIS.normal_form(QP_BASIS.to_free(nf)) == nf
 
 
-@settings(DRAWN_ALGEBRAS, max_examples=20)
+@settings(DRAWN_ALGEBRAS, max_examples=20, phases=QUICK_REPORT)
 @given(bound_quiver_algebras(), st.data())
 def test_rewrite_steps_account_for_the_normal_form(basis, data):
     # x minus the sum of c * left * (w - rules[w]) * right over the steps
