@@ -652,7 +652,7 @@ def test_corner_transfer_frozen_value(lambda_m2):
     assert brute_psi(corner, g) == want
 
 
-def drawn_contexts(basis, sizes=(1, 2)):
+def contexts_of(basis, sizes=(1, 2)):
     """The matrix contexts of basis for n in sizes within MAX_MATRIX_DIM,
     and the context of every vertex sum whose idempotent is full."""
     one = basis.field.one
@@ -674,7 +674,7 @@ def test_transfer_and_homotopy_match_the_oracles_on_drawn_algebras(basis, rng):
     # every drawn context; the dense sums run over every basis tuple of
     # the target, so degree 3 is compared on targets of dimension <= 12
     fld = basis.field
-    for ctx in drawn_contexts(basis):
+    for ctx in contexts_of(basis):
         for degree in (1, 2, 3):
             for dim, target, transfer, brute in (
                     (ctx.a.dim, ctx.b.dim, transfer_phi, brute_phi),
@@ -744,7 +744,7 @@ def test_rows_decide_the_transfer_on_the_fixture_contexts(dual_numbers, two_cycl
                                                          quantum_plane, lambda_m2, monkeypatch):
     rng = random.Random(53)
     for _, basis in (dual_numbers, two_cycle, triangle, quantum_plane, lambda_m2):
-        for ctx in drawn_contexts(basis, (1, 2, 3)):
+        for ctx in contexts_of(basis, (1, 2, 3)):
             assert_rows_decide_the_transfer(ctx, rng, monkeypatch)
 
 
@@ -752,7 +752,7 @@ def test_rows_decide_the_transfer_on_the_fixture_contexts(dual_numbers, two_cycl
 @given(bound_quiver_algebras(), st.randoms(use_true_random=False))
 def test_rows_decide_the_transfer_on_drawn_algebras(basis, rng):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for ctx in drawn_contexts(basis):
+        for ctx in contexts_of(basis):
             assert_rows_decide_the_transfer(ctx, rng, monkeypatch)
 
 
