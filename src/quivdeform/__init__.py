@@ -21,7 +21,7 @@ __all__ = [
     "NormalizationFailed", "NotACocycle", "NotFiniteDimensional", "NotFullIdempotent",
     "Presentation", "Quiver", "TensorProduct", "UpleModule",
     "build_presentation", "check_image_condition",
-    "cochain_from_pairs", "cochain_from_paths", "compute_basis", "decompose_unit",
+    "cochain_from_pairs", "cochain_from_paths", "compute_basis",
     "deformation_equivalence", "deformation_witness", "differential",
     "emit_algebra_text", "emit_dot", "emit_module_text", "full_differential",
     "functor_F", "hat_f", "hh_dimension", "hh_summary", "homotopy_h",
@@ -57,7 +57,7 @@ _LAYERS = {
                "matrix_context", "transfer_identities_hold", "transfer_phi",
                "transfer_psi", "verify_morita_deformed"),
     "quiver": ("AlgebraBasis", "FreeElement", "Quiver", "compute_basis",
-               "decompose_unit", "validate_admissible_relations"),
+               "validate_admissible_relations"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 

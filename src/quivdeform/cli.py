@@ -244,7 +244,10 @@ def _context_of(args, af, basis):
     for name in names:
         if name not in af.quiver.vindex:
             raise InputError("unknown vertex %r" % name)
-        idx = basis.index[af.quiver.trivial_path(name)]
+        idx = basis.index.get(af.quiver.trivial_path(name))
+        if idx is None:
+            raise InputError("the relations kill the vertex idempotent e(%s); "
+                             "--idempotent needs admissible relations" % name)
         if idx in evec:
             raise InputError("vertex %r listed twice" % name)
         evec[idx] = basis.field.one

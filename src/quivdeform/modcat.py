@@ -269,7 +269,7 @@ class MorphismTriple:
     [[u0, 0], [u1, u2]] intertwines the glues on the generators of A_f.
     """
 
-    def __init__(self, source, target, u0, u1, u2, check=True):
+    def __init__(self, source, target, u0, u1, u2):
         if source.deformed is not target.deformed:
             raise InputError("triples need a common deformed algebra")
         fld = source.deformed.field
@@ -278,11 +278,7 @@ class MorphismTriple:
         self.u0 = _checked(u0, target.m0.dim, source.m0.dim, fld, "u0")
         self.u1 = _checked(u1, target.m1.dim, source.m0.dim, fld, "u1")
         self.u2 = _checked(u2, target.m1.dim, source.m1.dim, fld, "u2")
-        if check:
-            self._validate()
-
-    def _validate(self):
-        bad = triple_violations(self.source, self.target, self.u0, self.u1, self.u2)
+        bad = triple_violations(source, target, self.u0, self.u1, self.u2)
         if bad:
             raise InputError(bad[0])
 

@@ -69,13 +69,14 @@ verify_morita_deformed, are proved on generator rows of A and B, with
 no full differential (transfer_identities_hold); the full differentials
 are taken only to name the witness of a failure.
 
-Every context is built as one corner context (_corner_context): eCe
-against C through eC and Ce, each table read off the product of C, by
-index when e is a coordinate idempotent, as in every context the
-command line builds.  A matrix context is the corner of C = M_n(A) at
-E_11, with eCe read as A and the matrix units as generators of 1_C; an
-idempotent context is the swap of the corner of A at e.  hat P and hat
-Q are one builder too (_hat): hat Q is hat P of the swapped context.
+Every context is one corner context (_corner_context): eCe against C
+through eC and Ce, each table read off the product of C by index, as e
+is a coordinate idempotent, which loses no corner up to isomorphism.  A
+matrix context is the corner of C = M_n(A) at E_11, with eCe read as A
+and the matrix units as generators of 1_C; an idempotent context is the
+swap of the corner of A at e.  Each proves its own ring as it is built
+(proved_ring).  hat P and hat Q are one builder too (_hat): hat Q is hat
+P of the swapped context.
 _hat and _deformed_pairing work from supports too, one key of f, g or h
 at a time.
 """
@@ -205,9 +206,6 @@ class Bimodule:
     def left_act(self, avec, mvec):
         return _bilinear(self.field, self.left, avec, mvec)
 
-    def right_act(self, mvec, bvec):
-        return _bilinear(self.field, self.right, mvec, bvec)
-
     def violations(self):
         """[] or the one message of ring_failure on the bimodule ring
         [[A, M], [0, B]] (block_ring with no Q), which names a basis element
@@ -297,8 +295,8 @@ class MoritaContext:
     the units.  That the pairings induce bijections from the balanced
     products onto a and b, and that every element of P and Q is
     recovered through gens_a and gens_b, follows from these (see
-    _validate), so neither is computed.  A checked context keeps its ring
-    and the ring's left factors (proved_ring), and so does its swap.
+    _validate), so neither is computed.  A context keeps its proved ring
+    and the ring's left factors (proved_ring).
     """
 
     def __init__(self, a, b, p, q, pairing_a, pairing_b, gens_a, gens_b, check=True):
@@ -314,7 +312,6 @@ class MoritaContext:
         self.gens_b = [(_clean(fld, u), _clean(fld, v)) for u, v in gens_b]
         self._swapped = None
         self._proved = None
-        self._mirrored = None  # index map from the mirror's ring, if proved by it
         if check:
             self._validate()
 
@@ -344,52 +341,10 @@ class MoritaContext:
         R.unit_and_generators(), on which checks on generators run.
 
         A context that was not checked checks itself on the first call,
-        and raises InputError at its first failed axiom.  The swap of a
-        proved context is proved by its mirror: its ring is the mirror's
-        with the blocks in the order B, Q, P, A, and it takes the mirror's
-        generators, moved to that order, as its own."""
+        and raises InputError at its first failed axiom."""
         if self._proved is None:
-            mirror = self._swapped._proved if self._swapped is not None else None
-            if mirror is None:
-                self._validate()
-            else:
-                na, np_, nq, nb = self.a.dim, self.p.dim, self.q.dim, self.b.dim
-                # index in the mirror's ring -> index in this ring
-                moved = [at + i for at, n in ((na + np_ + nq, nb), (na + np_, nq), (na, np_),
-                                              (0, na)) for i in range(n)]
-                ring = self.ring()
-                ring._generators = sorted(moved[g] for g in mirror[0].generators())
-                self._proved = (ring, ring.unit_and_generators())
-                self._mirrored = moved
+            self._validate()
         return self._proved
-
-    def _ring_generators(self):
-        """The generators of the Morita ring read off the context (see
-        _validate for the proof), as indices of the ring: those of A and
-        of B, and the supports of the p'_j of gens_a and of the q_u of
-        gens_b.  unit_and_generators adds the support of the unit."""
-        at_p = self.a.dim
-        at_q = at_p + self.p.dim
-        at_b = at_q + self.q.dim
-        gens = set(self.a.generators())
-        gens.update(at_b + y for y in self.b.generators())
-        gens.update(at_p + x for pj, _ in self.gens_a for x in pj)
-        gens.update(at_q + y for qu, _ in self.gens_b for y in qu)
-        return sorted(gens)
-
-    def _searched_rows(self):
-        """The left factors that the proved ring's checks ran on when its
-        generators came from the greedy search: the support of the unit
-        and the greedy generators of the ring, or those of the mirror's
-        ring moved, when the context was proved by its mirror.  A failed
-        check names its witness on these rows, the same triple it named
-        before the generators were read off."""
-        ring, _ = self.proved_ring()
-        if self._mirrored is None:
-            gens = ring.greedy_generators()
-        else:
-            gens = [self._mirrored[g] for g in self._swapped._proved[0].greedy_generators()]
-        return sorted(set(ring.unit) | set(gens))
 
     def _validate(self):
         """Raise InputError at the first failed axiom of the context.
@@ -420,10 +375,10 @@ class MoritaContext:
         This is the classical reading of a Morita context as the ring of
         its 2 x 2 matrices.
 
-        The ring's generators are read off the context
-        (_ring_generators): those of A and of B, and the supports of the
-        p'_j of gens_a and of the q_u of gens_b; with the support of the
-        unit they are the rows of the check.  They generate by the rows
+        The ring's generators are read off the context: those of A and of
+        B, and the supports of the p'_j of gens_a and of the q_u of
+        gens_b; with the support of the unit they are the rows of the
+        check.  They generate by the rows
         that the check proves, and no others.  Let S be the set of x with
         (x y) z = x (y z) for all y, z: a subspace closed under products
         (deformation_witness), which holds the rows once the check
@@ -473,7 +428,13 @@ class MoritaContext:
                     or _decomposition_failure(self, "a", self.pair_a, a.unit, a.labels)
                     or _decomposition_failure(self, "b", self.pair_b, b.unit, b.labels))
 
-        ring._generators = self._ring_generators()
+        # the generators read off the context, as ring indices
+        at_q = a.dim + p.dim
+        gens = set(a.generators())
+        gens.update(at_q + q.dim + y for y in b.generators())
+        gens.update(a.dim + x for pj, _ in self.gens_a for x in pj)
+        gens.update(at_q + y for qu, _ in self.gens_b for y in qu)
+        ring._generators = sorted(gens)
         if failure():
             # the set read off generates only once every check passes; the
             # error names the first failure on the greedy generators' rows
@@ -497,108 +458,71 @@ def _decomposition_failure(ctx, side, pair, unit, labels):
     return None
 
 
-def _coordinate_blocks(images):
-    """{block: {index in C: index in the block}} for the images {block:
-    [image of each basis element x of C]} of _corner_context when each
-    image of x is x or 0, so when e is a coordinate idempotent; else None.
-    The block holds the x whose image is x, in the order of C."""
-    if not all(v in ({}, x) for vecs in images.values() for v, x in zip(vecs, images["c"])):
-        return None
-    return {name: {i: r for r, i in enumerate(i for i, v in enumerate(vecs) if v)}
-            for name, vecs in images.items()}
-
-
 def _corner_context(c, e, corner=None, gens=None):
-    """The corner eCe against C, through P = eC and Q = Ce, for an
-    idempotent e of C; both pairings are the product of C, gens_a is
-    [(e, e)].  eCe, eC and Ce have the greedy bases of the images e x e,
-    e x and x e of the basis of C.  corner is the algebra read as eCe in
-    its basis and gens the pairs (x e, e y) of C that decompose 1_C; if
-    not given, eCe is built and gens_b solved, and NotFullIdempotent is
-    raised when CeC is a proper ideal.  eCe, P and Q are unchecked: the
-    check of the context's ring proves them.
+    """The corner eCe against C, through P = eC and Q = Ce, unchecked
+    (proved_ring proves it), for a coordinate idempotent e of C: e x and
+    x e are x or 0 for each basis element x of C.  Both pairings are the
+    product of C and gens_a is [(e, e)].  corner is the algebra read as
+    eCe and gens the pairs (x e, e y) of C that decompose 1_C; without
+    them eCe is built and gens_b solved as the greedy decomposition of
+    1_C into the brackets of Q x P, and NotFullIdempotent is raised when
+    CeC is a proper ideal.  An e that is not idempotent, or not a
+    coordinate one, raises InputError, naming the first basis element
+    that e moves in the second case.
 
-    The blocks are read by index when e is a coordinate idempotent, that
-    is when e x and x e are each x or 0 for every basis element x of C:
-    a sum of vertex idempotents, or E_11 1_A in M_n(A), so every context
-    the command line builds.  Then each image is a basis element or 0,
-    so each greedy basis is the basis elements the block holds, in the
-    order of C, and a vector lies in the block exactly when its
-    coordinates do, which are then those of C renumbered.  So each
-    product is an entry of C's table, renumbered, and an entry with a
-    coordinate outside its block raises the InputError that the span
-    path raises.  For any other e each block is a span, read through a
-    SpanSolver.  On both paths gens_b is solved through one, the greedy
-    decomposition of 1_C into the brackets of Q x P.
+    Each block holds the basis elements of C that it contains, in the
+    order of C, so each product is an entry of C's table renumbered, and
+    an entry with a coordinate outside its block raises InputError.
+
+    No corner is lost up to isomorphism.  A sum of vertex idempotents of
+    A, and E_11 1_A in M_n(A), are coordinate idempotents.  For an
+    admissible kQ/I, every idempotent f of C = M_n(A) (n = 1 included)
+    is conjugate to a sum e' of distinct E_ii e_v.  C is the direct sum
+    of the E_ii e_v C, whose endomorphism rings e_v A e_v are local, so
+    by Krull-Schmidt f C = e' C and (1 - f) C = (1 - e') C up to
+    isomorphism for one such e', and the two isomorphisms together are
+    a unit u of C with f = u e' u^-1.  The inner automorphism x -> u x
+    u^-1 of C carries the context at e' onto the context at f (Anderson
+    and Fuller, Rings and Categories of Modules, 1992).
     """
     fld = c.field
     e = _clean(fld, e)
     if c.mul(e, e) != e:
         raise InputError("the given element is not idempotent")
-    units = [{i: fld.one} for i in range(c.dim)]
-    rights = [c.mul(x, e) for x in units]
-    # the images of the basis of C in eCe, eC, Ce and C itself
-    images = {"a": [c.mul(e, y) for y in rights], "p": [c.mul(e, x) for x in units],
-              "q": rights, "c": units}
-    at = _coordinate_blocks(images)
-    if at is not None:
-        size = {name: len(pos) for name, pos in at.items()}
+    left, right = {}, {}  # {x: its index in eC} and in Ce
+    for x in range(c.dim):
+        unit = {x: fld.one}
+        for fixed, image in ((left, c.mul(e, unit)), (right, c.mul(unit, e))):
+            if image == unit:
+                fixed[x] = len(fixed)
+            elif image:
+                raise InputError("e is not a coordinate idempotent: e x or x e is "
+                                 "neither x nor 0 for x = %s" % c.labels[x])
+    at = {"a": {x: r for r, x in enumerate(x for x in left if x in right)}, "p": left,
+          "q": right, "c": {x: x for x in range(c.dim)}}
 
-        def renumbered(pos):
-            def coords(vec):
-                if not vec.keys() <= pos.keys():
-                    raise InputError("product escapes the expected subspace")
-                return {pos[k]: x for k, x in vec.items()}
-            return coords
+    def read(name, vec):
+        """The coordinates of vec in the block name."""
+        pos = at[name]
+        if not vec.keys() <= pos.keys():
+            raise InputError("product escapes the expected subspace")
+        return {pos[k]: x for k, x in vec.items()}
 
-        def products(x, y, coords):
-            """{(r, s): coords(x_r y_s)} over the nonzero products of the
-            bases of the blocks x and y."""
-            rows, cols = at[x], at[y]
-            return {(rows[s], cols[t]): coords(vec) for (s, t), vec in c.table.items()
-                    if s in rows and t in cols}
-        acoords, pcoords, qcoords = (renumbered(at[name]) for name in "apq")
-    else:
-        def span_of(vecs):
-            """A basis of the span of vecs, and the coordinates in it of a
-            vector of the span."""
-            solver = SpanSolver(fld)
-            basis = []
-            for vec in vecs:
-                if vec and solver.add(vec, len(basis)):
-                    basis.append(vec)
-
-            def coords(vec):
-                combo = solver.express(vec)
-                if combo is None:
-                    raise InputError("product escapes the expected subspace")
-                return _clean(fld, combo)
-            return basis, coords
-
-        (abasis, acoords), (pbasis, pcoords), (qbasis, qcoords) = (
-            span_of(images[name]) for name in "apq")
-        bases = {"a": abasis, "p": pbasis, "q": qbasis, "c": units}
-        size = {name: len(basis) for name, basis in bases.items()}
-
-        def products(x, y, coords):
-            """{(r, s): coords(x_r y_s)} over the nonzero products of the
-            bases of the blocks x and y."""
-            out = {}
-            for r, xv in enumerate(bases[x]):
-                for s, yv in enumerate(bases[y]):
-                    vec = c.mul(xv, yv)
-                    if vec:
-                        out[(r, s)] = coords(vec)
-            return out
+    def products(x, y, out):
+        """{(r, s): x_r y_s read in the block out} over the nonzero
+        products of the bases of the blocks x and y."""
+        rows, cols = at[x], at[y]
+        return {(rows[s], cols[t]): read(out, vec) for (s, t), vec in c.table.items()
+                if s in rows and t in cols}
 
     if corner is None:
-        corner = FinDimAlgebra(fld, size["a"], products("a", "a", acoords), acoords(e),
+        corner = FinDimAlgebra(fld, len(at["a"]), products("a", "a", "a"), read("a", e),
                                check=False)
-    p = Bimodule(corner, c, size["p"], products("a", "p", pcoords),
-                 products("p", "c", pcoords), check=False)
-    q = Bimodule(c, corner, size["q"], products("c", "q", qcoords),
-                 products("q", "a", qcoords), check=False)
-    pairing_b = products("q", "p", dict)
+    p = Bimodule(corner, c, len(left), products("a", "p", "p"), products("p", "c", "p"),
+                 check=False)
+    q = Bimodule(c, corner, len(right), products("c", "q", "q"), products("q", "a", "q"),
+                 check=False)
+    pairing_b = products("q", "p", "c")
     if gens is None:
         witness = SpanSolver(fld)
         for rs, vec in sorted(pairing_b.items()):
@@ -608,9 +532,9 @@ def _corner_context(c, e, corner=None, gens=None):
             raise NotFullIdempotent("AeA is a proper ideal; e is not full")
         gens_b = [({r: x}, {s: fld.one}) for (r, s), x in sorted(combo.items())]
     else:
-        gens_b = [(qcoords(x), pcoords(y)) for x, y in gens]
-    return MoritaContext(corner, c, p, q, products("p", "q", acoords), pairing_b,
-                         [(pcoords(e), qcoords(e))], gens_b)
+        gens_b = [(read("q", x), read("p", y)) for x, y in gens]
+    return MoritaContext(corner, c, p, q, products("p", "q", "a"), pairing_b,
+                         [(read("p", e), read("q", e))], gens_b, check=False)
 
 
 # The largest dimension n^2 dim A of M_n(A) that matrix_context builds.
@@ -625,7 +549,8 @@ MAX_MATRIX_DIM = 64
 
 def matrix_context(alg, n):
     """A against the matrix amplification M_n(A): the corner context of
-    C = M_n(A) at e = E_11 1_A (_corner_context), with eCe read as alg.
+    C = M_n(A) at e = E_11 1_A (_corner_context), with eCe read as alg,
+    proved as it is built (proved_ring).
 
     C has the basis E_rc x_g, flattened (r*n + c)*dim + g.  P = eC is the
     first row A^(1 x n) of C and Q = Ce its first column, both pairings
@@ -670,18 +595,24 @@ def matrix_context(alg, n):
                         check=False)
     mat._generators = sorted({at(0, 0, g) for g in alg.generators()}
                              | {k for j in range(n) for k in (*unit(0, j), *unit(j, 0))})
-    return _corner_context(mat, unit(0, 0), alg, [(unit(r, 0), unit(0, r)) for r in range(n)])
+    ctx = _corner_context(mat, unit(0, 0), alg, [(unit(r, 0), unit(0, r)) for r in range(n)])
+    ctx.proved_ring()
+    return ctx
 
 
 def idempotent_context(alg, evec):
-    """A against the corner algebra eAe, through P = Ae and Q = eA: the
+    """A against the corner algebra eAe, through P = Ae and Q = eA, for a
+    coordinate idempotent e of A such as a sum of vertex idempotents: the
     swap of the corner context of A at e (_corner_context), so gens_b is
-    [(e, e)] and gens_a the solved decomposition of 1_A.
+    [(e, e)] and gens_a the solved decomposition of 1_A, proved as it is
+    built (proved_ring).
 
     Raises NotFullIdempotent when 1_A cannot be written as a sum of
     products (x e)(e y), that is when AeA is a proper ideal.
     """
-    return _corner_context(alg, evec).swap()
+    ctx = _corner_context(alg, evec).swap()
+    ctx.proved_ring()
+    return ctx
 
 
 def transfer_phi(ctx, f):
@@ -859,9 +790,7 @@ def transfer_identities_hold(ctx, f, g):
     second on the rows of A.  For the third, E = f - psi^2 phi^2 f is then
     a 2-cocycle, so D = E - d h^2 f is one too, and D = 0 once its rows
     vanish (_coboundary_rows_agree)."""
-    mirror = ctx._swapped
-    if ctx._proved is None and (mirror is None or mirror._proved is None):
-        ctx.proved_ring()
+    ctx.proved_ring()
     a = ctx.a
     if deformation_witness(a, f.table) is not None:
         return False
@@ -1259,8 +1188,10 @@ def _deformation_failure(ctx, blocks):
         return "the Morita ring: unit fails on basis element %s" % ring.labels[min(bad)]
     bad = deformation_witness(ring, cochain)
     if bad is not None:
-        # named on the rows the greedy generators give, as _validate does
-        bad = deformation_witness(ring, cochain, ctx._searched_rows())
+        # named on the rows of the unit and the greedy generators, as
+        # _validate does: the triple named before generators were read off
+        rows = sorted(set(ring.unit) | set(ring.greedy_generators()))
+        bad = deformation_witness(ring, cochain, rows)
         return "the Morita ring is not associative at (%s, %s, %s)" % tuple(
             ring.labels[x] for x in bad)
     omega_a, omega_b = blocks[6:]

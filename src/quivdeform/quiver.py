@@ -523,12 +523,9 @@ class AlgebraBasis(FinDimAlgebra):
         """The combination of basis paths with the coordinates vec."""
         return FreeElement(self.quiver, self.field, {self.paths[i]: c for i, c in vec.items()})
 
-    def reduces_to_zero(self, x):
-        return self.rewrite.reduce(x).is_zero()
-
     def contains_ideal_of(self, other_relations):
         """Do all the given free elements lie in this algebra's ideal?"""
-        return all(self.reduces_to_zero(r) for r in other_relations)
+        return all(self.rewrite.reduce(r).is_zero() for r in other_relations)
 
     def path_source_of_index(self, i):
         return self.ends[i][0]
@@ -563,7 +560,3 @@ def compute_basis(quiver, relations, field, max_degree=30):
     rewrite, paths = _standard_paths(quiver, relations, field, max_degree)
     return AlgebraBasis(quiver, field, relations, rewrite, paths)
 
-
-def decompose_unit(basis):
-    """The trivial basis paths; their classes sum to 1."""
-    return [basis.paths[i] for i in basis.trivial_indices]

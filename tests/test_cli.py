@@ -1355,6 +1355,23 @@ def test_presentation_refuses_relations_that_kill_a_vertex(name, tmp_path, capsy
                 "needs admissible relations\n")
 
 
+@pytest.mark.parametrize("name, vertices", [("two_cycle", "1"), ("two_cycle", "1,2"),
+                                            ("dual_numbers", "1")])
+def test_corner_refuses_relations_that_kill_a_vertex(name, vertices, tmp_path, capsys):
+    # the cocycle lines dropped and relation e(1)*e(1) added, which kills
+    # the vertex idempotent e(1): --idempotent at e(1) ends with a typed
+    # InputError and exit code 2, not a traceback
+    with open(data_path(name + ".alg"), encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("cocycle")]
+    killed = tmp_path / (name + ".alg")
+    killed.write_text("".join(lines) + "relation e(1)*e(1)\n", encoding="utf-8")
+    for command in ("transfer", "verify-morita"):
+        assert run([command, str(killed), "--idempotent", vertices]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the relations kill the vertex idempotent e(1); --idempotent "
+                "needs admissible relations\n")
+
+
 def test_package_exports_resolve_on_first_use():
     # each name of __all__ is imported from its layer when it is first
     # read, by attribute or by a star import, and is the layer's object

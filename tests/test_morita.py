@@ -287,15 +287,19 @@ def assert_contexts_match_the_dense_oracles(basis, name, sizes=(1, 2, 3)):
     sum, against M_n(A) multiplied out and the corner read off the basis:
     tables, units, labels, actions, pairings and generator lists; past the
     limit SizeLimitExceeded, and NotFullIdempotent exactly when 1_A is
-    outside the span of the brackets of Ae x eA."""
+    outside the span of the brackets of Ae x eA.  Returns (contexts,
+    refused): the number of contexts asked for within the limit, and of
+    those refused with NotFullIdempotent."""
     fld = basis.field
     one = fld.one
     d = basis.dim
+    contexts = refused = 0
     for n in sizes:
         if n * n * d > morita.MAX_MATRIX_DIM:
             with pytest.raises(SizeLimitExceeded):
                 matrix_context(basis, n)
             continue
+        contexts += 1
         dim, table, unit, labels = brute_matrix_algebra(raw_algebra(basis), basis.labels,
                                                         n, fld)
 
@@ -319,6 +323,7 @@ def assert_contexts_match_the_dense_oracles(basis, name, sizes=(1, 2, 3)):
     for size in range(1, len(vertices) + 1):
         for chosen in combinations(vertices, size):
             e = {i: one for i in chosen}
+            contexts += 1
             corner = brute_corner(raw_algebra(basis), e, fld)
             # 1_A = sum c (x e)(e y) through the greedy brackets of Ae x eA
             combo = brute_greedy_decomposition(sorted(corner["pairing_b"].items()),
@@ -327,6 +332,7 @@ def assert_contexts_match_the_dense_oracles(basis, name, sizes=(1, 2, 3)):
                 with pytest.raises(NotFullIdempotent) as caught:
                     idempotent_context(basis, e)
                 assert str(caught.value) == "AeA is a proper ideal; e is not full"
+                refused += 1
                 continue
             ctx = idempotent_context(basis, e)
             dim_b = corner["corner"][0]
@@ -338,71 +344,25 @@ def assert_contexts_match_the_dense_oracles(basis, name, sizes=(1, 2, 3)):
             assert ctx.gens_a == [({r: x}, {s: one}) for (r, s), x in sorted(combo.items())]
             assert ctx.gens_b == [({corner["at_p"][k]: x for k, x in e.items()},
                                    {corner["at_q"][k]: x for k, x in e.items()})]
+    return contexts, refused
 
 
 @pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
 def test_contexts_match_the_dense_oracles(fld):
+    counts = []
     for name in CONTEXT_FIXTURES:
         af = parse_algebra_file(data_path(name + ".alg"), fld)
-        assert_contexts_match_the_dense_oracles(compute_basis(af.quiver, af.relations, fld),
-                                                name)
+        counts.append(assert_contexts_match_the_dense_oracles(
+            compute_basis(af.quiver, af.relations, fld), name))
+    # every matrix context within MAX_MATRIX_DIM and every vertex sum of
+    # the fixtures: 29 contexts, 8 of them refused as not full
+    assert [sum(column) for column in zip(*counts)] == [29, 8]
 
 
 @settings(DRAWN_ALGEBRAS, phases=QUICK_REPORT)
 @given(bound_quiver_algebras())
 def test_contexts_match_the_dense_oracles_on_drawn_algebras(basis):
     assert_contexts_match_the_dense_oracles(basis, repr(basis.paths), sizes=(1, 2))
-
-
-def context_data(ctx):
-    """Everything a context holds, as raw tables and lists."""
-    return (raw_algebra(ctx.a), ctx.a.labels, raw_algebra(ctx.b), ctx.b.labels,
-            raw_context(ctx), ctx.gens_a, ctx.gens_b)
-
-
-def built_on_both_paths(monkeypatch, build):
-    """(what build() gives with the blocks read by index, what it gives
-    with them read through the spans): the context's data, or the class
-    and message of the InputError or NotFullIdempotent it raised.  Checks
-    that the first run reads the blocks by index."""
-    seen = []
-    real = morita._coordinate_blocks
-    monkeypatch.setattr(morita, "_coordinate_blocks",
-                        lambda images: seen.append(real(images)) or seen[-1])
-    out = []
-    for _ in range(2):
-        try:
-            out.append(context_data(build()))
-        except (InputError, NotFullIdempotent) as exc:
-            out.append("%s: %s" % (type(exc).__name__, exc))
-        monkeypatch.setattr(morita, "_coordinate_blocks", lambda images: None)
-    monkeypatch.setattr(morita, "_coordinate_blocks", real)
-    assert seen and all(at is not None for at in seen)
-    return out
-
-
-@pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
-def test_corner_paths_build_equal_contexts(fld, monkeypatch):
-    # every matrix context within MAX_MATRIX_DIM and every vertex sum:
-    # the blocks read by index and through a SpanSolver give the same
-    # context, or the same refusal of an idempotent that is not full
-    outcomes = []
-    for name in CONTEXT_FIXTURES:
-        af = parse_algebra_file(data_path(name + ".alg"), fld)
-        basis = compute_basis(af.quiver, af.relations, fld)
-        builds = [(n, lambda n=n: matrix_context(basis, n)) for n in (1, 2, 3)
-                  if n * n * basis.dim <= morita.MAX_MATRIX_DIM]
-        builds += [(chosen, lambda chosen=chosen: idempotent_context(
-                        basis, {i: fld.one for i in chosen}))
-                   for size in range(1, len(basis.trivial_indices) + 1)
-                   for chosen in combinations(basis.trivial_indices, size)]
-        for which, build in builds:
-            by_index, by_span = built_on_both_paths(monkeypatch, build)
-            assert by_index == by_span, (name, which)
-            outcomes.append(by_index)
-    refused = [out for out in outcomes if isinstance(out, str)]
-    assert (len(outcomes), len(refused)) == (29, 8)
-    assert set(refused) == {"NotFullIdempotent: AeA is a proper ideal; e is not full"}
 
 
 def moved_out_of_its_block(c, e):
@@ -433,44 +393,40 @@ def moved_out_of_its_block(c, e):
     return tables
 
 
-def test_corner_paths_refuse_a_product_outside_its_block(dual_numbers, two_cycle,
-                                                         monkeypatch):
-    # a table of C with one product moved out of its block: both paths
-    # raise the same InputError, whether eCe is given or built
+def test_corner_paths_refuse_a_product_outside_its_block(dual_numbers, two_cycle):
+    # a table of C with one product moved out of its block raises
+    # InputError, whether eCe is given or built
     for fixture in (dual_numbers, two_cycle):
         _, basis = fixture
         c = matrix_context(basis, 2).b
         e = {u: x for u, x in basis.unit.items()}
         for broken in moved_out_of_its_block(c, e):
             for corner in (None, basis):
-                by_index, by_span = built_on_both_paths(
-                    monkeypatch, lambda: morita._corner_context(broken, e, corner))
-                assert by_index == by_span == (
-                    "InputError: product escapes the expected subspace")
+                with pytest.raises(InputError) as caught:
+                    morita._corner_context(broken, e, corner)
+                assert str(caught.value) == "product escapes the expected subspace"
 
 
 @pytest.mark.parametrize("fld", [Q, F7], ids=["Q", "F7"])
-def test_a_non_coordinate_idempotent_takes_the_span_path(fld, monkeypatch):
-    # e = (E11 + E12) 1_A in M_2(A) moves E21 1_A to E21 1_A + E22 1_A, so
-    # its blocks are spans; its corner is A again, and the context proves
-    # its ring and both generator lists
-    seen = []
-    real = morita._coordinate_blocks
-    monkeypatch.setattr(morita, "_coordinate_blocks",
-                        lambda images: seen.append(real(images)) or seen[-1])
+def test_a_non_coordinate_idempotent_is_refused(fld):
+    # e = (E11 + E12) 1_A in M_2(A) sends E11 x to E11 x + E12 x on the
+    # right, so it is refused at the first basis element of M_2(A); its
+    # conjugate E11 1_A = u e u^-1, for u = 1 + E12, builds a context
+    # whose corner is A and which proves its ring
     for name in ("dual_numbers", "two_cycle"):
         af = parse_algebra_file(data_path(name + ".alg"), fld)
         basis = compute_basis(af.quiver, af.relations, fld)
         c = matrix_context(basis, 2).b
         d = basis.dim
         e = {cell * d + u: x for cell in (0, 1) for u, x in basis.unit.items()}
-        seen.clear()
-        ctx = morita._corner_context(c, e)
-        assert seen == [None], name
-        assert (ctx.a.dim, ctx.p.dim, ctx.q.dim) == (d, 2 * d, 2 * d), name
+        with pytest.raises(InputError) as caught:
+            morita._corner_context(c, e)
+        assert str(caught.value) == ("e is not a coordinate idempotent: e x or x e is "
+                                     "neither x nor 0 for x = E11*" + basis.labels[0]), name
+        ctx = morita._corner_context(c, dict(basis.unit))
+        assert raw_algebra(ctx.a) == raw_algebra(basis), name
         ring, _ = ctx.proved_ring()
         assert morita.ring_failure(ring, "the Morita ring") is None, name
-        assert ctx.a.mul(ctx.a.unit, ctx.a.unit) == ctx.a.unit, name
 
 
 def corner_context(lambda_m2):
@@ -1638,18 +1594,16 @@ def test_checked_context_builds_no_tensor_product(dual_numbers, two_cycle, lambd
                         lambda *args: deformations.append(args) or real_deformation(*args))
     monkeypatch.setattr(morita, "block_ring",
                         lambda *args: rings.append(args) or real_block_ring(*args))
-    for fixture, ctx, built_rings in (
-            (dual_numbers, matrix_context(basis, 2), 0),
-            (two_cycle, idempotent_context(two_cycle[1], dict(two_cycle[1].unit)), 1)):
+    for fixture, ctx in ((dual_numbers, matrix_context(basis, 2)),
+                         (two_cycle, idempotent_context(two_cycle[1], dict(two_cycle[1].unit)))):
         rings.clear()
         report, validated = certify(ctx, golden_cochain(fixture), monkeypatch)
         assert all_pass(report) == [] and built == []
         assert validated == [] and deformations == []
-        # a matrix context keeps the ring it checked; the swap of a checked
-        # corner builds its own ring once and reads its factors off its
-        # mirror: the support of the unit and a generating set
+        # each context keeps the ring it checked as it was built, with its
+        # factors: the support of the unit and a generating set
         ring, factors = ctx.proved_ring()
-        assert len(rings) == built_rings
+        assert rings == []
         raw = context_blocks(ctx).raw
         assert (ring.dim, ring.table, ring.unit) == raw
         assert set(ring.unit) <= set(factors)
@@ -1905,25 +1859,15 @@ def read_off_factors(ctx):
 def checked_factors(ctx):
     """The rows on which the certificate names a failed check of the
     deformed ring: the support of the unit and the greedy generators
-    (brute_greedy_generators) of the ring, or those of the mirror's ring
-    moved to this ring's order when ctx was proved by its mirror, as the
-    swap of a checked context is.  The left factors of ctx.proved_ring(),
-    on which a passing check runs, are asserted to be read_off_factors
-    and to generate the ring (brute_generated_dimension)."""
+    (brute_greedy_generators) of the ring.  The left factors of
+    ctx.proved_ring(), on which a passing check runs, are asserted to be
+    read_off_factors and to generate the ring
+    (brute_generated_dimension)."""
     raw = context_blocks(ctx).raw
     _, factors = ctx.proved_ring()
     assert factors == read_off_factors(ctx)
     assert brute_generated_dimension(raw, factors, ctx.field) == raw[0]
-    if ctx._mirrored is None:
-        gens = brute_greedy_generators(*raw, ctx.field)
-    else:
-        na, np_, nq, nb = ctx.a.dim, ctx.p.dim, ctx.q.dim, ctx.b.dim
-        # the mirror's blocks B, Q, P, A, each moved to its place here
-        moved = [at + i for at, n in ((na + np_ + nq, nb), (na + np_, nq), (na, np_),
-                                      (0, na)) for i in range(n)]
-        gens = [moved[g] for g in
-                brute_greedy_generators(*context_blocks(ctx.swap()).raw, ctx.field)]
-    return sorted(set(raw[2]) | set(gens))
+    return sorted(set(raw[2]) | set(brute_greedy_generators(*raw, ctx.field)))
 
 
 def first_deformation_failure(ctx, raw, factors):

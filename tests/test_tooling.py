@@ -212,9 +212,9 @@ def test_unreferenced_definition_rule_sees_leftovers():
         ("b.py", 3, "imported_only")]
 
 
-def test_package_defines_nothing_that_nothing_reaches():
-    # a function or class of the package is either exported in
-    # __init__.__all__ or used somewhere in the package
+def package_sources():
+    """({file name: source} of the package's modules, the names of
+    __init__.__all__)."""
     sources = {}
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
@@ -225,8 +225,64 @@ def test_package_defines_nothing_that_nothing_reaches():
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             exported.update(elt.value for elt in node.value.elts)
+    return sources, exported
+
+
+def test_package_defines_nothing_that_nothing_reaches():
+    # a function or class of the package is either exported in
+    # __init__.__all__ or used somewhere in the package
+    sources, exported = package_sources()
     assert exported
     assert not unreferenced_definitions(sources, exported)
+
+
+def uncalled_methods(sources, exported):
+    """(file, line, "Class.method") of each method of a module-level class
+    not in exported whose name no Name or attribute in sources references
+    outside the method's own body, in file and line order.  Dunders are
+    hooks that the interpreter calls, and are not reported."""
+    trees = {filename: ast.parse(source, filename) for filename, source in sources.items()}
+    methods = [(filename, cls.name, item) for filename, tree in sorted(trees.items())
+               for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name not in exported
+               for item in cls.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (item.name.startswith("__") and item.name.endswith("__"))]
+    inside = {id(n): item.name for _, _, item in methods for n in ast.walk(item)}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and inside.get(id(node)) != (node.id if isinstance(node, ast.Name) else node.attr)}
+    return [(filename, item.lineno, "%s.%s" % (cls, item.name))
+            for filename, cls, item in methods if item.name not in used]
+
+
+def test_uncalled_method_rule_sees_leftovers():
+    sources = {"a.py": ("class Kept:\n"
+                        "    def __init__(self):\n"
+                        "        self.used()\n"
+                        "    def used(self):\n"
+                        "        return 1\n"
+                        "    def recursive(self):\n"
+                        "        return self.recursive()\n"
+                        "    def _helper(self):\n"
+                        "        return 2\n"
+                        "class Public:\n"
+                        "    def api(self):\n"
+                        "        return 3\n"),
+               "b.py": ("def call(obj):\n"
+                        "    return obj._helper\n")}
+    assert uncalled_methods(sources, {"Public"}) == [("a.py", 6, "Kept.recursive")]
+
+
+def test_src_keeps_no_unused_import_or_uncalled_helper():
+    # no module of src/ imports a name it never uses, and every function,
+    # class and method that __init__.__all__ does not export is reached
+    # from the package's own code
+    sources, exported = package_sources()
+    assert {name: found for name, source in sources.items()
+            for found in (unused_imports(source, name),) if found} == {}
+    assert unreferenced_definitions(sources, exported) == []
+    assert uncalled_methods(sources, exported) == []
 
 
 def load_trace():
