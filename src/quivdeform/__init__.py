@@ -22,7 +22,7 @@ __all__ = [
     "Presentation", "Quiver", "TensorProduct", "UpleModule",
     "build_presentation", "check_image_condition",
     "cochain_from_pairs", "cochain_from_paths", "compute_basis",
-    "deformation_equivalence", "deformation_witness", "differential",
+    "deformation_equivalence", "deformation_witness",
     "emit_algebra_text", "emit_dot", "emit_module_text", "full_differential",
     "functor_F", "hat_f", "hh_dimension", "hh_summary", "homotopy_h",
     "idempotent_context", "interreduce_presentation",
@@ -47,8 +47,7 @@ _LAYERS = {
                "parse_algebra_file", "parse_algebra_text", "parse_expression",
                "parse_module_file"),
     "hochschild": ("FullCochain", "cochain_from_pairs", "cochain_from_paths",
-                   "differential", "full_differential", "hh_dimension",
-                   "hh_summary", "is_cocycle"),
+                   "full_differential", "hh_dimension", "hh_summary", "is_cocycle"),
     "linalg": ("FinDimAlgebra", "deformation_witness"),
     "modcat": ("LeftModule", "MorphismTriple", "UpleModule", "functor_F",
                "module_from_file", "reconstruct", "regular_module",

@@ -26,7 +26,7 @@ DeformedAlgebra.evaluation, the one evaluation of free elements in A_f.
 
 from .errors import (ComputationError, EpsilonUnresolvable, InputError,
                      NormalizationFailed, NotACocycle)
-from .hochschild import (check_reduced, cobound_solve, cochain_from_paths,
+from .hochschild import (_delta1, check_reduced, cochain_from_paths,
                          cocycle_witness, is_cocycle)
 from .linalg import FinDimAlgebra, SpanSolver, _addinto, deformation_witness, map_apply
 from .quiver import FreeElement, Quiver, _standard_paths, relation_endpoints
@@ -176,25 +176,26 @@ def _hat_multiple_span(basis, f, endpoints=None):
     As [rho] = 0, the image of u rho v is ([u], hat_f(u)) (0, hat_f(rho))
     ([v], hat_f(v)) = (0, [u] hat_f(rho) [v]).  When u, rho and v do not
     compose, u rho v = 0 in kQ, and [u] hat_f(rho) [v] = 0 too, since
-    hat_f(rho) lies in the corner of the endpoints of rho.
+    hat_f(rho) lies in the corner of rho; so only the u ending at s(rho)
+    and the v starting at t(rho) are tried, in basis order.
     """
-    q = basis.quiver
     one = basis.field.one
     solver = SpanSolver(basis.field)
     for k, rel in enumerate(basis.relations):
         hat_rel = hat_f(rel, basis, f)
-        for i, u in enumerate(basis.paths):
-            if endpoints is not None and q.path_source(u) != endpoints[0]:
+        src, tgt = relation_endpoints(rel)
+        for i, (u_src, u_tgt) in enumerate(basis.ends):
+            if u_tgt != src or endpoints is not None and u_src != endpoints[0]:
                 continue
             left = basis.mul({i: one}, hat_rel)
             if not left:
                 continue
-            for j, v in enumerate(basis.paths):
-                if endpoints is not None and q.path_target(v) != endpoints[1]:
+            for j, (v_src, v_tgt) in enumerate(basis.ends):
+                if v_src != tgt or endpoints is not None and v_tgt != endpoints[1]:
                     continue
                 val = basis.mul(left, {j: one})
                 if val:
-                    solver.add(val, (u, k, v))
+                    solver.add(val, (basis.paths[i], k, basis.paths[j]))
     return solver
 
 
@@ -229,18 +230,9 @@ def check_image_condition(basis, f):
 
 def _arrow_cuts(q, p):
     """Occurrences of arrows inside p: (left path, arrow index, right path)."""
-    out = []
-    src = p[0]
     arrows = p[1:]
-    for i, a in enumerate(arrows):
-        left = (src,) + arrows[:i]
-        right_arrows = arrows[i + 1:]
-        if right_arrows:
-            right = (q.arrows[a][2],) + right_arrows
-        else:
-            right = (q.arrows[a][2],)
-        out.append((left, a, right))
-    return out
+    return [((p[0],) + arrows[:i], a, (q.arrows[a][2],) + arrows[i + 1:])
+            for i, a in enumerate(arrows)]
 
 
 def _transported_cocycle(basis, f):
@@ -288,6 +280,38 @@ def _transported_cocycle(basis, f):
     return cochain_from_paths(basis, 2, table)
 
 
+def _small_coboundary(basis, F):
+    """psi on the arrows, as {(a, b): c} for psi(a) = sum c e_b, with
+    delta^1 psi = g_F on the small complex of the rules of basis
+    (hochschild module docstring), or None.  F = f - f' for reduced
+    2-cocycles f and f' that the caller proves, and g_F(s) = hat_F(w_s -
+    phi_s), the t-part of the rule s in A_F.
+
+    psi exists exactly when f and f' are cohomologous: from psi,
+    deformation_equivalence builds h with f - f' = d h, and proves it.
+    Conversely, let f - f' = d h.  On a path p = a_1 ... a_m,
+
+        hat_(d h)(p) = sum_i d h([a_1..a_i], [a_(i+1)]) [a_(i+2)..a_m]
+                     = D_h(p) - h([p]),
+
+    D_h the derivation of kQ with D_h(a) = h(a): as d h(x, y) = x h(y) -
+    h(x y) + h(x) y, the terms x h(y) sum to D_h(p) less h(a_1) [a_2..a_m],
+    and the others telescope to T_1 - T_m, T_i = h([a_1..a_i])
+    [a_(i+1)..a_m].  Both sides are 0 on a path of length at most 1, h
+    being reduced.  As [w_s - phi_s] = 0, g_F(s) = D_h(w_s - phi_s) =
+    delta^1 h (s), h read on the arrows: g_F lies in the image.
+    """
+    fld = basis.field
+    g = {}
+    for w, rhs in basis.rewrite.rules.items():
+        rule = FreeElement.from_path(basis.quiver, fld, w) - rhs
+        g.update(((w, k), c) for k, c in hat_f(rule, basis, F).items())
+    solver = SpanSolver(fld)
+    for col, vec in _delta1(basis)[0].items():
+        solver.add(vec, col)
+    return solver.express(g)
+
+
 def normalize_cocycle(basis, f):
     """Replace the cocycle f, which the caller proves one, by a
     cohomologous cocycle whose image condition holds.
@@ -299,7 +323,7 @@ def normalize_cocycle(basis, f):
     f2 = _transported_cocycle(basis, f)
     if not is_cocycle(f2, basis):
         raise NormalizationFailed("transported representative is not a cocycle")
-    if cobound_solve(f - f2, basis) is None:
+    if _small_coboundary(basis, f - f2) is None:
         raise NormalizationFailed("transported representative changed the "
                                   "cohomology class")
     if not check_image_condition(basis, f2).ok:
@@ -377,11 +401,8 @@ def build_presentation(basis, f):
     hat_names = {name: name + "^" for name, _, _ in q.arrows}
     arrows_f = [(hat_names[name], q.vertices[s], q.vertices[t])
                 for name, s, t in q.arrows]
-    loop_names = {}
-    for vi in missed:
-        nm = "e^" + q.vertices[vi]
-        loop_names[vi] = nm
-        arrows_f.append((nm, q.vertices[vi], q.vertices[vi]))
+    loop_names = {vi: "e^" + q.vertices[vi] for vi in missed}
+    arrows_f += [(nm, q.vertices[vi], q.vertices[vi]) for vi, nm in loop_names.items()]
     quiver_f = Quiver(list(q.vertices), arrows_f)
 
     relations = [r for r in basis.relations]
@@ -465,9 +486,8 @@ def interreduce_presentation(pres, field, max_degree=30):
     from .quiver import RewriteSystem
     rs = RewriteSystem(pres.quiver, field, pres.relations,
                        degree_cap=2 * max_degree)
-    rels = []
-    for w in sorted(rs.rules, key=lambda p: (len(p) - 1, p[1:], p[0])):
-        rels.append(FreeElement.from_path(pres.quiver, field, w) - rs.rules[w])
+    rels = [FreeElement.from_path(pres.quiver, field, w) - rs.rules[w]
+            for w in sorted(rs.rules, key=lambda p: (len(p) - 1, p[1:], p[0]))]
     return Presentation(pres.quiver, rels, ["interreduced"] * len(rels),
                         pres.epsilon, pres.dashed, pres.extended, pres.cocycle)
 
@@ -493,10 +513,7 @@ def verify_presentation(deformed, pres, max_degree=30):
                    "dim kQ_f/I_f = %d, expected %d" % (dim_f, 2 * basis.dim)))
 
     evaluate = deformed.evaluation(pres.quiver)
-    bad = []
-    for k, r in enumerate(pres.relations):
-        if evaluate(r):
-            bad.append(k)
+    bad = [k for k, r in enumerate(pres.relations) if evaluate(r)]
     detail = "%d of %d generators evaluate to zero" % (
         len(pres.relations) - len(bad), len(pres.relations))
     if bad:
@@ -530,13 +547,29 @@ def deformation_equivalence(f, f2, basis):
     caller has proved f and f2 to be cocycles, so A_f and A_f2 are
     associative.
 
-    Expanding phi(x) phi(y) = phi(xy) for phi(a, b) = (a, b + g(a))
-    gives f - f2 = dg, which is the equation cobound_solve solves.  The
-    multiplicativity is still checked, on the structure constants, at the
-    pairs (x_r, x_j) for r in R = A_f.unit_and_generators() and every
-    basis index j.  That proves it on all basis pairs: T = {x : phi(xy) =
-    phi(x) phi(y) for all y} is a subspace that holds R, so holds 1, and
-    is closed under x -> gx for each generator g, since
+    Expanding phi(x) phi(y) = phi(xy) for phi(a, b) = (a, b + h(a))
+    gives f - f2 = d h, and such an h exists exactly when
+    _small_coboundary finds psi on the arrows with delta^1 psi = g_(f -
+    f2).  Then let theta(p) be the product of theta(a) = ([a], psi(a))
+    along the basis path p in A_f2, and h(p) its t-part minus hat_f(p).
+    As (x, u) (y, v) = (x y, x v + u y + f2(x, y)), h(p) = D_psi(p) +
+    hat_f2(p) - hat_f(p): h is reduced and D_h = D_psi.
+
+    f - f2 = d h: G = f - f2 - d h is a reduced 2-cocycle, and by the
+    telescoping of _small_coboundary, hat_G(w) = hat_f(w) - hat_f2(w) -
+    D_psi(w) + h([w]) for w in kQ.  So hat_G(p) = 0 on a basis path p, as
+    [p] = p, and hat_G(w_s - phi_s) = g_(f - f2)(s) - delta^1 psi (s) = 0
+    on a rule s.  For composable basis paths x and y, G(x, y), the t-part
+    of (x, 0) (y, 0), is hat_G of the word x y, as w -> ([w], hat_G(w))
+    is an algebra map kQ -> A_G.  The rewrite steps write that word as
+    [x y] plus terms c u (w_s - phi_s) v, and hat_G(u rho v) = [u]
+    hat_G(rho) [v] (_hat_multiple_span): so G(x, y) = 0, and G = 0.
+
+    The multiplicativity is still checked, on the structure constants,
+    at the pairs (x_r, x_j) for r in R = A_f.unit_and_generators() and
+    every basis index j.  That proves it on all basis pairs: T = {x :
+    phi(xy) = phi(x) phi(y) for all y} is a subspace that holds R, so
+    holds 1, and is closed under x -> gx for each generator g, since
 
         phi((gx)y) = phi(g(xy)) = phi(g) phi(xy) = phi(g) (phi(x) phi(y))
                    = (phi(g) phi(x)) phi(y) = phi(gx) phi(y)
@@ -544,16 +577,26 @@ def deformation_equivalence(f, f2, basis):
     by the associativity of A_f and of A_f2; so T holds every word in
     the generators, as in linalg.deformation_witness.
     """
-    g = cobound_solve(f - f2, basis)
-    if g is None:
+    psi = _small_coboundary(basis, f - f2)
+    if psi is None:
         return None
     d_f = DeformedAlgebra(basis, f)
     d_f2 = DeformedAlgebra(basis, f2)
     n, fld = basis.dim, basis.field
-    # phi on coordinates: (x_i, 0) -> (x_i, g(x_i)) and (0, x_i) fixed
-    phi = {i: {i: fld.one, **{n + k: c for k, c in g.value((i,)).items()}}
-           for i in range(n)}
-    phi.update((n + i, {n + i: fld.one}) for i in range(n))
+    one, minus = fld.one, fld.neg(fld.one)
+    # phi(p, 0) = (p, 0) + theta(p) - ([p], hat_f(p)), theta(p) in A_f2 and
+    # ([p], hat_f(p)) in A_f built from those of the prefix, a basis path
+    theta, lift, phi = {}, {}, {}
+    for i, p in enumerate(basis.paths):
+        theta[p] = lift[p] = {i: one}
+        if len(p) > 1:
+            a = p[-1]
+            x = basis.index[(basis.quiver.arrows[a][1], a)]
+            arrow = {x: one, **{n + b: c for (a2, b), c in psi.items() if a2 == a}}
+            theta[p] = d_f2.mul(theta[p[:-1]], arrow)
+            lift[p] = d_f.mul(lift[p[:-1]], {x: one})
+        phi[i] = _addinto(fld, _addinto(fld, {i: one}, theta[p], one), lift[p], minus)
+    phi.update((n + i, {n + i: one}) for i in range(n))
     for r in d_f.unit_and_generators():
         for j in range(d_f.dim):
             if map_apply(phi, d_f.multiply_basis(r, j), fld) != d_f2.mul(phi[r], phi[j]):

@@ -15,11 +15,10 @@ zero off those tuples.  Path-keyed input enters through
 reduced computation checks them on its index-keyed input first
 (`check_reduced`), since it reads only those tuples.
 
-So one differential serves both: `_push` sends a table forward from
-its support, with left and right products by basis elements for the
-outer faces and an inverse product table for the inner ones.  The
-reduced differential is the full differential read on tuples of
-radical indices only.
+So one differential serves both, `full_differential`: on a reduced
+cochain of an admissible quotient it is zero off the composable tuples
+of radical indices (on a tuple with a vertex idempotent the faces cancel
+by balance), and on them it is the differential of the reduced complex.
 
 The reduced complex reads the span of non-trivial paths as the radical
 of A, and the deformation layer built on it (hat_f, the presentation)
@@ -67,43 +66,33 @@ with B^2 and Z^2 those of the reduced bar complex.  The B^2 formula
 holds because both complexes compute HH^1 and share their degree-0 part,
 the sum of the e_v A e_v, with the same map into degree 1: so they have
 the same Z^1, and B^2 of the bar complex is its C^1 minus that Z^1.
+
+Classes are told apart on the same complex: reduced 2-cocycles f and f'
+are cohomologous exactly when g_(f - f') is in the image of delta^1, for
+g_f(s) = hat_f(w_s - phi_s) in C^2 (proof at deform._small_coboundary).
 """
 
 from itertools import chain
 
 from .errors import InputError
-from .linalg import (SpanSolver, _addinto, _bilinear, _clean, _map_rank, deformation_witness,
-                     map_combine)
-
-
-def _products(table, keep):
-    """Product tables of the basis elements in keep, for pushing forward:
-    left[k] = [(x, e_x e_k)], right[k] = [(y, e_k e_y)], and
-    inverse[k] = [(x, y, c)] with c the coefficient of e_k in e_x e_y."""
-    keep = set(keep)
-    left, right, inverse = {}, {}, {}
-    for (x, y), prod in table.items():
-        if x in keep:
-            left.setdefault(y, []).append((x, prod))
-        if y in keep:
-            right.setdefault(x, []).append((y, prod))
-            if x in keep:
-                for k, c in prod.items():
-                    inverse.setdefault(k, []).append((x, y, c))
-    return left, right, inverse
+from .linalg import _addinto, _bilinear, _clean, _map_rank, deformation_witness, map_combine
 
 
 def _push(table, n, products, field):
-    """d of the degree-n cochain table {(i_1..i_n): {k: c}}, pushed forward
-    from its support:
+    """d of the degree-n cochain table {(i_1..i_n): {k: c}} on the algebra
+    with products {(x, y): e_x e_y}, pushed forward from its support by
+    left and right products (outer faces) and inverse products (inner):
 
         (dF)(x_0, ..., x_n) = x_0 F(x_1, ..., x_n)
             + sum_j (-1)^(j+1) F(x_0, ..., x_j x_{j+1}, ..., x_n)
             + (-1)^(n+1) F(x_0, ..., x_{n-1}) x_n.
-
-    Output keys use only the indices the products were built on.
     """
-    left, right, inverse = products
+    left, right, inverse = {}, {}, {}
+    for (x, y), prod in products.items():
+        left.setdefault(y, []).append((x, prod))
+        right.setdefault(x, []).append((y, prod))
+        for k, c in prod.items():
+            inverse.setdefault(k, []).append((x, y, c))
     add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
     last = field.one if n % 2 else neg(field.one)
     out = {}
@@ -146,35 +135,6 @@ def _check_admissible(basis):
                     "has a component at %s; the reduced complex needs "
                     "admissible relations"
                     % (basis.labels[x], basis.labels[y], basis.labels[k]))
-
-
-def _reduced_products(basis):
-    """Products over the radical indices of an admissible quotient."""
-    _check_admissible(basis)
-    return _products(basis.table, basis.radical_indices)
-
-
-def _corners(basis):
-    """{(s, t): the basis indices of the corner e_s A e_t}."""
-    corners = {}
-    for i, ends in enumerate(basis.ends):
-        corners.setdefault(ends, []).append(i)
-    return corners
-
-
-def _flat(table):
-    return {key + (m,): c for key, vec in table.items() for m, c in vec.items()}
-
-
-def _coboundary_images(basis):
-    """(((g,), i), flattened d of the basis 1-cochain g -> e_i) for every
-    radical basis index g and basis index i in its corner."""
-    products = _reduced_products(basis)
-    fld = basis.field
-    corners = _corners(basis)
-    for g in basis.radical_indices:
-        for i in corners.get(basis.ends[g], ()):
-            yield ((g,), i), _flat(_push({(g,): {i: fld.one}}, 1, products, fld))
 
 
 def _is_index(basis, i):
@@ -265,16 +225,6 @@ def cochain_from_pairs(basis, pairs):
                                          for key, value in pairs.items()})
 
 
-def differential(f, basis):
-    """d f in the reduced complex; degree goes up by one.  This is the
-    full differential of f, read on radical indices only."""
-    if f.degree >= 3:
-        raise InputError("differential supported up to degree 2 inputs")
-    check_reduced(f, basis)
-    return FullCochain(basis.dim, f.degree + 1, basis.field,
-                       _push(f.table, f.degree, _reduced_products(basis), basis.field))
-
-
 def cocycle_witness(f, basis):
     """The first basis triple (r, j, k) where d f is nonzero, in the row
     order of deformation_witness, or None when f is a 2-cocycle.  f is
@@ -294,27 +244,38 @@ def is_cocycle(f, basis):
     return cocycle_witness(f, basis) is None
 
 
-def cobound_solve(f, basis):
-    """One degree-1 g with dg = f, or None.  f must be a 2-cocycle.
+def _delta1(basis):
+    """(delta^1, parallel, put) of the small complex of basis (module
+    docstring): delta^1 as {(a, b): {(w_s, k): c}}, column (a, b) being
+    phi(a) = e_b; parallel(p), the basis indices with the ends of the path
+    p; and put(cols, col, row, left, b, right, c), which adds c [left] e_b
+    [right] to column col of cols, at the coordinates (row, k)."""
+    fld, q = basis.field, basis.quiver
+    one, minus = fld.one, fld.neg(fld.one)
+    corners, classes = {}, {}
+    for i, ends in enumerate(basis.ends):
+        corners.setdefault(ends, []).append(i)
 
-    A cochain that is not a cocycle is never d g, since d d = 0, so d f
-    is computed only when no g is found, to refuse such an f instead of
-    answering None for it.
-    """
-    if f.degree != 2:
-        raise InputError("cobound_solve expects a degree-2 cochain")
-    solver = SpanSolver(basis.field)
-    for tag, image in _coboundary_images(basis):
-        solver.add(image, tag)
-    combo = solver.express(_flat(f.table))
-    if combo is None:
-        if not is_cocycle(f, basis):
-            raise InputError("cobound_solve expects a 2-cocycle")
-        return None
-    table = {}
-    for (key, i), c in combo.items():
-        table.setdefault(key, {})[i] = c
-    return FullCochain(basis.dim, 1, basis.field, table)
+    def parallel(p):
+        return corners.get((q.path_source(p), q.path_target(p)), ())
+
+    def put(cols, col, row, left, b, right, c):
+        for p in (left, right):
+            if p not in classes:
+                classes[p] = basis.element_from_path(p)
+        prod = basis.mul(basis.mul(classes[left], {b: one}), classes[right])
+        _addinto(fld, cols.setdefault(col, {}), {(row, k): v for k, v in prod.items()}, c)
+
+    delta = {}
+    for w, rhs in basis.rewrite.rules.items():
+        relation = _addinto(fld, {w: one}, rhs.terms, minus)
+        for p, c in relation.items():
+            n = len(p) - 1
+            for i, a in enumerate(p[1:]):
+                left, right = q.subpath(p, 0, i), q.subpath(p, i + 1, n)
+                for b in parallel(q.subpath(p, i, i + 1)):
+                    put(delta, (a, b), w, left, b, right, c)
+    return delta, parallel, put
 
 
 def hh_summary(basis):
@@ -323,33 +284,8 @@ def hh_summary(basis):
     _check_admissible(basis)
     fld, q = basis.field, basis.quiver
     one, minus = fld.one, fld.neg(fld.one)
-    rewrite = basis.rewrite
-    rules = rewrite.rules
-    corners = _corners(basis)
-    classes = {}
-
-    def parallel(p):
-        return corners.get((q.path_source(p), q.path_target(p)), ())
-
-    def put(cols, col, row, left, b, right, c):
-        # column col gains c [left] e_b [right], at the coordinates (row, k)
-        for p in (left, right):
-            if p not in classes:
-                classes[p] = basis.element_from_path(p)
-        prod = basis.mul(basis.mul(classes[left], {b: one}), classes[right])
-        _addinto(fld, cols.setdefault(col, {}), {(row, k): v for k, v in prod.items()}, c)
-
-    # delta^1 phi at the rule s is D_phi(w_s - phi_s), D_phi the derivation
-    # of kQ with D_phi(a) = phi(a); column (a, b) is phi(a) = e_b
-    delta = {}
-    for w in rules:
-        relation = _addinto(fld, {w: one}, rules[w].terms, minus)
-        for p, c in relation.items():
-            n = len(p) - 1
-            for i, a in enumerate(p[1:]):
-                left, right = q.subpath(p, 0, i), q.subpath(p, i + 1, n)
-                for b in parallel(q.subpath(p, i, i + 1)):
-                    put(delta, (a, b), w, left, b, right, c)
+    rewrite, rules = basis.rewrite, basis.rewrite.rules
+    delta, parallel, put = _delta1(basis)
 
     # d^2 g at the overlap W = u v z of w_1 = u v and w_2 = v z: the
     # t-parts of the reductions of W through w_1 and through w_2, each
@@ -371,7 +307,7 @@ def hh_summary(basis):
                             put(d2, (w, b), overlap, left, b, right, fld.mul(sign, c))
                 overlap += 1
 
-    dim_c1 = sum(len(corners.get((s, t), ())) for _, s, t in q.arrows)
+    dim_c1 = sum(len(parallel((s, a))) for a, (_, s, _) in enumerate(q.arrows))
     dim_c2 = sum(len(parallel(w)) for w in rules)
     bar_c1 = sum(len(parallel(basis.paths[g])) for g in basis.radical_indices)
     rank_d1, rank_d2 = _map_rank(delta, fld), _map_rank(d2, fld)
@@ -452,6 +388,5 @@ class FullCochain:
 def full_differential(F, alg):
     """Unreduced differential; alg provides dim, field and the structure
     table {(i, j): {k: c}}."""
-    table = _push(F.table, F.degree, _products(alg.table, range(alg.dim)),
-                  alg.field)
+    table = _push(F.table, F.degree, alg.table, alg.field)
     return FullCochain(alg.dim, F.degree + 1, alg.field, table)

@@ -248,9 +248,7 @@ def deformation_witness(alg, F=None, rows=None):
     fld = alg.field
     one = fld.one
     table = alg.table
-    lmaps, basis = _left_maps(table, fld)
-    # image[j]: the coordinates that some x_j z has
-    image = [set().union(*lmaps[j].values()) for j in range(alg.dim)]
+    lmaps, basis, image = alg.left_maps()
 
     def over(maps, vec):
         # sum c maps[m] over the coordinates {m: c} of vec
@@ -450,6 +448,7 @@ class FinDimAlgebra:
         if len(self.labels) != dim:
             raise InputError("expected %d basis labels" % dim)
         self._generators = None
+        self._lmaps = None
         if check:
             self._validate()
 
@@ -458,6 +457,15 @@ class FinDimAlgebra:
 
     def mul(self, x, y):
         return _bilinear(self.field, self.table, x, y)
+
+    def left_maps(self):
+        """(maps, single, image), kept, as the table does not change: maps[i]
+        and single[i] of _left_maps, and image[i] the coordinates some x_i z has."""
+        if self._lmaps is None:
+            maps, single = _left_maps(self.table, self.field)
+            maps, single = ({i: part[i] for i in range(self.dim)} for part in (maps, single))
+            self._lmaps = maps, single, [set().union(*maps[i].values()) for i in range(self.dim)]
+        return self._lmaps
 
     def generators(self):
         """Basis indices that generate the algebra as a unital algebra,

@@ -34,6 +34,10 @@ from .linalg import FinDimAlgebra, _addinto, _scaled
 # thousand elements is already far too large for the cochain spaces.
 MAX_BASIS_DIM = 4096
 
+# The most reduction steps one completion of RewriteSystem takes before
+# it raises SizeLimitExceeded; the tests and benchmark need at most 3,032.
+MAX_REWRITE_STEPS = 400000
+
 
 def path_order_key(p):
     # larger key = larger monomial: longer first, then earlier-declared
@@ -240,8 +244,19 @@ class RewriteSystem:
         self._by_head = {}  # first arrow -> the non-trivial leading paths
         self._at_vertex = {}  # vertex -> the trivial leading path there
         pending = deque(e for e in elements if not e.is_zero())
+        budget = iter(range(MAX_REWRITE_STEPS))
+
+        def reduce(elem):
+            # self.reduce, each step spending one of MAX_REWRITE_STEPS
+            terms = dict(elem.terms)
+            for _ in self.steps(terms):
+                if next(budget, None) is None:
+                    raise SizeLimitExceeded("completing the relations takes more than %d "
+                                            "reduction steps" % MAX_REWRITE_STEPS)
+            return FreeElement(quiver, field, terms)
+
         while pending:
-            elem = self.reduce(pending.popleft())
+            elem = reduce(pending.popleft())
             if elem.is_zero():
                 continue
             w, c = elem.leading()
@@ -266,7 +281,7 @@ class RewriteSystem:
             self._add_rule(w, rhs)
         # canonical form: rule right-hand sides fully reduced
         for w in list(self.rules):
-            self.rules[w] = self.reduce(self.rules[w])
+            self.rules[w] = reduce(self.rules[w])
 
     def _add_rule(self, w, rhs):
         # w is reduced by the rules so far, so it is not one of them

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from quivdeform.errors import NotFiniteDimensional, SizeLimitExceeded
 from quivdeform.fields import Field
-from quivdeform.fileio import parse_algebra_file
+from quivdeform.fileio import emit_algebra_text, parse_algebra_file
+from quivdeform.hochschild import FullCochain, cochain_from_paths, full_differential
 from quivdeform.morita import Bimodule, MoritaContext
 from quivdeform.quiver import FreeElement, Quiver, compute_basis
 
@@ -272,3 +273,92 @@ def assert_ring_message(message, blocks, defects):
     else:
         assert (kind, indices) == defects[0], (message, defects)
     return False
+
+
+# ------------------------------------------------------ families and files
+
+def truncated_polynomial_text(n):
+    """k[x]/(x^n) with the cocycle of x^n = t: f(x^i, x^j) = x^(i+j-n)
+    for i + j >= n."""
+    def word(k):
+        return "e(1)" if k == 0 else "*".join(["x"] * k)
+    lines = ["field Q", "vertex 1", "arrow x : 1 -> 1", "relation " + word(n)]
+    lines += ["cocycle f(%s, %s) = %s" % (word(i), word(j), word(i + j - n))
+              for i in range(1, n) for j in range(1, n) if i + j >= n]
+    return "\n".join(lines) + "\n"
+
+
+def cyclic_quiver_text(m, length):
+    """The oriented m-cycle a1: 1 -> 2, ..., am: m -> 1 with every path of
+    the given length set to zero."""
+    lines = ["field Q", "vertex " + " ".join(str(v + 1) for v in range(m))]
+    lines += ["arrow a%d : %d -> %d" % (v + 1, v + 1, (v + 1) % m + 1) for v in range(m)]
+    lines += ["relation " + "*".join("a%d" % ((s + k) % m + 1) for k in range(length))
+              for s in range(m)]
+    return "\n".join(lines) + "\n"
+
+
+def cycle_cocycle(basis, length):
+    """The cocycle of "each cycle of the given length = t e_v": f(p, q) is
+    the tail after the first length arrows of the composite path p q."""
+    q = basis.quiver
+    table = {}
+    for p in basis.paths:
+        for r in basis.paths:
+            if len(p) > 1 and len(r) > 1 and q.path_target(p) == q.path_source(r):
+                arrows = p[1:] + r[1:]
+                if len(arrows) >= length:
+                    table[(p, r)] = basis.element_from_path((p[0],) + arrows[length:])
+    return cochain_from_paths(basis, 2, table)
+
+
+def exterior_text(m):
+    """The exterior algebra on the letters x1, ..., xm: loops at one vertex
+    with the relations x*x and x*y + y*x.  Its basis words list letters in
+    decreasing order, x3*x2*x1, say."""
+    names = ["x%d" % (i + 1) for i in range(m)]
+    lines = ["field Q", "vertex 1"] + ["arrow %s : 1 -> 1" % x for x in names]
+    lines += ["relation %s*%s" % (x, x) for x in names]
+    lines += ["relation %s*%s + %s*%s" % (x, y, y, x)
+              for i, x in enumerate(names) for y in names[i + 1:]]
+    return "\n".join(lines) + "\n"
+
+
+def clifford_cocycle(basis):
+    """The first-order part of the Clifford deformation x1*x1 = t of the
+    exterior algebra of exterior_text: f(p, q) is the t-coefficient of
+    the product of the basis words p and q, nonzero when x1 occurs in both
+    and no other letter twice."""
+    table = {}
+    for p in basis.paths[1:]:
+        for q in basis.paths[1:]:
+            w = p[1:] + q[1:]
+            if w.count(0) != 2 or len(set(w)) != len(w) - 1:
+                continue
+            # sorting w into decreasing order brings the two x1 together at
+            # the end; distinct letters anticommute
+            inversions = sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
+                             if w[i] < w[j])
+            rest = (0,) + tuple(sorted((a for a in w if a != 0), reverse=True))
+            table[(p, q)] = {basis.index[rest]: basis.field.from_int((-1) ** inversions)}
+    return cochain_from_paths(basis, 2, table)
+
+
+def every_coordinate_coboundary(basis, rng):
+    """d h for a reduced 1-cochain h with a coefficient in {-2, -1, 1, 2} on
+    every coordinate, as bench/gen.py's random_coboundary draws one."""
+    fld = basis.field
+    table = {(i,): {k: fld.from_int(rng.choice((-2, -1, 1, 2)))
+                    for k in range(basis.dim) if basis.ends[k] == basis.ends[i]}
+             for i in basis.radical_indices}
+    return full_differential(FullCochain(basis.dim, 1, fld, table), basis)
+
+
+def write_algebra(path, basis, f):
+    """Write the algebra file of basis with the cocycle lines of the
+    reduced 2-cochain f to path, and return path as a string."""
+    pairs = {tuple(basis.paths[i] for i in key): basis.to_free(vec)
+             for key, vec in f.table.items()}
+    path.write_text(emit_algebra_text(basis.field, basis.quiver, basis.relations,
+                                      cocycle_pairs=pairs))
+    return str(path)

@@ -10,7 +10,9 @@ structure constants; only dim HH^2 is comparable with the reduced
 relative complex the library uses, the Z and B dimensions differ by
 design.  The three dimensions of that reduced complex are recomputed
 from the structure constants and the ends of the basis elements, its
-differentials written out face by face (reduced_bar_summary).  These
+differentials written out face by face (reduced_bar_summary), and a
+2-cochain is decided a coboundary by eliminating all of its C^1 (the bar
+solve, brute_is_coboundary).  These
 oracles use their own row reduction so that nothing under test is in
 the loop.  The Hochschild differential itself is
 recomputed by evaluating every face on every index tuple.  The deformed
@@ -273,8 +275,8 @@ def full_bar_hh2(dim, table, field):
     return dim_z2 - rank_d1
 
 
-def reduced_bar_summary(dim, table, ends, radical, field):
-    """(dim Z^2, dim B^2, dim HH^2) of the reduced bar complex of the
+def _reduced_bar_complex(dim, table, ends, radical, field):
+    """The differentials d1 and d2 of the reduced bar complex of the
     algebra with structure constants table[(i, j)] = {k: c}, relative to
     its vertex idempotents: ends[i] = (source, target) of basis element i
     and radical lists the basis elements that are not idempotents.  A
@@ -285,8 +287,8 @@ def reduced_bar_summary(dim, table, ends, radical, field):
         (d f)(x, y)    = x f(y) - f(x y) + f(x) y,
         (d f)(x, y, z) = x f(y, z) - f(x y, z) + f(x, y z) - f(x, y) z,
 
-    on the composable radical tuples, one column per basis cochain, and
-    the columns are ranked by _sparse_rank."""
+    on the composable radical tuples, one sparse column {tuple + (m,): c}
+    per basis cochain.  Returns (d1, d2), the two lists of columns."""
     def after(x):
         return [y for y in radical if ends[y][0] == ends[x][1]]
 
@@ -334,9 +336,26 @@ def reduced_bar_summary(dim, table, ends, radical, field):
                 for z in after(h):
                     put(col, (g, h, z), table.get((i, z), {}), minus)
                 d2.append({k: v for k, v in col.items() if v != field.zero})
+    return d1, d2
+
+
+def reduced_bar_summary(dim, table, ends, radical, field):
+    """(dim Z^2, dim B^2, dim HH^2) of the reduced bar complex (see
+    _reduced_bar_complex), its columns ranked by _sparse_rank."""
+    d1, d2 = _reduced_bar_complex(dim, table, ends, radical, field)
     dim_z2 = len(d2) - _sparse_rank(d2, field, None)
     dim_b2 = _sparse_rank(d1, field, None)
     return dim_z2, dim_b2, dim_z2 - dim_b2
+
+
+def brute_is_coboundary(dim, table, ends, radical, field, f_table):
+    """Whether the reduced 2-cochain f_table[(x, y)] = {k: c} is d g for
+    a reduced 1-cochain g: the bar solve, eliminating all of the reduced
+    bar C^1 (the columns of _reduced_bar_complex's d1), which holds f
+    exactly when f adds nothing to the rank of its span."""
+    d1, _ = _reduced_bar_complex(dim, table, ends, radical, field)
+    target = {key + (m,): c for key, vec in f_table.items() for m, c in vec.items()}
+    return _sparse_rank(d1 + [target], field, None) == _sparse_rank(d1, field, None)
 
 
 def brute_differential(dim, table, field, cochain_table, n):

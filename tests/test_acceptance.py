@@ -15,8 +15,8 @@ from quivdeform.fields import Field
 from quivdeform.fileio import (emit_algebra_text, parse_algebra_file,
                                parse_algebra_text, parse_expression)
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
-                                   cochain_from_paths, differential,
-                                   full_differential, hh_dimension, is_cocycle)
+                                   cochain_from_paths, full_differential,
+                                   hh_dimension, is_cocycle)
 from quivdeform.linalg import deformation_witness, map_apply
 from quivdeform.modcat import (LeftModule, functor_F, reconstruct,
                                regular_module, regular_uple, roundtrip_triple)
@@ -418,7 +418,7 @@ def test_criterion_9_property_suites():
         af, basis, f = example_cochain(name)
         for _ in range(5):
             g = random_reduced_one_cochain(rng, basis)
-            if not differential(differential(g, basis), basis).is_zero():
+            if not full_differential(full_differential(g, basis), basis).is_zero():
                 failures.append(name + ": reduced d d != 0")
         for degree in (1, 2):
             h = random_full_cochain(rng, basis.field, basis.dim, degree)
@@ -457,7 +457,7 @@ def test_criterion_9_property_suites():
         deformed = DeformedAlgebra(basis, f)
         for _ in range(3):
             g = random_reduced_one_cochain(rng, basis)
-            f2 = f + differential(g, basis)
+            f2 = f + full_differential(g, basis)
             phi = deformation_equivalence(f, f2, basis)
             if phi is None:
                 failures.append(name + ": coboundary shift not recognised")

@@ -1,25 +1,29 @@
 import errno
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from quivdeform import cli, deform, hochschild, linalg, modcat, morita
+from quivdeform import cli, deform, hochschild, linalg, modcat, morita, quiver
 from quivdeform.cli import run
 from quivdeform.deform import DeformedAlgebra
+from quivdeform.fields import Field
 from quivdeform.fileio import (emit_algebra_text, emit_module_text,
                                parse_algebra_file, parse_algebra_text)
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
-                                   cochain_from_paths, differential,
-                                   full_differential)
+                                   cochain_from_paths, full_differential)
 from quivdeform.linalg import deformation_witness
 from quivdeform.modcat import LeftModule, regular_module
 from quivdeform.quiver import FreeElement, compute_basis
 
-from conftest import data_path, load_basis
+from conftest import (clifford_cocycle, cycle_cocycle, cyclic_quiver_text, data_path,
+                      every_coordinate_coboundary, exterior_text, load_basis,
+                      truncated_polynomial_text, write_algebra)
 from oracles import (brute_associator, brute_deformed_table, brute_differential,
                      build_parser)
 
@@ -475,7 +479,7 @@ def shifted_two_cycle(tmp_path):
     q = af.quiver
     g = cochain_from_paths(basis, 1, {(q.path_from_arrow_names(["a2", "a1"]),):
                                       basis.element_from_path(q.trivial_path("2"))})
-    shifted = cochain_from_pairs(basis, af.cocycle_pairs) + differential(g, basis)
+    shifted = cochain_from_pairs(basis, af.cocycle_pairs) + full_differential(g, basis)
     pairs = {tuple(basis.paths[i] for i in key): basis.to_free(vec)
              for key, vec in shifted.table.items()}
     path = tmp_path / "shifted.alg"
@@ -510,7 +514,7 @@ def test_verify_deform_checks_each_cocycle_once(tmp_path, capsys, monkeypatch):
 
     # when the representative is replaced, each of the two cocycles
     # involved (the given one and the new one) is proved once; their
-    # difference is a coboundary, so cobound_solve proves nothing more
+    # difference is decided on the small complex, which proves nothing more
     seen = {name: [] for name in seen}
     assert run(["verify-deform", str(shifted_two_cycle(tmp_path))]) == 0
     assert ("image-condition: PASS  restored by a cohomologous representative"
@@ -589,7 +593,7 @@ def test_equiv_coboundary_shift(tmp_path, capsys):
     f = cochain_from_pairs(basis, af.cocycle_pairs)
     g = cochain_from_paths(basis, 1, {(q.arrow_path("a1"),):
                            {basis.index[q.arrow_path("a1")]: basis.field.parse("2")}})
-    shifted = f + differential(g, basis)
+    shifted = f + full_differential(g, basis)
     pairs = {tuple(basis.paths[i] for i in key): basis.to_free(vec)
              for key, vec in shifted.table.items()}
     moved = tmp_path / "shifted.alg"
@@ -603,9 +607,9 @@ def test_equiv_coboundary_shift(tmp_path, capsys):
 
 def test_equiv_proves_each_cocycle_once(monkeypatch, capsys):
     # the cocycle-1 and cocycle-2 lines are the proofs of d f = 0 and
-    # d g = 0; cobound_solve computes d (f - g) only when it finds no
-    # solution, and f - g = 0 here has one.  is_cocycle goes through
-    # cocycle_witness, so the count sees every cocycle check
+    # d g = 0; the class of f - g is decided on the small complex, which
+    # proves no cocycle.  is_cocycle goes through cocycle_witness, so the
+    # count sees every cocycle check
     checked = []
     real = hochschild.cocycle_witness
 
@@ -619,6 +623,69 @@ def test_equiv_proves_each_cocycle_once(monkeypatch, capsys):
     assert "multiplicative: PASS" in lines_of(capsys)[0]
     assert len(checked) == 2
     assert checked[0] == checked[1] and not checked[0].is_zero()
+
+
+@pytest.mark.parametrize("family", ["trunc20", "cyclic6_18"])
+def test_equiv_on_large_shifted_cocycles(family, tmp_path, capsys):
+    # k[x]/(x^20) and the cyclic quiver (6, 18) with the cocycle of a cycle
+    # = t: f + d h, d h with every coordinate nonzero, is cohomologous to
+    # f, and 2 f is not
+    if family == "trunc20":
+        af = parse_algebra_text(truncated_polynomial_text(20))
+        cap = 42
+        basis = compute_basis(af.quiver, af.relations, af.field, cap)
+        f = cochain_from_pairs(basis, af.cocycle_pairs)
+    else:
+        af = parse_algebra_text(cyclic_quiver_text(6, 18))
+        cap = 38
+        basis = compute_basis(af.quiver, af.relations, af.field, cap)
+        f = cycle_cocycle(basis, 18)
+    base = write_algebra(tmp_path / "f.alg", basis, f)
+    shifted = f + every_coordinate_coboundary(basis, random.Random(family))
+    for other, code, line in (
+            (shifted, 0, "cohomologous: PASS  the difference is a coboundary"),
+            (f.scale(2), 1, "cohomologous: FAIL  the cohomology classes differ")):
+        path = write_algebra(tmp_path / "other.alg", basis, other)
+        assert run(["equiv", "--max-degree", str(cap), base, path]) == code
+        assert line in lines_of(capsys)[1]
+
+
+@pytest.mark.parametrize("field", [Field.rationals(), Field.prime(7)], ids=["Q", "F7"])
+def test_a_completion_past_its_step_bound_ends_with_exit_1(field, tmp_path, capsys,
+                                                           monkeypatch):
+    # the exterior algebra on 3 letters with the Clifford cocycle plus a
+    # coboundary with every coordinate nonzero: the completion of I_f that
+    # the dimension line of verify-deform and deform --interreduce make
+    # grows right-hand sides without end, and stops at the step bound
+    af = parse_algebra_text(exterior_text(3), field_override=field)
+    basis = compute_basis(af.quiver, af.relations, field, 30)
+    f = clifford_cocycle(basis) + every_coordinate_coboundary(basis, random.Random(3))
+    path = write_algebra(tmp_path / "shifted.alg", basis, f)
+    monkeypatch.setattr(quiver, "MAX_REWRITE_STEPS", 300)
+    for argv in (["verify-deform", path], ["deform", "--interreduce", path]):
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr() == ("", "error: SizeLimitExceeded: completing the "
+                                           "relations takes more than 300 reduction steps\n")
+    assert run(["deform", path]) == 0
+
+
+def test_transfer_builds_the_left_maps_of_a_once(monkeypatch, capsys):
+    # deformation_witness reads the left maps of an algebra that the
+    # algebra keeps, so a passing transfer builds those of A once
+    built = []
+    real = linalg._left_maps
+
+    def counted(table, field):
+        built.append(table)
+        return real(table, field)
+
+    monkeypatch.setattr(linalg, "_left_maps", counted)
+    assert run(["transfer", data_path("dual_numbers.alg"), "--matrix", "2"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    _, basis = load_basis("dual_numbers.alg")
+    assert sum(table == basis.table for table in built) == 1
 
 
 def test_equiv_cocycle_fail_lines_name_the_first_tuple_where_d_f_is_nonzero(tmp_path,

@@ -15,14 +15,15 @@ from quivdeform.errors import InputError, NotACocycle
 from quivdeform.fields import Field
 from quivdeform.fileio import parse_algebra_file, parse_algebra_text
 from quivdeform.hochschild import (FullCochain, cochain_from_pairs,
-                                   cochain_from_paths, differential,
-                                   full_differential, is_cocycle)
-from quivdeform.linalg import FinDimAlgebra, deformation_witness, map_apply
+                                   cochain_from_paths, full_differential, is_cocycle)
+from quivdeform.linalg import FinDimAlgebra, column_kernel, deformation_witness, map_apply
 from quivdeform.quiver import FreeElement, Quiver, compute_basis
 
-from conftest import data_path
+from conftest import (DRAWN_ALGEBRAS, QUICK_REPORT, bound_quiver_algebras, clifford_cocycle,
+                      cycle_cocycle, cyclic_quiver_text, data_path, every_coordinate_coboundary,
+                      exterior_text, truncated_polynomial_text)
 from oracles import (_act, _combo, brute_associativity_defect, brute_associator,
-                     brute_deformed_table, brute_differential,
+                     brute_deformed_table, brute_differential, brute_is_coboundary,
                      brute_generator_associativity_defect, brute_path_lift)
 
 Q = Field.rationals()
@@ -90,17 +91,6 @@ def test_non_cocycle_rejected_and_breaks_associativity(two_cycle):
     assert not d.associativity_holds()
 
 
-def truncated_polynomial_text(n):
-    """k[x]/(x^n) with the cocycle of x^n = t: f(x^i, x^j) = x^(i+j-n)
-    for i + j >= n."""
-    def word(k):
-        return "e(1)" if k == 0 else "*".join(["x"] * k)
-    lines = ["field Q", "vertex 1", "arrow x : 1 -> 1", "relation " + word(n)]
-    lines += ["cocycle f(%s, %s) = %s" % (word(i), word(j), word(i + j - n))
-              for i in range(1, n) for j in range(1, n) if i + j >= n]
-    return "\n".join(lines) + "\n"
-
-
 def deformation_cases():
     """(name, basis, cocycle): the admissible fixtures over Q and F5, and
     k[x]/(x^8) with the cocycle of x^8 = t."""
@@ -159,30 +149,6 @@ def test_associativity_witness_on_bumped_non_cocycles():
                 assert bad == brute_generator_associativity_defect(
                     2 * basis.dim, want, d.unit, basis.field), name
     assert broken
-
-
-def cyclic_quiver_text(m, length):
-    """The oriented m-cycle a1: 1 -> 2, ..., am: m -> 1 with every path of
-    the given length set to zero."""
-    lines = ["field Q", "vertex " + " ".join(str(v + 1) for v in range(m))]
-    lines += ["arrow a%d : %d -> %d" % (v + 1, v + 1, (v + 1) % m + 1) for v in range(m)]
-    lines += ["relation " + "*".join("a%d" % ((s + k) % m + 1) for k in range(length))
-              for s in range(m)]
-    return "\n".join(lines) + "\n"
-
-
-def cycle_cocycle(basis, length):
-    """The cocycle of "each cycle of the given length = t e_v": f(p, q) is
-    the tail after the first length arrows of the composite path p q."""
-    q = basis.quiver
-    table = {}
-    for p in basis.paths:
-        for r in basis.paths:
-            if len(p) > 1 and len(r) > 1 and q.path_target(p) == q.path_source(r):
-                arrows = p[1:] + r[1:]
-                if len(arrows) >= length:
-                    table[(p, r)] = basis.element_from_path((p[0],) + arrows[length:])
-    return cochain_from_paths(basis, 2, table)
 
 
 def test_pruned_associativity_witness_matches_the_oracle():
@@ -500,7 +466,7 @@ def multiple_span_cases():
     cases.append(("stray", basis, cochain_from_paths(
         basis, 2, {(a2, a1): basis.element_from_path(a2a1)})))
     g = cochain_from_paths(basis, 1, {(a2a1,): basis.element_from_path(q.trivial_path("2"))})
-    cases.append(("moved", basis, the_cocycle(af, basis) + differential(g, basis)))
+    cases.append(("moved", basis, the_cocycle(af, basis) + full_differential(g, basis)))
     return cases
 
 
@@ -643,7 +609,7 @@ def test_presentation_precondition(two_cycle):
     # presentation is of the representative normalize_cocycle gives
     g = cochain_from_paths(basis, 1, {(q.path_from_arrow_names(["a2", "a1"]),):
                                       basis.element_from_path(q.trivial_path("2"))})
-    moved = f + differential(g, basis)
+    moved = f + full_differential(g, basis)
     assert not check_image_condition(basis, moved).ok
     pres = build_presentation(basis, moved)
     assert pres.cocycle == normalize_cocycle(basis, moved) != moved
@@ -728,14 +694,14 @@ fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 @given(st.tuples(fracs, fracs, fracs, fracs))
 def test_normalize_preserves_class(scalars):
     from conftest import load_basis
-    from quivdeform.hochschild import cobound_solve
     af, basis = load_basis("two_cycle.alg")
     f = the_cocycle(af, basis)
     g = _random_one_cochain(basis, scalars)
-    fg = f + differential(g, basis)
+    fg = f + full_differential(g, basis)
     f2 = normalize_cocycle(basis, fg)
     assert check_image_condition(basis, f2).ok
-    assert cobound_solve(fg - f2, basis) is not None
+    assert brute_is_coboundary(basis.dim, basis.table, basis.ends, basis.radical_indices,
+                               Q, (fg - f2).table)
 
 
 @settings(max_examples=15, deadline=None)
@@ -744,7 +710,7 @@ def test_equivalence_of_cohomologous_deformations(scalars):
     from conftest import load_basis
     af, basis = load_basis("two_cycle.alg")
     f = the_cocycle(af, basis)
-    f2 = f + differential(_random_one_cochain(basis, scalars), basis)
+    f2 = f + full_differential(_random_one_cochain(basis, scalars), basis)
     phi = deformation_equivalence(f, f2, basis)
     assert phi is not None  # multiplicativity is checked inside
 
@@ -764,19 +730,111 @@ def test_equivalence_none_for_nonzero_class(two_cycle):
     assert deformation_equivalence(f, cochain_from_paths(basis, 2, {}), basis) is None
 
 
-def test_equivalence_names_a_failing_pair(two_cycle, monkeypatch):
-    # dg = f2 - f, so g is the witness of the wrong sign; the check on
-    # all basis pairs must refuse it and name where it breaks
+def test_equivalence_names_a_failing_pair(dual_numbers, monkeypatch):
+    # phi on the arrows of f2 - f is that of f - f2 with the wrong sign;
+    # the check on all basis pairs must refuse the map built from it and
+    # name where it breaks.  On the dual numbers delta^1 is not 0: phi(a)
+    # = e(1) has delta^1 phi (a*a) = 2a
     from quivdeform import deform
     from quivdeform.errors import ComputationError
-    af, basis = two_cycle
+    af, basis = dual_numbers
+    q = af.quiver
     f = the_cocycle(af, basis)
-    g = _random_one_cochain(basis, (1, 2, 3, 4))
-    f2 = f + differential(g, basis)
+    g = cochain_from_paths(basis, 1, {(q.arrow_path("a"),):
+                                      basis.element_from_path(q.trivial_path("1"))})
+    f2 = f + full_differential(g, basis)
     assert deformation_equivalence(f, f2, basis) is not None
-    monkeypatch.setattr(deform, "cobound_solve", lambda target, b: g)
+    wrong = deform._small_coboundary(basis, f2 - f)
+    assert wrong and wrong != deform._small_coboundary(basis, f - f2)
+    monkeypatch.setattr(deform, "_small_coboundary", lambda b, target: wrong)
     with pytest.raises(ComputationError, match=r"at the basis pair \(.+, .+\)"):
         deformation_equivalence(f, f2, basis)
+
+
+def verdicts_against_the_bar_solve(basis, f, rng):
+    """The verdicts of deformation_equivalence on f against f + d h and
+    against 2 f + d h, for d h of every_coordinate_coboundary, after
+    asserting each equal to the bar solve's on f - f2.  A yes has passed
+    the multiplicativity check, which raises otherwise."""
+    fld = basis.field
+    verdicts = []
+    for c in (1, 2):
+        f2 = f.scale(fld.from_int(c)) + every_coordinate_coboundary(basis, rng)
+        ours = deformation_equivalence(f, f2, basis) is not None
+        assert ours == brute_is_coboundary(basis.dim, basis.table, basis.ends,
+                                           basis.radical_indices, fld, (f - f2).table)
+        verdicts.append(ours)
+    return verdicts
+
+
+def verdict_cases():
+    """(name, basis, reduced 2-cocycle): the admissible fixtures with their
+    cocycles (lambda_m2 is not admissible), the deform families with the cocycle of a cycle = t, and the exterior
+    algebras on 2 and 3 letters with the Clifford cocycle, over Q, F3, F5
+    and F7."""
+    for fld in (Q, Field.prime(3), F5, Field.prime(7)):
+        for name in EXAMPLES + ("cube_multiples",):
+            af = parse_algebra_file(data_path(name + ".alg"), fld)
+            basis = compute_basis(af.quiver, af.relations, fld, 30)
+            yield name, basis, cochain_from_pairs(basis, af.cocycle_pairs)
+        families = [("trunc%d" % n, truncated_polynomial_text(n), n, None) for n in (8, 12)]
+        families += [("cyclic%d_%d" % (m, n), cyclic_quiver_text(m, n), n, cycle_cocycle)
+                     for m, n in ((3, 6), (4, 8))]
+        families += [("exterior%d" % m, exterior_text(m), 2, clifford_cocycle) for m in (2, 3)]
+        for name, text, length, cocycle in families:
+            af = parse_algebra_text(text, field_override=fld)
+            basis = compute_basis(af.quiver, af.relations, fld, 2 * length + 2)
+            if cocycle is None:
+                yield name, basis, cochain_from_pairs(basis, af.cocycle_pairs)
+            elif cocycle is cycle_cocycle:
+                yield name, basis, cycle_cocycle(basis, length)
+            else:
+                yield name, basis, clifford_cocycle(basis)
+
+
+def test_small_complex_verdicts_match_the_bar_solve():
+    # f + d h is always cohomologous to f, and 2 f + d h is exactly when f
+    # is a coboundary; both answers occur
+    rng = random.Random(33)
+    seen = set()
+    for name, basis, f in verdict_cases():
+        assert is_cocycle(f, basis), name
+        seen.update(verdicts_against_the_bar_solve(basis, f, rng))
+    assert seen == {True, False}
+
+
+def reduced_cocycles(basis):
+    """A basis of the reduced 2-cocycles of basis: the kernel of the full
+    differential on the reduced basis 2-cochains, one per composable pair
+    of radical basis paths and basis element of its corner."""
+    fld, ends = basis.field, basis.ends
+    coords = [((x, y), k) for x in basis.radical_indices for y in basis.radical_indices
+              if ends[x][1] == ends[y][0]
+              for k in range(basis.dim) if ends[k] == (ends[x][0], ends[y][1])]
+    cols = []
+    for key, k in coords:
+        d = full_differential(FullCochain(basis.dim, 2, fld, {key: {k: fld.one}}), basis)
+        cols.append({triple + (m,): c for triple, vec in d.table.items() for m, c in vec.items()})
+    out = []
+    for vec in column_kernel(cols, fld):
+        table = {}
+        for c, v in vec.items():
+            key, k = coords[c]
+            table.setdefault(key, {})[k] = v
+        out.append(FullCochain(basis.dim, 2, fld, table))
+    return out
+
+
+@settings(DRAWN_ALGEBRAS, max_examples=40, phases=QUICK_REPORT)
+@given(bound_quiver_algebras().filter(lambda basis: basis.dim <= 12))
+def test_small_complex_verdicts_match_the_bar_solve_on_drawn_algebras(basis):
+    # the drawn algebras carry no cocycle, so f is a drawn combination of
+    # a basis of the reduced 2-cocycles
+    rng = random.Random(repr(basis.paths))
+    f = FullCochain(basis.dim, 2, basis.field)
+    for z in reduced_cocycles(basis):
+        f = f + z.scale(basis.field.from_int(rng.choice((0, 1, -1, 2))))
+    verdicts_against_the_bar_solve(basis, f, rng)
 
 
 def test_presentation_round_trips_through_files(two_cycle):

@@ -316,7 +316,8 @@ def test_witness_on_unit_scaled_and_mixed_products_matches_the_oracle(field):
     # with y_0 = x_0 + x_1: the tables hold products and columns that are
     # one basis vector with coefficient 1, scaled ones and sums.  The
     # witness finds no defect, changes neither the algebra nor its table,
-    # and on one planted defect per table entry names the oracle's triple
+    # and on one planted defect per table entry names the oracle's triple;
+    # the generators and left maps it keeps are made before the snapshot
     base, unit = matrix_dual_numbers(field)
     dim = 8
     scale = [field.from_int(s) for s in (1, 2, 1, -1, 3, 1, 1, 2)]
@@ -328,6 +329,7 @@ def test_witness_on_unit_scaled_and_mixed_products_matches_the_oracle(field):
                         rebased(base, unit, field, sheared)]:
         alg = FinDimAlgebra(field, dim, table, unit, check=False)
         alg.unit_and_generators()
+        alg.left_maps()
         before = copy.deepcopy(vars(alg))
         assert alg.associativity_witness() is None
         assert brute_generator_associativity_defect(dim, table, unit, field) is None

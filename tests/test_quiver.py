@@ -355,6 +355,25 @@ def test_basis_size_guard(lambda_m2, monkeypatch):
         compute_basis(q, [], Q, max_degree=40)
 
 
+EXTERIOR3 = ("field Q\nvertex 1\n" + "".join("arrow x%d : 1 -> 1\n" % i for i in (1, 2, 3))
+             + "relation x1*x1\nrelation x2*x2\nrelation x3*x3\nrelation x1*x2 + x2*x1\n"
+             "relation x1*x3 + x3*x1\nrelation x2*x3 + x3*x2\n")
+
+
+def test_completion_step_guard(monkeypatch):
+    # the largest completion of the tests and the benchmark takes 3,032
+    # reduction steps; the exterior algebra on 3 letters takes 16
+    from quivdeform.fileio import parse_algebra_text
+    assert 100 * 3032 <= quiver.MAX_REWRITE_STEPS
+    af = parse_algebra_text(EXTERIOR3)
+    monkeypatch.setattr(quiver, "MAX_REWRITE_STEPS", 16)
+    assert compute_basis(af.quiver, af.relations, Q).dim == 8
+    monkeypatch.setattr(quiver, "MAX_REWRITE_STEPS", 15)
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"^completing the relations takes more than 15 reduction steps$"):
+        compute_basis(af.quiver, af.relations, Q)
+
+
 def test_no_relations_acyclic():
     q = Quiver(["1", "2"], [("a", "1", "2")])
     basis = compute_basis(q, [], Q, max_degree=10)

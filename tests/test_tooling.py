@@ -285,6 +285,21 @@ def test_src_keeps_no_unused_import_or_uncalled_helper():
     assert uncalled_methods(sources, exported) == []
 
 
+def test_one_hochschild_differential():
+    # _push is the differential of the package; its one caller is
+    # full_differential, so a second differential cannot come back
+    # unnoticed
+    sources, _ = package_sources()
+    callers = []
+    for filename, source in sources.items():
+        for func in ast.walk(ast.parse(source, filename)):
+            if isinstance(func, ast.FunctionDef):
+                callers += ["%s:%s" % (filename, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "_push"]
+    assert callers == ["hochschild.py:full_differential"]
+
+
 def load_trace():
     """bench/trace.py, loaded by path under a name that does not shadow
     the standard library's trace module."""
@@ -316,6 +331,7 @@ def test_trace_pins_methods_that_their_classes_define():
 # benchmark change of the roadmap empties this set; until then a span
 # that goes stale, or one that resolves again, fails the test below.
 STALE_TRACE_SPANS = {
+    "hochschild.cobound_solve", "hochschild.differential",
     "linalg.invert_matrix", "linalg.matmul", "linalg.nullspace", "linalg.rank",
     "linalg.rref", "linalg.solve",
     "morita._phi_operator", "morita._tensor_side", "morita.deform_structure_algebra",
