@@ -769,27 +769,31 @@ def verdicts_against_the_bar_solve(basis, f, rng):
 
 def verdict_cases():
     """(name, basis, reduced 2-cocycle): the admissible fixtures with their
-    cocycles (lambda_m2 is not admissible), the deform families with the cocycle of a cycle = t, and the exterior
-    algebras on 2 and 3 letters with the Clifford cocycle, over Q, F3, F5
-    and F7."""
+    cocycles (lambda_m2 is not admissible), the deform families with the
+    cocycle of a cycle = t, and the exterior algebras on 2 and 3 letters
+    with the Clifford cocycle, over Q, F3, F5 and F7."""
+    def from_file(basis, af, length):
+        return cochain_from_pairs(basis, af.cocycle_pairs)
+
+    def of_cycles(basis, af, length):
+        return cycle_cocycle(basis, length)
+
+    def clifford(basis, af, length):
+        return clifford_cocycle(basis)
+
+    families = [("trunc%d" % n, truncated_polynomial_text(n), n, from_file) for n in (8, 12)]
+    families += [("cyclic%d_%d" % (m, n), cyclic_quiver_text(m, n), n, of_cycles)
+                 for m, n in ((3, 6), (4, 8))]
+    families += [("exterior%d" % m, exterior_text(m), 2, clifford) for m in (2, 3)]
     for fld in (Q, Field.prime(3), F5, Field.prime(7)):
         for name in EXAMPLES + ("cube_multiples",):
             af = parse_algebra_file(data_path(name + ".alg"), fld)
             basis = compute_basis(af.quiver, af.relations, fld, 30)
-            yield name, basis, cochain_from_pairs(basis, af.cocycle_pairs)
-        families = [("trunc%d" % n, truncated_polynomial_text(n), n, None) for n in (8, 12)]
-        families += [("cyclic%d_%d" % (m, n), cyclic_quiver_text(m, n), n, cycle_cocycle)
-                     for m, n in ((3, 6), (4, 8))]
-        families += [("exterior%d" % m, exterior_text(m), 2, clifford_cocycle) for m in (2, 3)]
+            yield name, basis, from_file(basis, af, None)
         for name, text, length, cocycle in families:
             af = parse_algebra_text(text, field_override=fld)
             basis = compute_basis(af.quiver, af.relations, fld, 2 * length + 2)
-            if cocycle is None:
-                yield name, basis, cochain_from_pairs(basis, af.cocycle_pairs)
-            elif cocycle is cycle_cocycle:
-                yield name, basis, cycle_cocycle(basis, length)
-            else:
-                yield name, basis, clifford_cocycle(basis)
+            yield name, basis, cocycle(basis, af, length)
 
 
 def test_small_complex_verdicts_match_the_bar_solve():
