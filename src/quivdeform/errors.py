@@ -20,9 +20,7 @@ class NotACocycle(InputError):
 
 
 class ComputationError(Exception):
-    @property
-    def name(self):
-        return type(self).__name__
+    pass
 
 
 class NotFiniteDimensional(ComputationError):
@@ -46,8 +44,9 @@ class NormalizationFailed(ComputationError):
 
 
 class SizeLimitExceeded(ComputationError):
-    """The estimated size of a construction is above a fixed limit, so it
-    is refused before any work starts."""
+    """The size of a construction is above a fixed limit: refused before
+    any work starts where the size can be estimated, else as soon as the
+    work passes its bound."""
 
 
 class UntaggedSpan(ComputationError):

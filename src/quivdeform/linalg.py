@@ -199,14 +199,14 @@ def _left_maps(table, field):
     return maps, single
 
 
-def deformation_witness(alg, F=None, rows=None):
+def deformation_witness(alg, F=None):
     """The first triple (r, j, k), for r in R = alg.unit_and_generators()
-    (or the given rows, another such set) and j, k basis indices, in that
-    order, where d F(x_r, x_j, x_k) != 0; or, when F is None, where (x_r
-    x_j) x_k != x_r (x_j x_k).  None when there is none, and then d F =
-    0, or the product is associative, on all basis triples.  F is a
-    2-cochain on alg given by its table {(i, j): vector}, as FullCochain
-    keeps it, and then alg must be associative.
+    and j, k basis indices, in that order, where d F(x_r, x_j, x_k) != 0;
+    or, when F is None, where (x_r x_j) x_k != x_r (x_j x_k).  None when
+    there is none, and then d F = 0, or the product is associative, on
+    all basis triples.  F is a 2-cochain on alg given by its table {(i,
+    j): vector}, as FullCochain keeps it, and then alg must be
+    associative.
 
     For each (r, j) it compares two sparse maps of z, with L(x) the left
     multiplication by x and F_x the map z -> F(x, z):
@@ -229,7 +229,9 @@ def deformation_witness(alg, F=None, rows=None):
     seed of the words and no unit axiom is used, and by the proofs of
     the builders that read a set off kQ/I, A_f or M_n(A).  The set read
     off a Morita ring spans by the closure of S and the unit, which the
-    ring's check proves (MoritaContext._validate).
+    ring's check proves (MoritaContext._validate); until that check
+    passes, a triple named on it is the first failure on its rows, not
+    necessarily the first on the rows of another generating set.
 
     For F, apply this to the deformation A_F = A + A t, with product (a0
     + b0 t)(a1 + b1 t) = a0 a1 + (a0 b1 + b0 a1 + F(a0, a1)) t
@@ -297,7 +299,7 @@ def deformation_witness(alg, F=None, rows=None):
                 return None
             return lhs or {}, rhs or {}
 
-    for r in alg.unit_and_generators() if rows is None else rows:
+    for r in alg.unit_and_generators():
         for j in range(alg.dim):
             pair = sides(r, j)
             if pair is not None:
@@ -471,18 +473,14 @@ class FinDimAlgebra:
         """Basis indices that generate the algebra as a unital algebra,
         in increasing order, kept once known: read off the structure
         where its builder knows them (kQ/I, A_f, M_n(A) and the Morita
-        ring of a context do), else found by greedy_generators on the
-        first call."""
-        if self._generators is None:
-            self._generators = self.greedy_generators()
-        return self._generators
-
-    def greedy_generators(self):
-        """The greedy generating set: scans the basis in order and keeps
-        each basis element outside the unital subalgebra generated so far,
-        so every basis element is a combination of words in the kept ones
+        ring of a context do), else the greedy set, found on the first
+        call.  The greedy search scans the basis in order and keeps each
+        basis element outside the unital subalgebra generated so far, so
+        every basis element is a combination of words in the kept ones
         and 1.  That subalgebra is the span of the words, grown by
         multiplying each new word on the left by every generator."""
+        if self._generators is not None:
+            return self._generators
         fld = self.field
         span = SpanSolver(fld)
         words, gens = [], []
@@ -500,6 +498,7 @@ class FinDimAlgebra:
             if not span.contains(e):
                 gens.append(i)
                 close([self.mul(e, w) for w in words])
+        self._generators = gens
         return gens
 
     def unit_and_generators(self):

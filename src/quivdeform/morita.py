@@ -30,13 +30,14 @@ an (A, B)-bimodule M as its triangular ring [[A, M], [0, B]]
 is associative and unital exactly when A and B are algebras, P and Q
 bimodules and the pairings linear, balanced and associative, so one
 check proves every axiom at once, the associativity of the acting
-algebras included.  The check runs on generator rows
+algebras included.  The check runs once, on generator rows
 (linalg.deformation_witness), and a Morita ring reads its generators off
 the context: those of A and B, the supports of the p'_j and q_u of the
 generator lists, and that of the unit (MoritaContext._validate proves
-that they generate, by the rows it checks).  M_n(A) reads its generators
-off those of A (matrix_context), so of the algebras a command line
-builds only a corner eAe runs the greedy search.  A bimodule uple is
+that they generate, by the rows it checks).  A failed check is named
+on those same rows.  M_n(A) reads its generators off those of A
+(matrix_context), so of the algebras a command line builds only a
+corner eAe runs the greedy search.  A bimodule uple is
 checked as the (A_f, B_g)-bimodule it glues to, and a morphism of uples
 as a map between the glues (DeformedBimodule and triple_violations give
 the proofs).  The bijectivity of the induced maps P (x)_B Q -> A and Q
@@ -63,11 +64,12 @@ transfer_phi and transfer_psi work from the support of the cochain: one
 chain of pair weights per key of its table, so the cost follows the
 number of nonzero entries, not the number of basis tuples of B.
 homotopy_h is the one sum h^n = sum_l (-1)^l h_l of the paper in every
-degree, also computed from the support of its cochain.  The identities
-that the transfer command reports, and d g = 0 in
-verify_morita_deformed, are proved on generator rows of A and B, with
-no full differential (transfer_identities_hold); the full differentials
-are taken only to name the witness of a failure.
+degree, also computed from the support of its cochain.  d f = 0 and d
+g = 0, in the transfer command and in verify_morita_deformed, are
+proved on generator rows of A and B, and the homotopy identity as one
+exact equality, with the differential of the 1-cochain h^2 f as the one
+full differential (transfer_identities_hold); the full differentials of
+f and g are taken only to name the witness of a failure.
 
 Every context is one corner context (_corner_context): eCe against C
 through eC and Ce, each table read off the product of C by index, as e
@@ -390,11 +392,11 @@ class MoritaContext:
         x) by the row at p'_j, a combination of checked rows; q'_j x lies
         in B, so each term is a product of elements of S.  In the same
         way y = 1_B y = sum (q_u p_u) y = sum q_u (p_u y) for y in Q, by
-        the row at q_u, with p_u y in A.  So S is the whole ring.  A
-        failed check is a true failure, but the rows read off need not
-        reach the first one, so the check runs again on the rows of the
-        greedy generators, whose words span by construction, and the
-        error names that failure.
+        the row at q_u, with p_u y in A.  So S is the whole ring.  The
+        check is one pass: a failed check is a true failure, and the
+        error names the first one on these rows, which need not be the
+        first on the rows of another generating set, as these generate
+        only once every check passes.
 
         The rest of a Morita context follows from these, for P and Q
         bimodules.  Recovery: x = x 1_B = sum x <q_k, p_k>_B = sum <x,
@@ -422,12 +424,6 @@ class MoritaContext:
         if q.left_alg is not b or q.right_alg is not a:
             raise InputError("Q must be a (B, A)-bimodule")
         ring = self.ring()
-
-        def failure():
-            return (ring_failure(ring, "the Morita ring")
-                    or _decomposition_failure(self, "a", self.pair_a, a.unit, a.labels)
-                    or _decomposition_failure(self, "b", self.pair_b, b.unit, b.labels))
-
         # the generators read off the context, as ring indices
         at_q = a.dim + p.dim
         gens = set(a.generators())
@@ -435,11 +431,11 @@ class MoritaContext:
         gens.update(a.dim + x for pj, _ in self.gens_a for x in pj)
         gens.update(at_q + y for qu, _ in self.gens_b for y in qu)
         ring._generators = sorted(gens)
-        if failure():
-            # the set read off generates only once every check passes; the
-            # error names the first failure on the greedy generators' rows
-            ring._generators = ring.greedy_generators()
-            raise InputError(failure())
+        failure = (ring_failure(ring, "the Morita ring")
+                   or _decomposition_failure(self, "a", self.pair_a, a.unit, a.labels)
+                   or _decomposition_failure(self, "b", self.pair_b, b.unit, b.labels))
+        if failure:
+            raise InputError(failure)
         self._proved = (ring, ring.unit_and_generators())
 
 
@@ -778,53 +774,25 @@ def homotopy_h(ctx, f):
 
 def transfer_identities_hold(ctx, f, g):
     """True when the four identities that the transfer command reports
-    are proved on generator rows, for a 2-cochain f on A and g =
-    phi^2(f); False when f is not a 2-cocycle or a row check fails, and
-    then the caller computes the full differentials.
+    are proved, for a 2-cochain f on A and g = phi^2(f); False when f is
+    not a 2-cocycle or a check fails, and then the caller computes the
+    full differentials.
 
     A and B are associative and unital by the context's check.  With d f
     = 0, proved on the rows of A (deformation_witness), phi^3 d f = 0 and
     h^3 d f = 0, so the identities read d g = 0 (for cocycle and
     chain-map-phi), d psi^2 g = 0, and d h^2 f = f - psi^2 phi^2 f.  The
     first is proved on the rows of B, and needs no check when g = 0; the
-    second on the rows of A.  For the third, E = f - psi^2 phi^2 f is then
-    a 2-cocycle, so D = E - d h^2 f is one too, and D = 0 once its rows
-    vanish (_coboundary_rows_agree)."""
+    third is one exact equality of 2-cochains on A.  The second follows:
+    psi^2 g = f - d h^2 f, so d psi^2 g = d f - d d h^2 f = 0, as d d =
+    0 on the associative A."""
     ctx.proved_ring()
     a = ctx.a
     if deformation_witness(a, f.table) is not None:
         return False
     if g.table and deformation_witness(ctx.b, g.table) is not None:
         return False
-    back = transfer_psi(ctx, g)
-    if back.table and deformation_witness(a, back.table) is not None:
-        return False
-    return _coboundary_rows_agree(a, f - back, homotopy_h(ctx, f))
-
-
-def _coboundary_rows_agree(alg, e, h):
-    """Whether the 2-cocycle e equals d h, for a 1-cochain h on the
-    associative algebra alg, on the rows (x_r, x_j) with r in R =
-    alg.unit_and_generators(): e(x_r, x_j) = x_r h(x_j) - h(x_r x_j) +
-    h(x_r) x_j.  That decides e = d h.  D = e - d h is a 2-cocycle, as d d
-    h = 0, and the set T of x with D(x, y) = 0 for all y holds R.  For g
-    and x in T, 0 = d D(g, x, y) = g D(x, y) - D(g x, y) + D(g, x y) - D(g,
-    x) y = -D(g x, y), so T is closed under products; it holds the words
-    of the generators, which span alg, so D = 0."""
-    fld = alg.field
-    one, minus = fld.one, fld.neg(fld.one)
-    hmap = {j: vec for (j,), vec in h.table.items()}
-    for r in alg.unit_and_generators():
-        hr = hmap.get(r)
-        for j in range(alg.dim):
-            rest = dict(e.value((r, j)))
-            _addinto(fld, rest, alg.mul({r: one}, hmap.get(j, {})), minus)
-            _addinto(fld, rest, map_apply(hmap, alg.multiply_basis(r, j), fld), one)
-            if hr:
-                _addinto(fld, rest, alg.mul(hr, {j: one}), minus)
-            if rest:
-                return False
-    return True
+    return f - transfer_psi(ctx, g) == full_differential(homotopy_h(ctx, f), a)
 
 
 class DeformedBimodule:
@@ -1170,9 +1138,10 @@ def _deformation_failure(ctx, blocks):
     context over (A_f, B_g): its unit (check 2 of verify_morita_deformed),
     its associativity (check 3), then the plain generator lists as
     decompositions of the deformed units (check 4).  R itself is proved
-    first, by ctx.proved_ring() (check 1).  A triple is named by R's
-    labels, and a coordinate of the t-part of a deformed unit by a:t*x or
-    b:t*y."""
+    first, by ctx.proved_ring() (check 1).  A triple is the first on the
+    left factors of R that proved_ring keeps, the rows that decide check
+    3, and is named by R's labels; a coordinate of the t-part of a
+    deformed unit is named by a:t*x or b:t*y."""
     ring, _ = ctx.proved_ring()
     fld = ctx.field
     at_p = ctx.a.dim
@@ -1188,10 +1157,6 @@ def _deformation_failure(ctx, blocks):
         return "the Morita ring: unit fails on basis element %s" % ring.labels[min(bad)]
     bad = deformation_witness(ring, cochain)
     if bad is not None:
-        # named on the rows of the unit and the greedy generators, as
-        # _validate does: the triple named before generators were read off
-        rows = sorted(set(ring.unit) | set(ring.greedy_generators()))
-        bad = deformation_witness(ring, cochain, rows)
         return "the Morita ring is not associative at (%s, %s, %s)" % tuple(
             ring.labels[x] for x in bad)
     omega_a, omega_b = blocks[6:]

@@ -245,15 +245,16 @@ def ring_witness(message, blocks, defects):
     raise AssertionError("unparsed %s ring error: %s" % (blocks.name, message))
 
 
-def assert_ring_message(message, blocks, defects):
+def assert_ring_message(message, blocks, defects, rows=None):
     """message is None exactly when the oracle finds no defect, and
     otherwise names the first defect that the checks of the ring reach,
     in their order: the unit of the ring on each basis element, the
     oracle's unit defect of least ring index; else the triples (r, j, k)
-    of the ring in that order, for r in the support of the unit or a
-    greedy generator of the oracle's ring, the first that the oracle
-    flags; else the first remaining defect.  Returns whether message is
-    None."""
+    of the ring in that order, for r in rows, the first that the oracle
+    flags; else the first remaining defect.  rows are the ring indices
+    that decided the verdict; by default the support of the unit and the
+    greedy generators of the oracle's ring, the rows of a ring that reads
+    no generators off its blocks.  Returns whether message is None."""
     if message is None:
         assert not defects, defects[:1]
         return True
@@ -262,9 +263,10 @@ def assert_ring_message(message, blocks, defects):
     units = sorted(start[k[0]] + tup[0] for k, tup in defects
                    if k.endswith(("left unit", "right unit")))
     dim, table, unit = blocks.raw
-    firsts = set(unit) | set(brute_greedy_generators(dim, table, unit, blocks.field))
+    if rows is None:
+        rows = set(unit) | set(brute_greedy_generators(dim, table, unit, blocks.field))
     triples = sorted(t for t in (ring_triple(blocks, k, tup) for k, tup in defects
-                                 if k in RING_BLOCKS) if t[0] in firsts)
+                                 if k in RING_BLOCKS) if t[0] in rows)
     if units:
         assert kind.endswith(("left unit", "right unit")), (message, defects)
         assert start[kind[0]] + indices[0] == units[0], (message, defects)

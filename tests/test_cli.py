@@ -656,18 +656,20 @@ def test_a_completion_past_its_step_bound_ends_with_exit_1(field, tmp_path, caps
     # the exterior algebra on 3 letters with the Clifford cocycle plus a
     # coboundary with every coordinate nonzero: the completion of I_f that
     # the dimension line of verify-deform and deform --interreduce make
-    # grows right-hand sides without end, and stops at the step bound
+    # grows right-hand sides without end, and stops at the bound on the
+    # terms it reduces
     af = parse_algebra_text(exterior_text(3), field_override=field)
     basis = compute_basis(af.quiver, af.relations, field, 30)
     f = clifford_cocycle(basis) + every_coordinate_coboundary(basis, random.Random(3))
     path = write_algebra(tmp_path / "shifted.alg", basis, f)
-    monkeypatch.setattr(quiver, "MAX_REWRITE_STEPS", 300)
+    monkeypatch.setattr(quiver, "MAX_REWRITE_TERMS", 300)
     for argv in (["verify-deform", path], ["deform", "--interreduce", path]):
         start = time.perf_counter()
         assert run(argv) == 1
         assert time.perf_counter() - start < 2
         assert capsys.readouterr() == ("", "error: SizeLimitExceeded: completing the "
-                                           "relations takes more than 300 reduction steps\n")
+                                           "relations takes more than 300 terms of "
+                                           "reduction\n")
     assert run(["deform", path]) == 0
 
 

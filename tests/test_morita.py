@@ -33,7 +33,8 @@ from oracles import (_act, _combo, _evaluate, brute_associativity_defect, brute_
                      brute_bimodule_defects,
                      brute_bimodule_map_defects, brute_context_consequences,
                      brute_context_defects, brute_generator_associativity_defect,
-                     brute_corner, brute_deformed_block_ring, brute_generated_dimension,
+                     brute_corner, brute_deformed_block_ring, brute_differential,
+                     brute_generated_dimension,
                      brute_greedy_decomposition,
                      brute_greedy_generators, brute_hat_tables, brute_homotopy,
                      brute_matrix_algebra, brute_transfer, brute_uple_defects,
@@ -673,7 +674,9 @@ def assert_rows_decide_the_transfer(ctx, rng, monkeypatch):
     d h of a random 1-cochain h, the zero cocycle and a random cochain,
     with phi^2 and with a bumped g, and with psi and h bumped in turn.  A
     True verdict is never wrong, and with f a cocycle it is False only
-    when an identity fails."""
+    when an identity fails.  After a True verdict the oracle's
+    differential of psi^2 g is 0: the identity that follows from the
+    others and has no check of its own."""
     fld = ctx.field
     cocycle = full_differential(random_cochain(rng, fld, ctx.a.dim, 1), ctx.a)
     real_psi, real_h = morita.transfer_psi, morita.homotopy_h
@@ -690,6 +693,9 @@ def assert_rows_decide_the_transfer(ctx, rng, monkeypatch):
                 slow = all(transfer_verdicts(ctx, f, g))
                 is_cocycle = deformation_witness(ctx.a, f.table) is None
                 assert fast == (slow and is_cocycle), (patch, f.table, g.table)
+                if fast:
+                    back = morita.transfer_psi(ctx, g)
+                    assert brute_differential(ctx.a.dim, ctx.a.table, fld, back.table, 2) == {}
                 seen.add(fast)
         monkeypatch.setattr(morita, "transfer_psi", real_psi)
         monkeypatch.setattr(morita, "homotopy_h", real_h)
@@ -1338,14 +1344,33 @@ def context_consequences(ctx, pairing_a, pairing_b, gens_a, gens_b):
 def context_accepted(ctx):
     """MoritaContext._validate accepts ctx exactly when the exhaustive
     oracles find no failing axiom, and its error names the defect that
-    assert_ring_message expects; on an accepted context the dense
-    oracle finds every consequence that MoritaContext does not compute to
-    hold.  Returns whether it was accepted."""
+    assert_ring_message expects on the rows that decided the verdict:
+    the left factors of the ring it checked, which are read_off_factors
+    and generate the oracle's ring (brute_generated_dimension).  A
+    triple it names has its first entry among them.  On an accepted
+    context the dense oracle finds every consequence that MoritaContext
+    does not compute to hold.  Returns whether it was accepted."""
     defects = context_defects(ctx)
+    checked, real_failure = [], morita.ring_failure
+
+    def failure(ring, name):
+        checked.append(ring)
+        return real_failure(ring, name)
+
     try:
-        ctx._validate()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(morita, "ring_failure", failure)
+            ctx._validate()
     except InputError as exc:
-        assert_ring_message(str(exc), context_blocks(ctx), defects)
+        (ring,) = checked
+        rows = ring.unit_and_generators()
+        assert rows == read_off_factors(ctx)
+        blocks = context_blocks(ctx)
+        assert brute_generated_dimension(blocks.raw, rows, ctx.field) == blocks.raw[0]
+        assert_ring_message(str(exc), blocks, defects, rows)
+        hit = re.match(r"the Morita ring is not associative at \((.+), .+, .+\)$", str(exc))
+        if hit:
+            assert ring.labels.index(hit.group(1)) in rows, exc
         return False
     assert not defects, defects[:1]
     assert context_consequences(ctx, ctx.pairing_a, ctx.pairing_b, ctx.gens_a,
@@ -1786,7 +1811,7 @@ def test_deformed_context_over_doubled_transfer_is_refused(dual_numbers, monkeyp
         dctx._validate()
     defects, consequences = context_oracles(dctx)
     assert consequences
-    assert_ring_message(str(exc.value), context_blocks(dctx), defects)
+    assert_ring_message(str(exc.value), context_blocks(dctx), defects, read_off_factors(dctx))
 
 
 def test_deformed_context_check_agrees_with_the_oracle(dual_numbers, two_cycle, triangle,
@@ -1857,17 +1882,15 @@ def read_off_factors(ctx):
 
 
 def checked_factors(ctx):
-    """The rows on which the certificate names a failed check of the
-    deformed ring: the support of the unit and the greedy generators
-    (brute_greedy_generators) of the ring.  The left factors of
-    ctx.proved_ring(), on which a passing check runs, are asserted to be
-    read_off_factors and to generate the ring
+    """The rows that decide the certificate's check of the deformed ring
+    and name its failure: the left factors of ctx.proved_ring(), asserted
+    to be read_off_factors and to generate the ring
     (brute_generated_dimension)."""
     raw = context_blocks(ctx).raw
     _, factors = ctx.proved_ring()
     assert factors == read_off_factors(ctx)
     assert brute_generated_dimension(raw, factors, ctx.field) == raw[0]
-    return sorted(set(raw[2]) | set(brute_greedy_generators(*raw, ctx.field)))
+    return factors
 
 
 def first_deformation_failure(ctx, raw, factors):
